@@ -1,10 +1,14 @@
 """Monte Carlo evaluation of defense strategies, baselines, and statistics.
 
 Every run perturbs bus loads, draws an attack, draws a defense from the
-policy under test, and scores the pair on the perturbed network.  Runs are
-seeded individually (seed + run index) so methods compared in one call see
-the same random draws (common random numbers) and results reduce
-deterministically regardless of execution order.
+policy under test, and scores the pair on its perturbed loads: islanding,
+shedding, DER-island curtailment and the four metrics are recomputed per
+run.  Voltage flags (undervoltage, non-convergence) belong to the nominal
+payoff cells; a run's score never depends on a voltage.  Runs are seeded
+individually (seed + run index) so methods compared in one call see the
+same random draws (common random numbers).  All runs are drawn first; runs
+that drew the same cell are then scored together in one batch, and records
+come back in run order.
 """
 
 from __future__ import annotations
@@ -12,19 +16,19 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import backend
+from . import scenario
 from .errors import ConfigError, SolverError
 from .gamesolve import MixedStrategy, nash_exact, qre_fixed_point, regret_matching, stackelberg
 from .marl import LearningConfig, train_multi_agent, train_single_agent
 from .netmodel import NetworkState, is_energized, islands, load_ieee33
 from .netmodel.types import Bus, Der, Line, TieSwitch
-from .resilience import PayoffMatrix, build_payoff_matrix, unified_score
-from .scenario import apply_attack, apply_defense, catalog_default, evaluate_pair
+from .resilience import PayoffMatrix, build_payoff_matrix
+# evaluate_pair is re-exported: the single-cell scorer next to the batch
+from .scenario import apply_attack, apply_defense, catalog_default, evaluate_pair  # noqa: F401
 
 ATTACK_DISTRIBUTIONS = ("uniform", "equilibrium-mix", "adversarial-best-response")
 BASELINE_TAGS = ("RDS", "RBD", "SOD")
@@ -57,9 +61,10 @@ class McConfig:
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         low, high = self.perturbation
-        if not 0.0 <= low <= high:
+        if not (0.0 <= low <= high and math.isfinite(high)):
             raise ConfigError(
-                f"perturbation bounds must satisfy 0 <= low <= high, got {self.perturbation}")
+                "perturbation bounds must be finite and satisfy 0 <= low <= high, "
+                f"got {self.perturbation}")
         if self.attack_distribution not in ATTACK_DISTRIBUTIONS:
             raise ConfigError(
                 f"attack_distribution must be one of {ATTACK_DISTRIBUTIONS}, "
@@ -162,13 +167,6 @@ class ComparisonRow:
 # Monte Carlo core
 
 
-def _perturb_loads(base: NetworkState, multipliers: np.ndarray) -> NetworkState:
-    buses = tuple(
-        replace(b, load_p=b.load_p * m, load_q=b.load_q * m)
-        for b, m in zip(base.buses, multipliers))
-    return replace(base, buses=buses)
-
-
 def _draw(cdf: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
 
@@ -194,8 +192,15 @@ def monte_carlo(base: NetworkState, catalog, weights, defense_policy: DefensePol
 
     The nominal payoff matrix steers the non-uniform attack distributions;
     pass it in when already built, otherwise it is rebuilt here.  Each run
-    then scores the drawn pair on its own perturbed network, so reported
-    statistics reflect physics under uncertainty, not matrix lookups.
+    scores its drawn pair on its own perturbed loads: islanding, shedding,
+    DER-island curtailment and the four metrics are recomputed per run, so
+    reported statistics reflect physics under uncertainty, not matrix
+    lookups.  Voltage flags belong to the nominal payoff cells; no run
+    solves a power flow.
+
+    Every run is drawn first, from its own ``default_rng(seed + run)``
+    stream; runs that drew the same cell are then scored together by one
+    ``scenario.compile_pair`` plan, and records come back in run order.
     """
     attacks = list(catalog.attacks)
     defenses = list(catalog.defenses)
@@ -208,25 +213,24 @@ def monte_carlo(base: NetworkState, catalog, weights, defense_policy: DefensePol
     att_cdf = np.cumsum(_attack_probs(mc, defense_policy, matrix))
     def_cdfs = np.cumsum(defense_policy.mixes, axis=1)
     low, high = mc.perturbation
-    n_buses = len(base.buses)
 
-    def one(run: int):
+    multipliers = np.empty((mc.runs, len(base.buses)))
+    by_cell: dict[tuple[int, int], list[int]] = {}
+    cells = []
+    for run in range(mc.runs):
         rng = np.random.default_rng(mc.seed + run)
-        multipliers = rng.uniform(low, high, n_buses)
-        u_attack = rng.random()
-        u_defense = rng.random()
-        a = _draw(att_cdf, u_attack)
-        d = _draw(def_cdfs[a], u_defense)
-        perturbed = _perturb_loads(base, multipliers)
-        card = evaluate_pair(perturbed, attacks[a], defenses[d], catalog)
-        return attacks[a].id, defenses[d].id, unified_score(card, weights)
+        multipliers[run] = rng.uniform(low, high, len(base.buses))
+        a = _draw(att_cdf, rng.random())
+        d = _draw(def_cdfs[a], rng.random())
+        cells.append((a, d))
+        by_cell.setdefault((a, d), []).append(run)
 
-    workers = backend.thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(mc.runs)))
-    else:
-        records = [one(run) for run in range(mc.runs)]
+    scores = np.empty(mc.runs)
+    for (a, d), runs in by_cell.items():
+        plan = scenario.compile_pair(base, attacks[a], defenses[d])
+        scores[runs] = plan.scores(multipliers[runs], weights)
+    records = [(attacks[a].id, defenses[d].id, float(score))
+               for (a, d), score in zip(cells, scores)]
     return summarize(defense_policy.label, records)
 
 

@@ -7,6 +7,7 @@ uses 0-based indices and converts at the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -84,9 +85,15 @@ class NetworkState:
         if len(set(ids)) != len(ids):
             raise NetworkValidationError("duplicate bus ids")
         known = set(ids)
+        for name in ("base_kv", "base_mva"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise NetworkValidationError(f"{name} must be finite and positive, got {value}")
         if self.slack_bus not in known:
             raise NetworkValidationError(f"slack bus {self.slack_bus} not in network")
         for b in self.buses:
+            if not (math.isfinite(b.load_p) and math.isfinite(b.load_q)):
+                raise NetworkValidationError(f"bus {b.id}: non-finite load")
             if b.load_p < 0:
                 raise NetworkValidationError(f"bus {b.id}: negative active load")
         for ln in list(self.lines) + list(self.switches):
@@ -94,11 +101,18 @@ class NetworkState:
                 raise NetworkValidationError(f"{ln.id}: from and to bus coincide")
             if ln.from_bus not in known or ln.to_bus not in known:
                 raise NetworkValidationError(f"{ln.id}: endpoint bus does not exist")
+            if not (math.isfinite(ln.r) and math.isfinite(ln.x)):
+                raise NetworkValidationError(f"{ln.id}: non-finite impedance")
             if ln.r < 0 or ln.x < 0:
                 raise NetworkValidationError(f"{ln.id}: negative impedance")
+        der_ids = [d.id for d in self.ders]
+        if len(set(der_ids)) != len(der_ids):
+            raise NetworkValidationError("duplicate DER ids")
         for d in self.ders:
             if d.bus not in known:
                 raise NetworkValidationError(f"{d.id}: bus {d.bus} does not exist")
+            if not (math.isfinite(d.rating_p) and d.rating_p >= 0):
+                raise NetworkValidationError(f"{d.id}: rating must be finite and non-negative")
             if not 0.0 <= d.dispatch_fraction <= 1.0:
                 raise NetworkValidationError(f"{d.id}: dispatch fraction outside [0,1]")
         for bus_id, frac in self.shed_fractions.items():

@@ -3,13 +3,16 @@
 Ten attacks and ten defenses, each an ordered list of primitive effects over
 the network state. Applying an action is pure: the input state is never
 touched. The pair-evaluation pipeline runs pre-attack flow, attack, defense,
-post-defense flow, then scores the outcome.
+post-defense flow, then scores the outcome. ``compile_pair`` resolves one
+pair once and scores it for many load vectors at a time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CatalogError
 from .netmodel import CLOSED, OPEN, NetworkState, power_flow, serve_loads, topology
@@ -450,4 +453,184 @@ def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseActi
     return ResilienceScorecard(
         lsr=v_lsr, clr=v_clr, tss=v_tss, drs=v_drs,
         flags=frozenset(flags | f1 | f2 | f3),
+    )
+
+
+# -- compiled pairs --------------------------------------------------------
+
+def _seq_sum(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over the last axis: the order Python's sum() adds in."""
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1])
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def _clamped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """min(1, max(0, num/den)) where den > 0, else 1: the LSR and CLR rule."""
+    ok = den > 0
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=ok)
+    return np.where(ok, np.minimum(1.0, np.maximum(0.0, ratio)), 1.0)
+
+
+def _check_energized_radial(state: NetworkState) -> None:
+    """The RadialityError power_flow would raise on this state, if any."""
+    for comp in topology.islands(state):
+        if topology.is_energized(state, comp):
+            topology.check_radial(state, comp)
+
+
+@dataclass(frozen=True, eq=False)
+class _DerIsland:
+    """An energized island without the slack bus: DERs alone serve it."""
+
+    members: np.ndarray    # bus positions, ordered by bus id
+    critical: np.ndarray   # per member
+    capacity: float        # online DER output, kW
+    rating_total: float    # online DER rating, kW
+    ders: tuple            # (DER position, output kW, rating kW) per online DER
+
+
+@dataclass(frozen=True, eq=False)
+class PairPlan:
+    """One (attack, defense) cell resolved on the unperturbed feeder.
+
+    Topology, DER states, shed_fraction targets and TSS do not depend on the
+    loads, so they are fixed here. What does depend on them is replayed per
+    run by ``scores``: the attack's load scaling, the shed_threshold masks,
+    the DER-island curtailment and DER utilisation shares, and the LSR and
+    CLR denominators. Voltages never reach a score, so no flow is solved.
+    """
+
+    load_p: np.ndarray      # base active load per bus position, kW
+    critical: np.ndarray    # positions of critical buses
+    scalings: tuple         # (bus positions, factor) per scale_load, in effect order
+    shed: np.ndarray        # base shed fraction per bus position
+    shed_steps: tuple       # (kind, bus positions or None, value) in effect order
+    dead: np.ndarray        # bus sits in a de-energized island
+    der_islands: tuple      # _DerIsland per island the slack does not feed
+    der_fixed: np.ndarray   # utilised kW per DER that no DER island holds
+    der_available: float
+    tss: float
+
+    def scores(self, multipliers, weights) -> np.ndarray:
+        """Unified score per row of load multipliers, shape (runs, buses).
+
+        Each score equals ``unified_score(evaluate_pair(perturbed, a, d),
+        weights)`` bit for bit, where ``perturbed`` scales every bus load by
+        its multiplier: sums run left to right in the scalar code's order,
+        and the clamps and empty-denominator rules are the scalar ones.
+        """
+        perturbed = self.load_p * np.asarray(multipliers, dtype=float)
+        runs = perturbed.shape[0]
+        loads = perturbed.copy()
+        for idx, factor in self.scalings:
+            loads[:, idx] = loads[:, idx] * factor
+        shed = np.repeat(self.shed[None, :], runs, axis=0)
+        for kind, idx, value in self.shed_steps:
+            if kind == "shed_threshold":
+                shed[loads > value] = 1.0
+            else:
+                shed[:, idx] = value
+
+        served = loads * (1.0 - shed)
+        served[:, self.dead] = 0.0
+        utilized = np.repeat(self.der_fixed[None, :], runs, axis=0)
+        for isl in self.der_islands:
+            demand = served[:, isl.members]
+            kept = demand * _curtail_factors(demand, isl.critical, isl.capacity)
+            served[:, isl.members] = kept
+            total = _seq_sum(kept)
+            for k, output, rating in isl.ders:
+                share = total * rating / isl.rating_total if isl.rating_total else 0.0
+                utilized[:, k] = np.minimum(output, share)
+
+        lsr_v = _clamped_ratio(_seq_sum(served), _seq_sum(perturbed))
+        crit = self.critical
+        clr_v = _clamped_ratio(_seq_sum(served[:, crit]), _seq_sum(perturbed[:, crit]))
+        if self.der_available <= 0:
+            drs_v = np.zeros(runs)
+        else:
+            drs_v = np.minimum(1.0, np.maximum(0.0, _seq_sum(utilized) / self.der_available))
+        cards = np.column_stack([lsr_v, clr_v, np.full(runs, self.tss), drs_v])
+        return np.array([float(weights.w @ card) for card in cards])
+
+
+def _curtail_factors(demand: np.ndarray, critical: np.ndarray, capacity: float) -> np.ndarray:
+    """Per-run, per-member serving factors of ``serve._curtail_factors``."""
+    crit = _seq_sum(demand[:, critical])
+    noncrit = _seq_sum(demand[:, ~critical])
+    fits = crit + noncrit <= capacity
+    crit_fits = ~fits & (crit <= capacity)
+    # both branches are computed for every run; np.where keeps the valid one
+    with np.errstate(all="ignore"):
+        nc_factor = np.where(noncrit > 0, (capacity - crit) / noncrit, 0.0)
+        crit_factor = np.where(crit > 0, capacity / crit, 0.0)
+    f_crit = np.where(fits | crit_fits, 1.0, crit_factor)
+    f_non = np.where(fits, 1.0, np.where(crit_fits, nc_factor, 0.0))
+    return np.where(critical, f_crit[:, None], f_non[:, None])
+
+
+def compile_pair(base: NetworkState, attack: AttackAction,
+                 defense: DefenseAction) -> PairPlan:
+    """Resolve one attack-defense cell once, to score many load vectors.
+
+    Raises what ``evaluate_pair`` raises on any load vector, in the same
+    order: RadialityError for a loop in an energized island of the base,
+    then every CatalogError of the attack and the defense, then
+    RadialityError for a loop the defense left.
+    """
+    _check_energized_radial(base)
+    defended = apply_defense(apply_attack(base, attack), defense)
+    _check_energized_radial(defended)
+
+    pos = {b.id: i for i, b in enumerate(base.buses)}
+
+    def positions(buses) -> np.ndarray:
+        return np.array([pos[b] for b in buses], dtype=np.int64)
+
+    scalings = tuple(
+        (positions(_resolve_buses(base, attack.id, e.target)),
+         1.0 if e.value is None else float(e.value))
+        for e in attack.effects if e.kind == "scale_load")
+    shed_steps = []
+    for e in defense.effects:
+        if e.kind == "shed_fraction":
+            shed_steps.append((e.kind, positions(_resolve_buses(base, defense.id, e.target)),
+                               0.0 if e.value is None else float(e.value)))
+        elif e.kind == "shed_threshold":
+            shed_steps.append((e.kind, None, float(e.value)))
+
+    der_pos = {d.id: k for k, d in enumerate(defended.ders)}
+    der_fixed = np.zeros(len(defended.ders))
+    dead = np.zeros(len(base.buses), dtype=bool)
+    der_islands = []
+    for comp in topology.islands(defended):
+        if not topology.is_energized(defended, comp):
+            dead[positions(comp)] = True
+            continue
+        island_ders = topology.online_ders_in(defended, comp)
+        if defended.slack_bus in comp:
+            for d in island_ders:
+                der_fixed[der_pos[d.id]] = d.output_kw()
+            continue
+        members = sorted(comp)
+        der_islands.append(_DerIsland(
+            members=positions(members),
+            critical=np.array([defended.buses[pos[b]].is_critical for b in members]),
+            capacity=sum(d.output_kw() for d in island_ders),
+            rating_total=sum(d.rating_p for d in island_ders),
+            ders=tuple((der_pos[d.id], d.output_kw(), d.rating_p) for d in island_ders),
+        ))
+
+    return PairPlan(
+        load_p=np.array([b.load_p for b in base.buses]),
+        critical=positions(b.id for b in base.buses if b.is_critical),
+        scalings=scalings,
+        shed=np.array([base.shed(b.id) for b in base.buses]),
+        shed_steps=tuple(shed_steps),
+        dead=dead,
+        der_islands=tuple(der_islands),
+        der_fixed=der_fixed,
+        der_available=sum(d.output_kw() for d in defended.ders),
+        tss=tss(defended),
     )

@@ -59,6 +59,17 @@ class TestPayoff:
         assert code == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_nan_load_rejected_with_exit_2(self, tmp_path, capsys):
+        from importlib import resources
+        doc = json.loads(resources.files("gridgame.data").joinpath("ieee33.json").read_text())
+        doc["buses"][3]["p_kw"] = float("nan")
+        net = tmp_path / "nan.json"
+        net.write_text(json.dumps(doc))  # writes the NaN literal json.load accepts
+        code = run("payoff", "--network", net, "--out", tmp_path / "o")
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "payoff.csv").exists()
+
     def test_manifest_digests_verify(self, payoff_dir):
         import hashlib
         manifest = json.loads((payoff_dir / "manifest.json").read_text())

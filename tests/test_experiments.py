@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from gridgame import experiments, scenario
 from gridgame.errors import ConfigError, SolverError
 from gridgame.experiments import (
     DefensePolicy,
@@ -28,8 +29,14 @@ from gridgame.experiments import (
     synthetic_feeder,
 )
 from gridgame.netmodel import check_radial, islands, load_ieee33, power_flow
-from gridgame.resilience import DEFAULT_AHP_MATRIX, ahp_weights, build_payoff_matrix
-from gridgame.scenario import catalog_default
+from gridgame.gamesolve import nash_exact
+from gridgame.resilience import (
+    DEFAULT_AHP_MATRIX,
+    ahp_weights,
+    build_payoff_matrix,
+    unified_score,
+)
+from gridgame.scenario import catalog_default, evaluate_pair
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +59,10 @@ class TestMcConfig:
         dict(perturbation=(-0.1, 1.1)),
         dict(perturbation=(1.2, 0.8)),
         dict(attack_distribution="worst-case"),
+        dict(perturbation=(0.0, float("inf"))),
+        dict(perturbation=(float("nan"), 1.0)),
+        dict(perturbation=(0.5, float("nan"))),
+        dict(perturbation=(float("-inf"), 1.0)),
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
@@ -190,6 +201,78 @@ class TestMonteCarlo:
         lines = (tmp_path / "runs.csv").read_text().strip().splitlines()
         assert lines[0] == "run,attack,defense,score"
         assert len(lines) == 6
+
+
+def _oracle_records(base, catalog, weights, policy, matrix, mc):
+    """The Monte Carlo contract, one run at a time: seed the run's stream,
+    draw its multipliers, attack and defense, perturb, score the pair."""
+    entries = matrix.entries
+    n_att = entries.shape[0]
+    if mc.attack_distribution == "uniform":
+        probs = np.full(n_att, 1.0 / n_att)
+    elif mc.attack_distribution == "equilibrium-mix":
+        probs = nash_exact(entries).attacker.probs
+    else:
+        probs = np.zeros(n_att)
+        probs[int(np.argmin([entries[i] @ policy.mixes[i] for i in range(n_att)]))] = 1.0
+
+    def pick(probs, u):
+        cdf = np.cumsum(probs)
+        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+
+    records = []
+    for run in range(mc.runs):
+        rng = np.random.default_rng(mc.seed + run)
+        row = rng.uniform(*mc.perturbation, base.n_buses)
+        a = pick(probs, rng.random())
+        d = pick(policy.mixes[a], rng.random())
+        perturbed = base.with_scaled_loads({b.id: m for b, m in zip(base.buses, row)})
+        card = evaluate_pair(perturbed, catalog.attacks[a], catalog.defenses[d])
+        records.append((catalog.attacks[a].id, catalog.defenses[d].id,
+                        unified_score(card, weights)))
+    return tuple(records)
+
+
+class TestMonteCarloBatch:
+    @pytest.mark.parametrize("dist", ["uniform", "equilibrium-mix",
+                                      "adversarial-best-response"])
+    @pytest.mark.parametrize("perturbation", [(0.9, 1.1), (0.0, 3.0)])
+    def test_records_equal_scalar_oracle(self, bundle, dist, perturbation):
+        base, catalog, weights, matrix = bundle
+        mc = McConfig(runs=40, seed=11, perturbation=perturbation, attack_distribution=dist)
+        policy = baseline("RDS", matrix)
+        rep = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
+        assert rep.records == _oracle_records(base, catalog, weights, policy, matrix, mc)
+
+    def test_one_plan_per_drawn_cell(self, bundle, monkeypatch):
+        base, catalog, weights, matrix = bundle
+        plans, pair_calls = [], []
+        real = scenario.compile_pair
+
+        def counting(b, attack, defense):
+            plans.append((attack.id, defense.id))
+            return real(b, attack, defense)
+
+        def scalar(*args, **kwargs):
+            pair_calls.append(args)
+            return evaluate_pair(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "compile_pair", counting)
+        monkeypatch.setattr(scenario, "evaluate_pair", scalar)
+        monkeypatch.setattr(experiments, "evaluate_pair", scalar)
+
+        rep = monte_carlo(base, catalog, weights, baseline("SOD", matrix),
+                          McConfig(runs=200, seed=1), matrix=matrix)
+        assert rep.samples == 200
+        assert len(plans) == 1
+
+        plans.clear()
+        mc = McConfig(runs=200, seed=1, attack_distribution="uniform")
+        rep = monte_carlo(base, catalog, weights, baseline("RDS", matrix), mc, matrix=matrix)
+        drawn = {r[:2] for r in rep.records}
+        assert len(plans) == len(set(plans)) == len(drawn)
+        assert set(plans) == drawn
+        assert pair_calls == []
 
 
 class TestBaselines:

@@ -20,6 +20,7 @@ from gridgame.netmodel import (
     Der,
     Line,
     NetworkState,
+    TieSwitch,
     islands,
     load_ieee33,
     power_flow,
@@ -328,6 +329,35 @@ class TestValidation:
                 slack_bus=1,
                 shed_fractions={2: 1.5},
             )
+
+    @staticmethod
+    def _three_bus(load_p=10.0, load_q=5.0, r=0.1, x=0.1, switch_r=0.5,
+                   rating=100.0, base_kv=12.66, base_mva=10.0, der_ids=("G",)):
+        return NetworkState(
+            buses=(Bus(1, 0, 0), Bus(2, load_p, load_q), Bus(3, 1.0, 0.5)),
+            lines=(Line("a", 1, 2, r, x), Line("b", 2, 3, 0.1, 0.1)),
+            switches=(TieSwitch("s", 1, 3, switch_r, 0.5),),
+            ders=tuple(Der(d, 2, rating) for d in der_ids),
+            base_kv=base_kv, base_mva=base_mva, slack_bus=1,
+        )
+
+    def test_finite_three_bus_accepted(self):
+        assert power_flow(self._three_bus()).converged
+
+    @pytest.mark.parametrize("field, value", [
+        ("load_p", math.nan), ("load_p", math.inf), ("load_q", math.nan),
+        ("load_q", -math.inf), ("r", math.nan), ("x", math.inf),
+        ("switch_r", math.nan), ("rating", math.nan), ("rating", math.inf),
+        ("rating", -1.0), ("base_kv", math.nan), ("base_mva", 0.0),
+    ])
+    def test_non_finite_or_negative_values_rejected(self, field, value):
+        # a NaN load used to pass and "converge" after one sweep
+        with pytest.raises(NetworkValidationError):
+            self._three_bus(**{field: value})
+
+    def test_duplicate_der_ids_rejected(self):
+        with pytest.raises(NetworkValidationError):
+            self._three_bus(der_ids=("G", "G"))
 
     def test_open_line_keeps_state_pure(self, net):
         line = net.find_line(6, 7)

@@ -1,19 +1,41 @@
-"""Catalog semantics and the pair-evaluation pipeline."""
+"""Catalog semantics, the pair-evaluation pipeline, and compiled pairs.
+
+The scalar ``evaluate_pair`` is the oracle for ``compile_pair``: a batch of
+scores must equal the scalar scores exactly, not approximately.
+"""
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridgame import scenario
-from gridgame.errors import CatalogError
-from gridgame.netmodel import OPEN, islands, load_ieee33
+from gridgame.errors import CatalogError, RadialityError
+from gridgame.experiments import _probe_catalog, synthetic_feeder
+from gridgame.netmodel import (
+    CLOSED,
+    OPEN,
+    Bus,
+    Line,
+    NetworkState,
+    TieSwitch,
+    islands,
+    load_ieee33,
+    power_flow,
+    serve_loads,
+)
+from gridgame.resilience import DEFAULT_AHP_MATRIX, ahp_weights, unified_score
 from gridgame.scenario import (
     AttackAction,
     DefenseAction,
     Effect,
+    ScenarioCatalog,
     apply_attack,
     apply_defense,
     catalog_default,
+    compile_pair,
     evaluate_pair,
     load_catalog,
 )
@@ -262,3 +284,150 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(CatalogError):
             load_catalog(path)
+
+
+# -- compiled pairs against the scalar oracle ---------------------------------
+
+WEIGHTS = ahp_weights(np.asarray(DEFAULT_AHP_MATRIX))
+# the last range pushes DER islands past their capacity, so they curtail
+MULTIPLIER_RANGES = ((0.9, 1.1), (0.0, 0.0), (1.0, 1.0), (0.0, 3.0))
+
+
+def _multiplier_rows(n_buses: int, per_range: int = 3, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.uniform(lo, hi, (per_range, n_buses))
+                      for lo, hi in MULTIPLIER_RANGES])
+
+
+def _perturbed(base, row):
+    return base.with_scaled_loads({b.id: m for b, m in zip(base.buses, row)})
+
+
+def _scalar_scores(base, attack, defense, rows) -> list:
+    return [unified_score(evaluate_pair(_perturbed(base, row), attack, defense), WEIGHTS)
+            for row in rows]
+
+
+def _assert_batch_matches_scalar(base, catalog, rows) -> None:
+    for a in catalog.attacks:
+        for d in catalog.defenses:
+            got = compile_pair(base, a, d).scores(rows, WEIGHTS)
+            assert got.tolist() == _scalar_scores(base, a, d, rows), (a.id, d.id)
+
+
+def _stress_catalog() -> ScenarioCatalog:
+    """Load scaling everywhere and on DER buses, DER islands that must
+    curtail, and shed_threshold on either side of shed_fraction."""
+    attacks = (
+        AttackAction("S1", "inflate every load", (Effect("scale_load", "*", 1.5),)),
+        AttackAction("S2", "island DER2 and DER4, inflate their buses, then all", (
+            Effect("trip_line", "5-6"),
+            Effect("scale_load", (18, 29), 2.5),
+            Effect("scale_load", "*", 1.1),
+        )),
+        AttackAction("S3", "island the 15-18 and 29-33 tails, inflate 15-18", (
+            Effect("trip_line", "14-15"),
+            Effect("trip_line", "28-29"),
+            Effect("scale_load", (15, 16, 17, 18), 3.0),
+        )),
+    )
+    defenses = (
+        DefenseAction("T1", "no action", ()),
+        DefenseAction("T2", "threshold, then fraction", (
+            Effect("shed_threshold", None, 150.0),
+            Effect("shed_fraction", "non-critical", 0.2),
+        )),
+        DefenseAction("T3", "fraction, then threshold", (
+            Effect("shed_fraction", "*", 0.1),
+            Effect("shed_threshold", None, 120.0),
+        )),
+        DefenseAction("T4", "full DER dispatch, then threshold", (
+            Effect("set_der_dispatch", "*", 1.0),
+            Effect("shed_threshold", None, 300.0),
+        )),
+    )
+    return ScenarioCatalog(attacks=attacks, defenses=defenses, version="stress")
+
+
+class TestCompilePair:
+    def test_bundled_catalog_matches_scalar(self, net, cat):
+        _assert_batch_matches_scalar(net, cat, _multiplier_rows(net.n_buses))
+
+    def test_probe_catalog_matches_scalar(self):
+        feeder = synthetic_feeder(40, 1)
+        _assert_batch_matches_scalar(feeder, _probe_catalog(feeder),
+                                     _multiplier_rows(feeder.n_buses, seed=1))
+
+    def test_stress_catalog_matches_scalar(self, net):
+        _assert_batch_matches_scalar(net, _stress_catalog(),
+                                     _multiplier_rows(net.n_buses, per_range=5, seed=2))
+
+    def test_stress_rows_reach_curtailment(self, net):
+        # the (0, 3) rows must exercise the DER-island curtailment branch
+        stress = _stress_catalog()
+        rows = _multiplier_rows(net.n_buses, per_range=5, seed=2)
+        curtailed = 0
+        for row in rows:
+            defended = apply_defense(apply_attack(_perturbed(net, row), stress.attack("S3")),
+                                     stress.defense("T1"))
+            curtailed += serve_loads(defended, power_flow(defended)).capacity_curtailed
+        assert curtailed > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(cell=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+           rows=st.lists(st.lists(st.floats(0.0, 3.0), min_size=33, max_size=33),
+                         min_size=1, max_size=4))
+    def test_property_random_rows(self, net, cat, cell, rows):
+        a, d = cat.attacks[cell[0]], cat.defenses[cell[1]]
+        got = compile_pair(net, a, d).scores(np.array(rows), WEIGHTS)
+        assert got.tolist() == _scalar_scores(net, a, d, rows)
+
+    def test_plan_leaves_inputs_untouched(self, net, cat):
+        rows = _multiplier_rows(net.n_buses)
+        before = rows.copy()
+        plan = compile_pair(net, cat.attack("A4"), cat.defense("D9"))
+        first = plan.scores(rows, WEIGHTS)
+        assert np.array_equal(rows, before)
+        assert plan.scores(rows, WEIGHTS).tolist() == first.tolist()
+        assert net == load_ieee33()
+
+
+
+def _dead_loop_feeder() -> NetworkState:
+    """Slack feeder 1-2-3 plus a de-energized looped island 4-5-6 that the
+    open tie switch 3-4 can join."""
+    lines = (
+        Line("1-2", 1, 2, 0.1, 0.1), Line("2-3", 2, 3, 0.1, 0.1),
+        Line("4-5", 4, 5, 0.1, 0.1), Line("5-6", 5, 6, 0.1, 0.1),
+        Line("6-4", 6, 4, 0.1, 0.1),
+    )
+    return NetworkState(buses=tuple(Bus(i, 10.0, 5.0) for i in range(1, 7)),
+                        lines=lines, switches=(TieSwitch("SW", 3, 4, 0.1, 0.1),))
+
+
+def _error_cases():
+    net, cat = load_ieee33(), catalog_default()
+    looped = net.with_switch_position("SW1", CLOSED)
+    bad_line = AttackAction("AX", "no such line", (Effect("trip_line", "1-33"),))
+    bad_switch = DefenseAction("DX", "no such switch", (Effect("close_switch", "SW9"),))
+    orphan = DefenseAction("DY", "orphan", (Effect("companion_open", "14-15"),))
+    join = DefenseAction("DZ", "join the looped island", (Effect("close_switch", "SW"),))
+    return [
+        pytest.param(looped, cat.attack("A6"), cat.defense("D1"), RadialityError,
+                     id="base-loop"),
+        pytest.param(looped, bad_line, cat.defense("D1"), RadialityError,
+                     id="base-loop-before-catalog"),
+        pytest.param(net, bad_line, cat.defense("D1"), CatalogError, id="bad-attack"),
+        pytest.param(net, cat.attack("A2"), bad_switch, CatalogError, id="bad-defense"),
+        pytest.param(net, cat.attack("A2"), orphan, CatalogError, id="orphan-companion"),
+        pytest.param(_dead_loop_feeder(), NO_ATTACK, join, RadialityError,
+                     id="defense-energizes-loop"),
+    ]
+
+
+@pytest.mark.parametrize("base, attack, defense, error", _error_cases())
+def test_compile_pair_raises_where_scalar_does(base, attack, defense, error):
+    with pytest.raises(error):
+        evaluate_pair(base, attack, defense)
+    with pytest.raises(error):
+        compile_pair(base, attack, defense)
