@@ -1,8 +1,12 @@
-"""Timing comparison of the numba and numpy kernel builds.
+"""Timing comparison of the builds of each registered kernel.
 
-Runs each registered kernel's representative workload under both backends
-and prints a table with the speedup.  Numba's first call compiles (or loads
-the on-disk cache), so every workload gets one untimed warmup call.
+Every kernel is timed as its array function (the numba source and the
+reference the tests compare against), as its CPython build (what the numpy
+backend runs) when it has one, and as its jitted build when numba imports.
+The kernels are called directly with the arguments their public entry points
+pass, and each build's output is checked against the array function's.
+Numba's first call compiles (or loads the on-disk cache), so the jitted
+build gets one untimed warmup call.
 
     python3 benchmarks/bench_backends.py [--repeats N] [--quick]
 """
@@ -12,45 +16,58 @@ import time
 
 import numpy as np
 
-from gridgame import backend, gamesolve, marl
-from gridgame.netmodel import load_ieee33, power_flow
+from gridgame import gamesolve, marl
+from gridgame.netmodel import load_ieee33, powerflow, topology
+
+
+def sweep_args():
+    net = load_ieee33()
+    comp = next(iter(topology.islands(net)))
+    ref = topology.reference_bus(net, comp)
+    _order, *arrays = powerflow._island_arrays(net, comp, ref)
+    return (*arrays, powerflow.TOLERANCE, powerflow.MAX_SWEEPS)
 
 
 def workloads(quick: bool):
+    """(label, kernel, args, calls per timing) for each kernel workload."""
     scale = 10 if quick else 1
+    steps = 100_000 // scale
     m10 = np.random.default_rng(0).random((10, 10))
-    net = load_ieee33()
-    opp = gamesolve.MixedStrategy(np.full(10, 0.1))
-    episodes = 200_000 // scale
-    mdp = marl.stage_mdp_default(m10)
-
-    def flow():
-        for _ in range(200 // scale):
-            power_flow(net)
-
+    rng = np.random.default_rng(1)
+    record_every = max(1, steps // marl.TELEMETRY_ROWS)
+    u2, u3, u5 = (rng.random((steps, k)) for k in (2, 3, 5))
+    flat = (m10[None], np.ones((1, 10, 10, 1)))
+    chain = marl.stage_mdp_default(m10)
     return [
-        ("power_flow x%d" % (200 // scale), flow),
-        ("fictitious_play 1e%d" % (6 - (scale > 1)),
-         lambda: gamesolve.nash_fictitious_play(m10, max_iters=1_000_000 // scale,
-                                                tol=0.0)),
-        ("regret_matching %d" % (500_000 // scale),
-         lambda: gamesolve.regret_matching(m10, T=500_000 // scale, seed=1)),
-        ("single_agent %dk" % (episodes // 1000),
-         lambda: marl.train_single_agent(
-             m10, opp, marl.LearningConfig(episodes=episodes, seed=2))),
-        ("mdp_train %dk" % (episodes // 1000),
-         lambda: marl.mdp_train(
-             mdp, marl.LearningConfig(episodes=episodes, seed=3, gamma=0.8))),
+        ("power_flow sweep", powerflow._sweep_kernel, sweep_args(), 200 // scale),
+        (f"fictitious_play 10x10, {steps} steps", gamesolve._fp_kernel,
+         (m10, steps, 0.0, 100), 1),
+        (f"regret_matching 10x10, {steps} steps", gamesolve._rm_kernel,
+         (m10, u2, record_every), 1),
+        (f"single_agent {steps} episodes", marl._single_kernel,
+         (m10, np.cumsum(np.full(10, 0.1)), True, 0, 0.1, 1.0, 1.0, 0.9999,
+          u3, record_every), 1),
+        (f"multi_agent (maql) {steps} episodes", marl._mdp_kernel,
+         (*flat, 0.0, 0, 0.1, 1.0, 1.0, 0.9995, u5, steps - steps // 10,
+          record_every), 1),
+        (f"mdp 3 states, gamma 0.8, power, {steps} episodes", marl._mdp_kernel,
+         (chain.rewards, chain.transitions, 0.8, 2, 0.1, 0.6, 1.0, 0.9999, u5,
+          steps - steps // 10, record_every), 1),
     ]
 
 
-def best_of(fn, repeats: int) -> float:
+def median_time(fn, args, calls: int, repeats: int) -> float:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
+        for _ in range(calls):
+            fn(*args)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def same_outputs(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def main() -> None:
@@ -61,19 +78,32 @@ def main() -> None:
     args = ap.parse_args()
 
     rows = []
-    for label, fn in workloads(args.quick):
-        timings = {}
-        for name in ("numba", "numpy"):
-            backend.set_backend(name)
-            fn()  # warmup: jit compile / cache load
-            timings[name] = best_of(fn, args.repeats)
-        rows.append((label, timings["numpy"], timings["numba"],
-                     timings["numpy"] / timings["numba"]))
+    for label, kernel, kargs, calls in workloads(args.quick):
+        ref = kernel.py_func(*kargs)
+        times = {"array": median_time(kernel.py_func, kargs, calls, args.repeats)}
+        for name, build in (("cpython", kernel.cpython), ("numba", kernel.nb_func)):
+            if build is None:
+                continue
+            out = build(*kargs)  # numba: compile or load the cache
+            # the jitted sweep may reassociate at the last ulp
+            if name == "cpython" and not same_outputs(ref, out):
+                raise SystemExit(f"{label}: {name} build differs from the array function")
+            times[name] = median_time(build, kargs, calls, args.repeats)
+        rows.append((label, times))
 
-    width = max(len(r[0]) for r in rows)
-    print(f"{'workload':<{width}}  {'numpy [s]':>10}  {'numba [s]':>10}  {'speedup':>8}")
-    for label, t_np, t_nb, speed in rows:
-        print(f"{label:<{width}}  {t_np:>10.4f}  {t_nb:>10.4f}  {speed:>7.1f}x")
+    def cell(times, name):
+        return f"{times[name]:>10.4f}" if name in times else f"{'-':>10}"
+
+    def speedup(times, name):
+        return f"{times['array'] / times[name]:>7.1f}x" if name in times else f"{'-':>8}"
+
+    width = max(len(label) for label, _ in rows)
+    print(f"{'workload':<{width}}  {'array [s]':>10}  {'cpython [s]':>11}  "
+          f"{'numba [s]':>10}  {'cpython':>8}  {'numba':>8}")
+    for label, times in rows:
+        print(f"{label:<{width}}  {cell(times, 'array')}  {cell(times, 'cpython'):>11}  "
+              f"{cell(times, 'numba')}  {speedup(times, 'cpython')}  "
+              f"{speedup(times, 'numba')}")
 
 
 if __name__ == "__main__":

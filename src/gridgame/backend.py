@@ -1,15 +1,21 @@
-"""Kernel backend selection: numba-jitted hot loops with a pure-numpy fallback.
+"""Kernel backend selection: numba-jitted hot loops or their CPython builds.
 
 Every hot kernel in this package is written once as a plain Python/numpy
-function and registered here.  When numba is importable and the backend is
-"numba" (the default), callers get the jitted build; otherwise they get the
-original function.  The backend is chosen from the ``GRIDGAME_BACKEND``
-environment variable at import time ("numba" or "numpy") and can be switched
-at runtime with :func:`set_backend`, which is what the benchmark harness and
-the backend-parity tests do.
+array function and registered here with :func:`kernel`.  Under the "numba"
+backend callers get the jitted build of that function.  Under the "numpy"
+backend they get the kernel's CPython build when one is registered (the same
+step loop over Python floats and lists, which the interpreter runs several
+times faster than element access on numpy arrays), else the array function
+itself.  The array function stays the numba source and the bit-for-bit
+reference the tests compare the CPython builds against.
 
-Kernels consume pre-drawn uniform arrays instead of calling an RNG, so both
-backends produce bit-identical results for the same seed.
+The backend is chosen from the ``GRIDGAME_BACKEND`` environment variable at
+import time ("numba" or "numpy"; unset means numba when it imports, else
+numpy) and can be switched at runtime with :func:`set_backend`, which is what
+the benchmark harness and the backend-parity tests do.
+
+Kernels consume pre-drawn uniform arrays instead of calling an RNG, so every
+build produces bit-identical results for the same seed.
 """
 
 from __future__ import annotations
@@ -21,20 +27,22 @@ try:
     from numba import njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but degrade gracefully
+except ImportError:  # numba is an optional extra; numpy is always available
     HAS_NUMBA = False
 
 _VALID = ("numba", "numpy")
+_DEFAULT = "numba" if HAS_NUMBA else "numpy"
 
-_backend = os.environ.get("GRIDGAME_BACKEND", "numba").strip().lower()
+_backend = os.environ.get("GRIDGAME_BACKEND", "").strip().lower() or _DEFAULT
 if _backend not in _VALID:
-    warnings.warn(f"GRIDGAME_BACKEND={_backend!r} not recognized, using 'numba'")
-    _backend = "numba"
+    warnings.warn(f"GRIDGAME_BACKEND={_backend!r} not recognized, using {_DEFAULT!r}")
+    _backend = _DEFAULT
 if _backend == "numba" and not HAS_NUMBA:
-    warnings.warn("numba unavailable, falling back to numpy kernels")
+    warnings.warn("GRIDGAME_BACKEND=numba but numba is not installed, "
+                  "falling back to numpy kernels")
     _backend = "numpy"
 
-_REGISTRY: dict[str, tuple] = {}
+_REGISTRY: dict[str, "Kernel"] = {}
 
 
 def active_backend() -> str:
@@ -51,27 +59,54 @@ def set_backend(name: str) -> None:
     _backend = name
 
 
-def kernel(py_func):
-    """Register a hot-loop function; returns a dispatcher honoring the backend.
+class Kernel:
+    """Dispatcher for one registered hot loop.
 
-    The jitted variant is compiled lazily on first call (numba caches the
-    machine code on disk, so repeated processes skip recompilation).
+    ``py_func`` is the array function, ``nb_func`` its jitted build (None
+    without numba; numba compiles lazily on first call and caches the machine
+    code on disk) and ``cpython`` the optional CPython build, registered with
+    :meth:`cpython_build`.  The builds are looked up on every call, so a test
+    can replace one and see which build the backend runs.
     """
-    jitted = njit(cache=True)(py_func) if HAS_NUMBA else None
-    _REGISTRY[py_func.__name__] = (py_func, jitted)
 
-    def dispatch(*args):
-        impl = jitted if (_backend == "numba" and jitted is not None) else py_func
-        return impl(*args)
+    def __init__(self, py_func):
+        self.py_func = py_func
+        self.nb_func = njit(cache=True)(py_func) if HAS_NUMBA else None
+        self.cpython = None
+        self.__name__ = py_func.__name__
+        self.__doc__ = py_func.__doc__
 
-    dispatch.__name__ = py_func.__name__
-    dispatch.py_func = py_func
-    dispatch.nb_func = jitted
+    def cpython_build(self, func):
+        """Register ``func`` as this kernel's build for the numpy backend."""
+        self.cpython = func
+        return func
+
+    def __call__(self, *args):
+        if _backend == "numba" and self.nb_func is not None:
+            return self.nb_func(*args)
+        return (self.cpython or self.py_func)(*args)
+
+
+def kernel(py_func) -> Kernel:
+    """Register a hot-loop array function; returns its backend dispatcher."""
+    dispatch = Kernel(py_func)
+    _REGISTRY[py_func.__name__] = dispatch
     return dispatch
 
 
 def registered_kernels() -> list[str]:
     return sorted(_REGISTRY)
+
+
+# rows converted to Python lists per chunk: a whole (100000, 5) array as
+# lists adds ~27 MB of peak memory, a 512-row chunk about 0.1 MB
+ROW_CHUNK = 512
+
+
+def iter_rows(arr):
+    """Yield the rows of a 2-d array as lists of Python floats, chunk by chunk."""
+    for start in range(0, arr.shape[0], ROW_CHUNK):
+        yield from arr[start:start + ROW_CHUNK].tolist()
 
 
 def thread_count() -> int:

@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -30,6 +34,8 @@ def _entries(m) -> np.ndarray:
     arr = np.asarray(getattr(m, "entries", m), dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise SolverError("payoff matrix must be a non-empty 2-d array")
+    if not np.isfinite(arr).all():
+        raise SolverError("payoff matrix has non-finite entries")
     return arr
 
 
@@ -197,6 +203,57 @@ def _fp_kernel(M, max_iters, tol, check_every):
             if eps <= tol:
                 break
     return count_a / t, count_d / t, t, eps
+
+
+@_fp_kernel.cpython_build
+def _fp_cpython(M, max_iters, tol, check_every):
+    """_fp_kernel over Python lists, bit for bit: the same sums in the same order.
+
+    min/max return the first extreme element and index() its first position,
+    which is the lowest-index tie rule of the scans above (entries are finite).
+    """
+    m, n = M.shape
+    rows = M.tolist()
+    cols = M.T.tolist()
+    count_a = [0.0] * m
+    count_d = [0.0] * n
+    u_a = [0.0] * m
+    u_d = [0.0] * n
+    a = 0
+    d = 0
+    eps = math.inf
+    t = 0
+    while t < max_iters:
+        t += 1
+        count_a[a] += 1.0
+        count_d[d] += 1.0
+        u_a = list(map(add, u_a, cols[d]))
+        u_d = list(map(add, u_d, rows[a]))
+        a = u_a.index(min(u_a))
+        d = u_d.index(max(u_d))
+        if t % check_every == 0 or t == max_iters:
+            pa = [c / t for c in count_a]
+            pd = [c / t for c in count_d]
+            value = 0.0
+            worst_row = math.inf
+            best_col = -math.inf
+            for i in range(m):
+                row = 0.0
+                for x, p in zip(rows[i], pd):
+                    row += x * p
+                if row < worst_row:
+                    worst_row = row
+                value += row * pa[i]
+            for j in range(n):
+                col = 0.0
+                for x, p in zip(cols[j], pa):
+                    col += x * p
+                if col > best_col:
+                    best_col = col
+            eps = max(value - worst_row, best_col - value)
+            if eps <= tol:
+                break
+    return np.array(count_a) / t, np.array(count_d) / t, t, eps
 
 
 def nash_fictitious_play(M, max_iters: int = FP_DEFAULT_ITERS,
@@ -383,6 +440,69 @@ def _rm_kernel(M, uniforms, record_every):
                 traj[r, 3] = payoff_sum / (t + 1)
                 r += 1
     return mix_sum_a / T, mix_sum_d / T, traj[:r]
+
+
+def _sample(mix, u) -> int:
+    """First index whose running sum of mix exceeds u, else the last index.
+
+    The running sums are accumulated left to right like the scans of
+    _rm_kernel; mix is non-negative, so they are sorted for bisection.
+    """
+    k = bisect_right(list(accumulate(mix)), u)
+    return k if k < len(mix) else len(mix) - 1
+
+
+@_rm_kernel.cpython_build
+def _rm_cpython(M, uniforms, record_every):
+    """_rm_kernel over Python lists, bit for bit: the same sums in the same order."""
+    T = uniforms.shape[0]
+    m, n = M.shape
+    rows_of = M.tolist()
+    cols_of = M.T.tolist()
+    regret_a = [0.0] * m
+    regret_d = [0.0] * n
+    mix_sum_a = [0.0] * m
+    mix_sum_d = [0.0] * n
+    pa = [1.0 / m] * m
+    pd = [1.0 / n] * n
+    rows = T // record_every + (1 if T % record_every else 0)
+    traj = np.zeros((rows, 4))
+    payoff_sum = 0.0
+    r = 0
+    for t, (ua, ud) in enumerate(backend.iter_rows(uniforms)):
+        a = _sample(pa, ua)
+        d = _sample(pd, ud)
+        row = rows_of[a]
+        got = row[d]
+        payoff_sum += got
+        regret_a = [g + (got - x) for g, x in zip(regret_a, cols_of[d])]
+        regret_d = [g + (x - got) for g, x in zip(regret_d, row)]
+        mix_sum_a = list(map(add, mix_sum_a, pa))
+        mix_sum_d = list(map(add, mix_sum_d, pd))
+        pos = 0.0
+        for g in regret_a:
+            if g > 0.0:
+                pos += g
+        if pos > 0.0:
+            pa = [g / pos if g > 0.0 else 0.0 for g in regret_a]
+        else:
+            pa = [1.0 / m] * m
+        pos = 0.0
+        for g in regret_d:
+            if g > 0.0:
+                pos += g
+        if pos > 0.0:
+            pd = [g / pos if g > 0.0 else 0.0 for g in regret_d]
+        else:
+            pd = [1.0 / n] * n
+        if (t + 1) % record_every == 0 or t == T - 1:
+            if r < rows:
+                ra = max(regret_a)
+                rd = max(regret_d)
+                traj[r] = (t + 1, (ra if ra > 0.0 else 0.0) / (t + 1),
+                           (rd if rd > 0.0 else 0.0) / (t + 1), payoff_sum / (t + 1))
+                r += 1
+    return np.array(mix_sum_a) / T, np.array(mix_sum_d) / T, traj[:r]
 
 
 def regret_matching(M, T: int, seed: int) -> EquilibriumReport:

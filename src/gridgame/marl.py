@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,69 +99,6 @@ class LearningConfig:
 
     def _alpha_mode(self) -> int:
         return ALPHA_SCHEDULES.index(self.alpha_schedule)
-
-
-# ---------------------------------------------------------------------------
-# Q table and the single-step update
-
-
-class QTable:
-    """Dense (context, own action, opponent action) value table.
-
-    Unseen keys read as 0.  ``values`` and ``visits`` are plain arrays;
-    trainers mutate their own private instance and export copies.
-    """
-
-    def __init__(self, contexts: int, own_actions: int, opp_actions: int):
-        if min(contexts, own_actions, opp_actions) < 1:
-            raise ConfigError("QTable dimensions must be positive")
-        self.values = np.zeros((contexts, own_actions, opp_actions))
-        self.visits = np.zeros((contexts, own_actions, opp_actions), dtype=np.int64)
-
-    def q(self, context: int, own: int, opp: int) -> float:
-        return float(self.values[context, own, opp])
-
-    def snapshot(self) -> np.ndarray:
-        return self.values.copy()
-
-
-def q_update(table: QTable, key, reward: float, next_best: float,
-             alpha: float, gamma: float = 0.0) -> QTable:
-    """One temporal-difference step: q += alpha*(reward + gamma*next_best - q).
-
-    Stateless play passes gamma=0, which drops the bootstrap term.  Mutates
-    and returns the same table (training loops chain millions of these).
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-    if abs(reward) > 1.0 + 1e-12:
-        raise ConfigError(f"|reward| must be <= 1, got {reward}")
-    context, own, opp = key
-    q = table.values[context, own, opp]
-    table.values[context, own, opp] = q + alpha * (reward + gamma * next_best - q)
-    table.visits[context, own, opp] += 1
-    return table
-
-
-def epsilon_greedy(table: QTable, context: int, opponent_last: int,
-                   epsilon: float, side: str, rng: np.random.Generator) -> int:
-    """Pick an action: greedy vs the opponent's last move, else uniform.
-
-    The greedy action ends up with probability 1 - eps + eps/m and every
-    other action with eps/m.  Defenders maximize the Q column, attackers
-    minimize, ties to the lowest index.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
-    m = table.values.shape[1]
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(m))
-    col = table.values[context, :, opponent_last]
-    if side == "defender":
-        return int(np.argmax(col))
-    if side == "attacker":
-        return int(np.argmin(col))
-    raise ConfigError(f"side must be 'attacker' or 'defender', got {side!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +255,81 @@ def _single_kernel(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
     return q, visits, opp_counts, telemetry
 
 
+def _greedy(col, pick) -> int:
+    # lowest index among the extremes, as the scans do (Q values are finite)
+    return col.index(pick(col))
+
+
+def _first_above(cdf):
+    """Running maxima of cdf; bisect_right(them, u) is the first k with u < cdf[k].
+
+    That is the answer of the kernels' linear scans, also where rounding or
+    a -1e-12 probability makes cdf dip; the maxima are sorted for bisection.
+    """
+    return list(accumulate(cdf, max))
+
+
+@_single_kernel.cpython_build
+def _single_cpython(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
+                    eps0, eps_decay, uniforms, record_every):
+    """_single_kernel over Python lists, bit for bit.
+
+    Q and visits are held per opponent column, and the greedy index of each
+    column is cached until a cell of that column changes value.  Under the
+    harmonic schedule a cell is set to its reward on its first visit and
+    never moves after, so the greedy scans stop once every cell was seen.
+    """
+    episodes = uniforms.shape[0]
+    rows, cols = m.shape
+    n_own = cols if defender_side else rows
+    n_opp = rows if defender_side else cols
+    reward_of = m.tolist() if defender_side else m.T.tolist()  # [opp][own]
+    pick = max if defender_side else min
+    cdf = _first_above(opp_cdf[:n_opp - 1].tolist())
+    q = [[0.0] * n_own for _ in range(n_opp)]
+    visits = [[0] * n_own for _ in range(n_opp)]
+    greedy = [0] * n_opp  # an all-zero column's greedy action is 0
+    opp_counts = [0] * n_opp
+    n_rec = episodes // record_every
+    telemetry = np.zeros((n_rec, 5))
+    rec = 0
+    opp_last = 0
+    eps = eps0
+    for t, (u_opp, u_coin, u_pick) in enumerate(backend.iter_rows(uniforms)):
+        opp = bisect_right(cdf, u_opp)
+        if u_coin < eps:
+            own = int(u_pick * n_own)
+            if own == n_own:
+                own -= 1
+        else:
+            own = greedy[opp_last]
+            if own is None:
+                own = greedy[opp_last] = _greedy(q[opp_last], pick)
+        reward = reward_of[opp][own]
+        count = visits[opp][own] + 1
+        visits[opp][own] = count
+        if alpha_mode == 0:
+            alpha = 1.0 / count
+        elif alpha_mode == 1:
+            alpha = alpha_c
+        else:
+            alpha = float(count) ** (-alpha_p)
+        col = q[opp]
+        old = col[own]
+        delta = alpha * (reward - old)
+        col[own] = old + delta
+        if col[own] != old:
+            greedy[opp] = None
+        opp_counts[opp] += 1
+        opp_last = opp
+        if (t + 1) % record_every == 0 and rec < n_rec:
+            telemetry[rec] = (t + 1, eps, alpha, reward, abs(delta))
+            rec += 1
+        eps *= eps_decay
+    return (np.array(q).T.copy(), np.array(visits, dtype=np.int64).T.copy(),
+            np.array(opp_counts, dtype=np.int64), telemetry)
+
+
 @backend.kernel
 def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
                 eps0, eps_decay, uniforms, window_start, record_every):
@@ -423,6 +437,124 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
     value = reward_win / win_n if win_n > 0 else 0.0
     return (qa, qd, visits_a, visits_d, a_counts, d_counts,
             a_counts_win, d_counts_win, value, telemetry)
+
+
+@_mdp_kernel.cpython_build
+def _mdp_cpython(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
+                 eps0, eps_decay, uniforms, window_start, record_every):
+    """_mdp_kernel over Python lists, bit for bit.
+
+    Each side's Q and visits are held per (state, opponent action) column
+    with a cached greedy index, as in _single_cpython; the cache serves both
+    the greedy pick and the bootstrap target, which is the column's extreme.
+    """
+    episodes = uniforms.shape[0]
+    n_states, n_att, n_def = rewards.shape
+    reward_of = rewards.tolist()  # [s][a][d]
+    # np.cumsum adds left to right, like the transition scan of _mdp_kernel
+    next_state = [[[_first_above(row[:-1]) for row in by_d] for by_d in by_a]
+                  for by_a in np.cumsum(transitions, axis=3).tolist()]
+    qa = [[[0.0] * n_att for _ in range(n_def)] for _ in range(n_states)]  # [s][d][a]
+    qd = [[[0.0] * n_def for _ in range(n_att)] for _ in range(n_states)]  # [s][a][d]
+    visits_a = [[[0] * n_att for _ in range(n_def)] for _ in range(n_states)]
+    visits_d = [[[0] * n_def for _ in range(n_att)] for _ in range(n_states)]
+    greedy_a = [[0] * n_def for _ in range(n_states)]
+    greedy_d = [[0] * n_att for _ in range(n_states)]
+    a_counts = [[0] * n_att for _ in range(n_states)]
+    d_counts = [[0] * n_def for _ in range(n_states)]
+    a_counts_win = [[0] * n_att for _ in range(n_states)]
+    d_counts_win = [[0] * n_def for _ in range(n_states)]
+    n_rec = episodes // record_every
+    telemetry = np.zeros((n_rec, 5))
+    rec = 0
+    s = 0
+    a_last = 0
+    d_last = 0
+    reward_win = 0.0
+    win_n = 0
+    eps = eps0
+    for t, (u_ac, u_ap, u_dc, u_dp, u_s) in enumerate(backend.iter_rows(uniforms)):
+        if u_ac < eps:
+            a = int(u_ap * n_att)
+            if a == n_att:
+                a -= 1
+        else:
+            a = greedy_a[s][d_last]
+            if a is None:
+                a = greedy_a[s][d_last] = _greedy(qa[s][d_last], min)
+        if u_dc < eps:
+            d = int(u_dp * n_def)
+            if d == n_def:
+                d -= 1
+        else:
+            d = greedy_d[s][a_last]
+            if d is None:
+                d = greedy_d[s][a_last] = _greedy(qd[s][a_last], max)
+        reward = reward_of[s][a][d]
+        s_next = bisect_right(next_state[s][a][d], u_s)
+        # bootstrap targets use the opponent action just observed
+        k = greedy_a[s_next][d]
+        if k is None:
+            k = greedy_a[s_next][d] = _greedy(qa[s_next][d], min)
+        next_a = qa[s_next][d][k]
+        k = greedy_d[s_next][a]
+        if k is None:
+            k = greedy_d[s_next][a] = _greedy(qd[s_next][a], max)
+        next_d = qd[s_next][a][k]
+        count = visits_a[s][d][a] + 1
+        visits_a[s][d][a] = count
+        if alpha_mode == 0:
+            alpha_a = 1.0 / count
+        elif alpha_mode == 1:
+            alpha_a = alpha_c
+        else:
+            alpha_a = float(count) ** (-alpha_p)
+        col = qa[s][d]
+        old = col[a]
+        delta_a = alpha_a * (reward + gamma * next_a - old)
+        col[a] = old + delta_a
+        if col[a] != old:
+            greedy_a[s][d] = None
+        count = visits_d[s][a][d] + 1
+        visits_d[s][a][d] = count
+        if alpha_mode == 0:
+            alpha_d = 1.0 / count
+        elif alpha_mode == 1:
+            alpha_d = alpha_c
+        else:
+            alpha_d = float(count) ** (-alpha_p)
+        col = qd[s][a]
+        old = col[d]
+        delta_d = alpha_d * (reward + gamma * next_d - old)
+        col[d] = old + delta_d
+        if col[d] != old:
+            greedy_d[s][a] = None
+        a_counts[s][a] += 1
+        d_counts[s][d] += 1
+        if t >= window_start:
+            a_counts_win[s][a] += 1
+            d_counts_win[s][d] += 1
+            reward_win += reward
+            win_n += 1
+        if (t + 1) % record_every == 0 and rec < n_rec:
+            d1 = abs(delta_a)
+            d2 = abs(delta_d)
+            telemetry[rec] = (t + 1, eps, alpha_d, reward, d1 if d1 > d2 else d2)
+            rec += 1
+        a_last = a
+        d_last = d
+        s = s_next
+        eps *= eps_decay
+    value = reward_win / win_n if win_n > 0 else 0.0
+
+    def table(rows, dtype=np.float64):
+        # [s][opp][own] lists -> (states, own, opp) array
+        return np.array(rows, dtype=dtype).transpose(0, 2, 1).copy()
+
+    counts = [np.array(c, dtype=np.int64)
+              for c in (a_counts, d_counts, a_counts_win, d_counts_win)]
+    return (table(qa), table(qd), table(visits_a, np.int64),
+            table(visits_d, np.int64), *counts, value, telemetry)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +666,8 @@ class StageMdp:
         if transitions.shape != rewards.shape + (n,):
             raise ConfigError(f"transitions must be {rewards.shape + (n,)}, "
                               f"got {transitions.shape}")
+        if not (np.isfinite(rewards).all() and np.isfinite(transitions).all()):
+            raise ConfigError("rewards and transitions must be finite")
         if np.abs(rewards).max() > 1.0 + 1e-12:
             raise ConfigError("rewards must be bounded by 1 in absolute value")
         if np.any(transitions < -1e-12):

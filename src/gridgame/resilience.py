@@ -68,6 +68,8 @@ class PayoffMatrix:
         m, n = self.entries.shape
         if m != len(self.attack_ids) or n != len(self.defense_ids):
             raise ValueError("payoff dimensions do not match id sequences")
+        if not np.isfinite(self.entries).all():
+            raise ValueError("payoff matrix has non-finite entries")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -12,11 +12,17 @@ import sys
 import numpy as np
 import pytest
 
-from gridgame.cli import main
+from gridgame.cli import LEARN_METHODS, SOLVE_METHODS, main
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def nan_csv(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("attack,D1,D2\nA1,0.5,nan\nA2,0.2,0.3\n")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +126,13 @@ class TestSolve:
         assert eq["method"] == "qre"
         assert isinstance(eq["converged"], bool)
 
-    def test_non_finite_matrix_is_internal_error(self, tmp_path, capsys):
-        m = tmp_path / "m.csv"
-        m.write_text("attack,D1\nA1,nan\n")
-        code = run("solve", "--method", "nash", "--matrix", m,
+    @pytest.mark.parametrize("method", SOLVE_METHODS)
+    def test_non_finite_matrix_rejected_with_exit_2(self, method, tmp_path, capsys):
+        code = run("solve", "--method", method, "--matrix", nan_csv(tmp_path),
                    "--out", tmp_path / "out")
-        assert code == 3
-        assert "internal error" in capsys.readouterr().err
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "equilibrium.json").exists()
 
     def test_unknown_method_rejected_by_parser(self, matrix_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -136,6 +142,14 @@ class TestSolve:
 
 
 class TestLearn:
+    @pytest.mark.parametrize("method", LEARN_METHODS)
+    def test_non_finite_matrix_rejected_with_exit_2(self, method, tmp_path, capsys):
+        code = run("learn", "--method", method, "--iters", 100,
+                   "--matrix", nan_csv(tmp_path), "--out", tmp_path / "out")
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "telemetry.csv").exists()
+
     def test_single_recovers_best_response_to_uniform(self, matrix_csv, tmp_path):
         out = tmp_path / "out"
         assert run("learn", "--method", "single", "--iters", 30_000,

@@ -322,6 +322,19 @@ class TestReportPlumbing:
         recomputed = float(r.attacker.probs @ RPS @ r.defender.probs)
         assert r.game_value == pytest.approx(recomputed, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solver", [
+        nash_exact,
+        stackelberg,
+        lambda m: nash_fictitious_play(m, max_iters=10),
+        lambda m: regret_matching(m, T=10, seed=0),
+        lambda m: qre_fixed_point(m, 1.0, 1.0),
+    ], ids=["nash", "stackelberg", "fp", "regret", "qre"])
+    def test_non_finite_matrix_rejected(self, solver, bad):
+        m = np.array([[0.5, bad], [0.2, 0.3]])
+        with pytest.raises(SolverError, match="non-finite"):
+            solver(m)
+
     def test_mixed_strategy_validation(self):
         with pytest.raises(SolverError):
             MixedStrategy(np.array([0.6, 0.6]))

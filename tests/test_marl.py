@@ -11,17 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from gridgame import marl
 from gridgame.errors import ConfigError
 from gridgame.gamesolve import MixedStrategy
 from gridgame.marl import (
     LearnedPolicy,
     LearningConfig,
-    QTable,
     StageMdp,
-    epsilon_greedy,
     mdp_train,
     pac_sample_bound,
-    q_update,
     stage_mdp_default,
     train_multi_agent,
     train_single_agent,
@@ -85,102 +83,135 @@ class TestConfig:
             LearningConfig(**bad)
 
 
+def one_action_mdp(rewards, transitions):
+    """StageMdp over states 0..n-1 with one action per side."""
+    r = np.asarray(rewards, dtype=float)[:, None, None]
+    t = np.asarray(transitions, dtype=float)[:, None, None, :]
+    return StageMdp(labels=tuple(map(str, range(len(r)))), rewards=r, transitions=t)
+
+
+def learner_visits(m, opp_probs, epsilon0, epsilon_decay, episodes=100_000, seed=0):
+    """Per-action visit counts of a defender trained by the single-agent kernel."""
+    uniforms = np.random.default_rng(seed).random((episodes, 3))
+    _q, visits, _opp, _tel = marl._single_kernel(
+        m, np.cumsum(opp_probs), True, 0, 0.1, 1.0, epsilon0, epsilon_decay,
+        uniforms, episodes)
+    return visits.sum(axis=1)
+
+
 class TestQUpdate:
+    """The update rule q += alpha*(reward + gamma*next_best - q) in the kernels."""
+
     def test_full_overwrite(self):
-        t = QTable(1, 2, 2)
-        q_update(t, (0, 0, 0), 0.5, 0.0, alpha=1.0, gamma=0.0)
-        assert t.q(0, 0, 0) == 0.5
+        # alpha = 1 replaces the cell with its target, here the reward
+        rng = np.random.default_rng(0)
+        m = rng.random((4, 5))
+        cfg = LearningConfig(alpha_schedule="constant", alpha_constant=1.0,
+                             episodes=2_000, seed=1)
+        pol = train_single_agent(m, MixedStrategy.pure(4, 2), cfg)
+        assert pol.q_rows[0] == tuple(m[2])
 
     def test_bootstrap_arithmetic(self):
-        t = QTable(1, 1, 1)
-        q_update(t, (0, 0, 0), 0.0, next_best=1.0, alpha=0.5, gamma=0.9)
-        assert t.q(0, 0, 0) == pytest.approx(0.45)
+        # 0 -> 1 -> 0, rewards 0 and 1, harmonic alpha: q1 = 1 after its first
+        # visit, then the second visit of state 0 gives 0 + 1/2*(0 + 0.9*1 - 0)
+        mdp = one_action_mdp([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]])
+        res = mdp_train(mdp, LearningConfig(episodes=3, gamma=0.9))
+        assert res.values == pytest.approx((0.45, 1.0), abs=1e-15)
 
     def test_running_average_identity(self):
-        rewards = [0.2, 0.9, 0.4, 0.7, 0.1, 0.6]
-        t = QTable(1, 1, 1)
-        for k, r in enumerate(rewards, start=1):
-            q_update(t, (0, 0, 0), r, 0.0, alpha=1.0 / k, gamma=0.0)
-            assert t.q(0, 0, 0) == pytest.approx(np.mean(rewards[:k]), abs=1e-12)
+        # a self-loop with gamma > 0 gives a new target r + gamma*q every
+        # visit; the harmonic schedule keeps q the mean of the targets seen
+        mdp = one_action_mdp([0.6], [[1.0]])
+        q_prev, targets = 0.0, []
+        for k in range(1, 8):
+            targets.append(0.6 + 0.5 * q_prev)
+            q_prev = mdp_train(mdp, LearningConfig(episodes=k, gamma=0.5)).values[0]
+            assert q_prev == pytest.approx(np.mean(targets), abs=1e-12)
 
     def test_unseen_keys_are_zero(self):
-        t = QTable(2, 3, 3)
-        assert t.q(1, 2, 2) == 0.0
-        assert t.visits.sum() == 0
+        # a greedy defender facing a pure attack never leaves action 0
+        m = np.random.default_rng(2).random((3, 3))
+        cfg = LearningConfig(epsilon0=0.0, episodes=500, seed=0)
+        pol = train_single_agent(m, MixedStrategy.pure(3, 1), cfg)
+        assert pol.q_rows[0] == (m[1, 0], 0.0, 0.0)
 
     def test_alpha_out_of_range(self):
-        t = QTable(1, 1, 1)
         for alpha in (0.0, -0.2, 1.5):
             with pytest.raises(ConfigError):
-                q_update(t, (0, 0, 0), 0.5, 0.0, alpha=alpha, gamma=0.0)
+                LearningConfig(alpha_schedule="constant", alpha_constant=alpha)
 
     def test_reward_bound_enforced(self):
-        t = QTable(1, 1, 1)
         with pytest.raises(ConfigError):
-            q_update(t, (0, 0, 0), 1.5, 0.0, alpha=0.5, gamma=0.0)
+            train_multi_agent(np.full((2, 2), 1.5), LearningConfig(episodes=10))
+        with pytest.raises(ConfigError):
+            mdp_train(one_action_mdp([-1.5], [[1.0]]), LearningConfig(episodes=10))
 
     def test_bounded_iterates(self):
         # rewards in [0,1], gamma=0.8: values must stay within 1/(1-gamma)
-        rng = np.random.default_rng(0)
-        t = QTable(1, 2, 2)
+        mdp = stage_mdp_default(np.random.default_rng(0).random((3, 3)))
+        cfg = LearningConfig(alpha_schedule="constant", alpha_constant=0.3,
+                             gamma=0.8, episodes=5_000, seed=0)
+        uniforms = np.random.default_rng(cfg.seed).random((cfg.episodes, 5))
+        qa, qd = marl._mdp_kernel(
+            mdp.rewards, mdp.transitions, cfg.gamma, cfg._alpha_mode(),
+            cfg.alpha_constant, cfg.alpha_power, cfg.epsilon0, cfg.epsilon_decay,
+            uniforms, 0, cfg.episodes)[:2]
         cap = 1.0 / (1.0 - 0.8)
-        for _ in range(5000):
-            key = (0, int(rng.integers(2)), int(rng.integers(2)))
-            nb = float(t.values.max())
-            q_update(t, key, float(rng.random()), nb, alpha=0.3, gamma=0.8)
-            assert t.values.max() <= cap + 1e-9
-            assert t.values.min() >= 0.0
+        for q in (qa, qd):
+            assert q.max() <= cap + 1e-9
+            assert q.min() >= 0.0
+        res = mdp_train(mdp, cfg)
+        assert all(0.0 <= v <= cap for v in res.values)
 
 
 class TestEpsilonGreedy:
-    def table(self):
-        t = QTable(1, 10, 10)
-        t.values[0, :, 0] = np.linspace(0.1, 0.9, 10)
-        t.values[0, 3, 0] = 0.95  # greedy for defender
-        t.values[0, 6, 0] = 0.01  # greedy for attacker
-        return t
+    """Action choice in the kernels: greedy vs the opponent's last move, else uniform."""
 
-    def test_zero_epsilon_always_greedy(self):
-        t = self.table()
-        rng = np.random.default_rng(1)
-        picks = {epsilon_greedy(t, 0, 0, 0.0, "defender", rng) for _ in range(100)}
-        assert picks == {3}
-        picks = {epsilon_greedy(t, 0, 0, 0.0, "attacker", rng) for _ in range(100)}
-        assert picks == {6}
+    def test_zero_epsilon_always_greedy(self, tmp_path):
+        # epsilon 0: the attacker tries the all-zero rows in index order,
+        # then plays the argmin of its learned column every episode after
+        m = np.random.default_rng(1).random((6, 6)) + 0.1
+        path = tmp_path / "telemetry.csv"
+        pol = train_single_agent(m, MixedStrategy.pure(6, 4),
+                                 LearningConfig(epsilon0=0.0, episodes=400, seed=1),
+                                 side="attacker", telemetry_path=path)
+        rewards = [float(line.split(",")[3])
+                   for line in path.read_text().splitlines()[1:]]
+        assert len(rewards) == 400
+        # telemetry keeps 12 significant digits
+        assert rewards[:6] == pytest.approx(m[:, 4], abs=1e-11)
+        assert rewards[6:] == pytest.approx([m[:, 4].min()] * 394, abs=1e-11)
+        assert pol.greedy_action() == int(np.argmin(m[:, 4]))
 
     def test_full_epsilon_uniform(self):
-        t = self.table()
-        rng = np.random.default_rng(2)
         n = 100_000
-        counts = np.bincount(
-            [epsilon_greedy(t, 0, 0, 1.0, "defender", rng) for _ in range(n)],
-            minlength=10)
+        counts = learner_visits(np.random.default_rng(2).random((10, 10)),
+                                np.full(10, 0.1), 1.0, 1.0 - 1e-12, n)
         p = 0.1
         sigma = math.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(counts / n - p) <= 3 * sigma)
 
     def test_partial_epsilon_greedy_share(self):
-        # eps=0.2, m=10: greedy frequency 0.8 + 0.02 = 0.82
-        t = self.table()
-        rng = np.random.default_rng(3)
+        # eps=0.2, m=10: greedy frequency 0.8 + 0.02 = 0.82; action 3 holds
+        # the best reward against the pure attack
+        m = np.tile(np.linspace(0.1, 0.9, 10), (10, 1))
+        m[0, 3] = 0.95
         n = 100_000
-        hits = sum(epsilon_greedy(t, 0, 0, 0.2, "defender", rng) == 3
-                   for _ in range(n))
+        counts = learner_visits(m, np.eye(10)[0], 0.2, 1.0 - 1e-15, n, seed=3)
         p = 0.82
         sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(hits / n - p) <= 3 * sigma
+        assert abs(counts[3] / n - p) <= 3 * sigma
 
     def test_tie_breaks_low_index(self):
-        t = QTable(1, 4, 1)
-        t.values[0, :, 0] = [0.5, 0.5, 0.5, 0.5]
-        rng = np.random.default_rng(4)
-        assert epsilon_greedy(t, 0, 0, 0.0, "defender", rng) == 0
-        assert epsilon_greedy(t, 0, 0, 0.0, "attacker", rng) == 0
+        # actions 2 and 5 tie for the best reward: greedy play picks 2
+        row = np.array([0.1, 0.2, 0.7, 0.3, 0.4, 0.7])
+        counts = learner_visits(row[None, :], np.ones(1), 1.0, 0.99, 20_000)
+        assert counts[2] > 19_000
+        assert counts[5] < 500
 
     def test_epsilon_range_checked(self):
         with pytest.raises(ConfigError):
-            epsilon_greedy(self.table(), 0, 0, 1.2, "defender",
-                           np.random.default_rng(0))
+            LearningConfig(epsilon0=1.2)
 
 
 class TestSingleAgent:
@@ -323,6 +354,19 @@ class TestStageMdp:
         with pytest.raises(ConfigError):
             StageMdp(labels=("a",), rewards=np.ones((1, 2, 2)) * 0.5,
                      transitions=bad_rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        rewards = np.full((2, 2, 2), 0.5)
+        transitions = np.full((2, 2, 2, 2), 0.5)
+        rewards[1, 0, 1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            StageMdp(labels=("a", "b"), rewards=rewards, transitions=transitions)
+        rewards[1, 0, 1] = 0.5
+        # NaN > 1 and NaN < 0 are both False: only a finiteness check sees it
+        transitions[0, 1, 1] = (bad, 1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            StageMdp(labels=("a", "b"), rewards=rewards, transitions=transitions)
 
 
 class TestMdpTrain:

@@ -208,6 +208,12 @@ def built():
 
 
 class TestPayoffMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            resilience.PayoffMatrix(entries=np.array([[0.5, bad]]),
+                                    attack_ids=("A1",), defense_ids=("D1", "D2"))
+
     def test_shape_and_bounds(self, built):
         assert built.shape == (10, 10)
         assert np.all(built.entries >= 0.0)
