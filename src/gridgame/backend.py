@@ -108,11 +108,3 @@ def iter_rows(arr):
     for start in range(0, arr.shape[0], ROW_CHUNK):
         yield from arr[start:start + ROW_CHUNK].tolist()
 
-
-def thread_count() -> int:
-    """Worker cap for embarrassingly parallel surfaces (payoff cells, MC runs)."""
-    raw = os.environ.get("GRIDGAME_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -132,17 +132,23 @@ def _load_bundle(args):
     return net, cat, weights, inputs
 
 
-def _resolve_matrix(args):
+def _resolve_matrix(args, need_bundle=False):
     """Payoff matrix from --matrix CSV, else built from network inputs.
 
-    Returns (matrix, inputs, bundle) where bundle is (net, cat, weights)
-    when the matrix was built and None when it was read from CSV.
+    The only reader of --matrix.  Returns (matrix, inputs, bundle) where
+    bundle is (net, cat, weights); it is None when the matrix was read from
+    CSV and the caller did not ask for the network inputs as well.
     """
-    if getattr(args, "matrix", None):
-        matrix = PayoffMatrix.from_csv(args.matrix)
-        return matrix, {"matrix": _input_record(args.matrix, "")}, None
+    path = getattr(args, "matrix", None)
+    matrix = PayoffMatrix.from_csv(path) if path else None
+    if matrix is not None and not need_bundle:
+        return matrix, {"matrix": _input_record(path, "")}, None
     net, cat, weights, inputs = _load_bundle(args)
-    return build_payoff_matrix(net, cat, weights), inputs, (net, cat, weights)
+    if matrix is None:
+        matrix = build_payoff_matrix(net, cat, weights)
+    else:
+        inputs["matrix"] = _input_record(path, "")
+    return matrix, inputs, (net, cat, weights)
 
 
 def _out_dir(args) -> str:
@@ -156,8 +162,7 @@ def _out_dir(args) -> str:
 
 def cmd_payoff(args, argv) -> None:
     out = _out_dir(args)
-    net, cat, weights, inputs = _load_bundle(args)
-    matrix = build_payoff_matrix(net, cat, weights)
+    matrix, inputs, (_, _, weights) = _resolve_matrix(args)
     matrix.to_csv(os.path.join(out, "payoff.csv"))
     matrix.to_long_csv(os.path.join(out, "payoff_long.csv"))
     config = {"command": "payoff",
@@ -294,13 +299,7 @@ def _mc_config(args) -> experiments.McConfig:
 
 def cmd_baseline(args, argv) -> None:
     out = _out_dir(args)
-    if getattr(args, "matrix", None):
-        matrix = PayoffMatrix.from_csv(args.matrix)
-        net, cat, weights, inputs = _load_bundle(args)
-        inputs["matrix"] = _input_record(args.matrix, "")
-    else:
-        net, cat, weights, inputs = _load_bundle(args)
-        matrix = build_payoff_matrix(net, cat, weights)
+    matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     mc = _mc_config(args)
     policy = experiments.baseline(args.method, matrix, catalog=cat, base=net)
     report = experiments.monte_carlo(net, cat, weights, policy, mc, matrix=matrix)
@@ -335,13 +334,7 @@ def _parse_methods(spec: str):
 def cmd_compare(args, argv) -> None:
     out = _out_dir(args)
     methods = _parse_methods(args.methods)
-    if getattr(args, "matrix", None):
-        matrix = PayoffMatrix.from_csv(args.matrix)
-        net, cat, weights, inputs = _load_bundle(args)
-        inputs["matrix"] = _input_record(args.matrix, "")
-    else:
-        net, cat, weights, inputs = _load_bundle(args)
-        matrix = build_payoff_matrix(net, cat, weights)
+    matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     mc = _mc_config(args)
 
     reports: dict = {}

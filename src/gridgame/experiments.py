@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,10 @@ from . import scenario
 from .errors import ConfigError, SolverError
 from .gamesolve import MixedStrategy, nash_exact, qre_fixed_point, regret_matching, stackelberg
 from .marl import LearningConfig, train_multi_agent, train_single_agent
-from .netmodel import NetworkState, is_energized, islands, load_ieee33
+from .netmodel import NetworkState, energized_buses, load_ieee33
 from .netmodel.types import Bus, Der, Line, TieSwitch
 from .resilience import PayoffMatrix, build_payoff_matrix
+from .scenario import _resolve_buses, _resolve_ders
 # evaluate_pair is re-exported: the single-cell scorer next to the batch
 from .scenario import apply_attack, apply_defense, catalog_default, evaluate_pair  # noqa: F401
 
@@ -262,65 +263,78 @@ def summarize(label: str, records) -> StatsReport:
 # baselines
 
 
-def _energized_buses(state: NetworkState) -> set:
-    out: set = set()
-    for comp in islands(state):
-        if is_energized(state, comp):
-            out |= comp
-    return out
+# a defense fills an RBD role when it has effects and all of them are of the
+# role's kinds; candidates are tried in catalog order
+RBD_ROLE_KINDS = {
+    "shed": {"shed_fraction"},
+    "boost": {"set_der_dispatch"},
+    "tie": {"close_switch", "companion_open"},
+}
 
 
-def _rbd_rule_for(attack, base: NetworkState, catalog) -> tuple[str, str]:
+def _rbd_roles(catalog) -> dict:
+    """Candidate defenses per RBD role, classified by their effect kinds.
+
+    The stand-pat defense is the first one without effects, else the first.
+    """
+    roles = {role: [d for d in catalog.defenses
+                    if d.effects and {e.kind for e in d.effects} <= kinds]
+             for role, kinds in RBD_ROLE_KINDS.items()}
+    idle = [d for d in catalog.defenses if not d.effects]
+    roles["stand-pat"] = (idle or list(catalog.defenses))[0]
+    return roles
+
+
+def _rbd_rule_for(attack, base: NetworkState, roles) -> tuple[str, str]:
     """Classify one attack and name the rule plus chosen defense id.
 
-    Rule priority: direct load tampering at a critical bus, then DER
-    compromise, then line outages, else stand pat.
+    Rule priority: direct load tampering at a critical bus (shed), then DER
+    compromise (boost), then line outages (tie), else stand pat.  A rule
+    whose role has no candidate falls through to the next.
     """
-    from .scenario import _resolve_buses
-
     critical = {b.id for b in base.buses if b.is_critical}
     kinds = {e.kind for e in attack.effects}
+    stand_pat = roles["stand-pat"].id
 
-    if "scale_load" in kinds:
+    if "scale_load" in kinds and roles["shed"]:
         hit = set()
         for e in attack.effects:
             if e.kind == "scale_load":
                 hit.update(_resolve_buses(base, attack.id, e.target))
         if hit & critical:
-            return "critical-load-tampering", "D8"
+            return "critical-load-tampering", roles["shed"][0].id
 
-    if kinds & {"trip_der", "fdi_bias"}:
+    if kinds & {"trip_der", "fdi_bias"} and roles["boost"]:
         attacked = apply_attack(base, attack)
         online = {d.id for d in attacked.ders if d.online}
-        # boost defenses dispatch one DER each; prefer one that survived
-        for did in ("D6", "D7"):
-            dfn = catalog.defense(did)
-            der_ids = [e.target for e in dfn.effects if e.kind == "set_der_dispatch"]
-            if all(t in online for t in der_ids):
-                return "der-compromise", did
-        return "der-compromise", "D6"
+        # prefer a boost whose DERs all survived the attack
+        for dfn in roles["boost"]:
+            if all(der_id in online for e in dfn.effects
+                   for der_id in _resolve_ders(attacked, dfn.id, e.target)):
+                return "der-compromise", dfn.id
+        return "der-compromise", roles["boost"][0].id
 
-    if kinds & {"trip_line", "open_switch"}:
+    if kinds & {"trip_line", "open_switch"} and roles["tie"]:
         attacked = apply_attack(base, attack)
-        dark = _energized_buses(attacked)
-        best_id, best_key = "D1", (0, 0.0)
-        for did in ("D2", "D3", "D4", "D5"):
-            defended = apply_defense(attacked, catalog.defense(did))
-            gained = _energized_buses(defended) - dark
+        dark = energized_buses(attacked)
+        best_id, best_key = stand_pat, (0, 0.0)
+        for dfn in roles["tie"]:
+            gained = energized_buses(apply_defense(attacked, dfn)) - dark
             key = (len(gained),
                    sum(base.bus(b).load_p for b in gained if b in critical))
             if key > best_key:
-                best_id, best_key = did, key
+                best_id, best_key = dfn.id, key
         return "line-outage-restoration", best_id
 
-    return "no-match", "D1"
+    return "no-match", stand_pat
 
 
 def rbd_rule_table(base: NetworkState, catalog) -> tuple:
     """Enumerated rule decisions, one row per attack, for auditability."""
+    roles = _rbd_roles(catalog)
     rows = []
     for attack in catalog.attacks:
-        rule, defense = _rbd_rule_for(attack, base, catalog)
+        rule, defense = _rbd_rule_for(attack, base, roles)
         rows.append({"attack": attack.id, "rule": rule, "defense": defense})
     return tuple(rows)
 
@@ -564,8 +578,6 @@ def synthetic_feeder(n_buses: int, seed: int = 0, n_ders: int = 4,
     switches = tuple(
         TieSwitch(id=f"SW{k + 1}", from_bus=int(a), to_bus=int(a + 5), r=0.5, x=0.5)
         for k, a in enumerate(sw_from))
-    marked = {d.bus for d in ders}
-    buses = [replace(b, has_der=b.id in marked) for b in buses]
     return NetworkState(buses=tuple(buses), lines=lines, switches=switches, ders=ders)
 
 
@@ -654,13 +666,3 @@ def scalability_probe(sizes=(33, 69, 118), methods=("nash",), seed: int = 0):
         rows.append(row)
     return tuple(rows)
 
-
-def probe_to_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("buses,ders,switches,state_space_log2,state_space_estimate,"
-                 "wall_time_s,peak_memory_mb,note\n")
-        for r in rows:
-            note = r.get("note", "").replace(",", ";")
-            fh.write(f"{r['buses']},{r['ders']},{r['switches']},"
-                     f"{r['state_space_log2']},{r['state_space_estimate']:.6g},"
-                     f"{r['wall_time_s']:.6g},{r['peak_memory_mb']:.6g},{note}\n")

@@ -561,6 +561,11 @@ def _mdp_cpython(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
 # stateless trainers
 
 
+def _check_bounded(rewards) -> None:
+    if np.abs(rewards).max() > 1.0 + 1e-12:
+        raise ConfigError("rewards must be bounded by 1 in absolute value")
+
+
 def train_single_agent(matrix, opponent: MixedStrategy, config: LearningConfig,
                        side: str = "defender", telemetry_path=None) -> LearnedPolicy:
     """Stateless Q-learning against a stationary mixed opponent.
@@ -571,6 +576,7 @@ def train_single_agent(matrix, opponent: MixedStrategy, config: LearningConfig,
     under the opponent's empirical frequencies over the whole run.
     """
     m = _entries(matrix)
+    _check_bounded(m)
     if side not in ("attacker", "defender"):
         raise ConfigError(f"side must be 'attacker' or 'defender', got {side!r}")
     defender_side = side == "defender"
@@ -668,8 +674,7 @@ class StageMdp:
                               f"got {transitions.shape}")
         if not (np.isfinite(rewards).all() and np.isfinite(transitions).all()):
             raise ConfigError("rewards and transitions must be finite")
-        if np.abs(rewards).max() > 1.0 + 1e-12:
-            raise ConfigError("rewards must be bounded by 1 in absolute value")
+        _check_bounded(rewards)
         if np.any(transitions < -1e-12):
             raise ConfigError("transition probabilities must be non-negative")
         row_sums = transitions.sum(axis=3)

@@ -51,7 +51,6 @@ def _req(mapping, key, where):
 
 def _build_state(doc, where: str) -> NetworkState:
     critical = set(doc.get("critical_buses", ()))
-    der_buses = {_req(d, "bus", f"{where} ders") for d in doc.get("ders", ())}
 
     buses = []
     for i, entry in enumerate(_req(doc, "buses", where)):
@@ -61,7 +60,6 @@ def _build_state(doc, where: str) -> NetworkState:
             load_p=float(entry.get("p_kw", 0.0)),
             load_q=float(entry.get("q_kvar", 0.0)),
             is_critical=bus_id in critical,
-            has_der=bus_id in der_buses,
         ))
     ids = sorted(b.id for b in buses)
     if ids != list(range(1, len(ids) + 1)):

@@ -56,6 +56,15 @@ def is_energized(state: NetworkState, comp: frozenset[int]) -> bool:
     return any(d.online and d.bus in comp for d in state.ders)
 
 
+def energized_buses(state: NetworkState) -> set[int]:
+    """Bus ids inside energized islands."""
+    out: set[int] = set()
+    for comp in islands(state):
+        if is_energized(state, comp):
+            out |= comp
+    return out
+
+
 def reference_bus(state: NetworkState, comp: frozenset[int]) -> int | None:
     """Voltage-reference node: the slack bus, else the largest-rated online DER.
 

@@ -23,7 +23,6 @@ class Bus:
     load_p: float  # kW
     load_q: float  # kvar
     is_critical: bool = False
-    has_der: bool = False
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class Der:
     rating_p: float  # kW
     dispatch_fraction: float = 0.7
     online: bool = True
-    q_capability_fraction: float = 0.10
 
     def output_kw(self) -> float:
         """Effective active-power output: rating scaled by dispatch, zero offline."""
@@ -199,9 +197,6 @@ class NetworkState:
             for b in self.buses
         )
         return replace(self, buses=buses)
-
-    def with_load_multipliers(self, multipliers: Mapping[int, float]) -> "NetworkState":
-        return self.with_scaled_loads(multipliers)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
 from .errors import NetworkValidationError
 from .netmodel import NetworkState, ServedLoadReport, topology
 
@@ -126,9 +124,7 @@ def clr(report: ServedLoadReport, base: NetworkState) -> tuple[float, frozenset[
 
 def tss(state: NetworkState) -> float:
     """Fraction of buses residing in energized islands."""
-    comps = topology.islands(state)
-    alive = sum(len(c) for c in comps if topology.is_energized(state, c))
-    return alive / state.n_buses
+    return len(topology.energized_buses(state)) / state.n_buses
 
 
 def drs(report: ServedLoadReport) -> tuple[float, frozenset[str]]:
@@ -194,37 +190,23 @@ def unified_score(card: ResilienceScorecard, weights: AhpWeights) -> float:
 def build_payoff_matrix(base: NetworkState, catalog, weights: AhpWeights) -> PayoffMatrix:
     """Unified score for every attack-defense pair in the catalog.
 
-    Cells are independent; they evaluate concurrently when GRIDGAME_THREADS
-    allows, and are always assembled in (attack, defense) order.
+    Cells are evaluated one after another in (attack, defense) order.
     """
     from . import scenario  # deferred: scenario consumes the metric functions above
 
     attacks = list(catalog.attacks)
     defenses = list(catalog.defenses)
-    m, n = len(attacks), len(defenses)
-    cells = [(i, j) for i in range(m) for j in range(n)]
-
-    def one(cell):
-        i, j = cell
-        try:
-            card = scenario.evaluate_pair(base, attacks[i], defenses[j], catalog)
-        except Exception as exc:
-            raise type(exc)(f"payoff cell ({attacks[i].id},{defenses[j].id}): {exc}") from exc
-        return unified_score(card, weights), card.flags
-
-    workers = backend.thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, cells))
-    else:
-        results = [one(c) for c in cells]
-
-    entries = np.empty((m, n))
+    entries = np.empty((len(attacks), len(defenses)))
     flags: dict[tuple[int, int], frozenset[str]] = {}
-    for (i, j), (score, cell_flags) in zip(cells, results):
-        entries[i, j] = score
-        if cell_flags:
-            flags[(i, j)] = cell_flags
+    for i, attack in enumerate(attacks):
+        for j, defense in enumerate(defenses):
+            try:
+                card = scenario.evaluate_pair(base, attack, defense)
+            except Exception as exc:
+                raise type(exc)(f"payoff cell ({attack.id},{defense.id}): {exc}") from exc
+            entries[i, j] = unified_score(card, weights)
+            if card.flags:
+                flags[(i, j)] = card.flags
     return PayoffMatrix(
         entries=entries,
         attack_ids=tuple(a.id for a in attacks),

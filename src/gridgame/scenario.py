@@ -415,8 +415,8 @@ def apply_defense(state: NetworkState, defense: DefenseAction) -> NetworkState:
     return s
 
 
-def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseAction,
-                  catalog: ScenarioCatalog | None = None) -> ResilienceScorecard:
+def evaluate_pair(base: NetworkState, attack: AttackAction,
+                  defense: DefenseAction) -> ResilienceScorecard:
     """Score one attack-defense interaction on the pristine network.
 
     Pipeline: pre-attack flow (steady-state sanity), attack, defense,

@@ -58,16 +58,6 @@ class TestSelection:
         backend.set_backend("numba")
         assert backend.active_backend() == "numba"
 
-    def test_thread_count_parsing(self, monkeypatch):
-        monkeypatch.setenv("GRIDGAME_THREADS", "4")
-        assert backend.thread_count() == 4
-        monkeypatch.setenv("GRIDGAME_THREADS", "0")
-        assert backend.thread_count() == 1
-        monkeypatch.setenv("GRIDGAME_THREADS", "lots")
-        assert backend.thread_count() == 1
-        monkeypatch.delenv("GRIDGAME_THREADS")
-        assert backend.thread_count() == 1
-
 
 class TestParity:
     def test_power_flow_sweep(self):

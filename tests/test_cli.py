@@ -5,6 +5,7 @@ stderr are observable without subprocess overhead; one packaging test
 exercises the installed console script for real.
 """
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import gridgame
 from gridgame.cli import LEARN_METHODS, SOLVE_METHODS, main
 
 
@@ -150,6 +152,16 @@ class TestLearn:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "telemetry.csv").exists()
 
+    @pytest.mark.parametrize("method", LEARN_METHODS)
+    def test_unbounded_rewards_rejected_with_exit_2(self, method, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text("attack,D1,D2\nA1,5.0,0.1\nA2,0.2,0.3\n")
+        code = run("learn", "--method", method, "--iters", 100,
+                   "--matrix", m, "--out", tmp_path / "out")
+        assert code == 2
+        assert "bounded by 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "telemetry.csv").exists()
+
     def test_single_recovers_best_response_to_uniform(self, matrix_csv, tmp_path):
         out = tmp_path / "out"
         assert run("learn", "--method", "single", "--iters", 30_000,
@@ -225,6 +237,20 @@ class TestBaseline:
                    "--attack-dist", "uniform", "--out", out) == 0
         policy = json.loads((out / "policy.json").read_text())
         assert "rules" in policy["provenance"]
+
+    def test_rbd_on_catalog_without_bundled_defense_ids(self, tmp_path):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps({"replace": True, "defenses": [
+            {"id": "N0", "effects": []},
+            {"id": "S1", "effects": [{"kind": "shed_fraction",
+                                      "target": "non-critical", "value": 0.3}]},
+        ]}))
+        out = tmp_path / "out"
+        assert run("baseline", "--method", "RBD", "--runs", 5, "--catalog", catalog,
+                   "--out", out) == 0
+        rules = json.loads((out / "policy.json").read_text())["provenance"]["rules"]
+        assert {r["defense"] for r in rules} == {"N0", "S1"}
+        assert next(r for r in rules if r["attack"] == "A4")["defense"] == "S1"
 
 
 class TestCompare:
@@ -334,7 +360,12 @@ class TestPackaging:
         assert 0.1 < eq["value"] < 0.9
 
     def test_module_entry_point(self):
+        # the child finds the package the way this process did, whether or
+        # not PYTHONPATH was set
+        root = os.path.dirname(os.path.dirname(os.path.abspath(gridgame.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (root, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-m", "gridgame", "--version"],
-                              capture_output=True, text=True)
+                              env=env, capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip()

@@ -6,6 +6,8 @@ repeatability. The heavyweight 1000-run pipeline lives in the acceptance
 suite; runs here stay small.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -21,7 +23,6 @@ from gridgame.experiments import (
     comparison_to_csv,
     monte_carlo,
     paired_t_test,
-    probe_to_csv,
     rbd_rule_table,
     scalability_probe,
     strategy_policy,
@@ -37,6 +38,21 @@ from gridgame.resilience import (
     unified_score,
 )
 from gridgame.scenario import catalog_default, evaluate_pair
+
+
+# the RBD decisions on the bundled feeder and catalog: (attack, rule, defense)
+BUNDLED_RBD_TABLE = (
+    ("A1", "der-compromise", "D7"),
+    ("A2", "line-outage-restoration", "D2"),
+    ("A3", "der-compromise", "D6"),
+    ("A4", "critical-load-tampering", "D8"),
+    ("A5", "line-outage-restoration", "D5"),
+    ("A6", "line-outage-restoration", "D1"),
+    ("A7", "line-outage-restoration", "D1"),
+    ("A8", "line-outage-restoration", "D1"),
+    ("A9", "line-outage-restoration", "D1"),
+    ("A10", "line-outage-restoration", "D4"),
+)
 
 
 @pytest.fixture(scope="module")
@@ -175,15 +191,6 @@ class TestMonteCarlo:
         # bundled equilibrium mixes over two attacks only
         assert set(rep.per_attack) <= {"A2", "A10"}
 
-    def test_threaded_runs_identical(self, bundle, monkeypatch):
-        base, catalog, weights, matrix = bundle
-        mc = McConfig(runs=16, seed=6)
-        policy = baseline("RDS", matrix)
-        serial = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
-        monkeypatch.setenv("GRIDGAME_THREADS", "4")
-        threaded = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
-        assert serial.records == threaded.records
-
     def test_policy_shape_checked(self, bundle):
         base, catalog, weights, matrix = bundle
         with pytest.raises(ConfigError):
@@ -320,6 +327,38 @@ class TestBaselines:
         assert table["A2"]["defense"] == "D2"
         # A6 isolates no island that a tie switch could re-energize
         assert table["A6"]["defense"] == "D1"
+        assert rbd_rule_table(base, catalog) == tuple(
+            {"attack": a, "rule": r, "defense": d} for a, r, d in BUNDLED_RBD_TABLE)
+
+    def test_rbd_follows_renamed_defenses(self, bundle):
+        # rules pick defenses by their effect kinds, never by their ids
+        base, catalog, _, _ = bundle
+        renamed = scenario.ScenarioCatalog(
+            attacks=catalog.attacks,
+            defenses=tuple(replace(d, id=f"X{d.id}") for d in catalog.defenses))
+        assert rbd_rule_table(base, renamed) == tuple(
+            {"attack": a, "rule": r, "defense": f"X{d}"} for a, r, d in BUNDLED_RBD_TABLE)
+
+    def test_rbd_rule_without_candidates_falls_through(self, bundle):
+        base, catalog, _, _ = bundle
+        shed = catalog.defense("D8")
+
+        def decisions(*defenses):
+            cat = scenario.ScenarioCatalog(attacks=catalog.attacks, defenses=defenses)
+            return {row["attack"]: (row["rule"], row["defense"])
+                    for row in rbd_rule_table(base, cat)}
+
+        table = decisions(scenario.DefenseAction("S1", "shed", shed.effects),
+                          scenario.DefenseAction("N0", "no action", ()))
+        assert table["A4"] == ("critical-load-tampering", "S1")
+        # no boost and no tie defense: stand pat on the effect-free defense
+        assert table["A1"] == ("no-match", "N0")
+        assert table["A2"] == ("no-match", "N0")
+        # with no effect-free defense, standing pat plays the first one
+        table = decisions(shed, catalog.defense("D2"))
+        assert table["A1"] == ("no-match", "D8")
+        assert table["A2"] == ("line-outage-restoration", "D2")
+        assert table["A6"] == ("line-outage-restoration", "D8")
 
     def test_rbd_needs_context(self, bundle):
         _, _, _, matrix = bundle
@@ -474,14 +513,9 @@ class TestProbe:
         assert [r["state_space_estimate"] for r in a] == \
                [r["state_space_estimate"] for r in b]
 
-    def test_method_timing_and_csv(self, tmp_path):
+    def test_method_timing(self):
         rows = scalability_probe(sizes=(33,), methods=("nash",))
         assert rows[0]["method_times"]["nash"] > 0
-        path = tmp_path / "probe.csv"
-        probe_to_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("buses,ders,switches")
-        assert len(lines) == 2
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):

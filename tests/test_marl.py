@@ -141,6 +141,9 @@ class TestQUpdate:
                 LearningConfig(alpha_schedule="constant", alpha_constant=alpha)
 
     def test_reward_bound_enforced(self):
+        with pytest.raises(ConfigError, match="bounded by 1"):
+            train_single_agent(np.full((2, 2), 1.5), MixedStrategy.uniform(2),
+                               LearningConfig(episodes=10))
         with pytest.raises(ConfigError):
             train_multi_agent(np.full((2, 2), 1.5), LearningConfig(episodes=10))
         with pytest.raises(ConfigError):
@@ -169,8 +172,9 @@ class TestEpsilonGreedy:
 
     def test_zero_epsilon_always_greedy(self, tmp_path):
         # epsilon 0: the attacker tries the all-zero rows in index order,
-        # then plays the argmin of its learned column every episode after
-        m = np.random.default_rng(1).random((6, 6)) + 0.1
+        # then plays the argmin of its learned column every episode after;
+        # rewards lie in [0.1, 1), inside the trainers' bound of 1
+        m = np.random.default_rng(1).random((6, 6)) * 0.9 + 0.1
         path = tmp_path / "telemetry.csv"
         pol = train_single_agent(m, MixedStrategy.pure(6, 4),
                                  LearningConfig(epsilon0=0.0, episodes=400, seed=1),

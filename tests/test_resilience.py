@@ -4,13 +4,11 @@ The AHP oracle is numpy's general eigensolver; the package must agree with
 it even though it only ever runs power iteration.
 """
 
-import os
-
 import numpy as np
 import pytest
 
-from gridgame import backend, resilience, scenario
-from gridgame.errors import NetworkValidationError
+from gridgame import resilience, scenario
+from gridgame.errors import CatalogError, NetworkValidationError
 from gridgame.netmodel import Bus, Der, Line, NetworkState, ServedLoadReport, load_ieee33
 from gridgame.resilience import (
     DEFAULT_AHP_MATRIX,
@@ -226,13 +224,35 @@ class TestPayoffMatrix:
         again = resilience.build_payoff_matrix(net, cat, w)
         assert np.array_equal(built.entries, again.entries)
 
-    def test_thread_count_does_not_change_values(self, built, monkeypatch):
-        monkeypatch.setenv("GRIDGAME_THREADS", "4")
-        net = load_ieee33()
+    def test_bundled_build_counts(self, monkeypatch):
+        # the work of one build, counted where evaluate_pair looks its
+        # helpers up: 100 cells, 100 pre-attack and 100 post-defense flows,
+        # and 63 curtailment re-solves; 39 cells carry a flag
+        calls = {"evaluate_pair": 0, "power_flow": 0}
+
+        def counted(name):
+            inner = getattr(scenario, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(scenario, name, counted(name))
+        m = resilience.build_payoff_matrix(
+            load_ieee33(), scenario.catalog_default(), ahp_weights(DEFAULT_AHP_MATRIX))
+        assert calls == {"evaluate_pair": 100, "power_flow": 263}
+        assert len(m.cell_flags) == 39
+
+    def test_cell_error_names_the_cell(self):
         cat = scenario.catalog_default()
-        w = ahp_weights(DEFAULT_AHP_MATRIX)
-        threaded = resilience.build_payoff_matrix(net, cat, w)
-        assert np.array_equal(built.entries, threaded.entries)
+        bad = scenario.DefenseAction("DX", "close a missing tie", (
+            scenario.Effect("close_switch", "SW9"),))
+        small = scenario.ScenarioCatalog(
+            attacks=(cat.attack("A2"),), defenses=(cat.defense("D1"), bad))
+        with pytest.raises(CatalogError, match=r"^payoff cell \(A2,DX\): DX: no tie switch"):
+            resilience.build_payoff_matrix(load_ieee33(), small, ahp_weights(DEFAULT_AHP_MATRIX))
 
     def test_single_cell_catalog(self):
         net = load_ieee33()
@@ -241,7 +261,7 @@ class TestPayoffMatrix:
             attacks=(cat.attack("A3"),), defenses=(cat.defense("D1"),))
         w = ahp_weights(DEFAULT_AHP_MATRIX)
         m = resilience.build_payoff_matrix(net, small, w)
-        card = scenario.evaluate_pair(net, cat.attack("A3"), cat.defense("D1"), cat)
+        card = scenario.evaluate_pair(net, cat.attack("A3"), cat.defense("D1"))
         assert m.entries[0, 0] == pytest.approx(unified_score(card, w))
 
     def test_csv_round_trip(self, built, tmp_path):

@@ -187,26 +187,26 @@ class TestApplyDefense:
 
 class TestEvaluatePair:
     def test_untouched_network_scores_ones(self, net, cat):
-        card = evaluate_pair(net, NO_ATTACK, cat.defense("D1"), cat)
+        card = evaluate_pair(net, NO_ATTACK, cat.defense("D1"))
         assert card.lsr == 1.0
         assert card.clr == 1.0
         assert card.tss == 1.0
 
     def test_a3_d1_zeroes_drs(self, net, cat):
-        card = evaluate_pair(net, cat.attack("A3"), cat.defense("D1"), cat)
+        card = evaluate_pair(net, cat.attack("A3"), cat.defense("D1"))
         assert card.drs == 0.0
         assert "empty-denominator" in card.flags
 
     def test_restoration_never_hurts_served_load(self, net, cat):
-        with_tie = evaluate_pair(net, cat.attack("A2"), cat.defense("D3"), cat)
-        passive = evaluate_pair(net, cat.attack("A2"), cat.defense("D1"), cat)
+        with_tie = evaluate_pair(net, cat.attack("A2"), cat.defense("D3"))
+        passive = evaluate_pair(net, cat.attack("A2"), cat.defense("D1"))
         assert with_tie.lsr >= passive.lsr
 
     def test_d1_identity(self, net, cat):
         for aid in ("A2", "A5", "A9"):
             attacked = apply_attack(net, cat.attack(aid))
-            direct = evaluate_pair(net, cat.attack(aid), cat.defense("D1"), cat)
-            same = evaluate_pair(attacked, NO_ATTACK, cat.defense("D1"), cat)
+            direct = evaluate_pair(net, cat.attack(aid), cat.defense("D1"))
+            same = evaluate_pair(attacked, NO_ATTACK, cat.defense("D1"))
             # identical post-attack network, so identical metrics...
             # except LSR/CLR denominators, which D1 leaves equal anyway
             assert direct.lsr == pytest.approx(same.lsr)
@@ -217,13 +217,13 @@ class TestEvaluatePair:
     def test_metrics_bounded_for_all_pairs(self, net, cat):
         for a in cat.attacks:
             for d in (cat.defense("D1"), cat.defense("D5"), cat.defense("D9")):
-                card = evaluate_pair(net, a, d, cat)
+                card = evaluate_pair(net, a, d)
                 for v in (card.lsr, card.clr, card.tss, card.drs):
                     assert 0.0 <= v <= 1.0
 
     def test_purity(self, net, cat):
         before = net
-        evaluate_pair(net, cat.attack("A10"), cat.defense("D10"), cat)
+        evaluate_pair(net, cat.attack("A10"), cat.defense("D10"))
         assert net == before
 
 
