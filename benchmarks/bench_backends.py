@@ -17,19 +17,10 @@ import time
 import numpy as np
 
 from gridgame import gamesolve, marl
-from gridgame.netmodel import load_ieee33, powerflow, topology
-
-
-def sweep_args():
-    net = load_ieee33()
-    comp = next(iter(topology.islands(net)))
-    ref = topology.reference_bus(net, comp)
-    _order, *arrays = powerflow._island_arrays(net, comp, ref)
-    return (*arrays, powerflow.TOLERANCE, powerflow.MAX_SWEEPS)
 
 
 def workloads(quick: bool):
-    """(label, kernel, args, calls per timing) for each kernel workload."""
+    """(label, kernel, args) for each kernel workload."""
     scale = 10 if quick else 1
     steps = 100_000 // scale
     m10 = np.random.default_rng(0).random((10, 10))
@@ -39,29 +30,27 @@ def workloads(quick: bool):
     flat = (m10[None], np.ones((1, 10, 10, 1)))
     chain = marl.stage_mdp_default(m10)
     return [
-        ("power_flow sweep", powerflow._sweep_kernel, sweep_args(), 200 // scale),
         (f"fictitious_play 10x10, {steps} steps", gamesolve._fp_kernel,
-         (m10, steps, 0.0, 100), 1),
+         (m10, steps, 0.0, 100)),
         (f"regret_matching 10x10, {steps} steps", gamesolve._rm_kernel,
-         (m10, u2, record_every), 1),
+         (m10, u2, record_every)),
         (f"single_agent {steps} episodes", marl._single_kernel,
          (m10, np.cumsum(np.full(10, 0.1)), True, 0, 0.1, 1.0, 1.0, 0.9999,
-          u3, record_every), 1),
+          u3, record_every)),
         (f"multi_agent (maql) {steps} episodes", marl._mdp_kernel,
          (*flat, 0.0, 0, 0.1, 1.0, 1.0, 0.9995, u5, steps - steps // 10,
-          record_every), 1),
+          record_every)),
         (f"mdp 3 states, gamma 0.8, power, {steps} episodes", marl._mdp_kernel,
          (chain.rewards, chain.transitions, 0.8, 2, 0.1, 0.6, 1.0, 0.9999, u5,
-          steps - steps // 10, record_every), 1),
+          steps - steps // 10, record_every)),
     ]
 
 
-def median_time(fn, args, calls: int, repeats: int) -> float:
+def median_time(fn, args, repeats: int) -> float:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for _ in range(calls):
-            fn(*args)
+        fn(*args)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
@@ -78,17 +67,16 @@ def main() -> None:
     args = ap.parse_args()
 
     rows = []
-    for label, kernel, kargs, calls in workloads(args.quick):
+    for label, kernel, kargs in workloads(args.quick):
         ref = kernel.py_func(*kargs)
-        times = {"array": median_time(kernel.py_func, kargs, calls, args.repeats)}
+        times = {"array": median_time(kernel.py_func, kargs, args.repeats)}
         for name, build in (("cpython", kernel.cpython), ("numba", kernel.nb_func)):
             if build is None:
                 continue
             out = build(*kargs)  # numba: compile or load the cache
-            # the jitted sweep may reassociate at the last ulp
             if name == "cpython" and not same_outputs(ref, out):
                 raise SystemExit(f"{label}: {name} build differs from the array function")
-            times[name] = median_time(build, kargs, calls, args.repeats)
+            times[name] = median_time(build, kargs, args.repeats)
         rows.append((label, times))
 
     def cell(times, name):

@@ -165,12 +165,13 @@ def cmd_payoff(args, argv) -> None:
     matrix, inputs, (_, _, weights) = _resolve_matrix(args)
     matrix.to_csv(os.path.join(out, "payoff.csv"))
     matrix.to_long_csv(os.path.join(out, "payoff_long.csv"))
+    matrix.to_flags_csv(os.path.join(out, "payoff_flags.csv"))
     config = {"command": "payoff",
               "ahp_weights": list(weights.w),
               "consistency_ratio": weights.consistency_ratio,
               "shape": list(matrix.shape)}
     _write_manifest(out, argv, config, inputs,
-                    ["payoff.csv", "payoff_long.csv"])
+                    ["payoff.csv", "payoff_long.csv", "payoff_flags.csv"])
     print(f"payoff: {matrix.shape[0]}x{matrix.shape[1]} matrix -> {out}")
 
 

@@ -612,6 +612,18 @@ def _probe_catalog(state: NetworkState):
                            version="probe-1")
 
 
+def _probe_pass(state, catalog, weights, methods, seed):
+    """Build the payoff matrix and run each method; (wall s, {tag: s})."""
+    start = time.perf_counter()
+    matrix = build_payoff_matrix(state, catalog, weights)
+    method_times = {}
+    for tag in methods:
+        t0 = time.perf_counter()
+        strategy_policy(tag, matrix, catalog=catalog, base=state, seed=seed)
+        method_times[tag] = time.perf_counter() - t0
+    return time.perf_counter() - start, method_times
+
+
 def scalability_probe(sizes=(33, 69, 118), methods=("nash",), seed: int = 0):
     """Measure pipeline cost against feeder size; estimates are reported,
     never judged.
@@ -638,15 +650,11 @@ def scalability_probe(sizes=(33, 69, 118), methods=("nash",), seed: int = 0):
         n_der = len(state.ders)
         n_switch = len(state.switches)
         exponent = size + n_der + n_switch
+        # tracing slows the interpreter several-fold, so the times come from a
+        # clean pass and the peak memory from a second, traced one
+        wall, method_times = _probe_pass(state, catalog, weights, methods, seed)
         tracemalloc.start()
-        start = time.perf_counter()
-        matrix = build_payoff_matrix(state, catalog, weights)
-        method_times = {}
-        for tag in methods:
-            t0 = time.perf_counter()
-            strategy_policy(tag, matrix, catalog=catalog, base=state, seed=seed)
-            method_times[tag] = time.perf_counter() - t0
-        wall = time.perf_counter() - start
+        _probe_pass(state, catalog, weights, methods, seed)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         row = {

@@ -13,7 +13,6 @@ from .types import (
 )
 from .io import DEFAULT_DISPATCH, load_ieee33, load_network
 from .topology import (
-    bfs_tree,
     check_radial,
     closing_creates_loop,
     energized_buses,
@@ -29,7 +28,7 @@ __all__ = [
     "CLOSED", "OPEN", "Bus", "Der", "Line", "NetworkState",
     "PowerFlowSolution", "ServedLoadReport", "TieSwitch",
     "DEFAULT_DISPATCH", "load_ieee33", "load_network",
-    "bfs_tree", "check_radial", "closing_creates_loop", "energized_buses",
+    "check_radial", "closing_creates_loop", "energized_buses",
     "island_assignment", "islands", "is_energized", "reference_bus",
     "MAX_SWEEPS", "TOLERANCE", "UNDERVOLTAGE_PU", "power_flow", "serve_loads",
 ]

@@ -1,18 +1,28 @@
-"""Backward/forward-sweep load flow for radial islands.
+"""Backward/forward-sweep load flow for radial islands, vectorised per island.
 
 Each energized island is solved independently against its own voltage
 reference (the slack bus, or the island's largest online DER).  Loads are
 constant-power; DERs are constant-P injections at unity power factor.
 Islands without a reference node are reported de-energized with zero
-voltage.  The sweep itself is the hot kernel: it runs jitted under the
-numba backend and as the identical plain-numpy loop under the fallback.
+voltage.
+
+Every sweep is the same Jacobi step as the per-bus backward/forward sweep:
+node currents conj(S/V) at the previous voltages, summed into branch
+currents, then voltage drops down from the reference.  It is written as the
+path-matrix form of Teng (2003, "A direct approach for distribution system
+load flow solutions") without the dense matrices.  An island numbered
+depth-first from its reference holds the subtree of node i in the index
+range [i, end[i]), so the current of the branch into i is C[end[i]] - C[i]
+for the prefix sum C of the node currents, and the voltage at node j is one
+minus the prefix sum at j of the branch drops z*I, each added at its node
+and taken back at the end of its subtree.  A sweep is a few numpy calls on
+arrays of the island's size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import backend
 from .types import NetworkState, PowerFlowSolution
 from . import topology
 
@@ -21,75 +31,58 @@ MAX_SWEEPS = 100
 UNDERVOLTAGE_PU = 0.90
 
 
-@backend.kernel
-def _sweep_kernel(parent, zr, zx, sp, sq, tol, max_iter):
-    """Solve one radial island ordered so that parent[i] < i and parent[0] = -1.
+def _depth_first(adj, root):
+    """Depth-first numbering of a tree from root, neighbours in sorted order.
 
-    parent/z/s are compact per-node arrays; z is the impedance of the edge
-    toward the parent (p.u.), s the net constant-power draw (p.u., consumption
-    positive).  Entry 0 is the reference node; its voltage is pinned at 1+0j
-    and its local power is served by the swing source directly.
-    Returns (voltages, iterations, final max |dV|).
+    Returns (order, end, r, x): order[i] is the bus at position i, the
+    subtree of position i is [i, end[i]), and r/x the impedance (ohm) of the
+    edge from position i toward its parent (zero at the root).
     """
-    k = parent.shape[0]
+    order, parent, rs, xs = [root], [-1], [0.0], [0.0]
+    stack = [(nb, 0, r, x) for nb, r, x in sorted(adj[root], reverse=True)]
+    while stack:
+        bus, up, r, x = stack.pop()
+        here = len(order)
+        order.append(bus)
+        parent.append(up)
+        rs.append(r)
+        xs.append(x)
+        above = order[up]
+        for nb, r, x in sorted(adj[bus], reverse=True):
+            if nb != above:
+                stack.append((nb, here, r, x))
+    end = list(range(1, len(order) + 1))
+    for i in range(len(order) - 1, 0, -1):
+        if end[i] > end[parent[i]]:
+            end[parent[i]] = end[i]
+    return order, np.array(end), np.array(rs), np.array(xs)
+
+
+def _sweep(end, z, s, tol, max_sweeps):
+    """Solve one island numbered by _depth_first.
+
+    z is the impedance of the edge toward the parent (p.u.), s the net
+    constant-power draw (p.u., consumption positive).  Node 0 is the
+    reference: its voltage stays 1+0j and s[0] must be 0, since the swing
+    source serves its local power directly.
+    Returns (voltages, sweeps, final max |dV|); a non-finite |dV| never
+    passes the tolerance.
+    """
+    k = len(s)
+    inner = np.flatnonzero(end < k)
+    back = end[inner]
+    currents = np.zeros(k + 1, dtype=np.complex128)
     v = np.ones(k, dtype=np.complex128)
-    flow = np.zeros(k, dtype=np.complex128)
-    iters = 0
-    max_dv = 0.0
-    for _ in range(max_iter):
-        iters += 1
-        # backward: node load currents, then accumulate into branch currents
-        for i in range(1, k):
-            s = complex(sp[i], sq[i])
-            flow[i] = (s / v[i]).conjugate()
-        flow[0] = 0.0 + 0.0j
-        for i in range(k - 1, 0, -1):
-            flow[parent[i]] += flow[i]
-        # forward: voltage drop along each edge
-        max_dv = 0.0
-        for i in range(1, k):
-            z = complex(zr[i], zx[i])
-            vnew = v[parent[i]] - z * flow[i]
-            dv = abs(vnew - v[i])
-            if dv > max_dv:
-                max_dv = dv
-            v[i] = vnew
+    for sweeps in range(1, max_sweeps + 1):
+        np.cumsum(np.conj(s / v), out=currents[1:])
+        drop = z * (currents[end] - currents[:-1])
+        np.subtract.at(drop, back, drop[inner])
+        v_new = 1.0 - np.cumsum(drop)
+        max_dv = float(np.abs(v_new - v).max())
+        v = v_new
         if max_dv <= tol:
             break
-    return v, iters, max_dv
-
-
-def _island_arrays(state: NetworkState, comp: frozenset[int], root: int):
-    """Compact BFS-ordered arrays for the sweep kernel, plus the bus order."""
-    order, parent, branch = topology.bfs_tree(state, comp, root)
-    pos = {bus: i for i, bus in enumerate(order)}
-    k = len(order)
-    parent_idx = np.empty(k, dtype=np.int64)
-    zr = np.zeros(k, dtype=np.float64)
-    zx = np.zeros(k, dtype=np.float64)
-    sp = np.zeros(k, dtype=np.float64)
-    sq = np.zeros(k, dtype=np.float64)
-    z_base = state.base_kv**2 / state.base_mva
-    s_base_kw = 1000.0 * state.base_mva
-    der_by_bus: dict[int, float] = {}
-    for d in state.ders:
-        if d.online and d.bus in comp:
-            der_by_bus[d.bus] = der_by_bus.get(d.bus, 0.0) + d.output_kw()
-    for b in state.buses:
-        if b.id not in comp or b.id == root:
-            continue
-        i = pos[b.id]
-        keep = 1.0 - state.shed(b.id)
-        sp[i] = (b.load_p * keep - der_by_bus.get(b.id, 0.0)) / s_base_kw
-        sq[i] = (b.load_q * keep) / s_base_kw
-    parent_idx[0] = -1
-    for bus in order[1:]:
-        i = pos[bus]
-        parent_idx[i] = pos[parent[bus]]
-        r, x = branch[bus]
-        zr[i] = r / z_base
-        zx[i] = x / z_base
-    return order, parent_idx, zr, zx, sp, sq
+    return v, sweeps, max_dv
 
 
 def power_flow(state: NetworkState, tol: float = TOLERANCE,
@@ -103,6 +96,21 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
     comps = tuple(topology.islands(state))
     assign = {bus: idx for idx, comp in enumerate(comps) for bus in comp}
     voltages: dict[int, complex] = {b.id: 0j for b in state.buses}
+    adj: dict[int, list[tuple[int, float, float]]] = {b.id: [] for b in state.buses}
+    for f, t, r, x, _id in state.closed_branches():
+        adj[f].append((t, r, x))
+        adj[t].append((f, r, x))
+    z_base = state.base_kv**2 / state.base_mva
+    s_base_kw = 1000.0 * state.base_mva
+    der_kw: dict[int, float] = {}
+    for d in state.ders:
+        if d.online:
+            der_kw[d.bus] = der_kw.get(d.bus, 0.0) + d.output_kw()
+    draw = {}
+    for b in state.buses:
+        keep = 1.0 - state.shed(b.id)
+        draw[b.id] = complex((b.load_p * keep - der_kw.get(b.id, 0.0)) / s_base_kw,
+                             (b.load_q * keep) / s_base_kw)
     energized = []
     refs: dict[int, int] = {}
     all_converged = True
@@ -116,13 +124,14 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
         energized.append(True)
         refs[idx] = ref
         topology.check_radial(state, comp)
-        order, parent_idx, zr, zx, sp, sq = _island_arrays(state, comp, ref)
-        v, iters, max_dv = _sweep_kernel(parent_idx, zr, zx, sp, sq, tol, max_sweeps)
-        for bus, volt in zip(order, v):
-            voltages[bus] = complex(volt)
-        iterations = max(iterations, int(iters))
-        max_mismatch = max(max_mismatch, float(max_dv))
-        if max_dv > tol:
+        order, end, r, x = _depth_first(adj, ref)
+        s = np.array([0j] + [draw[bus] for bus in order[1:]])
+        z = r / z_base + 1j * (x / z_base)
+        v, iters, max_dv = _sweep(end, z, s, tol, max_sweeps)
+        voltages.update(zip(order, v.tolist()))
+        iterations = max(iterations, iters)
+        max_mismatch = max(max_mismatch, max_dv)
+        if not max_dv <= tol:
             all_converged = False
     under = tuple(
         b.id for b in state.buses

@@ -96,29 +96,3 @@ def closing_creates_loop(state: NetworkState, a: int, b: int) -> bool:
     assign = island_assignment(state)
     return assign.get(a) == assign.get(b)
 
-
-def bfs_tree(state: NetworkState, comp: frozenset[int], root: int):
-    """Breadth-first spanning order of an island.
-
-    Returns (order, parent, branch) where order is the visit sequence starting
-    at the root, parent maps bus -> upstream bus, and branch maps bus -> the
-    (r_ohm, x_ohm) of the edge toward its parent.
-    """
-    adj: dict[int, list[tuple[int, float, float]]] = {b: [] for b in comp}
-    for f, t, r, x, _id in state.closed_branches():
-        if f in comp and t in comp:
-            adj[f].append((t, r, x))
-            adj[t].append((f, r, x))
-    order = [root]
-    parent: dict[int, int] = {root: -1}
-    branch: dict[int, tuple[float, float]] = {}
-    head = 0
-    while head < len(order):
-        node = order[head]
-        head += 1
-        for nb, r, x in sorted(adj[node]):
-            if nb not in parent:
-                parent[nb] = node
-                branch[nb] = (r, x)
-                order.append(nb)
-    return order, parent, branch

@@ -89,6 +89,15 @@ class PayoffMatrix:
                 for j, did in enumerate(self.defense_ids):
                     writer.writerow([aid, did, f"{self.entries[i, j]:.12g}"])
 
+    def to_flags_csv(self, path) -> None:
+        """(attack, defense, flag) rows in catalog order, flags sorted per cell."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["attack", "defense", "flag"])
+            for i, j in sorted(self.cell_flags):
+                for flag in sorted(self.cell_flags[i, j]):
+                    writer.writerow([self.attack_ids[i], self.defense_ids[j], flag])
+
     @classmethod
     def from_csv(cls, path) -> "PayoffMatrix":
         with open(path, newline="") as fh:

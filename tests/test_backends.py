@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from gridgame import backend
 from gridgame import gamesolve, marl
-from gridgame.netmodel import load_ieee33, power_flow
 
 
 @pytest.fixture(autouse=True)
@@ -44,8 +43,7 @@ def random_matrix(seed, shape=(10, 10)):
 class TestSelection:
     def test_registry_contents(self):
         assert backend.registered_kernels() == [
-            "_fp_kernel", "_mdp_kernel", "_rm_kernel",
-            "_single_kernel", "_sweep_kernel"]
+            "_fp_kernel", "_mdp_kernel", "_rm_kernel", "_single_kernel"]
 
     def test_bad_name_rejected(self):
         with pytest.raises(ValueError):
@@ -60,16 +58,6 @@ class TestSelection:
 
 
 class TestParity:
-    def test_power_flow_sweep(self):
-        # the sweep is pure arithmetic (no sampling), so jit instruction
-        # scheduling may reassociate at the last ulp; parity is numerical
-        net = load_ieee33()
-        a, b = both(lambda: power_flow(net))
-        assert a.converged == b.converged
-        va = np.array([a.voltages[k] for k in sorted(a.voltages)])
-        vb = np.array([b.voltages[k] for k in sorted(b.voltages)])
-        assert np.allclose(va, vb, atol=1e-12, rtol=0)
-
     def test_fictitious_play(self):
         m = random_matrix(0)
         a, b = both(lambda: gamesolve.nash_fictitious_play(m, max_iters=3000))

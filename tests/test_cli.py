@@ -48,6 +48,24 @@ class TestPayoff:
         assert long_rows[0] == "attack,defense,score"
         assert len(long_rows) == 101
 
+    def test_flag_file(self, payoff_dir, tmp_path):
+        blob = (payoff_dir / "payoff_flags.csv").read_bytes()
+        rows = [r.split(",") for r in blob.decode().splitlines()]
+        assert rows[0] == ["attack", "defense", "flag"]
+        header = (payoff_dir / "payoff.csv").read_text().splitlines()
+        attacks = [line.split(",")[0] for line in header[1:]]
+        defenses = header[0].split(",")[1:]
+        keys = [(attacks.index(a), defenses.index(d), f) for a, d, f in rows[1:]]
+        assert keys == sorted(keys)  # catalog order, flags sorted per cell
+        assert len({k[:2] for k in keys}) == 39
+        assert run("payoff", "--out", tmp_path) == 0
+        assert (tmp_path / "payoff_flags.csv").read_bytes() == blob
+
+    def test_matrix_read_from_csv_writes_flag_header_alone(self, matrix_csv, tmp_path):
+        from gridgame.resilience import PayoffMatrix
+        PayoffMatrix.from_csv(matrix_csv).to_flags_csv(tmp_path / "flags.csv")
+        assert (tmp_path / "flags.csv").read_text().splitlines() == ["attack,defense,flag"]
+
     def test_single_attack_catalog(self, tmp_path):
         cat = tmp_path / "one.json"
         cat.write_text(json.dumps({

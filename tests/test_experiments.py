@@ -6,6 +6,7 @@ repeatability. The heavyweight 1000-run pipeline lives in the acceptance
 suite; runs here stay small.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -516,6 +517,20 @@ class TestProbe:
     def test_method_timing(self):
         rows = scalability_probe(sizes=(33,), methods=("nash",))
         assert rows[0]["method_times"]["nash"] > 0
+
+    def test_timed_pass_is_not_traced(self, monkeypatch):
+        tracing = []
+        real = experiments.build_payoff_matrix
+
+        def spy(*args):
+            tracing.append(tracemalloc.is_tracing())
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "build_payoff_matrix", spy)
+        row, = scalability_probe(sizes=(33,), methods=())
+        assert tracing == [False, True]  # timed pass first, then the traced one
+        assert row["peak_memory_mb"] > 0
+        assert not tracemalloc.is_tracing()
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):

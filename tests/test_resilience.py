@@ -278,3 +278,15 @@ class TestPayoffMatrix:
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 1 + 100
         assert rows[0] == "attack,defense,score"
+
+    def test_flags_csv_in_catalog_order(self, tmp_path):
+        # ids that sort differently from the catalog, flags inserted unsorted
+        matrix = PayoffMatrix(
+            entries=np.zeros((2, 2)), attack_ids=("A10", "A2"), defense_ids=("D2", "D1"),
+            cell_flags={(1, 0): frozenset({"undervoltage", "non-convergence"}),
+                        (0, 1): frozenset({"empty-denominator"})})
+        path = tmp_path / "flags.csv"
+        matrix.to_flags_csv(path)
+        assert path.read_text().splitlines() == [
+            "attack,defense,flag", "A10,D1,empty-denominator",
+            "A2,D2,non-convergence", "A2,D2,undervoltage"]
