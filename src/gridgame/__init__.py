@@ -9,4 +9,16 @@ __version__ = "0.1.0"
 
 from . import backend
 
-__all__ = ["backend", "__version__"]
+# Method tags and solver defaults shared by the CLI parser and
+# gridgame.experiments.  They live here, beside the version, so that the
+# parser can be built without importing the evaluation harness.
+ATTACK_DISTRIBUTIONS = ("uniform", "equilibrium-mix", "adversarial-best-response")
+BASELINE_TAGS = ("RDS", "RBD", "SOD")
+ADAPTIVE_TAGS = ("nash", "stackelberg", "regret", "softmax", "qlearn", "maql")
+METHOD_TAGS = BASELINE_TAGS + ADAPTIVE_TAGS
+
+# beta = 1/temperature for the QRE solver surface
+DEFAULT_BETA = 2.0
+
+__all__ = ["backend", "__version__", "ATTACK_DISTRIBUTIONS", "BASELINE_TAGS",
+           "ADAPTIVE_TAGS", "METHOD_TAGS", "DEFAULT_BETA"]

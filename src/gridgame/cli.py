@@ -15,25 +15,31 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-import time
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
+from . import (ADAPTIVE_TAGS, ATTACK_DISTRIBUTIONS, BASELINE_TAGS,
+               DEFAULT_BETA, METHOD_TAGS, __version__)
 from . import backend as backend_mod
 from .errors import (CatalogError, ConfigError, GridGameError,
                      NetworkParseError, NetworkValidationError,
                      RadialityError, SolverError)
-from .netmodel import load_ieee33, load_network
-from .scenario import catalog_default, load_catalog
+# build_payoff_matrix stays a module global: the benchmark's tracer wraps it here
 from .resilience import (DEFAULT_AHP_MATRIX, PayoffMatrix, ahp_weights,
                          build_payoff_matrix, load_ahp_matrix)
-from . import gamesolve
-from . import marl
-from . import experiments
+
+if TYPE_CHECKING:
+    from . import experiments, marl
+
+# Each subcommand imports the layers it runs (gamesolve, marl, experiments,
+# and netmodel/scenario for the network inputs) inside its handler: every
+# command is a process of its own, and importing the layers it never calls
+# is most of a small command's start-up.
 
 SOLVE_METHODS = ("nash", "fp", "stackelberg", "regret", "qre")
 LEARN_METHODS = ("single", "multi", "mdp")
@@ -120,6 +126,9 @@ def _write_manifest(out_dir, argv, config, inputs, outputs, seed=None,
 def _load_bundle(args):
     """Resolve (network, catalog, weights) from flags, bundled defaults
     filling the gaps, plus the manifest input records."""
+    from .netmodel import load_ieee33, load_network
+    from .scenario import catalog_default, load_catalog
+
     net = load_network(args.network) if args.network else load_ieee33()
     cat = load_catalog(args.catalog) if args.catalog else catalog_default()
     comparison = load_ahp_matrix(args.ahp) if args.ahp else DEFAULT_AHP_MATRIX
@@ -176,6 +185,8 @@ def cmd_payoff(args, argv) -> None:
 
 
 def _solve_report(matrix, args):
+    from . import gamesolve
+
     m = matrix.entries
     if args.method == "nash":
         return gamesolve.nash_exact(m)
@@ -186,7 +197,18 @@ def _solve_report(matrix, args):
     raise ConfigError(f"unknown solve method {args.method!r}")
 
 
+def _check_solve_args(args) -> None:
+    """Reject iteration counts and rationality the chosen solver cannot use."""
+    if args.method in ("fp", "regret") and args.iters < 1:
+        raise ConfigError(f"--iters must be at least 1, got {args.iters}")
+    if args.method == "qre" and not (math.isfinite(args.beta) and args.beta >= 0):
+        raise ConfigError(f"--beta must be finite and non-negative, got {args.beta}")
+
+
 def cmd_solve(args, argv) -> None:
+    from . import gamesolve
+
+    _check_solve_args(args)
     out = _out_dir(args)
     matrix, inputs, _ = _resolve_matrix(args)
     outputs = ["equilibrium.json"]
@@ -227,6 +249,8 @@ def cmd_solve(args, argv) -> None:
 
 def _learning_config(args) -> marl.LearningConfig:
     """Defaults, overlaid by --config JSON, overlaid by explicit flags."""
+    from . import marl
+
     defaults = marl.LearningConfig()
     fields = {k: getattr(defaults, k) for k in defaults.__dataclass_fields__}
     if args.config:
@@ -246,6 +270,8 @@ def _learning_config(args) -> marl.LearningConfig:
 
 
 def cmd_learn(args, argv) -> None:
+    from . import gamesolve, marl
+
     out = _out_dir(args)
     matrix, inputs, bundle = _resolve_matrix(args)
     config = _learning_config(args)
@@ -294,11 +320,15 @@ def cmd_learn(args, argv) -> None:
 
 
 def _mc_config(args) -> experiments.McConfig:
+    from . import experiments
+
     return experiments.McConfig(runs=args.runs, seed=args.seed,
                                 attack_distribution=args.attack_dist)
 
 
 def cmd_baseline(args, argv) -> None:
+    from . import experiments
+
     out = _out_dir(args)
     matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     mc = _mc_config(args)
@@ -325,7 +355,7 @@ def cmd_baseline(args, argv) -> None:
 
 def _parse_methods(spec: str):
     if spec.strip() == "all":
-        return list(experiments.METHOD_TAGS)
+        return list(METHOD_TAGS)
     tags = [t.strip() for t in spec.split(",") if t.strip()]
     if not tags:
         raise ConfigError("empty --methods list")
@@ -333,6 +363,8 @@ def _parse_methods(spec: str):
 
 
 def cmd_compare(args, argv) -> None:
+    from . import experiments
+
     out = _out_dir(args)
     methods = _parse_methods(args.methods)
     matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
@@ -377,9 +409,11 @@ def _paired_tests(reports) -> dict:
     paired by construction.  A zero-variance difference (identical
     policies) is reported as degenerate rather than failing the command.
     """
+    from . import experiments
+
     tests = {}
-    adaptive = [t for t in experiments.ADAPTIVE_TAGS if t in reports]
-    base = [t for t in experiments.BASELINE_TAGS if t in reports]
+    adaptive = [t for t in ADAPTIVE_TAGS if t in reports]
+    base = [t for t in BASELINE_TAGS if t in reports]
     for a in adaptive:
         for b in base:
             scores_a = [r[2] for r in reports[a].records]
@@ -396,6 +430,8 @@ def _paired_tests(reports) -> dict:
 
 
 def cmd_probe(args, argv) -> None:
+    from . import experiments
+
     out = _out_dir(args)
     sizes = tuple(int(s) for s in args.sizes.split(","))
     methods = tuple(t.strip() for t in args.methods.split(",") if t.strip())
@@ -444,7 +480,7 @@ def _add_mc_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attack-dist", dest="attack_dist",
                    default="adversarial-best-response",
-                   choices=experiments.ATTACK_DISTRIBUTIONS)
+                   choices=ATTACK_DISTRIBUTIONS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -464,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="payoff matrix CSV (skips building)")
     p.add_argument("--method", required=True, choices=SOLVE_METHODS)
     p.add_argument("--iters", type=int, default=100_000)
-    p.add_argument("--beta", type=float, default=experiments.DEFAULT_BETA)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -484,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     p.add_argument("--matrix", help="payoff matrix CSV (skips building)")
     p.add_argument("--method", required=True,
-                   choices=experiments.BASELINE_TAGS)
+                   choices=BASELINE_TAGS)
     _add_mc_flags(p)
     p.add_argument("--out", required=True)
 

@@ -20,7 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import scenario
+# the method tags live in the package root, where the CLI parser reads them
+# without importing this module; they stay importable from here
+from . import (ADAPTIVE_TAGS, ATTACK_DISTRIBUTIONS, BASELINE_TAGS,  # noqa: F401
+               DEFAULT_BETA, METHOD_TAGS, scenario)
 from .errors import ConfigError, SolverError
 from .gamesolve import MixedStrategy, nash_exact, qre_fixed_point, regret_matching, stackelberg
 from .marl import LearningConfig, train_multi_agent, train_single_agent
@@ -31,13 +34,6 @@ from .scenario import _resolve_buses, _resolve_ders
 # evaluate_pair is re-exported: the single-cell scorer next to the batch
 from .scenario import apply_attack, apply_defense, catalog_default, evaluate_pair  # noqa: F401
 
-ATTACK_DISTRIBUTIONS = ("uniform", "equilibrium-mix", "adversarial-best-response")
-BASELINE_TAGS = ("RDS", "RBD", "SOD")
-ADAPTIVE_TAGS = ("nash", "stackelberg", "regret", "softmax", "qlearn", "maql")
-METHOD_TAGS = BASELINE_TAGS + ADAPTIVE_TAGS
-
-# beta = 1/temperature for the QRE solver surface
-DEFAULT_BETA = 2.0
 # rationality of the softmax *defense strategy*: sharpness is relative to the
 # payoff spread (about 0.3 on the bundled feeder), and beta*spread ~ 3 gives a
 # bounded-rational but clearly non-random defender; beta 10 is the largest

@@ -525,8 +525,8 @@ def regret_matching(M, T: int, seed: int) -> EquilibriumReport:
 def softmax_response(M, opponent_mix, beta: float, side: str) -> MixedStrategy:
     """Logit response; beta=0 is uniform, beta→inf approaches best response."""
     m = _entries(M)
-    if beta < 0:
-        raise SolverError("beta must be non-negative")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise SolverError(f"beta must be finite and non-negative, got {beta}")
     mix = opponent_mix.probs if isinstance(opponent_mix, MixedStrategy) else np.asarray(opponent_mix)
     if side == "attacker":
         z = -beta * (m @ mix)

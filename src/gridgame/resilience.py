@@ -13,11 +13,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NetworkValidationError
-from .netmodel import NetworkState, ServedLoadReport, topology
+
+if TYPE_CHECKING:
+    from .netmodel import NetworkState, ServedLoadReport
 
 FLAG_EMPTY_DENOMINATOR = "empty-denominator"
 FLAG_NON_CONVERGENCE = "non-convergence"
@@ -133,6 +136,9 @@ def clr(report: ServedLoadReport, base: NetworkState) -> tuple[float, frozenset[
 
 def tss(state: NetworkState) -> float:
     """Fraction of buses residing in energized islands."""
+    # imported here so that reading a payoff CSV does not load the network model
+    from .netmodel import topology
+
     return len(topology.energized_buses(state)) / state.n_buses
 
 
@@ -181,12 +187,19 @@ def ahp_weights(comparison: np.ndarray, tol: float = 1e-10,
 
 
 def load_ahp_matrix(path) -> np.ndarray:
-    """Read a comparison matrix from JSON (list of rows) or CSV."""
+    """Read the comparison matrix of the four criteria from JSON (list of
+    rows) or CSV; rows and columns follow the order LSR, CLR, TSS, DRS."""
     text = open(path).read().strip()
     if text.startswith("["):
-        return np.array(json.loads(text), dtype=float)
-    rows = [r for r in csv.reader(text.splitlines()) if r]
-    return np.array([[float(v) for v in r] for r in rows])
+        a = np.array(json.loads(text), dtype=float)
+    else:
+        rows = [r for r in csv.reader(text.splitlines()) if r]
+        a = np.array([[float(v) for v in r] for r in rows])
+    if a.shape != (4, 4):
+        raise NetworkValidationError(
+            f"{path}: AHP comparison matrix must be 4x4, one row and column per "
+            f"criterion in the order LSR, CLR, TSS, DRS; got shape {a.shape}")
+    return a
 
 
 def unified_score(card: ResilienceScorecard, weights: AhpWeights) -> float:

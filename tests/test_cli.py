@@ -27,6 +27,12 @@ def nan_csv(tmp_path):
     return path
 
 
+def small_game_csv(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("attack,D1,D2\nA1,0.4,0.9\nA2,0.8,0.1\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def payoff_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("payoff")
@@ -96,6 +102,15 @@ class TestPayoff:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "payoff.csv").exists()
 
+    def test_ahp_matrix_of_wrong_order_rejected(self, tmp_path, capsys):
+        ahp = tmp_path / "ahp.csv"
+        ahp.write_text("1,2\n0.5,1\n")  # valid reciprocal, but 2 criteria
+        code = run("payoff", "--ahp", ahp, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "4x4" in err and "LSR, CLR, TSS, DRS" in err
+        assert not (tmp_path / "o" / "payoff.csv").exists()
+
     def test_manifest_digests_verify(self, payoff_dir):
         import hashlib
         manifest = json.loads((payoff_dir / "manifest.json").read_text())
@@ -152,6 +167,20 @@ class TestSolve:
                    "--out", tmp_path / "out")
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "equilibrium.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--method", "fp", "--iters", "0"),
+        ("--method", "regret", "--iters", "-3"),
+        ("--method", "qre", "--beta", "-1"),
+        ("--method", "qre", "--beta", "nan"),
+        ("--method", "qre", "--beta", "inf"),
+    ])
+    def test_bad_solver_input_rejected_with_exit_2(self, flags, matrix_csv, tmp_path,
+                                                    capsys):
+        code = run("solve", *flags, "--matrix", matrix_csv, "--out", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out" / "equilibrium.json").exists()
 
     def test_unknown_method_rejected_by_parser(self, matrix_csv, tmp_path):
@@ -362,15 +391,70 @@ class TestProbe:
         assert "wall_time_s" in manifest["timings_s"]["33"]
 
 
+def _child_env():
+    # the child finds the package the way this process did, whether or not
+    # PYTHONPATH was set
+    root = os.path.dirname(os.path.dirname(os.path.abspath(gridgame.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+
+
+_LOADED_MODULES = """
+import json, sys
+from gridgame.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gridgame"))]))
+"""
+
+
+class TestImports:
+    """Each command is a process of its own, so the layers it imports are its
+    start-up cost; a command imports only the layers it runs."""
+
+    def loaded_layers(self, *argv):
+        proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *map(str, argv)],
+                              env=_child_env(), capture_output=True, text=True)
+        code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert code == 0, proc.stderr
+        return {m.split(".")[1] for m in modules if "." in m}
+
+    @pytest.mark.parametrize("method", SOLVE_METHODS)
+    def test_solve_from_matrix(self, method, tmp_path):
+        layers = self.loaded_layers("solve", "--method", method, "--iters", 50,
+                                    "--matrix", small_game_csv(tmp_path),
+                                    "--out", tmp_path / "out")
+        assert "gamesolve" in layers
+        assert not layers & {"scenario", "experiments", "marl", "netmodel"}
+
+    @pytest.mark.parametrize("method", LEARN_METHODS)
+    def test_learn_from_matrix(self, method, tmp_path):
+        layers = self.loaded_layers("learn", "--method", method, "--iters", 50,
+                                    "--matrix", small_game_csv(tmp_path),
+                                    "--out", tmp_path / "out")
+        assert {"gamesolve", "marl"} <= layers
+        assert not layers & {"scenario", "experiments", "netmodel"}
+
+    def test_payoff(self, tmp_path):
+        layers = self.loaded_layers("payoff", "--out", tmp_path / "out")
+        assert {"netmodel", "scenario"} <= layers
+        assert not layers & {"gamesolve", "marl", "experiments"}
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_parser_alone(self, flag):
+        assert not self.loaded_layers(flag) & {"scenario", "experiments", "marl",
+                                                "netmodel", "gamesolve"}
+
+
 class TestPackaging:
     @pytest.mark.skipif(shutil.which("gridgame") is None,
                         reason="no installed 'gridgame' console script on PATH")
     def test_console_script_round_trip(self, tmp_path):
-        m = tmp_path / "m.csv"
-        m.write_text("attack,D1,D2\nA1,0.4,0.9\nA2,0.8,0.1\n")
         proc = subprocess.run(
             ["gridgame", "solve", "--method", "nash",
-             "--matrix", str(m), "--out", str(tmp_path / "out")],
+             "--matrix", str(small_game_csv(tmp_path)), "--out", str(tmp_path / "out")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         eq = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
@@ -378,12 +462,7 @@ class TestPackaging:
         assert 0.1 < eq["value"] < 0.9
 
     def test_module_entry_point(self):
-        # the child finds the package the way this process did, whether or
-        # not PYTHONPATH was set
-        root = os.path.dirname(os.path.dirname(os.path.abspath(gridgame.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (root, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-m", "gridgame", "--version"],
-                              env=env, capture_output=True, text=True)
+                              env=_child_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip()

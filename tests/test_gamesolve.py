@@ -287,6 +287,15 @@ class TestQre:
         with pytest.raises(SolverError):
             qre_fixed_point(PENNIES, 1.0, 1.0, damping=0.0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(SolverError, match="beta"):
+            softmax_response(PENNIES, MixedStrategy.uniform(2), beta, "attacker")
+        with pytest.raises(SolverError, match="beta"):
+            qre_fixed_point(PENNIES, beta, 1.0)
+        with pytest.raises(SolverError, match="beta"):
+            qre_fixed_point(PENNIES, 1.0, beta)
+
 
 class TestVerifier:
     def test_saddle_point(self):
