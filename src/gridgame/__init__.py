@@ -7,8 +7,6 @@ solvers, learning agents, and a Monte Carlo statistics harness.
 
 __version__ = "0.1.0"
 
-from . import backend
-
 # Method tags and solver defaults shared by the CLI parser and
 # gridgame.experiments.  They live here, beside the version, so that the
 # parser can be built without importing the evaluation harness.
@@ -20,5 +18,5 @@ METHOD_TAGS = BASELINE_TAGS + ADAPTIVE_TAGS
 # beta = 1/temperature for the QRE solver surface
 DEFAULT_BETA = 2.0
 
-__all__ = ["backend", "__version__", "ATTACK_DISTRIBUTIONS", "BASELINE_TAGS",
+__all__ = ["__version__", "ATTACK_DISTRIBUTIONS", "BASELINE_TAGS",
            "ADAPTIVE_TAGS", "METHOD_TAGS", "DEFAULT_BETA"]

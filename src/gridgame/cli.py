@@ -25,7 +25,6 @@ import numpy as np
 
 from . import (ADAPTIVE_TAGS, ATTACK_DISTRIBUTIONS, BASELINE_TAGS,
                DEFAULT_BETA, METHOD_TAGS, __version__)
-from . import backend as backend_mod
 from .errors import (CatalogError, ConfigError, GridGameError,
                      NetworkParseError, NetworkValidationError,
                      RadialityError, SolverError)
@@ -96,10 +95,6 @@ def _input_record(path, bundled_tag):
 
 def _write_manifest(out_dir, argv, config, inputs, outputs, seed=None,
                     timings=None) -> None:
-    # the kernel backend is part of reproducibility: jit scheduling can move
-    # pure-arithmetic results by an ulp, so identical outputs are only
-    # promised for identical (inputs, seed, backend)
-    config = dict(config, backend=backend_mod.active_backend())
     config = _jsonable(config)
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()
@@ -156,6 +151,13 @@ def _resolve_matrix(args, need_bundle=False):
     if matrix is None:
         matrix = build_payoff_matrix(net, cat, weights)
     else:
+        # rows and columns are scored as the catalog's actions by position
+        ids = (tuple(a.id for a in cat.attacks), tuple(d.id for d in cat.defenses))
+        if (matrix.attack_ids, matrix.defense_ids) != ids:
+            raise ConfigError(
+                f"{path}: matrix ids {list(matrix.attack_ids)} x "
+                f"{list(matrix.defense_ids)} do not match the catalog's "
+                f"{list(ids[0])} x {list(ids[1])} in catalog order")
         inputs["matrix"] = _input_record(path, "")
     return matrix, inputs, (net, cat, weights)
 
@@ -256,6 +258,8 @@ def _learning_config(args) -> marl.LearningConfig:
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config}: learning config must be a JSON object")
         unknown = set(loaded) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -22,12 +22,15 @@ from operator import add
 
 import numpy as np
 
-from . import backend
 from .errors import SolverError
 
 FP_DEFAULT_ITERS = 100_000
 FP_DEFAULT_TOL = 1e-3
 QRE_DEFAULT_DAMPING = 0.5
+
+# rows converted to Python lists per chunk: a whole (100000, 5) array as
+# lists adds ~27 MB of peak memory, a 512-row chunk about 0.1 MB
+ROW_CHUNK = 512
 
 
 def _entries(m) -> np.ndarray:
@@ -37,6 +40,12 @@ def _entries(m) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise SolverError("payoff matrix has non-finite entries")
     return arr
+
+
+def iter_rows(arr):
+    """Yield the rows of a 2-d array as lists of Python floats, chunk by chunk."""
+    for start in range(0, arr.shape[0], ROW_CHUNK):
+        yield from arr[start:start + ROW_CHUNK].tolist()
 
 
 @dataclass(frozen=True)
@@ -142,75 +151,14 @@ def verify_epsilon_equilibrium(M, attacker_mix, defender_mix) -> float:
 # -- fictitious play ---------------------------------------------------------
 
 
-@backend.kernel
 def _fp_kernel(M, max_iters, tol, check_every):
     """Simultaneous-update fictitious play with empirical-frequency beliefs.
 
     u_a[i] accumulates sum_t M[i, d_t]; u_d[j] accumulates sum_t M[a_t, j],
     so each step costs O(m+n). The epsilon of the averaged strategies is
-    checked every check_every steps.
-    """
-    m, n = M.shape
-    count_a = np.zeros(m)
-    count_d = np.zeros(n)
-    u_a = np.zeros(m)
-    u_d = np.zeros(n)
-    a = 0
-    d = 0
-    eps = np.inf
-    t = 0
-    while t < max_iters:
-        t += 1
-        count_a[a] += 1.0
-        count_d[d] += 1.0
-        for i in range(m):
-            u_a[i] += M[i, d]
-        for j in range(n):
-            u_d[j] += M[a, j]
-        # best responses to the opponent's empirical frequency
-        a = 0
-        best = u_a[0]
-        for i in range(1, m):
-            if u_a[i] < best:
-                best = u_a[i]
-                a = i
-        d = 0
-        best = u_d[0]
-        for j in range(1, n):
-            if u_d[j] > best:
-                best = u_d[j]
-                d = j
-        if t % check_every == 0 or t == max_iters:
-            pa = count_a / t
-            pd = count_d / t
-            value = 0.0
-            worst_row = np.inf
-            best_col = -np.inf
-            for i in range(m):
-                row = 0.0
-                for j in range(n):
-                    row += M[i, j] * pd[j]
-                if row < worst_row:
-                    worst_row = row
-                value += row * pa[i]
-            for j in range(n):
-                col = 0.0
-                for i in range(m):
-                    col += M[i, j] * pa[i]
-                if col > best_col:
-                    best_col = col
-            eps = max(value - worst_row, best_col - value)
-            if eps <= tol:
-                break
-    return count_a / t, count_d / t, t, eps
-
-
-@_fp_kernel.cpython_build
-def _fp_cpython(M, max_iters, tol, check_every):
-    """_fp_kernel over Python lists, bit for bit: the same sums in the same order.
-
-    min/max return the first extreme element and index() its first position,
-    which is the lowest-index tie rule of the scans above (entries are finite).
+    checked every check_every steps. min/max return the first extreme element
+    and index() its first position, so ties go to the lowest index (entries
+    are finite).
     """
     m, n = M.shape
     rows = M.tolist()
@@ -354,107 +302,23 @@ def stackelberg(M) -> tuple[int, float, int]:
 # -- regret matching ----------------------------------------------------------
 
 
-@backend.kernel
-def _rm_kernel(M, uniforms, record_every):
-    """Self-play regret matching; both sides sample from positive-regret mixes.
-
-    uniforms is a (T, 2) array of pre-drawn U(0,1) variates so the loop is
-    backend-independent bit for bit. Records (t, avg_regret_a, avg_regret_d,
-    running value estimate) every record_every steps.
-    """
-    T = uniforms.shape[0]
-    m, n = M.shape
-    regret_a = np.zeros(m)
-    regret_d = np.zeros(n)
-    mix_sum_a = np.zeros(m)
-    mix_sum_d = np.zeros(n)
-    pa = np.full(m, 1.0 / m)
-    pd = np.full(n, 1.0 / n)
-    rows = T // record_every + (1 if T % record_every else 0)
-    traj = np.zeros((rows, 4))
-    payoff_sum = 0.0
-    r = 0
-    for t in range(T):
-        # sample actions from the current mixes
-        ua = uniforms[t, 0]
-        a = m - 1
-        acc = 0.0
-        for i in range(m):
-            acc += pa[i]
-            if ua < acc:
-                a = i
-                break
-        ud = uniforms[t, 1]
-        d = n - 1
-        acc = 0.0
-        for j in range(n):
-            acc += pd[j]
-            if ud < acc:
-                d = j
-                break
-        got = M[a, d]
-        payoff_sum += got
-        # attacker minimizes: regret of row i is M[a,d] - M[i,d]
-        for i in range(m):
-            regret_a[i] += got - M[i, d]
-        for j in range(n):
-            regret_d[j] += M[a, j] - got
-        for i in range(m):
-            mix_sum_a[i] += pa[i]
-        for j in range(n):
-            mix_sum_d[j] += pd[j]
-        # next mixes from positive parts
-        pos = 0.0
-        for i in range(m):
-            if regret_a[i] > 0.0:
-                pos += regret_a[i]
-        if pos > 0.0:
-            for i in range(m):
-                pa[i] = regret_a[i] / pos if regret_a[i] > 0.0 else 0.0
-        else:
-            for i in range(m):
-                pa[i] = 1.0 / m
-        pos = 0.0
-        for j in range(n):
-            if regret_d[j] > 0.0:
-                pos += regret_d[j]
-        if pos > 0.0:
-            for j in range(n):
-                pd[j] = regret_d[j] / pos if regret_d[j] > 0.0 else 0.0
-        else:
-            for j in range(n):
-                pd[j] = 1.0 / n
-        if (t + 1) % record_every == 0 or t == T - 1:
-            if r < rows:
-                ra = 0.0
-                for i in range(m):
-                    if regret_a[i] > ra:
-                        ra = regret_a[i]
-                rd = 0.0
-                for j in range(n):
-                    if regret_d[j] > rd:
-                        rd = regret_d[j]
-                traj[r, 0] = t + 1
-                traj[r, 1] = ra / (t + 1)
-                traj[r, 2] = rd / (t + 1)
-                traj[r, 3] = payoff_sum / (t + 1)
-                r += 1
-    return mix_sum_a / T, mix_sum_d / T, traj[:r]
-
-
 def _sample(mix, u) -> int:
     """First index whose running sum of mix exceeds u, else the last index.
 
-    The running sums are accumulated left to right like the scans of
-    _rm_kernel; mix is non-negative, so they are sorted for bisection.
+    The running sums are accumulated left to right, as a linear scan adds
+    them; mix is non-negative, so they are sorted for bisection.
     """
     k = bisect_right(list(accumulate(mix)), u)
     return k if k < len(mix) else len(mix) - 1
 
 
-@_rm_kernel.cpython_build
-def _rm_cpython(M, uniforms, record_every):
-    """_rm_kernel over Python lists, bit for bit: the same sums in the same order."""
+def _rm_kernel(M, uniforms, record_every):
+    """Self-play regret matching; both sides sample from positive-regret mixes.
+
+    uniforms is a (T, 2) array of pre-drawn U(0,1) variates, so a seed pins
+    the run bit for bit. Records (t, avg_regret_a, avg_regret_d, running
+    value estimate) every record_every steps.
+    """
     T = uniforms.shape[0]
     m, n = M.shape
     rows_of = M.tolist()
@@ -469,7 +333,7 @@ def _rm_cpython(M, uniforms, record_every):
     traj = np.zeros((rows, 4))
     payoff_sum = 0.0
     r = 0
-    for t, (ua, ud) in enumerate(backend.iter_rows(uniforms)):
+    for t, (ua, ud) in enumerate(iter_rows(uniforms)):
         a = _sample(pa, ua)
         d = _sample(pd, ud)
         row = rows_of[a]

@@ -9,25 +9,25 @@ Two training modes, kept deliberately separate:
   couples attack propagation with defense recovery and the update carries
   the usual gamma * next_best term.
 
-Both trainers run on pre-drawn uniforms through backend kernels, so a seed
-pins the whole trajectory bit-for-bit on either backend.  The "anticipated
-opponent move" used for greedy selection and for the bootstrap target is the
-opponent's most recently observed action.
+Both trainers run on pre-drawn uniforms, so a seed pins the whole
+trajectory bit for bit.  The "anticipated opponent move" used for greedy
+selection and for the bootstrap target is the opponent's most recently
+observed action.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
-from . import backend
 from .errors import ConfigError
-from .gamesolve import MixedStrategy, _entries
+from .gamesolve import MixedStrategy, _entries, iter_rows
 
 ALPHA_SCHEDULES = ("harmonic", "constant", "power")
 
@@ -59,6 +59,18 @@ class LearningConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # stored as int and float, so equal configs write equal provenance
+        for name in ("episodes", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("alpha_constant", "alpha_power", "epsilon0", "epsilon_decay", "gamma"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.alpha_schedule not in ALPHA_SCHEDULES:
             raise ConfigError(
                 f"alpha_schedule must be one of {ALPHA_SCHEDULES}, "
@@ -195,85 +207,29 @@ def _write_telemetry(path, rows: np.ndarray) -> None:
 # kernels
 
 
-# step-size modes are inlined in the kernels (0 harmonic, 1 constant, 2 power)
-# because the jitted builds cannot call back into plain Python
-
-
-@backend.kernel
-def _single_kernel(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
-                   eps0, eps_decay, uniforms, record_every):
-    # uniforms: (episodes, 3) = opponent draw, explore coin, explore pick
-    episodes = uniforms.shape[0]
-    rows, cols = m.shape
-    n_own = cols if defender_side else rows
-    n_opp = rows if defender_side else cols
-    q = np.zeros((n_own, n_opp))
-    visits = np.zeros((n_own, n_opp), dtype=np.int64)
-    opp_counts = np.zeros(n_opp, dtype=np.int64)
-    n_rec = episodes // record_every
-    telemetry = np.zeros((n_rec, 5))
-    rec = 0
-    opp_last = 0
-    eps = eps0
-    for t in range(episodes):
-        u = uniforms[t, 0]
-        opp = 0
-        while opp < n_opp - 1 and u >= opp_cdf[opp]:
-            opp += 1
-        if uniforms[t, 1] < eps:
-            own = int(uniforms[t, 2] * n_own)
-            if own == n_own:
-                own -= 1
-        else:
-            own = 0
-            best = q[0, opp_last]
-            for k in range(1, n_own):
-                v = q[k, opp_last]
-                if (defender_side and v > best) or (not defender_side and v < best):
-                    best = v
-                    own = k
-        reward = m[opp, own] if defender_side else m[own, opp]
-        visits[own, opp] += 1
-        if alpha_mode == 0:
-            alpha = 1.0 / visits[own, opp]
-        elif alpha_mode == 1:
-            alpha = alpha_c
-        else:
-            alpha = float(visits[own, opp]) ** (-alpha_p)
-        delta = alpha * (reward - q[own, opp])
-        q[own, opp] += delta
-        opp_counts[opp] += 1
-        opp_last = opp
-        if (t + 1) % record_every == 0 and rec < n_rec:
-            telemetry[rec, 0] = t + 1
-            telemetry[rec, 1] = eps
-            telemetry[rec, 2] = alpha
-            telemetry[rec, 3] = reward
-            telemetry[rec, 4] = abs(delta)
-            rec += 1
-        eps *= eps_decay
-    return q, visits, opp_counts, telemetry
+# alpha_mode is the schedule's index in ALPHA_SCHEDULES: 0 harmonic,
+# 1 constant, 2 power
 
 
 def _greedy(col, pick) -> int:
-    # lowest index among the extremes, as the scans do (Q values are finite)
+    # lowest index among the extremes (Q values are finite)
     return col.index(pick(col))
 
 
 def _first_above(cdf):
     """Running maxima of cdf; bisect_right(them, u) is the first k with u < cdf[k].
 
-    That is the answer of the kernels' linear scans, also where rounding or
-    a -1e-12 probability makes cdf dip; the maxima are sorted for bisection.
+    That is the answer of a linear scan of cdf, also where rounding or a
+    -1e-12 probability makes cdf dip; the maxima are sorted for bisection.
     """
     return list(accumulate(cdf, max))
 
 
-@_single_kernel.cpython_build
-def _single_cpython(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
-                    eps0, eps_decay, uniforms, record_every):
-    """_single_kernel over Python lists, bit for bit.
+def _single_kernel(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
+                   eps0, eps_decay, uniforms, record_every):
+    """Stateless Q-learning of one side against a sampled opponent.
 
+    uniforms is (episodes, 3): opponent draw, explore coin, explore pick.
     Q and visits are held per opponent column, and the greedy index of each
     column is cached until a cell of that column changes value.  Under the
     harmonic schedule a cell is set to its reward on its first visit and
@@ -295,7 +251,7 @@ def _single_cpython(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
     rec = 0
     opp_last = 0
     eps = eps0
-    for t, (u_opp, u_coin, u_pick) in enumerate(backend.iter_rows(uniforms)):
+    for t, (u_opp, u_coin, u_pick) in enumerate(iter_rows(uniforms)):
         opp = bisect_right(cdf, u_opp)
         if u_coin < eps:
             own = int(u_pick * n_own)
@@ -330,128 +286,20 @@ def _single_cpython(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
             np.array(opp_counts, dtype=np.int64), telemetry)
 
 
-@backend.kernel
 def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
                 eps0, eps_decay, uniforms, window_start, record_every):
-    # uniforms: (episodes, 5) = attacker coin, attacker pick, defender coin,
-    #   defender pick, state transition
-    episodes = uniforms.shape[0]
-    n_states, n_att, n_def = rewards.shape
-    qa = np.zeros((n_states, n_att, n_def))
-    qd = np.zeros((n_states, n_def, n_att))
-    visits_a = np.zeros((n_states, n_att, n_def), dtype=np.int64)
-    visits_d = np.zeros((n_states, n_def, n_att), dtype=np.int64)
-    a_counts = np.zeros((n_states, n_att), dtype=np.int64)
-    d_counts = np.zeros((n_states, n_def), dtype=np.int64)
-    a_counts_win = np.zeros((n_states, n_att), dtype=np.int64)
-    d_counts_win = np.zeros((n_states, n_def), dtype=np.int64)
-    n_rec = episodes // record_every
-    telemetry = np.zeros((n_rec, 5))
-    rec = 0
-    s = 0
-    a_last = 0
-    d_last = 0
-    reward_win = 0.0
-    win_n = 0
-    eps = eps0
-    for t in range(episodes):
-        if uniforms[t, 0] < eps:
-            a = int(uniforms[t, 1] * n_att)
-            if a == n_att:
-                a -= 1
-        else:
-            a = 0
-            best = qa[s, 0, d_last]
-            for k in range(1, n_att):
-                if qa[s, k, d_last] < best:
-                    best = qa[s, k, d_last]
-                    a = k
-        if uniforms[t, 2] < eps:
-            d = int(uniforms[t, 3] * n_def)
-            if d == n_def:
-                d -= 1
-        else:
-            d = 0
-            best = qd[s, 0, a_last]
-            for k in range(1, n_def):
-                if qd[s, k, a_last] > best:
-                    best = qd[s, k, a_last]
-                    d = k
-        reward = rewards[s, a, d]
-        u = uniforms[t, 4]
-        s_next = 0
-        acc = 0.0
-        for k in range(n_states):
-            acc += transitions[s, a, d, k]
-            if u < acc:
-                s_next = k
-                break
-            s_next = k
-        # bootstrap targets use the opponent action just observed
-        next_a = qa[s_next, 0, d]
-        for k in range(1, n_att):
-            if qa[s_next, k, d] < next_a:
-                next_a = qa[s_next, k, d]
-        next_d = qd[s_next, 0, a]
-        for k in range(1, n_def):
-            if qd[s_next, k, a] > next_d:
-                next_d = qd[s_next, k, a]
-        visits_a[s, a, d] += 1
-        if alpha_mode == 0:
-            alpha_a = 1.0 / visits_a[s, a, d]
-        elif alpha_mode == 1:
-            alpha_a = alpha_c
-        else:
-            alpha_a = float(visits_a[s, a, d]) ** (-alpha_p)
-        delta_a = alpha_a * (reward + gamma * next_a - qa[s, a, d])
-        qa[s, a, d] += delta_a
-        visits_d[s, d, a] += 1
-        if alpha_mode == 0:
-            alpha_d = 1.0 / visits_d[s, d, a]
-        elif alpha_mode == 1:
-            alpha_d = alpha_c
-        else:
-            alpha_d = float(visits_d[s, d, a]) ** (-alpha_p)
-        delta_d = alpha_d * (reward + gamma * next_d - qd[s, d, a])
-        qd[s, d, a] += delta_d
-        a_counts[s, a] += 1
-        d_counts[s, d] += 1
-        if t >= window_start:
-            a_counts_win[s, a] += 1
-            d_counts_win[s, d] += 1
-            reward_win += reward
-            win_n += 1
-        if (t + 1) % record_every == 0 and rec < n_rec:
-            telemetry[rec, 0] = t + 1
-            telemetry[rec, 1] = eps
-            telemetry[rec, 2] = alpha_d
-            telemetry[rec, 3] = reward
-            d1 = abs(delta_a)
-            d2 = abs(delta_d)
-            telemetry[rec, 4] = d1 if d1 > d2 else d2
-            rec += 1
-        a_last = a
-        d_last = d
-        s = s_next
-        eps *= eps_decay
-    value = reward_win / win_n if win_n > 0 else 0.0
-    return (qa, qd, visits_a, visits_d, a_counts, d_counts,
-            a_counts_win, d_counts_win, value, telemetry)
+    """Simultaneous Q-learning of both sides on a stage MDP.
 
-
-@_mdp_kernel.cpython_build
-def _mdp_cpython(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
-                 eps0, eps_decay, uniforms, window_start, record_every):
-    """_mdp_kernel over Python lists, bit for bit.
-
-    Each side's Q and visits are held per (state, opponent action) column
-    with a cached greedy index, as in _single_cpython; the cache serves both
+    uniforms is (episodes, 5): attacker coin, attacker pick, defender coin,
+    defender pick, state transition.  Each side's Q and visits are held per
+    (state, opponent action) column with a cached greedy index, as in
+    _single_kernel; the cache serves both
     the greedy pick and the bootstrap target, which is the column's extreme.
     """
     episodes = uniforms.shape[0]
     n_states, n_att, n_def = rewards.shape
     reward_of = rewards.tolist()  # [s][a][d]
-    # np.cumsum adds left to right, like the transition scan of _mdp_kernel
+    # np.cumsum adds left to right, as a linear scan of each row does
     next_state = [[[_first_above(row[:-1]) for row in by_d] for by_d in by_a]
                   for by_a in np.cumsum(transitions, axis=3).tolist()]
     qa = [[[0.0] * n_att for _ in range(n_def)] for _ in range(n_states)]  # [s][d][a]
@@ -473,7 +321,7 @@ def _mdp_cpython(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
     reward_win = 0.0
     win_n = 0
     eps = eps0
-    for t, (u_ac, u_ap, u_dc, u_dp, u_s) in enumerate(backend.iter_rows(uniforms)):
+    for t, (u_ac, u_ap, u_dc, u_dp, u_s) in enumerate(iter_rows(uniforms)):
         if u_ac < eps:
             a = int(u_ap * n_att)
             if a == n_att:

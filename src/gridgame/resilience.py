@@ -69,6 +69,9 @@ class PayoffMatrix:
         m, n = self.entries.shape
         if m != len(self.attack_ids) or n != len(self.defense_ids):
             raise ValueError("payoff dimensions do not match id sequences")
+        for side, ids in (("attack", self.attack_ids), ("defense", self.defense_ids)):
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"payoff matrix repeats {side} ids: {list(ids)}")
         if not np.isfinite(self.entries).all():
             raise ValueError("payoff matrix has non-finite entries")
 
@@ -189,7 +192,8 @@ def ahp_weights(comparison: np.ndarray, tol: float = 1e-10,
 def load_ahp_matrix(path) -> np.ndarray:
     """Read the comparison matrix of the four criteria from JSON (list of
     rows) or CSV; rows and columns follow the order LSR, CLR, TSS, DRS."""
-    text = open(path).read().strip()
+    with open(path) as fh:
+        text = fh.read().strip()
     if text.startswith("["):
         a = np.array(json.loads(text), dtype=float)
     else:

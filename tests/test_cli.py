@@ -241,6 +241,26 @@ class TestLearn:
         assert code == 2
         assert "episodez" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,field", [
+        ("5", "JSON object"),
+        ("[1, 2]", "JSON object"),
+        ('{"episodes": "10"}', "episodes"),
+        ('{"episodes": 1e3}', "episodes"),
+        ('{"episodes": true}', "episodes"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"alpha_power": "x"}', "alpha_power"),
+        ('{"alpha_constant": NaN}', "alpha_constant"),
+    ])
+    def test_ill_typed_config_rejected(self, content, field, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        out = tmp_path / "out"
+        code = run("learn", "--method", "single", "--config", cfg,
+                   "--matrix", small_game_csv(tmp_path), "--out", out)
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_multi_writes_both_policies(self, matrix_csv, tmp_path):
         out = tmp_path / "out"
         assert run("learn", "--method", "multi", "--iters", 20_000,
@@ -298,6 +318,54 @@ class TestBaseline:
         rules = json.loads((out / "policy.json").read_text())["provenance"]["rules"]
         assert {r["defense"] for r in rules} == {"N0", "S1"}
         assert next(r for r in rules if r["attack"] == "A4")["defense"] == "S1"
+
+
+def edited_csv(src, dst, edit):
+    """Copy a payoff CSV, with edit(rows) applied to its split rows."""
+    rows = [line.split(",") for line in src.read_text().splitlines()]
+    edit(rows)
+    dst.write_text("".join(",".join(r) + "\n" for r in rows))
+    return dst
+
+
+def swap_first_defenses(rows):
+    rows[0][1], rows[0][2] = rows[0][2], rows[0][1]
+
+
+def repeat_first_attack(rows):
+    rows[2][0] = rows[1][0]
+
+
+class TestMatrixMatchesCatalog:
+    """baseline and compare score --matrix cells as the catalog's actions by
+    position, so its ids must be the catalog's, in catalog order."""
+
+    @pytest.mark.parametrize("argv,edit,written", [
+        (("baseline", "--method", "RBD", "--runs", 5), None, "stats.json"),
+        (("compare", "--methods", "RDS,SOD", "--runs", 2), swap_first_defenses,
+         "stats.json"),
+        (("compare", "--methods", "RDS,SOD", "--runs", 2), repeat_first_attack,
+         "stats.json"),
+        (("solve", "--method", "nash"), repeat_first_attack, "equilibrium.json"),
+    ], ids=["rbd-2x2", "compare-swapped-defenses", "compare-repeated-attack",
+            "solve-repeated-attack"])
+    def test_mismatch_rejected_with_exit_2(self, argv, edit, written, matrix_csv,
+                                           tmp_path, capsys):
+        if edit is None:
+            path = small_game_csv(tmp_path)
+        else:
+            path = edited_csv(matrix_csv, tmp_path / "edited.csv", edit)
+        out = tmp_path / "out"
+        assert run(*argv, "--matrix", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "catalog" in err or "repeats attack ids" in err
+        assert not (out / written).exists()
+
+    def test_bundled_matrix_accepted(self, matrix_csv, tmp_path):
+        out = tmp_path / "out"
+        assert run("compare", "--methods", "RDS,SOD", "--runs", 2,
+                   "--matrix", matrix_csv, "--out", out) == 0
+        assert (out / "stats.json").exists()
 
 
 class TestCompare:
@@ -427,7 +495,7 @@ class TestImports:
                                     "--matrix", small_game_csv(tmp_path),
                                     "--out", tmp_path / "out")
         assert "gamesolve" in layers
-        assert not layers & {"scenario", "experiments", "marl", "netmodel"}
+        assert not layers & {"scenario", "experiments", "marl", "netmodel", "backend"}
 
     @pytest.mark.parametrize("method", LEARN_METHODS)
     def test_learn_from_matrix(self, method, tmp_path):
@@ -435,17 +503,17 @@ class TestImports:
                                     "--matrix", small_game_csv(tmp_path),
                                     "--out", tmp_path / "out")
         assert {"gamesolve", "marl"} <= layers
-        assert not layers & {"scenario", "experiments", "netmodel"}
+        assert not layers & {"scenario", "experiments", "netmodel", "backend"}
 
     def test_payoff(self, tmp_path):
         layers = self.loaded_layers("payoff", "--out", tmp_path / "out")
         assert {"netmodel", "scenario"} <= layers
-        assert not layers & {"gamesolve", "marl", "experiments"}
+        assert not layers & {"gamesolve", "marl", "experiments", "backend"}
 
     @pytest.mark.parametrize("flag", ["--version", "--help"])
     def test_parser_alone(self, flag):
         assert not self.loaded_layers(flag) & {"scenario", "experiments", "marl",
-                                                "netmodel", "gamesolve"}
+                                                "netmodel", "gamesolve", "backend"}
 
 
 class TestPackaging:

@@ -82,6 +82,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             LearningConfig(**bad)
 
+    def test_equal_values_give_equal_provenance(self):
+        # a JSON 1 and 1.0, or a numpy integer, must not change the policy file
+        cfg = LearningConfig(epsilon0=1, gamma=0, episodes=np.int64(50), seed=np.int32(3))
+        assert json.dumps(cfg.provenance()) == json.dumps(
+            LearningConfig(epsilon0=1.0, gamma=0.0, episodes=50, seed=3).provenance())
+
 
 def one_action_mdp(rewards, transitions):
     """StageMdp over states 0..n-1 with one action per side."""

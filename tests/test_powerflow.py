@@ -125,3 +125,59 @@ def test_every_118_bus_probe_state_matches_oracle():
     assert states
     for state in states:
         assert_matches_oracle(state)
+
+
+def assert_power_balance(state):
+    """Check the converged voltages against the nodal power-flow equations.
+
+    Independent of the sweep: the dense admittance matrix Y of each energized
+    island is built from the closed branches, and at every bus but the
+    reference the injection V_i * conj((Y V)_i) must cancel the bus's
+    constant-power draw, net of online DER output and shed.  Returns
+    whether the flow converged; a flow that did not is not checked.
+    """
+    try:
+        sol = power_flow(state, tol=1e-12, max_sweeps=1000)
+    except RadialityError:
+        return False
+    if not sol.converged:
+        return False
+    z_base = state.base_kv ** 2 / state.base_mva
+    s_base_kw = 1000.0 * state.base_mva
+    der_kw = {}
+    for d in state.ders:
+        der_kw[d.bus] = der_kw.get(d.bus, 0.0) + d.output_kw()
+    for idx, comp in enumerate(sol.islands):
+        if not sol.energized[idx]:
+            continue
+        pos = {b: k for k, b in enumerate(sorted(comp))}
+        y_bus = np.zeros((len(pos), len(pos)), dtype=complex)
+        for f, t, r, x, _id in state.closed_branches():
+            if f in pos:
+                y = 1.0 / complex(r / z_base, x / z_base)
+                i, j = pos[f], pos[t]
+                y_bus[i, i] += y
+                y_bus[j, j] += y
+                y_bus[i, j] -= y
+                y_bus[j, i] -= y
+        v = np.array([sol.voltages[b] for b in pos])
+        keep = np.array([1.0 - state.shed(b) for b in pos])
+        load = np.array([complex(state.bus(b).load_p, state.bus(b).load_q) for b in pos])
+        der = np.array([der_kw.get(b, 0.0) for b in pos])
+        s = (load * keep - der) / s_base_kw
+        mismatch = v * np.conj(y_bus @ v) + s
+        mismatch[pos[sol.reference_bus[idx]]] = 0.0
+        assert np.abs(mismatch).max() <= 1e-10
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=FEEDERS)
+def test_random_feeders_balance_power(state):
+    assert_power_balance(state)
+
+
+@pytest.mark.parametrize("base", [load_ieee33(), synthetic_feeder(118, 1)],
+                         ids=["ieee33", "synthetic118"])
+def test_feeder_balances_power(base):
+    assert assert_power_balance(base)
