@@ -1,4 +1,4 @@
-"""Radial network model: data types, topology, power flow, served load."""
+"""Radial network model: data types, document loading, topology, power flow."""
 
 from .types import (
     CLOSED,
@@ -8,7 +8,6 @@ from .types import (
     Line,
     NetworkState,
     PowerFlowSolution,
-    ServedLoadReport,
     TieSwitch,
 )
 from .io import DEFAULT_DISPATCH, load_ieee33, load_network
@@ -22,13 +21,12 @@ from .topology import (
     reference_bus,
 )
 from .powerflow import MAX_SWEEPS, TOLERANCE, UNDERVOLTAGE_PU, power_flow
-from .serve import serve_loads
 
 __all__ = [
     "CLOSED", "OPEN", "Bus", "Der", "Line", "NetworkState",
-    "PowerFlowSolution", "ServedLoadReport", "TieSwitch",
+    "PowerFlowSolution", "TieSwitch",
     "DEFAULT_DISPATCH", "load_ieee33", "load_network",
     "check_radial", "closing_creates_loop", "energized_buses",
     "island_assignment", "islands", "is_energized", "reference_bus",
-    "MAX_SWEEPS", "TOLERANCE", "UNDERVOLTAGE_PU", "power_flow", "serve_loads",
+    "MAX_SWEEPS", "TOLERANCE", "UNDERVOLTAGE_PU", "power_flow",
 ]

@@ -49,17 +49,37 @@ def _req(mapping, key, where):
         raise NetworkParseError(f"{where}: missing required key {key!r}") from None
 
 
+def _num(mapping, key, where, default=None, cast=float):
+    """``mapping[key]`` as a number; required when there is no default."""
+    value = _req(mapping, key, where) if default is None else mapping.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise NetworkParseError(f"{where}: {key!r} must be a number, got {value!r}") from None
+
+
+def _objects(doc, key, where, required=False) -> list:
+    entries = _req(doc, key, where) if required else doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise NetworkParseError(f"{where}: {key!r} must be a list of objects")
+    return entries
+
+
 def _build_state(doc, where: str) -> NetworkState:
-    critical = set(doc.get("critical_buses", ()))
+    if not isinstance(doc, dict):
+        raise NetworkParseError(f"{where}: top level must be an object, got {type(doc).__name__}")
+    critical = doc.get("critical_buses", [])
+    if not isinstance(critical, list):
+        raise NetworkParseError(f"{where}: 'critical_buses' must be a list of bus ids")
 
     buses = []
-    for i, entry in enumerate(_req(doc, "buses", where)):
-        bus_id = _req(entry, "id", f"{where} buses[{i}]")
+    for i, entry in enumerate(_objects(doc, "buses", where, required=True)):
+        at = f"{where} buses[{i}]"
         buses.append(Bus(
-            id=int(bus_id),
-            load_p=float(entry.get("p_kw", 0.0)),
-            load_q=float(entry.get("q_kvar", 0.0)),
-            is_critical=bus_id in critical,
+            id=_num(entry, "id", at, cast=int),
+            load_p=_num(entry, "p_kw", at, 0.0),
+            load_q=_num(entry, "q_kvar", at, 0.0),
+            is_critical=_req(entry, "id", at) in critical,
         ))
     ids = sorted(b.id for b in buses)
     if ids != list(range(1, len(ids) + 1)):
@@ -68,43 +88,44 @@ def _build_state(doc, where: str) -> NetworkState:
     lines = tuple(
         Line(
             id=str(entry.get("id", f"L{_req(entry, 'from', where)}-{_req(entry, 'to', where)}")),
-            from_bus=int(_req(entry, "from", f"{where} lines[{i}]")),
-            to_bus=int(_req(entry, "to", f"{where} lines[{i}]")),
-            r=float(_req(entry, "r_ohm", f"{where} lines[{i}]")),
-            x=float(_req(entry, "x_ohm", f"{where} lines[{i}]")),
+            from_bus=_num(entry, "from", f"{where} lines[{i}]", cast=int),
+            to_bus=_num(entry, "to", f"{where} lines[{i}]", cast=int),
+            r=_num(entry, "r_ohm", f"{where} lines[{i}]"),
+            x=_num(entry, "x_ohm", f"{where} lines[{i}]"),
             status=CLOSED,
         )
-        for i, entry in enumerate(_req(doc, "lines", where))
+        for i, entry in enumerate(_objects(doc, "lines", where, required=True))
     )
     switches = tuple(
         TieSwitch(
             id=str(_req(entry, "id", f"{where} switches[{i}]")),
-            from_bus=int(_req(entry, "from", f"{where} switches[{i}]")),
-            to_bus=int(_req(entry, "to", f"{where} switches[{i}]")),
-            r=float(entry.get("r_ohm", 0.5)),
-            x=float(entry.get("x_ohm", 0.5)),
+            from_bus=_num(entry, "from", f"{where} switches[{i}]", cast=int),
+            to_bus=_num(entry, "to", f"{where} switches[{i}]", cast=int),
+            r=_num(entry, "r_ohm", f"{where} switches[{i}]", 0.5),
+            x=_num(entry, "x_ohm", f"{where} switches[{i}]", 0.5),
             position=OPEN,
         )
-        for i, entry in enumerate(doc.get("switches", ()))
+        for i, entry in enumerate(_objects(doc, "switches", where))
     )
     ders = tuple(
         Der(
             id=str(entry.get("id", f"DER{i + 1}")),
-            bus=int(_req(entry, "bus", f"{where} ders[{i}]")),
-            rating_p=float(_req(entry, "rating_kw", f"{where} ders[{i}]")),
-            dispatch_fraction=float(entry.get("dispatch_fraction", DEFAULT_DISPATCH)),
+            bus=_num(entry, "bus", f"{where} ders[{i}]", cast=int),
+            rating_p=_num(entry, "rating_kw", f"{where} ders[{i}]"),
+            dispatch_fraction=_num(entry, "dispatch_fraction", f"{where} ders[{i}]",
+                                   DEFAULT_DISPATCH),
             online=True,
         )
-        for i, entry in enumerate(doc.get("ders", ()))
+        for i, entry in enumerate(_objects(doc, "ders", where))
     )
     state = NetworkState(
         buses=tuple(buses),
         lines=lines,
         switches=switches,
         ders=ders,
-        base_kv=float(doc.get("base_kv", 12.66)),
-        base_mva=float(doc.get("base_mva", 10.0)),
-        slack_bus=int(doc.get("slack_bus", 1)),
+        base_kv=_num(doc, "base_kv", where, 12.66),
+        base_mva=_num(doc, "base_mva", where, 10.0),
+        slack_bus=_num(doc, "slack_bus", where, 1, int),
     )
     for comp in topology.islands(state):
         edges = sum(

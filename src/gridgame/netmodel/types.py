@@ -210,18 +210,3 @@ class PowerFlowSolution:
     energized: tuple[bool, ...] = ()  # per island
     reference_bus: dict[int, int] = field(default_factory=dict)  # island idx -> bus id
     undervoltage_buses: tuple[int, ...] = ()  # |V| < 0.90 p.u., flagged but still served
-
-
-@dataclass(frozen=True)
-class ServedLoadReport:
-    served_p: dict[int, float]  # kW per bus
-    served_q: dict[int, float]  # kvar per bus
-    der_utilized: dict[str, float]  # kW per DER id
-    der_available: dict[str, float]  # kW per DER id
-    connected_buses: frozenset[int]  # buses inside energized islands
-    # 1 - served_p/load_p per bus; feeds a re-solve after capacity curtailment
-    effective_shed: dict[int, float] = field(default_factory=dict)
-    capacity_curtailed: bool = False
-
-    def total_served_p(self) -> float:
-        return sum(self.served_p.values())

@@ -1,10 +1,10 @@
-"""Resilience metrics, AHP weight synthesis, and payoff-matrix construction.
+"""Resilience scorecards, AHP weight synthesis, and payoff-matrix construction.
 
 Four complementary indices quantify how a network state weathers an
 attack-defense interaction: the fraction of total demand still served (LSR),
 the same restricted to critical buses (CLR), the fraction of buses in
 energized islands (TSS), and the fraction of available DER capacity actually
-used (DRS).  An AHP eigenvector turns expert pairwise judgments into weights
+used (DRS).  ``scenario.PairPlan.metrics`` computes them.  An AHP eigenvector turns expert pairwise judgments into weights
 that collapse the four into one defender-maximizing score per cell.
 """
 
@@ -13,14 +13,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NetworkValidationError
-
-if TYPE_CHECKING:
-    from .netmodel import NetworkState, ServedLoadReport
 
 FLAG_EMPTY_DENOMINATOR = "empty-denominator"
 FLAG_NON_CONVERGENCE = "non-convergence"
@@ -116,44 +112,6 @@ class PayoffMatrix:
         return cls(entries=entries, attack_ids=attack_ids, defense_ids=defense_ids)
 
 
-# -- the four metrics ------------------------------------------------------
-
-def lsr(report: ServedLoadReport, base: NetworkState) -> tuple[float, frozenset[str]]:
-    """Served fraction of total pre-attack demand, clamped to [0,1]."""
-    demand = sum(b.load_p for b in base.buses)
-    if demand <= 0:
-        return 1.0, frozenset({FLAG_EMPTY_DENOMINATOR})
-    served = sum(report.served_p.get(b.id, 0.0) for b in base.buses)
-    return float(min(1.0, max(0.0, served / demand))), frozenset()
-
-
-def clr(report: ServedLoadReport, base: NetworkState) -> tuple[float, frozenset[str]]:
-    """LSR restricted to critical buses; vacuously 1 when none exist."""
-    crit = [b for b in base.buses if b.is_critical]
-    demand = sum(b.load_p for b in crit)
-    if demand <= 0:
-        return 1.0, frozenset({FLAG_EMPTY_DENOMINATOR})
-    served = sum(report.served_p.get(b.id, 0.0) for b in crit)
-    return float(min(1.0, max(0.0, served / demand))), frozenset()
-
-
-def tss(state: NetworkState) -> float:
-    """Fraction of buses residing in energized islands."""
-    # imported here so that reading a payoff CSV does not load the network model
-    from .netmodel import topology
-
-    return len(topology.energized_buses(state)) / state.n_buses
-
-
-def drs(report: ServedLoadReport) -> tuple[float, frozenset[str]]:
-    """Utilized over available DER capacity; zero (flagged) when none available."""
-    available = sum(report.der_available.values())
-    if available <= 0:
-        return 0.0, frozenset({FLAG_EMPTY_DENOMINATOR})
-    utilized = sum(report.der_utilized.values())
-    return float(min(1.0, max(0.0, utilized / available))), frozenset()
-
-
 # -- AHP -------------------------------------------------------------------
 
 def ahp_weights(comparison: np.ndarray, tol: float = 1e-10,
@@ -213,12 +171,12 @@ def unified_score(card: ResilienceScorecard, weights: AhpWeights) -> float:
 
 # -- payoff matrix ---------------------------------------------------------
 
-def build_payoff_matrix(base: NetworkState, catalog, weights: AhpWeights) -> PayoffMatrix:
+def build_payoff_matrix(base, catalog, weights: AhpWeights) -> PayoffMatrix:
     """Unified score for every attack-defense pair in the catalog.
 
     Cells are evaluated one after another in (attack, defense) order.
     """
-    from . import scenario  # deferred: scenario consumes the metric functions above
+    from . import scenario  # deferred: scenario imports the scorecard and flags above
 
     attacks = list(catalog.attacks)
     defenses = list(catalog.defenses)

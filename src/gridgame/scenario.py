@@ -2,28 +2,28 @@
 
 Ten attacks and ten defenses, each an ordered list of primitive effects over
 the network state. Applying an action is pure: the input state is never
-touched. The pair-evaluation pipeline runs pre-attack flow, attack, defense,
-post-defense flow, then scores the outcome. ``compile_pair`` resolves one
-pair once and scores it for many load vectors at a time.
+touched. ``compile_pair`` resolves one pair once into a ``PairPlan``, which
+serves the loads (``serve_loads``) and scores the served state (LSR, CLR, TSS,
+DRS) for many load vectors at a time. ``evaluate_pair`` scores one cell
+through its plan and runs the power flows that set the cell's voltage flags.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CatalogError
-from .netmodel import CLOSED, OPEN, NetworkState, power_flow, serve_loads, topology
+from .netmodel import CLOSED, OPEN, NetworkState, power_flow, topology
 from .resilience import (
+    FLAG_EMPTY_DENOMINATOR,
     FLAG_NON_CONVERGENCE,
     FLAG_UNDERVOLTAGE,
     ResilienceScorecard,
-    clr,
-    drs,
-    lsr,
-    tss,
 )
 
 ATTACK_KINDS = frozenset(
@@ -54,6 +54,20 @@ class Effect:
         return cls(kind=obj["kind"], target=tgt, value=obj.get("value"))
 
 
+def _check_effects(action_id: str, effects, kinds, side: str) -> None:
+    """Known kinds only; every value None or a finite real, not a bool or a
+    string; a shed_threshold needs its value."""
+    for eff in effects:
+        if not isinstance(eff.kind, str) or eff.kind not in kinds:
+            raise CatalogError(f"{action_id}: unknown {side} effect kind {eff.kind!r}")
+        v = eff.value
+        if v is None and eff.kind == "shed_threshold":
+            raise CatalogError(f"{action_id}: shed_threshold needs a value")
+        if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                              or not math.isfinite(v)):
+            raise CatalogError(f"{action_id}: {eff.kind} value {v!r} is not a finite number")
+
+
 @dataclass(frozen=True)
 class AttackAction:
     id: str
@@ -61,9 +75,7 @@ class AttackAction:
     effects: tuple[Effect, ...]
 
     def __post_init__(self):
-        for eff in self.effects:
-            if eff.kind not in ATTACK_KINDS:
-                raise CatalogError(f"{self.id}: unknown attack effect kind {eff.kind!r}")
+        _check_effects(self.id, self.effects, ATTACK_KINDS, "attack")
 
 
 @dataclass(frozen=True)
@@ -73,9 +85,7 @@ class DefenseAction:
     effects: tuple[Effect, ...]
 
     def __post_init__(self):
-        for eff in self.effects:
-            if eff.kind not in DEFENSE_KINDS:
-                raise CatalogError(f"{self.id}: unknown defense effect kind {eff.kind!r}")
+        _check_effects(self.id, self.effects, DEFENSE_KINDS, "defense")
 
 
 @dataclass(frozen=True)
@@ -229,14 +239,14 @@ def load_catalog(path) -> ScenarioCatalog:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise CatalogError(f"{path}: top level must be an object, got {type(obj).__name__}")
     base = catalog_default()
     version = obj.get("version", CATALOG_VERSION)
+    att = _parse_actions(obj, "attacks", AttackAction, path)
+    dfn = _parse_actions(obj, "defenses", DefenseAction, path)
 
     if obj.get("replace", False):
-        att = tuple(_parse_action(e, AttackAction, path)
-                    for e in obj.get("attacks", []))
-        dfn = tuple(_parse_action(e, DefenseAction, path)
-                    for e in obj.get("defenses", []))
         for acts in (att, dfn):
             ids = [a.id for a in acts]
             if len(ids) != len(set(ids)):
@@ -249,16 +259,11 @@ def load_catalog(path) -> ScenarioCatalog:
 
     attacks = {a.id: a for a in base.attacks}
     defenses = {d.id: d for d in base.defenses}
-    for entry in obj.get("attacks", []):
-        act = _parse_action(entry, AttackAction, path)
-        if act.id not in attacks:
-            raise CatalogError(f"{path}: unknown attack id {act.id!r}")
-        attacks[act.id] = act
-    for entry in obj.get("defenses", []):
-        act = _parse_action(entry, DefenseAction, path)
-        if act.id not in defenses:
-            raise CatalogError(f"{path}: unknown defense id {act.id!r}")
-        defenses[act.id] = act
+    for acts, known, side in ((att, attacks, "attack"), (dfn, defenses, "defense")):
+        for act in acts:
+            if act.id not in known:
+                raise CatalogError(f"{path}: unknown {side} id {act.id!r}")
+            known[act.id] = act
     return ScenarioCatalog(
         attacks=tuple(attacks[a.id] for a in base.attacks),
         defenses=tuple(defenses[d.id] for d in base.defenses),
@@ -266,12 +271,27 @@ def load_catalog(path) -> ScenarioCatalog:
     )
 
 
-def _parse_action(entry: dict, cls, path):
-    try:
-        effects = tuple(Effect.from_json(e) for e in entry.get("effects", []))
-        return cls(id=entry["id"], label=entry.get("label", entry["id"]), effects=effects)
-    except KeyError as exc:
-        raise CatalogError(f"{path}: action entry missing field {exc}") from exc
+def _parse_actions(obj: dict, key: str, cls, path) -> tuple:
+    """The actions listed under ``key``: a list of objects, each with a list
+    of effect objects."""
+    entries = obj.get(key, [])
+    if not isinstance(entries, list):
+        raise CatalogError(f"{path}: {key!r} must be a list of action objects")
+    actions = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise CatalogError(f"{path}: {key} entry {entry!r} is not an object")
+        if not isinstance(entry.get("id", ""), str):
+            raise CatalogError(f"{path}: {key} id {entry['id']!r} is not a string")
+        effects = entry.get("effects", [])
+        if not isinstance(effects, list) or not all(isinstance(e, dict) for e in effects):
+            raise CatalogError(f"{path}: effects of {entry.get('id')!r} must be a list of objects")
+        try:
+            actions.append(cls(id=entry["id"], label=entry.get("label", entry["id"]),
+                               effects=tuple(Effect.from_json(e) for e in effects)))
+        except KeyError as exc:
+            raise CatalogError(f"{path}: action entry missing field {exc}") from exc
+    return tuple(actions)
 
 
 # -- effect resolution -----------------------------------------------------
@@ -420,40 +440,35 @@ def evaluate_pair(base: NetworkState, attack: AttackAction,
     """Score one attack-defense interaction on the pristine network.
 
     Pipeline: pre-attack flow (steady-state sanity), attack, defense,
-    post-defense flow, metrics. Non-convergence of the post-defense flow is
-    flagged and metrics fall back to the energy-balance serving policy,
-    which needs no voltage solution.
+    post-defense flow, then the cell's plan serves the loads and scores
+    them. The flows only set flags: voltages reach no metric, so the
+    serving policy needs no voltage solution, converged or not.
     """
     flags: set[str] = set()
-    pre = power_flow(base)
-    if not pre.converged:
+    if not power_flow(base).converged:
         flags.add(FLAG_NON_CONVERGENCE)
 
     defended = apply_defense(apply_attack(base, attack), defense)
-
-    solution = power_flow(defended)
-    if not solution.converged:
-        flags.add(FLAG_NON_CONVERGENCE)
-    if solution.undervoltage_buses:
-        flags.add(FLAG_UNDERVOLTAGE)
-
-    report = serve_loads(defended, solution)
-    if report.capacity_curtailed:
+    solutions = [power_flow(defended)]
+    plan = _plan(base, attack, defense, defended)
+    served = serve_loads(plan, np.ones((1, len(base.buses))))
+    if served.curtailed[0]:
         # re-solve with the curtailment baked in so voltages are consistent
-        resolved = power_flow(defended.with_shed(report.effective_shed))
-        if not resolved.converged:
+        load = np.array([b.load_p for b in defended.buses])
+        kept = np.divide(served.served[0], load, out=np.zeros_like(load), where=load > 0)
+        shed = np.where(plan.dead, 1.0, np.where(load > 0, 1.0 - kept, 0.0))
+        solutions.append(power_flow(defended.with_shed(
+            {b.id: s for b, s in zip(defended.buses, shed.tolist())})))
+    for solution in solutions:
+        if not solution.converged:
             flags.add(FLAG_NON_CONVERGENCE)
-        if resolved.undervoltage_buses:
+        if solution.undervoltage_buses:
             flags.add(FLAG_UNDERVOLTAGE)
 
-    v_lsr, f1 = lsr(report, base)
-    v_clr, f2 = clr(report, base)
-    v_drs, f3 = drs(report)
-    v_tss = tss(defended)
-    return ResilienceScorecard(
-        lsr=v_lsr, clr=v_clr, tss=v_tss, drs=v_drs,
-        flags=frozenset(flags | f1 | f2 | f3),
-    )
+    cards, empty = plan.metrics(served)
+    if empty[0].any():
+        flags.add(FLAG_EMPTY_DENOMINATOR)
+    return ResilienceScorecard(*cards[0].tolist(), flags=frozenset(flags))
 
 
 # -- compiled pairs --------------------------------------------------------
@@ -491,14 +506,25 @@ class _DerIsland:
 
 
 @dataclass(frozen=True, eq=False)
+class ServedLoads:
+    """What ``serve_loads`` served, per run (row) and bus or DER (column)."""
+
+    demand: np.ndarray        # perturbed base load per bus, kW: the LSR/CLR denominators
+    served: np.ndarray        # served load per bus, kW
+    der_utilized: np.ndarray  # utilised output per DER, kW
+    curtailed: np.ndarray     # per run: some DER island fell short of its demand
+
+
+@dataclass(frozen=True, eq=False)
 class PairPlan:
     """One (attack, defense) cell resolved on the unperturbed feeder.
 
     Topology, DER states, shed_fraction targets and TSS do not depend on the
     loads, so they are fixed here. What does depend on them is replayed per
-    run by ``scores``: the attack's load scaling, the shed_threshold masks,
-    the DER-island curtailment and DER utilisation shares, and the LSR and
-    CLR denominators. Voltages never reach a score, so no flow is solved.
+    run by ``serve_loads`` and ``metrics``: the attack's load scaling, the
+    shed_threshold masks, the DER-island curtailment and DER utilisation
+    shares, and the LSR and CLR denominators. Voltages never reach a score,
+    so no flow is solved.
     """
 
     load_p: np.ndarray      # base active load per bus position, kW
@@ -512,51 +538,88 @@ class PairPlan:
     der_available: float
     tss: float
 
+    def metrics(self, served: ServedLoads) -> tuple[np.ndarray, np.ndarray]:
+        """LSR, CLR, TSS and DRS per run, shape (runs, 4), and a mask of the
+        same shape that marks each metric whose denominator is empty.
+
+        LSR and CLR are the served shares of all and of critical demand, TSS
+        the share of buses in energized islands, DRS utilised over available
+        DER output; each is clamped to [0, 1], and an empty denominator reads
+        1 for LSR and CLR and 0 for DRS. Sums run left to right, bus order.
+        """
+        runs = served.demand.shape[0]
+        crit = self.critical
+        demand = _seq_sum(served.demand)
+        crit_demand = _seq_sum(served.demand[:, crit])
+        lsr_v = _clamped_ratio(_seq_sum(served.served), demand)
+        clr_v = _clamped_ratio(_seq_sum(served.served[:, crit]), crit_demand)
+        if self.der_available <= 0:
+            drs_v = np.zeros(runs)
+        else:
+            utilized = _seq_sum(served.der_utilized)
+            drs_v = np.minimum(1.0, np.maximum(0.0, utilized / self.der_available))
+        cards = np.column_stack([lsr_v, clr_v, np.full(runs, self.tss), drs_v])
+        empty = np.column_stack([demand <= 0, crit_demand <= 0, np.zeros(runs, dtype=bool),
+                                 np.full(runs, self.der_available <= 0)])
+        return cards, empty
+
     def scores(self, multipliers, weights) -> np.ndarray:
         """Unified score per row of load multipliers, shape (runs, buses).
 
         Each score equals ``unified_score(evaluate_pair(perturbed, a, d),
         weights)`` bit for bit, where ``perturbed`` scales every bus load by
-        its multiplier: sums run left to right in the scalar code's order,
-        and the clamps and empty-denominator rules are the scalar ones.
+        its multiplier.
         """
-        perturbed = self.load_p * np.asarray(multipliers, dtype=float)
-        runs = perturbed.shape[0]
-        loads = perturbed.copy()
-        for idx, factor in self.scalings:
-            loads[:, idx] = loads[:, idx] * factor
-        shed = np.repeat(self.shed[None, :], runs, axis=0)
-        for kind, idx, value in self.shed_steps:
-            if kind == "shed_threshold":
-                shed[loads > value] = 1.0
-            else:
-                shed[:, idx] = value
-
-        served = loads * (1.0 - shed)
-        served[:, self.dead] = 0.0
-        utilized = np.repeat(self.der_fixed[None, :], runs, axis=0)
-        for isl in self.der_islands:
-            demand = served[:, isl.members]
-            kept = demand * _curtail_factors(demand, isl.critical, isl.capacity)
-            served[:, isl.members] = kept
-            total = _seq_sum(kept)
-            for k, output, rating in isl.ders:
-                share = total * rating / isl.rating_total if isl.rating_total else 0.0
-                utilized[:, k] = np.minimum(output, share)
-
-        lsr_v = _clamped_ratio(_seq_sum(served), _seq_sum(perturbed))
-        crit = self.critical
-        clr_v = _clamped_ratio(_seq_sum(served[:, crit]), _seq_sum(perturbed[:, crit]))
-        if self.der_available <= 0:
-            drs_v = np.zeros(runs)
-        else:
-            drs_v = np.minimum(1.0, np.maximum(0.0, _seq_sum(utilized) / self.der_available))
-        cards = np.column_stack([lsr_v, clr_v, np.full(runs, self.tss), drs_v])
+        cards, _ = self.metrics(serve_loads(self, multipliers))
         return np.array([float(weights.w @ card) for card in cards])
 
 
+# serve_loads stays a module global: the benchmark's tracer wraps it here
+def serve_loads(plan: PairPlan, multipliers) -> ServedLoads:
+    """Serve each row of load multipliers, shape (runs, buses), on the plan.
+
+    The policy is energy-balance based. De-energized islands serve nothing.
+    Energized islands serve the post-shedding demand, except that an
+    island the slack does not feed, whose online DER output falls short,
+    curtails non-critical load proportionally first, then critical load,
+    until demand fits the output.
+    """
+    perturbed = plan.load_p * np.asarray(multipliers, dtype=float)
+    runs = perturbed.shape[0]
+    loads = perturbed.copy()
+    for idx, factor in plan.scalings:
+        loads[:, idx] = loads[:, idx] * factor
+    shed = np.repeat(plan.shed[None, :], runs, axis=0)
+    for kind, idx, value in plan.shed_steps:
+        if kind == "shed_threshold":
+            shed[loads > value] = 1.0
+        else:
+            shed[:, idx] = value
+
+    served = loads * (1.0 - shed)
+    served[:, plan.dead] = 0.0
+    utilized = np.repeat(plan.der_fixed[None, :], runs, axis=0)
+    curtailed = np.zeros(runs, dtype=bool)
+    for isl in plan.der_islands:
+        demand = served[:, isl.members]
+        factors = _curtail_factors(demand, isl.critical, isl.capacity)
+        curtailed |= (factors < 1.0).any(axis=1)
+        kept = demand * factors
+        served[:, isl.members] = kept
+        total = _seq_sum(kept)
+        for k, output, rating in isl.ders:
+            share = total * rating / isl.rating_total if isl.rating_total else 0.0
+            utilized[:, k] = np.minimum(output, share)
+    return ServedLoads(demand=perturbed, served=served, der_utilized=utilized,
+                       curtailed=curtailed)
+
+
 def _curtail_factors(demand: np.ndarray, critical: np.ndarray, capacity: float) -> np.ndarray:
-    """Per-run, per-member serving factors of ``serve._curtail_factors``."""
+    """Per-run, per-member serving factors of a DER island with ``capacity`` kW.
+
+    Non-critical demand scales down first; critical demand is touched only
+    when the capacity cannot even cover the critical total.
+    """
     crit = _seq_sum(demand[:, critical])
     noncrit = _seq_sum(demand[:, ~critical])
     fits = crit + noncrit <= capacity
@@ -582,7 +645,12 @@ def compile_pair(base: NetworkState, attack: AttackAction,
     _check_energized_radial(base)
     defended = apply_defense(apply_attack(base, attack), defense)
     _check_energized_radial(defended)
+    return _plan(base, attack, defense, defended)
 
+
+def _plan(base: NetworkState, attack: AttackAction, defense: DefenseAction,
+          defended: NetworkState) -> PairPlan:
+    """The plan of a cell whose attack and defense already made ``defended``."""
     pos = {b.id: i for i, b in enumerate(base.buses)}
 
     def positions(buses) -> np.ndarray:
@@ -632,5 +700,5 @@ def compile_pair(base: NetworkState, attack: AttackAction,
         der_islands=tuple(der_islands),
         der_fixed=der_fixed,
         der_available=sum(d.output_kw() for d in defended.ders),
-        tss=tss(defended),
+        tss=int((~dead).sum()) / len(base.buses),
     )

@@ -45,7 +45,49 @@ def matrix_csv(payoff_dir):
     return payoff_dir / "payoff.csv"
 
 
+def bundled_network_doc(**edits):
+    from importlib import resources
+    doc = json.loads(resources.files("gridgame.data").joinpath("ieee33.json").read_text())
+    doc.update(edits)
+    return doc
+
+
+def scale_a4(value):
+    return {"attacks": [{"id": "A4", "effects": [
+        {"kind": "scale_load", "target": [20], "value": value}]}]}
+
+
+def null_load_doc():
+    doc = bundled_network_doc()
+    doc["buses"][3]["p_kw"] = None
+    return doc
+
+
+MALFORMED_INPUTS = [
+    pytest.param("--catalog", [1], id="catalog-top-level-list"),
+    pytest.param("--network", [1], id="network-top-level-list"),
+    pytest.param("--catalog", {"attacks": ["x"]}, id="catalog-entry-not-object"),
+    pytest.param("--catalog", {"replace": True, "attacks": [{"id": [1]}]}, id="list-action-id"),
+    pytest.param("--catalog", {"defenses": [{"id": "D9", "effects": [
+        {"kind": "shed_threshold"}]}]}, id="shed-threshold-without-value"),
+    pytest.param("--catalog", scale_a4("2"), id="string-value"),
+    pytest.param("--catalog", scale_a4(True), id="bool-value"),
+    pytest.param("--catalog", scale_a4(float("inf")), id="infinite-value"),
+    pytest.param("--network", null_load_doc(), id="null-bus-load"),
+    pytest.param("--network", bundled_network_doc(critical_buses=5), id="critical-buses-not-list"),
+]
+
+
 class TestPayoff:
+    @pytest.mark.parametrize("flag, doc", MALFORMED_INPUTS)
+    def test_malformed_input_exits_2(self, flag, doc, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))  # writes the Infinity literal json.load accepts
+        out = tmp_path / "o"
+        assert run("payoff", flag, path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "payoff.csv").exists()
+
     def test_full_matrix_dimensions(self, payoff_dir):
         lines = (payoff_dir / "payoff.csv").read_text().strip().splitlines()
         assert len(lines) == 11  # header + 10 attacks
@@ -92,8 +134,7 @@ class TestPayoff:
         assert str(missing) in capsys.readouterr().err
 
     def test_nan_load_rejected_with_exit_2(self, tmp_path, capsys):
-        from importlib import resources
-        doc = json.loads(resources.files("gridgame.data").joinpath("ieee33.json").read_text())
+        doc = bundled_network_doc()
         doc["buses"][3]["p_kw"] = float("nan")
         net = tmp_path / "nan.json"
         net.write_text(json.dumps(doc))  # writes the NaN literal json.load accepts

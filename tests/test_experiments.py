@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import pair_oracle
 from gridgame import experiments, scenario
 from gridgame.errors import ConfigError, SolverError
 from gridgame.experiments import (
@@ -235,7 +236,7 @@ def _oracle_records(base, catalog, weights, policy, matrix, mc):
         a = pick(probs, rng.random())
         d = pick(policy.mixes[a], rng.random())
         perturbed = base.with_scaled_loads({b.id: m for b, m in zip(base.buses, row)})
-        card = evaluate_pair(perturbed, catalog.attacks[a], catalog.defenses[d])
+        card = pair_oracle.evaluate_pair(perturbed, catalog.attacks[a], catalog.defenses[d])
         records.append((catalog.attacks[a].id, catalog.defenses[d].id,
                         unified_score(card, weights)))
     return tuple(records)

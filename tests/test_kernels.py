@@ -69,6 +69,8 @@ CASES = {
     "rm-tied": (RM, rm_args(TIED, 500, 1)),
     "fp-10x10": (FP, (random_matrix(2), 3000, 0.0, 100)),
     "fp-tied": (FP, (TIED, 301, 0.0, 7)),
+    # the attacker's rows 0 and 1 stay tied all run: the lowest index wins
+    "fp-tied-rows": (FP, (1.0 - TIED, 301, 0.0, 7)),
     "single-harmonic-defender": (SINGLE, single_args(
         random_matrix(3), np.full(10, 0.1), True, 0, 1.0, 0.999, 5000, 11)),
     "single-constant-attacker": (SINGLE, single_args(

@@ -24,9 +24,9 @@ from gridgame.netmodel import (
     islands,
     load_ieee33,
     power_flow,
-    serve_loads,
     topology,
 )
+from gridgame.scenario import AttackAction, DefenseAction, compile_pair, serve_loads
 
 
 def oracle_voltages(state, tol=1e-13, max_iter=400):
@@ -263,45 +263,55 @@ class TestTopology:
         assert topology.reference_bus(state, comp) == 3
 
 
+def serve(state):
+    """The package's serving of the state's own loads, with no attack or
+    defense: its plan, served kW per bus id, and the serving result."""
+    plan = compile_pair(state, AttackAction("A0", "none", ()), DefenseAction("D0", "none", ()))
+    result = serve_loads(plan, np.ones((1, state.n_buses)))
+    served = {b.id: float(v) for b, v in zip(state.buses, result.served[0])}
+    return plan, served, result
+
+
 class TestServeLoads:
     def test_pristine_serves_everything(self, net):
-        rep = serve_loads(net, power_flow(net))
-        assert rep.total_served_p() == pytest.approx(3715.0)
-        assert rep.connected_buses == frozenset(range(1, 34))
-        assert not rep.capacity_curtailed
+        plan, served, result = serve(net)
+        assert sum(served.values()) == pytest.approx(3715.0)
+        assert not plan.dead.any()  # every bus sits in an energized island
+        assert not result.curtailed[0]
 
     def test_islanded_curtailment(self, net):
         # 26..33 alone with DER4 at full output: 800 kW against 920 kW demand
         state = net.with_line_status(net.find_line(6, 26).id, OPEN)
         state = state.with_der("DER4", dispatch_fraction=1.0)
-        rep = serve_loads(state, power_flow(state))
+        _, served, result = serve(state)
         island = list(range(26, 34))
         demand = sum(net.bus(b).load_p for b in island)
         assert demand == pytest.approx(920.0)
-        served = sum(rep.served_p[b] for b in island)
-        assert served == pytest.approx(800.0)
-        assert rep.capacity_curtailed
+        assert sum(served[b] for b in island) == pytest.approx(800.0)
+        assert result.curtailed[0]
         # critical bus 31 is kept whole; the rest scale by (800-150)/770
-        assert rep.served_p[31] == pytest.approx(150.0)
+        assert served[31] == pytest.approx(150.0)
         factor = (800.0 - 150.0) / 770.0
         for b in island:
             if b != 31:
-                assert rep.served_p[b] == pytest.approx(net.bus(b).load_p * factor)
-        assert rep.der_utilized["DER4"] == pytest.approx(800.0)
+                assert served[b] == pytest.approx(net.bus(b).load_p * factor)
+        der4 = [d.id for d in state.ders].index("DER4")
+        assert result.der_utilized[0, der4] == pytest.approx(800.0)
 
     def test_dark_island_serves_nothing(self, net):
         state = ders_offline(net).with_line_status(net.find_line(6, 26).id, OPEN)
-        rep = serve_loads(state, power_flow(state))
+        plan, served, _ = serve(state)
         for b in range(26, 34):
-            assert rep.served_p[b] == 0.0
-            assert rep.effective_shed[b] == 1.0
+            assert served[b] == 0.0
+            # a dead bus is shed whole when evaluate_pair re-solves the served state
+            assert plan.dead[b - 1]
 
     def test_shed_reduces_served(self, net):
         state = net.with_shed({b.id: 0.3 for b in net.buses if not b.is_critical})
-        rep = serve_loads(state, power_flow(state))
+        _, served, _ = serve(state)
         crit = sum(net.bus(b).load_p for b in net.critical_buses())
         expect = crit + 0.7 * (3715.0 - crit)
-        assert rep.total_served_p() == pytest.approx(expect)
+        assert sum(served.values()) == pytest.approx(expect)
 
 
 class TestValidation:

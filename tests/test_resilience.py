@@ -9,17 +9,13 @@ import pytest
 
 from gridgame import resilience, scenario
 from gridgame.errors import CatalogError, NetworkValidationError
-from gridgame.netmodel import Bus, Der, Line, NetworkState, ServedLoadReport, load_ieee33
+from gridgame.netmodel import Bus, Der, Line, NetworkState, load_ieee33
 from gridgame.resilience import (
     DEFAULT_AHP_MATRIX,
     AhpWeights,
     PayoffMatrix,
     ResilienceScorecard,
     ahp_weights,
-    clr,
-    drs,
-    lsr,
-    tss,
     unified_score,
 )
 
@@ -93,17 +89,29 @@ class TestAhp:
             ahp_weights(np.ones((3, 4)))
 
 
-def report(served, base, utilized=None, available=None):
-    return ServedLoadReport(
-        served_p=served,
-        served_q={b: 0.0 for b in served},
-        der_utilized=utilized or {},
-        der_available=available or {},
-        connected_buses=frozenset(served),
-    )
+NO_ATTACK = scenario.AttackAction("A0", "no attack", ())
+NO_DEFENSE = scenario.DefenseAction("D0", "no action", ())
+LSR, CLR, TSS, DRS = range(4)
 
 
-def toy_state(loads, critical=(), lines=None):
+def plan_of(state):
+    return scenario.compile_pair(state, NO_ATTACK, NO_DEFENSE)
+
+
+def metric(k, state, served, utilized=()):
+    """Metric ``k`` of one run and whether its denominator is empty, from a
+    serving result set by hand: served kW per bus id, utilised kW per DER."""
+    demand = [[b.load_p for b in state.buses]]
+    kept = [[served.get(b.id, 0.0) for b in state.buses]]
+    result = scenario.ServedLoads(
+        demand=np.array(demand), served=np.array(kept),
+        der_utilized=np.array([utilized], dtype=float).reshape(1, -1),
+        curtailed=np.zeros(1, dtype=bool))
+    cards, empty = plan_of(state).metrics(result)
+    return float(cards[0, k]), bool(empty[0, k])
+
+
+def toy_state(loads, critical=(), lines=None, ders=()):
     buses = tuple(
         Bus(i + 1, p, 0.0, is_critical=(i + 1) in critical)
         for i, p in enumerate(loads)
@@ -111,62 +119,54 @@ def toy_state(loads, critical=(), lines=None):
     lines = lines or tuple(
         Line(f"l{i}", i, i + 1, 0.01, 0.01) for i in range(1, len(loads))
     )
-    return NetworkState(buses=buses, lines=lines, slack_bus=1)
+    return NetworkState(buses=buses, lines=lines, ders=ders, slack_bus=1)
 
 
 class TestMetrics:
     def test_lsr_full(self):
         base = toy_state([100.0, 200.0, 300.0])
-        rep = report({1: 100.0, 2: 200.0, 3: 300.0}, base)
-        assert lsr(rep, base) == (1.0, frozenset())
+        assert metric(LSR, base, {1: 100.0, 2: 200.0, 3: 300.0}) == (1.0, False)
 
     def test_lsr_half(self):
         base = toy_state([2000.0, 2000.0])
-        rep = report({1: 2000.0, 2: 0.0}, base)
-        assert lsr(rep, base)[0] == pytest.approx(0.5)
+        assert metric(LSR, base, {1: 2000.0, 2: 0.0})[0] == pytest.approx(0.5)
 
     def test_lsr_zero_demand_convention(self):
         base = toy_state([0.0, 0.0])
-        val, flags = lsr(report({1: 0.0, 2: 0.0}, base), base)
-        assert val == 1.0
-        assert resilience.FLAG_EMPTY_DENOMINATOR in flags
+        assert metric(LSR, base, {1: 0.0, 2: 0.0}) == (1.0, True)
 
     def test_clr_critical_ratings(self):
         # published critical ratings: 200 + 120 + 1420 + 150 = 1890
         base = toy_state([200.0, 120.0, 1420.0, 150.0], critical=(1, 2, 3, 4))
-        rep = report({1: 0.0, 2: 0.0, 3: 1420.0, 4: 0.0}, base)
-        assert clr(rep, base)[0] == pytest.approx(1420.0 / 1890.0)
-        full = report({1: 200.0, 2: 120.0, 3: 1420.0, 4: 150.0}, base)
-        assert clr(full, base)[0] == pytest.approx(1.0)
+        part = {1: 0.0, 2: 0.0, 3: 1420.0, 4: 0.0}
+        assert metric(CLR, base, part)[0] == pytest.approx(1420.0 / 1890.0)
+        full = {1: 200.0, 2: 120.0, 3: 1420.0, 4: 150.0}
+        assert metric(CLR, base, full)[0] == pytest.approx(1.0)
 
     def test_clr_no_critical_convention(self):
         base = toy_state([100.0, 100.0])
-        val, flags = clr(report({1: 100.0, 2: 100.0}, base), base)
-        assert val == 1.0
-        assert resilience.FLAG_EMPTY_DENOMINATOR in flags
+        assert metric(CLR, base, {1: 100.0, 2: 100.0}) == (1.0, True)
 
     def test_drs_ratio(self):
-        rep = report({}, None, utilized={"G1": 1540.0}, available={"G1": 3080.0})
-        assert drs(rep)[0] == pytest.approx(0.5)
+        base = toy_state([100.0, 100.0], ders=(Der("G1", 2, 3080.0, dispatch_fraction=1.0),))
+        assert metric(DRS, base, {}, utilized=[1540.0])[0] == pytest.approx(0.5)
 
     def test_drs_empty_convention(self):
-        rep = report({}, None, utilized={}, available={"G1": 0.0})
-        val, flags = drs(rep)
-        assert val == 0.0
-        assert resilience.FLAG_EMPTY_DENOMINATOR in flags
+        base = toy_state([100.0, 100.0], ders=(Der("G1", 2, 3080.0, dispatch_fraction=0.0),))
+        assert metric(DRS, base, {}, utilized=[0.0]) == (0.0, True)
 
     def test_tss_pristine(self):
         net = load_ieee33()
-        assert tss(net) == 1.0
+        assert plan_of(net).tss == 1.0
 
     def test_tss_counts_der_islands(self):
         net = load_ieee33()
         cut = net.with_line_status(net.find_line(6, 26).id, "open")
-        assert tss(cut) == 1.0  # DER4 keeps 26..33 alive
+        assert plan_of(cut).tss == 1.0  # DER4 keeps 26..33 alive
         dark = cut
         for d in net.ders:
             dark = dark.with_der(d.id, online=False)
-        assert tss(dark) == pytest.approx(25 / 33)
+        assert plan_of(dark).tss == pytest.approx(25 / 33)
 
 
 class TestUnifiedScore:
