@@ -13,6 +13,7 @@ come back in run order.
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 import tracemalloc
@@ -143,10 +144,11 @@ class StatsReport:
         return obj
 
     def runs_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("run,attack,defense,score\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["run", "attack", "defense", "score"])
             for run, (attack, defense, score) in enumerate(self.records):
-                fh.write(f"{run},{attack},{defense},{score:.12g}\n")
+                writer.writerow([run, attack, defense, f"{score:.12g}"])
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from ..errors import NetworkParseError, NetworkValidationError
+from ..errors import NetworkParseError, NetworkValidationError, RadialityError
 from .types import CLOSED, OPEN, Bus, Der, Line, NetworkState, TieSwitch
 from . import topology
 
@@ -127,10 +127,9 @@ def _build_state(doc, where: str) -> NetworkState:
         base_mva=_num(doc, "base_mva", where, 10.0),
         slack_bus=_num(doc, "slack_bus", where, 1, int),
     )
-    for comp in topology.islands(state):
-        edges = sum(
-            1 for f, t, *_ in state.closed_branches() if f in comp and t in comp
-        )
-        if edges != len(comp) - 1:
-            raise NetworkValidationError(f"{where}: base topology is not radial")
+    for isl in topology.islands(state):
+        try:
+            isl.check_radial()
+        except RadialityError:
+            raise NetworkValidationError(f"{where}: base topology is not radial") from None
     return state

@@ -4,7 +4,8 @@ Each energized island is solved independently against its own voltage
 reference (the slack bus, or the island's largest online DER).  Loads are
 constant-power; DERs are constant-P injections at unity power factor.
 Islands without a reference node are reported de-energized with zero
-voltage.
+voltage.  Islands, references and the adjacency the sweep numbers each
+island on all come from one ``topology.connectivity`` pass.
 
 Every sweep is the same Jacobi step as the per-bus backward/forward sweep:
 node currents conj(S/V) at the previous voltages, summed into branch
@@ -93,13 +94,10 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
     that fail to converge within the sweep budget are reported with
     converged=False; the caller decides on a shedding fallback.
     """
-    comps = tuple(topology.islands(state))
+    isls, adj = topology.connectivity(state)
+    comps = tuple(isl.buses for isl in isls)
     assign = {bus: idx for idx, comp in enumerate(comps) for bus in comp}
     voltages: dict[int, complex] = {b.id: 0j for b in state.buses}
-    adj: dict[int, list[tuple[int, float, float]]] = {b.id: [] for b in state.buses}
-    for f, t, r, x, _id in state.closed_branches():
-        adj[f].append((t, r, x))
-        adj[t].append((f, r, x))
     z_base = state.base_kv**2 / state.base_mva
     s_base_kw = 1000.0 * state.base_mva
     der_kw: dict[int, float] = {}
@@ -111,20 +109,16 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
         keep = 1.0 - state.shed(b.id)
         draw[b.id] = complex((b.load_p * keep - der_kw.get(b.id, 0.0)) / s_base_kw,
                              (b.load_q * keep) / s_base_kw)
-    energized = []
-    refs: dict[int, int] = {}
+    energized = tuple(isl.energized for isl in isls)
+    refs = {idx: isl.reference for idx, isl in enumerate(isls) if isl.energized}
     all_converged = True
     iterations = 0
     max_mismatch = 0.0
-    for idx, comp in enumerate(comps):
-        ref = topology.reference_bus(state, comp)
-        if ref is None:
-            energized.append(False)
+    for isl in isls:
+        if not isl.energized:
             continue
-        energized.append(True)
-        refs[idx] = ref
-        topology.check_radial(state, comp)
-        order, end, r, x = _depth_first(adj, ref)
+        isl.check_radial()
+        order, end, r, x = _depth_first(adj, isl.reference)
         s = np.array([0j] + [draw[bus] for bus in order[1:]])
         z = r / z_base + 1j * (x / z_base)
         v, iters, max_dv = _sweep(end, z, s, tol, max_sweeps)
@@ -144,7 +138,7 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
         max_mismatch=max_mismatch,
         island_assignment=assign,
         islands=comps,
-        energized=tuple(energized),
+        energized=energized,
         reference_bus=refs,
         undervoltage_buses=under,
     )

@@ -1,98 +1,105 @@
-"""Connectivity analysis for the switched network graph."""
+"""Connectivity of the switched network graph: one pass per network state.
+
+``connectivity`` is the one reader of ``NetworkState.closed_branches()``: it
+scans the closed branches once and the online DERs once, and every other
+connectivity question in the package reads the ``Island``s it returns.
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from ..errors import RadialityError
 from .types import Der, NetworkState
 
 
-def islands(state: NetworkState) -> list[frozenset[int]]:
-    """Partition bus ids into connected components over closed branches.
+@dataclass(frozen=True)
+class Island:
+    """One connected component of the closed branches, from a ``connectivity`` pass."""
 
-    Components are ordered by their smallest bus id, so the slack component
-    of the bundled system is always index 0.
+    buses: frozenset[int]
+    branches: int           # closed branches inside the island: half its degree sum
+    ders: tuple[Der, ...]   # online DERs, in state order
+    reference: int | None   # slack bus, else the largest-rated online DER; None when dead
+
+    @property
+    def energized(self) -> bool:
+        """An island is energized iff it holds the slack bus or an online DER."""
+        return self.reference is not None
+
+    def check_radial(self) -> None:
+        """Raise RadialityError when the island's closed branches form a loop."""
+        if self.branches != len(self.buses) - 1:
+            raise RadialityError(f"island with {len(self.buses)} buses has "
+                                 f"{self.branches} closed branches; not a tree")
+
+
+def connectivity(state: NetworkState) -> tuple[tuple[Island, ...],
+                                               dict[int, list[tuple[int, float, float]]]]:
+    """(islands, adjacency) of the state in one pass.
+
+    Islands are ordered by their smallest bus id, so the slack island of the
+    bundled system is always index 0. The adjacency maps each bus to its
+    (neighbour, r_ohm, x_ohm) over closed branches. The reference of an
+    island without the slack bus is its largest-rated online DER, rating
+    ties breaking toward the lower bus id.
     """
-    adj: dict[int, list[int]] = {b.id: [] for b in state.buses}
-    for f, t, _r, _x, _id in state.closed_branches():
-        adj[f].append(t)
-        adj[t].append(f)
+    adj: dict[int, list[tuple[int, float, float]]] = {b.id: [] for b in state.buses}
+    for f, t, r, x, _id in state.closed_branches():
+        adj[f].append((t, r, x))
+        adj[t].append((f, r, x))
 
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
+    island_of: dict[int, int] = {}
+    found: list[tuple[list[int], int]] = []  # (buses, degree sum) per island
     for start in sorted(adj):
-        if start in seen:
+        if start in island_of:
             continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            for nb in adj[node]:
-                if nb not in comp:
-                    comp.add(nb)
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return comps
+        island_of[start] = len(found)
+        members, degree = [start], 0
+        for bus in members:  # members grows as it is walked: a breadth-first visit
+            degree += len(adj[bus])
+            for nb, _r, _x in adj[bus]:
+                if nb not in island_of:
+                    island_of[nb] = len(found)
+                    members.append(nb)
+        found.append((members, degree))
+
+    ders: list[list[Der]] = [[] for _ in found]
+    for d in state.ders:
+        if d.online:
+            ders[island_of[d.bus]].append(d)
+
+    slack_island = island_of[state.slack_bus]
+    out = []
+    for idx, ((members, degree), online) in enumerate(zip(found, ders)):
+        if idx == slack_island:
+            ref = state.slack_bus
+        elif online:
+            ref = min(online, key=lambda d: (-d.rating_p, d.bus)).bus
+        else:
+            ref = None
+        out.append(Island(buses=frozenset(members), branches=degree // 2,
+                          ders=tuple(online), reference=ref))
+    return tuple(out), adj
 
 
-def island_assignment(state: NetworkState) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for idx, comp in enumerate(islands(state)):
-        for bus in comp:
-            out[bus] = idx
-    return out
+def islands(state: NetworkState) -> tuple[Island, ...]:
+    """The state's islands, ordered by their smallest bus id."""
+    return connectivity(state)[0]
 
 
-def online_ders_in(state: NetworkState, comp: frozenset[int]) -> list[Der]:
-    return [d for d in state.ders if d.online and d.bus in comp]
-
-
-def is_energized(state: NetworkState, comp: frozenset[int]) -> bool:
-    """An island is energized iff it holds the slack bus or an online DER."""
-    if state.slack_bus in comp:
-        return True
-    return any(d.online and d.bus in comp for d in state.ders)
+def check_energized_radial(state: NetworkState) -> None:
+    """The RadialityError power_flow would raise on this state, if any."""
+    for isl in islands(state):
+        if isl.energized:
+            isl.check_radial()
 
 
 def energized_buses(state: NetworkState) -> set[int]:
     """Bus ids inside energized islands."""
-    out: set[int] = set()
-    for comp in islands(state):
-        if is_energized(state, comp):
-            out |= comp
-    return out
-
-
-def reference_bus(state: NetworkState, comp: frozenset[int]) -> int | None:
-    """Voltage-reference node: the slack bus, else the largest-rated online DER.
-
-    Rating ties break toward the lower bus id. Returns None for a
-    de-energized island.
-    """
-    if state.slack_bus in comp:
-        return state.slack_bus
-    ders = online_ders_in(state, comp)
-    if not ders:
-        return None
-    best = min(ders, key=lambda d: (-d.rating_p, d.bus))
-    return best.bus
-
-
-def check_radial(state: NetworkState, comp: frozenset[int]) -> None:
-    """Raise RadialityError when the island's closed branches form a loop."""
-    edges = sum(
-        1 for f, t, _r, _x, _id in state.closed_branches() if f in comp and t in comp
-    )
-    if edges != len(comp) - 1:
-        raise RadialityError(
-            f"island with {len(comp)} buses has {edges} closed branches; not a tree"
-        )
+    return {bus for isl in islands(state) if isl.energized for bus in isl.buses}
 
 
 def closing_creates_loop(state: NetworkState, a: int, b: int) -> bool:
     """True when buses a and b are already connected, so one more branch loops."""
-    assign = island_assignment(state)
-    return assign.get(a) == assign.get(b)
-
+    return any(a in isl.buses and b in isl.buses for isl in islands(state))

@@ -247,10 +247,6 @@ def load_catalog(path) -> ScenarioCatalog:
     dfn = _parse_actions(obj, "defenses", DefenseAction, path)
 
     if obj.get("replace", False):
-        for acts in (att, dfn):
-            ids = [a.id for a in acts]
-            if len(ids) != len(set(ids)):
-                raise CatalogError(f"{path}: duplicate action ids in replace mode")
         return ScenarioCatalog(
             attacks=att or base.attacks,
             defenses=dfn or base.defenses,
@@ -291,6 +287,9 @@ def _parse_actions(obj: dict, key: str, cls, path) -> tuple:
                                effects=tuple(Effect.from_json(e) for e in effects)))
         except KeyError as exc:
             raise CatalogError(f"{path}: action entry missing field {exc}") from exc
+    ids = [a.id for a in actions]
+    if len(ids) != len(set(ids)):
+        raise CatalogError(f"{path}: duplicate action ids under {key!r}")
     return tuple(actions)
 
 
@@ -487,13 +486,6 @@ def _clamped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(ok, np.minimum(1.0, np.maximum(0.0, ratio)), 1.0)
 
 
-def _check_energized_radial(state: NetworkState) -> None:
-    """The RadialityError power_flow would raise on this state, if any."""
-    for comp in topology.islands(state):
-        if topology.is_energized(state, comp):
-            topology.check_radial(state, comp)
-
-
 @dataclass(frozen=True, eq=False)
 class _DerIsland:
     """An energized island without the slack bus: DERs alone serve it."""
@@ -642,9 +634,9 @@ def compile_pair(base: NetworkState, attack: AttackAction,
     then every CatalogError of the attack and the defense, then
     RadialityError for a loop the defense left.
     """
-    _check_energized_radial(base)
+    topology.check_energized_radial(base)
     defended = apply_defense(apply_attack(base, attack), defense)
-    _check_energized_radial(defended)
+    topology.check_energized_radial(defended)
     return _plan(base, attack, defense, defended)
 
 
@@ -672,22 +664,21 @@ def _plan(base: NetworkState, attack: AttackAction, defense: DefenseAction,
     der_fixed = np.zeros(len(defended.ders))
     dead = np.zeros(len(base.buses), dtype=bool)
     der_islands = []
-    for comp in topology.islands(defended):
-        if not topology.is_energized(defended, comp):
-            dead[positions(comp)] = True
+    for isl in topology.islands(defended):
+        if not isl.energized:
+            dead[positions(isl.buses)] = True
             continue
-        island_ders = topology.online_ders_in(defended, comp)
-        if defended.slack_bus in comp:
-            for d in island_ders:
+        if defended.slack_bus in isl.buses:
+            for d in isl.ders:
                 der_fixed[der_pos[d.id]] = d.output_kw()
             continue
-        members = sorted(comp)
+        members = sorted(isl.buses)
         der_islands.append(_DerIsland(
             members=positions(members),
             critical=np.array([defended.buses[pos[b]].is_critical for b in members]),
-            capacity=sum(d.output_kw() for d in island_ders),
-            rating_total=sum(d.rating_p for d in island_ders),
-            ders=tuple((der_pos[d.id], d.output_kw(), d.rating_p) for d in island_ders),
+            capacity=sum(d.output_kw() for d in isl.ders),
+            rating_total=sum(d.rating_p for d in isl.ders),
+            ders=tuple((der_pos[d.id], d.output_kw(), d.rating_p) for d in isl.ders),
         ))
 
     return PairPlan(

@@ -59,7 +59,7 @@ def serve_loads(state: NetworkState, solution: PowerFlowSolution) -> ServedLoadR
         # post-shedding demand per bus
         demand_p = {b: bus_by_id[b].load_p * (1.0 - state.shed(b)) for b in members}
         demand_q = {b: bus_by_id[b].load_q * (1.0 - state.shed(b)) for b in members}
-        island_ders = topology.online_ders_in(state, comp)
+        island_ders = [d for d in state.ders if d.online and d.bus in comp]
         capacity = sum(d.output_kw() for d in island_ders)
 
         if state.slack_bus in comp:

@@ -3,7 +3,7 @@
 This is the loop the package ran before the sweep was vectorised: each island
 is ordered breadth-first from its reference bus, then every sweep walks the
 buses one at a time, first up the tree to accumulate branch currents, then
-down it to drop voltages.  It shares the topology helpers and constants with
+down it to drop voltages.  It shares the topology pass and constants with
 the package, so any difference the tests find lies in the sweep itself.
 """
 import numpy as np
@@ -105,7 +105,8 @@ def sweep(parent, zr, zx, sp, sq, tol, max_iter):
 def power_flow(state: NetworkState, tol: float = TOLERANCE,
                max_sweeps: int = MAX_SWEEPS) -> PowerFlowSolution:
     """The package's power_flow as it was, built on the per-bus sweep."""
-    comps = tuple(topology.islands(state))
+    isls = topology.islands(state)
+    comps = tuple(isl.buses for isl in isls)
     assign = {bus: idx for idx, comp in enumerate(comps) for bus in comp}
     voltages: dict[int, complex] = {b.id: 0j for b in state.buses}
     energized = []
@@ -113,15 +114,15 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
     all_converged = True
     iterations = 0
     max_mismatch = 0.0
-    for idx, comp in enumerate(comps):
-        ref = topology.reference_bus(state, comp)
+    for idx, isl in enumerate(isls):
+        ref = isl.reference
         if ref is None:
             energized.append(False)
             continue
         energized.append(True)
         refs[idx] = ref
-        topology.check_radial(state, comp)
-        order, parent_idx, zr, zx, sp, sq = island_arrays(state, comp, ref)
+        isl.check_radial()
+        order, parent_idx, zr, zx, sp, sq = island_arrays(state, isl.buses, ref)
         v, iters, max_dv = sweep(parent_idx, zr, zx, sp, sq, tol, max_sweeps)
         for bus, volt in zip(order, v):
             voltages[bus] = complex(volt)

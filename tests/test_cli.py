@@ -68,6 +68,8 @@ MALFORMED_INPUTS = [
     pytest.param("--network", [1], id="network-top-level-list"),
     pytest.param("--catalog", {"attacks": ["x"]}, id="catalog-entry-not-object"),
     pytest.param("--catalog", {"replace": True, "attacks": [{"id": [1]}]}, id="list-action-id"),
+    pytest.param("--catalog", {"attacks": [{"id": "A1", "effects": []}, {"id": "A1", "effects": [
+        {"kind": "trip_line", "target": "3-4"}]}]}, id="merge-mode-duplicate-id"),
     pytest.param("--catalog", {"defenses": [{"id": "D9", "effects": [
         {"kind": "shed_threshold"}]}]}, id="shed-threshold-without-value"),
     pytest.param("--catalog", scale_a4("2"), id="string-value"),
@@ -359,6 +361,23 @@ class TestBaseline:
         rules = json.loads((out / "policy.json").read_text())["provenance"]["rules"]
         assert {r["defense"] for r in rules} == {"N0", "S1"}
         assert next(r for r in rules if r["attack"] == "A4")["defense"] == "S1"
+
+
+    def test_runs_csv_quotes_ids(self, tmp_path):
+        import csv
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps({"replace": True, "attacks": [
+            {"id": "A,1", "effects": [{"kind": "trip_line", "target": "3-4"}]},
+            {"id": "A2", "effects": [{"kind": "trip_line", "target": "14-15"}]},
+        ]}))
+        out = tmp_path / "out"
+        assert run("baseline", "--method", "RDS", "--runs", 20, "--attack-dist", "uniform",
+                   "--catalog", catalog, "--out", out) == 0
+        with open(out / "runs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["run", "attack", "defense", "score"]
+        assert all(len(r) == 4 for r in rows)
+        assert {r[1] for r in rows[1:]} == {"A,1", "A2"}
 
 
 def edited_csv(src, dst, edit):

@@ -31,7 +31,7 @@ from gridgame.experiments import (
     summarize,
     synthetic_feeder,
 )
-from gridgame.netmodel import check_radial, islands, load_ieee33, power_flow
+from gridgame.netmodel import islands, load_ieee33, power_flow
 from gridgame.gamesolve import nash_exact
 from gridgame.resilience import (
     DEFAULT_AHP_MATRIX,
@@ -492,8 +492,8 @@ class TestProbe:
         for n in (33, 69, 118):
             st = synthetic_feeder(n)
             assert st.n_buses == n
-            for comp in islands(st):
-                check_radial(st, comp)
+            for isl in islands(st):
+                isl.check_radial()
             sol = power_flow(st)
             assert sol.converged
 

@@ -227,7 +227,7 @@ class TestTopology:
         line = net.find_line(6, 7)
         state = net.with_line_status(line.id, OPEN)
         state = state.with_line_status(state.find_line(14, 15).id, OPEN)
-        mine = [set(c) for c in islands(state)]
+        mine = [set(isl.buses) for isl in islands(state)]
         g = nx.Graph()
         g.add_nodes_from(b.id for b in state.buses)
         g.add_edges_from((f, t) for f, t, *_ in state.closed_branches())
@@ -236,31 +236,52 @@ class TestTopology:
 
     def test_islands_partition(self, net):
         state = net.with_line_status(net.find_line(2, 3).id, OPEN)
-        comps = islands(state)
         seen = set()
-        for c in comps:
-            assert not (seen & c)
-            seen |= c
+        for isl in islands(state):
+            assert not (seen & isl.buses)
+            seen |= isl.buses
         assert seen == {b.id for b in net.buses}
 
     def test_reference_prefers_largest_der(self, net):
         # island 26..33 holds only DER4
         state = net.with_line_status(net.find_line(6, 26).id, OPEN)
-        comp = frozenset(range(26, 34))
-        assert topology.reference_bus(state, comp) == 29
+        isl = next(isl for isl in islands(state) if 29 in isl.buses)
+        assert isl.buses == frozenset(range(26, 34))
+        assert isl.reference == 29
+        assert isl.energized
 
     def test_reference_tie_breaks_low_bus(self):
         buses = tuple(Bus(i, 100.0, 50.0) for i in range(1, 5))
         lines = (
             Line("a", 1, 2, 0.1, 0.1),
-            Line("b", 2, 3, 0.1, 0.1),
-            Line("c", 3, 4, 0.1, 0.1, status=OPEN),
+            Line("b", 2, 3, 0.1, 0.1, status=OPEN),
+            Line("c", 3, 4, 0.1, 0.1),
         )
         ders = (Der("G1", 4, 500.0), Der("G2", 3, 500.0))
         state = NetworkState(buses=buses, lines=lines, ders=ders, slack_bus=1)
-        comp = frozenset({3, 4})
+        slack, isl = islands(state)
+        assert slack.buses == frozenset({1, 2}) and slack.reference == 1
+        assert isl.buses == frozenset({3, 4})
+        assert isl.ders == ders  # state order, not rating order
         # equal ratings: lower bus id wins... G2 at bus 3
-        assert topology.reference_bus(state, comp) == 3
+        assert isl.reference == 3
+
+    def test_dead_island_and_loop(self, net):
+        # SW1 closes a loop in the slack island; 26..33 loses its only DER
+        state = net.with_switch_position("SW1", CLOSED)
+        state = state.with_line_status(state.find_line(6, 26).id, OPEN)
+        state = state.with_der(state.der_at_bus(29).id, online=False)
+        slack, dead = islands(state)
+        assert dead.buses == frozenset(range(26, 34))
+        assert (dead.reference, dead.energized, dead.ders) == (None, False, ())
+        dead.check_radial()
+        assert slack.branches == len(slack.buses)
+        with pytest.raises(RadialityError, match="^island with 25 buses has 25 closed "
+                                                 "branches; not a tree$"):
+            slack.check_radial()
+        assert topology.energized_buses(state) == set(slack.buses)
+        assert topology.closing_creates_loop(state, 2, 3)
+        assert not topology.closing_creates_loop(state, 25, 26)
 
 
 def serve(state):

@@ -9,7 +9,7 @@ import pytest
 
 from gridgame import resilience, scenario
 from gridgame.errors import CatalogError, NetworkValidationError
-from gridgame.netmodel import Bus, Der, Line, NetworkState, load_ieee33
+from gridgame.netmodel import Bus, Der, Line, NetworkState, load_ieee33, topology
 from gridgame.resilience import (
     DEFAULT_AHP_MATRIX,
     AhpWeights,
@@ -244,6 +244,27 @@ class TestPayoffMatrix:
             load_ieee33(), scenario.catalog_default(), ahp_weights(DEFAULT_AHP_MATRIX))
         assert calls == {"evaluate_pair": 100, "power_flow": 263}
         assert len(m.cell_flags) == 39
+
+    def test_one_branch_scan_per_connectivity_pass(self, monkeypatch):
+        # every reader of the closed branches goes through one topology pass;
+        # the build once scanned them 1159 times for 439 island passes
+        calls = {"scans": 0, "passes": 0}
+        scan, connectivity = NetworkState.closed_branches, topology.connectivity
+
+        def counted_scan(state):
+            calls["scans"] += 1
+            return scan(state)
+
+        def counted_pass(state):
+            calls["passes"] += 1
+            return connectivity(state)
+
+        monkeypatch.setattr(NetworkState, "closed_branches", counted_scan)
+        monkeypatch.setattr(topology, "connectivity", counted_pass)
+        resilience.build_payoff_matrix(
+            load_ieee33(), scenario.catalog_default(), ahp_weights(DEFAULT_AHP_MATRIX))
+        assert 0 < calls["passes"] <= 439
+        assert calls["scans"] == calls["passes"]
 
     def test_cell_error_names_the_cell(self):
         cat = scenario.catalog_default()

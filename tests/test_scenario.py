@@ -131,17 +131,15 @@ class TestApplyAttack:
 
 class TestApplyDefense:
     def test_d3_rejoins_cut_island(self, net, cat):
-        from gridgame.netmodel import is_energized
-
         attacked = apply_attack(net, cat.attack("A2"))
         # bus 15 stranded in {15..18} after 14-15 opens
-        comp_before = next(c for c in islands(attacked) if 15 in c)
-        assert comp_before == frozenset({15, 16, 17, 18})
+        before = next(isl for isl in islands(attacked) if 15 in isl.buses)
+        assert before.buses == frozenset({15, 16, 17, 18})
         defended = apply_defense(attacked, cat.defense("D3"))
-        comp_after = next(c for c in islands(defended) if 15 in c)
+        after = next(isl for isl in islands(defended) if 15 in isl.buses)
         # the tie pulls {7..14} in with it; the merge is DER-energized
-        assert comp_after == frozenset(range(7, 19))
-        assert is_energized(defended, comp_after)
+        assert after.buses == frozenset(range(7, 19))
+        assert after.energized
 
     def test_d9_threshold_sheds_heavy_loads(self, net, cat):
         defended = apply_defense(net, cat.defense("D9"))
@@ -278,6 +276,17 @@ class TestSerialization:
         }
         path.write_text(json.dumps(payload))
         with pytest.raises(CatalogError):
+            load_catalog(path)
+
+    def test_merge_mode_rejects_duplicate_ids(self, tmp_path):
+        # a repeated override must not silently keep its last entry
+        path = tmp_path / "dupes.json"
+        payload = {"attacks": [
+            {"id": "A1", "effects": []},
+            {"id": "A1", "effects": [{"kind": "trip_line", "target": "3-4"}]},
+        ]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CatalogError, match="duplicate action ids"):
             load_catalog(path)
 
     def test_garbage_json_rejected(self, tmp_path):
