@@ -94,7 +94,7 @@ def _input_record(path, bundled_tag):
 
 
 def _write_manifest(out_dir, argv, config, inputs, outputs, seed=None,
-                    timings=None) -> None:
+                    timings=None, policies=None) -> None:
     config = _jsonable(config)
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()
@@ -111,6 +111,8 @@ def _write_manifest(out_dir, argv, config, inputs, outputs, seed=None,
     }
     if timings is not None:
         manifest["timings_s"] = _jsonable(timings)
+    if policies is not None:
+        manifest["policies"] = _jsonable(policies)
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
@@ -195,7 +197,7 @@ def _solve_report(matrix, args):
     if args.method == "fp":
         return gamesolve.nash_fictitious_play(m, max_iters=args.iters)
     if args.method == "regret":
-        return gamesolve.regret_matching(m, T=args.iters, seed=args.seed)
+        return gamesolve.regret_matching(m, T=args.iters)
     raise ConfigError(f"unknown solve method {args.method!r}")
 
 
@@ -401,8 +403,11 @@ def cmd_compare(args, argv) -> None:
               "attack_distribution": mc.attack_distribution,
               "perturbation": list(mc.perturbation)}
     timings = {r.method: round(r.wall_time_s, 6) for r in rows}
+    # what each policy reports of its own making (solver steps and epsilon,
+    # training episodes); kept out of config so config_digest does not move
+    policies = {r.method: r.provenance for r in rows}
     _write_manifest(out, argv, config, inputs, ["comparison.csv", "stats.json"],
-                    seed=mc.seed, timings=timings)
+                    seed=mc.seed, timings=timings, policies=policies)
     print(f"compare[{','.join(r.method for r in rows)}] -> {out}")
 
 
@@ -503,9 +508,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     p.add_argument("--matrix", help="payoff matrix CSV (skips building)")
     p.add_argument("--method", required=True, choices=SOLVE_METHODS)
-    p.add_argument("--iters", type=int, default=100_000)
+    p.add_argument("--iters", type=int, default=100_000,
+                   help="step cap of fp and regret (both stop early at their tolerance)")
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the manifest only: no solve method draws "
+                        "random numbers")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("learn", help="train Q-learning agents")

@@ -41,6 +41,7 @@ from .scenario import apply_attack, apply_defense, catalog_default, evaluate_pai
 # round value where the damped fixed point still converges on that testbed
 STRATEGY_BETA = 10.0
 TRAIN_EPISODES = 100_000
+# the cap of regret matching+, which stops once epsilon <= RM_DEFAULT_TOL
 REGRET_STEPS = 100_000
 
 
@@ -160,6 +161,7 @@ class ComparisonRow:
     ci95_high: float
     improvement_pct: float
     wall_time_s: float
+    provenance: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +465,10 @@ def strategy_policy(tag: str, matrix: PayoffMatrix, catalog=None,
         return DefensePolicy.pure("stackelberg", j, n_att, n_def,
                                   provenance={"commitment_level": level})
     if tag == "regret":
-        rep = regret_matching(entries, T=REGRET_STEPS, seed=seed)
-        return DefensePolicy.unconditional("regret", rep.defender.probs, n_att)
+        rep = regret_matching(entries, T=REGRET_STEPS)
+        return DefensePolicy.unconditional(
+            "regret", rep.defender.probs, n_att,
+            provenance={"steps": rep.iterations, "epsilon": rep.epsilon})
     if tag == "softmax":
         res = qre_fixed_point(entries, STRATEGY_BETA, STRATEGY_BETA)
         return DefensePolicy.unconditional(
@@ -491,10 +495,11 @@ def compare_strategies(base: NetworkState, catalog, weights, methods, mc: McConf
                        reports_out: dict | None = None):
     """Monte Carlo every requested method under common random numbers.
 
-    Returns ComparisonRow per method in canonical order; improvement is
-    percent over the named reference row (default: the first row).  Pass a
-    dict as reports_out to also receive the per-method StatsReport objects,
-    whose records make paired tests possible downstream.
+    Returns ComparisonRow per method in canonical order, each carrying its
+    policy's provenance; improvement is percent over the named reference row
+    (default: the first row).  Pass a dict as reports_out to also receive the
+    per-method StatsReport objects, whose records make paired tests possible
+    downstream.
     """
     requested = set(methods)
     unknown = requested - set(METHOD_TAGS)
@@ -511,11 +516,13 @@ def compare_strategies(base: NetworkState, catalog, weights, methods, mc: McConf
 
     reports = {}
     walls = {}
+    provenance = {}
     for tag in ordered:
         start = time.perf_counter()
         policy = strategy_policy(tag, matrix, catalog=catalog, base=base, seed=mc.seed)
         reports[tag] = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
         walls[tag] = time.perf_counter() - start
+        provenance[tag] = policy.provenance
 
     if reports_out is not None:
         reports_out.update(reports)
@@ -528,7 +535,8 @@ def compare_strategies(base: NetworkState, catalog, weights, methods, mc: McConf
         rows.append(ComparisonRow(
             method=tag, mean=rep.mean, std_dev=rep.std_dev,
             ci95_low=rep.ci95_low, ci95_high=rep.ci95_high,
-            improvement_pct=improvement, wall_time_s=walls[tag]))
+            improvement_pct=improvement, wall_time_s=walls[tag],
+            provenance=provenance[tag]))
     return tuple(rows)
 
 

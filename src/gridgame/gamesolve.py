@@ -4,7 +4,7 @@ The attacker picks rows to minimize the resilience score, the defender picks
 columns to maximize it. The game is treated as strictly competitive, so the
 exact solution is the zero-sum minimax pair, computed with a built-in dense
 simplex (Bland's rule, deterministic). Iterative methods (fictitious play,
-regret matching) and bounded-rationality responses (softmax, QRE) come with
+regret matching+) and bounded-rationality responses (softmax, QRE) come with
 an epsilon verifier so every report carries its true equilibrium gap.
 
 Ties in argmin/argmax are broken by lowest index everywhere.
@@ -15,9 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import add
 
 import numpy as np
@@ -26,11 +24,8 @@ from .errors import SolverError
 
 FP_DEFAULT_ITERS = 100_000
 FP_DEFAULT_TOL = 1e-3
+RM_DEFAULT_TOL = 1e-4
 QRE_DEFAULT_DAMPING = 0.5
-
-# rows converted to Python lists per chunk: a whole (100000, 5) array as
-# lists adds ~27 MB of peak memory, a 512-row chunk about 0.1 MB
-ROW_CHUNK = 512
 
 
 def _entries(m) -> np.ndarray:
@@ -40,12 +35,6 @@ def _entries(m) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise SolverError("payoff matrix has non-finite entries")
     return arr
-
-
-def iter_rows(arr):
-    """Yield the rows of a 2-d array as lists of Python floats, chunk by chunk."""
-    for start in range(0, arr.shape[0], ROW_CHUNK):
-        yield from arr[start:start + ROW_CHUNK].tolist()
 
 
 @dataclass(frozen=True)
@@ -299,86 +288,101 @@ def stackelberg(M) -> tuple[int, float, int]:
     return j, float(levels[j]), i
 
 
-# -- regret matching ----------------------------------------------------------
+# -- regret matching+ ---------------------------------------------------------
 
 
-def _sample(mix, u) -> int:
-    """First index whose running sum of mix exceeds u, else the last index.
+def _loop_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums along the last axis, added left to right as a plain loop adds them.
 
-    The running sums are accumulated left to right, as a linear scan adds
-    them; mix is non-negative, so they are sorted for bisection.
+    ``out`` may be ``a`` itself; the result is then a view into it.
     """
-    k = bisect_right(list(accumulate(mix)), u)
-    return k if k < len(mix) else len(mix) - 1
+    return np.add.accumulate(a, axis=-1, out=out)[..., -1]
 
 
-def _rm_kernel(M, uniforms, record_every):
-    """Self-play regret matching; both sides sample from positive-regret mixes.
+def _rm_kernel(M, T, tol, check_every, record_every):
+    """Alternating regret matching+ on expected payoffs (Tammelin et al., 2015).
 
-    uniforms is a (T, 2) array of pre-drawn U(0,1) variates, so a seed pins
-    the run bit for bit. Records (t, avg_regret_a, avg_regret_d, running
-    value estimate) every record_every steps.
+    Each step the attacker's cumulative regrets, floored at zero, take its
+    regrets against the current defender mix, and the attacker plays them
+    normalized (uniform while all are zero); then the defender does the same
+    against the new attacker mix. Step t's pair is the new attacker mix and
+    the defender mix it met, and the output averages these pairs with weight
+    t: its epsilon is bounded by the two sides' weighted regrets,
+    2 * range * (sqrt(m) + sqrt(n)) / sqrt(t). The epsilon of the average is
+    checked every check_every steps and at T, stopping once it is <= tol.
+    Records (t, avg_regret_a, avg_regret_d, mean payoff of the pairs) every
+    record_every steps and at the stop, where avg_regret is the largest
+    unfloored cumulative regret of the mixes played, over t.
+
+    Every sum runs left to right (``_loop_sums``), so the loops in
+    ``tests/kernel_oracle.py`` reproduce each output bit for bit.
     """
-    T = uniforms.shape[0]
     m, n = M.shape
-    rows_of = M.tolist()
-    cols_of = M.T.tolist()
-    regret_a = [0.0] * m
-    regret_d = [0.0] * n
-    mix_sum_a = [0.0] * m
-    mix_sum_d = [0.0] * n
-    pa = [1.0 / m] * m
-    pd = [1.0 / n] * n
-    rows = T // record_every + (1 if T % record_every else 0)
-    traj = np.zeros((rows, 4))
+    cols = np.ascontiguousarray(M.T)
+    by_row, by_col = np.empty((m, n)), np.empty((n, m))
+    uniform_a, uniform_d = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    pa, pd = uniform_a, uniform_d
+    floored_a, floored_d = np.zeros(m), np.zeros(n)
+    regret_a, regret_d = np.zeros(m), np.zeros(n)
+    sum_a, sum_d = np.zeros(m), np.zeros(n)
+    weight = 0.0
     payoff_sum = 0.0
-    r = 0
-    for t, (ua, ud) in enumerate(iter_rows(uniforms)):
-        a = _sample(pa, ua)
-        d = _sample(pd, ud)
-        row = rows_of[a]
-        got = row[d]
-        payoff_sum += got
-        regret_a = [g + (got - x) for g, x in zip(regret_a, cols_of[d])]
-        regret_d = [g + (x - got) for g, x in zip(regret_d, row)]
-        mix_sum_a = list(map(add, mix_sum_a, pa))
-        mix_sum_d = list(map(add, mix_sum_d, pd))
-        pos = 0.0
-        for g in regret_a:
-            if g > 0.0:
-                pos += g
-        if pos > 0.0:
-            pa = [g / pos if g > 0.0 else 0.0 for g in regret_a]
-        else:
-            pa = [1.0 / m] * m
-        pos = 0.0
-        for g in regret_d:
-            if g > 0.0:
-                pos += g
-        if pos > 0.0:
-            pd = [g / pos if g > 0.0 else 0.0 for g in regret_d]
-        else:
-            pd = [1.0 / n] * n
-        if (t + 1) % record_every == 0 or t == T - 1:
-            if r < rows:
-                ra = max(regret_a)
-                rd = max(regret_d)
-                traj[r] = (t + 1, (ra if ra > 0.0 else 0.0) / (t + 1),
-                           (rd if rd > 0.0 else 0.0) / (t + 1), payoff_sum / (t + 1))
-                r += 1
-    return np.array(mix_sum_a) / T, np.array(mix_sum_d) / T, traj[:r]
+    eps = math.inf
+    traj = []
+    for t in range(1, T + 1):
+        # attacker minimizes: the regret of row i is value - (M pd)[i]
+        loss = _loop_sums(np.multiply(M, pd, out=by_row), out=by_row)
+        gain_a = _loop_sums(pa * loss) - loss
+        regret_a += gain_a
+        floored_a += gain_a
+        np.maximum(0.0, floored_a, out=floored_a)
+        total = _loop_sums(floored_a)
+        pa = floored_a / total if total > 0.0 else uniform_a
+        # defender maximizes against the attacker's new mix
+        gain = _loop_sums(np.multiply(cols, pa, out=by_col), out=by_col)
+        value = _loop_sums(pd * gain)
+        gain_d = gain - value
+        regret_d += gain_d
+        floored_d += gain_d
+        np.maximum(0.0, floored_d, out=floored_d)
+        sum_a += t * pa
+        sum_d += t * pd
+        weight += t
+        payoff_sum += value
+        total = _loop_sums(floored_d)
+        pd = floored_d / total if total > 0.0 else uniform_d
+        last = t == T
+        if last or t % check_every == 0:
+            avg_a = sum_a / weight
+            avg_d = sum_d / weight
+            rows = _loop_sums(M * avg_d)
+            avg_value = _loop_sums(avg_a * rows)
+            eps = float(max(avg_value - rows.min(),
+                            _loop_sums(cols * avg_a).max() - avg_value))
+            last = last or eps <= tol
+        if last or t % record_every == 0:
+            ra = regret_a.max()
+            rd = regret_d.max()
+            traj.append((t, (ra if ra > 0.0 else 0.0) / t,
+                         (rd if rd > 0.0 else 0.0) / t, payoff_sum / t))
+        if last:
+            break
+    return sum_a / weight, sum_d / weight, t, eps, np.array(traj, dtype=np.float64)
 
 
-def regret_matching(M, T: int, seed: int) -> EquilibriumReport:
+def regret_matching(M, T: int, tol: float = RM_DEFAULT_TOL) -> EquilibriumReport:
+    """Regret matching+ for at most T steps, stopping once epsilon <= tol.
+
+    Deterministic: the same matrix gives the same report. ``iterations`` is
+    the number of steps run; the trajectory holds a row every
+    max(1, T // 1000) steps and one at the stop.
+    """
     m = _entries(M)
     if T < 1:
         raise SolverError("T must be at least 1")
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random((T, 2))
-    record_every = max(1, T // 1000)
-    pa, pd, traj = _rm_kernel(m, uniforms, record_every)
+    pa, pd, steps, _eps, traj = _rm_kernel(m, T, tol, 10, max(1, T // 1000))
     return _report(
-        "regret-matching", m, pa, pd, T,
+        "regret-matching", m, pa, pd, steps,
         trajectory=tuple(tuple(row) for row in traj),
     )
 

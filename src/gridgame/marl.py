@@ -27,12 +27,16 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError
-from .gamesolve import MixedStrategy, _entries, iter_rows
+from .gamesolve import MixedStrategy, _entries
 
 ALPHA_SCHEDULES = ("harmonic", "constant", "power")
 
 # telemetry cadence: at most ~1000 rows per run regardless of episode count
 TELEMETRY_ROWS = 1000
+
+# rows converted to Python lists per chunk: a whole (100000, 5) array as
+# lists adds ~27 MB of peak memory, a 512-row chunk about 0.1 MB
+ROW_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +213,12 @@ def _write_telemetry(path, rows: np.ndarray) -> None:
 
 # alpha_mode is the schedule's index in ALPHA_SCHEDULES: 0 harmonic,
 # 1 constant, 2 power
+
+
+def iter_rows(arr):
+    """Yield the rows of a 2-d array as lists of Python floats, chunk by chunk."""
+    for start in range(0, arr.shape[0], ROW_CHUNK):
+        yield from arr[start:start + ROW_CHUNK].tolist()
 
 
 def _greedy(col, pick) -> int:

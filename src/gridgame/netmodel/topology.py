@@ -88,11 +88,13 @@ def islands(state: NetworkState) -> tuple[Island, ...]:
     return connectivity(state)[0]
 
 
-def check_energized_radial(state: NetworkState) -> None:
-    """The RadialityError power_flow would raise on this state, if any."""
-    for isl in islands(state):
+def check_energized_radial(state: NetworkState) -> tuple[Island, ...]:
+    """The state's islands, after raising the RadialityError power_flow would."""
+    isls = islands(state)
+    for isl in isls:
         if isl.energized:
             isl.check_radial()
+    return isls
 
 
 def energized_buses(state: NetworkState) -> set[int]:

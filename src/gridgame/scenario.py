@@ -448,8 +448,9 @@ def evaluate_pair(base: NetworkState, attack: AttackAction,
         flags.add(FLAG_NON_CONVERGENCE)
 
     defended = apply_defense(apply_attack(base, attack), defense)
+    isls = topology.check_energized_radial(defended)
     solutions = [power_flow(defended)]
-    plan = _plan(base, attack, defense, defended)
+    plan = _plan(base, attack, defense, defended, isls)
     served = serve_loads(plan, np.ones((1, len(base.buses))))
     if served.curtailed[0]:
         # re-solve with the curtailment baked in so voltages are consistent
@@ -636,13 +637,14 @@ def compile_pair(base: NetworkState, attack: AttackAction,
     """
     topology.check_energized_radial(base)
     defended = apply_defense(apply_attack(base, attack), defense)
-    topology.check_energized_radial(defended)
-    return _plan(base, attack, defense, defended)
+    isls = topology.check_energized_radial(defended)
+    return _plan(base, attack, defense, defended, isls)
 
 
 def _plan(base: NetworkState, attack: AttackAction, defense: DefenseAction,
-          defended: NetworkState) -> PairPlan:
-    """The plan of a cell whose attack and defense already made ``defended``."""
+          defended: NetworkState, isls: tuple[topology.Island, ...]) -> PairPlan:
+    """The plan of a cell whose attack and defense already made ``defended``,
+    whose islands are ``isls``."""
     pos = {b.id: i for i, b in enumerate(base.buses)}
 
     def positions(buses) -> np.ndarray:
@@ -664,7 +666,7 @@ def _plan(base: NetworkState, attack: AttackAction, defense: DefenseAction,
     der_fixed = np.zeros(len(defended.ders))
     dead = np.zeros(len(base.buses), dtype=bool)
     der_islands = []
-    for isl in topology.islands(defended):
+    for isl in isls:
         if not isl.energized:
             dead[positions(isl.buses)] = True
             continue

@@ -3,10 +3,11 @@
 These are the element-by-element loops that ``gamesolve._fp_kernel``,
 ``gamesolve._rm_kernel``, ``marl._single_kernel`` and ``marl._mdp_kernel``
 were derived from.  The package runs its own builds, which hold the same
-state in Python lists, cache greedy indices and bisect running sums; these
-loops scan every element instead, so the tests can hold each package kernel
-to its loop output by output, bit for bit.  Like the package kernels they
-take pre-drawn uniforms, so both walk the same sample path.
+state in Python lists or numpy arrays, cache greedy indices and bisect
+running sums; these loops scan every element instead, so the tests can hold
+each package kernel to its loop output by output, bit for bit.  Like the
+package kernels the learners take pre-drawn uniforms, so both walk the same
+sample path; the two solvers draw nothing.
 """
 import numpy as np
 
@@ -73,91 +74,114 @@ def fp_kernel(M, max_iters, tol, check_every):
     return count_a / t, count_d / t, t, eps
 
 
-def rm_kernel(M, uniforms, record_every):
-    """Self-play regret matching; both sides sample from positive-regret mixes.
+def rm_kernel(M, T, tol, check_every, record_every):
+    """Alternating regret matching+ with floored regrets and a stop rule.
 
-    uniforms is a (T, 2) array of pre-drawn U(0,1) variates, so a seed pins
-    the loop bit for bit. Records (t, avg_regret_a, avg_regret_d,
-    running value estimate) every record_every steps.
+    The attacker's floored regrets take its regrets against the current
+    defender mix, then the defender's take theirs against the new attacker
+    mix; the output averages (new attacker mix, defender mix it met) with
+    weight t. The epsilon of the average is checked every check_every steps
+    and at T, stopping at tol. Records (t, avg_regret_a, avg_regret_d, mean
+    payoff of the pairs) every record_every steps and at the stop.
     """
-    T = uniforms.shape[0]
     m, n = M.shape
+    floored_a = np.zeros(m)
+    floored_d = np.zeros(n)
     regret_a = np.zeros(m)
     regret_d = np.zeros(n)
-    mix_sum_a = np.zeros(m)
-    mix_sum_d = np.zeros(n)
+    sum_a = np.zeros(m)
+    sum_d = np.zeros(n)
     pa = np.full(m, 1.0 / m)
     pd = np.full(n, 1.0 / n)
-    rows = T // record_every + (1 if T % record_every else 0)
-    traj = np.zeros((rows, 4))
+    loss = np.zeros(m)
+    gain = np.zeros(n)
+    traj = np.zeros((T // record_every + 1, 4))
+    weight = 0.0
     payoff_sum = 0.0
+    eps = np.inf
     r = 0
-    for t in range(T):
-        # sample actions from the current mixes
-        ua = uniforms[t, 0]
-        a = m - 1
-        acc = 0.0
+    t = 0
+    while t < T:
+        t += 1
+        # attacker minimizes: the regret of row i is value - (M pd)[i]
         for i in range(m):
-            acc += pa[i]
-            if ua < acc:
-                a = i
-                break
-        ud = uniforms[t, 1]
-        d = n - 1
-        acc = 0.0
-        for j in range(n):
-            acc += pd[j]
-            if ud < acc:
-                d = j
-                break
-        got = M[a, d]
-        payoff_sum += got
-        # attacker minimizes: regret of row i is M[a,d] - M[i,d]
-        for i in range(m):
-            regret_a[i] += got - M[i, d]
-        for j in range(n):
-            regret_d[j] += M[a, j] - got
-        for i in range(m):
-            mix_sum_a[i] += pa[i]
-        for j in range(n):
-            mix_sum_d[j] += pd[j]
-        # next mixes from positive parts
-        pos = 0.0
-        for i in range(m):
-            if regret_a[i] > 0.0:
-                pos += regret_a[i]
-        if pos > 0.0:
-            for i in range(m):
-                pa[i] = regret_a[i] / pos if regret_a[i] > 0.0 else 0.0
-        else:
-            for i in range(m):
-                pa[i] = 1.0 / m
-        pos = 0.0
-        for j in range(n):
-            if regret_d[j] > 0.0:
-                pos += regret_d[j]
-        if pos > 0.0:
+            acc = 0.0
             for j in range(n):
-                pd[j] = regret_d[j] / pos if regret_d[j] > 0.0 else 0.0
-        else:
-            for j in range(n):
-                pd[j] = 1.0 / n
-        if (t + 1) % record_every == 0 or t == T - 1:
-            if r < rows:
-                ra = 0.0
-                for i in range(m):
-                    if regret_a[i] > ra:
-                        ra = regret_a[i]
-                rd = 0.0
+                acc += M[i, j] * pd[j]
+            loss[i] = acc
+        value = 0.0
+        for i in range(m):
+            value += pa[i] * loss[i]
+        for i in range(m):
+            regret_a[i] += value - loss[i]
+            g = floored_a[i] + (value - loss[i])
+            floored_a[i] = g if g > 0.0 else 0.0
+        total = 0.0
+        for i in range(m):
+            total += floored_a[i]
+        for i in range(m):
+            pa[i] = floored_a[i] / total if total > 0.0 else 1.0 / m
+        # defender maximizes against the new attacker mix
+        for j in range(n):
+            acc = 0.0
+            for i in range(m):
+                acc += M[i, j] * pa[i]
+            gain[j] = acc
+        value = 0.0
+        for j in range(n):
+            value += pd[j] * gain[j]
+        for j in range(n):
+            regret_d[j] += gain[j] - value
+            g = floored_d[j] + (gain[j] - value)
+            floored_d[j] = g if g > 0.0 else 0.0
+        # step t's pair: the new attacker mix and the defender mix it met
+        for i in range(m):
+            sum_a[i] += t * pa[i]
+        for j in range(n):
+            sum_d[j] += t * pd[j]
+        weight += t
+        payoff_sum += value
+        total = 0.0
+        for j in range(n):
+            total += floored_d[j]
+        for j in range(n):
+            pd[j] = floored_d[j] / total if total > 0.0 else 1.0 / n
+        stop = t == T
+        if stop or t % check_every == 0:
+            avg_a = sum_a / weight
+            avg_d = sum_d / weight
+            avg_value = 0.0
+            worst_row = np.inf
+            best_col = -np.inf
+            for i in range(m):
+                row = 0.0
                 for j in range(n):
-                    if regret_d[j] > rd:
-                        rd = regret_d[j]
-                traj[r, 0] = t + 1
-                traj[r, 1] = ra / (t + 1)
-                traj[r, 2] = rd / (t + 1)
-                traj[r, 3] = payoff_sum / (t + 1)
-                r += 1
-    return mix_sum_a / T, mix_sum_d / T, traj[:r]
+                    row += M[i, j] * avg_d[j]
+                if row < worst_row:
+                    worst_row = row
+                avg_value += avg_a[i] * row
+            for j in range(n):
+                col = 0.0
+                for i in range(m):
+                    col += M[i, j] * avg_a[i]
+                if col > best_col:
+                    best_col = col
+            eps = max(avg_value - worst_row, best_col - avg_value)
+            stop = stop or eps <= tol
+        if stop or t % record_every == 0:
+            ra = 0.0
+            for i in range(m):
+                if regret_a[i] > ra:
+                    ra = regret_a[i]
+            rd = 0.0
+            for j in range(n):
+                if regret_d[j] > rd:
+                    rd = regret_d[j]
+            traj[r] = (t, ra / t, rd / t, payoff_sum / t)
+            r += 1
+        if stop:
+            break
+    return sum_a / weight, sum_d / weight, t, eps, traj[:r]
 
 
 def single_kernel(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,

@@ -148,9 +148,10 @@ def test_criterion_4_regret_decay():
     rng = np.random.default_rng(7)
     t0 = time.perf_counter()
     ratios = []
-    for seed in range(20):
+    for _ in range(20):
         m = rng.random((10, 10))
-        rep = gamesolve.regret_matching(m, T=10_000, seed=seed)
+        # tol=0 runs all 10 000 steps, so rows 1 000 and 10 000 exist
+        rep = gamesolve.regret_matching(m, T=10_000, tol=0.0)
         by_iter = {int(row[0]): row for row in rep.trajectory}
         early = max(by_iter[1_000][1], by_iter[1_000][2])
         late = max(by_iter[10_000][1], by_iter[10_000][2])
@@ -161,7 +162,7 @@ def test_criterion_4_regret_decay():
     ok = med <= 0.5 and elapsed < 30
     scoreboard(4, "regret-decay", ok,
                f"median regret(1e4)/regret(1e3)={med:.3f} (<=0.5) "
-               f"over 20 seeds, t={elapsed:.1f}s")
+               f"over 20 games, t={elapsed:.1f}s")
 
 
 def test_criterion_5_learning_convergence():

@@ -190,9 +190,12 @@ class TestSolve:
         assert run("solve", "--method", "regret", "--iters", 10_000,
                    "--seed", 3, "--matrix", matrix_csv, "--out", out) == 0
         lines = (out / "trajectory.csv").read_text().strip().splitlines()
-        # sampling stride is max(1, T // 1000)
-        assert len(lines) == 1 + 10_000 // 10
         assert lines[0] == "iteration,avg_regret_attacker,avg_regret_defender,value"
+        # a row every max(1, T // 1000) steps and one at the stop
+        assert len(lines) <= 1 + 10_000 // 10
+        eq = json.loads((out / "equilibrium.json").read_text())
+        assert eq["iterations"] < 10_000
+        assert int(lines[-1].split(",")[0]) == eq["iterations"]
 
     def test_qre_nonconvergence_is_data_not_failure(self, tmp_path):
         m = tmp_path / "m.csv"
@@ -469,6 +472,21 @@ class TestCompare:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["timings_s"]) == {"RDS", "SOD"}
         assert "wall" not in (out / "comparison.csv").read_text()
+
+    def test_manifest_lists_policy_provenance(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("compare", "--methods", "RDS,nash,regret", "--runs", 3,
+                   "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        policies = manifest["policies"]
+        assert set(policies) == {"RDS", "nash", "regret"}
+        assert policies["RDS"] == {}
+        assert set(policies["nash"]) == {"game_value"}
+        # regret matching+ stops on the bundled matrix well inside its cap
+        assert set(policies["regret"]) == {"steps", "epsilon"}
+        assert 0 < policies["regret"]["steps"] < 100_000
+        assert policies["regret"]["epsilon"] <= 1e-4
+        assert "policies" not in manifest["config"]
 
 
 class TestDeterminism:

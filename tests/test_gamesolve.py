@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gridgame import gamesolve as gs
@@ -196,42 +198,84 @@ class TestStackelberg:
         assert value <= m.max(axis=1).min() + 1e-9
 
 
+def rm_game(kind, rows, cols, seed):
+    """Payoffs in [-1, 1]: uniform, tied (three levels) or rank one."""
+    rng = np.random.default_rng(seed)
+    if kind == "tied":
+        return rng.integers(0, 3, (rows, cols)) - 1.0
+    if kind == "rank-one":
+        return np.outer(rng.random(rows) * 2 - 1, rng.random(cols) * 2 - 1)
+    return rng.random((rows, cols)) * 2 - 1
+
+
 class TestRegretMatching:
     def test_rps_converges_to_uniform(self):
-        r = regret_matching(RPS, T=100_000, seed=11)
-        assert np.allclose(r.attacker.probs, 1 / 3, atol=0.05)
-        assert np.allclose(r.defender.probs, 1 / 3, atol=0.05)
+        r = regret_matching(RPS, T=100_000)
+        assert r.epsilon <= 1e-4
+        assert np.allclose(r.attacker.probs, 1 / 3, atol=1e-3)
+        assert np.allclose(r.defender.probs, 1 / 3, atol=1e-3)
 
     def test_dominant_column_mass(self):
         m = np.array([[0.9, 0.2], [0.8, 0.1]])
-        r = regret_matching(m, T=10_000, seed=3)
+        r = regret_matching(m, T=10_000)
         assert r.defender.probs[0] >= 0.95
 
     def test_regret_decays(self):
         rng = np.random.default_rng(8)
         ratios = []
-        for seed in range(8):
+        for _ in range(8):
             m = rng.random((10, 10))
-            r = regret_matching(m, T=10_000, seed=seed)
+            # tol=0 runs all 10 000 steps, so rows 1 000 and 10 000 exist
+            r = regret_matching(m, T=10_000, tol=0.0)
             by_iter = {int(row[0]): row for row in r.trajectory}
             early = max(by_iter[1000][1], by_iter[1000][2])
             late = max(by_iter[10_000][1], by_iter[10_000][2])
             ratios.append(late / early if early > 0 else 0.0)
         assert np.median(ratios) <= 0.5
 
-    def test_deterministic_given_seed(self):
-        a = regret_matching(RPS, T=5_000, seed=42)
-        b = regret_matching(RPS, T=5_000, seed=42)
+    def test_rerun_is_identical(self):
+        a = regret_matching(RPS, T=5_000)
+        b = regret_matching(RPS, T=5_000)
         assert np.array_equal(a.attacker.probs, b.attacker.probs)
+        assert np.array_equal(a.defender.probs, b.defender.probs)
+        assert (a.iterations, a.epsilon) == (b.iterations, b.epsilon)
         assert a.trajectory == b.trajectory
 
+    def test_stops_at_tol_and_reports_steps_run(self):
+        m = np.random.default_rng(2).random((6, 9))
+        r = regret_matching(m, T=100_000, tol=1e-4)
+        assert 100 < r.iterations < 100_000
+        assert r.iterations % 10 == 0
+        assert r.epsilon <= 1e-4
+        assert r.trajectory[-1][0] == r.iterations
+        # stride 100: rows at 100, 200, ... and one at the stop
+        assert [row[0] for row in r.trajectory[:-1]] == list(
+            range(100, r.iterations, 100))
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "tied", "rank-one"]),
+           rows=st.integers(1, 12), cols=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), T=st.integers(1, 1500),
+           tol=st.sampled_from([0.0, 1e-3, 1e-2]))
+    def test_property_stops_at_tol_within_the_rate(self, kind, rows, cols, seed, T, tol):
+        m = rm_game(kind, rows, cols, seed)
+        r = regret_matching(m, T=T, tol=tol)
+        # the stop rule: tol reached, or the cap
+        assert r.epsilon <= tol + 1e-12 or r.iterations == T
+        assert 1 <= r.iterations <= T
+        # the RM+ rate: the t-weighted average is within the sum of the two
+        # sides' weighted regrets, each at most 2 * range * sqrt(k / t)
+        spread = m.max() - m.min()
+        bound = 2 * spread * (np.sqrt(rows) + np.sqrt(cols)) / np.sqrt(r.iterations)
+        assert r.epsilon <= bound + 1e-12
+
     def test_trajectory_csv(self, tmp_path):
-        r = regret_matching(RPS, T=2_000, seed=1)
+        r = regret_matching(np.random.default_rng(3).random((4, 5)), T=2_000, tol=0.0)
         path = tmp_path / "traj.csv"
         r.trajectory_to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,avg_regret_attacker,avg_regret_defender,value"
-        assert len(lines) == 1 + len(r.trajectory)
+        assert len(lines) == 1 + len(r.trajectory) == 1 + 1000
 
 
 class TestSoftmax:
@@ -336,7 +380,7 @@ class TestReportPlumbing:
         nash_exact,
         stackelberg,
         lambda m: nash_fictitious_play(m, max_iters=10),
-        lambda m: regret_matching(m, T=10, seed=0),
+        lambda m: regret_matching(m, T=10),
         lambda m: qre_fixed_point(m, 1.0, 1.0),
     ], ids=["nash", "stackelberg", "fp", "regret", "qre"])
     def test_non_finite_matrix_rejected(self, solver, bad):

@@ -1,10 +1,11 @@
 """Each game kernel of the package against its array loop, bit for bit.
 
 The package runs one build of each kernel: fictitious play and regret
-matching in ``gamesolve``, single-agent and stage-MDP Q-learning in ``marl``.
-``kernel_oracle`` keeps the numpy array loops they were derived from.
-Kernels take pre-drawn uniforms instead of RNG handles precisely so that
-both walk identical sample paths, and every output must match to the bit.
+matching+ in ``gamesolve``, single-agent and stage-MDP Q-learning in
+``marl``.  ``kernel_oracle`` keeps the numpy array loops they were derived
+from.  The learners take pre-drawn uniforms instead of RNG handles precisely
+so that both walk identical sample paths, and every output must match to the
+bit.
 """
 import numpy as np
 import pytest
@@ -39,10 +40,6 @@ def assert_same_outputs(kernels, args):
     return got
 
 
-def rm_args(m, T, record_every, seed=0):
-    return m, np.random.default_rng(seed).random((T, 2)), record_every
-
-
 def single_args(m, opp_probs, defender_side, alpha_mode, eps0, eps_decay, T,
                 record_every, seed=0):
     return (m, np.cumsum(opp_probs), defender_side, alpha_mode, 0.3, 0.7,
@@ -64,9 +61,14 @@ def flat_mdp(m):
 TIED = np.array([[0.5, 0.5, 0.2], [0.5, 0.5, 0.2], [0.2, 0.2, 0.2]])
 
 CASES = {
-    "rm-10x10": (RM, rm_args(random_matrix(1), 3001, 7)),
-    "rm-1x1": (RM, rm_args(np.array([[0.4]]), 50, 3)),
-    "rm-tied": (RM, rm_args(TIED, 500, 1)),
+    # (M, T, tol, check_every, record_every)
+    "rm-10x10": (RM, (random_matrix(1), 3001, 0.0, 10, 7)),
+    # stops at tol after a few hundred steps
+    "rm-10x10-stops": (RM, (random_matrix(1), 100_000, 1e-4, 10, 100)),
+    "rm-1x1": (RM, (np.array([[0.4]]), 50, 0.0, 10, 3)),
+    "rm-tied": (RM, (TIED, 500, 0.0, 1, 1)),
+    # rows 0 and 1 are equal: their regrets, and so their mass, tie all run
+    "rm-tied-rows": (RM, (1.0 - TIED, 301, 1e-3, 7, 5)),
     "fp-10x10": (FP, (random_matrix(2), 3000, 0.0, 100)),
     "fp-tied": (FP, (TIED, 301, 0.0, 7)),
     # the attacker's rows 0 and 1 stay tied all run: the lowest index wins
@@ -112,9 +114,10 @@ class TestAgainstOracle:
         assert eps <= 0.05
 
     @settings(max_examples=60, deadline=None)
-    @given(m=GAMES, T=st.integers(1, 300), record_every=st.integers(1, 40))
-    def test_property_regret_matching(self, m, T, record_every):
-        assert_same_outputs(RM, rm_args(m, T, record_every))
+    @given(m=GAMES, T=st.integers(1, 300), tol=st.sampled_from([0.0, 0.02, 0.2]),
+           check_every=st.integers(1, 40), record_every=st.integers(1, 40))
+    def test_property_regret_matching(self, m, T, tol, check_every, record_every):
+        assert_same_outputs(RM, (m, T, tol, check_every, record_every))
 
     @settings(max_examples=60, deadline=None)
     @given(m=GAMES, max_iters=st.integers(1, 300),

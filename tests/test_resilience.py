@@ -247,7 +247,9 @@ class TestPayoffMatrix:
 
     def test_one_branch_scan_per_connectivity_pass(self, monkeypatch):
         # every reader of the closed branches goes through one topology pass;
-        # the build once scanned them 1159 times for 439 island passes
+        # the build once scanned them 1159 times for 439 island passes.
+        # A cell's plan reads the islands its radiality check found, so 100
+        # compile_pair calls make 275 passes, not 375.
         calls = {"scans": 0, "passes": 0}
         scan, connectivity = NetworkState.closed_branches, topology.connectivity
 
@@ -261,10 +263,13 @@ class TestPayoffMatrix:
 
         monkeypatch.setattr(NetworkState, "closed_branches", counted_scan)
         monkeypatch.setattr(topology, "connectivity", counted_pass)
-        resilience.build_payoff_matrix(
-            load_ieee33(), scenario.catalog_default(), ahp_weights(DEFAULT_AHP_MATRIX))
-        assert 0 < calls["passes"] <= 439
-        assert calls["scans"] == calls["passes"]
+        net, cat = load_ieee33(), scenario.catalog_default()
+        resilience.build_payoff_matrix(net, cat, ahp_weights(DEFAULT_AHP_MATRIX))
+        assert calls == {"scans": 439, "passes": 439}
+        for attack in cat.attacks:
+            for defense in cat.defenses:
+                scenario.compile_pair(net, attack, defense)
+        assert calls == {"scans": 439 + 275, "passes": 439 + 275}
 
     def test_cell_error_names_the_cell(self):
         cat = scenario.catalog_default()
