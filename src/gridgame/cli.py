@@ -196,9 +196,7 @@ def _solve_report(matrix, args):
         return gamesolve.nash_exact(m)
     if args.method == "fp":
         return gamesolve.nash_fictitious_play(m, max_iters=args.iters)
-    if args.method == "regret":
-        return gamesolve.regret_matching(m, T=args.iters)
-    raise ConfigError(f"unknown solve method {args.method!r}")
+    return gamesolve.regret_matching(m, T=args.iters)
 
 
 def _check_solve_args(args) -> None:
@@ -301,7 +299,7 @@ def cmd_learn(args, argv) -> None:
         _write_json({"value": result.value, "converged": bool(result.converged)},
                     os.path.join(out, "result.json"))
         outputs += ["attacker_policy.json", "defender_policy.json", "result.json"]
-    elif args.method == "mdp":
+    else:  # mdp
         # defenses that take no action cannot trigger recovery; the rule only
         # applies when the matrix came from the catalog, a foreign CSV keeps
         # every column active
@@ -316,8 +314,6 @@ def cmd_learn(args, argv) -> None:
         _write_json({"values": dict(zip(mdp.labels, result.values))},
                     os.path.join(out, "result.json"))
         outputs += ["attacker_policy.json", "defender_policy.json", "result.json"]
-    else:
-        raise ConfigError(f"unknown learn method {args.method!r}")
 
     manifest_cfg = {"command": "learn", "method": args.method}
     manifest_cfg.update(config.provenance())

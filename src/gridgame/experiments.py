@@ -87,9 +87,6 @@ class DefensePolicy:
         if np.any(mixes < -1e-12) or np.abs(mixes.sum(axis=1) - 1.0).max() > 1e-9:
             raise ConfigError(f"{self.label}: every defense mix row must be a distribution")
 
-    def defense_mix(self, attack_index: int) -> np.ndarray:
-        return self.mixes[attack_index]
-
     @classmethod
     def unconditional(cls, label: str, mix, n_attacks: int, provenance=None) -> "DefensePolicy":
         row = np.asarray(mix, dtype=float)

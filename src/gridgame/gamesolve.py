@@ -47,9 +47,6 @@ class MixedStrategy:
         if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
             raise SolverError(f"not a probability vector: {p}")
 
-    def __len__(self):
-        return len(self.probs)
-
     @classmethod
     def uniform(cls, k: int) -> "MixedStrategy":
         return cls(np.full(k, 1.0 / k))
@@ -144,10 +141,10 @@ def _fp_kernel(M, max_iters, tol, check_every):
     """Simultaneous-update fictitious play with empirical-frequency beliefs.
 
     u_a[i] accumulates sum_t M[i, d_t]; u_d[j] accumulates sum_t M[a_t, j],
-    so each step costs O(m+n). The epsilon of the averaged strategies is
-    checked every check_every steps. min/max return the first extreme element
-    and index() its first position, so ties go to the lowest index (entries
-    are finite).
+    so each step costs O(m+n). Every check_every steps and at max_iters the
+    averaged strategies go to verify_epsilon_equilibrium, stopping once their
+    epsilon is <= tol. min/max return the first extreme element and index()
+    its first position, so ties go to the lowest index (entries are finite).
     """
     m, n = M.shape
     rows = M.tolist()
@@ -158,7 +155,6 @@ def _fp_kernel(M, max_iters, tol, check_every):
     u_d = [0.0] * n
     a = 0
     d = 0
-    eps = math.inf
     t = 0
     while t < max_iters:
         t += 1
@@ -168,29 +164,10 @@ def _fp_kernel(M, max_iters, tol, check_every):
         u_d = list(map(add, u_d, rows[a]))
         a = u_a.index(min(u_a))
         d = u_d.index(max(u_d))
-        if t % check_every == 0 or t == max_iters:
-            pa = [c / t for c in count_a]
-            pd = [c / t for c in count_d]
-            value = 0.0
-            worst_row = math.inf
-            best_col = -math.inf
-            for i in range(m):
-                row = 0.0
-                for x, p in zip(rows[i], pd):
-                    row += x * p
-                if row < worst_row:
-                    worst_row = row
-                value += row * pa[i]
-            for j in range(n):
-                col = 0.0
-                for x, p in zip(cols[j], pa):
-                    col += x * p
-                if col > best_col:
-                    best_col = col
-            eps = max(value - worst_row, best_col - value)
-            if eps <= tol:
-                break
-    return np.array(count_a) / t, np.array(count_d) / t, t, eps
+        if (t % check_every == 0 or t == max_iters) and verify_epsilon_equilibrium(
+                M, np.array(count_a) / t, np.array(count_d) / t) <= tol:
+            break
+    return np.array(count_a) / t, np.array(count_d) / t, t
 
 
 def nash_fictitious_play(M, max_iters: int = FP_DEFAULT_ITERS,
@@ -198,7 +175,7 @@ def nash_fictitious_play(M, max_iters: int = FP_DEFAULT_ITERS,
     m = _entries(M)
     if max_iters < 1:
         raise SolverError("max_iters must be at least 1")
-    pa, pd, iters, _eps = _fp_kernel(m, max_iters, tol, 100)
+    pa, pd, iters = _fp_kernel(m, max_iters, tol, 100)
     return _report("fictitious-play", m, pa, pd, int(iters))
 
 
@@ -308,13 +285,14 @@ def _rm_kernel(M, T, tol, check_every, record_every):
     against the new attacker mix. Step t's pair is the new attacker mix and
     the defender mix it met, and the output averages these pairs with weight
     t: its epsilon is bounded by the two sides' weighted regrets,
-    2 * range * (sqrt(m) + sqrt(n)) / sqrt(t). The epsilon of the average is
-    checked every check_every steps and at T, stopping once it is <= tol.
+    2 * range * (sqrt(m) + sqrt(n)) / sqrt(t). Every check_every steps and
+    at T the average goes to verify_epsilon_equilibrium, stopping once its
+    epsilon is <= tol.
     Records (t, avg_regret_a, avg_regret_d, mean payoff of the pairs) every
     record_every steps and at the stop, where avg_regret is the largest
     unfloored cumulative regret of the mixes played, over t.
 
-    Every sum runs left to right (``_loop_sums``), so the loops in
+    Every sum of a step runs left to right (``_loop_sums``), so the loops in
     ``tests/kernel_oracle.py`` reproduce each output bit for bit.
     """
     m, n = M.shape
@@ -327,7 +305,6 @@ def _rm_kernel(M, T, tol, check_every, record_every):
     sum_a, sum_d = np.zeros(m), np.zeros(n)
     weight = 0.0
     payoff_sum = 0.0
-    eps = math.inf
     traj = []
     for t in range(1, T + 1):
         # attacker minimizes: the regret of row i is value - (M pd)[i]
@@ -351,15 +328,8 @@ def _rm_kernel(M, T, tol, check_every, record_every):
         payoff_sum += value
         total = _loop_sums(floored_d)
         pd = floored_d / total if total > 0.0 else uniform_d
-        last = t == T
-        if last or t % check_every == 0:
-            avg_a = sum_a / weight
-            avg_d = sum_d / weight
-            rows = _loop_sums(M * avg_d)
-            avg_value = _loop_sums(avg_a * rows)
-            eps = float(max(avg_value - rows.min(),
-                            _loop_sums(cols * avg_a).max() - avg_value))
-            last = last or eps <= tol
+        last = t == T or (t % check_every == 0 and verify_epsilon_equilibrium(
+            M, sum_a / weight, sum_d / weight) <= tol)
         if last or t % record_every == 0:
             ra = regret_a.max()
             rd = regret_d.max()
@@ -367,7 +337,7 @@ def _rm_kernel(M, T, tol, check_every, record_every):
                          (rd if rd > 0.0 else 0.0) / t, payoff_sum / t))
         if last:
             break
-    return sum_a / weight, sum_d / weight, t, eps, np.array(traj, dtype=np.float64)
+    return sum_a / weight, sum_d / weight, t, np.array(traj, dtype=np.float64)
 
 
 def regret_matching(M, T: int, tol: float = RM_DEFAULT_TOL) -> EquilibriumReport:
@@ -380,7 +350,7 @@ def regret_matching(M, T: int, tol: float = RM_DEFAULT_TOL) -> EquilibriumReport
     m = _entries(M)
     if T < 1:
         raise SolverError("T must be at least 1")
-    pa, pd, steps, _eps, traj = _rm_kernel(m, T, tol, 10, max(1, T // 1000))
+    pa, pd, steps, traj = _rm_kernel(m, T, tol, 10, max(1, T // 1000))
     return _report(
         "regret-matching", m, pa, pd, steps,
         trajectory=tuple(tuple(row) for row in traj),
@@ -414,9 +384,6 @@ class QreResult:
     converged: bool
     iterations: int
     residual: float  # max-norm distance of the last iterate from its response
-
-    def __iter__(self):  # allows  pa, pd = qre_fixed_point(...)
-        return iter((self.attacker, self.defender))
 
 
 def qre_fixed_point(M, beta_a: float, beta_d: float,

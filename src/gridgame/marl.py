@@ -2,9 +2,10 @@
 
 Two training modes, kept deliberately separate:
 
-* stateless play on the payoff matrix (``train_single_agent`` against a
-  stationary mixed opponent, ``train_multi_agent`` in self-play), where the
-  update has no bootstrap term (gamma is pinned to 0);
+* stateless play on the payoff matrix (``train_single_agent``, the
+  defender against a stationary mixed attacker, and ``train_multi_agent``,
+  both sides in self-play), where the update has no bootstrap term, so both
+  reject a config whose gamma is not 0;
 * a small stage MDP (``mdp_train``) where a factored transition model
   couples attack propagation with defense recovery and the update carries
   the usual gamma * next_best term.
@@ -21,7 +22,7 @@ import json
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -123,39 +124,26 @@ class LearningConfig:
 
 @dataclass(frozen=True)
 class LearnedPolicy:
-    """Greedy play per context plus the expected-Q row it came from.
+    """Expected-Q rows per context, and the greedy play they give.
 
     ``q_rows[s][a]`` is the learner's Q for action a in context s averaged
-    over the opponent frequencies observed during training, so the greedy
-    invariant (defender argmax / attacker argmin, lowest index) is checkable
-    directly against the stored row.
+    over the opponent frequencies observed during training.
     """
 
     side: str
-    greedy: tuple
     q_rows: tuple
     episodes: int
     provenance: dict = field(compare=False)
 
-    def __post_init__(self):
-        for s, row in enumerate(self.q_rows):
-            arr = np.asarray(row)
-            pick = int(np.argmax(arr)) if self.side == "defender" else int(np.argmin(arr))
-            if pick != self.greedy[s]:
-                raise ConfigError(
-                    f"greedy action {self.greedy[s]} in context {s} does not "
-                    f"optimize its Q row (expected {pick})")
+    @property
+    def greedy(self) -> tuple:
+        """Per context, the action that optimizes its Q row: the defender's
+        argmax, the attacker's argmin, the lowest index on ties."""
+        pick = np.argmax if self.side == "defender" else np.argmin
+        return tuple(int(pick(row)) for row in self.q_rows)
 
     def greedy_action(self, context: int = 0) -> int:
         return self.greedy[context]
-
-    def softmax_mix(self, beta: float, context: int = 0) -> MixedStrategy:
-        row = np.asarray(self.q_rows[context], dtype=float)
-        sign = 1.0 if self.side == "defender" else -1.0
-        z = sign * beta * row
-        z -= z.max()
-        e = np.exp(z)
-        return MixedStrategy(e / e.sum())
 
     def to_json(self, path=None) -> dict:
         obj = {
@@ -176,13 +164,9 @@ class LearnedPolicy:
 def _policy_from(side, q, opp_freq, episodes, provenance) -> LearnedPolicy:
     # q: (S, own, opp); opp_freq: (S, opp) rows summing to 1
     rows = np.einsum("soj,sj->so", q, opp_freq)
-    if side == "defender":
-        greedy = tuple(int(np.argmax(r)) for r in rows)
-    else:
-        greedy = tuple(int(np.argmin(r)) for r in rows)
     q_rows = tuple(tuple(float(v) for v in r) for r in rows)
-    return LearnedPolicy(side=side, greedy=greedy, q_rows=q_rows,
-                         episodes=episodes, provenance=provenance)
+    return LearnedPolicy(side=side, q_rows=q_rows, episodes=episodes,
+                         provenance=provenance)
 
 
 def _freq(counts: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
@@ -235,22 +219,19 @@ def _first_above(cdf):
     return list(accumulate(cdf, max))
 
 
-def _single_kernel(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
+def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
                    eps0, eps_decay, uniforms, record_every):
-    """Stateless Q-learning of one side against a sampled opponent.
+    """Stateless Q-learning of the defender against a sampled attacker.
 
-    uniforms is (episodes, 3): opponent draw, explore coin, explore pick.
-    Q and visits are held per opponent column, and the greedy index of each
+    uniforms is (episodes, 3): attack draw, explore coin, explore pick.
+    Q and visits are held per attack, and the greedy index of each attack's
     column is cached until a cell of that column changes value.  Under the
     harmonic schedule a cell is set to its reward on its first visit and
     never moves after, so the greedy scans stop once every cell was seen.
     """
     episodes = uniforms.shape[0]
-    rows, cols = m.shape
-    n_own = cols if defender_side else rows
-    n_opp = rows if defender_side else cols
-    reward_of = m.tolist() if defender_side else m.T.tolist()  # [opp][own]
-    pick = max if defender_side else min
+    n_opp, n_own = m.shape
+    reward_of = m.tolist()  # [opp][own]
     cdf = _first_above(opp_cdf[:n_opp - 1].tolist())
     q = [[0.0] * n_own for _ in range(n_opp)]
     visits = [[0] * n_own for _ in range(n_opp)]
@@ -270,7 +251,7 @@ def _single_kernel(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
         else:
             own = greedy[opp_last]
             if own is None:
-                own = greedy[opp_last] = _greedy(q[opp_last], pick)
+                own = greedy[opp_last] = _greedy(q[opp_last], max)
         reward = reward_of[opp][own]
         count = visits[opp][own] + 1
         visits[opp][own] = count
@@ -405,14 +386,13 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
         eps *= eps_decay
     value = reward_win / win_n if win_n > 0 else 0.0
 
-    def table(rows, dtype=np.float64):
+    def table(rows):
         # [s][opp][own] lists -> (states, own, opp) array
-        return np.array(rows, dtype=dtype).transpose(0, 2, 1).copy()
+        return np.array(rows, dtype=np.float64).transpose(0, 2, 1).copy()
 
     counts = [np.array(c, dtype=np.int64)
               for c in (a_counts, d_counts, a_counts_win, d_counts_win)]
-    return (table(qa), table(qd), table(visits_a, np.int64),
-            table(visits_d, np.int64), *counts, value, telemetry)
+    return (table(qa), table(qd), *counts, value, telemetry)
 
 
 # ---------------------------------------------------------------------------
@@ -424,29 +404,33 @@ def _check_bounded(rewards) -> None:
         raise ConfigError("rewards must be bounded by 1 in absolute value")
 
 
-def train_single_agent(matrix, opponent: MixedStrategy, config: LearningConfig,
-                       side: str = "defender", telemetry_path=None) -> LearnedPolicy:
-    """Stateless Q-learning against a stationary mixed opponent.
+def _check_stateless(config: LearningConfig) -> None:
+    if config.gamma != 0.0:
+        raise ConfigError(
+            f"gamma must be 0 for stateless learning (there is no next state to "
+            f"bootstrap from), got {config.gamma}; mdp_train takes a gamma")
 
-    The learner's table is keyed (own action, opponent action); with the
-    harmonic schedule each cell is a running average of the rewards seen for
-    that joint pair.  The exported greedy action optimizes the Q row averaged
-    under the opponent's empirical frequencies over the whole run.
+
+def train_single_agent(matrix, opponent: MixedStrategy, config: LearningConfig,
+                       telemetry_path=None) -> LearnedPolicy:
+    """Stateless Q-learning of the defender against a stationary mixed attacker.
+
+    The defender's table is keyed (defense, attack); with the harmonic
+    schedule each cell is a running average of the rewards seen for that
+    joint pair.  The exported greedy defense maximizes the Q row averaged
+    under the attacker's empirical frequencies over the whole run.
     """
+    _check_stateless(config)
     m = _entries(matrix)
     _check_bounded(m)
-    if side not in ("attacker", "defender"):
-        raise ConfigError(f"side must be 'attacker' or 'defender', got {side!r}")
-    defender_side = side == "defender"
-    n_opp = m.shape[0] if defender_side else m.shape[1]
-    if len(opponent.probs) != n_opp:
+    if len(opponent.probs) != m.shape[0]:
         raise ConfigError(
-            f"opponent mix has {len(opponent.probs)} entries, expected {n_opp}")
+            f"opponent mix has {len(opponent.probs)} entries, expected {m.shape[0]}")
     opp_cdf = np.cumsum(opponent.probs)
     uniforms = np.random.default_rng(config.seed).random((config.episodes, 3))
     record_every = max(1, config.episodes // TELEMETRY_ROWS)
-    q, visits, opp_counts, telemetry = _single_kernel(
-        m, opp_cdf, defender_side, config._alpha_mode(),
+    q, _visits, opp_counts, telemetry = _single_kernel(
+        m, opp_cdf, config._alpha_mode(),
         config.alpha_constant, config.alpha_power,
         config.epsilon0, config.epsilon_decay, uniforms, record_every)
     if telemetry_path is not None:
@@ -455,7 +439,7 @@ def train_single_agent(matrix, opponent: MixedStrategy, config: LearningConfig,
     prov = config.provenance()
     prov["mode"] = "single-agent"
     prov["opponent"] = [float(p) for p in opponent.probs]
-    return _policy_from(side, q[None], freq, config.episodes, prov)
+    return _policy_from("defender", q[None], freq, config.episodes, prov)
 
 
 @dataclass(frozen=True)
@@ -473,9 +457,6 @@ class SelfPlayResult:
     value: float
     converged: bool
 
-    def __iter__(self):
-        return iter((self.attacker, self.defender, self.value))
-
 
 def train_multi_agent(matrix, config: LearningConfig,
                       telemetry_path=None) -> SelfPlayResult:
@@ -483,18 +464,18 @@ def train_multi_agent(matrix, config: LearningConfig,
 
     Each episode both agents act epsilon-greedily against the opponent's
     previous action and both tables update on the same observed joint play.
-    gamma is pinned to 0 here; the bootstrapped form lives in mdp_train.
+    config.gamma must be 0; the bootstrapped form lives in mdp_train.
     Greedy exports weight Q rows by the opponent frequencies over the final
     tenth of the run, after exploration has decayed.
     """
+    _check_stateless(config)
     m = _entries(matrix)
     mdp = StageMdp(
         labels=("stateless",),
         rewards=m[None],
         transitions=np.ones((1, m.shape[0], m.shape[1], 1)),
     )
-    result = mdp_train(mdp, replace(config, gamma=0.0), telemetry_path=telemetry_path,
-                       _mode="multi-agent")
+    result = mdp_train(mdp, config, telemetry_path=telemetry_path, _mode="multi-agent")
     attacker, defender = result.attacker, result.defender
     i, j = attacker.greedy[0], defender.greedy[0]
     saddle = (m[i, j] <= m[:, j].min() + 1e-12) and (m[i, j] >= m[i, :].max() - 1e-12)
@@ -544,17 +525,22 @@ class StageMdp:
         return len(self.labels)
 
 
-def stage_mdp_default(matrix, defense_active=None,
-                      p_degrade=(0.9, 0.5), p_recover: float = 0.7,
-                      reward_scale=(1.0, 0.7, 0.4)) -> StageMdp:
+# the default stage MDP: per-state degrade probability (normal, degraded),
+# recovery probability under an active defense, per-state reward scale
+P_DEGRADE = (0.9, 0.5)
+P_RECOVER = 0.7
+REWARD_SCALE = (1.0, 0.7, 0.4)
+
+
+def stage_mdp_default(matrix, defense_active=None) -> StageMdp:
     """Three-state degradation chain driven by the payoff matrix.
 
     States normal/degraded/critical.  Each step two independent factored
     coins fire: the physical one degrades the grid one level (probability
-    p_degrade[state] while not yet critical), the cyber one recovers one
-    level (probability p_recover when the played defense takes any action).
-    Rewards are the matrix entries scaled down as the state worsens.  All
-    numbers here are package defaults, overridable per argument.
+    P_DEGRADE[state] while not yet critical), the cyber one recovers one
+    level (probability P_RECOVER when the played defense is active, by
+    default every defense).  Rewards are the matrix entries scaled by
+    REWARD_SCALE, down as the state worsens.
     """
     m = _entries(matrix)
     n_att, n_def = m.shape
@@ -564,17 +550,12 @@ def stage_mdp_default(matrix, defense_active=None,
     defense_active = np.asarray(defense_active, dtype=bool)
     if defense_active.shape != (n_def,):
         raise ConfigError(f"defense_active must have shape ({n_def},)")
-    if not 0.0 <= p_recover <= 1.0:
-        raise ConfigError(f"p_recover must be in [0, 1], got {p_recover}")
-    scale = np.asarray(reward_scale, dtype=float)
-    if scale.shape != (3,):
-        raise ConfigError("reward_scale must have one entry per state")
-    rewards = scale[:, None, None] * m[None]
+    rewards = np.asarray(REWARD_SCALE)[:, None, None] * m[None]
     transitions = np.zeros((3, n_att, n_def, 3))
     for s in range(3):
-        up = p_degrade[s] if s < 2 else 0.0
+        up = P_DEGRADE[s] if s < 2 else 0.0
         for j in range(n_def):
-            down = p_recover if defense_active[j] else 0.0
+            down = P_RECOVER if defense_active[j] else 0.0
             to_up = up * (1.0 - down)
             to_down = (1.0 - up) * down
             if s == 0:
@@ -598,9 +579,6 @@ class MdpTrainResult:
     defender: LearnedPolicy
     values: tuple
 
-    def __iter__(self):
-        return iter((self.attacker, self.defender, self.values))
-
 
 def mdp_train(mdp: StageMdp, config: LearningConfig,
               telemetry_path=None, _mode: str = "mdp") -> MdpTrainResult:
@@ -614,8 +592,7 @@ def mdp_train(mdp: StageMdp, config: LearningConfig,
     uniforms = np.random.default_rng(config.seed).random((config.episodes, 5))
     record_every = max(1, config.episodes // TELEMETRY_ROWS)
     window_start = config.episodes - max(1, config.episodes // 10)
-    (qa, qd, _va, _vd, a_counts, d_counts, a_win, d_win,
-     value, telemetry) = _mdp_kernel(
+    qa, qd, a_counts, d_counts, a_win, d_win, value, telemetry = _mdp_kernel(
         mdp.rewards, mdp.transitions, config.gamma, config._alpha_mode(),
         config.alpha_constant, config.alpha_power,
         config.epsilon0, config.epsilon_decay, uniforms,

@@ -134,13 +134,6 @@ class NetworkState:
     def shed(self, bus_id: int) -> float:
         return self.shed_fractions.get(bus_id, 0.0)
 
-    def critical_buses(self) -> tuple[int, ...]:
-        return tuple(b.id for b in self.buses if b.is_critical)
-
-    def total_load(self) -> tuple[float, float]:
-        """(kW, kvar) summed over all buses, before shedding."""
-        return (sum(b.load_p for b in self.buses), sum(b.load_q for b in self.buses))
-
     def closed_branches(self) -> list[tuple[int, int, float, float, str]]:
         """(from, to, r_ohm, x_ohm, branch id) for every closed line and switch."""
         out = [(l.from_bus, l.to_bus, l.r, l.x, l.id) for l in self.lines if l.closed]

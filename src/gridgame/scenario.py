@@ -124,11 +124,6 @@ class ScenarioCatalog:
             ],
         }
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _fx(kind, target=None, value=None) -> Effect:
     return Effect(kind=kind, target=target, value=value)

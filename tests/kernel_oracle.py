@@ -7,9 +7,13 @@ state in Python lists or numpy arrays, cache greedy indices and bisect
 running sums; these loops scan every element instead, so the tests can hold
 each package kernel to its loop output by output, bit for bit.  Like the
 package kernels the learners take pre-drawn uniforms, so both walk the same
-sample path; the two solvers draw nothing.
+sample path; the two solvers draw nothing.  The solvers' stop rule is
+``gamesolve.verify_epsilon_equilibrium`` in both the package and these
+loops, so a stop decided by it is the same decision in both.
 """
 import numpy as np
+
+from gridgame.gamesolve import verify_epsilon_equilibrium
 
 
 def fp_kernel(M, max_iters, tol, check_every):
@@ -17,7 +21,7 @@ def fp_kernel(M, max_iters, tol, check_every):
 
     u_a[i] accumulates sum_t M[i, d_t]; u_d[j] accumulates sum_t M[a_t, j],
     so each step costs O(m+n). The epsilon of the averaged strategies is
-    checked every check_every steps.
+    checked every check_every steps and at max_iters, stopping at tol.
     """
     m, n = M.shape
     count_a = np.zeros(m)
@@ -26,7 +30,6 @@ def fp_kernel(M, max_iters, tol, check_every):
     u_d = np.zeros(n)
     a = 0
     d = 0
-    eps = np.inf
     t = 0
     while t < max_iters:
         t += 1
@@ -50,28 +53,9 @@ def fp_kernel(M, max_iters, tol, check_every):
                 best = u_d[j]
                 d = j
         if t % check_every == 0 or t == max_iters:
-            pa = count_a / t
-            pd = count_d / t
-            value = 0.0
-            worst_row = np.inf
-            best_col = -np.inf
-            for i in range(m):
-                row = 0.0
-                for j in range(n):
-                    row += M[i, j] * pd[j]
-                if row < worst_row:
-                    worst_row = row
-                value += row * pa[i]
-            for j in range(n):
-                col = 0.0
-                for i in range(m):
-                    col += M[i, j] * pa[i]
-                if col > best_col:
-                    best_col = col
-            eps = max(value - worst_row, best_col - value)
-            if eps <= tol:
+            if verify_epsilon_equilibrium(M, count_a / t, count_d / t) <= tol:
                 break
-    return count_a / t, count_d / t, t, eps
+    return count_a / t, count_d / t, t
 
 
 def rm_kernel(M, T, tol, check_every, record_every):
@@ -98,7 +82,6 @@ def rm_kernel(M, T, tol, check_every, record_every):
     traj = np.zeros((T // record_every + 1, 4))
     weight = 0.0
     payoff_sum = 0.0
-    eps = np.inf
     r = 0
     t = 0
     while t < T:
@@ -147,27 +130,8 @@ def rm_kernel(M, T, tol, check_every, record_every):
         for j in range(n):
             pd[j] = floored_d[j] / total if total > 0.0 else 1.0 / n
         stop = t == T
-        if stop or t % check_every == 0:
-            avg_a = sum_a / weight
-            avg_d = sum_d / weight
-            avg_value = 0.0
-            worst_row = np.inf
-            best_col = -np.inf
-            for i in range(m):
-                row = 0.0
-                for j in range(n):
-                    row += M[i, j] * avg_d[j]
-                if row < worst_row:
-                    worst_row = row
-                avg_value += avg_a[i] * row
-            for j in range(n):
-                col = 0.0
-                for i in range(m):
-                    col += M[i, j] * avg_a[i]
-                if col > best_col:
-                    best_col = col
-            eps = max(avg_value - worst_row, best_col - avg_value)
-            stop = stop or eps <= tol
+        if not stop and t % check_every == 0:
+            stop = verify_epsilon_equilibrium(M, sum_a / weight, sum_d / weight) <= tol
         if stop or t % record_every == 0:
             ra = 0.0
             for i in range(m):
@@ -181,16 +145,15 @@ def rm_kernel(M, T, tol, check_every, record_every):
             r += 1
         if stop:
             break
-    return sum_a / weight, sum_d / weight, t, eps, traj[:r]
+    return sum_a / weight, sum_d / weight, t, traj[:r]
 
 
-def single_kernel(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
+def single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
                   eps0, eps_decay, uniforms, record_every):
-    # uniforms: (episodes, 3) = opponent draw, explore coin, explore pick
+    # the defender learns against sampled attacks
+    # uniforms: (episodes, 3) = attack draw, explore coin, explore pick
     episodes = uniforms.shape[0]
-    rows, cols = m.shape
-    n_own = cols if defender_side else rows
-    n_opp = rows if defender_side else cols
+    n_opp, n_own = m.shape
     q = np.zeros((n_own, n_opp))
     visits = np.zeros((n_own, n_opp), dtype=np.int64)
     opp_counts = np.zeros(n_opp, dtype=np.int64)
@@ -213,10 +176,10 @@ def single_kernel(m, opp_cdf, defender_side, alpha_mode, alpha_c, alpha_p,
             best = q[0, opp_last]
             for k in range(1, n_own):
                 v = q[k, opp_last]
-                if (defender_side and v > best) or (not defender_side and v < best):
+                if v > best:
                     best = v
                     own = k
-        reward = m[opp, own] if defender_side else m[own, opp]
+        reward = m[opp, own]
         visits[own, opp] += 1
         if alpha_mode == 0:
             alpha = 1.0 / visits[own, opp]
@@ -343,5 +306,4 @@ def mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
         s = s_next
         eps *= eps_decay
     value = reward_win / win_n if win_n > 0 else 0.0
-    return (qa, qd, visits_a, visits_d, a_counts, d_counts,
-            a_counts_win, d_counts_win, value, telemetry)
+    return qa, qd, a_counts, d_counts, a_counts_win, d_counts_win, value, telemetry

@@ -98,7 +98,8 @@ def test_criterion_1_ahp_reproduction():
 
 def test_criterion_2_feeder_physics(testbed):
     net, _, _, _ = testbed
-    p, q = net.total_load()
+    p = sum(b.load_p for b in net.buses)
+    q = sum(b.load_q for b in net.buses)
     totals_ok = (p == 3715.0 and q == 2300.0)
 
     base = ders_offline(net)

@@ -317,6 +317,35 @@ class TestLearn:
             policy = json.loads((out / f"{side}_policy.json").read_text())
             assert policy["side"] == side
 
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    def test_gamma_rejected_by_stateless_methods(self, method, tmp_path, capsys):
+        # stateless learning has no next state: a gamma would be recorded
+        # in the files but never used
+        out = tmp_path / "out"
+        code = run("learn", "--method", method, "--gamma", 0.9, "--iters", 100,
+                   "--matrix", small_game_csv(tmp_path), "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gamma" in err
+        assert not list(out.glob("*policy.json"))
+
+    @pytest.mark.parametrize("method", LEARN_METHODS)
+    def test_manifest_config_matches_every_policy(self, method, tmp_path):
+        out = tmp_path / "out"
+        gamma = ["--gamma", 0.5] if method == "mdp" else []
+        assert run("learn", "--method", method, "--iters", 2000, "--decay", 0.99,
+                   "--epsilon0", 0.5, *gamma, "--matrix", small_game_csv(tmp_path),
+                   "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())["config"]
+        assert (manifest["epsilon_decay"], manifest["epsilon0"]) == (0.99, 0.5)
+        policies = sorted(out.glob("*policy.json"))
+        assert len(policies) == (1 if method == "single" else 2)
+        for path in policies:
+            config = json.loads(path.read_text())["config"]
+            shared = sorted(set(config) & set(manifest))
+            assert {"epsilon0", "epsilon_decay", "gamma", "episodes", "seed"} <= set(shared)
+            assert [config[k] for k in shared] == [manifest[k] for k in shared]
+
     def test_mdp_reports_per_state_values(self, tmp_path):
         out = tmp_path / "out"
         assert run("learn", "--method", "mdp", "--iters", 20_000,

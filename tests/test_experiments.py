@@ -97,8 +97,8 @@ class TestDefensePolicy:
         assert p.mixes.shape == (3, 4)
         assert np.all(p.mixes[:, 1] == 1.0)
         r = DefensePolicy.rule("r", [2, 0], 3)
-        assert r.defense_mix(0)[2] == 1.0
-        assert r.defense_mix(1)[0] == 1.0
+        assert r.mixes[0, 2] == 1.0
+        assert r.mixes[1, 0] == 1.0
 
 
 class TestSummarize:

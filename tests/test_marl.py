@@ -100,7 +100,7 @@ def learner_visits(m, opp_probs, epsilon0, epsilon_decay, episodes=100_000, seed
     """Per-action visit counts of a defender trained by the single-agent kernel."""
     uniforms = np.random.default_rng(seed).random((episodes, 3))
     _q, visits, _opp, _tel = marl._single_kernel(
-        m, np.cumsum(opp_probs), True, 0, 0.1, 1.0, epsilon0, epsilon_decay,
+        m, np.cumsum(opp_probs), 0, 0.1, 1.0, epsilon0, epsilon_decay,
         uniforms, episodes)
     return visits.sum(axis=1)
 
@@ -155,6 +155,14 @@ class TestQUpdate:
         with pytest.raises(ConfigError):
             mdp_train(one_action_mdp([-1.5], [[1.0]]), LearningConfig(episodes=10))
 
+    def test_stateless_learners_reject_gamma(self):
+        # no next state to bootstrap from: a gamma would be recorded, not used
+        cfg = LearningConfig(episodes=10, gamma=0.9)
+        with pytest.raises(ConfigError, match="gamma"):
+            train_single_agent(PENNIES, MixedStrategy.uniform(2), cfg)
+        with pytest.raises(ConfigError, match="gamma"):
+            train_multi_agent(PENNIES, cfg)
+
     def test_bounded_iterates(self):
         # rewards in [0,1], gamma=0.8: values must stay within 1/(1-gamma)
         mdp = stage_mdp_default(np.random.default_rng(0).random((3, 3)))
@@ -177,21 +185,21 @@ class TestEpsilonGreedy:
     """Action choice in the kernels: greedy vs the opponent's last move, else uniform."""
 
     def test_zero_epsilon_always_greedy(self, tmp_path):
-        # epsilon 0: the attacker tries the all-zero rows in index order,
-        # then plays the argmin of its learned column every episode after;
-        # rewards lie in [0.1, 1), inside the trainers' bound of 1
-        m = np.random.default_rng(1).random((6, 6)) * 0.9 + 0.1
+        # epsilon 0: the defender tries the all-zero columns in index order,
+        # then plays the argmax of its learned row every episode after;
+        # rewards lie in (-1, -0.1], inside the trainers' bound of 1
+        m = -(np.random.default_rng(1).random((6, 6)) * 0.9 + 0.1)
         path = tmp_path / "telemetry.csv"
         pol = train_single_agent(m, MixedStrategy.pure(6, 4),
                                  LearningConfig(epsilon0=0.0, episodes=400, seed=1),
-                                 side="attacker", telemetry_path=path)
+                                 telemetry_path=path)
         rewards = [float(line.split(",")[3])
                    for line in path.read_text().splitlines()[1:]]
         assert len(rewards) == 400
         # telemetry keeps 12 significant digits
-        assert rewards[:6] == pytest.approx(m[:, 4], abs=1e-11)
-        assert rewards[6:] == pytest.approx([m[:, 4].min()] * 394, abs=1e-11)
-        assert pol.greedy_action() == int(np.argmin(m[:, 4]))
+        assert rewards[:6] == pytest.approx(m[4], abs=1e-11)
+        assert rewards[6:] == pytest.approx([m[4].max()] * 394, abs=1e-11)
+        assert pol.greedy_action() == int(np.argmax(m[4]))
 
     def test_full_epsilon_uniform(self):
         n = 100_000
@@ -259,15 +267,6 @@ class TestSingleAgent:
         exp = mix.probs @ m
         assert exp.max() - exp[pol.greedy_action()] <= 0.02
 
-    def test_attacker_side_minimizes(self):
-        rng = np.random.default_rng(12)
-        m = rng.random((6, 6))
-        cfg = LearningConfig(episodes=50_000, seed=4)
-        pol = train_single_agent(m, MixedStrategy.pure(6, 2), cfg,
-                                 side="attacker")
-        assert pol.side == "attacker"
-        assert pol.greedy_action() == int(np.argmin(m[:, 2]))
-
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(13)
         m = rng.random((5, 5))
@@ -318,12 +317,6 @@ class TestMultiAgent:
                                 LearningConfig(episodes=20_000, seed=6))
         assert res.value == pytest.approx(0.42, abs=0.01)
 
-    def test_tuple_unpacking(self):
-        att, dfn, value = train_multi_agent(
-            PENNIES, LearningConfig(episodes=2_000, seed=0))
-        assert isinstance(att, LearnedPolicy) and isinstance(dfn, LearnedPolicy)
-        assert isinstance(value, float)
-
     def test_deterministic_given_seed(self):
         m = saddle_matrix(3)
         cfg = LearningConfig(episodes=10_000, seed=21)
@@ -344,10 +337,10 @@ class TestStageMdp:
 
     def test_default_shape_and_scaling(self):
         m = np.full((3, 3), 0.8)
-        mdp = stage_mdp_default(m, reward_scale=(1.0, 0.5, 0.25))
+        mdp = stage_mdp_default(m)
         assert mdp.rewards.shape == (3, 3, 3)
-        assert mdp.rewards[1, 0, 0] == pytest.approx(0.4)
-        assert mdp.rewards[2, 0, 0] == pytest.approx(0.2)
+        assert mdp.rewards[1, 0, 0] == pytest.approx(0.8 * 0.7)
+        assert mdp.rewards[2, 0, 0] == pytest.approx(0.8 * 0.4)
 
     def test_inactive_defense_never_recovers(self):
         m = np.ones((2, 2)) * 0.5
@@ -454,19 +447,14 @@ class TestMdpTrain:
 
 class TestLearnedPolicy:
     def test_greedy_invariant_enforced(self):
-        with pytest.raises(ConfigError):
-            LearnedPolicy(side="defender", greedy=(0,), q_rows=((0.1, 0.9),),
-                          episodes=1, provenance={})
-
-    def test_softmax_mix_orients_by_side(self):
-        pol = LearnedPolicy(side="defender", greedy=(1,), q_rows=((0.2, 0.8),),
-                            episodes=1, provenance={})
-        mix = pol.softmax_mix(beta=50.0)
-        assert mix.probs[1] > 0.99
-        pol = LearnedPolicy(side="attacker", greedy=(0,), q_rows=((0.2, 0.8),),
-                            episodes=1, provenance={})
-        mix = pol.softmax_mix(beta=50.0)
-        assert mix.probs[0] > 0.99
+        # greedy is read off the rows: defender argmax, attacker argmin,
+        # lowest index on ties
+        rows = ((0.2, 0.8, 0.8), (0.5, 0.1, 0.1))
+        pol = LearnedPolicy(side="defender", q_rows=rows, episodes=1, provenance={})
+        assert pol.greedy == (1, 0)
+        pol = LearnedPolicy(side="attacker", q_rows=rows, episodes=1, provenance={})
+        assert pol.greedy == (0, 1)
+        assert pol.greedy_action(1) == 1
 
 
 class TestPacBound:

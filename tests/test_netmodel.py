@@ -114,12 +114,11 @@ class TestBundledData:
         assert len(net.ders) == 4
 
     def test_load_totals_exact(self, net):
-        p, q = net.total_load()
-        assert p == 3715.0
-        assert q == 2300.0
+        assert sum(b.load_p for b in net.buses) == 3715.0
+        assert sum(b.load_q for b in net.buses) == 2300.0
 
     def test_critical_buses(self, net):
-        assert net.critical_buses() == (7, 14, 24, 31)
+        assert [b.id for b in net.buses if b.is_critical] == [7, 14, 24, 31]
 
     def test_der_placement(self, net):
         placed = {d.bus: d.rating_p for d in net.ders}
@@ -178,7 +177,8 @@ class TestPowerFlow:
             g[(f, t)] = complex(r, x) / z_base
         # recompute branch flows from the voltage solution via path currents
         ref = oracle_voltages(net)
-        total_load = complex(*net.total_load()) / s_kw
+        total_load = complex(sum(b.load_p for b in net.buses),
+                             sum(b.load_q for b in net.buses)) / s_kw
         der = sum(d.output_kw() for d in net.ders) / s_kw
         loss = 0.0
         graph = nx.Graph(list(g))
@@ -330,7 +330,7 @@ class TestServeLoads:
     def test_shed_reduces_served(self, net):
         state = net.with_shed({b.id: 0.3 for b in net.buses if not b.is_critical})
         _, served, _ = serve(state)
-        crit = sum(net.bus(b).load_p for b in net.critical_buses())
+        crit = sum(b.load_p for b in net.buses if b.is_critical)
         expect = crit + 0.7 * (3715.0 - crit)
         assert sum(served.values()) == pytest.approx(expect)
 
