@@ -7,12 +7,20 @@ times.  Data files depend only on (inputs, seed), so re-running the same
 command reproduces them byte for byte; everything volatile (timestamps,
 timings) lives in the manifest.
 
+This module writes every file.  The library layers return values, and each
+data file goes through one of two writers: ``_write_json`` (indent 2, sorted
+keys, final newline) or ``_write_csv`` (the ``csv`` module's default dialect:
+minimal quoting, CRLF line ends; floats at 12 significant digits).  The one
+exception is payoff.csv, written by ``PayoffMatrix.to_csv`` in the same
+dialect, since it is also the --matrix input format.
+
 Exit codes: 0 success (solver non-convergence is data, not failure),
 2 input error, 3 internal error.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -86,6 +94,14 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
 def _input_record(path, bundled_tag):
     """Digest a user-supplied input file, or name the bundled default."""
     if path is None:
@@ -143,12 +159,18 @@ def _resolve_matrix(args, need_bundle=False):
 
     The only reader of --matrix.  Returns (matrix, inputs, bundle) where
     bundle is (net, cat, weights); it is None when the matrix was read from
-    CSV and the caller did not ask for the network inputs as well.
+    CSV and the caller did not ask for the network inputs as well.  Such a
+    caller reads nothing of the network inputs, so naming one with --matrix
+    is an error.
     """
     path = getattr(args, "matrix", None)
+    if path and not need_bundle:
+        unused = [f"--{k}" for k in ("network", "catalog", "ahp") if getattr(args, k)]
+        if unused:
+            raise ConfigError(f"--matrix excludes {', '.join(unused)}: "
+                              f"{args.cmd} reads no network input from a matrix")
+        return PayoffMatrix.from_csv(path), {"matrix": _input_record(path, "")}, None
     matrix = PayoffMatrix.from_csv(path) if path else None
-    if matrix is not None and not need_bundle:
-        return matrix, {"matrix": _input_record(path, "")}, None
     net, cat, weights, inputs = _load_bundle(args)
     if matrix is None:
         matrix = build_payoff_matrix(net, cat, weights)
@@ -174,11 +196,18 @@ def _out_dir(args) -> str:
 
 
 def cmd_payoff(args, argv) -> None:
-    out = _out_dir(args)
     matrix, inputs, (_, _, weights) = _resolve_matrix(args)
+    out = _out_dir(args)
     matrix.to_csv(os.path.join(out, "payoff.csv"))
-    matrix.to_long_csv(os.path.join(out, "payoff_long.csv"))
-    matrix.to_flags_csv(os.path.join(out, "payoff_flags.csv"))
+    _write_csv(os.path.join(out, "payoff_long.csv"), ["attack", "defense", "score"],
+               ([aid, did, matrix.entries[i, j]]
+                for i, aid in enumerate(matrix.attack_ids)
+                for j, did in enumerate(matrix.defense_ids)))
+    # flagged cells in catalog order, flags sorted per cell
+    _write_csv(os.path.join(out, "payoff_flags.csv"), ["attack", "defense", "flag"],
+               ([matrix.attack_ids[i], matrix.defense_ids[j], flag]
+                for i, j in sorted(matrix.cell_flags)
+                for flag in sorted(matrix.cell_flags[i, j])))
     config = {"command": "payoff",
               "ahp_weights": list(weights.w),
               "consistency_ratio": weights.consistency_ratio,
@@ -211,8 +240,8 @@ def cmd_solve(args, argv) -> None:
     from . import gamesolve
 
     _check_solve_args(args)
-    out = _out_dir(args)
     matrix, inputs, _ = _resolve_matrix(args)
+    out = _out_dir(args)
     outputs = ["equilibrium.json"]
     eq_path = os.path.join(out, "equilibrium.json")
 
@@ -238,13 +267,19 @@ def cmd_solve(args, argv) -> None:
         }, eq_path)
     else:
         report = _solve_report(matrix, args)
-        report.to_json(eq_path)
+        _write_json(report.to_json(), eq_path)
         if report.trajectory:
-            report.trajectory_to_csv(os.path.join(out, "trajectory.csv"))
+            _write_csv(os.path.join(out, "trajectory.csv"),
+                       ["iteration", "avg_regret_attacker", "avg_regret_defender", "value"],
+                       ([int(it), *rest] for it, *rest in report.trajectory))
             outputs.append("trajectory.csv")
 
-    config = {"command": "solve", "method": args.method, "iters": args.iters,
-              "beta": args.beta, "seed": args.seed}
+    # record only the knobs the method reads, so equal results share a digest
+    config = {"command": "solve", "method": args.method, "seed": args.seed}
+    if args.method in ("fp", "regret"):
+        config["iters"] = args.iters
+    if args.method == "qre":
+        config["beta"] = args.beta
     _write_manifest(out, argv, config, inputs, outputs, seed=args.seed)
     print(f"solve[{args.method}] -> {out}")
 
@@ -276,29 +311,20 @@ def _learning_config(args) -> marl.LearningConfig:
 def cmd_learn(args, argv) -> None:
     from . import gamesolve, marl
 
-    out = _out_dir(args)
     matrix, inputs, bundle = _resolve_matrix(args)
     config = _learning_config(args)
     if args.config:
         inputs["config"] = _input_record(args.config, "")
-    telemetry = os.path.join(out, "telemetry.csv")
-    outputs = ["telemetry.csv"]
 
     if args.method == "single":
         opponent = gamesolve.MixedStrategy(
             np.full(matrix.shape[0], 1.0 / matrix.shape[0]))
-        policy = marl.train_single_agent(matrix.entries, opponent, config,
-                                         telemetry_path=telemetry)
-        policy.to_json(os.path.join(out, "policy.json"))
-        outputs.append("policy.json")
+        policy = marl.train_single_agent(matrix.entries, opponent, config)
+        data = {"policy.json": policy.to_json()}
     elif args.method == "multi":
-        result = marl.train_multi_agent(matrix.entries, config,
-                                        telemetry_path=telemetry)
-        result.attacker.to_json(os.path.join(out, "attacker_policy.json"))
-        result.defender.to_json(os.path.join(out, "defender_policy.json"))
-        _write_json({"value": result.value, "converged": bool(result.converged)},
-                    os.path.join(out, "result.json"))
-        outputs += ["attacker_policy.json", "defender_policy.json", "result.json"]
+        result = marl.train_multi_agent(matrix.entries, config)
+        data = {"result.json": {"value": result.value,
+                                "converged": bool(result.converged)}}
     else:  # mdp
         # defenses that take no action cannot trigger recovery; the rule only
         # applies when the matrix came from the catalog, a foreign CSV keeps
@@ -308,16 +334,24 @@ def cmd_learn(args, argv) -> None:
             _, cat, _ = bundle
             active = [len(d.effects) > 0 for d in cat.defenses]
         mdp = marl.stage_mdp_default(matrix.entries, defense_active=active)
-        result = marl.mdp_train(mdp, config, telemetry_path=telemetry)
-        result.attacker.to_json(os.path.join(out, "attacker_policy.json"))
-        result.defender.to_json(os.path.join(out, "defender_policy.json"))
-        _write_json({"values": dict(zip(mdp.labels, result.values))},
-                    os.path.join(out, "result.json"))
-        outputs += ["attacker_policy.json", "defender_policy.json", "result.json"]
+        result = marl.mdp_train(mdp, config)
+        data = {"result.json": {"values": dict(zip(mdp.labels, result.values))}}
+    if args.method != "single":
+        policy = result.defender
+        data["attacker_policy.json"] = result.attacker.to_json()
+        data["defender_policy.json"] = policy.to_json()
 
+    out = _out_dir(args)
+    for name, obj in data.items():
+        _write_json(obj, os.path.join(out, name))
+    # the two sides of a self-play run share its telemetry rows
+    _write_csv(os.path.join(out, "telemetry.csv"),
+               ["episode", "epsilon", "alpha", "reward", "q_max_delta"],
+               ([int(ep), *rest] for ep, *rest in policy.telemetry.tolist()))
     manifest_cfg = {"command": "learn", "method": args.method}
     manifest_cfg.update(config.provenance())
-    _write_manifest(out, argv, manifest_cfg, inputs, outputs, seed=config.seed)
+    _write_manifest(out, argv, manifest_cfg, inputs, [*data, "telemetry.csv"],
+                    seed=config.seed)
     print(f"learn[{args.method}] {config.episodes} episodes -> {out}")
 
 
@@ -331,12 +365,12 @@ def _mc_config(args) -> experiments.McConfig:
 def cmd_baseline(args, argv) -> None:
     from . import experiments
 
-    out = _out_dir(args)
     matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     mc = _mc_config(args)
     policy = experiments.baseline(args.method, matrix, catalog=cat, base=net)
     report = experiments.monte_carlo(net, cat, weights, policy, mc, matrix=matrix)
 
+    out = _out_dir(args)
     _write_json({
         "label": policy.label,
         "attack_ids": list(matrix.attack_ids),
@@ -344,8 +378,9 @@ def cmd_baseline(args, argv) -> None:
         "mixes": policy.mixes,
         "provenance": policy.provenance,
     }, os.path.join(out, "policy.json"))
-    report.to_json(os.path.join(out, "stats.json"))
-    report.runs_to_csv(os.path.join(out, "runs.csv"))
+    _write_json(report.to_json(), os.path.join(out, "stats.json"))
+    _write_csv(os.path.join(out, "runs.csv"), ["run", "attack", "defense", "score"],
+               ([run, *record] for run, record in enumerate(report.records)))
 
     config = {"command": "baseline", "method": args.method, "runs": mc.runs,
               "attack_distribution": mc.attack_distribution,
@@ -367,30 +402,31 @@ def _parse_methods(spec: str):
 def cmd_compare(args, argv) -> None:
     from . import experiments
 
-    out = _out_dir(args)
     methods = _parse_methods(args.methods)
     matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     mc = _mc_config(args)
-
-    reports: dict = {}
     rows = experiments.compare_strategies(net, cat, weights, methods, mc,
-                                          matrix=matrix, reference=args.reference,
-                                          reports_out=reports)
-    experiments.comparison_to_csv(rows, os.path.join(out, "comparison.csv"))
+                                          matrix=matrix, reference=args.reference)
 
+    out = _out_dir(args)
+    # wall times stay out of the data files, which reruns reproduce byte for byte
+    _write_csv(os.path.join(out, "comparison.csv"),
+               ["method", "mean", "std_dev", "ci95_low", "ci95_high", "improvement_pct"],
+               ([r.method, r.report.mean, r.report.std_dev, r.report.ci95_low,
+                 r.report.ci95_high, r.improvement_pct] for r in rows))
     stats = {
         "runs": mc.runs,
         "seed": mc.seed,
         "attack_distribution": mc.attack_distribution,
         "reference": args.reference if args.reference else rows[0].method,
         "methods": {
-            r.method: {"mean": r.mean, "std_dev": r.std_dev,
-                       "ci95_low": r.ci95_low, "ci95_high": r.ci95_high,
+            r.method: {"mean": r.report.mean, "std_dev": r.report.std_dev,
+                       "ci95_low": r.report.ci95_low, "ci95_high": r.report.ci95_high,
                        "improvement_pct": r.improvement_pct,
-                       "samples": reports[r.method].samples}
+                       "samples": r.report.samples}
             for r in rows
         },
-        "t_tests": _paired_tests(reports),
+        "t_tests": _paired_tests({r.method: r.report for r in rows}),
     }
     _write_json(stats, os.path.join(out, "stats.json"))
 
@@ -437,23 +473,18 @@ def _paired_tests(reports) -> dict:
 def cmd_probe(args, argv) -> None:
     from . import experiments
 
-    out = _out_dir(args)
     sizes = tuple(int(s) for s in args.sizes.split(","))
     methods = tuple(t.strip() for t in args.methods.split(",") if t.strip())
     rows = experiments.scalability_probe(sizes=sizes, methods=methods,
                                          seed=args.seed)
 
+    out = _out_dir(args)
     # timings and memory are measurements, they go in the manifest so the
     # data files stay reproducible
     det_fields = ("buses", "ders", "switches", "state_space_log2",
                   "state_space_estimate")
-    with open(os.path.join(out, "probe.csv"), "w") as fh:
-        fh.write(",".join(det_fields) + ",note\n")
-        for row in rows:
-            note = str(row.get("note", "")).replace(",", ";")
-            fh.write(",".join(f"{row[k]:.12g}" if isinstance(row[k], float)
-                              else str(row[k]) for k in det_fields))
-            fh.write(f",{note}\n")
+    _write_csv(os.path.join(out, "probe.csv"), [*det_fields, "note"],
+               ([*(row[k] for k in det_fields), row.get("note", "")] for row in rows))
     _write_json([{k: row[k] for k in det_fields + ("note",) if k in row}
                  for row in rows],
                 os.path.join(out, "probe.json"))

@@ -8,12 +8,12 @@ payoff cells; a run's score never depends on a voltage.  Runs are seeded
 individually (seed + run index) so methods compared in one call see the
 same random draws (common random numbers).  All runs are drawn first; runs
 that drew the same cell are then scored together in one batch, and records
-come back in run order.
+come back in run order.  Results are values (``StatsReport``,
+``ComparisonRow``, probe rows); the CLI writes them to files.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 import tracemalloc
@@ -124,8 +124,8 @@ class StatsReport:
         if self.std_dev < 0:
             raise ConfigError("std_dev must be non-negative")
 
-    def to_json(self, path=None) -> dict:
-        obj = {
+    def to_json(self) -> dict:
+        return {
             "label": self.label,
             "mean": self.mean,
             "std_dev": self.std_dev,
@@ -134,28 +134,15 @@ class StatsReport:
             "samples": self.samples,
             "per_attack": {k: v for k, v in sorted(self.per_attack.items())},
         }
-        if path is not None:
-            import json
-
-            with open(path, "w") as fh:
-                json.dump(obj, fh, indent=2, sort_keys=True)
-        return obj
-
-    def runs_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["run", "attack", "defense", "score"])
-            for run, (attack, defense, score) in enumerate(self.records):
-                writer.writerow([run, attack, defense, f"{score:.12g}"])
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One method's Monte Carlo report, its improvement over the reference
+    row, its wall time and its policy's provenance."""
+
     method: str
-    mean: float
-    std_dev: float
-    ci95_low: float
-    ci95_high: float
+    report: StatsReport
     improvement_pct: float
     wall_time_s: float
     provenance: dict = field(default_factory=dict)
@@ -185,15 +172,14 @@ def _attack_probs(mc: McConfig, policy: DefensePolicy, matrix) -> np.ndarray:
 
 
 def monte_carlo(base: NetworkState, catalog, weights, defense_policy: DefensePolicy,
-                mc: McConfig, matrix: PayoffMatrix | None = None) -> StatsReport:
+                mc: McConfig, matrix: PayoffMatrix) -> StatsReport:
     """Evaluate one defense policy under load uncertainty and attack draws.
 
-    The nominal payoff matrix steers the non-uniform attack distributions;
-    pass it in when already built, otherwise it is rebuilt here.  Each run
-    scores its drawn pair on its own perturbed loads: islanding, shedding,
-    DER-island curtailment and the four metrics are recomputed per run, so
-    reported statistics reflect physics under uncertainty, not matrix
-    lookups.  Voltage flags belong to the nominal payoff cells; no run
+    The nominal payoff matrix steers the non-uniform attack distributions.
+    Each run scores its drawn pair on its own perturbed loads: islanding,
+    shedding, DER-island curtailment and the four metrics are recomputed per
+    run, so reported statistics reflect physics under uncertainty, not
+    matrix lookups.  Voltage flags belong to the nominal payoff cells; no run
     solves a power flow.
 
     Every run is drawn first, from its own ``default_rng(seed + run)``
@@ -206,8 +192,6 @@ def monte_carlo(base: NetworkState, catalog, weights, defense_policy: DefensePol
         raise ConfigError(
             f"policy shaped {defense_policy.mixes.shape}, catalog needs "
             f"({len(attacks)}, {len(defenses)})")
-    if matrix is None:
-        matrix = build_payoff_matrix(base, catalog, weights)
     att_cdf = np.cumsum(_attack_probs(mc, defense_policy, matrix))
     def_cdfs = np.cumsum(defense_policy.mixes, axis=1)
     low, high = mc.perturbation
@@ -487,16 +471,13 @@ def strategy_policy(tag: str, matrix: PayoffMatrix, catalog=None,
 
 
 def compare_strategies(base: NetworkState, catalog, weights, methods, mc: McConfig,
-                       matrix: PayoffMatrix | None = None,
-                       reference: str | None = None,
-                       reports_out: dict | None = None):
+                       matrix: PayoffMatrix, reference: str | None = None):
     """Monte Carlo every requested method under common random numbers.
 
     Returns ComparisonRow per method in canonical order, each carrying its
-    policy's provenance; improvement is percent over the named reference row
-    (default: the first row).  Pass a dict as reports_out to also receive the
-    per-method StatsReport objects, whose records make paired tests possible
-    downstream.
+    StatsReport (whose records make paired tests possible downstream) and
+    its policy's provenance; improvement is percent over the named reference
+    row (default: the first row).
     """
     requested = set(methods)
     unknown = requested - set(METHOD_TAGS)
@@ -508,9 +489,6 @@ def compare_strategies(base: NetworkState, catalog, weights, methods, mc: McConf
     reference = reference if reference is not None else ordered[0]
     if reference not in requested:
         raise ConfigError(f"reference {reference!r} not among requested methods")
-    if matrix is None:
-        matrix = build_payoff_matrix(base, catalog, weights)
-
     reports = {}
     walls = {}
     provenance = {}
@@ -521,30 +499,15 @@ def compare_strategies(base: NetworkState, catalog, weights, methods, mc: McConf
         walls[tag] = time.perf_counter() - start
         provenance[tag] = policy.provenance
 
-    if reports_out is not None:
-        reports_out.update(reports)
-
     ref_mean = reports[reference].mean
     rows = []
     for tag in ordered:
         rep = reports[tag]
         improvement = 0.0 if ref_mean == 0 else (rep.mean - ref_mean) / ref_mean * 100.0
         rows.append(ComparisonRow(
-            method=tag, mean=rep.mean, std_dev=rep.std_dev,
-            ci95_low=rep.ci95_low, ci95_high=rep.ci95_high,
-            improvement_pct=improvement, wall_time_s=walls[tag],
-            provenance=provenance[tag]))
+            method=tag, report=rep, improvement_pct=improvement,
+            wall_time_s=walls[tag], provenance=provenance[tag]))
     return tuple(rows)
-
-
-def comparison_to_csv(rows, path) -> None:
-    # wall times are excluded so reruns with the same seed stay byte-identical;
-    # they live on the row objects for callers that want them
-    with open(path, "w") as fh:
-        fh.write("method,mean,std_dev,ci95_low,ci95_high,improvement_pct\n")
-        for r in rows:
-            fh.write(f"{r.method},{r.mean:.12g},{r.std_dev:.12g},{r.ci95_low:.12g},"
-                     f"{r.ci95_high:.12g},{r.improvement_pct:.12g}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,12 @@ simplex (Bland's rule, deterministic). Iterative methods (fictitious play,
 regret matching+) and bounded-rationality responses (softmax, QRE) come with
 an epsilon verifier so every report carries its true equilibrium gap.
 
-Ties in argmin/argmax are broken by lowest index everywhere.
+Ties in argmin/argmax are broken by lowest index everywhere.  Solvers write
+no files: a report's ``to_json`` and ``trajectory`` are what the CLI writes.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from operator import add
@@ -68,8 +67,8 @@ class EquilibriumReport:
     epsilon: float
     trajectory: tuple = ()  # rows of (iteration, avg_regret_a, avg_regret_d, value)
 
-    def to_json(self, path=None):
-        obj = {
+    def to_json(self) -> dict:
+        return {
             "method": self.method,
             "value": self.game_value,
             "epsilon": self.epsilon,
@@ -77,20 +76,6 @@ class EquilibriumReport:
             "defender_probs": [float(p) for p in self.defender.probs],
             "iterations": self.iterations,
         }
-        if path is None:
-            return obj
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        return obj
-
-    def trajectory_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iteration", "avg_regret_attacker", "avg_regret_defender", "value"])
-            for row in self.trajectory:
-                writer.writerow([int(row[0])] + [f"{v:.12g}" for v in row[1:]])
 
 
 def _report(method, M, pa, pd, iterations, trajectory=()) -> EquilibriumReport:

@@ -13,12 +13,12 @@ Two training modes, kept deliberately separate:
 Both trainers run on pre-drawn uniforms, so a seed pins the whole
 trajectory bit for bit.  The "anticipated opponent move" used for greedy
 selection and for the bootstrap target is the opponent's most recently
-observed action.
+observed action.  Trainers write no files: each returned ``LearnedPolicy``
+carries its run's telemetry rows, and the CLI writes them out.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from bisect import bisect_right
@@ -127,13 +127,16 @@ class LearnedPolicy:
     """Expected-Q rows per context, and the greedy play they give.
 
     ``q_rows[s][a]`` is the learner's Q for action a in context s averaged
-    over the opponent frequencies observed during training.
+    over the opponent frequencies observed during training.  ``telemetry``
+    holds the run's (episode, epsilon, alpha, reward, q_max_delta) rows; the
+    two sides of a self-play run share them.
     """
 
     side: str
     q_rows: tuple
     episodes: int
     provenance: dict = field(compare=False)
+    telemetry: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def greedy(self) -> tuple:
@@ -145,8 +148,8 @@ class LearnedPolicy:
     def greedy_action(self, context: int = 0) -> int:
         return self.greedy[context]
 
-    def to_json(self, path=None) -> dict:
-        obj = {
+    def to_json(self) -> dict:
+        return {
             "side": self.side,
             "episodes": self.episodes,
             "contexts": [
@@ -155,18 +158,14 @@ class LearnedPolicy:
             ],
             "config": self.provenance,
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(obj, fh, indent=2, sort_keys=True)
-        return obj
 
 
-def _policy_from(side, q, opp_freq, episodes, provenance) -> LearnedPolicy:
+def _policy_from(side, q, opp_freq, episodes, provenance, telemetry) -> LearnedPolicy:
     # q: (S, own, opp); opp_freq: (S, opp) rows summing to 1
     rows = np.einsum("soj,sj->so", q, opp_freq)
     q_rows = tuple(tuple(float(v) for v in r) for r in rows)
     return LearnedPolicy(side=side, q_rows=q_rows, episodes=episodes,
-                         provenance=provenance)
+                         provenance=provenance, telemetry=telemetry)
 
 
 def _freq(counts: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
@@ -182,13 +181,6 @@ def _freq(counts: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
         else:
             out[s] = 1.0 / counts.shape[1]
     return out
-
-
-def _write_telemetry(path, rows: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("episode,epsilon,alpha,reward,q_max_delta\n")
-        for ep, eps, alpha, reward, delta in rows:
-            fh.write(f"{int(ep)},{eps:.12g},{alpha:.12g},{reward:.12g},{delta:.12g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +403,8 @@ def _check_stateless(config: LearningConfig) -> None:
             f"bootstrap from), got {config.gamma}; mdp_train takes a gamma")
 
 
-def train_single_agent(matrix, opponent: MixedStrategy, config: LearningConfig,
-                       telemetry_path=None) -> LearnedPolicy:
+def train_single_agent(matrix, opponent: MixedStrategy,
+                       config: LearningConfig) -> LearnedPolicy:
     """Stateless Q-learning of the defender against a stationary mixed attacker.
 
     The defender's table is keyed (defense, attack); with the harmonic
@@ -433,13 +425,11 @@ def train_single_agent(matrix, opponent: MixedStrategy, config: LearningConfig,
         m, opp_cdf, config._alpha_mode(),
         config.alpha_constant, config.alpha_power,
         config.epsilon0, config.epsilon_decay, uniforms, record_every)
-    if telemetry_path is not None:
-        _write_telemetry(telemetry_path, telemetry)
     freq = _freq(opp_counts[None, :])
     prov = config.provenance()
     prov["mode"] = "single-agent"
     prov["opponent"] = [float(p) for p in opponent.probs]
-    return _policy_from("defender", q[None], freq, config.episodes, prov)
+    return _policy_from("defender", q[None], freq, config.episodes, prov, telemetry)
 
 
 @dataclass(frozen=True)
@@ -458,8 +448,7 @@ class SelfPlayResult:
     converged: bool
 
 
-def train_multi_agent(matrix, config: LearningConfig,
-                      telemetry_path=None) -> SelfPlayResult:
+def train_multi_agent(matrix, config: LearningConfig) -> SelfPlayResult:
     """Simultaneous stateless Q-learning for both sides.
 
     Each episode both agents act epsilon-greedily against the opponent's
@@ -475,7 +464,7 @@ def train_multi_agent(matrix, config: LearningConfig,
         rewards=m[None],
         transitions=np.ones((1, m.shape[0], m.shape[1], 1)),
     )
-    result = mdp_train(mdp, config, telemetry_path=telemetry_path, _mode="multi-agent")
+    result = mdp_train(mdp, config, _mode="multi-agent")
     attacker, defender = result.attacker, result.defender
     i, j = attacker.greedy[0], defender.greedy[0]
     saddle = (m[i, j] <= m[:, j].min() + 1e-12) and (m[i, j] >= m[i, :].max() - 1e-12)
@@ -581,7 +570,7 @@ class MdpTrainResult:
 
 
 def mdp_train(mdp: StageMdp, config: LearningConfig,
-              telemetry_path=None, _mode: str = "mdp") -> MdpTrainResult:
+              _mode: str = "mdp") -> MdpTrainResult:
     """State-based simultaneous Q-learning on a StageMdp.
 
     Bootstrap targets anticipate the opponent repeating its just-observed
@@ -597,15 +586,13 @@ def mdp_train(mdp: StageMdp, config: LearningConfig,
         config.alpha_constant, config.alpha_power,
         config.epsilon0, config.epsilon_decay, uniforms,
         window_start, record_every)
-    if telemetry_path is not None:
-        _write_telemetry(telemetry_path, telemetry)
     prov = config.provenance()
     prov["mode"] = _mode
     prov["states"] = list(mdp.labels)
     attacker = _policy_from("attacker", qa, _freq(d_win, fallback=d_counts),
-                            config.episodes, prov)
+                            config.episodes, prov, telemetry)
     defender = _policy_from("defender", qd, _freq(a_win, fallback=a_counts),
-                            config.episodes, prov)
+                            config.episodes, prov, telemetry)
     values = []
     for s in range(mdp.n_states):
         if _mode == "multi-agent":

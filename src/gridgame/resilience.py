@@ -4,8 +4,11 @@ Four complementary indices quantify how a network state weathers an
 attack-defense interaction: the fraction of total demand still served (LSR),
 the same restricted to critical buses (CLR), the fraction of buses in
 energized islands (TSS), and the fraction of available DER capacity actually
-used (DRS).  ``scenario.PairPlan.metrics`` computes them.  An AHP eigenvector turns expert pairwise judgments into weights
-that collapse the four into one defender-maximizing score per cell.
+used (DRS).  ``scenario.PairPlan.metrics`` computes them.  An AHP
+eigenvector turns expert pairwise judgments into weights that collapse the
+four into one defender-maximizing score per cell.  ``PayoffMatrix`` reads and
+writes the payoff CSV, the format the CLI's ``--matrix`` takes; every other
+data file is written by the CLI.
 """
 
 from __future__ import annotations
@@ -76,29 +79,13 @@ class PayoffMatrix:
         return self.entries.shape
 
     def to_csv(self, path) -> None:
+        """The payoff CSV that from_csv reads back (the CLI's --matrix input):
+        the one data file written outside the CLI."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["attack"] + list(self.defense_ids))
             for i, aid in enumerate(self.attack_ids):
                 writer.writerow([aid] + [f"{v:.12g}" for v in self.entries[i]])
-
-    def to_long_csv(self, path) -> None:
-        """(attack, defense, score) rows; the heatmap plotting contract."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["attack", "defense", "score"])
-            for i, aid in enumerate(self.attack_ids):
-                for j, did in enumerate(self.defense_ids):
-                    writer.writerow([aid, did, f"{self.entries[i, j]:.12g}"])
-
-    def to_flags_csv(self, path) -> None:
-        """(attack, defense, flag) rows in catalog order, flags sorted per cell."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["attack", "defense", "flag"])
-            for i, j in sorted(self.cell_flags):
-                for flag in sorted(self.cell_flags[i, j]):
-                    writer.writerow([self.attack_ids[i], self.defense_ids[j], flag])
 
     @classmethod
     def from_csv(cls, path) -> "PayoffMatrix":

@@ -233,13 +233,12 @@ def test_criterion_7_pipeline_ordering(testbed):
     t0 = time.perf_counter()
     mc = experiments.McConfig(runs=1000, seed=42,
                               attack_distribution="adversarial-best-response")
-    reports = {}
     rows = experiments.compare_strategies(
-        net, cat, weights, experiments.METHOD_TAGS, mc,
-        matrix=matrix, reports_out=reports)
+        net, cat, weights, experiments.METHOD_TAGS, mc, matrix=matrix)
     elapsed = time.perf_counter() - t0
 
-    means = {r.method: r.mean for r in rows}
+    reports = {r.method: r.report for r in rows}
+    means = {r.method: r.report.mean for r in rows}
     best = max(experiments.ADAPTIVE_TAGS, key=lambda t: means[t])
     ordering_ok = means["RDS"] < means["RBD"] < means["SOD"] < means[best]
 

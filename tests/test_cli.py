@@ -4,11 +4,13 @@ Commands are driven in-process through cli.main(argv) so exit codes and
 stderr are observable without subprocess overhead; one packaging test
 exercises the installed console script for real.
 """
+import ast
 import json
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,10 +113,15 @@ class TestPayoff:
         assert run("payoff", "--out", tmp_path) == 0
         assert (tmp_path / "payoff_flags.csv").read_bytes() == blob
 
-    def test_matrix_read_from_csv_writes_flag_header_alone(self, matrix_csv, tmp_path):
+    def test_matrix_read_from_csv_writes_flag_header_alone(self, matrix_csv, tmp_path,
+                                                            monkeypatch):
+        # a payoff CSV carries no cell flags, so its flag file is the header
+        from gridgame import cli
         from gridgame.resilience import PayoffMatrix
-        PayoffMatrix.from_csv(matrix_csv).to_flags_csv(tmp_path / "flags.csv")
-        assert (tmp_path / "flags.csv").read_text().splitlines() == ["attack,defense,flag"]
+        matrix = PayoffMatrix.from_csv(matrix_csv)
+        monkeypatch.setattr(cli, "build_payoff_matrix", lambda *args: matrix)
+        assert run("payoff", "--out", tmp_path) == 0
+        assert (tmp_path / "payoff_flags.csv").read_bytes() == b"attack,defense,flag\r\n"
 
     def test_single_attack_catalog(self, tmp_path):
         cat = tmp_path / "one.json"
@@ -228,6 +235,21 @@ class TestSolve:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out" / "equilibrium.json").exists()
+
+    def test_manifest_records_only_the_knobs_a_method_reads(self, matrix_csv, tmp_path):
+        configs = {}
+        for method, iters in (("nash", 5), ("nash", 7), ("fp", 5), ("qre", 5)):
+            out = tmp_path / f"{method}-{iters}"
+            assert run("solve", "--method", method, "--iters", iters,
+                       "--matrix", matrix_csv, "--out", out) == 0
+            configs[method, iters] = json.loads((out / "manifest.json").read_text())
+        # --iters does not move nash, so it leaves the digest alone
+        assert configs["nash", 5]["config_digest"] == configs["nash", 7]["config_digest"]
+        assert set(configs["nash", 5]["config"]) == {"command", "method", "seed"}
+        assert configs["fp", 5]["config"]["iters"] == 5
+        assert "beta" not in configs["fp", 5]["config"]
+        assert configs["qre", 5]["config"]["beta"] == 2.0
+        assert "iters" not in configs["qre", 5]["config"]
 
     def test_unknown_method_rejected_by_parser(self, matrix_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -428,6 +450,23 @@ def repeat_first_attack(rows):
     rows[2][0] = rows[1][0]
 
 
+class TestMatrixExcludesNetworkFlags:
+    """solve and learn read nothing of the network inputs once --matrix is
+    given, so naming one with it is an input error, not a silent no-op."""
+
+    @pytest.mark.parametrize("argv", [("solve", "--method", "nash"),
+                                      ("learn", "--method", "single", "--iters", 50)],
+                             ids=["solve", "learn"])
+    @pytest.mark.parametrize("flag", ["--network", "--catalog", "--ahp"])
+    def test_rejected_with_exit_2(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*argv, "--matrix", small_game_csv(tmp_path),
+                   flag, tmp_path / "nowhere.json", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert not out.exists()
+
+
 class TestMatrixMatchesCatalog:
     """baseline and compare score --matrix cells as the catalog's actions by
     position, so its ids must be the catalog's, in catalog order."""
@@ -516,6 +555,92 @@ class TestCompare:
         assert 0 < policies["regret"]["steps"] < 100_000
         assert policies["regret"]["epsilon"] <= 1e-4
         assert "policies" not in manifest["config"]
+
+
+FORMAT_COMMANDS = {
+    "payoff": ("payoff",),
+    **{f"solve-{m}": ("solve", "--method", m, "--iters", 2000, "--matrix")
+       for m in SOLVE_METHODS},
+    **{f"learn-{m}": ("learn", "--method", m, "--iters", 2000, "--matrix")
+       for m in LEARN_METHODS},
+    "baseline": ("baseline", "--method", "RBD", "--runs", 5),
+    "compare": ("compare", "--methods", "RDS,SOD,nash", "--runs", 3),
+    "probe": ("probe", "--sizes", 33),
+}
+
+
+class TestFileFormat:
+    """Every JSON file is indent-2, sorted-key, newline-terminated; every CSV
+    is the csv module's default dialect, CRLF line ends."""
+
+    @pytest.mark.parametrize("name", FORMAT_COMMANDS)
+    def test_one_json_format_and_one_csv_dialect(self, name, matrix_csv, tmp_path):
+        import csv
+        import io
+        argv = FORMAT_COMMANDS[name]
+        if argv[-1] == "--matrix":
+            argv += (matrix_csv,)
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 0
+        for path in sorted(out.iterdir()):
+            text = path.read_bytes().decode()
+            if path.suffix == ".json":
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", \
+                    path.name
+                continue
+            assert path.suffix == ".csv", path.name
+            assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n"), \
+                path.name
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            again = io.StringIO(newline="")
+            csv.writer(again).writerows(rows)
+            assert again.getvalue() == text, path.name
+        if name == "probe":
+            with open(out / "probe.csv", newline="") as fh:
+                notes = [row["note"] for row in csv.DictReader(fh)]
+            assert notes == [row["note"] for row in
+                             json.loads((out / "probe.json").read_text())]
+            assert "," in notes[0]
+
+
+class _FileWriters(ast.NodeVisitor):
+    """Collects (module, enclosing scope) of every call that opens a file
+    for writing: open or .open with a mode that is not a read-only literal,
+    and .write_text / .write_bytes."""
+
+    def __init__(self, module):
+        self.module, self.scope, self.found = module, [], set()
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            writes = any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                         for m in modes)
+        else:
+            writes = name in ("write_text", "write_bytes")
+        if writes:
+            self.found.add((self.module, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_only_the_cli_writers_and_the_payoff_csv_open_files_for_writing():
+    root = Path(gridgame.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        visitor = _FileWriters(path.relative_to(root).as_posix())
+        visitor.visit(ast.parse(path.read_text()))
+        found |= visitor.found
+    assert found == {("cli.py", "_write_json"), ("cli.py", "_write_csv"),
+                     ("resilience.py", "PayoffMatrix.to_csv")}
 
 
 class TestDeterminism:

@@ -6,6 +6,8 @@ repeatability. The heavyweight 1000-run pipeline lives in the acceptance
 suite; runs here stay small.
 """
 
+import csv
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +16,7 @@ import pytest
 from scipy import stats as sps
 
 import pair_oracle
-from gridgame import experiments, scenario
+from gridgame import cli, experiments, scenario
 from gridgame.errors import ConfigError, SolverError
 from gridgame.experiments import (
     DefensePolicy,
@@ -22,7 +24,6 @@ from gridgame.experiments import (
     StatsReport,
     baseline,
     compare_strategies,
-    comparison_to_csv,
     monte_carlo,
     paired_t_test,
     rbd_rule_table,
@@ -200,16 +201,23 @@ class TestMonteCarlo:
                         McConfig(runs=2), matrix=matrix)
 
     def test_report_json_and_csv(self, bundle, tmp_path):
+        # the CLI writes the report's to_json and records on the bundled inputs
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=5, seed=7)
         rep = monte_carlo(base, catalog, weights, baseline("SOD", matrix), mc,
                           matrix=matrix)
-        obj = rep.to_json(tmp_path / "summary.json")
+        obj = rep.to_json()
         assert obj["samples"] == 5
-        rep.runs_to_csv(tmp_path / "runs.csv")
-        lines = (tmp_path / "runs.csv").read_text().strip().splitlines()
-        assert lines[0] == "run,attack,defense,score"
-        assert len(lines) == 6
+        assert cli.main(["baseline", "--method", "SOD", "--runs", "5", "--seed", "7",
+                         "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "stats.json").read_text()) == obj
+        with open(tmp_path / "runs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["run", "attack", "defense", "score"]
+        assert [(int(r[0]), r[1], r[2]) for r in rows[1:]] == [
+            (run, a, d) for run, (a, d, _) in enumerate(rep.records)]
+        assert [float(r[3]) for r in rows[1:]] == pytest.approx(
+            [score for _, _, score in rep.records], abs=1e-12)
 
 
 def _oracle_records(base, catalog, weights, policy, matrix, mc):
@@ -426,14 +434,14 @@ class TestCompare:
         rows = compare_strategies(
             base, catalog, weights, {"RDS", "RBD", "SOD", "nash"},
             McConfig(runs=150, seed=11), matrix=matrix)
-        means = {r.method: r.mean for r in rows}
+        means = {r.method: r.report.mean for r in rows}
         assert means["RDS"] < means["RBD"] < means["SOD"] < means["nash"]
 
     def test_stackelberg_vs_sod_guarantee(self, bundle):
         base, catalog, weights, matrix = bundle
         rows = compare_strategies(base, catalog, weights, {"SOD", "stackelberg"},
                                   McConfig(runs=40, seed=2), matrix=matrix)
-        by = {r.method: r for r in rows}
+        by = {r.method: r.report for r in rows}
         width = by["SOD"].ci95_high - by["SOD"].ci95_low
         assert by["stackelberg"].mean >= by["SOD"].mean - 2 * width
 
@@ -444,8 +452,8 @@ class TestCompare:
                                matrix=matrix)
         b = compare_strategies(base, catalog, weights, {"RDS", "SOD"}, mc,
                                matrix=matrix)
-        assert [(r.method, r.mean, r.std_dev) for r in a] == \
-               [(r.method, r.mean, r.std_dev) for r in b]
+        assert [(r.method, r.report.mean, r.report.std_dev) for r in a] == \
+               [(r.method, r.report.mean, r.report.std_dev) for r in b]
 
     def test_errors(self, bundle):
         base, catalog, weights, matrix = bundle
@@ -460,14 +468,18 @@ class TestCompare:
                                matrix=matrix, reference="RDS")
 
     def test_csv_writer(self, bundle, tmp_path):
+        # the CLI's comparison.csv holds each row's report, on the bundled inputs
         base, catalog, weights, matrix = bundle
         rows = compare_strategies(base, catalog, weights, {"RDS", "SOD"},
                                   McConfig(runs=5, seed=3), matrix=matrix)
-        path = tmp_path / "table.csv"
-        comparison_to_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("method,mean,std_dev")
-        assert len(lines) == 3
+        assert cli.main(["compare", "--methods", "RDS,SOD", "--runs", "5", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "comparison.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0][:3] == ["method", "mean", "std_dev"]
+        assert [r[0] for r in table[1:]] == [r.method for r in rows]
+        assert [float(r[1]) for r in table[1:]] == pytest.approx(
+            [r.report.mean for r in rows], abs=1e-12)
 
     def test_all_tags_materialize(self, bundle):
         base, catalog, _, matrix = bundle

@@ -5,6 +5,7 @@ the defender simplex, scipy's linprog on the same LP, and the minimax
 sandwich. The in-package simplex never sees scipy.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from gridgame import cli
 from gridgame import gamesolve as gs
 from gridgame.errors import SolverError
 from gridgame.gamesolve import (
@@ -27,6 +29,7 @@ from gridgame.gamesolve import (
     stackelberg,
     verify_epsilon_equilibrium,
 )
+from gridgame.resilience import PayoffMatrix
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 RPS = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
@@ -286,12 +289,24 @@ class TestRegretMatching:
         assert r.epsilon <= bound + 1e-12
 
     def test_trajectory_csv(self, tmp_path):
-        r = regret_matching(np.random.default_rng(3).random((4, 5)), T=2_000, tol=0.0)
-        path = tmp_path / "traj.csv"
-        r.trajectory_to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,avg_regret_attacker,avg_regret_defender,value"
-        assert len(lines) == 1 + len(r.trajectory) == 1 + 1000
+        m = np.random.default_rng(3).random((4, 5))
+        r = regret_matching(m, T=2_000, tol=0.0)
+        assert len(r.trajectory) == 1000
+        assert all(len(row) == 4 for row in r.trajectory)
+        # the CLI writes the trajectory its solve returns, one row per line
+        path = tmp_path / "m.csv"
+        PayoffMatrix(entries=m, attack_ids=("A1", "A2", "A3", "A4"),
+                     defense_ids=("D1", "D2", "D3", "D4", "D5")).to_csv(path)
+        r = regret_matching(PayoffMatrix.from_csv(path).entries, T=2_000)
+        assert cli.main(["solve", "--method", "regret", "--iters", "2000",
+                         "--matrix", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "trajectory.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iteration", "avg_regret_attacker", "avg_regret_defender",
+                           "value"]
+        assert len(rows) == 1 + len(r.trajectory)
+        assert np.allclose(np.array(rows[1:], dtype=float), np.array(r.trajectory),
+                           rtol=1e-11, atol=0.0)
 
 
 class TestSoftmax:
@@ -377,9 +392,14 @@ class TestVerifier:
 class TestReportPlumbing:
     def test_json_fields(self, tmp_path):
         r = nash_exact(PENNIES)
-        path = tmp_path / "eq.json"
-        obj = r.to_json(path)
-        again = json.loads(path.read_text())
+        obj = r.to_json()
+        # the CLI writes the report's to_json as equilibrium.json
+        path = tmp_path / "m.csv"
+        PayoffMatrix(entries=PENNIES, attack_ids=("A1", "A2"),
+                     defense_ids=("D1", "D2")).to_csv(path)
+        assert cli.main(["solve", "--method", "nash", "--matrix", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        again = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
         assert again == obj
         assert set(obj) == {
             "method", "value", "epsilon", "attacker_probs", "defender_probs",

@@ -5,13 +5,14 @@ saddle-point scan for pure equilibria, closed-form value iteration for the
 deterministic chain, and plain arithmetic for the update rule.
 """
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gridgame import marl
+from gridgame import cli, marl
 from gridgame.errors import ConfigError
 from gridgame.gamesolve import MixedStrategy
 from gridgame.marl import (
@@ -24,8 +25,18 @@ from gridgame.marl import (
     train_multi_agent,
     train_single_agent,
 )
+from gridgame.resilience import PayoffMatrix
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def game_csv(tmp_path, entries):
+    """A payoff CSV of entries, for the CLI's --matrix."""
+    path = tmp_path / "m.csv"
+    rows, cols = entries.shape
+    PayoffMatrix(entries=entries, attack_ids=tuple(f"A{i + 1}" for i in range(rows)),
+                 defense_ids=tuple(f"D{j + 1}" for j in range(cols))).to_csv(path)
+    return path
 
 
 def strict_saddle(m):
@@ -184,21 +195,17 @@ class TestQUpdate:
 class TestEpsilonGreedy:
     """Action choice in the kernels: greedy vs the opponent's last move, else uniform."""
 
-    def test_zero_epsilon_always_greedy(self, tmp_path):
+    def test_zero_epsilon_always_greedy(self):
         # epsilon 0: the defender tries the all-zero columns in index order,
         # then plays the argmax of its learned row every episode after;
         # rewards lie in (-1, -0.1], inside the trainers' bound of 1
         m = -(np.random.default_rng(1).random((6, 6)) * 0.9 + 0.1)
-        path = tmp_path / "telemetry.csv"
         pol = train_single_agent(m, MixedStrategy.pure(6, 4),
-                                 LearningConfig(epsilon0=0.0, episodes=400, seed=1),
-                                 telemetry_path=path)
-        rewards = [float(line.split(",")[3])
-                   for line in path.read_text().splitlines()[1:]]
+                                 LearningConfig(epsilon0=0.0, episodes=400, seed=1))
+        rewards = pol.telemetry[:, 3].tolist()
         assert len(rewards) == 400
-        # telemetry keeps 12 significant digits
-        assert rewards[:6] == pytest.approx(m[4], abs=1e-11)
-        assert rewards[6:] == pytest.approx([m[4].max()] * 394, abs=1e-11)
+        assert rewards[:6] == m[4].tolist()
+        assert rewards[6:] == [m[4].max()] * 394
         assert pol.greedy_action() == int(np.argmax(m[4]))
 
     def test_full_epsilon_uniform(self):
@@ -284,16 +291,21 @@ class TestSingleAgent:
 
     def test_telemetry_csv(self, tmp_path):
         rng = np.random.default_rng(14)
-        m = rng.random((4, 4))
-        path = tmp_path / "telemetry.csv"
-        train_single_agent(m, MixedStrategy.uniform(4),
-                           LearningConfig(episodes=5_000, seed=5),
-                           telemetry_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "episode,epsilon,alpha,reward,q_max_delta"
-        assert len(lines) == 1 + 1000
-        first = lines[1].split(",")
-        assert first[0] == "5"  # cadence: episodes/1000
+        path = game_csv(tmp_path, rng.random((4, 4)))
+        pol = train_single_agent(PayoffMatrix.from_csv(path).entries,
+                                 MixedStrategy.uniform(4),
+                                 LearningConfig(episodes=5_000, seed=5))
+        assert pol.telemetry.shape == (1000, 5)
+        # the CLI writes the telemetry its training run returns
+        assert cli.main(["learn", "--method", "single", "--iters", "5000", "--seed", "5",
+                         "--matrix", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "telemetry.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["episode", "epsilon", "alpha", "reward", "q_max_delta"]
+        assert len(rows) == 1 + 1000
+        assert rows[1][0] == "5"  # cadence: episodes/1000
+        assert np.allclose(np.array(rows[1:], dtype=float), pol.telemetry,
+                           rtol=1e-11, atol=1e-15)
 
 
 class TestMultiAgent:
@@ -432,11 +444,15 @@ class TestMdpTrain:
 
     def test_policy_export_json(self, tmp_path):
         rng = np.random.default_rng(32)
-        mdp = stage_mdp_default(rng.random((4, 4)))
+        path = game_csv(tmp_path, rng.random((4, 4)))
+        mdp = stage_mdp_default(PayoffMatrix.from_csv(path).entries)
         res = mdp_train(mdp, LearningConfig(episodes=5_000, seed=4, gamma=0.5))
-        path = tmp_path / "policy.json"
-        obj = res.defender.to_json(path)
-        back = json.loads(path.read_text())
+        obj = res.defender.to_json()
+        # the CLI writes the policy's to_json
+        assert cli.main(["learn", "--method", "mdp", "--iters", "5000", "--seed", "4",
+                         "--gamma", "0.5", "--matrix", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        back = json.loads((tmp_path / "out" / "defender_policy.json").read_text())
         assert back == obj
         assert len(back["contexts"]) == 3
         for ctx in back["contexts"]:

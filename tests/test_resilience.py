@@ -4,10 +4,14 @@ The AHP oracle is numpy's general eigensolver; the package must agree with
 it even though it only ever runs power iteration.
 """
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridgame import resilience, scenario
+from gridgame import cli, resilience, scenario
 from gridgame.errors import CatalogError, NetworkValidationError
 from gridgame.netmodel import Bus, Der, Line, NetworkState, load_ieee33, topology
 from gridgame.resilience import (
@@ -217,6 +221,27 @@ class TestPayoffMatrix:
         assert np.all(built.entries >= 0.0)
         assert np.all(built.entries <= 1.0)
 
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_permuted_catalog_permutes_matrix(self, built, data):
+        # cells are scored independently: reordering the catalog's actions
+        # reorders the entries bit for bit, and the flags move with them
+        cat = scenario.catalog_default()
+        pa = data.draw(st.permutations(range(len(cat.attacks))), label="attacks")
+        pd = data.draw(st.permutations(range(len(cat.defenses))), label="defenses")
+        permuted = scenario.ScenarioCatalog(
+            attacks=tuple(cat.attacks[i] for i in pa),
+            defenses=tuple(cat.defenses[j] for j in pd))
+        m = resilience.build_payoff_matrix(load_ieee33(), permuted,
+                                           ahp_weights(DEFAULT_AHP_MATRIX))
+        assert m.attack_ids == tuple(built.attack_ids[i] for i in pa)
+        assert m.defense_ids == tuple(built.defense_ids[j] for j in pd)
+        assert np.array_equal(m.entries, built.entries[np.ix_(pa, pd)])
+        assert m.cell_flags == {
+            (i, j): built.cell_flags[a, d]
+            for i, a in enumerate(pa) for j, d in enumerate(pd)
+            if (a, d) in built.cell_flags}
+
     def test_deterministic_rebuild(self, built):
         net = load_ieee33()
         cat = scenario.catalog_default()
@@ -298,21 +323,25 @@ class TestPayoffMatrix:
         assert back.defense_ids == built.defense_ids
         assert np.allclose(back.entries, built.entries, atol=1e-10)
 
-    def test_long_csv_has_all_cells(self, built, tmp_path):
-        path = tmp_path / "long.csv"
-        built.to_long_csv(path)
-        rows = path.read_text().strip().splitlines()
+    def test_long_csv_has_all_cells(self, built, tmp_path, monkeypatch):
+        # the CLI writes payoff_long.csv from the matrix it builds
+        monkeypatch.setattr(cli, "build_payoff_matrix", lambda *args: built)
+        assert cli.main(["payoff", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "payoff_long.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 1 + 100
-        assert rows[0] == "attack,defense,score"
+        assert rows[0] == ["attack", "defense", "score"]
+        assert [float(r[2]) for r in rows[1:]] == pytest.approx(
+            built.entries.ravel().tolist(), abs=1e-12)
 
-    def test_flags_csv_in_catalog_order(self, tmp_path):
+    def test_flags_csv_in_catalog_order(self, tmp_path, monkeypatch):
         # ids that sort differently from the catalog, flags inserted unsorted
         matrix = PayoffMatrix(
             entries=np.zeros((2, 2)), attack_ids=("A10", "A2"), defense_ids=("D2", "D1"),
             cell_flags={(1, 0): frozenset({"undervoltage", "non-convergence"}),
                         (0, 1): frozenset({"empty-denominator"})})
-        path = tmp_path / "flags.csv"
-        matrix.to_flags_csv(path)
-        assert path.read_text().splitlines() == [
-            "attack,defense,flag", "A10,D1,empty-denominator",
-            "A2,D2,non-convergence", "A2,D2,undervoltage"]
+        monkeypatch.setattr(cli, "build_payoff_matrix", lambda *args: matrix)
+        assert cli.main(["payoff", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "payoff_flags.csv").read_bytes().split(b"\r\n") == [
+            b"attack,defense,flag", b"A10,D1,empty-denominator",
+            b"A2,D2,non-convergence", b"A2,D2,undervoltage", b""]
