@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,8 +29,6 @@ import os
 import sys
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import (ADAPTIVE_TAGS, ATTACK_DISTRIBUTIONS, BASELINE_TAGS,
                DEFAULT_BETA, METHOD_TAGS, __version__)
@@ -72,25 +71,14 @@ def _sha256(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    return x
+def _tolist(x):
+    # numpy arrays and scalars: the only values outside JSON's types the CLI writes
+    return x.tolist()
 
 
 def _write_json(obj, path) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_tolist)
         fh.write("\n")
 
 
@@ -111,9 +99,8 @@ def _input_record(path, bundled_tag):
 
 def _write_manifest(out_dir, argv, config, inputs, outputs, seed=None,
                     timings=None, policies=None) -> None:
-    config = _jsonable(config)
     digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()).hexdigest()
+        json.dumps(config, sort_keys=True, default=_tolist).encode()).hexdigest()
     manifest = {
         "artifact_version": __version__,
         "command": list(argv),
@@ -126,9 +113,9 @@ def _write_manifest(out_dir, argv, config, inputs, outputs, seed=None,
         "seed": seed,
     }
     if timings is not None:
-        manifest["timings_s"] = _jsonable(timings)
+        manifest["timings_s"] = timings
     if policies is not None:
-        manifest["policies"] = _jsonable(policies)
+        manifest["policies"] = policies
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
@@ -217,17 +204,6 @@ def cmd_payoff(args, argv) -> None:
     print(f"payoff: {matrix.shape[0]}x{matrix.shape[1]} matrix -> {out}")
 
 
-def _solve_report(matrix, args):
-    from . import gamesolve
-
-    m = matrix.entries
-    if args.method == "nash":
-        return gamesolve.nash_exact(m)
-    if args.method == "fp":
-        return gamesolve.nash_fictitious_play(m, max_iters=args.iters)
-    return gamesolve.regret_matching(m, T=args.iters)
-
-
 def _check_solve_args(args) -> None:
     """Reject iteration counts and rationality the chosen solver cannot use."""
     if args.method in ("fp", "regret") and args.iters < 1:
@@ -266,7 +242,12 @@ def cmd_solve(args, argv) -> None:
             "residual": res.residual,
         }, eq_path)
     else:
-        report = _solve_report(matrix, args)
+        if args.method == "nash":
+            report = gamesolve.nash_exact(matrix.entries)
+        elif args.method == "fp":
+            report = gamesolve.nash_fictitious_play(matrix.entries, max_iters=args.iters)
+        else:
+            report = gamesolve.regret_matching(matrix.entries, T=args.iters)
         _write_json(report.to_json(), eq_path)
         if report.trajectory:
             _write_csv(os.path.join(out, "trajectory.csv"),
@@ -274,8 +255,9 @@ def cmd_solve(args, argv) -> None:
                        ([int(it), *rest] for it, *rest in report.trajectory))
             outputs.append("trajectory.csv")
 
-    # record only the knobs the method reads, so equal results share a digest
-    config = {"command": "solve", "method": args.method, "seed": args.seed}
+    # record only the knobs the method reads, so equal results share a digest;
+    # no solve method draws random numbers, so the seed is not one of them
+    config = {"command": "solve", "method": args.method}
     if args.method in ("fp", "regret"):
         config["iters"] = args.iters
     if args.method == "qre":
@@ -288,8 +270,7 @@ def _learning_config(args) -> marl.LearningConfig:
     """Defaults, overlaid by --config JSON, overlaid by explicit flags."""
     from . import marl
 
-    defaults = marl.LearningConfig()
-    fields = {k: getattr(defaults, k) for k in defaults.__dataclass_fields__}
+    fields = dataclasses.asdict(marl.LearningConfig())
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -317,8 +298,7 @@ def cmd_learn(args, argv) -> None:
         inputs["config"] = _input_record(args.config, "")
 
     if args.method == "single":
-        opponent = gamesolve.MixedStrategy(
-            np.full(matrix.shape[0], 1.0 / matrix.shape[0]))
+        opponent = gamesolve.MixedStrategy.uniform(matrix.shape[0])
         policy = marl.train_single_agent(matrix.entries, opponent, config)
         data = {"policy.json": policy.to_json()}
     elif args.method == "multi":
@@ -367,7 +347,7 @@ def cmd_baseline(args, argv) -> None:
 
     matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     mc = _mc_config(args)
-    policy = experiments.baseline(args.method, matrix, catalog=cat, base=net)
+    policy = experiments.strategy_policy(args.method, matrix, catalog=cat, base=net)
     report = experiments.monte_carlo(net, cat, weights, policy, mc, matrix=matrix)
 
     out = _out_dir(args)

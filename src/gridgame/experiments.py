@@ -43,6 +43,9 @@ STRATEGY_BETA = 10.0
 TRAIN_EPISODES = 100_000
 # the cap of regret matching+, which stops once epsilon <= RM_DEFAULT_TOL
 REGRET_STEPS = 100_000
+# DERs and tie switches of a synthetic feeder, as many as the bundled one has
+SYNTH_DERS = 4
+SYNTH_SWITCHES = 4
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +98,7 @@ class DefensePolicy:
     @classmethod
     def pure(cls, label: str, index: int, n_attacks: int, n_defenses: int,
              provenance=None) -> "DefensePolicy":
-        row = np.zeros(n_defenses)
-        row[index] = 1.0
-        return cls.unconditional(label, row, n_attacks, provenance)
-
-    @classmethod
-    def rule(cls, label: str, mapping, n_defenses: int, provenance=None) -> "DefensePolicy":
-        mixes = np.zeros((len(mapping), n_defenses))
-        for i, j in enumerate(mapping):
-            mixes[i, j] = 1.0
-        return cls(label, mixes, provenance or {})
+        return cls.unconditional(label, np.eye(n_defenses)[index], n_attacks, provenance)
 
 
 @dataclass(frozen=True)
@@ -320,35 +314,6 @@ def rbd_rule_table(base: NetworkState, catalog) -> tuple:
     return tuple(rows)
 
 
-def baseline(kind: str, matrix: PayoffMatrix, catalog=None,
-             base: NetworkState | None = None) -> DefensePolicy:
-    """One of the three non-adaptive reference policies.
-
-    RDS randomizes uniformly; RBD follows the fixed rule table (needs the
-    catalog and network); SOD commits to the column with the best mean
-    against a uniform attacker, ties to the lowest index.
-    """
-    entries = matrix.entries
-    n_att, n_def = entries.shape
-    if kind == "RDS":
-        return DefensePolicy.unconditional(
-            "RDS", np.full(n_def, 1.0 / n_def), n_att)
-    if kind == "SOD":
-        means = entries.mean(axis=0)
-        return DefensePolicy.pure(
-            "SOD", int(np.argmax(means)), n_att, n_def,
-            provenance={"column_means": [float(v) for v in means]})
-    if kind == "RBD":
-        if catalog is None or base is None:
-            raise ConfigError("RBD needs the catalog and the base network")
-        table = rbd_rule_table(base, catalog)
-        index = {d.id: j for j, d in enumerate(catalog.defenses)}
-        mapping = [index[row["defense"]] for row in table]
-        return DefensePolicy.rule("RBD", mapping, n_def,
-                                  provenance={"rules": list(table)})
-    raise ConfigError(f"baseline kind must be one of {BASELINE_TAGS}, got {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # paired t-test with an internal t tail
 
@@ -431,11 +396,31 @@ def paired_t_test(a, b) -> tuple[float, float]:
 
 def strategy_policy(tag: str, matrix: PayoffMatrix, catalog=None,
                     base: NetworkState | None = None, seed: int = 0) -> DefensePolicy:
-    """Materialize the defense policy a method tag stands for."""
+    """Materialize the defense policy a method tag stands for.
+
+    The three non-adaptive baselines: RDS randomizes uniformly; RBD follows
+    the fixed rule table (needs the catalog and network); SOD commits to the
+    column with the best mean against a uniform attacker, ties to the lowest
+    index.  ``seed`` drives the two learners only.
+    """
     entries = matrix.entries
     n_att, n_def = entries.shape
-    if tag in BASELINE_TAGS:
-        return baseline(tag, matrix, catalog=catalog, base=base)
+    if tag == "RDS":
+        return DefensePolicy.unconditional(
+            "RDS", np.full(n_def, 1.0 / n_def), n_att)
+    if tag == "SOD":
+        means = entries.mean(axis=0)
+        return DefensePolicy.pure(
+            "SOD", int(np.argmax(means)), n_att, n_def,
+            provenance={"column_means": [float(v) for v in means]})
+    if tag == "RBD":
+        if catalog is None or base is None:
+            raise ConfigError("RBD needs the catalog and the base network")
+        table = rbd_rule_table(base, catalog)
+        index = {d.id: j for j, d in enumerate(catalog.defenses)}
+        # row i plays the defense the rule table names for attack i
+        mixes = np.eye(n_def)[[index[row["defense"]] for row in table]]
+        return DefensePolicy("RBD", mixes, provenance={"rules": list(table)})
     if tag == "nash":
         eq = nash_exact(entries)
         return DefensePolicy.unconditional(
@@ -514,8 +499,7 @@ def compare_strategies(base: NetworkState, catalog, weights, methods, mc: McConf
 # scalability probe
 
 
-def synthetic_feeder(n_buses: int, seed: int = 0, n_ders: int = 4,
-                     n_switches: int = 4) -> NetworkState:
+def synthetic_feeder(n_buses: int, seed: int = 0) -> NetworkState:
     """Radial chain feeder of arbitrary size for scaling measurements.
 
     Loads are seeded uniform draws, DERs sit at evenly spaced buses, tie
@@ -536,11 +520,11 @@ def synthetic_feeder(n_buses: int, seed: int = 0, n_ders: int = 4,
         Line(id=f"{i}-{i + 1}", from_bus=i, to_bus=i + 1,
              r=0.35 * scale, x=0.25 * scale)
         for i in range(1, n_buses))
-    der_buses = np.linspace(4, n_buses - 1, n_ders).astype(int)
+    der_buses = np.linspace(4, n_buses - 1, SYNTH_DERS).astype(int)
     ders = tuple(
         Der(id=f"DER{k + 1}", bus=int(b), rating_p=800.0)
         for k, b in enumerate(der_buses))
-    sw_from = np.linspace(2, n_buses - 6, n_switches).astype(int)
+    sw_from = np.linspace(2, n_buses - 6, SYNTH_SWITCHES).astype(int)
     switches = tuple(
         TieSwitch(id=f"SW{k + 1}", from_bus=int(a), to_bus=int(a + 5), r=0.5, x=0.5)
         for k, a in enumerate(sw_from))
@@ -604,6 +588,8 @@ def scalability_probe(sizes=(33, 69, 118), methods=("nash",), seed: int = 0):
     unknown = set(methods) - set(METHOD_TAGS)
     if unknown:
         raise ConfigError(f"unknown method tags: {sorted(unknown)}")
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError(f"sizes repeat a feeder size: {list(sizes)}")
     weights = ahp_weights(np.asarray(DEFAULT_AHP_MATRIX))
     rows = []
     for size in sizes:

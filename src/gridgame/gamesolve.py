@@ -25,6 +25,8 @@ FP_DEFAULT_ITERS = 100_000
 FP_DEFAULT_TOL = 1e-3
 RM_DEFAULT_TOL = 1e-4
 QRE_DEFAULT_DAMPING = 0.5
+QRE_MAX_ITERS = 10_000
+QRE_TOL = 1e-12
 
 
 def _entries(m) -> np.ndarray:
@@ -55,6 +57,11 @@ class MixedStrategy:
         p = np.zeros(k)
         p[index] = 1.0
         return cls(p)
+
+
+def _probs(mix) -> np.ndarray:
+    """The probabilities of a MixedStrategy, or a plain vector as an array."""
+    return mix.probs if isinstance(mix, MixedStrategy) else np.asarray(mix)
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,7 @@ def _report(method, M, pa, pd, iterations, trajectory=()) -> EquilibriumReport:
 def best_response(M, opponent_mix, side: str) -> tuple[int, float]:
     """Pure best response and its value; lowest index wins ties."""
     m = _entries(M)
-    mix = opponent_mix.probs if isinstance(opponent_mix, MixedStrategy) else np.asarray(opponent_mix)
+    mix = _probs(opponent_mix)
     if side == "attacker":
         if len(mix) != m.shape[1]:
             raise SolverError("defender mix length does not match columns")
@@ -111,8 +118,8 @@ def best_response(M, opponent_mix, side: str) -> tuple[int, float]:
 def verify_epsilon_equilibrium(M, attacker_mix, defender_mix) -> float:
     """Max unilateral improvement over pure deviations (exact by linearity)."""
     m = _entries(M)
-    pa = attacker_mix.probs if isinstance(attacker_mix, MixedStrategy) else np.asarray(attacker_mix)
-    pd = defender_mix.probs if isinstance(defender_mix, MixedStrategy) else np.asarray(defender_mix)
+    pa = _probs(attacker_mix)
+    pd = _probs(defender_mix)
     value = float(pa @ m @ pd)
     attacker_gain = value - float(np.min(m @ pd))
     defender_gain = float(np.max(pa @ m)) - value
@@ -350,7 +357,7 @@ def softmax_response(M, opponent_mix, beta: float, side: str) -> MixedStrategy:
     m = _entries(M)
     if not (math.isfinite(beta) and beta >= 0):
         raise SolverError(f"beta must be finite and non-negative, got {beta}")
-    mix = opponent_mix.probs if isinstance(opponent_mix, MixedStrategy) else np.asarray(opponent_mix)
+    mix = _probs(opponent_mix)
     if side == "attacker":
         z = -beta * (m @ mix)
     elif side == "defender":
@@ -372,24 +379,26 @@ class QreResult:
 
 
 def qre_fixed_point(M, beta_a: float, beta_d: float,
-                    damping: float = QRE_DEFAULT_DAMPING,
-                    max_iters: int = 10_000, tol: float = 1e-12) -> QreResult:
-    """Damped simultaneous logit iteration toward the quantal response pair."""
+                    damping: float = QRE_DEFAULT_DAMPING) -> QreResult:
+    """Damped simultaneous logit iteration toward the quantal response pair.
+
+    Stops once neither mix moves by more than QRE_TOL, or after
+    QRE_MAX_ITERS steps with converged=False.
+    """
     m = _entries(M)
     if not 0.0 < damping <= 1.0:
         raise SolverError("damping must lie in (0, 1]")
     pa = np.full(m.shape[0], 1.0 / m.shape[0])
     pd = np.full(m.shape[1], 1.0 / m.shape[1])
-    iters = 0
     converged = False
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, QRE_MAX_ITERS + 1):
         ra = softmax_response(m, pd, beta_a, "attacker").probs
         rd = softmax_response(m, pa, beta_d, "defender").probs
         na = (1.0 - damping) * pa + damping * ra
         nd = (1.0 - damping) * pd + damping * rd
         delta = max(np.max(np.abs(na - pa)), np.max(np.abs(nd - pd)))
         pa, pd = na, nd
-        if delta <= tol:
+        if delta <= QRE_TOL:
             converged = True
             break
     res_a = np.max(np.abs(pa - softmax_response(m, pd, beta_a, "attacker").probs))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -98,21 +98,10 @@ class LearningConfig:
         return self.alpha_schedule != "constant"
 
     def provenance(self) -> dict:
-        rec = {
-            "alpha_schedule": self.alpha_schedule,
-            "alpha_constant": self.alpha_constant,
-            "alpha_power": self.alpha_power,
-            "epsilon0": self.epsilon0,
-            "epsilon_decay": self.epsilon_decay,
-            "gamma": self.gamma,
-            "episodes": self.episodes,
-            "seed": self.seed,
-            "robbins_monro": "ok",
-        }
-        if not self.robbins_monro_ok():
-            rec["robbins_monro"] = (
-                "violated: constant step size has divergent sum of squares")
-        return rec
+        """Every field, plus whether the step sizes meet Robbins-Monro."""
+        return {**asdict(self), "robbins_monro": (
+            "ok" if self.robbins_monro_ok()
+            else "violated: constant step size has divergent sum of squares")}
 
     def _alpha_mode(self) -> int:
         return ALPHA_SCHEDULES.index(self.alpha_schedule)

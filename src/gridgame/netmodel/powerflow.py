@@ -95,8 +95,7 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
     converged=False; the caller decides on a shedding fallback.
     """
     isls, adj = topology.connectivity(state)
-    comps = tuple(isl.buses for isl in isls)
-    assign = {bus: idx for idx, comp in enumerate(comps) for bus in comp}
+    live = {bus for isl in isls if isl.energized for bus in isl.buses}
     voltages: dict[int, complex] = {b.id: 0j for b in state.buses}
     z_base = state.base_kv**2 / state.base_mva
     s_base_kw = 1000.0 * state.base_mva
@@ -109,8 +108,6 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
         keep = 1.0 - state.shed(b.id)
         draw[b.id] = complex((b.load_p * keep - der_kw.get(b.id, 0.0)) / s_base_kw,
                              (b.load_q * keep) / s_base_kw)
-    energized = tuple(isl.energized for isl in isls)
-    refs = {idx: isl.reference for idx, isl in enumerate(isls) if isl.energized}
     all_converged = True
     iterations = 0
     max_mismatch = 0.0
@@ -129,16 +126,14 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
             all_converged = False
     under = tuple(
         b.id for b in state.buses
-        if energized[assign[b.id]] and abs(voltages[b.id]) < UNDERVOLTAGE_PU
+        if b.id in live and abs(voltages[b.id]) < UNDERVOLTAGE_PU
     )
     return PowerFlowSolution(
         voltages=voltages,
         converged=all_converged,
         iterations=iterations,
         max_mismatch=max_mismatch,
-        island_assignment=assign,
-        islands=comps,
-        energized=energized,
-        reference_bus=refs,
+        islands=tuple(isl.buses for isl in isls),
+        energized=tuple(isl.energized for isl in isls),
         undervoltage_buses=under,
     )

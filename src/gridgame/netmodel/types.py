@@ -198,8 +198,6 @@ class PowerFlowSolution:
     converged: bool
     iterations: int
     max_mismatch: float  # final max |dV| over energized islands, p.u.
-    island_assignment: dict[int, int]  # bus id -> island index
     islands: tuple[frozenset[int], ...] = ()
     energized: tuple[bool, ...] = ()  # per island
-    reference_bus: dict[int, int] = field(default_factory=dict)  # island idx -> bus id
     undervoltage_buses: tuple[int, ...] = ()  # |V| < 0.90 p.u., flagged but still served

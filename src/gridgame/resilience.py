@@ -25,6 +25,10 @@ FLAG_EMPTY_DENOMINATOR = "empty-denominator"
 FLAG_NON_CONVERGENCE = "non-convergence"
 FLAG_UNDERVOLTAGE = "undervoltage"
 
+# power iteration of ahp_weights: max-norm step at which it stops, and its cap
+AHP_TOL = 1e-10
+AHP_MAX_ITERS = 10_000
+
 SAATY_RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12,
                       6: 1.24, 7: 1.32, 8: 1.41, 9: 1.45, 10: 1.49}
 
@@ -66,6 +70,9 @@ class PayoffMatrix:
 
     def __post_init__(self):
         m, n = self.entries.shape
+        if m == 0 or n == 0:
+            raise ValueError(f"payoff matrix needs at least one attack and one "
+                             f"defense, got shape {(m, n)}")
         if m != len(self.attack_ids) or n != len(self.defense_ids):
             raise ValueError("payoff dimensions do not match id sequences")
         for side, ids in (("attack", self.attack_ids), ("defense", self.defense_ids)):
@@ -101,8 +108,7 @@ class PayoffMatrix:
 
 # -- AHP -------------------------------------------------------------------
 
-def ahp_weights(comparison: np.ndarray, tol: float = 1e-10,
-                max_iter: int = 10_000) -> AhpWeights:
+def ahp_weights(comparison: np.ndarray) -> AhpWeights:
     """Principal-eigenvector weights of a positive reciprocal matrix.
 
     Power iteration from the uniform vector; positive reciprocal matrices
@@ -120,10 +126,10 @@ def ahp_weights(comparison: np.ndarray, tol: float = 1e-10,
         raise NetworkValidationError("comparison matrix is not reciprocal")
 
     w = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(AHP_MAX_ITERS):
         nxt = a @ w
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - w)) <= tol:
+        if np.max(np.abs(nxt - w)) <= AHP_TOL:
             w = nxt
             break
         w = nxt

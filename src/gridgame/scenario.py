@@ -357,7 +357,8 @@ def apply_attack(state: NetworkState, attack: AttackAction) -> NetworkState:
     for eff in attack.effects:
         if eff.kind == "trip_line":
             s = s.with_line_status(_resolve_line(s, attack.id, eff.target).id, OPEN)
-        elif eff.kind == "trip_der":
+        elif eff.kind in ("trip_der", "fdi_bias"):
+            # corrupted telemetry (fdi_bias) causes protective tripping of the DER
             for der_id in _resolve_ders(s, attack.id, eff.target):
                 s = s.with_der(der_id, online=False)
         elif eff.kind == "open_switch":
@@ -371,10 +372,6 @@ def apply_attack(state: NetworkState, attack: AttackAction) -> NetworkState:
             buses = _resolve_buses(s, attack.id, eff.target)
             factor = 1.0 if eff.value is None else float(eff.value)
             s = s.with_scaled_loads({b: factor for b in buses})
-        elif eff.kind == "fdi_bias":
-            # corrupted telemetry causes protective tripping of the DER there
-            for der_id in _resolve_ders(s, attack.id, eff.target):
-                s = s.with_der(der_id, online=False)
         else:
             raise CatalogError(f"{attack.id}: unknown effect kind {eff.kind!r}")
     return s

@@ -110,7 +110,6 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
     assign = {bus: idx for idx, comp in enumerate(comps) for bus in comp}
     voltages: dict[int, complex] = {b.id: 0j for b in state.buses}
     energized = []
-    refs: dict[int, int] = {}
     all_converged = True
     iterations = 0
     max_mismatch = 0.0
@@ -120,7 +119,6 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
             energized.append(False)
             continue
         energized.append(True)
-        refs[idx] = ref
         isl.check_radial()
         order, parent_idx, zr, zx, sp, sq = island_arrays(state, isl.buses, ref)
         v, iters, max_dv = sweep(parent_idx, zr, zx, sp, sq, tol, max_sweeps)
@@ -139,9 +137,7 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
         converged=all_converged,
         iterations=iterations,
         max_mismatch=max_mismatch,
-        island_assignment=assign,
         islands=comps,
         energized=tuple(energized),
-        reference_bus=refs,
         undervoltage_buses=under,
     )

@@ -29,6 +29,12 @@ def nan_csv(tmp_path):
     return path
 
 
+def no_defense_csv(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("attack\nA1\nA2\n")
+    return path
+
+
 def small_game_csv(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("attack,D1,D2\nA1,0.4,0.9\nA2,0.8,0.1\n")
@@ -222,6 +228,14 @@ class TestSolve:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "equilibrium.json").exists()
 
+    @pytest.mark.parametrize("method", SOLVE_METHODS)
+    def test_matrix_without_defenses_rejected_with_exit_2(self, method, tmp_path, capsys):
+        code = run("solve", "--method", method, "--matrix", no_defense_csv(tmp_path),
+                   "--out", tmp_path / "out")
+        assert code == 2
+        assert "at least one attack and one defense" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [
         ("--method", "fp", "--iters", "0"),
         ("--method", "regret", "--iters", "-3"),
@@ -238,18 +252,23 @@ class TestSolve:
 
     def test_manifest_records_only_the_knobs_a_method_reads(self, matrix_csv, tmp_path):
         configs = {}
-        for method, iters in (("nash", 5), ("nash", 7), ("fp", 5), ("qre", 5)):
-            out = tmp_path / f"{method}-{iters}"
-            assert run("solve", "--method", method, "--iters", iters,
+        for method, iters, seed in (("nash", 5, 1), ("nash", 7, 1), ("nash", 5, 2),
+                                    ("fp", 5, 1), ("qre", 5, 1)):
+            out = tmp_path / f"{method}-{iters}-{seed}"
+            assert run("solve", "--method", method, "--iters", iters, "--seed", seed,
                        "--matrix", matrix_csv, "--out", out) == 0
-            configs[method, iters] = json.loads((out / "manifest.json").read_text())
-        # --iters does not move nash, so it leaves the digest alone
-        assert configs["nash", 5]["config_digest"] == configs["nash", 7]["config_digest"]
-        assert set(configs["nash", 5]["config"]) == {"command", "method", "seed"}
-        assert configs["fp", 5]["config"]["iters"] == 5
-        assert "beta" not in configs["fp", 5]["config"]
-        assert configs["qre", 5]["config"]["beta"] == 2.0
-        assert "iters" not in configs["qre", 5]["config"]
+            configs[method, iters, seed] = json.loads((out / "manifest.json").read_text())
+        # neither --iters nor --seed moves nash, so both leave the digest alone
+        nash = configs["nash", 5, 1]
+        assert nash["config_digest"] == configs["nash", 7, 1]["config_digest"]
+        assert nash["config_digest"] == configs["nash", 5, 2]["config_digest"]
+        assert set(nash["config"]) == {"command", "method"}
+        # the seed is still recorded, outside the digested config
+        assert (nash["seed"], configs["nash", 5, 2]["seed"]) == (1, 2)
+        assert configs["fp", 5, 1]["config"]["iters"] == 5
+        assert "beta" not in configs["fp", 5, 1]["config"]
+        assert configs["qre", 5, 1]["config"]["beta"] == 2.0
+        assert "iters" not in configs["qre", 5, 1]["config"]
 
     def test_unknown_method_rejected_by_parser(self, matrix_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -266,6 +285,14 @@ class TestLearn:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "telemetry.csv").exists()
+
+    @pytest.mark.parametrize("method", LEARN_METHODS)
+    def test_matrix_without_defenses_rejected_with_exit_2(self, method, tmp_path, capsys):
+        code = run("learn", "--method", method, "--iters", 100,
+                   "--matrix", no_defense_csv(tmp_path), "--out", tmp_path / "out")
+        assert code == 2
+        assert "at least one attack and one defense" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", LEARN_METHODS)
     def test_unbounded_rewards_rejected_with_exit_2(self, method, tmp_path, capsys):
@@ -689,6 +716,12 @@ class TestProbe:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "33" in manifest["timings_s"]
         assert "wall_time_s" in manifest["timings_s"]["33"]
+
+    def test_repeated_sizes_rejected_with_exit_2(self, tmp_path, capsys):
+        # a repeated size would write two rows under one timings_s key
+        assert run("probe", "--sizes", "33,33", "--out", tmp_path / "out") == 2
+        assert "repeat" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def _child_env():

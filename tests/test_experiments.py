@@ -22,7 +22,6 @@ from gridgame.experiments import (
     DefensePolicy,
     McConfig,
     StatsReport,
-    baseline,
     compare_strategies,
     monte_carlo,
     paired_t_test,
@@ -93,13 +92,17 @@ class TestDefensePolicy:
         with pytest.raises(ConfigError):
             DefensePolicy("bad", np.array([[0.5, 0.2], [0.5, 0.5]]))
 
-    def test_constructors(self):
+    def test_constructors(self, bundle):
         p = DefensePolicy.pure("p", 1, 3, 4)
         assert p.mixes.shape == (3, 4)
         assert np.all(p.mixes[:, 1] == 1.0)
-        r = DefensePolicy.rule("r", [2, 0], 3)
-        assert r.mixes[0, 2] == 1.0
-        assert r.mixes[1, 0] == 1.0
+        # RBD plays, against each attack, the one defense its rule names
+        base, catalog, _, matrix = bundle
+        r = strategy_policy("RBD", matrix, catalog=catalog, base=base)
+        ids = [d.id for d in catalog.defenses]
+        assert [ids[j] for j in np.argmax(r.mixes, axis=1)] == [
+            d for _, _, d in BUNDLED_RBD_TABLE]
+        assert np.all(r.mixes.max(axis=1) == 1.0)
 
 
 class TestSummarize:
@@ -155,7 +158,7 @@ class TestMonteCarlo:
     def test_deterministic_given_seed(self, bundle):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=20, seed=5)
-        policy = baseline("RDS", matrix)
+        policy = strategy_policy("RDS", matrix)
         a = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
         b = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
         assert a.records == b.records
@@ -164,7 +167,7 @@ class TestMonteCarlo:
     def test_std_follows_sample_convention(self, bundle):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=12, seed=3)
-        rep = monte_carlo(base, catalog, weights, baseline("RDS", matrix), mc,
+        rep = monte_carlo(base, catalog, weights, strategy_policy("RDS", matrix), mc,
                           matrix=matrix)
         scores = np.array([r[2] for r in rep.records])
         assert rep.std_dev == pytest.approx(float(scores.std(ddof=1)))
@@ -173,23 +176,23 @@ class TestMonteCarlo:
     def test_common_random_numbers(self, bundle):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=30, seed=9, attack_distribution="uniform")
-        rds = monte_carlo(base, catalog, weights, baseline("RDS", matrix), mc,
+        rds = monte_carlo(base, catalog, weights, strategy_policy("RDS", matrix), mc,
                           matrix=matrix)
-        sod = monte_carlo(base, catalog, weights, baseline("SOD", matrix), mc,
+        sod = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         assert [r[0] for r in rds.records] == [r[0] for r in sod.records]
 
     def test_uniform_distribution_spreads(self, bundle):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=120, seed=2, attack_distribution="uniform")
-        rep = monte_carlo(base, catalog, weights, baseline("SOD", matrix), mc,
+        rep = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         assert len(rep.per_attack) == 10
 
     def test_equilibrium_mix_distribution(self, bundle):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=60, seed=4, attack_distribution="equilibrium-mix")
-        rep = monte_carlo(base, catalog, weights, baseline("SOD", matrix), mc,
+        rep = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         # bundled equilibrium mixes over two attacks only
         assert set(rep.per_attack) <= {"A2", "A10"}
@@ -204,7 +207,7 @@ class TestMonteCarlo:
         # the CLI writes the report's to_json and records on the bundled inputs
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=5, seed=7)
-        rep = monte_carlo(base, catalog, weights, baseline("SOD", matrix), mc,
+        rep = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         obj = rep.to_json()
         assert obj["samples"] == 5
@@ -257,7 +260,7 @@ class TestMonteCarloBatch:
     def test_records_equal_scalar_oracle(self, bundle, dist, perturbation):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=40, seed=11, perturbation=perturbation, attack_distribution=dist)
-        policy = baseline("RDS", matrix)
+        policy = strategy_policy("RDS", matrix)
         rep = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
         assert rep.records == _oracle_records(base, catalog, weights, policy, matrix, mc)
 
@@ -278,14 +281,14 @@ class TestMonteCarloBatch:
         monkeypatch.setattr(scenario, "evaluate_pair", scalar)
         monkeypatch.setattr(experiments, "evaluate_pair", scalar)
 
-        rep = monte_carlo(base, catalog, weights, baseline("SOD", matrix),
+        rep = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix),
                           McConfig(runs=200, seed=1), matrix=matrix)
         assert rep.samples == 200
         assert len(plans) == 1
 
         plans.clear()
         mc = McConfig(runs=200, seed=1, attack_distribution="uniform")
-        rep = monte_carlo(base, catalog, weights, baseline("RDS", matrix), mc, matrix=matrix)
+        rep = monte_carlo(base, catalog, weights, strategy_policy("RDS", matrix), mc, matrix=matrix)
         drawn = {r[:2] for r in rep.records}
         assert len(plans) == len(set(plans)) == len(drawn)
         assert set(plans) == drawn
@@ -295,7 +298,7 @@ class TestMonteCarloBatch:
 class TestBaselines:
     def test_rds_uniform(self, bundle):
         _, _, _, matrix = bundle
-        p = baseline("RDS", matrix)
+        p = strategy_policy("RDS", matrix)
         assert np.allclose(p.mixes, 0.1)
 
     def test_sod_tie_breaks_low(self):
@@ -303,13 +306,13 @@ class TestBaselines:
 
         class Fake:
             entries = m
-        p = baseline("SOD", Fake())
+        p = strategy_policy("SOD", Fake())
         assert p.mixes[0, 0] == 1.0
         assert p.provenance["column_means"] == [0.5, 0.5]
 
     def test_sod_picks_best_mean_column(self, bundle):
         _, _, _, matrix = bundle
-        p = baseline("SOD", matrix)
+        p = strategy_policy("SOD", matrix)
         j = int(np.argmax(p.mixes[0]))
         assert j == int(np.argmax(matrix.entries.mean(axis=0)))
 
@@ -319,8 +322,8 @@ class TestBaselines:
 
         class Fake:
             entries = matrix.entries[perm]
-        assert np.array_equal(baseline("SOD", Fake()).mixes,
-                              baseline("SOD", matrix).mixes)
+        assert np.array_equal(strategy_policy("SOD", Fake()).mixes,
+                              strategy_policy("SOD", matrix).mixes)
 
     def test_rbd_rule_trace(self, bundle):
         base, catalog, _, _ = bundle
@@ -373,12 +376,12 @@ class TestBaselines:
     def test_rbd_needs_context(self, bundle):
         _, _, _, matrix = bundle
         with pytest.raises(ConfigError):
-            baseline("RBD", matrix)
+            strategy_policy("RBD", matrix)
 
     def test_unknown_kind(self, bundle):
         _, _, _, matrix = bundle
         with pytest.raises(ConfigError):
-            baseline("SAD", matrix)
+            strategy_policy("SAD", matrix)
 
 
 class TestPairedT:

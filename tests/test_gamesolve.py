@@ -127,6 +127,18 @@ class TestNashExact:
         m = rng.random((rng.integers(2, 11), rng.integers(2, 11)))
         assert nash_exact(m).game_value == pytest.approx(linprog_value(m), abs=1e-8)
 
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "tied", "rank-one"]),
+           rows=st.integers(1, 12), cols=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_against_linprog(self, kind, rows, cols, seed):
+        # tied and rank-one games are degenerate LPs: many optimal mixes and
+        # ties in the ratio test, but one value
+        m = rm_game(kind, rows, cols, seed)
+        r = nash_exact(m)
+        assert r.game_value == pytest.approx(linprog_value(m), abs=1e-8)
+        assert r.epsilon <= 1e-7
+
     @pytest.mark.parametrize("seed", range(20))
     def test_epsilon_and_sandwich(self, seed):
         rng = np.random.default_rng(3000 + seed)

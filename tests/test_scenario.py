@@ -6,14 +6,16 @@ oracle of ``evaluate_pair`` and ``compile_pair``: scorecards and batches of
 scores must equal it exactly, not approximately.
 """
 
+import copy
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pair_oracle
+from test_powerflow import FEEDERS
 from gridgame import scenario
 from gridgame.errors import CatalogError, RadialityError
 from gridgame.experiments import _probe_catalog, synthetic_feeder
@@ -453,3 +455,74 @@ def test_compile_pair_raises_where_scalar_does(base, attack, defense, error):
     for evaluate in (pair_oracle.evaluate_pair, evaluate_pair, compile_pair):
         with pytest.raises(error):
             evaluate(base, attack, defense)
+
+
+# -- properties over random feeders and catalogs --------------------------------
+
+@st.composite
+def feeder_cells(draw):
+    """A random feeder of ``test_powerflow.FEEDERS`` with one attack and one
+    defense drawn from its own buses, lines, switches and DERs: load scaling
+    up to 3x, trips, switching, DER dispatch and both kinds of shedding."""
+    state = draw(FEEDERS)
+    buses = [b.id for b in state.buses]
+    lines = [(ln.from_bus, ln.to_bus) for ln in state.lines]
+    switches = [sw.id for sw in state.switches]
+    ders = [d.id for d in state.ders] + ["*"]
+    bus_target = st.one_of(st.sampled_from(["*", "non-critical"]), st.sampled_from(buses),
+                           st.lists(st.sampled_from(buses), min_size=1, max_size=3).map(tuple))
+    share = st.floats(0.0, 1.0)
+
+    def one(kind, target, value=st.none()):
+        return st.tuples(st.builds(Effect, st.just(kind), target, value))
+
+    attack = [one("scale_load", bus_target, st.floats(0.0, 3.0)),
+              one("trip_der", st.sampled_from(ders)), one("fdi_bias", st.sampled_from(ders))]
+    defense = [one("shed_fraction", bus_target, share),
+               one("shed_threshold", st.none(), st.floats(0.0, 600.0)),
+               one("set_der_dispatch", st.sampled_from(ders), share)]
+    if lines:
+        attack.append(one("trip_line", st.sampled_from(lines)))
+    if switches:
+        attack += [one("open_switch", st.sampled_from(switches)),
+                   one("close_switch", st.sampled_from(switches))]
+        defense.append(one("close_switch", st.sampled_from(switches)))
+    if switches and lines:
+        defense.append(st.tuples(
+            st.builds(Effect, st.just("close_switch"), st.sampled_from(switches)),
+            st.builds(Effect, st.just("companion_open"), st.sampled_from(lines))))
+
+    def action(cls, name, groups):
+        return cls(name, name, tuple(e for group in draw(st.lists(st.one_of(groups), max_size=4))
+                                     for e in group))
+    return state, action(AttackAction, "AX", attack), action(DefenseAction, "DX", defense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell=feeder_cells())
+def test_property_actions_leave_their_input_unchanged(cell):
+    state, attack, defense = cell
+    before = copy.deepcopy(state)
+    attacked = apply_attack(state, attack)
+    assert state == before
+    after_attack = copy.deepcopy(attacked)
+    apply_defense(attacked, defense)
+    assert attacked == after_attack
+    apply_defense(state, defense)
+    assert state == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell=feeder_cells(), seed=st.integers(0, 2**32 - 1))
+def test_property_metrics_and_scores_lie_in_the_unit_interval(cell, seed):
+    state, attack, defense = cell
+    try:
+        plan = compile_pair(state, attack, defense)
+    except RadialityError:
+        assume(False)  # a loop the tie switch closed: no plan to score
+    rows = np.random.default_rng(seed).uniform(0.0, 3.0, (4, state.n_buses))
+    cards, _ = plan.metrics(scenario.serve_loads(plan, rows))
+    assert ((0.0 <= cards) & (cards <= 1.0)).all()
+    # AHP weights sum to 1 up to rounding, so a score may pass 1 by an ulp
+    scores = plan.scores(rows, WEIGHTS)
+    assert ((0.0 <= scores) & (scores <= 1.0 + 1e-12)).all()
