@@ -1,18 +1,17 @@
 """Command-line surface tying the modules into reproducible workflows.
 
-Subcommands: payoff, solve, learn, baseline, compare, probe.  Every run
-writes its data files plus a manifest.json recording the command line, the
-resolved configuration and its digest, input/output file digests, and wall
-times.  Data files depend only on (inputs, seed), so re-running the same
-command reproduces them byte for byte; everything volatile (timestamps,
-timings) lives in the manifest.
-
-This module writes every file.  The library layers return values, and each
-data file goes through one of two writers: ``_write_json`` (indent 2, sorted
-keys, final newline) or ``_write_csv`` (the ``csv`` module's default dialect:
-minimal quoting, CRLF line ends; floats at 12 significant digits).  The one
-exception is payoff.csv, written by ``PayoffMatrix.to_csv`` in the same
-dialect, since it is also the --matrix input format.
+Subcommands: payoff, solve, learn, baseline, compare, probe.  A handler
+writes nothing: it returns an ``Output`` (data files by name, manifest
+fields, summary line) to ``_write_output``, the one writer, which makes
+--out, writes each file, and last a manifest.json over exactly those files:
+the command line, the resolved configuration and its digest, input/output
+file digests, and wall times.  Data files depend only on (inputs, seed), so
+a rerun reproduces them byte for byte; everything volatile lives in the
+manifest.  JSON goes through ``_write_json`` (indent 2, sorted keys, final
+newline), a ``(header, rows)`` CSV through ``_write_csv`` (the ``csv``
+module's default dialect: minimal quoting, CRLF line ends; floats at 12
+significant digits), and payoff.csv through ``PayoffMatrix.to_csv`` in the
+same dialect, since it is also the --matrix input format.
 
 Exit codes: 0 success (solver non-convergence is data, not failure),
 2 input error, 3 internal error.
@@ -24,7 +23,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -40,7 +38,7 @@ from .resilience import (DEFAULT_AHP_MATRIX, PayoffMatrix, ahp_weights,
                          build_payoff_matrix, load_ahp_matrix)
 
 if TYPE_CHECKING:
-    from . import experiments, marl
+    from . import marl
 
 # Each subcommand imports the layers it runs (gamesolve, marl, experiments,
 # and netmodel/scenario for the network inputs) inside its handler: every
@@ -54,13 +52,25 @@ _INPUT_ERRORS = (
     NetworkParseError, NetworkValidationError, RadialityError,
     CatalogError, ConfigError,
     FileNotFoundError, IsADirectoryError, NotADirectoryError,
-    PermissionError, json.JSONDecodeError, UnicodeDecodeError,
-    ValueError,
+    PermissionError, ValueError,
 )
 
 
 # ---------------------------------------------------------------------------
-# manifest plumbing
+# the one writer
+
+
+@dataclasses.dataclass
+class Output:
+    """What a subcommand made: ``files`` maps a data file's name to a JSON
+    value, a ``(header, rows)`` CSV or the PayoffMatrix of payoff.csv; the
+    rest are manifest fields, ``extra`` holding ``timings_s`` and ``policies``."""
+    files: dict
+    config: dict
+    inputs: dict
+    summary: str
+    seed: int | None = None
+    extra: dict = dataclasses.field(default_factory=dict)
 
 
 def _sha256(path) -> str:
@@ -90,6 +100,39 @@ def _write_csv(path, header, rows) -> None:
                          for row in rows)
 
 
+def _write_output(output: Output, out, argv) -> None:
+    """Make --out, write every data file, then the manifest listing them."""
+    os.makedirs(out, exist_ok=True)
+    digests = {}
+    for name, data in output.files.items():
+        path = os.path.join(out, name)
+        if isinstance(data, PayoffMatrix):
+            data.to_csv(path)
+        elif name.endswith(".csv"):
+            _write_csv(path, *data)
+        else:
+            _write_json(data, path)
+        digests[name] = _sha256(path)
+    config_digest = hashlib.sha256(
+        json.dumps(output.config, sort_keys=True, default=_tolist).encode()).hexdigest()
+    _write_json({
+        "artifact_version": __version__,
+        "command": list(argv),
+        "config": output.config,
+        "config_digest": "sha256:" + config_digest,
+        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "inputs": output.inputs,
+        "outputs": digests,
+        "seed": output.seed,
+        **output.extra,
+    }, os.path.join(out, "manifest.json"))
+    print(f"{output.summary} -> {out}")
+
+
+# ---------------------------------------------------------------------------
+# shared input loading
+
+
 def _input_record(path, bundled_tag):
     """Digest a user-supplied input file, or name the bundled default."""
     if path is None:
@@ -97,52 +140,8 @@ def _input_record(path, bundled_tag):
     return {"path": str(path), "sha256": _sha256(path)}
 
 
-def _write_manifest(out_dir, argv, config, inputs, outputs, seed=None,
-                    timings=None, policies=None) -> None:
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True, default=_tolist).encode()).hexdigest()
-    manifest = {
-        "artifact_version": __version__,
-        "command": list(argv),
-        "config": config,
-        "config_digest": "sha256:" + digest,
-        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "inputs": inputs,
-        "outputs": {name: _sha256(os.path.join(out_dir, name))
-                    for name in sorted(outputs)},
-        "seed": seed,
-    }
-    if timings is not None:
-        manifest["timings_s"] = timings
-    if policies is not None:
-        manifest["policies"] = policies
-    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
-
-
-# ---------------------------------------------------------------------------
-# shared input loading
-
-
-def _load_bundle(args):
-    """Resolve (network, catalog, weights) from flags, bundled defaults
-    filling the gaps, plus the manifest input records."""
-    from .netmodel import load_ieee33, load_network
-    from .scenario import catalog_default, load_catalog
-
-    net = load_network(args.network) if args.network else load_ieee33()
-    cat = load_catalog(args.catalog) if args.catalog else catalog_default()
-    comparison = load_ahp_matrix(args.ahp) if args.ahp else DEFAULT_AHP_MATRIX
-    weights = ahp_weights(comparison)
-    inputs = {
-        "network": _input_record(args.network, "ieee33"),
-        "catalog": _input_record(args.catalog, "catalog-" + cat.version),
-        "ahp": _input_record(args.ahp, "ahp-default"),
-    }
-    return net, cat, weights, inputs
-
-
 def _resolve_matrix(args, need_bundle=False):
-    """Payoff matrix from --matrix CSV, else built from network inputs.
+    """Payoff matrix from --matrix CSV, else built from the network inputs.
 
     The only reader of --matrix.  Returns (matrix, inputs, bundle) where
     bundle is (net, cat, weights); it is None when the matrix was read from
@@ -157,82 +156,73 @@ def _resolve_matrix(args, need_bundle=False):
             raise ConfigError(f"--matrix excludes {', '.join(unused)}: "
                               f"{args.cmd} reads no network input from a matrix")
         return PayoffMatrix.from_csv(path), {"matrix": _input_record(path, "")}, None
-    matrix = PayoffMatrix.from_csv(path) if path else None
-    net, cat, weights, inputs = _load_bundle(args)
-    if matrix is None:
-        matrix = build_payoff_matrix(net, cat, weights)
-    else:
-        # rows and columns are scored as the catalog's actions by position
-        ids = (tuple(a.id for a in cat.attacks), tuple(d.id for d in cat.defenses))
-        if (matrix.attack_ids, matrix.defense_ids) != ids:
-            raise ConfigError(
-                f"{path}: matrix ids {list(matrix.attack_ids)} x "
-                f"{list(matrix.defense_ids)} do not match the catalog's "
-                f"{list(ids[0])} x {list(ids[1])} in catalog order")
-        inputs["matrix"] = _input_record(path, "")
+    from .netmodel import load_ieee33, load_network
+    from .scenario import catalog_default, load_catalog
+
+    net = load_network(args.network) if args.network else load_ieee33()
+    cat = load_catalog(args.catalog) if args.catalog else catalog_default()
+    weights = ahp_weights(load_ahp_matrix(args.ahp) if args.ahp else DEFAULT_AHP_MATRIX)
+    inputs = {
+        "network": _input_record(args.network, "ieee33"),
+        "catalog": _input_record(args.catalog, "catalog-" + cat.version),
+        "ahp": _input_record(args.ahp, "ahp-default"),
+    }
+    if not path:
+        return build_payoff_matrix(net, cat, weights), inputs, (net, cat, weights)
+    matrix = PayoffMatrix.from_csv(path)
+    # rows and columns are scored as the catalog's actions by position
+    ids = (tuple(a.id for a in cat.attacks), tuple(d.id for d in cat.defenses))
+    if (matrix.attack_ids, matrix.defense_ids) != ids:
+        raise ConfigError(
+            f"{path}: matrix ids {list(matrix.attack_ids)} x "
+            f"{list(matrix.defense_ids)} do not match the catalog's "
+            f"{list(ids[0])} x {list(ids[1])} in catalog order")
+    inputs["matrix"] = _input_record(path, "")
     return matrix, inputs, (net, cat, weights)
-
-
-def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_payoff(args, argv) -> None:
+def cmd_payoff(args) -> Output:
     matrix, inputs, (_, _, weights) = _resolve_matrix(args)
-    out = _out_dir(args)
-    matrix.to_csv(os.path.join(out, "payoff.csv"))
-    _write_csv(os.path.join(out, "payoff_long.csv"), ["attack", "defense", "score"],
-               ([aid, did, matrix.entries[i, j]]
-                for i, aid in enumerate(matrix.attack_ids)
-                for j, did in enumerate(matrix.defense_ids)))
-    # flagged cells in catalog order, flags sorted per cell
-    _write_csv(os.path.join(out, "payoff_flags.csv"), ["attack", "defense", "flag"],
-               ([matrix.attack_ids[i], matrix.defense_ids[j], flag]
-                for i, j in sorted(matrix.cell_flags)
-                for flag in sorted(matrix.cell_flags[i, j])))
+    files = {
+        "payoff.csv": matrix,
+        "payoff_long.csv": (["attack", "defense", "score"],
+                            [[aid, did, matrix.entries[i, j]]
+                             for i, aid in enumerate(matrix.attack_ids)
+                             for j, did in enumerate(matrix.defense_ids)]),
+        # flagged cells in catalog order, flags sorted per cell
+        "payoff_flags.csv": (["attack", "defense", "flag"],
+                             [[matrix.attack_ids[i], matrix.defense_ids[j], flag]
+                              for i, j in sorted(matrix.cell_flags)
+                              for flag in sorted(matrix.cell_flags[i, j])]),
+    }
     config = {"command": "payoff",
               "ahp_weights": list(weights.w),
               "consistency_ratio": weights.consistency_ratio,
               "shape": list(matrix.shape)}
-    _write_manifest(out, argv, config, inputs,
-                    ["payoff.csv", "payoff_long.csv", "payoff_flags.csv"])
-    print(f"payoff: {matrix.shape[0]}x{matrix.shape[1]} matrix -> {out}")
+    return Output(files, config, inputs,
+                  f"payoff: {matrix.shape[0]}x{matrix.shape[1]} matrix")
 
 
-def _check_solve_args(args) -> None:
-    """Reject iteration counts and rationality the chosen solver cannot use."""
-    if args.method in ("fp", "regret") and args.iters < 1:
-        raise ConfigError(f"--iters must be at least 1, got {args.iters}")
-    if args.method == "qre" and not (math.isfinite(args.beta) and args.beta >= 0):
-        raise ConfigError(f"--beta must be finite and non-negative, got {args.beta}")
-
-
-def cmd_solve(args, argv) -> None:
+def cmd_solve(args) -> Output:
     from . import gamesolve
 
-    _check_solve_args(args)
     matrix, inputs, _ = _resolve_matrix(args)
-    out = _out_dir(args)
-    outputs = ["equilibrium.json"]
-    eq_path = os.path.join(out, "equilibrium.json")
-
     if args.method == "stackelberg":
         j, value, i = gamesolve.stackelberg(matrix.entries)
-        _write_json({
+        files = {"equilibrium.json": {
             "method": "stackelberg",
             "defense": matrix.defense_ids[j],
             "security_level": value,
             "attacker_response": matrix.attack_ids[i],
-        }, eq_path)
+        }}
     elif args.method == "qre":
         res = gamesolve.qre_fixed_point(matrix.entries, args.beta, args.beta)
         # non-convergence is reported, not fatal
-        _write_json({
+        files = {"equilibrium.json": {
             "method": "qre",
             "beta": args.beta,
             "attacker_probs": list(res.attacker.probs),
@@ -240,7 +230,7 @@ def cmd_solve(args, argv) -> None:
             "converged": bool(res.converged),
             "iterations": res.iterations,
             "residual": res.residual,
-        }, eq_path)
+        }}
     else:
         if args.method == "nash":
             report = gamesolve.nash_exact(matrix.entries)
@@ -248,12 +238,11 @@ def cmd_solve(args, argv) -> None:
             report = gamesolve.nash_fictitious_play(matrix.entries, max_iters=args.iters)
         else:
             report = gamesolve.regret_matching(matrix.entries, T=args.iters)
-        _write_json(report.to_json(), eq_path)
+        files = {"equilibrium.json": report.to_json()}
         if report.trajectory:
-            _write_csv(os.path.join(out, "trajectory.csv"),
-                       ["iteration", "avg_regret_attacker", "avg_regret_defender", "value"],
-                       ([int(it), *rest] for it, *rest in report.trajectory))
-            outputs.append("trajectory.csv")
+            files["trajectory.csv"] = (
+                ["iteration", "avg_regret_attacker", "avg_regret_defender", "value"],
+                [[int(it), *rest] for it, *rest in report.trajectory])
 
     # record only the knobs the method reads, so equal results share a digest;
     # no solve method draws random numbers, so the seed is not one of them
@@ -262,8 +251,7 @@ def cmd_solve(args, argv) -> None:
         config["iters"] = args.iters
     if args.method == "qre":
         config["beta"] = args.beta
-    _write_manifest(out, argv, config, inputs, outputs, seed=args.seed)
-    print(f"solve[{args.method}] -> {out}")
+    return Output(files, config, inputs, f"solve[{args.method}]", seed=args.seed)
 
 
 def _learning_config(args) -> marl.LearningConfig:
@@ -289,7 +277,7 @@ def _learning_config(args) -> marl.LearningConfig:
     return marl.LearningConfig(**fields)
 
 
-def cmd_learn(args, argv) -> None:
+def cmd_learn(args) -> Output:
     from . import gamesolve, marl
 
     matrix, inputs, bundle = _resolve_matrix(args)
@@ -300,11 +288,11 @@ def cmd_learn(args, argv) -> None:
     if args.method == "single":
         opponent = gamesolve.MixedStrategy.uniform(matrix.shape[0])
         policy = marl.train_single_agent(matrix.entries, opponent, config)
-        data = {"policy.json": policy.to_json()}
+        files = {"policy.json": policy.to_json()}
     elif args.method == "multi":
         result = marl.train_multi_agent(matrix.entries, config)
-        data = {"result.json": {"value": result.value,
-                                "converged": bool(result.converged)}}
+        files = {"result.json": {"value": result.value,
+                                 "converged": bool(result.converged)}}
     else:  # mdp
         # defenses that take no action cannot trigger recovery; the rule only
         # applies when the matrix came from the catalog, a foreign CSV keeps
@@ -315,59 +303,45 @@ def cmd_learn(args, argv) -> None:
             active = [len(d.effects) > 0 for d in cat.defenses]
         mdp = marl.stage_mdp_default(matrix.entries, defense_active=active)
         result = marl.mdp_train(mdp, config)
-        data = {"result.json": {"values": dict(zip(mdp.labels, result.values))}}
+        files = {"result.json": {"values": dict(zip(mdp.labels, result.values))}}
     if args.method != "single":
         policy = result.defender
-        data["attacker_policy.json"] = result.attacker.to_json()
-        data["defender_policy.json"] = policy.to_json()
-
-    out = _out_dir(args)
-    for name, obj in data.items():
-        _write_json(obj, os.path.join(out, name))
+        files["attacker_policy.json"] = result.attacker.to_json()
+        files["defender_policy.json"] = policy.to_json()
     # the two sides of a self-play run share its telemetry rows
-    _write_csv(os.path.join(out, "telemetry.csv"),
-               ["episode", "epsilon", "alpha", "reward", "q_max_delta"],
-               ([int(ep), *rest] for ep, *rest in policy.telemetry.tolist()))
-    manifest_cfg = {"command": "learn", "method": args.method}
-    manifest_cfg.update(config.provenance())
-    _write_manifest(out, argv, manifest_cfg, inputs, [*data, "telemetry.csv"],
-                    seed=config.seed)
-    print(f"learn[{args.method}] {config.episodes} episodes -> {out}")
+    files["telemetry.csv"] = (["episode", "epsilon", "alpha", "reward", "q_max_delta"],
+                              [[int(ep), *rest] for ep, *rest in policy.telemetry.tolist()])
+    return Output(files, {"command": "learn", "method": args.method, **config.provenance()},
+                  inputs, f"learn[{args.method}] {config.episodes} episodes",
+                  seed=config.seed)
 
 
-def _mc_config(args) -> experiments.McConfig:
-    from . import experiments
-
-    return experiments.McConfig(runs=args.runs, seed=args.seed,
-                                attack_distribution=args.attack_dist)
-
-
-def cmd_baseline(args, argv) -> None:
+def cmd_baseline(args) -> Output:
     from . import experiments
 
     matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
-    mc = _mc_config(args)
+    mc = experiments.McConfig(runs=args.runs, seed=args.seed,
+                              attack_distribution=args.attack_dist)
     policy = experiments.strategy_policy(args.method, matrix, catalog=cat, base=net)
     report = experiments.monte_carlo(net, cat, weights, policy, mc, matrix=matrix)
 
-    out = _out_dir(args)
-    _write_json({
-        "label": policy.label,
-        "attack_ids": list(matrix.attack_ids),
-        "defense_ids": list(matrix.defense_ids),
-        "mixes": policy.mixes,
-        "provenance": policy.provenance,
-    }, os.path.join(out, "policy.json"))
-    _write_json(report.to_json(), os.path.join(out, "stats.json"))
-    _write_csv(os.path.join(out, "runs.csv"), ["run", "attack", "defense", "score"],
-               ([run, *record] for run, record in enumerate(report.records)))
-
+    files = {
+        "policy.json": {
+            "label": policy.label,
+            "attack_ids": list(matrix.attack_ids),
+            "defense_ids": list(matrix.defense_ids),
+            "mixes": policy.mixes,
+            "provenance": policy.provenance,
+        },
+        "stats.json": report.to_json(),
+        "runs.csv": (["run", "attack", "defense", "score"],
+                     [[run, *record] for run, record in enumerate(report.records)]),
+    }
     config = {"command": "baseline", "method": args.method, "runs": mc.runs,
               "attack_distribution": mc.attack_distribution,
               "perturbation": list(mc.perturbation)}
-    _write_manifest(out, argv, config, inputs,
-                    ["policy.json", "stats.json", "runs.csv"], seed=mc.seed)
-    print(f"baseline[{args.method}] mean={report.mean:.4f} -> {out}")
+    return Output(files, config, inputs,
+                  f"baseline[{args.method}] mean={report.mean:.4f}", seed=mc.seed)
 
 
 def _parse_methods(spec: str):
@@ -379,21 +353,20 @@ def _parse_methods(spec: str):
     return tags
 
 
-def cmd_compare(args, argv) -> None:
+def cmd_compare(args) -> Output:
     from . import experiments
 
     methods = _parse_methods(args.methods)
     matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
-    mc = _mc_config(args)
+    mc = experiments.McConfig(runs=args.runs, seed=args.seed,
+                              attack_distribution=args.attack_dist)
     rows = experiments.compare_strategies(net, cat, weights, methods, mc,
                                           matrix=matrix, reference=args.reference)
 
-    out = _out_dir(args)
     # wall times stay out of the data files, which reruns reproduce byte for byte
-    _write_csv(os.path.join(out, "comparison.csv"),
-               ["method", "mean", "std_dev", "ci95_low", "ci95_high", "improvement_pct"],
-               ([r.method, r.report.mean, r.report.std_dev, r.report.ci95_low,
-                 r.report.ci95_high, r.improvement_pct] for r in rows))
+    comparison = (["method", "mean", "std_dev", "ci95_low", "ci95_high", "improvement_pct"],
+                  [[r.method, r.report.mean, r.report.std_dev, r.report.ci95_low,
+                    r.report.ci95_high, r.improvement_pct] for r in rows])
     stats = {
         "runs": mc.runs,
         "seed": mc.seed,
@@ -408,19 +381,18 @@ def cmd_compare(args, argv) -> None:
         },
         "t_tests": _paired_tests({r.method: r.report for r in rows}),
     }
-    _write_json(stats, os.path.join(out, "stats.json"))
-
     config = {"command": "compare", "methods": [r.method for r in rows],
               "reference": stats["reference"], "runs": mc.runs,
               "attack_distribution": mc.attack_distribution,
               "perturbation": list(mc.perturbation)}
-    timings = {r.method: round(r.wall_time_s, 6) for r in rows}
-    # what each policy reports of its own making (solver steps and epsilon,
-    # training episodes); kept out of config so config_digest does not move
-    policies = {r.method: r.provenance for r in rows}
-    _write_manifest(out, argv, config, inputs, ["comparison.csv", "stats.json"],
-                    seed=mc.seed, timings=timings, policies=policies)
-    print(f"compare[{','.join(r.method for r in rows)}] -> {out}")
+    extra = {
+        "timings_s": {r.method: round(r.wall_time_s, 6) for r in rows},
+        # what each policy reports of its own making (solver steps and epsilon,
+        # training episodes); kept out of config so config_digest does not move
+        "policies": {r.method: r.provenance for r in rows},
+    }
+    return Output({"comparison.csv": comparison, "stats.json": stats}, config, inputs,
+                  f"compare[{','.join(r.method for r in rows)}]", seed=mc.seed, extra=extra)
 
 
 def _paired_tests(reports) -> dict:
@@ -450,35 +422,33 @@ def _paired_tests(reports) -> dict:
     return tests
 
 
-def cmd_probe(args, argv) -> None:
+def cmd_probe(args) -> Output:
     from . import experiments
 
     sizes = tuple(int(s) for s in args.sizes.split(","))
-    methods = tuple(t.strip() for t in args.methods.split(",") if t.strip())
+    methods = _parse_methods(args.methods)
     rows = experiments.scalability_probe(sizes=sizes, methods=methods,
                                          seed=args.seed)
 
-    out = _out_dir(args)
     # timings and memory are measurements, they go in the manifest so the
     # data files stay reproducible
     det_fields = ("buses", "ders", "switches", "state_space_log2",
                   "state_space_estimate")
-    _write_csv(os.path.join(out, "probe.csv"), [*det_fields, "note"],
-               ([*(row[k] for k in det_fields), row.get("note", "")] for row in rows))
-    _write_json([{k: row[k] for k in det_fields + ("note",) if k in row}
-                 for row in rows],
-                os.path.join(out, "probe.json"))
-
+    files = {
+        "probe.csv": ([*det_fields, "note"],
+                      [[*(row[k] for k in det_fields), row.get("note", "")]
+                       for row in rows]),
+        "probe.json": [{k: row[k] for k in det_fields + ("note",) if k in row}
+                       for row in rows],
+    }
     timings = {str(row["buses"]): {
         "wall_time_s": round(row["wall_time_s"], 6),
         "peak_memory_mb": round(row["peak_memory_mb"], 3),
         "method_times": {k: round(v, 6) for k, v in row["method_times"].items()},
     } for row in rows}
-    config = {"command": "probe", "sizes": list(sizes),
-              "methods": list(methods)}
-    _write_manifest(out, argv, config, {}, ["probe.csv", "probe.json"],
-                    seed=args.seed, timings=timings)
-    print(f"probe sizes={list(sizes)} -> {out}")
+    config = {"command": "probe", "sizes": list(sizes), "methods": methods}
+    return Output(files, config, {}, f"probe sizes={list(sizes)}", seed=args.seed,
+                  extra={"timings_s": timings})
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +478,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("payoff", help="build the payoff matrix")
+    p.set_defaults(handler=cmd_payoff)
     _add_network_flags(p)
-    p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("solve", help="solve the stage game")
+    p.set_defaults(handler=cmd_solve)
     _add_network_flags(p)
     p.add_argument("--matrix", help="payoff matrix CSV (skips building)")
     p.add_argument("--method", required=True, choices=SOLVE_METHODS)
@@ -521,9 +492,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the manifest only: no solve method draws "
                         "random numbers")
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("learn", help="train Q-learning agents")
+    p.set_defaults(handler=cmd_learn)
     _add_network_flags(p)
     p.add_argument("--matrix", help="payoff matrix CSV (skips building)")
     p.add_argument("--method", required=True, choices=LEARN_METHODS)
@@ -533,17 +504,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decay", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("baseline", help="evaluate one baseline policy")
+    p.set_defaults(handler=cmd_baseline)
     _add_network_flags(p)
     p.add_argument("--matrix", help="payoff matrix CSV (skips building)")
     p.add_argument("--method", required=True,
                    choices=BASELINE_TAGS)
     _add_mc_flags(p)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("compare", help="Monte Carlo comparison table")
+    p.set_defaults(handler=cmd_compare)
     _add_network_flags(p)
     p.add_argument("--matrix", help="payoff matrix CSV (skips building)")
     p.add_argument("--methods", default="all",
@@ -551,25 +522,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default=None,
                    help="reference method for improvement column")
     _add_mc_flags(p)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("probe", help="scaling measurements on growing feeders")
+    p.set_defaults(handler=cmd_probe)
     p.add_argument("--sizes", default="33,69,118")
-    p.add_argument("--methods", default="nash")
+    p.add_argument("--methods", default="nash", help="'all' or comma list of method tags")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
 
+    # the one writer makes --out for every command
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True, help="output directory")
     return parser
-
-
-_HANDLERS = {
-    "payoff": cmd_payoff,
-    "solve": cmd_solve,
-    "learn": cmd_learn,
-    "baseline": cmd_baseline,
-    "compare": cmd_compare,
-    "probe": cmd_probe,
-}
 
 
 def main(argv=None) -> int:
@@ -578,7 +541,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _HANDLERS[args.cmd](args, argv)
+        _write_output(args.handler(args), args.out, argv)
         return 0
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 
 FP_DEFAULT_ITERS = 100_000
 FP_DEFAULT_TOL = 1e-3
@@ -166,7 +166,7 @@ def nash_fictitious_play(M, max_iters: int = FP_DEFAULT_ITERS,
                          tol: float = FP_DEFAULT_TOL) -> EquilibriumReport:
     m = _entries(M)
     if max_iters < 1:
-        raise SolverError("max_iters must be at least 1")
+        raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
     pa, pd, iters = _fp_kernel(m, max_iters, tol, 100)
     return _report("fictitious-play", m, pa, pd, int(iters))
 
@@ -341,7 +341,7 @@ def regret_matching(M, T: int, tol: float = RM_DEFAULT_TOL) -> EquilibriumReport
     """
     m = _entries(M)
     if T < 1:
-        raise SolverError("T must be at least 1")
+        raise ConfigError(f"T must be at least 1, got {T}")
     pa, pd, steps, traj = _rm_kernel(m, T, tol, 10, max(1, T // 1000))
     return _report(
         "regret-matching", m, pa, pd, steps,
@@ -356,7 +356,7 @@ def softmax_response(M, opponent_mix, beta: float, side: str) -> MixedStrategy:
     """Logit response; beta=0 is uniform, beta→inf approaches best response."""
     m = _entries(M)
     if not (math.isfinite(beta) and beta >= 0):
-        raise SolverError(f"beta must be finite and non-negative, got {beta}")
+        raise ConfigError(f"beta must be finite and non-negative, got {beta}")
     mix = _probs(opponent_mix)
     if side == "attacker":
         z = -beta * (m @ mix)
@@ -387,7 +387,7 @@ def qre_fixed_point(M, beta_a: float, beta_d: float,
     """
     m = _entries(M)
     if not 0.0 < damping <= 1.0:
-        raise SolverError("damping must lie in (0, 1]")
+        raise ConfigError(f"damping must lie in (0, 1], got {damping}")
     pa = np.full(m.shape[0], 1.0 / m.shape[0])
     pd = np.full(m.shape[1], 1.0 / m.shape[1])
     converged = False

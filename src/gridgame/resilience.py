@@ -98,12 +98,18 @@ class PayoffMatrix:
     def from_csv(cls, path) -> "PayoffMatrix":
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        if not rows or len(rows) < 2:
+        if len(rows) < 2:
             raise ValueError(f"{path}: empty payoff matrix CSV")
-        defense_ids = tuple(rows[0][1:])
-        attack_ids = tuple(r[0] for r in rows[1:])
-        entries = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-        return cls(entries=entries, attack_ids=attack_ids, defense_ids=defense_ids)
+        header, entries = rows[0], []
+        for line, row in enumerate(rows[1:], start=2):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                entries.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {line}: {exc}") from None
+        return cls(entries=np.array(entries), attack_ids=tuple(r[0] for r in rows[1:]),
+                   defense_ids=tuple(header[1:]))
 
 
 # -- AHP -------------------------------------------------------------------

@@ -277,6 +277,27 @@ class TestSolve:
         assert exc.value.code == 2
 
 
+MALFORMED_MATRICES = [
+    pytest.param("attack,D1,D2\nA1,0.5\nA2,0.2,0.3\n",
+                 "line 2: 2 fields, the header has 3", id="ragged-row"),
+    pytest.param("attack,D1,D2\nA1,0.5,0.1\nA2,x,0.3\n",
+                 "line 3: could not convert string to float: 'x'", id="non-numeric-cell"),
+]
+
+
+@pytest.mark.parametrize("argv", [("solve", "--method", "nash"),
+                                  ("learn", "--method", "single", "--iters", 50)],
+                         ids=["solve", "learn"])
+@pytest.mark.parametrize("content, where", MALFORMED_MATRICES)
+def test_malformed_matrix_csv_names_file_and_line(argv, content, where, tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text(content)
+    out = tmp_path / "out"
+    assert run(*argv, "--matrix", path, "--out", out) == 2
+    assert f"error: {path}, {where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestLearn:
     @pytest.mark.parametrize("method", LEARN_METHODS)
     def test_non_finite_matrix_rejected_with_exit_2(self, method, tmp_path, capsys):
@@ -609,6 +630,9 @@ class TestFileFormat:
             argv += (matrix_csv,)
         out = tmp_path / "out"
         assert run(*argv, "--out", out) == 0
+        # the manifest lists exactly the data files written
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["outputs"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
         for path in sorted(out.iterdir()):
             text = path.read_bytes().decode()
             if path.suffix == ".json":
@@ -628,6 +652,26 @@ class TestFileFormat:
             assert notes == [row["note"] for row in
                              json.loads((out / "probe.json").read_text())]
             assert "," in notes[0]
+
+
+FAILING_COMMANDS = {
+    "payoff": ("payoff", "--catalog", "{tmp}/catalog.json"),
+    "solve": ("solve", "--method", "fp", "--iters", 0, "--matrix", "{matrix}"),
+    "learn": ("learn", "--method", "single", "--iters", 0, "--matrix", "{matrix}"),
+    "baseline": ("baseline", "--method", "RDS", "--runs", 0, "--matrix", "{matrix}"),
+    "compare": ("compare", "--methods", ","),
+    "probe": ("probe", "--sizes", 10),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_COMMANDS)
+def test_command_failing_on_bad_input_makes_no_out(name, matrix_csv, tmp_path, capsys):
+    (tmp_path / "catalog.json").write_text("[1]")
+    argv = [str(a).format(tmp=tmp_path, matrix=matrix_csv) for a in FAILING_COMMANDS[name]]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 class _FileWriters(ast.NodeVisitor):
@@ -716,6 +760,22 @@ class TestProbe:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "33" in manifest["timings_s"]
         assert "wall_time_s" in manifest["timings_s"]["33"]
+
+    def test_methods_all_expands_to_every_tag(self, tmp_path, monkeypatch):
+        from gridgame import experiments
+        seen = []
+        monkeypatch.setattr(experiments, "scalability_probe",
+                            lambda sizes, methods, seed: seen.append(methods) or [])
+        out = tmp_path / "out"
+        assert run("probe", "--sizes", "33", "--methods", "all", "--out", out) == 0
+        assert seen == [list(gridgame.METHOD_TAGS)]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["methods"] == list(gridgame.METHOD_TAGS)
+
+    def test_empty_methods_rejected_with_exit_2(self, tmp_path, capsys):
+        assert run("probe", "--sizes", "33", "--methods", ",", "--out", tmp_path / "out") == 2
+        assert "empty --methods list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_sizes_rejected_with_exit_2(self, tmp_path, capsys):
         # a repeated size would write two rows under one timings_s key

@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 from gridgame import cli
 from gridgame import gamesolve as gs
-from gridgame.errors import SolverError
+from gridgame.errors import ConfigError, SolverError
 from gridgame.gamesolve import (
     EquilibriumReport,
     MixedStrategy,
@@ -165,6 +165,10 @@ class TestNashExact:
 
 
 class TestFictitiousPlay:
+    def test_bad_max_iters_rejected(self):
+        with pytest.raises(ConfigError, match="max_iters must be at least 1, got 0"):
+            nash_fictitious_play(PENNIES, max_iters=0)
+
     def test_matching_pennies_uniform(self):
         r = nash_fictitious_play(PENNIES, max_iters=100_000)
         assert np.allclose(r.attacker.probs, [0.5, 0.5], atol=0.02)
@@ -239,6 +243,10 @@ def rm_game(kind, rows, cols, seed):
 
 
 class TestRegretMatching:
+    def test_bad_T_rejected(self):
+        with pytest.raises(ConfigError, match="T must be at least 1, got 0"):
+            regret_matching(PENNIES, T=0)
+
     def test_rps_converges_to_uniform(self):
         r = regret_matching(RPS, T=100_000)
         assert r.epsilon <= 1e-4
@@ -371,16 +379,16 @@ class TestQre:
         assert res.residual <= 1e-8
 
     def test_bad_damping_rejected(self):
-        with pytest.raises(SolverError):
+        with pytest.raises(ConfigError, match=r"damping .* got 0\.0"):
             qre_fixed_point(PENNIES, 1.0, 1.0, damping=0.0)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_bad_beta_rejected(self, beta):
-        with pytest.raises(SolverError, match="beta"):
+        with pytest.raises(ConfigError, match="beta"):
             softmax_response(PENNIES, MixedStrategy.uniform(2), beta, "attacker")
-        with pytest.raises(SolverError, match="beta"):
+        with pytest.raises(ConfigError, match="beta"):
             qre_fixed_point(PENNIES, beta, 1.0)
-        with pytest.raises(SolverError, match="beta"):
+        with pytest.raises(ConfigError, match="beta"):
             qre_fixed_point(PENNIES, 1.0, beta)
 
 

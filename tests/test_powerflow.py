@@ -41,10 +41,11 @@ def assert_matches_oracle(state):
     return "converged" if got.converged else "not converged"
 
 
-def feeder(n, seed, load_kw, open_share, n_ders, shed_share, tie):
+def feeder(n, seed, load_kw, open_share, n_ders, shed_share, tie, critical_share=0.0):
     """A random tree of n buses with shuffled ids; some lines open, DERs
-    online or offline at any dispatch, shed fractions, and optionally one
-    closed tie switch, which loops when both ends share an island."""
+    online or offline at any dispatch, shed fractions, optionally one closed
+    tie switch, which loops when both ends share an island, and some buses
+    critical."""
     rng = np.random.default_rng(seed)
     ids = [int(b) for b in rng.permutation(n) + 1]
     buses = tuple(
@@ -67,8 +68,12 @@ def feeder(n, seed, load_kw, open_share, n_ders, shed_share, tie):
     if tie and n >= 2:
         a, b = rng.choice(ids, 2, replace=False)
         switches = (TieSwitch("T1", int(a), int(b), 0.3, 0.2, CLOSED),)
+    slack = ids[int(rng.integers(0, n))]
+    # drawn last, so the other fields do not depend on critical_share
+    buses = tuple(Bus(b.id, b.load_p, b.load_q, bool(rng.random() < critical_share))
+                  for b in buses)
     return NetworkState(buses=buses, lines=tuple(lines), switches=switches, ders=ders,
-                        slack_bus=ids[int(rng.integers(0, n))], shed_fractions=shed)
+                        slack_bus=slack, shed_fractions=shed)
 
 
 FEEDERS = st.builds(
@@ -80,6 +85,7 @@ FEEDERS = st.builds(
     n_ders=st.integers(0, 4),
     shed_share=st.sampled_from([0.0, 0.3]),
     tie=st.booleans(),
+    critical_share=st.sampled_from([0.0, 0.3]),
 )
 
 

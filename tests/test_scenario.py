@@ -9,6 +9,7 @@ scores must equal it exactly, not approximately.
 import copy
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import pair_oracle
 from test_powerflow import FEEDERS
+from test_topology import expected_reference, multigraph
 from gridgame import scenario
 from gridgame.errors import CatalogError, RadialityError
 from gridgame.experiments import _probe_catalog, synthetic_feeder
@@ -526,3 +528,33 @@ def test_property_metrics_and_scores_lie_in_the_unit_interval(cell, seed):
     # AHP weights sum to 1 up to rounding, so a score may pass 1 by an ulp
     scores = plan.scores(rows, WEIGHTS)
     assert ((0.0 <= scores) & (scores <= 1.0 + 1e-12)).all()
+
+
+def loopy_energized_islands(state):
+    """The islands networkx finds hold a loop and a slack bus or online DER."""
+    g = multigraph(state)
+    return [c for c in nx.connected_components(g)
+            if expected_reference(state, c) is not None and not nx.is_tree(g.subgraph(c))]
+
+
+def cycle_rank(state):
+    """Independent loops of the closed branches: edges - nodes + islands."""
+    g = multigraph(state)
+    return g.number_of_edges() - g.number_of_nodes() + nx.number_connected_components(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell=feeder_cells())
+def test_property_defense_leaves_no_loop_in_an_energized_island(cell):
+    state, attack, defense = cell
+    attacked = apply_attack(state, attack)
+    defended = apply_defense(attacked, defense)
+    # a close that would loop is skipped, so the defense adds no loop of its own
+    assert cycle_rank(defended) <= cycle_rank(attacked)
+    loops = loopy_energized_islands(state) + loopy_energized_islands(defended)
+    try:
+        compile_pair(state, attack, defense)
+    except RadialityError:
+        assert loops
+    else:
+        assert not loops  # every energized island of the defended state is a tree
