@@ -3,9 +3,11 @@
 Subcommands: payoff, solve, learn, baseline, compare, probe.  A handler
 writes nothing: it returns an ``Output`` (data files by name, manifest
 fields, summary line) to ``_write_output``, the one writer, which makes
---out, writes each file, and last a manifest.json over exactly those files:
-the command line, the resolved configuration and its digest, input/output
-file digests, and wall times.  Data files depend only on (inputs, seed), so
+--out (an existing file at or above it is an input error, found before any
+work), removes the files an earlier manifest.json in it lists, writes each
+file, and last a manifest.json over exactly those files: the command line,
+the resolved configuration and its digest, input/output file digests, and
+wall times.  Data files depend only on (inputs, seed), so
 a rerun reproduces them byte for byte; everything volatile lives in the
 manifest.  JSON goes through ``_write_json`` (indent 2, sorted keys, final
 newline), a ``(header, rows)`` CSV through ``_write_csv`` (the ``csv``
@@ -100,9 +102,38 @@ def _write_csv(path, header, rows) -> None:
                          for row in rows)
 
 
+def _check_out(out) -> None:
+    """--out, or else the nearest of its parents that exists, is a directory;
+    checked before any work runs."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out}: {path} exists and is not a directory")
+
+
+def _remove_listed_outputs(out) -> None:
+    """Remove the data files an earlier manifest in --out lists, so the
+    directory holds no output the new manifest does not list. Only plain
+    file names inside --out are removed; files no manifest lists stay."""
+    try:
+        with open(os.path.join(out, "manifest.json")) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):  # no manifest, or not one we could have written
+        return
+    listed = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not isinstance(listed, dict):
+        return
+    for name in listed:
+        path = os.path.join(out, name)
+        if name == os.path.basename(name) and os.path.isfile(path):
+            os.remove(path)
+
+
 def _write_output(output: Output, out, argv) -> None:
     """Make --out, write every data file, then the manifest listing them."""
     os.makedirs(out, exist_ok=True)
+    _remove_listed_outputs(out)
     digests = {}
     for name, data in output.files.items():
         path = os.path.join(out, name)
@@ -541,6 +572,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         _write_output(args.handler(args), args.out, argv)
         return 0
     except _INPUT_ERRORS as exc:

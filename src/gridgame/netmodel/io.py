@@ -54,7 +54,7 @@ def _num(mapping, key, where, default=None, cast=float):
     value = _req(mapping, key, where) if default is None else mapping.get(key, default)
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int() of an infinity overflows
         raise NetworkParseError(f"{where}: {key!r} must be a number, got {value!r}") from None
 
 

@@ -5,7 +5,11 @@ reference (the slack bus, or the island's largest online DER).  Loads are
 constant-power; DERs are constant-P injections at unity power factor.
 Islands without a reference node are reported de-energized with zero
 voltage.  Islands, references and the adjacency the sweep numbers each
-island on all come from one ``topology.connectivity`` pass.
+island on all come from one ``topology.connectivity`` pass.  The numbering
+of the energized islands, in bus positions, is made the first time a state
+is solved and stored on it, so the flows of a state and of its load-only
+derivations (shed, scaled loads) number it once; each flow then builds its
+draw vector, voltages and undervoltage list as arrays over bus positions.
 
 Every sweep is the same Jacobi step as the per-bus backward/forward sweep:
 node currents conj(S/V) at the previous voltages, summed into branch
@@ -86,6 +90,28 @@ def _sweep(end, z, s, tol, max_sweeps):
     return v, sweeps, max_dv
 
 
+def _numbering(state: NetworkState, isls, adj):
+    """(bus ids, bus positions, live mask, per energized island (positions
+    in depth-first order, end, z in p.u.)), stored on the state.
+
+    Every energized island must already have passed its radiality check.
+    """
+    if state._numbering is None:
+        ids = [b.id for b in state.buses]
+        pos = {bus: i for i, bus in enumerate(ids)}
+        live = np.zeros(len(ids), dtype=bool)
+        z_base = state.base_kv**2 / state.base_mva
+        numbered = []
+        for isl in isls:
+            if isl.energized:
+                order, end, r, x = _depth_first(adj, isl.reference)
+                at = np.array([pos[bus] for bus in order])
+                live[at] = True
+                numbered.append((at, end, r / z_base + 1j * (x / z_base)))
+        object.__setattr__(state, "_numbering", (ids, pos, live, tuple(numbered)))
+    return state._numbering
+
+
 def power_flow(state: NetworkState, tol: float = TOLERANCE,
                max_sweeps: int = MAX_SWEEPS) -> PowerFlowSolution:
     """Per-island sweep solution. Deterministic for identical states.
@@ -95,45 +121,41 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
     converged=False; the caller decides on a shedding fallback.
     """
     isls, adj = topology.connectivity(state)
-    live = {bus for isl in isls if isl.energized for bus in isl.buses}
-    voltages: dict[int, complex] = {b.id: 0j for b in state.buses}
-    z_base = state.base_kv**2 / state.base_mva
+    for isl in isls:
+        if isl.energized:
+            isl.check_radial()
+    ids, pos, live, numbered = _numbering(state, isls, adj)
     s_base_kw = 1000.0 * state.base_mva
-    der_kw: dict[int, float] = {}
+    keep = np.ones(len(ids))
+    for bus, frac in state.shed_fractions.items():
+        keep[pos[bus]] = 1.0 - frac
+    der_kw = np.zeros(len(ids))
     for d in state.ders:
         if d.online:
-            der_kw[d.bus] = der_kw.get(d.bus, 0.0) + d.output_kw()
-    draw = {}
-    for b in state.buses:
-        keep = 1.0 - state.shed(b.id)
-        draw[b.id] = complex((b.load_p * keep - der_kw.get(b.id, 0.0)) / s_base_kw,
-                             (b.load_q * keep) / s_base_kw)
+            der_kw[pos[d.bus]] += d.output_kw()
+    draw = np.empty(len(ids), dtype=np.complex128)
+    draw.real = (np.array([b.load_p for b in state.buses]) * keep - der_kw) / s_base_kw
+    draw.imag = (np.array([b.load_q for b in state.buses]) * keep) / s_base_kw
+    v_all = np.zeros(len(ids), dtype=np.complex128)
     all_converged = True
     iterations = 0
     max_mismatch = 0.0
-    for isl in isls:
-        if not isl.energized:
-            continue
-        isl.check_radial()
-        order, end, r, x = _depth_first(adj, isl.reference)
-        s = np.array([0j] + [draw[bus] for bus in order[1:]])
-        z = r / z_base + 1j * (x / z_base)
+    for at, end, z in numbered:
+        s = draw[at]
+        s[0] = 0.0  # the reference serves its local power directly
         v, iters, max_dv = _sweep(end, z, s, tol, max_sweeps)
-        voltages.update(zip(order, v.tolist()))
+        v_all[at] = v
         iterations = max(iterations, iters)
         max_mismatch = max(max_mismatch, max_dv)
         if not max_dv <= tol:
             all_converged = False
-    under = tuple(
-        b.id for b in state.buses
-        if b.id in live and abs(voltages[b.id]) < UNDERVOLTAGE_PU
-    )
+    under = np.flatnonzero(live & (np.abs(v_all) < UNDERVOLTAGE_PU))
     return PowerFlowSolution(
-        voltages=voltages,
+        voltages=dict(zip(ids, v_all.tolist())),
         converged=all_converged,
         iterations=iterations,
         max_mismatch=max_mismatch,
         islands=tuple(isl.buses for isl in isls),
         energized=tuple(isl.energized for isl in isls),
-        undervoltage_buses=under,
+        undervoltage_buses=tuple(ids[i] for i in under.tolist()),
     )

@@ -2,7 +2,10 @@
 
 ``connectivity`` is the one reader of ``NetworkState.closed_branches()``: it
 scans the closed branches once and the online DERs once, and every other
-connectivity question in the package reads the ``Island``s it returns.
+connectivity question in the package reads the ``Island``s it returns.  It
+stores its result on the state, so a state is resolved at most once however
+many questions are asked of it, and a derivation that changes only loads or
+shed fractions shares its parent's result.
 """
 
 from __future__ import annotations
@@ -36,14 +39,21 @@ class Island:
 
 def connectivity(state: NetworkState) -> tuple[tuple[Island, ...],
                                                dict[int, list[tuple[int, float, float]]]]:
-    """(islands, adjacency) of the state in one pass.
+    """(islands, adjacency) of the state, from one pass made the first time.
 
     Islands are ordered by their smallest bus id, so the slack island of the
     bundled system is always index 0. The adjacency maps each bus to its
-    (neighbour, r_ohm, x_ohm) over closed branches. The reference of an
-    island without the slack bus is its largest-rated online DER, rating
-    ties breaking toward the lower bus id.
+    (neighbour, r_ohm, x_ohm) over closed branches; it is shared by every
+    caller, so none may modify it. The reference of an island without the
+    slack bus is its largest-rated online DER, rating ties breaking toward
+    the lower bus id.
     """
+    if state._topology is None:
+        object.__setattr__(state, "_topology", _connectivity(state))
+    return state._topology
+
+
+def _connectivity(state: NetworkState):
     adj: dict[int, list[tuple[int, float, float]]] = {b.id: [] for b in state.buses}
     for f, t, r, x, _id in state.closed_branches():
         adj[f].append((t, r, x))

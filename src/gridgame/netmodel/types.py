@@ -3,6 +3,15 @@
 All types are frozen dataclasses: a scenario transformation never mutates a
 network, it derives a new one.  Bus ids are dense 1..N; internal array code
 uses 0-based indices and converts at the boundary.
+
+A state is validated at the boundary: every ``NetworkState(...)`` and
+``dataclasses.replace`` runs the full check in ``__post_init__``, so loaders
+and user code always do.  The ``with_*`` derivations check only what they
+change, with the same rules, and build their result through one trusted
+path.  Each state also carries two slots that ``topology`` and
+``powerflow`` fill the first time they resolve it, so its connectivity and
+its numbering are worked out once: a derivation that changes loads or shed
+fractions alone keeps them, and every other derivation starts empty.
 """
 
 from __future__ import annotations
@@ -78,6 +87,10 @@ class NetworkState:
     # bus id -> shed fraction in [0,1]; missing means 0. Treated as immutable.
     shed_fractions: Mapping[int, float] = field(default_factory=dict)
 
+    # filled by topology.connectivity and powerflow.power_flow; never compared
+    _topology: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _numbering: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
     def __post_init__(self):
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
@@ -89,11 +102,7 @@ class NetworkState:
                 raise NetworkValidationError(f"{name} must be finite and positive, got {value}")
         if self.slack_bus not in known:
             raise NetworkValidationError(f"slack bus {self.slack_bus} not in network")
-        for b in self.buses:
-            if not (math.isfinite(b.load_p) and math.isfinite(b.load_q)):
-                raise NetworkValidationError(f"bus {b.id}: non-finite load")
-            if b.load_p < 0:
-                raise NetworkValidationError(f"bus {b.id}: negative active load")
+        _check_loads(self.buses)
         for ln in list(self.lines) + list(self.switches):
             if ln.from_bus == ln.to_bus:
                 raise NetworkValidationError(f"{ln.id}: from and to bus coincide")
@@ -103,21 +112,8 @@ class NetworkState:
                 raise NetworkValidationError(f"{ln.id}: non-finite impedance")
             if ln.r < 0 or ln.x < 0:
                 raise NetworkValidationError(f"{ln.id}: negative impedance")
-        der_ids = [d.id for d in self.ders]
-        if len(set(der_ids)) != len(der_ids):
-            raise NetworkValidationError("duplicate DER ids")
-        for d in self.ders:
-            if d.bus not in known:
-                raise NetworkValidationError(f"{d.id}: bus {d.bus} does not exist")
-            if not (math.isfinite(d.rating_p) and d.rating_p >= 0):
-                raise NetworkValidationError(f"{d.id}: rating must be finite and non-negative")
-            if not 0.0 <= d.dispatch_fraction <= 1.0:
-                raise NetworkValidationError(f"{d.id}: dispatch fraction outside [0,1]")
-        for bus_id, frac in self.shed_fractions.items():
-            if bus_id not in known:
-                raise NetworkValidationError(f"shed fraction on unknown bus {bus_id}")
-            if not 0.0 <= frac <= 1.0:
-                raise NetworkValidationError(f"bus {bus_id}: shed fraction outside [0,1]")
+        _check_ders(self.ders, known)
+        _check_shed(self.shed_fractions, known)
 
     # -- lookups ---------------------------------------------------------
 
@@ -164,24 +160,27 @@ class NetworkState:
         if not any(l.id == line_id for l in self.lines):
             raise KeyError(f"no line {line_id}")
         lines = tuple(replace(l, status=status) if l.id == line_id else l for l in self.lines)
-        return replace(self, lines=lines)
+        return self._derive(lines=lines)
 
     def with_switch_position(self, switch_id: str, position: str) -> "NetworkState":
         if not any(s.id == switch_id for s in self.switches):
             raise KeyError(f"no switch {switch_id}")
         sws = tuple(replace(s, position=position) if s.id == switch_id else s for s in self.switches)
-        return replace(self, switches=sws)
+        return self._derive(switches=sws)
 
     def with_der(self, der_id: str, **changes) -> "NetworkState":
         if not any(d.id == der_id for d in self.ders):
             raise KeyError(f"no DER {der_id}")
         ders = tuple(replace(d, **changes) if d.id == der_id else d for d in self.ders)
-        return replace(self, ders=ders)
+        _check_ders(ders, {b.id for b in self.buses})
+        # the islands hold the old Der objects, and the flow reads their output
+        return self._derive(ders=ders)
 
     def with_shed(self, fractions: Mapping[int, float]) -> "NetworkState":
+        _check_shed(fractions, {b.id for b in self.buses})
         merged = dict(self.shed_fractions)
         merged.update(fractions)
-        return replace(self, shed_fractions=merged)
+        return self._derive(same_topology=True, shed_fractions=merged)
 
     def with_scaled_loads(self, factors: Mapping[int, float]) -> "NetworkState":
         buses = tuple(
@@ -189,7 +188,50 @@ class NetworkState:
             if b.id in factors else b
             for b in self.buses
         )
-        return replace(self, buses=buses)
+        _check_loads(buses)
+        return self._derive(same_topology=True, buses=buses)
+
+    def _derive(self, *, same_topology: bool = False, **changes) -> "NetworkState":
+        """The trusted path of the ``with_*`` derivations: a copy with
+        ``changes``, which the caller has checked, without ``__post_init__``.
+        It keeps the resolved topology and numbering only when
+        ``same_topology``: the change touched no branch, DER or reference."""
+        derived = object.__new__(type(self))
+        attrs = vars(derived)
+        attrs.update(vars(self))
+        attrs.update(changes)
+        if not same_topology:
+            attrs.update(_topology=None, _numbering=None)
+        return derived
+
+
+def _check_loads(buses) -> None:
+    for b in buses:
+        if not (math.isfinite(b.load_p) and math.isfinite(b.load_q)):
+            raise NetworkValidationError(f"bus {b.id}: non-finite load")
+        if b.load_p < 0:
+            raise NetworkValidationError(f"bus {b.id}: negative active load")
+
+
+def _check_ders(ders, known) -> None:
+    der_ids = [d.id for d in ders]
+    if len(set(der_ids)) != len(der_ids):
+        raise NetworkValidationError("duplicate DER ids")
+    for d in ders:
+        if d.bus not in known:
+            raise NetworkValidationError(f"{d.id}: bus {d.bus} does not exist")
+        if not (math.isfinite(d.rating_p) and d.rating_p >= 0):
+            raise NetworkValidationError(f"{d.id}: rating must be finite and non-negative")
+        if not 0.0 <= d.dispatch_fraction <= 1.0:
+            raise NetworkValidationError(f"{d.id}: dispatch fraction outside [0,1]")
+
+
+def _check_shed(fractions, known) -> None:
+    for bus_id, frac in fractions.items():
+        if bus_id not in known:
+            raise NetworkValidationError(f"shed fraction on unknown bus {bus_id}")
+        if not 0.0 <= frac <= 1.0:
+            raise NetworkValidationError(f"bus {bus_id}: shed fraction outside [0,1]")
 
 
 @dataclass(frozen=True)

@@ -54,17 +54,25 @@ class Effect:
         return cls(kind=obj["kind"], target=tgt, value=obj.get("value"))
 
 
+def _finite_real(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+
+
 def _check_effects(action_id: str, effects, kinds, side: str) -> None:
-    """Known kinds only; every value None or a finite real, not a bool or a
-    string; a shed_threshold needs its value."""
+    """Known kinds only; a target list holds only strings and finite reals;
+    every value None or a finite real, not a bool or a string; a
+    shed_threshold needs its value."""
     for eff in effects:
         if not isinstance(eff.kind, str) or eff.kind not in kinds:
             raise CatalogError(f"{action_id}: unknown {side} effect kind {eff.kind!r}")
+        if isinstance(eff.target, tuple) and not all(
+                isinstance(t, str) or _finite_real(t) for t in eff.target):
+            raise CatalogError(f"{action_id}: {eff.kind} target {list(eff.target)!r} "
+                               "must list bus ids")
         v = eff.value
         if v is None and eff.kind == "shed_threshold":
             raise CatalogError(f"{action_id}: shed_threshold needs a value")
-        if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                              or not math.isfinite(v)):
+        if v is not None and not _finite_real(v):
             raise CatalogError(f"{action_id}: {eff.kind} value {v!r} is not a finite number")
 
 
@@ -238,6 +246,8 @@ def load_catalog(path) -> ScenarioCatalog:
         raise CatalogError(f"{path}: top level must be an object, got {type(obj).__name__}")
     base = catalog_default()
     version = obj.get("version", CATALOG_VERSION)
+    if not isinstance(version, str):
+        raise CatalogError(f"{path}: 'version' must be a string, got {version!r}")
     att = _parse_actions(obj, "attacks", AttackAction, path)
     dfn = _parse_actions(obj, "defenses", DefenseAction, path)
 

@@ -65,6 +65,22 @@ def scale_a4(value):
         {"kind": "scale_load", "target": [20], "value": value}]}]}
 
 
+def scale_a4_target(target):
+    return {"attacks": [{"id": "A4", "effects": [
+        {"kind": "scale_load", "target": target, "value": 1.2}]}]}
+
+
+def defense_effect(defense_id, kind, target, value):
+    return {"defenses": [{"id": defense_id, "effects": [
+        {"kind": kind, "target": target, "value": value}]}]}
+
+
+def infinite_endpoint_doc(key, field):
+    doc = bundled_network_doc()
+    doc[key][0][field] = float("inf")
+    return doc
+
+
 def null_load_doc():
     doc = bundled_network_doc()
     doc["buses"][3]["p_kw"] = None
@@ -85,6 +101,19 @@ MALFORMED_INPUTS = [
     pytest.param("--catalog", scale_a4(float("inf")), id="infinite-value"),
     pytest.param("--network", null_load_doc(), id="null-bus-load"),
     pytest.param("--network", bundled_network_doc(critical_buses=5), id="critical-buses-not-list"),
+    pytest.param("--network", infinite_endpoint_doc("buses", "id"), id="infinite-bus-id"),
+    pytest.param("--network", infinite_endpoint_doc("lines", "from"), id="infinite-line-from"),
+    pytest.param("--network", infinite_endpoint_doc("lines", "to"), id="infinite-line-to"),
+    pytest.param("--catalog", {"version": 1.5}, id="number-version"),
+    pytest.param("--catalog", scale_a4_target([[20]]), id="list-in-target-list"),
+    pytest.param("--catalog", scale_a4_target([{}]), id="object-in-target-list"),
+    pytest.param("--catalog", scale_a4_target([20, float("inf")]), id="infinite-target"),
+    # values each with_* derivation checks, since it skips the full validator
+    pytest.param("--catalog", scale_a4(-1.0), id="negative-scale"),
+    pytest.param("--catalog", defense_effect("D8", "shed_fraction", "non-critical", 1.5),
+                 id="shed-fraction-above-one"),
+    pytest.param("--catalog", defense_effect("D6", "set_der_dispatch", "DER1", 1.5),
+                 id="dispatch-above-one"),
 ]
 
 
@@ -672,6 +701,42 @@ def test_command_failing_on_bad_input_makes_no_out(name, matrix_csv, tmp_path, c
     assert run(*argv, "--out", out) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-a-file"])
+def test_out_naming_a_file_exits_2_before_any_work(below, tmp_path, capsys):
+    # the matrix is missing too: the --out check runs first
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert run("solve", "--method", "nash", "--matrix", tmp_path / "missing.csv",
+               "--out", taken.joinpath(*below)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and "is not a directory" in err
+    assert taken.read_text() == "keep"
+
+
+def test_reused_out_keeps_only_the_new_outputs(matrix_csv, tmp_path):
+    out = tmp_path / "out"
+    assert run("solve", "--method", "regret", "--matrix", matrix_csv, "--out", out) == 0
+    assert (out / "trajectory.csv").exists()
+    (out / "notes.txt").write_text("no manifest lists me")
+    assert run("solve", "--method", "nash", "--matrix", matrix_csv, "--out", out) == 0
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(os.listdir(out)) == sorted([*listed, "manifest.json", "notes.txt"])
+
+
+def test_reused_out_removes_nothing_outside_it(matrix_csv, tmp_path):
+    # a manifest naming paths, not plain file names, removes none of them
+    out, outside = tmp_path / "out", tmp_path / "outside.csv"
+    out.mkdir()
+    outside.write_text("keep")
+    (out / "sub").mkdir()
+    (out / "sub" / "inner.csv").write_text("keep")
+    (out / "manifest.json").write_text(json.dumps({"outputs": {
+        "../outside.csv": "", str(outside): "", "sub/inner.csv": "", "sub": "", "..": ""}}))
+    assert run("solve", "--method", "nash", "--matrix", matrix_csv, "--out", out) == 0
+    assert outside.read_text() == "keep"
+    assert (out / "sub" / "inner.csv").read_text() == "keep"
 
 
 class _FileWriters(ast.NodeVisitor):

@@ -6,6 +6,8 @@ reference minus the sum of Z*I over the unique path), with all bookkeeping
 in dicts via networkx. Agreement between the two is then meaningful.
 """
 
+import contextlib
+import dataclasses
 import math
 
 import networkx as nx
@@ -26,7 +28,9 @@ from gridgame.netmodel import (
     power_flow,
     topology,
 )
-from gridgame.scenario import AttackAction, DefenseAction, compile_pair, serve_loads
+from gridgame.resilience import DEFAULT_AHP_MATRIX, ahp_weights, build_payoff_matrix
+from gridgame.scenario import (AttackAction, DefenseAction, catalog_default, compile_pair,
+                               serve_loads)
 
 
 def oracle_voltages(state, tol=1e-13, max_iter=400):
@@ -401,3 +405,85 @@ class TestValidation:
         opened = net.with_line_status(line.id, OPEN)
         again = opened.with_line_status(line.id, OPEN)
         assert again.find_line(6, 7).status == OPEN
+
+
+# -- the trusted path of the with_* derivations -------------------------------
+
+@contextlib.contextmanager
+def derived_states():
+    """Collects every state a ``with_*`` derivation makes while the block runs."""
+    made, derive = [], NetworkState._derive
+
+    def record(self, *args, **kwargs):
+        made.append(derive(self, *args, **kwargs))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NetworkState, "_derive", record)
+        yield made
+
+
+def assert_revalidates(state):
+    """The full validator accepts a derived state and rebuilds it equal; the
+    topology and numbering it holds, perhaps its parent's, are the rebuilt
+    state's own."""
+    again = NetworkState(**{f.name: getattr(state, f.name)
+                            for f in dataclasses.fields(state) if f.init})
+    assert again == state
+    if state._topology is not None:
+        assert state._topology == topology.connectivity(again)
+    if state._numbering is not None:
+        assert power_flow(state) == power_flow(again)
+
+
+def test_every_derived_state_of_the_bundled_build_revalidates(monkeypatch):
+    base = load_ieee33()
+    validations = []
+    validate = NetworkState.__post_init__
+
+    def counted(self):
+        validations.append(self)
+        validate(self)
+
+    monkeypatch.setattr(NetworkState, "__post_init__", counted)
+    with derived_states() as made:
+        build_payoff_matrix(base, catalog_default(), ahp_weights(DEFAULT_AHP_MATRIX))
+    # one derivation per state the build makes, and none runs the full check
+    assert (len(made), len(validations)) == (428, 0)
+    for state in made:
+        assert_revalidates(state)
+    assert sum(s._numbering is not None for s in made) == 163
+
+
+class TestDerivations:
+    @pytest.mark.parametrize("derive", [
+        pytest.param(lambda s: s.with_scaled_loads({2: -1.0}), id="negative-scale"),
+        pytest.param(lambda s: s.with_scaled_loads({2: math.nan}), id="nan-scale"),
+        pytest.param(lambda s: s.with_scaled_loads({2: math.inf}), id="infinite-scale"),
+        pytest.param(lambda s: s.with_shed({2: 1.5}), id="shed-above-one"),
+        pytest.param(lambda s: s.with_shed({2: -0.1}), id="negative-shed"),
+        pytest.param(lambda s: s.with_shed({2: math.nan}), id="nan-shed"),
+        pytest.param(lambda s: s.with_shed({99: 0.5}), id="unknown-shed-bus"),
+        pytest.param(lambda s: s.with_der("DER1", dispatch_fraction=1.5), id="dispatch-above-one"),
+        pytest.param(lambda s: s.with_der("DER1", dispatch_fraction=-0.5), id="negative-dispatch"),
+        pytest.param(lambda s: s.with_der("DER1", dispatch_fraction=math.nan), id="nan-dispatch"),
+        pytest.param(lambda s: s.with_der("DER1", rating_p=math.inf), id="infinite-rating"),
+        pytest.param(lambda s: s.with_der("DER1", bus=99), id="unknown-der-bus"),
+        pytest.param(lambda s: s.with_der("DER1", id="DER2"), id="duplicate-der-id"),
+    ])
+    def test_bad_value_rejected(self, net, derive):
+        with pytest.raises(NetworkValidationError):
+            derive(net)
+
+    def test_der_change_resolves_its_own_islands(self, net):
+        # the islands hold the DERs, whose output the plan and the flow read
+        boosted = net.with_der("DER1", dispatch_fraction=1.0)
+        assert topology.islands(boosted) is not topology.islands(net)
+        assert [d for isl in topology.islands(boosted) for d in isl.ders] == list(boosted.ders)
+
+    def test_load_only_derivations_keep_the_parents_topology(self, net):
+        power_flow(net)
+        for derived in (net.with_shed({2: 0.5}), net.with_scaled_loads({2: 2.0})):
+            assert topology.connectivity(derived) is topology.connectivity(net)
+            assert derived._numbering is net._numbering
+            assert_revalidates(derived)

@@ -271,11 +271,15 @@ class TestPayoffMatrix:
         assert len(m.cell_flags) == 39
 
     def test_one_branch_scan_per_connectivity_pass(self, monkeypatch):
-        # every reader of the closed branches goes through one topology pass;
-        # the build once scanned them 1159 times for 439 island passes.
-        # A cell's plan reads the islands its radiality check found, so 100
-        # compile_pair calls make 275 passes, not 375.
-        calls = {"scans": 0, "passes": 0}
+        # every reader of the closed branches goes through one topology pass,
+        # made once per state: a state keeps its islands, and a load-only
+        # derivation shares its parent's. The build asks 438 connectivity
+        # questions (it scanned once per question, 438 times, before states
+        # kept their islands) and scans 175 times; the loader's check
+        # resolves the base, so its flows and compile_pair's base check
+        # scan nothing, and 100 compile_pair calls ask 275 questions and scan
+        # 175 times, not 275.
+        calls = {"scans": 0, "passes": 0, "questions": 0}
         scan, connectivity = NetworkState.closed_branches, topology.connectivity
 
         def counted_scan(state):
@@ -283,18 +287,21 @@ class TestPayoffMatrix:
             return scan(state)
 
         def counted_pass(state):
-            calls["passes"] += 1
+            calls["questions"] += 1
+            calls["passes"] += state._topology is None
             return connectivity(state)
 
         monkeypatch.setattr(NetworkState, "closed_branches", counted_scan)
         monkeypatch.setattr(topology, "connectivity", counted_pass)
         net, cat = load_ieee33(), scenario.catalog_default()
+        assert calls == {"scans": 1, "passes": 1, "questions": 1}
         resilience.build_payoff_matrix(net, cat, ahp_weights(DEFAULT_AHP_MATRIX))
-        assert calls == {"scans": 439, "passes": 439}
+        assert calls == {"scans": 1 + 175, "passes": 1 + 175, "questions": 1 + 438}
         for attack in cat.attacks:
             for defense in cat.defenses:
                 scenario.compile_pair(net, attack, defense)
-        assert calls == {"scans": 439 + 275, "passes": 439 + 275}
+        assert calls == {"scans": 1 + 175 + 175, "passes": 1 + 175 + 175,
+                         "questions": 1 + 438 + 275}
 
     def test_cell_error_names_the_cell(self):
         cat = scenario.catalog_default()

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pair_oracle
+from test_netmodel import assert_revalidates, derived_states
 from test_powerflow import FEEDERS
 from test_topology import expected_reference, multigraph
 from gridgame import scenario
@@ -30,6 +31,7 @@ from gridgame.netmodel import (
     TieSwitch,
     islands,
     load_ieee33,
+    topology,
 )
 from gridgame.resilience import DEFAULT_AHP_MATRIX, ahp_weights, unified_score
 from gridgame.scenario import (
@@ -505,13 +507,18 @@ def feeder_cells(draw):
 def test_property_actions_leave_their_input_unchanged(cell):
     state, attack, defense = cell
     before = copy.deepcopy(state)
-    attacked = apply_attack(state, attack)
-    assert state == before
-    after_attack = copy.deepcopy(attacked)
-    apply_defense(attacked, defense)
-    assert attacked == after_attack
-    apply_defense(state, defense)
-    assert state == before
+    topology.connectivity(state)  # so that load-only derivations carry it
+    with derived_states() as made:
+        attacked = apply_attack(state, attack)
+        assert state == before
+        after_attack = copy.deepcopy(attacked)
+        apply_defense(attacked, defense)
+        assert attacked == after_attack
+        apply_defense(state, defense)
+        assert state == before
+    # every derived state passes the full validator the derivations skip
+    for derived in made:
+        assert_revalidates(derived)
 
 
 @settings(max_examples=150, deadline=None)
