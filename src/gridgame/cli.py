@@ -4,7 +4,8 @@ Subcommands: payoff, solve, learn, baseline, compare, probe.  A handler
 writes nothing: it returns an ``Output`` (data files by name, manifest
 fields, summary line) to ``_write_output``, the one writer, which makes
 --out (an existing file at or above it is an input error, found before any
-work), removes the files an earlier manifest.json in it lists, writes each
+work), removes the files an earlier manifest.json in it lists and that
+still hold what it recorded (never an input of the command), writes each
 file, and last a manifest.json over exactly those files: the command line,
 the resolved configuration and its digest, input/output file digests, and
 wall times.  Data files depend only on (inputs, seed), so
@@ -112,28 +113,35 @@ def _check_out(out) -> None:
         raise ConfigError(f"--out {out}: {path} exists and is not a directory")
 
 
-def _remove_listed_outputs(out) -> None:
+def _remove_listed_outputs(out, inputs) -> None:
     """Remove the data files an earlier manifest in --out lists, so the
-    directory holds no output the new manifest does not list. Only plain
-    file names inside --out are removed; files no manifest lists stay."""
+    directory holds no output the new manifest does not list.  A file goes
+    only if it is a plain file name inside --out, still holds the content
+    whose digest that manifest recorded, and is none of this command's
+    inputs.  The old manifest goes first, so no manifest is left listing a
+    removed file if a write then fails; files no manifest lists stay."""
+    manifest_path = os.path.join(out, "manifest.json")
     try:
-        with open(os.path.join(out, "manifest.json")) as fh:
+        with open(manifest_path) as fh:
             manifest = json.load(fh)
     except (OSError, ValueError):  # no manifest, or not one we could have written
         return
     listed = manifest.get("outputs") if isinstance(manifest, dict) else None
     if not isinstance(listed, dict):
         return
-    for name in listed:
+    os.remove(manifest_path)
+    read = {os.path.realpath(rec["path"]) for rec in inputs.values() if isinstance(rec, dict)}
+    for name, digest in listed.items():
         path = os.path.join(out, name)
-        if name == os.path.basename(name) and os.path.isfile(path):
+        if (name == os.path.basename(name) and os.path.isfile(path)
+                and os.path.realpath(path) not in read and _sha256(path) == digest):
             os.remove(path)
 
 
 def _write_output(output: Output, out, argv) -> None:
     """Make --out, write every data file, then the manifest listing them."""
     os.makedirs(out, exist_ok=True)
-    _remove_listed_outputs(out)
+    _remove_listed_outputs(out, output.inputs)
     digests = {}
     for name, data in output.files.items():
         path = os.path.join(out, name)

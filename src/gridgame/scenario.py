@@ -59,14 +59,15 @@ def _finite_real(v) -> bool:
 
 
 def _check_effects(action_id: str, effects, kinds, side: str) -> None:
-    """Known kinds only; a target list holds only strings and finite reals;
-    every value None or a finite real, not a bool or a string; a
+    """Known kinds only; a target list holds only strings and integral finite
+    reals; every value None or a finite real, not a bool or a string; a
     shed_threshold needs its value."""
     for eff in effects:
         if not isinstance(eff.kind, str) or eff.kind not in kinds:
             raise CatalogError(f"{action_id}: unknown {side} effect kind {eff.kind!r}")
         if isinstance(eff.target, tuple) and not all(
-                isinstance(t, str) or _finite_real(t) for t in eff.target):
+                isinstance(t, str) or (_finite_real(t) and float(t).is_integer())
+                for t in eff.target):
             raise CatalogError(f"{action_id}: {eff.kind} target {list(eff.target)!r} "
                                "must list bus ids")
         v = eff.value

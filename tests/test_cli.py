@@ -5,6 +5,7 @@ stderr are observable without subprocess overhead; one packaging test
 exercises the installed console script for real.
 """
 import ast
+import errno
 import json
 import os
 import shutil
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 import gridgame
-from gridgame.cli import LEARN_METHODS, SOLVE_METHODS, main
+from gridgame import cli
+from gridgame.cli import LEARN_METHODS, SOLVE_METHODS, _sha256, main
 
 
 def run(*argv):
@@ -108,6 +110,7 @@ MALFORMED_INPUTS = [
     pytest.param("--catalog", scale_a4_target([[20]]), id="list-in-target-list"),
     pytest.param("--catalog", scale_a4_target([{}]), id="object-in-target-list"),
     pytest.param("--catalog", scale_a4_target([20, float("inf")]), id="infinite-target"),
+    pytest.param("--catalog", scale_a4_target([20.7]), id="fractional-target"),
     # values each with_* derivation checks, since it skips the full validator
     pytest.param("--catalog", scale_a4(-1.0), id="negative-scale"),
     pytest.param("--catalog", defense_effect("D8", "shed_fraction", "non-critical", 1.5),
@@ -726,17 +729,62 @@ def test_reused_out_keeps_only_the_new_outputs(matrix_csv, tmp_path):
 
 
 def test_reused_out_removes_nothing_outside_it(matrix_csv, tmp_path):
-    # a manifest naming paths, not plain file names, removes none of them
+    # a manifest naming paths, not plain file names, removes none of them,
+    # even where the digests it records are right
     out, outside = tmp_path / "out", tmp_path / "outside.csv"
     out.mkdir()
     outside.write_text("keep")
     (out / "sub").mkdir()
     (out / "sub" / "inner.csv").write_text("keep")
+    keep = _sha256(outside)
     (out / "manifest.json").write_text(json.dumps({"outputs": {
-        "../outside.csv": "", str(outside): "", "sub/inner.csv": "", "sub": "", "..": ""}}))
+        "../outside.csv": keep, str(outside): keep, "sub/inner.csv": keep,
+        "sub": "", "..": ""}}))
     assert run("solve", "--method", "nash", "--matrix", matrix_csv, "--out", out) == 0
     assert outside.read_text() == "keep"
     assert (out / "sub" / "inner.csv").read_text() == "keep"
+
+
+def test_reused_out_keeps_the_command_input(tmp_path):
+    # solve reads d/payoff.csv, which the payoff run's manifest lists
+    out = tmp_path / "d"
+    assert run("payoff", "--out", out) == 0
+    made = sorted(os.listdir(out))
+    assert run("solve", "--method", "nash", "--matrix", out / "payoff.csv", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"]["matrix"]["sha256"] == _sha256(out / "payoff.csv")
+    # the payoff outputs solve did not read are gone; what it read stays
+    assert sorted(os.listdir(out)) == ["equilibrium.json", "manifest.json", "payoff.csv"]
+    assert "payoff_long.csv" in made
+
+
+def test_reused_out_keeps_a_listed_file_that_changed(matrix_csv, tmp_path):
+    # a listed file whose content no longer has the recorded digest was not
+    # left by that run, or was edited since: it stays, as does a foreign one
+    out = tmp_path / "out"
+    assert run("solve", "--method", "regret", "--matrix", matrix_csv, "--out", out) == 0
+    (out / "trajectory.csv").write_text("edited")
+    (out / "theirs.txt").write_text("another tool")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["outputs"]["theirs.txt"] = "sha256:" + "0" * 64
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run("solve", "--method", "nash", "--matrix", matrix_csv, "--out", out) == 0
+    assert (out / "trajectory.csv").read_text() == "edited"
+    assert (out / "theirs.txt").read_text() == "another tool"
+
+
+def test_failed_write_leaves_no_manifest_listing_removed_files(matrix_csv, tmp_path,
+                                                               monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert run("solve", "--method", "regret", "--matrix", matrix_csv, "--out", out) == 0
+
+    def failing(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_json", failing)
+    assert run("solve", "--method", "nash", "--matrix", matrix_csv, "--out", out) == 3
+    assert not (out / "manifest.json").exists()
+    assert not (out / "trajectory.csv").exists()
 
 
 class _FileWriters(ast.NodeVisitor):

@@ -271,14 +271,8 @@ class TestPayoffMatrix:
         assert len(m.cell_flags) == 39
 
     def test_one_branch_scan_per_connectivity_pass(self, monkeypatch):
-        # every reader of the closed branches goes through one topology pass,
-        # made once per state: a state keeps its islands, and a load-only
-        # derivation shares its parent's. The build asks 438 connectivity
-        # questions (it scanned once per question, 438 times, before states
-        # kept their islands) and scans 175 times; the loader's check
-        # resolves the base, so its flows and compile_pair's base check
-        # scan nothing, and 100 compile_pair calls ask 275 questions and scan
-        # 175 times, not 275.
+        # each state resolves its topology once, and a load-only derivation
+        # shares its parent's
         calls = {"scans": 0, "passes": 0, "questions": 0}
         scan, connectivity = NetworkState.closed_branches, topology.connectivity
 
