@@ -319,8 +319,8 @@ def _learning_config(args) -> marl.LearningConfig:
 def cmd_learn(args) -> Output:
     from . import gamesolve, marl
 
-    matrix, inputs, bundle = _resolve_matrix(args)
     config = _learning_config(args)
+    matrix, inputs, bundle = _resolve_matrix(args)
     if args.config:
         inputs["config"] = _input_record(args.config, "")
 
@@ -358,9 +358,9 @@ def cmd_learn(args) -> Output:
 def cmd_baseline(args) -> Output:
     from . import experiments
 
-    matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     mc = experiments.McConfig(runs=args.runs, seed=args.seed,
                               attack_distribution=args.attack_dist)
+    matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     policy = experiments.strategy_policy(args.method, matrix, catalog=cat, base=net)
     report = experiments.monte_carlo(net, cat, weights, policy, mc, matrix=matrix)
 
@@ -396,9 +396,9 @@ def cmd_compare(args) -> Output:
     from . import experiments
 
     methods = _parse_methods(args.methods)
-    matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     mc = experiments.McConfig(runs=args.runs, seed=args.seed,
                               attack_distribution=args.attack_dist)
+    matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
     rows = experiments.compare_strategies(net, cat, weights, methods, mc,
                                           matrix=matrix, reference=args.reference)
 

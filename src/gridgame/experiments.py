@@ -15,6 +15,7 @@ come back in run order.  Results are values (``StatsReport``,
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -62,6 +63,10 @@ class McConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        # run r draws from default_rng(seed + r), which takes no negative seed
+        if (not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool)
+                or self.seed < 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         low, high = self.perturbation
         if not (0.0 <= low <= high and math.isfinite(high)):
             raise ConfigError(

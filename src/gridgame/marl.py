@@ -10,10 +10,20 @@ Two training modes, kept deliberately separate:
   couples attack propagation with defense recovery and the update carries
   the usual gamma * next_best term.
 
-Both trainers run on pre-drawn uniforms, so a seed pins the whole
-trajectory bit for bit.  The "anticipated opponent move" used for greedy
-selection and for the bootstrap target is the opponent's most recently
-observed action.  Trainers write no files: each returned ``LearnedPolicy``
+Both trainers draw their uniforms from a generator seeded by the config,
+DRAW_CHUNK steps at a time, so a seed pins the whole trajectory bit for bit
+and memory does not grow with the episode count.  The "anticipated opponent
+move" used for greedy selection and for the bootstrap target is the
+opponent's most recently observed action.
+
+Under the harmonic schedule (alpha = 1/visits) with gamma 0 a cell's target
+is its reward, which does not depend on Q: the first visit sets the cell to
+it and every later update adds alpha * 0.  So once every cell was visited no
+Q value, and no greedy action, can change again.  The kernels then stop
+updating and only count the rest of the run (visits, actions, the window's
+reward and the telemetry rows), which ends in the same bits as stepping on.
+Any other run (constant or power steps, gamma > 0, a cell never reached)
+steps to the end.  Trainers write no files: each returned ``LearnedPolicy``
 carries its run's telemetry rows, and the CLI writes them out.
 """
 
@@ -23,7 +33,6 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -35,9 +44,9 @@ ALPHA_SCHEDULES = ("harmonic", "constant", "power")
 # telemetry cadence: at most ~1000 rows per run regardless of episode count
 TELEMETRY_ROWS = 1000
 
-# rows converted to Python lists per chunk: a whole (100000, 5) array as
-# lists adds ~27 MB of peak memory, a 512-row chunk about 0.1 MB
-ROW_CHUNK = 512
+# steps drawn per chunk of uniforms, so memory stays flat in the episode
+# count: (100000, 5) uniforms drawn up front are 4 MB
+DRAW_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +102,8 @@ class LearningConfig:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.episodes < 1:
             raise ConfigError(f"episodes must be positive, got {self.episodes}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     def robbins_monro_ok(self) -> bool:
         return self.alpha_schedule != "constant"
@@ -180,10 +191,33 @@ def _freq(counts: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
 # 1 constant, 2 power
 
 
-def iter_rows(arr):
-    """Yield the rows of a 2-d array as lists of Python floats, chunk by chunk."""
-    for start in range(0, arr.shape[0], ROW_CHUNK):
-        yield from arr[start:start + ROW_CHUNK].tolist()
+def _draws(rng, episodes, width, eps0, eps_decay):
+    """Yield (t0, uniforms, epsilons) for each chunk of at most DRAW_CHUNK steps.
+
+    Successive rng.random calls give the numbers of one large call, so the
+    chunks draw what an (episodes, width) array would.  The epsilons repeat
+    ``eps *= eps_decay`` step by step, across chunks too: multiply.accumulate
+    runs left to right.
+    """
+    eps = eps0
+    for t0 in range(0, episodes, DRAW_CHUNK):
+        n = min(DRAW_CHUNK, episodes - t0)
+        epsilons = np.full(n, eps_decay)
+        epsilons[0] = eps
+        epsilons = np.multiply.accumulate(epsilons)
+        eps = float(epsilons[-1]) * eps_decay
+        yield t0, rng.random((n, width)), epsilons
+
+
+def _explore(coins, picks, epsilons, n):
+    """Each step's exploring action, or -1 where the step plays greedy.
+
+    A step explores when its coin falls below epsilon and then plays
+    int(pick * n), kept below n where the product rounds up to n.
+    """
+    act = np.minimum((picks * n).astype(np.int64), n - 1)
+    act[coins >= epsilons] = -1
+    return act
 
 
 def _greedy(col, pick) -> int:
@@ -191,89 +225,134 @@ def _greedy(col, pick) -> int:
     return col.index(pick(col))
 
 
-def _first_above(cdf):
-    """Running maxima of cdf; bisect_right(them, u) is the first k with u < cdf[k].
+def _settled_steps(telemetry, record_every, t0, epsilons, cells, rewards, visits):
+    """Count steps t0, t0 + 1, ... after Q settled, and write their telemetry.
 
-    That is the answer of a linear scan of cdf, also where rounding or a
-    -1e-12 probability makes cdf dip; the maxima are sorted for bisection.
+    cells are the steps' flat Q cells and visits the flat visit counts before
+    them, updated in place.  A settled step moves no Q value, so its row is
+    (t + 1, epsilon, 1 / visits, reward, 0.0), visits counting the step
+    itself.
     """
-    return list(accumulate(cdf, max))
+    # a step's visits: its cell's count before these steps plus its rank
+    # among their visits of that cell (a stable sort keeps them in time order)
+    n = len(cells)
+    order = np.argsort(cells, kind="stable")
+    ranked = cells[order]
+    idx = np.arange(n)
+    first = np.maximum.accumulate(np.where(np.r_[True, ranked[1:] != ranked[:-1]], idx, 0))
+    counts = np.empty(n, dtype=np.int64)
+    counts[order] = idx - first + 1
+    counts += visits[cells]
+    visits += np.bincount(cells, minlength=len(visits))
+    ts = np.arange(t0, t0 + n)
+    at = (ts + 1) % record_every == 0
+    telemetry[ts[at] // record_every, :4] = np.column_stack(
+        (ts[at] + 1, epsilons[at], 1.0 / counts[at], rewards[at]))
 
 
 def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
-                   eps0, eps_decay, uniforms, record_every):
+                   eps0, eps_decay, rng, episodes, record_every):
     """Stateless Q-learning of the defender against a sampled attacker.
 
-    uniforms is (episodes, 3): attack draw, explore coin, explore pick.
-    Q and visits are held per attack, and the greedy index of each attack's
-    column is cached until a cell of that column changes value.  Under the
-    harmonic schedule a cell is set to its reward on its first visit and
-    never moves after, so the greedy scans stop once every cell was seen.
+    Each step draws three uniforms from rng: attack draw, explore coin,
+    explore pick.  Q and visits are held per attack, and the greedy index of
+    each attack's column is cached until a cell of that column changes value.
+    Under the harmonic schedule a cell is set to its reward on its first visit
+    and never moves after, so once every cell was seen no Q value or greedy
+    index can change: the steps stop, and the rest of the run is counted in
+    numpy, the attacker being drawn independently of play.
     """
-    episodes = uniforms.shape[0]
     n_opp, n_own = m.shape
     reward_of = m.tolist()  # [opp][own]
-    cdf = _first_above(opp_cdf[:n_opp - 1].tolist())
+    rewards = m.ravel()
+    # running maxima of the cdf: searchsorted(side="right") on them is the
+    # first k with u < cdf[k], the answer of a linear scan, also where
+    # rounding or a -1e-12 probability makes the cdf dip
+    cdf = np.maximum.accumulate(opp_cdf[:n_opp - 1])
     q = [[0.0] * n_own for _ in range(n_opp)]
     visits = [[0] * n_own for _ in range(n_opp)]
     greedy = [0] * n_opp  # an all-zero column's greedy action is 0
     opp_counts = [0] * n_opp
-    n_rec = episodes // record_every
-    telemetry = np.zeros((n_rec, 5))
-    rec = 0
+    telemetry = np.zeros((episodes // record_every, 5))
     opp_last = 0
-    eps = eps0
-    for t, (u_opp, u_coin, u_pick) in enumerate(iter_rows(uniforms)):
-        opp = bisect_right(cdf, u_opp)
-        if u_coin < eps:
-            own = int(u_pick * n_own)
-            if own == n_own:
-                own -= 1
-        else:
-            own = greedy[opp_last]
-            if own is None:
-                own = greedy[opp_last] = _greedy(q[opp_last], max)
-        reward = reward_of[opp][own]
-        count = visits[opp][own] + 1
-        visits[opp][own] = count
-        if alpha_mode == 0:
-            alpha = 1.0 / count
-        elif alpha_mode == 1:
-            alpha = alpha_c
-        else:
-            alpha = float(count) ** (-alpha_p)
-        col = q[opp]
-        old = col[own]
-        delta = alpha * (reward - old)
-        col[own] = old + delta
-        if col[own] != old:
-            greedy[opp] = None
-        opp_counts[opp] += 1
-        opp_last = opp
-        if (t + 1) % record_every == 0 and rec < n_rec:
-            telemetry[rec] = (t + 1, eps, alpha, reward, abs(delta))
-            rec += 1
-        eps *= eps_decay
-    return (np.array(q).T.copy(), np.array(visits, dtype=np.int64).T.copy(),
+    unvisited = n_opp * n_own
+    settled = False
+    for t0, u, epsilons in _draws(rng, episodes, 3, eps0, eps_decay):
+        opps = np.searchsorted(cdf, u[:, 0], side="right")
+        explore = _explore(u[:, 1], u[:, 2], epsilons, n_own)
+        done = 0
+        if not settled:
+            for t, opp, own in zip(range(t0, t0 + len(u)), opps.tolist(), explore.tolist()):
+                if own < 0:
+                    own = greedy[opp_last]
+                    if own is None:
+                        own = greedy[opp_last] = _greedy(q[opp_last], max)
+                reward = reward_of[opp][own]
+                count = visits[opp][own] + 1
+                visits[opp][own] = count
+                if alpha_mode == 0:
+                    alpha = 1.0 / count
+                elif alpha_mode == 1:
+                    alpha = alpha_c
+                else:
+                    alpha = float(count) ** (-alpha_p)
+                col = q[opp]
+                old = col[own]
+                delta = alpha * (reward - old)
+                col[own] = old + delta
+                if col[own] != old:
+                    greedy[opp] = None
+                opp_counts[opp] += 1
+                opp_last = opp
+                if (t + 1) % record_every == 0:
+                    telemetry[t // record_every] = (
+                        t + 1, epsilons[t - t0], alpha, reward, abs(delta))
+                if count == 1:
+                    unvisited -= 1
+                    if unvisited == 0 and alpha_mode == 0:
+                        settled = True
+                        break
+            done = t + 1 - t0
+            if settled:  # Q and every greedy action are final from here on
+                greedy = np.array([_greedy(col, max) for col in q])
+                visits = np.array(visits).ravel()
+                opp_counts = np.array(opp_counts)
+        if settled and done < len(u):
+            opps = opps[done:]
+            # a greedy step answers the attack of the step before it
+            prev = np.concatenate(([opp_last], opps[:-1]))
+            own = explore[done:]
+            own = np.where(own < 0, greedy[prev], own)
+            cells = opps * n_own + own
+            _settled_steps(telemetry, record_every, t0 + done, epsilons[done:],
+                           cells, rewards[cells], visits)
+            opp_counts += np.bincount(opps, minlength=n_opp)
+            opp_last = opps[-1]
+    return (np.array(q).T.copy(),
+            np.array(visits, dtype=np.int64).reshape(n_opp, n_own).T.copy(),
             np.array(opp_counts, dtype=np.int64), telemetry)
 
 
 def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
-                eps0, eps_decay, uniforms, window_start, record_every):
+                eps0, eps_decay, rng, episodes, window_start, record_every):
     """Simultaneous Q-learning of both sides on a stage MDP.
 
-    uniforms is (episodes, 5): attacker coin, attacker pick, defender coin,
-    defender pick, state transition.  Each side's Q and visits are held per
-    (state, opponent action) column with a cached greedy index, as in
-    _single_kernel; the cache serves both
-    the greedy pick and the bootstrap target, which is the column's extreme.
+    Each step draws five uniforms from rng: attacker coin, attacker pick,
+    defender coin, defender pick, state transition.  Each side's Q and visits
+    are held per (state, opponent action) column with a cached greedy index,
+    as in _single_kernel; the cache serves both the greedy pick and the
+    bootstrap target, which is the column's extreme.  With the harmonic
+    schedule and gamma 0 a cell's target is its reward, so once every
+    (state, attack, defense) cell was seen Q is final: the updates stop, and
+    the rest of the run only walks the joint play and counts it.
     """
-    episodes = uniforms.shape[0]
     n_states, n_att, n_def = rewards.shape
     reward_of = rewards.tolist()  # [s][a][d]
+    flat_rewards = rewards.ravel()
+    # running maxima of each row's cdf, for bisection as in _single_kernel;
     # np.cumsum adds left to right, as a linear scan of each row does
-    next_state = [[[_first_above(row[:-1]) for row in by_d] for by_d in by_a]
-                  for by_a in np.cumsum(transitions, axis=3).tolist()]
+    next_state = np.maximum.accumulate(
+        np.cumsum(transitions, axis=3)[..., :-1], axis=3).tolist()
     qa = [[[0.0] * n_att for _ in range(n_def)] for _ in range(n_states)]  # [s][d][a]
     qd = [[[0.0] * n_def for _ in range(n_att)] for _ in range(n_states)]  # [s][a][d]
     visits_a = [[[0] * n_att for _ in range(n_def)] for _ in range(n_states)]
@@ -284,94 +363,130 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
     d_counts = [[0] * n_def for _ in range(n_states)]
     a_counts_win = [[0] * n_att for _ in range(n_states)]
     d_counts_win = [[0] * n_def for _ in range(n_states)]
-    n_rec = episodes // record_every
-    telemetry = np.zeros((n_rec, 5))
-    rec = 0
+    telemetry = np.zeros((episodes // record_every, 5))
     s = 0
     a_last = 0
     d_last = 0
     reward_win = 0.0
     win_n = 0
-    eps = eps0
-    for t, (u_ac, u_ap, u_dc, u_dp, u_s) in enumerate(iter_rows(uniforms)):
-        if u_ac < eps:
-            a = int(u_ap * n_att)
-            if a == n_att:
-                a -= 1
-        else:
-            a = greedy_a[s][d_last]
-            if a is None:
-                a = greedy_a[s][d_last] = _greedy(qa[s][d_last], min)
-        if u_dc < eps:
-            d = int(u_dp * n_def)
-            if d == n_def:
-                d -= 1
-        else:
-            d = greedy_d[s][a_last]
-            if d is None:
-                d = greedy_d[s][a_last] = _greedy(qd[s][a_last], max)
-        reward = reward_of[s][a][d]
-        s_next = bisect_right(next_state[s][a][d], u_s)
-        # bootstrap targets use the opponent action just observed
-        k = greedy_a[s_next][d]
-        if k is None:
-            k = greedy_a[s_next][d] = _greedy(qa[s_next][d], min)
-        next_a = qa[s_next][d][k]
-        k = greedy_d[s_next][a]
-        if k is None:
-            k = greedy_d[s_next][a] = _greedy(qd[s_next][a], max)
-        next_d = qd[s_next][a][k]
-        count = visits_a[s][d][a] + 1
-        visits_a[s][d][a] = count
-        if alpha_mode == 0:
-            alpha_a = 1.0 / count
-        elif alpha_mode == 1:
-            alpha_a = alpha_c
-        else:
-            alpha_a = float(count) ** (-alpha_p)
-        col = qa[s][d]
-        old = col[a]
-        delta_a = alpha_a * (reward + gamma * next_a - old)
-        col[a] = old + delta_a
-        if col[a] != old:
-            greedy_a[s][d] = None
-        count = visits_d[s][a][d] + 1
-        visits_d[s][a][d] = count
-        if alpha_mode == 0:
-            alpha_d = 1.0 / count
-        elif alpha_mode == 1:
-            alpha_d = alpha_c
-        else:
-            alpha_d = float(count) ** (-alpha_p)
-        col = qd[s][a]
-        old = col[d]
-        delta_d = alpha_d * (reward + gamma * next_d - old)
-        col[d] = old + delta_d
-        if col[d] != old:
-            greedy_d[s][a] = None
-        a_counts[s][a] += 1
-        d_counts[s][d] += 1
-        if t >= window_start:
-            a_counts_win[s][a] += 1
-            d_counts_win[s][d] += 1
-            reward_win += reward
-            win_n += 1
-        if (t + 1) % record_every == 0 and rec < n_rec:
-            d1 = abs(delta_a)
-            d2 = abs(delta_d)
-            telemetry[rec] = (t + 1, eps, alpha_d, reward, d1 if d1 > d2 else d2)
-            rec += 1
-        a_last = a
-        d_last = d
-        s = s_next
-        eps *= eps_decay
+    unvisited = n_states * n_att * n_def
+    settles = alpha_mode == 0 and gamma == 0.0
+    settled = False
+    for t0, u, epsilons in _draws(rng, episodes, 5, eps0, eps_decay):
+        explore_a = _explore(u[:, 0], u[:, 1], epsilons, n_att).tolist()
+        explore_d = _explore(u[:, 2], u[:, 3], epsilons, n_def).tolist()
+        u_next = u[:, 4].tolist()
+        done = 0
+        if not settled:
+            for t, a, d, u_s in zip(range(t0, t0 + len(u)), explore_a, explore_d, u_next):
+                if a < 0:
+                    a = greedy_a[s][d_last]
+                    if a is None:
+                        a = greedy_a[s][d_last] = _greedy(qa[s][d_last], min)
+                if d < 0:
+                    d = greedy_d[s][a_last]
+                    if d is None:
+                        d = greedy_d[s][a_last] = _greedy(qd[s][a_last], max)
+                reward = reward_of[s][a][d]
+                s_next = bisect_right(next_state[s][a][d], u_s)
+                # bootstrap targets use the opponent action just observed
+                k = greedy_a[s_next][d]
+                if k is None:
+                    k = greedy_a[s_next][d] = _greedy(qa[s_next][d], min)
+                next_a = qa[s_next][d][k]
+                k = greedy_d[s_next][a]
+                if k is None:
+                    k = greedy_d[s_next][a] = _greedy(qd[s_next][a], max)
+                next_d = qd[s_next][a][k]
+                count = visits_a[s][d][a] + 1
+                visits_a[s][d][a] = count
+                if alpha_mode == 0:
+                    alpha_a = 1.0 / count
+                elif alpha_mode == 1:
+                    alpha_a = alpha_c
+                else:
+                    alpha_a = float(count) ** (-alpha_p)
+                col = qa[s][d]
+                old = col[a]
+                delta_a = alpha_a * (reward + gamma * next_a - old)
+                col[a] = old + delta_a
+                if col[a] != old:
+                    greedy_a[s][d] = None
+                count = visits_d[s][a][d] + 1
+                visits_d[s][a][d] = count
+                if alpha_mode == 0:
+                    alpha_d = 1.0 / count
+                elif alpha_mode == 1:
+                    alpha_d = alpha_c
+                else:
+                    alpha_d = float(count) ** (-alpha_p)
+                col = qd[s][a]
+                old = col[d]
+                delta_d = alpha_d * (reward + gamma * next_d - old)
+                col[d] = old + delta_d
+                if col[d] != old:
+                    greedy_d[s][a] = None
+                a_counts[s][a] += 1
+                d_counts[s][d] += 1
+                if t >= window_start:
+                    a_counts_win[s][a] += 1
+                    d_counts_win[s][d] += 1
+                    reward_win += reward
+                    win_n += 1
+                if (t + 1) % record_every == 0:
+                    d1 = abs(delta_a)
+                    d2 = abs(delta_d)
+                    telemetry[t // record_every] = (
+                        t + 1, epsilons[t - t0], alpha_d, reward, d1 if d1 > d2 else d2)
+                a_last = a
+                d_last = d
+                s = s_next
+                if count == 1:
+                    unvisited -= 1
+                    if unvisited == 0 and settles:
+                        settled = True
+                        break
+            done = t + 1 - t0
+            if settled:  # Q and every greedy action are final from here on
+                greedy_a = [[_greedy(col, min) for col in by_d] for by_d in qa]
+                greedy_d = [[_greedy(col, max) for col in by_a] for by_a in qd]
+                visits = np.array(visits_d).ravel()
+                a_counts, d_counts, a_counts_win, d_counts_win = (
+                    np.array(c).ravel()
+                    for c in (a_counts, d_counts, a_counts_win, d_counts_win))
+        if settled and done < len(u):
+            cells = []
+            for a, d, u_s in zip(explore_a[done:], explore_d[done:], u_next[done:]):
+                if a < 0:
+                    a = greedy_a[s][d_last]
+                if d < 0:
+                    d = greedy_d[s][a_last]
+                cells.append((s * n_att + a) * n_def + d)
+                s = bisect_right(next_state[s][a][d], u_s)
+                a_last = a
+                d_last = d
+            cells = np.array(cells)
+            step_rewards = flat_rewards[cells]
+            _settled_steps(telemetry, record_every, t0 + done, epsilons[done:],
+                           cells, step_rewards, visits)
+            by_a = cells // n_def  # s * n_att + a
+            by_d = cells // (n_att * n_def) * n_def + cells % n_def  # s * n_def + d
+            a_counts += np.bincount(by_a, minlength=a_counts.size)
+            d_counts += np.bincount(by_d, minlength=d_counts.size)
+            w = max(0, window_start - (t0 + done))
+            a_counts_win += np.bincount(by_a[w:], minlength=a_counts.size)
+            d_counts_win += np.bincount(by_d[w:], minlength=d_counts.size)
+            windowed = step_rewards[w:]
+            # cumsum adds left to right, continuing the loop's running sum
+            reward_win = float(np.cumsum(np.r_[reward_win, windowed])[-1])
+            win_n += len(windowed)
     value = reward_win / win_n if win_n > 0 else 0.0
 
     def table(rows):
         # [s][opp][own] lists -> (states, own, opp) array
         return np.array(rows, dtype=np.float64).transpose(0, 2, 1).copy()
 
-    counts = [np.array(c, dtype=np.int64)
+    counts = [np.array(c, dtype=np.int64).reshape(n_states, -1)
               for c in (a_counts, d_counts, a_counts_win, d_counts_win)]
     return (table(qa), table(qd), *counts, value, telemetry)
 
@@ -408,12 +523,12 @@ def train_single_agent(matrix, opponent: MixedStrategy,
         raise ConfigError(
             f"opponent mix has {len(opponent.probs)} entries, expected {m.shape[0]}")
     opp_cdf = np.cumsum(opponent.probs)
-    uniforms = np.random.default_rng(config.seed).random((config.episodes, 3))
     record_every = max(1, config.episodes // TELEMETRY_ROWS)
     q, _visits, opp_counts, telemetry = _single_kernel(
         m, opp_cdf, config._alpha_mode(),
         config.alpha_constant, config.alpha_power,
-        config.epsilon0, config.epsilon_decay, uniforms, record_every)
+        config.epsilon0, config.epsilon_decay,
+        np.random.default_rng(config.seed), config.episodes, record_every)
     freq = _freq(opp_counts[None, :])
     prov = config.provenance()
     prov["mode"] = "single-agent"
@@ -564,16 +679,16 @@ def mdp_train(mdp: StageMdp, config: LearningConfig,
 
     Bootstrap targets anticipate the opponent repeating its just-observed
     action.  The per-state value estimate is the defender's learned Q at the
-    joint greedy pair.  A single-state mdp with gamma=0 consumes uniforms
-    identically to train_multi_agent, so the two match bit for bit.
+    joint greedy pair.  A single-state mdp with gamma=0 draws its uniforms
+    as train_multi_agent does, so the two match bit for bit.
     """
-    uniforms = np.random.default_rng(config.seed).random((config.episodes, 5))
     record_every = max(1, config.episodes // TELEMETRY_ROWS)
     window_start = config.episodes - max(1, config.episodes // 10)
     qa, qd, a_counts, d_counts, a_win, d_win, value, telemetry = _mdp_kernel(
         mdp.rewards, mdp.transitions, config.gamma, config._alpha_mode(),
         config.alpha_constant, config.alpha_power,
-        config.epsilon0, config.epsilon_decay, uniforms,
+        config.epsilon0, config.epsilon_decay,
+        np.random.default_rng(config.seed), config.episodes,
         window_start, record_every)
     prov = config.provenance()
     prov["mode"] = _mode

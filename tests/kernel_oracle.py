@@ -4,10 +4,13 @@ These are the element-by-element loops that ``gamesolve._fp_kernel``,
 ``gamesolve._rm_kernel``, ``marl._single_kernel`` and ``marl._mdp_kernel``
 were derived from.  The package runs its own builds, which hold the same
 state in Python lists or numpy arrays, cache greedy indices and bisect
-running sums; these loops scan every element instead, so the tests can hold
-each package kernel to its loop output by output, bit for bit.  Like the
-package kernels the learners take pre-drawn uniforms, so both walk the same
-sample path; the two solvers draw nothing.  The solvers' stop rule is
+running sums, and the learners stop updating once Q can no longer move;
+these loops scan every element and update every step instead, so the tests
+can hold each package kernel to its loop output by output, bit for bit.  The
+learners take the package kernels' arguments, a seeded generator and an
+episode count, and draw all their uniforms in one array up front; the
+package draws the same numbers chunk by chunk, so both walk the same sample
+path.  The two solvers draw nothing.  The solvers' stop rule is
 ``gamesolve.verify_epsilon_equilibrium`` in both the package and these
 loops, so a stop decided by it is the same decision in both.
 """
@@ -149,10 +152,10 @@ def rm_kernel(M, T, tol, check_every, record_every):
 
 
 def single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
-                  eps0, eps_decay, uniforms, record_every):
+                  eps0, eps_decay, rng, episodes, record_every):
     # the defender learns against sampled attacks
     # uniforms: (episodes, 3) = attack draw, explore coin, explore pick
-    episodes = uniforms.shape[0]
+    uniforms = rng.random((episodes, 3))
     n_opp, n_own = m.shape
     q = np.zeros((n_own, n_opp))
     visits = np.zeros((n_own, n_opp), dtype=np.int64)
@@ -203,10 +206,10 @@ def single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
 
 
 def mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
-               eps0, eps_decay, uniforms, window_start, record_every):
+               eps0, eps_decay, rng, episodes, window_start, record_every):
     # uniforms: (episodes, 5) = attacker coin, attacker pick, defender coin,
     #   defender pick, state transition
-    episodes = uniforms.shape[0]
+    uniforms = rng.random((episodes, 5))
     n_states, n_att, n_def = rewards.shape
     qa = np.zeros((n_states, n_att, n_def))
     qd = np.zeros((n_states, n_def, n_att))

@@ -706,6 +706,29 @@ def test_command_failing_on_bad_input_makes_no_out(name, matrix_csv, tmp_path, c
     assert not out.exists()
 
 
+NEGATIVE_SEEDS = {
+    "learn": ("learn", "--method", "single", "--seed", -1),
+    "compare": ("compare", "--methods", "all", "--seed", -3),
+    "baseline": ("baseline", "--method", "RDS", "--seed", -2),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_SEEDS)
+def test_negative_seed_rejected_before_any_work(name, tmp_path, capsys, monkeypatch):
+    # the payoff build (and for compare the training) would come first
+    def no_work(*args, **kwargs):
+        raise AssertionError("the payoff matrix was resolved")
+
+    monkeypatch.setattr(cli, "_resolve_matrix", no_work)
+    argv = NEGATIVE_SEEDS[name]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"seed must be a non-negative integer, got {argv[-1]}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-a-file"])
 def test_out_naming_a_file_exits_2_before_any_work(below, tmp_path, capsys):
     # the matrix is missing too: the --out check runs first

@@ -81,6 +81,9 @@ class TestMcConfig:
         dict(perturbation=(float("nan"), 1.0)),
         dict(perturbation=(0.5, float("nan"))),
         dict(perturbation=(float("-inf"), 1.0)),
+        dict(seed=-1),
+        dict(seed=1.5),
+        dict(seed=None),
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):

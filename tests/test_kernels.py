@@ -3,10 +3,17 @@
 The package runs one build of each kernel: fictitious play and regret
 matching+ in ``gamesolve``, single-agent and stage-MDP Q-learning in
 ``marl``.  ``kernel_oracle`` keeps the numpy array loops they were derived
-from.  The learners take pre-drawn uniforms instead of RNG handles precisely
-so that both walk identical sample paths, and every output must match to the
-bit.
+from.  The learners take a seeded generator and an episode count; the oracle
+draws every uniform up front and the package chunk by chunk, so each gets its
+own copy of the generator and both walk identical sample paths, and every
+output must match to the bit.  Under the harmonic schedule with gamma 0 the
+package learners stop updating once every cell was visited and count the
+rest of the run in numpy; the frozen-tail cases and properties reach that
+tail and cross chunk boundaries in it.
 """
+import copy
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +36,9 @@ MDP = (kernel_oracle.mdp_kernel, marl._mdp_kernel)
 
 def assert_same_outputs(kernels, args):
     oracle, kernel = kernels
-    ref = oracle(*args)
-    got = kernel(*args)
+    # a generator in args is drawn from: each side draws from its own copy
+    ref = oracle(*copy.deepcopy(args))
+    got = kernel(*copy.deepcopy(args))
     assert len(ref) == len(got)
     for r, g in zip(ref, got):
         r, g = np.asarray(r), np.asarray(g)
@@ -42,19 +50,40 @@ def assert_same_outputs(kernels, args):
 
 def single_args(m, opp_probs, alpha_mode, eps0, eps_decay, T, record_every, seed=0):
     return (m, np.cumsum(opp_probs), alpha_mode, 0.3, 0.7,
-            eps0, eps_decay, np.random.default_rng(seed).random((T, 3)), record_every)
+            eps0, eps_decay, np.random.default_rng(seed), T, record_every)
 
 
 def mdp_args(mdp, gamma, alpha_mode, eps0, eps_decay, T, window_start,
              record_every, seed=0):
     return (mdp.rewards, mdp.transitions, gamma, alpha_mode, 0.3, 0.7, eps0,
-            eps_decay, np.random.default_rng(seed).random((T, 5)), window_start,
-            record_every)
+            eps_decay, np.random.default_rng(seed), T, window_start, record_every)
 
 
 def flat_mdp(m):
     return marl.StageMdp(labels=("s",), rewards=m[None],
                          transitions=np.ones((1,) + m.shape + (1,)))
+
+
+def random_mdp(m, n_states, rng):
+    """n_states scaled copies of m, with sparse random transition rows."""
+    rewards = np.stack([m * (1.0 - 0.3 * s) for s in range(n_states)])
+    # sparse rows: some transitions have probability 0
+    weights = rng.random(m.shape + (n_states, n_states)) * rng.integers(
+        0, 2, m.shape + (n_states, n_states))
+    weights[..., 0] += 1e-3
+    transitions = np.moveaxis(weights / weights.sum(axis=-1, keepdims=True), 2, 0)
+    return marl.StageMdp(labels=tuple(range(n_states)), rewards=rewards,
+                         transitions=transitions)
+
+
+def tail_start(kernels, args):
+    """The first step the package kernel counts as settled, or None."""
+    with mock.patch.object(marl, "_settled_steps", wraps=marl._settled_steps) as spy:
+        kernels[1](*copy.deepcopy(args))
+    return spy.call_args_list[0].args[2] if spy.called else None
+
+
+CHUNK = marl.DRAW_CHUNK
 
 
 TIED = np.array([[0.5, 0.5, 0.2], [0.5, 0.5, 0.2], [0.2, 0.2, 0.2]])
@@ -85,7 +114,16 @@ CASES = {
         4000, 3600, 9)),
     "mdp-constant-tied": (MDP, mdp_args(
         marl.stage_mdp_default(TIED), 0.5, 1, 1.0, 0.99, 2000, 0, 3)),
+    # harmonic, gamma 0: Q settles inside the first chunk, and the tail
+    # crosses two chunk boundaries
+    "single-frozen-tail": (SINGLE, single_args(
+        random_matrix(8, (3, 4)), np.array([0.5, 0.3, 0.2]), 0, 1.0, 0.999,
+        2 * CHUNK + 1500, 7)),
+    "mdp-frozen-tail": (MDP, mdp_args(
+        marl.stage_mdp_default(random_matrix(9, (3, 3))), 0.0, 0, 1.0, 0.999,
+        2 * CHUNK + 1500, CHUNK + 700, 7)),
 }
+FROZEN_TAIL_CASES = ["single-frozen-tail", "mdp-frozen-tail"]
 
 
 def game(rows, cols, levels, seed):
@@ -98,6 +136,9 @@ def game(rows, cols, levels, seed):
 
 GAMES = st.builds(game, st.integers(1, 12), st.integers(1, 12),
                   st.sampled_from([0, 2, 3]), st.integers(0, 2**32 - 1))
+# small enough that every cell is visited early: Q settles inside a run
+SMALL_GAMES = st.builds(game, st.integers(1, 4), st.integers(1, 4),
+                        st.sampled_from([0, 2, 3]), st.integers(0, 2**32 - 1))
 
 
 class TestAgainstOracle:
@@ -105,6 +146,12 @@ class TestAgainstOracle:
     def test_equals_array_function(self, case):
         kernels, args = CASES[case]
         assert_same_outputs(kernels, args)
+
+    @pytest.mark.parametrize("case", FROZEN_TAIL_CASES)
+    def test_frozen_tail_cases_settle_in_the_first_chunk(self, case):
+        # so their tails run 2 * CHUNK + 1500 - tail_start steps, over two boundaries
+        kernels, args = CASES[case]
+        assert tail_start(kernels, args) < CHUNK
 
     def test_fp_stops_early_on_tol(self):
         m = random_matrix(7, (6, 6))
@@ -145,15 +192,37 @@ class TestAgainstOracle:
            seed=st.integers(0, 2**32 - 1))
     def test_property_mdp(self, m, n_states, gamma, alpha_mode, eps0, eps_decay,
                           T, window, record_every, seed):
-        rng = np.random.default_rng(seed)
-        rewards = np.stack([m * (1.0 - 0.3 * s) for s in range(n_states)])
-        # sparse rows: some transitions have probability 0
-        weights = rng.random(m.shape + (n_states, n_states)) * rng.integers(
-            0, 2, m.shape + (n_states, n_states))
-        weights[..., 0] += 1e-3
-        transitions = np.moveaxis(weights / weights.sum(axis=-1, keepdims=True), 2, 0)
-        mdp = marl.StageMdp(labels=tuple(range(n_states)), rewards=rewards,
-                            transitions=transitions)
+        mdp = random_mdp(m, n_states, np.random.default_rng(seed))
         assert_same_outputs(MDP, mdp_args(
             mdp, gamma, alpha_mode, eps0, eps_decay, T, min(window, T),
             record_every, seed))
+
+    # harmonic, gamma 0, epsilon0 1 and up to three chunks of steps: most
+    # runs settle, so the settled tail carries the rest of the run
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=SMALL_GAMES, eps_decay=st.sampled_from([0.99, 0.999]),
+           chunks=st.integers(0, 2), rest=st.integers(1, CHUNK),
+           record_every=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_property_single_frozen_tail(self, m, eps_decay, chunks, rest, record_every,
+                                         seed):
+        T = chunks * CHUNK + rest
+        probs = np.random.default_rng(seed).dirichlet(np.ones(m.shape[0]))
+        assert_same_outputs(SINGLE, single_args(
+            m, probs, 0, 1.0, eps_decay, T, record_every, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=SMALL_GAMES, n_states=st.integers(1, 3),
+           eps_decay=st.sampled_from([0.99, 0.999]), chunks=st.integers(0, 2),
+           rest=st.integers(1, CHUNK), window=st.integers(-40, 40),
+           record_every=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_property_mdp_frozen_tail(self, m, n_states, eps_decay, chunks, rest, window,
+                                      record_every, seed):
+        T = chunks * CHUNK + rest
+        mdp = random_mdp(m, n_states, np.random.default_rng(seed))
+        # the window starts before, at or after the step Q settles
+        settled = tail_start(MDP, mdp_args(mdp, 0.0, 0, 1.0, eps_decay, T, 0,
+                                           record_every, seed))
+        window_start = min(max(0, (settled or T // 2) + window), T)
+        assert_same_outputs(MDP, mdp_args(
+            mdp, 0.0, 0, 1.0, eps_decay, T, window_start, record_every, seed))

@@ -8,6 +8,7 @@ deterministic chain, and plain arithmetic for the update rule.
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,7 @@ class TestConfig:
         dict(gamma=1.0),
         dict(gamma=-0.1),
         dict(episodes=0),
+        dict(seed=-1),
         dict(alpha_schedule="constant", alpha_constant=0.0),
     ])
     def test_rejects_bad_values(self, bad):
@@ -109,10 +111,9 @@ def one_action_mdp(rewards, transitions):
 
 def learner_visits(m, opp_probs, epsilon0, epsilon_decay, episodes=100_000, seed=0):
     """Per-action visit counts of a defender trained by the single-agent kernel."""
-    uniforms = np.random.default_rng(seed).random((episodes, 3))
     _q, visits, _opp, _tel = marl._single_kernel(
         m, np.cumsum(opp_probs), 0, 0.1, 1.0, epsilon0, epsilon_decay,
-        uniforms, episodes)
+        np.random.default_rng(seed), episodes, episodes)
     return visits.sum(axis=1)
 
 
@@ -179,11 +180,10 @@ class TestQUpdate:
         mdp = stage_mdp_default(np.random.default_rng(0).random((3, 3)))
         cfg = LearningConfig(alpha_schedule="constant", alpha_constant=0.3,
                              gamma=0.8, episodes=5_000, seed=0)
-        uniforms = np.random.default_rng(cfg.seed).random((cfg.episodes, 5))
         qa, qd = marl._mdp_kernel(
             mdp.rewards, mdp.transitions, cfg.gamma, cfg._alpha_mode(),
             cfg.alpha_constant, cfg.alpha_power, cfg.epsilon0, cfg.epsilon_decay,
-            uniforms, 0, cfg.episodes)[:2]
+            np.random.default_rng(cfg.seed), cfg.episodes, 0, cfg.episodes)[:2]
         cap = 1.0 / (1.0 - 0.8)
         for q in (qa, qd):
             assert q.max() <= cap + 1e-9
@@ -398,6 +398,21 @@ class TestMdpTrain:
         assert a.defender.q_rows == b.defender.q_rows
         assert a.attacker.greedy == b.attacker.greedy
         assert a.defender.greedy == b.defender.greedy
+
+    def test_peak_memory_flat_in_episode_count(self):
+        # the uniforms come chunk by chunk: drawn up front, 200 000 episodes
+        # would hold 7.2 MB more than 20 000
+        mdp = stage_mdp_default(np.random.default_rng(3).random((3, 3)))
+
+        def peak(episodes):
+            tracemalloc.start()
+            try:
+                mdp_train(mdp, LearningConfig(episodes=episodes, seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_000) - peak(20_000) < 1_000_000
 
     def test_two_state_chain_matches_value_iteration(self):
         # deterministic cycle a->b->a with single actions: closed form fixed point
