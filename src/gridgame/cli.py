@@ -300,7 +300,10 @@ def _learning_config(args) -> marl.LearningConfig:
     fields = dataclasses.asdict(marl.LearningConfig())
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.config}: not valid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: learning config must be a JSON object")
         unknown = set(loaded) - set(fields)

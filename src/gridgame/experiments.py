@@ -53,6 +53,11 @@ SYNTH_SWITCHES = 4
 # configuration and result types
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     runs: int = 1000
@@ -64,9 +69,7 @@ class McConfig:
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         # run r draws from default_rng(seed + r), which takes no negative seed
-        if (not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool)
-                or self.seed < 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         low, high = self.perturbation
         if not (0.0 <= low <= high and math.isfinite(high)):
             raise ConfigError(
@@ -590,6 +593,8 @@ def scalability_probe(sizes=(33, 69, 118), methods=("nash",), seed: int = 0):
     """
     from .resilience import DEFAULT_AHP_MATRIX, ahp_weights
 
+    # the feeders and the learners draw from it, so check it before any build
+    _check_seed(seed)
     unknown = set(methods) - set(METHOD_TAGS)
     if unknown:
         raise ConfigError(f"unknown method tags: {sorted(unknown)}")

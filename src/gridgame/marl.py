@@ -16,15 +16,23 @@ and memory does not grow with the episode count.  The "anticipated opponent
 move" used for greedy selection and for the bootstrap target is the
 opponent's most recently observed action.
 
+Each step is one flat cell of the joint play, which indexes the rewards,
+the transition rows and the visit counts; the stage MDP keeps one visit
+count per cell, which gives both sides' step size.  The step loop only
+picks actions and moves Q.  Numpy does the counting, once per chunk of
+cells: the window's counts and reward.  The action counts of the run are
+the visits summed over the opponent's actions.
+
 Under the harmonic schedule (alpha = 1/visits) with gamma 0 a cell's target
 is its reward, which does not depend on Q: the first visit sets the cell to
 it and every later update adds alpha * 0.  So once every cell was visited no
 Q value, and no greedy action, can change again.  The kernels then stop
-updating and only count the rest of the run (visits, actions, the window's
-reward and the telemetry rows), which ends in the same bits as stepping on.
-Any other run (constant or power steps, gamma > 0, a cell never reached)
-steps to the end.  Trainers write no files: each returned ``LearnedPolicy``
-carries its run's telemetry rows, and the CLI writes them out.
+updating and only pick the greedy actions of the rest of the run, whose
+cells are counted as the loop's are, which ends in the same bits as
+stepping on.  Any other run (constant or power steps, gamma > 0, a cell
+never reached) steps to the end.  Trainers write no files: each returned
+``LearnedPolicy`` carries its run's telemetry rows, and the CLI writes them
+out.
 """
 
 from __future__ import annotations
@@ -187,8 +195,14 @@ def _freq(counts: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
 # kernels
 
 
-# alpha_mode is the schedule's index in ALPHA_SCHEDULES: 0 harmonic,
-# 1 constant, 2 power
+def _step_size(alpha_mode, alpha_c, alpha_p):
+    """The count -> alpha function of a schedule, alpha_mode being its index
+    in ALPHA_SCHEDULES: 0 harmonic, 1 constant, 2 power."""
+    if alpha_mode == 0:
+        return (1.0).__truediv__  # 1.0 / count, with no Python frame per step
+    if alpha_mode == 1:
+        return lambda count: alpha_c
+    return lambda count: float(count) ** (-alpha_p)
 
 
 def _draws(rng, episodes, width, eps0, eps_decay):
@@ -228,10 +242,10 @@ def _greedy(col, pick) -> int:
 def _settled_steps(telemetry, record_every, t0, epsilons, cells, rewards, visits):
     """Count steps t0, t0 + 1, ... after Q settled, and write their telemetry.
 
-    cells are the steps' flat Q cells and visits the flat visit counts before
-    them, updated in place.  A settled step moves no Q value, so its row is
-    (t + 1, epsilon, 1 / visits, reward, 0.0), visits counting the step
-    itself.
+    cells are the steps' flat Q cells, rewards the flat reward table and
+    visits the flat visit counts before the steps, updated in place.  A
+    settled step moves no Q value, so its row is (t + 1, epsilon,
+    1 / visits, reward, 0.0), visits counting the step itself.
     """
     # a step's visits: its cell's count before these steps plus its rank
     # among their visits of that cell (a stable sort keeps them in time order)
@@ -247,7 +261,7 @@ def _settled_steps(telemetry, record_every, t0, epsilons, cells, rewards, visits
     ts = np.arange(t0, t0 + n)
     at = (ts + 1) % record_every == 0
     telemetry[ts[at] // record_every, :4] = np.column_stack(
-        (ts[at] + 1, epsilons[at], 1.0 / counts[at], rewards[at]))
+        (ts[at] + 1, epsilons[at], 1.0 / counts[at], rewards[cells[at]]))
 
 
 def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
@@ -255,55 +269,55 @@ def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
     """Stateless Q-learning of the defender against a sampled attacker.
 
     Each step draws three uniforms from rng: attack draw, explore coin,
-    explore pick.  Q and visits are held per attack, and the greedy index of
-    each attack's column is cached until a cell of that column changes value.
-    Under the harmonic schedule a cell is set to its reward on its first visit
-    and never moves after, so once every cell was seen no Q value or greedy
-    index can change: the steps stop, and the rest of the run is counted in
-    numpy, the attacker being drawn independently of play.
+    explore pick.  Its cell is opp * n_own + own.  Q is held per attack,
+    and the greedy index of each attack's column is cached until a cell of
+    that column changes value.  Under the harmonic schedule a cell is set to
+    its reward on its first visit and never moves after, so once every cell
+    was seen no Q value or greedy index can change: the steps stop, and the
+    rest of the run is counted in numpy, the attacker being drawn
+    independently of play.  The attack counts are the visits summed over
+    the defender's actions.
     """
     n_opp, n_own = m.shape
-    reward_of = m.tolist()  # [opp][own]
     rewards = m.ravel()
+    reward_of = rewards.tolist()  # [cell]
     # running maxima of the cdf: searchsorted(side="right") on them is the
     # first k with u < cdf[k], the answer of a linear scan, also where
     # rounding or a -1e-12 probability makes the cdf dip
     cdf = np.maximum.accumulate(opp_cdf[:n_opp - 1])
+    step_size = _step_size(alpha_mode, alpha_c, alpha_p)
     q = [[0.0] * n_own for _ in range(n_opp)]
-    visits = [[0] * n_own for _ in range(n_opp)]
+    visits = [0] * (n_opp * n_own)
     greedy = [0] * n_opp  # an all-zero column's greedy action is 0
-    opp_counts = [0] * n_opp
     telemetry = np.zeros((episodes // record_every, 5))
     opp_last = 0
     unvisited = n_opp * n_own
     settled = False
     for t0, u, epsilons in _draws(rng, episodes, 3, eps0, eps_decay):
         opps = np.searchsorted(cdf, u[:, 0], side="right")
+        # a greedy step answers the attack of the step before it
+        prev = np.r_[opp_last, opps[:-1]]
+        opp_last = opps[-1]
         explore = _explore(u[:, 1], u[:, 2], epsilons, n_own)
         done = 0
         if not settled:
-            for t, opp, own in zip(range(t0, t0 + len(u)), opps.tolist(), explore.tolist()):
+            for t, opp, p, own in zip(range(t0, t0 + len(u)), opps.tolist(),
+                                      prev.tolist(), explore.tolist()):
                 if own < 0:
-                    own = greedy[opp_last]
+                    own = greedy[p]
                     if own is None:
-                        own = greedy[opp_last] = _greedy(q[opp_last], max)
-                reward = reward_of[opp][own]
-                count = visits[opp][own] + 1
-                visits[opp][own] = count
-                if alpha_mode == 0:
-                    alpha = 1.0 / count
-                elif alpha_mode == 1:
-                    alpha = alpha_c
-                else:
-                    alpha = float(count) ** (-alpha_p)
+                        own = greedy[p] = _greedy(q[p], max)
+                cell = opp * n_own + own
+                reward = reward_of[cell]
+                count = visits[cell] + 1
+                visits[cell] = count
+                alpha = step_size(count)
                 col = q[opp]
                 old = col[own]
                 delta = alpha * (reward - old)
                 col[own] = old + delta
                 if col[own] != old:
                     greedy[opp] = None
-                opp_counts[opp] += 1
-                opp_last = opp
                 if (t + 1) % record_every == 0:
                     telemetry[t // record_every] = (
                         t + 1, epsilons[t - t0], alpha, reward, abs(delta))
@@ -315,22 +329,14 @@ def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
             done = t + 1 - t0
             if settled:  # Q and every greedy action are final from here on
                 greedy = np.array([_greedy(col, max) for col in q])
-                visits = np.array(visits).ravel()
-                opp_counts = np.array(opp_counts)
+                visits = np.array(visits)
         if settled and done < len(u):
-            opps = opps[done:]
-            # a greedy step answers the attack of the step before it
-            prev = np.concatenate(([opp_last], opps[:-1]))
             own = explore[done:]
-            own = np.where(own < 0, greedy[prev], own)
-            cells = opps * n_own + own
+            own = np.where(own < 0, greedy[prev[done:]], own)
             _settled_steps(telemetry, record_every, t0 + done, epsilons[done:],
-                           cells, rewards[cells], visits)
-            opp_counts += np.bincount(opps, minlength=n_opp)
-            opp_last = opps[-1]
-    return (np.array(q).T.copy(),
-            np.array(visits, dtype=np.int64).reshape(n_opp, n_own).T.copy(),
-            np.array(opp_counts, dtype=np.int64), telemetry)
+                           opps[done:] * n_own + own, rewards, visits)
+    visits = np.array(visits, dtype=np.int64).reshape(n_opp, n_own)
+    return np.array(q).T.copy(), visits.T.copy(), visits.sum(axis=1), telemetry
 
 
 def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
@@ -338,45 +344,46 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
     """Simultaneous Q-learning of both sides on a stage MDP.
 
     Each step draws five uniforms from rng: attacker coin, attacker pick,
-    defender coin, defender pick, state transition.  Each side's Q and visits
-    are held per (state, opponent action) column with a cached greedy index,
-    as in _single_kernel; the cache serves both the greedy pick and the
-    bootstrap target, which is the column's extreme.  With the harmonic
-    schedule and gamma 0 a cell's target is its reward, so once every
-    (state, attack, defense) cell was seen Q is final: the updates stop, and
-    the rest of the run only walks the joint play and counts it.
+    defender coin, defender pick, state transition.  Its cell is
+    (s * n_att + a) * n_def + d, which indexes the rewards, the transition
+    rows and the one visit count both sides' step size comes from.  Each
+    side's Q is held per (state, opponent action) column with a cached
+    greedy index, as in _single_kernel; the cache serves both the greedy
+    pick and the bootstrap target, which is the column's extreme.  With the
+    harmonic schedule and gamma 0 a cell's target is its reward, so once
+    every cell was seen Q is final: the updates stop, and the rest of the
+    run only walks the joint play.  Each chunk's cells then give the window's
+    counts and reward in numpy; the whole run's action counts are the
+    visits summed over the opponent's actions.
     """
     n_states, n_att, n_def = rewards.shape
-    reward_of = rewards.tolist()  # [s][a][d]
+    n_cells = rewards.size
     flat_rewards = rewards.ravel()
+    reward_of = flat_rewards.tolist()  # [cell]
     # running maxima of each row's cdf, for bisection as in _single_kernel;
     # np.cumsum adds left to right, as a linear scan of each row does
     next_state = np.maximum.accumulate(
-        np.cumsum(transitions, axis=3)[..., :-1], axis=3).tolist()
+        np.cumsum(transitions, axis=3)[..., :-1], axis=3).reshape(n_cells, -1).tolist()
+    step_size = _step_size(alpha_mode, alpha_c, alpha_p)
     qa = [[[0.0] * n_att for _ in range(n_def)] for _ in range(n_states)]  # [s][d][a]
     qd = [[[0.0] * n_def for _ in range(n_att)] for _ in range(n_states)]  # [s][a][d]
-    visits_a = [[[0] * n_att for _ in range(n_def)] for _ in range(n_states)]
-    visits_d = [[[0] * n_def for _ in range(n_att)] for _ in range(n_states)]
+    visits = [0] * n_cells
     greedy_a = [[0] * n_def for _ in range(n_states)]
     greedy_d = [[0] * n_att for _ in range(n_states)]
-    a_counts = [[0] * n_att for _ in range(n_states)]
-    d_counts = [[0] * n_def for _ in range(n_states)]
-    a_counts_win = [[0] * n_att for _ in range(n_states)]
-    d_counts_win = [[0] * n_def for _ in range(n_states)]
+    win_visits = np.zeros(n_cells, dtype=np.int64)
     telemetry = np.zeros((episodes // record_every, 5))
     s = 0
     a_last = 0
     d_last = 0
     reward_win = 0.0
-    win_n = 0
-    unvisited = n_states * n_att * n_def
+    unvisited = n_cells
     settles = alpha_mode == 0 and gamma == 0.0
     settled = False
     for t0, u, epsilons in _draws(rng, episodes, 5, eps0, eps_decay):
         explore_a = _explore(u[:, 0], u[:, 1], epsilons, n_att).tolist()
         explore_d = _explore(u[:, 2], u[:, 3], epsilons, n_def).tolist()
         u_next = u[:, 4].tolist()
-        done = 0
+        cells = []
         if not settled:
             for t, a, d, u_s in zip(range(t0, t0 + len(u)), explore_a, explore_d, u_next):
                 if a < 0:
@@ -387,8 +394,10 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
                     d = greedy_d[s][a_last]
                     if d is None:
                         d = greedy_d[s][a_last] = _greedy(qd[s][a_last], max)
-                reward = reward_of[s][a][d]
-                s_next = bisect_right(next_state[s][a][d], u_s)
+                cell = (s * n_att + a) * n_def + d
+                cells.append(cell)
+                reward = reward_of[cell]
+                s_next = bisect_right(next_state[cell], u_s)
                 # bootstrap targets use the opponent action just observed
                 k = greedy_a[s_next][d]
                 if k is None:
@@ -398,46 +407,26 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
                 if k is None:
                     k = greedy_d[s_next][a] = _greedy(qd[s_next][a], max)
                 next_d = qd[s_next][a][k]
-                count = visits_a[s][d][a] + 1
-                visits_a[s][d][a] = count
-                if alpha_mode == 0:
-                    alpha_a = 1.0 / count
-                elif alpha_mode == 1:
-                    alpha_a = alpha_c
-                else:
-                    alpha_a = float(count) ** (-alpha_p)
+                count = visits[cell] + 1
+                visits[cell] = count
+                alpha = step_size(count)
                 col = qa[s][d]
                 old = col[a]
-                delta_a = alpha_a * (reward + gamma * next_a - old)
+                delta_a = alpha * (reward + gamma * next_a - old)
                 col[a] = old + delta_a
                 if col[a] != old:
                     greedy_a[s][d] = None
-                count = visits_d[s][a][d] + 1
-                visits_d[s][a][d] = count
-                if alpha_mode == 0:
-                    alpha_d = 1.0 / count
-                elif alpha_mode == 1:
-                    alpha_d = alpha_c
-                else:
-                    alpha_d = float(count) ** (-alpha_p)
                 col = qd[s][a]
                 old = col[d]
-                delta_d = alpha_d * (reward + gamma * next_d - old)
+                delta_d = alpha * (reward + gamma * next_d - old)
                 col[d] = old + delta_d
                 if col[d] != old:
                     greedy_d[s][a] = None
-                a_counts[s][a] += 1
-                d_counts[s][d] += 1
-                if t >= window_start:
-                    a_counts_win[s][a] += 1
-                    d_counts_win[s][d] += 1
-                    reward_win += reward
-                    win_n += 1
                 if (t + 1) % record_every == 0:
                     d1 = abs(delta_a)
                     d2 = abs(delta_d)
                     telemetry[t // record_every] = (
-                        t + 1, epsilons[t - t0], alpha_d, reward, d1 if d1 > d2 else d2)
+                        t + 1, epsilons[t - t0], alpha, reward, d1 if d1 > d2 else d2)
                 a_last = a
                 d_last = d
                 s = s_next
@@ -446,49 +435,41 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
                     if unvisited == 0 and settles:
                         settled = True
                         break
-            done = t + 1 - t0
             if settled:  # Q and every greedy action are final from here on
                 greedy_a = [[_greedy(col, min) for col in by_d] for by_d in qa]
                 greedy_d = [[_greedy(col, max) for col in by_a] for by_a in qd]
-                visits = np.array(visits_d).ravel()
-                a_counts, d_counts, a_counts_win, d_counts_win = (
-                    np.array(c).ravel()
-                    for c in (a_counts, d_counts, a_counts_win, d_counts_win))
+                visits = np.array(visits)
+        done = len(cells)
         if settled and done < len(u):
-            cells = []
             for a, d, u_s in zip(explore_a[done:], explore_d[done:], u_next[done:]):
                 if a < 0:
                     a = greedy_a[s][d_last]
                 if d < 0:
                     d = greedy_d[s][a_last]
-                cells.append((s * n_att + a) * n_def + d)
-                s = bisect_right(next_state[s][a][d], u_s)
+                cell = (s * n_att + a) * n_def + d
+                cells.append(cell)
+                s = bisect_right(next_state[cell], u_s)
                 a_last = a
                 d_last = d
-            cells = np.array(cells)
-            step_rewards = flat_rewards[cells]
             _settled_steps(telemetry, record_every, t0 + done, epsilons[done:],
-                           cells, step_rewards, visits)
-            by_a = cells // n_def  # s * n_att + a
-            by_d = cells // (n_att * n_def) * n_def + cells % n_def  # s * n_def + d
-            a_counts += np.bincount(by_a, minlength=a_counts.size)
-            d_counts += np.bincount(by_d, minlength=d_counts.size)
-            w = max(0, window_start - (t0 + done))
-            a_counts_win += np.bincount(by_a[w:], minlength=a_counts.size)
-            d_counts_win += np.bincount(by_d[w:], minlength=d_counts.size)
-            windowed = step_rewards[w:]
-            # cumsum adds left to right, continuing the loop's running sum
-            reward_win = float(np.cumsum(np.r_[reward_win, windowed])[-1])
-            win_n += len(windowed)
+                           np.array(cells[done:]), flat_rewards, visits)
+        # the window holds the steps t >= window_start
+        windowed = np.array(cells[max(0, window_start - t0):], dtype=np.int64)
+        win_visits += np.bincount(windowed, minlength=n_cells)
+        # cumsum adds left to right, continuing the running sum
+        reward_win = float(np.cumsum(np.r_[reward_win, flat_rewards[windowed]])[-1])
+    win_n = int(win_visits.sum())
     value = reward_win / win_n if win_n > 0 else 0.0
 
     def table(rows):
         # [s][opp][own] lists -> (states, own, opp) array
         return np.array(rows, dtype=np.float64).transpose(0, 2, 1).copy()
 
-    counts = [np.array(c, dtype=np.int64).reshape(n_states, -1)
-              for c in (a_counts, d_counts, a_counts_win, d_counts_win)]
-    return (table(qa), table(qd), *counts, value, telemetry)
+    # (s, a, d) counts: the attacker's actions sum over d, the defender's over a
+    visits = np.array(visits, dtype=np.int64).reshape(rewards.shape)
+    win_visits = win_visits.reshape(rewards.shape)
+    return (table(qa), table(qd), visits.sum(axis=2), visits.sum(axis=1),
+            win_visits.sum(axis=2), win_visits.sum(axis=1), value, telemetry)
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +549,11 @@ def train_multi_agent(matrix, config: LearningConfig) -> SelfPlayResult:
         rewards=m[None],
         transitions=np.ones((1, m.shape[0], m.shape[1], 1)),
     )
-    result = mdp_train(mdp, config, _mode="multi-agent")
-    attacker, defender = result.attacker, result.defender
+    attacker, defender, _, value = _train_pair(mdp, config, "multi-agent")
     i, j = attacker.greedy[0], defender.greedy[0]
     saddle = (m[i, j] <= m[:, j].min() + 1e-12) and (m[i, j] >= m[i, :].max() - 1e-12)
     return SelfPlayResult(attacker=attacker, defender=defender,
-                          value=result.values[0], converged=bool(saddle))
+                          value=value, converged=bool(saddle))
 
 
 # ---------------------------------------------------------------------------
@@ -673,15 +653,10 @@ class MdpTrainResult:
     values: tuple
 
 
-def mdp_train(mdp: StageMdp, config: LearningConfig,
-              _mode: str = "mdp") -> MdpTrainResult:
-    """State-based simultaneous Q-learning on a StageMdp.
-
-    Bootstrap targets anticipate the opponent repeating its just-observed
-    action.  The per-state value estimate is the defender's learned Q at the
-    joint greedy pair.  A single-state mdp with gamma=0 draws its uniforms
-    as train_multi_agent does, so the two match bit for bit.
-    """
+def _train_pair(mdp: StageMdp, config: LearningConfig, mode: str):
+    """Train both sides on mdp; return their policies, the defender's Q and
+    the mean reward over the final tenth of the run.  mode is the
+    provenance's label for the run."""
     record_every = max(1, config.episodes // TELEMETRY_ROWS)
     window_start = config.episodes - max(1, config.episodes // 10)
     qa, qd, a_counts, d_counts, a_win, d_win, value, telemetry = _mdp_kernel(
@@ -691,19 +666,27 @@ def mdp_train(mdp: StageMdp, config: LearningConfig,
         np.random.default_rng(config.seed), config.episodes,
         window_start, record_every)
     prov = config.provenance()
-    prov["mode"] = _mode
+    prov["mode"] = mode
     prov["states"] = list(mdp.labels)
     attacker = _policy_from("attacker", qa, _freq(d_win, fallback=d_counts),
                             config.episodes, prov, telemetry)
     defender = _policy_from("defender", qd, _freq(a_win, fallback=a_counts),
                             config.episodes, prov, telemetry)
-    values = []
-    for s in range(mdp.n_states):
-        if _mode == "multi-agent":
-            values.append(float(value))
-        else:
-            values.append(float(qd[s, defender.greedy[s], attacker.greedy[s]]))
-    return MdpTrainResult(attacker=attacker, defender=defender, values=tuple(values))
+    return attacker, defender, qd, float(value)
+
+
+def mdp_train(mdp: StageMdp, config: LearningConfig) -> MdpTrainResult:
+    """State-based simultaneous Q-learning on a StageMdp.
+
+    Bootstrap targets anticipate the opponent repeating its just-observed
+    action.  The per-state value estimate is the defender's learned Q at the
+    joint greedy pair.  A single-state mdp with gamma=0 draws its uniforms
+    as train_multi_agent does, so the two match bit for bit.
+    """
+    attacker, defender, qd, _ = _train_pair(mdp, config, "mdp")
+    values = tuple(float(qd[s, defender.greedy[s], attacker.greedy[s]])
+                   for s in range(mdp.n_states))
+    return MdpTrainResult(attacker=attacker, defender=defender, values=values)
 
 
 # ---------------------------------------------------------------------------

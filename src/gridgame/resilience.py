@@ -151,11 +151,15 @@ def load_ahp_matrix(path) -> np.ndarray:
     rows) or CSV; rows and columns follow the order LSR, CLR, TSS, DRS."""
     with open(path) as fh:
         text = fh.read().strip()
-    if text.startswith("["):
-        a = np.array(json.loads(text), dtype=float)
-    else:
-        rows = [r for r in csv.reader(text.splitlines()) if r]
-        a = np.array([[float(v) for v in r] for r in rows])
+    try:
+        if text.startswith("["):
+            a = np.array(json.loads(text), dtype=float)
+        else:
+            rows = [r for r in csv.reader(text.splitlines()) if r]
+            a = np.array([[float(v) for v in r] for r in rows])
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise NetworkValidationError(
+            f"{path}: AHP comparison matrix is not a table of numbers ({exc})") from exc
     if a.shape != (4, 4):
         raise NetworkValidationError(
             f"{path}: AHP comparison matrix must be 4x4, one row and column per "

@@ -199,6 +199,21 @@ class TestPayoff:
         assert "4x4" in err and "LSR, CLR, TSS, DRS" in err
         assert not (tmp_path / "o" / "payoff.csv").exists()
 
+    @pytest.mark.parametrize("name, content", [
+        ("ahp.json", "[[1,2],"),
+        ("ahp.json", "[[1,2],[3]]"),
+        ("ahp.json", "[[1,{}]]"),
+        ("ahp.csv", "1,x\n"),
+    ], ids=["truncated-json", "ragged-json", "object-entry", "non-numeric-csv"])
+    def test_malformed_ahp_matrix_names_its_path(self, name, content, tmp_path, capsys):
+        ahp = tmp_path / name
+        ahp.write_text(content)
+        out = tmp_path / "o"
+        assert run("payoff", "--ahp", ahp, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {ahp}: AHP comparison matrix is not a table of numbers (")
+        assert not out.exists()
+
     def test_manifest_digests_verify(self, payoff_dir):
         import hashlib
         manifest = json.loads((payoff_dir / "manifest.json").read_text())
@@ -408,6 +423,18 @@ class TestLearn:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("content", ['{"episodes": 10,', "", "{'seed': 1}"],
+                             ids=["truncated", "empty", "single-quoted"])
+    def test_malformed_config_names_its_path(self, content, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        out = tmp_path / "out"
+        code = run("learn", "--method", "single", "--config", cfg,
+                   "--matrix", small_game_csv(tmp_path), "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not valid JSON (")
+        assert not out.exists()
 
     def test_multi_writes_both_policies(self, matrix_csv, tmp_path):
         out = tmp_path / "out"
@@ -726,6 +753,23 @@ def test_negative_seed_rejected_before_any_work(name, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"seed must be a non-negative integer, got {argv[-1]}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods", ["nash", "qlearn"])
+def test_probe_negative_seed_rejected_before_any_build(methods, tmp_path, capsys,
+                                                       monkeypatch):
+    from gridgame import experiments
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a payoff matrix was built")
+
+    monkeypatch.setattr(experiments, "build_payoff_matrix", no_build)
+    out = tmp_path / "out"
+    assert run("probe", "--sizes", 33, "--methods", methods, "--seed", -1,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer, got -1")
     assert not out.exists()
 
 

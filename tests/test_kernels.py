@@ -9,7 +9,9 @@ own copy of the generator and both walk identical sample paths, and every
 output must match to the bit.  Under the harmonic schedule with gamma 0 the
 package learners stop updating once every cell was visited and count the
 rest of the run in numpy; the frozen-tail cases and properties reach that
-tail and cross chunk boundaries in it.
+tail and cross chunk boundaries in it.  The stage-MDP kernel counts its
+window per chunk; one case never settles, and its window spans two chunk
+boundaries of the step loop.
 """
 import copy
 from unittest import mock
@@ -122,6 +124,11 @@ CASES = {
     "mdp-frozen-tail": (MDP, mdp_args(
         marl.stage_mdp_default(random_matrix(9, (3, 3))), 0.0, 0, 1.0, 0.999,
         2 * CHUNK + 1500, CHUNK + 700, 7)),
+    # gamma > 0: the run steps to the end, and the window's counts and reward
+    # are taken over two chunk boundaries of the step loop
+    "mdp-window-across-chunks": (MDP, mdp_args(
+        marl.stage_mdp_default(random_matrix(10, (3, 3))), 0.5, 0, 1.0, 0.999,
+        2 * CHUNK + 300, CHUNK - 200, 7)),
 }
 FROZEN_TAIL_CASES = ["single-frozen-tail", "mdp-frozen-tail"]
 
@@ -152,6 +159,10 @@ class TestAgainstOracle:
         # so their tails run 2 * CHUNK + 1500 - tail_start steps, over two boundaries
         kernels, args = CASES[case]
         assert tail_start(kernels, args) < CHUNK
+
+    def test_window_case_steps_to_the_end(self):
+        kernels, args = CASES["mdp-window-across-chunks"]
+        assert tail_start(kernels, args) is None
 
     def test_fp_stops_early_on_tol(self):
         m = random_matrix(7, (6, 6))
