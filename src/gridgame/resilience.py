@@ -126,10 +126,7 @@ def ahp_weights(comparison: np.ndarray) -> AhpWeights:
     n = a.shape[0]
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NetworkValidationError("comparison matrix must be square")
-    if np.any(a <= 0):
-        raise NetworkValidationError("comparison matrix entries must be positive")
-    if not np.allclose(a * a.T, 1.0, atol=1e-6):
-        raise NetworkValidationError("comparison matrix is not reciprocal")
+    _check_comparison(a)
 
     w = np.full(n, 1.0 / n)
     for _ in range(AHP_MAX_ITERS):
@@ -144,6 +141,20 @@ def ahp_weights(comparison: np.ndarray) -> AhpWeights:
     ri = SAATY_RANDOM_INDEX.get(n, 1.49)
     cr = ci / ri if ri > 0 else 0.0
     return AhpWeights(w=w, lambda_max=lam, consistency_index=ci, consistency_ratio=cr)
+
+
+def _check_comparison(a: np.ndarray) -> None:
+    """Every entry of the square matrix ``a`` is finite and positive, and
+    a[j, i] is 1 / a[i, j]."""
+    missing = np.argwhere(~np.isfinite(a))
+    if missing.size:
+        i, j = missing[0] + 1
+        raise NetworkValidationError(
+            f"comparison matrix entry at row {i}, column {j} is missing or not finite")
+    if np.any(a <= 0):
+        raise NetworkValidationError("comparison matrix entries must be positive")
+    if not np.allclose(a * a.T, 1.0, atol=1e-6):
+        raise NetworkValidationError("comparison matrix is not reciprocal")
 
 
 def load_ahp_matrix(path) -> np.ndarray:
@@ -164,6 +175,10 @@ def load_ahp_matrix(path) -> np.ndarray:
         raise NetworkValidationError(
             f"{path}: AHP comparison matrix must be 4x4, one row and column per "
             f"criterion in the order LSR, CLR, TSS, DRS; got shape {a.shape}")
+    try:
+        _check_comparison(a)
+    except NetworkValidationError as exc:
+        raise NetworkValidationError(f"{path}: {exc}") from exc
     return a
 
 

@@ -1,10 +1,12 @@
 """Attack and defense catalogs as declarative network transformations.
 
-Ten attacks and ten defenses, each an ordered list of primitive effects over
-the network state. Applying an action is pure: the input state is never
-touched. ``compile_pair`` resolves one pair once into a ``PairPlan``, which
-serves the loads (``serve_loads``) and scores the served state (LSR, CLR, TSS,
-DRS) for many load vectors at a time. ``evaluate_pair`` scores one cell
+An action is an ordered list of primitive effects over the network state;
+the bundled catalog, ten attacks and ten defenses, is the JSON document
+``data/catalog_default.json``, read as a user's ``--catalog`` is. Applying
+an action is pure: the input state is never touched. ``compile_pair``
+resolves one pair once into a ``PairPlan``, which serves the loads
+(``serve_loads``) and scores the served state (LSR, CLR, TSS, DRS) for many
+load vectors at a time. ``evaluate_pair`` scores one cell
 through its plan and runs the power flows that set the cell's voltage flags.
 """
 
@@ -14,6 +16,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -33,6 +36,9 @@ DEFENSE_KINDS = frozenset(
 
 CATALOG_VERSION = "default-1"
 
+# the amount an effect of these kinds applies when its value is left out
+DEFAULT_AMOUNTS = {"scale_load": 1.0, "set_der_dispatch": 1.0, "shed_fraction": 0.0}
+
 
 @dataclass(frozen=True)
 class Effect:
@@ -41,6 +47,12 @@ class Effect:
     # or a list of bus ids; None for network-wide effects
     target: object = None
     value: float | None = None
+
+    def __post_init__(self):
+        # a document's kind may be any JSON value, a list too; the action's
+        # _check_effects rejects an unknown one
+        if self.value is None and isinstance(self.kind, str):
+            object.__setattr__(self, "value", DEFAULT_AMOUNTS.get(self.kind))
 
     def to_json(self) -> dict:
         tgt = list(self.target) if isinstance(self.target, tuple) else self.target
@@ -59,12 +71,14 @@ def _finite_real(v) -> bool:
 
 
 def _check_effects(action_id: str, effects, kinds, side: str) -> None:
-    """Known kinds only; a target list holds only strings and integral finite
-    reals; every value None or a finite real, not a bool or a string; a
-    shed_threshold needs its value."""
+    """Known kinds only; a target is no bool, and a target list holds only
+    strings and integral finite reals; every value None or a finite real,
+    not a bool or a string; a shed_threshold needs its value."""
     for eff in effects:
         if not isinstance(eff.kind, str) or eff.kind not in kinds:
             raise CatalogError(f"{action_id}: unknown {side} effect kind {eff.kind!r}")
+        if isinstance(eff.target, bool):
+            raise CatalogError(f"{action_id}: {eff.kind} target {eff.target!r} is not an id")
         if isinstance(eff.target, tuple) and not all(
                 isinstance(t, str) or (_finite_real(t) and float(t).is_integer())
                 for t in eff.target):
@@ -106,7 +120,8 @@ class ScenarioCatalog:
     def __post_init__(self):
         ids = [a.id for a in self.attacks] + [d.id for d in self.defenses]
         if len(set(ids)) != len(ids):
-            raise CatalogError("duplicate action ids in catalog")
+            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            raise CatalogError(f"duplicate action ids in catalog: {dupes}")
 
     def attack(self, action_id: str) -> AttackAction:
         for a in self.attacks:
@@ -134,100 +149,11 @@ class ScenarioCatalog:
         }
 
 
-def _fx(kind, target=None, value=None) -> Effect:
-    return Effect(kind=kind, target=target, value=value)
-
-
 def catalog_default() -> ScenarioCatalog:
-    """The built-in ten-by-ten action catalog for the bundled 33-bus network.
-
-    Sensor bias attacks resolve to protective DER trips at the biased buses.
-    Tie-close defenses carry a companion sectionalizing line that opens only
-    if the close would otherwise form a loop.
-    """
-    attacks = (
-        AttackAction("A1", "voltage sensor bias trips DERs at buses 5/18/29", (
-            _fx("fdi_bias", 5, 0.15),
-            _fx("fdi_bias", 18, 0.15),
-            _fx("fdi_bias", 29, 0.15),
-        )),
-        AttackAction("A2", "rogue breaker commands open lines 6-7 and 14-15", (
-            _fx("trip_line", "6-7"),
-            _fx("trip_line", "14-15"),
-        )),
-        AttackAction("A3", "coordinated shutdown of all DERs", (
-            _fx("trip_der", "DER1"),
-            _fx("trip_der", "DER2"),
-            _fx("trip_der", "DER3"),
-            _fx("trip_der", "DER4"),
-        )),
-        AttackAction("A4", "operator console hijack: open 5-6, inflate loads 20-24", (
-            _fx("trip_line", "5-6"),
-            _fx("scale_load", (20, 21, 22, 23, 24), 1.2),
-        )),
-        AttackAction("A5", "relay spoofing isolates critical junctions", (
-            _fx("trip_line", "6-7"),
-            _fx("trip_line", "23-24"),
-        )),
-        AttackAction("A6", "single line sabotage 3-4", (
-            _fx("trip_line", "3-4"),
-        )),
-        AttackAction("A7", "double cut 5-6 and 14-15", (
-            _fx("trip_line", "5-6"),
-            _fx("trip_line", "14-15"),
-        )),
-        AttackAction("A8", "double cut 7-8 and 6-26", (
-            _fx("trip_line", "7-8"),
-            _fx("trip_line", "6-26"),
-        )),
-        AttackAction("A9", "triple cut 2-3, 2-19, 28-29", (
-            _fx("trip_line", "2-3"),
-            _fx("trip_line", "2-19"),
-            _fx("trip_line", "28-29"),
-        )),
-        AttackAction("A10", "triple cut 6-7, 23-24, 30-31", (
-            _fx("trip_line", "6-7"),
-            _fx("trip_line", "23-24"),
-            _fx("trip_line", "30-31"),
-        )),
-    )
-    defenses = (
-        DefenseAction("D1", "no action", ()),
-        DefenseAction("D2", "reconfigure via tie SW1 (12-21)", (
-            _fx("close_switch", "SW1"),
-            _fx("companion_open", "11-12"),
-        )),
-        DefenseAction("D3", "reconfigure via tie SW2 (9-15)", (
-            _fx("close_switch", "SW2"),
-            _fx("companion_open", "14-15"),
-        )),
-        DefenseAction("D4", "reconfigure via tie SW3 (18-33)", (
-            _fx("close_switch", "SW3"),
-            _fx("companion_open", "17-18"),
-        )),
-        DefenseAction("D5", "reconfigure via tie SW4 (25-29)", (
-            _fx("close_switch", "SW4"),
-            _fx("companion_open", "28-29"),
-        )),
-        DefenseAction("D6", "full dispatch of DER at bus 5", (
-            _fx("set_der_dispatch", "DER1", 1.0),
-        )),
-        DefenseAction("D7", "full dispatch of DER at bus 21", (
-            _fx("set_der_dispatch", "DER3", 1.0),
-        )),
-        DefenseAction("D8", "shed 30% of every non-critical load", (
-            _fx("shed_fraction", "non-critical", 0.30),
-        )),
-        DefenseAction("D9", "shed all loads above 200 kW", (
-            _fx("shed_threshold", None, 200.0),
-        )),
-        DefenseAction("D10", "tie SW2 plus full dispatch at bus 21", (
-            _fx("close_switch", "SW2"),
-            _fx("companion_open", "14-15"),
-            _fx("set_der_dispatch", "DER3", 1.0),
-        )),
-    )
-    return ScenarioCatalog(attacks=attacks, defenses=defenses)
+    """The built-in ten-by-ten action catalog for the bundled 33-bus network,
+    read from ``data/catalog_default.json`` as a user catalog is read."""
+    with resources.files("gridgame.data").joinpath("catalog_default.json").open() as fh:
+        return _read_catalog(json.load(fh), "catalog_default.json")
 
 
 def load_catalog(path) -> ScenarioCatalog:
@@ -243,59 +169,65 @@ def load_catalog(path) -> ScenarioCatalog:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise CatalogError(f"{path}: top level must be an object, got {type(obj).__name__}")
+    doc = _read_catalog(obj, path)
     base = catalog_default()
-    version = obj.get("version", CATALOG_VERSION)
-    if not isinstance(version, str):
-        raise CatalogError(f"{path}: 'version' must be a string, got {version!r}")
-    att = _parse_actions(obj, "attacks", AttackAction, path)
-    dfn = _parse_actions(obj, "defenses", DefenseAction, path)
+    try:  # an id clash between the document and the defaults is this file's too
+        if obj.get("replace", False):
+            return ScenarioCatalog(attacks=doc.attacks or base.attacks,
+                                   defenses=doc.defenses or base.defenses, version=doc.version)
 
-    if obj.get("replace", False):
-        return ScenarioCatalog(
-            attacks=att or base.attacks,
-            defenses=dfn or base.defenses,
-            version=version,
-        )
-
-    attacks = {a.id: a for a in base.attacks}
-    defenses = {d.id: d for d in base.defenses}
-    for acts, known, side in ((att, attacks, "attack"), (dfn, defenses, "defense")):
-        for act in acts:
-            if act.id not in known:
-                raise CatalogError(f"{path}: unknown {side} id {act.id!r}")
-            known[act.id] = act
-    return ScenarioCatalog(
-        attacks=tuple(attacks[a.id] for a in base.attacks),
-        defenses=tuple(defenses[d.id] for d in base.defenses),
-        version=version,
-    )
+        attacks = {a.id: a for a in base.attacks}
+        defenses = {d.id: d for d in base.defenses}
+        for acts, known, side in ((doc.attacks, attacks, "attack"),
+                                  (doc.defenses, defenses, "defense")):
+            for act in acts:
+                if act.id not in known:
+                    raise CatalogError(f"unknown {side} id {act.id!r}")
+                known[act.id] = act
+        return ScenarioCatalog(attacks=tuple(attacks.values()),
+                               defenses=tuple(defenses.values()), version=doc.version)
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from exc
 
 
-def _parse_actions(obj: dict, key: str, cls, path) -> tuple:
+def _read_catalog(obj, where) -> ScenarioCatalog:
+    """The catalog that a parsed catalog document lists, taken as it stands;
+    every error it raises starts with ``where``."""
+    try:
+        if not isinstance(obj, dict):
+            raise CatalogError(f"top level must be an object, got {type(obj).__name__}")
+        version = obj.get("version", CATALOG_VERSION)
+        if not isinstance(version, str):
+            raise CatalogError(f"'version' must be a string, got {version!r}")
+        return ScenarioCatalog(attacks=_parse_actions(obj, "attacks", AttackAction),
+                               defenses=_parse_actions(obj, "defenses", DefenseAction),
+                               version=version)
+    except CatalogError as exc:
+        raise CatalogError(f"{where}: {exc}") from exc
+
+
+def _parse_actions(obj: dict, key: str, cls) -> tuple:
     """The actions listed under ``key``: a list of objects, each with a list
     of effect objects."""
     entries = obj.get(key, [])
     if not isinstance(entries, list):
-        raise CatalogError(f"{path}: {key!r} must be a list of action objects")
+        raise CatalogError(f"{key!r} must be a list of action objects")
     actions = []
     for entry in entries:
         if not isinstance(entry, dict):
-            raise CatalogError(f"{path}: {key} entry {entry!r} is not an object")
+            raise CatalogError(f"{key} entry {entry!r} is not an object")
         if not isinstance(entry.get("id", ""), str):
-            raise CatalogError(f"{path}: {key} id {entry['id']!r} is not a string")
+            raise CatalogError(f"{key} id {entry['id']!r} is not a string")
+        if not isinstance(entry.get("label", ""), str):
+            raise CatalogError(f"label of {entry.get('id')!r} is not a string")
         effects = entry.get("effects", [])
         if not isinstance(effects, list) or not all(isinstance(e, dict) for e in effects):
-            raise CatalogError(f"{path}: effects of {entry.get('id')!r} must be a list of objects")
+            raise CatalogError(f"effects of {entry.get('id')!r} must be a list of objects")
         try:
             actions.append(cls(id=entry["id"], label=entry.get("label", entry["id"]),
                                effects=tuple(Effect.from_json(e) for e in effects)))
         except KeyError as exc:
-            raise CatalogError(f"{path}: action entry missing field {exc}") from exc
-    ids = [a.id for a in actions]
-    if len(ids) != len(set(ids)):
-        raise CatalogError(f"{path}: duplicate action ids under {key!r}")
+            raise CatalogError(f"action entry missing field {exc}") from exc
     return tuple(actions)
 
 
@@ -381,8 +313,7 @@ def apply_attack(state: NetworkState, attack: AttackAction) -> NetworkState:
                 s = s.with_switch_position(sw.id, CLOSED)
         elif eff.kind == "scale_load":
             buses = _resolve_buses(s, attack.id, eff.target)
-            factor = 1.0 if eff.value is None else float(eff.value)
-            s = s.with_scaled_loads({b: factor for b in buses})
+            s = s.with_scaled_loads({b: float(eff.value) for b in buses})
         else:
             raise CatalogError(f"{attack.id}: unknown effect kind {eff.kind!r}")
     return s
@@ -419,13 +350,11 @@ def apply_defense(state: NetworkState, defense: DefenseAction) -> NetworkState:
             raise CatalogError(
                 f"{defense.id}: companion_open must directly follow a close_switch")
         elif eff.kind == "set_der_dispatch":
-            frac = 1.0 if eff.value is None else float(eff.value)
             for der_id in _resolve_ders(s, defense.id, eff.target):
-                s = s.with_der(der_id, dispatch_fraction=frac)
+                s = s.with_der(der_id, dispatch_fraction=float(eff.value))
         elif eff.kind == "shed_fraction":
-            frac = 0.0 if eff.value is None else float(eff.value)
             buses = _resolve_buses(s, defense.id, eff.target)
-            s = s.with_shed({b: frac for b in buses})
+            s = s.with_shed({b: float(eff.value) for b in buses})
         elif eff.kind == "shed_threshold":
             limit = float(eff.value)
             hit = {b.id: 1.0 for b in s.buses if b.load_p > limit}
@@ -654,14 +583,13 @@ def _plan(base: NetworkState, attack: AttackAction, defense: DefenseAction,
         return np.array([pos[b] for b in buses], dtype=np.int64)
 
     scalings = tuple(
-        (positions(_resolve_buses(base, attack.id, e.target)),
-         1.0 if e.value is None else float(e.value))
+        (positions(_resolve_buses(base, attack.id, e.target)), float(e.value))
         for e in attack.effects if e.kind == "scale_load")
     shed_steps = []
     for e in defense.effects:
         if e.kind == "shed_fraction":
             shed_steps.append((e.kind, positions(_resolve_buses(base, defense.id, e.target)),
-                               0.0 if e.value is None else float(e.value)))
+                               float(e.value)))
         elif e.kind == "shed_threshold":
             shed_steps.append((e.kind, None, float(e.value)))
 

@@ -111,6 +111,11 @@ MALFORMED_INPUTS = [
     pytest.param("--catalog", scale_a4_target([{}]), id="object-in-target-list"),
     pytest.param("--catalog", scale_a4_target([20, float("inf")]), id="infinite-target"),
     pytest.param("--catalog", scale_a4_target([20.7]), id="fractional-target"),
+    pytest.param("--catalog", scale_a4_target(True), id="bool-target"),
+    pytest.param("--catalog", {"attacks": [{"id": "A1", "label": float("nan"), "effects": []}]},
+                 id="nan-label"),
+    pytest.param("--catalog", {"replace": True, "attacks": [{"id": "D1", "effects": []}]},
+                 id="replace-attack-id-clashes-with-default-defense"),
     # values each with_* derivation checks, since it skips the full validator
     pytest.param("--catalog", scale_a4(-1.0), id="negative-scale"),
     pytest.param("--catalog", defense_effect("D8", "shed_fraction", "non-critical", 1.5),
@@ -212,6 +217,45 @@ class TestPayoff:
         assert run("payoff", "--ahp", ahp, "--out", out) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {ahp}: AHP comparison matrix is not a table of numbers (")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["x", float("nan")], ids=["string", "nan"])
+    def test_catalog_action_error_names_its_path(self, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"attacks": [{"id": "A1", "effects": [
+            {"kind": "scale_load", "target": [20], "value": value}]}]}))
+        out = tmp_path / "o"
+        assert run("payoff", "--catalog", path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: A1: scale_load value {value!r} is not a finite number")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, reason", [
+        ({"replace": True, "attacks": [{"id": "D1", "effects": []}]},
+         "duplicate action ids in catalog: ['D1']"),
+        ({"attacks": [{"id": "A99", "effects": []}]}, "unknown attack id 'A99'"),
+    ], ids=["replace-clash", "unknown-id"])
+    def test_catalog_merge_error_names_its_path(self, doc, reason, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run("payoff", "--catalog", path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, reason", [
+        ([[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, None], [1, 1, 1, 1]],
+         "entry at row 3, column 4 is missing or not finite"),
+        ([[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, -1], [1, 1, -1, 1]], "entries must be positive"),
+        ([[1, 2, 1, 1], [2, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]], "is not reciprocal"),
+    ], ids=["null-entry", "negative-entry", "not-reciprocal"])
+    def test_bad_ahp_matrix_names_its_path(self, rows, reason, tmp_path, capsys):
+        ahp = tmp_path / "m.json"
+        ahp.write_text(json.dumps(rows))
+        out = tmp_path / "o"
+        assert run("payoff", "--ahp", ahp, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {ahp}: comparison matrix {reason}")
         assert not out.exists()
 
     def test_manifest_digests_verify(self, payoff_dir):
@@ -1033,6 +1077,15 @@ class TestPackaging:
         eq = json.loads((tmp_path / "out" / "equilibrium.json").read_text())
         # pennies-like game, interior equilibrium
         assert 0.1 < eq["value"] < 0.9
+
+    def test_package_data_ships_every_data_file(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["gridgame"]
+        package = root / "src" / "gridgame"
+        shipped = {p for g in globs for p in package.glob(g)}
+        assert shipped == set((package / "data").iterdir())
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "gridgame", "--version"],

@@ -7,6 +7,7 @@ scores must equal it exactly, not approximately.
 """
 
 import copy
+import hashlib
 import json
 
 import networkx as nx
@@ -233,6 +234,23 @@ class TestEvaluatePair:
 
 
 class TestSerialization:
+    def test_bundled_catalog_is_pinned(self, cat):
+        blob = json.dumps(cat.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "254d9f2b10ca4c0ae16fcf444bc945feed2fcaf1db016a879c6db486c7dd1a5f")
+        assert cat.version == "default-1"
+
+    def test_reader_errors_name_the_document(self):
+        doc = {"attacks": [{"id": "A1", "effects": [{"kind": "melt"}]}]}
+        with pytest.raises(CatalogError, match=r"^catalog_default\.json: A1: unknown attack"):
+            scenario._read_catalog(doc, "catalog_default.json")
+
+    @pytest.mark.parametrize("kind, amount", [
+        ("scale_load", 1.0), ("set_der_dispatch", 1.0), ("shed_fraction", 0.0),
+        ("trip_line", None)])
+    def test_an_effect_without_a_value_takes_its_default_amount(self, kind, amount):
+        assert Effect(kind, "*").value == amount
+
     def test_round_trip(self, cat, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text(json.dumps(cat.to_json()))
