@@ -24,7 +24,7 @@ from .errors import ConfigError, SolverError
 FP_DEFAULT_ITERS = 100_000
 FP_DEFAULT_TOL = 1e-3
 RM_DEFAULT_TOL = 1e-4
-QRE_DEFAULT_DAMPING = 0.5
+QRE_DAMPING = 0.5
 QRE_MAX_ITERS = 10_000
 QRE_TOL = 1e-12
 
@@ -51,12 +51,6 @@ class MixedStrategy:
     @classmethod
     def uniform(cls, k: int) -> "MixedStrategy":
         return cls(np.full(k, 1.0 / k))
-
-    @classmethod
-    def pure(cls, k: int, index: int) -> "MixedStrategy":
-        p = np.zeros(k)
-        p[index] = 1.0
-        return cls(p)
 
 
 def _probs(mix) -> np.ndarray:
@@ -378,24 +372,21 @@ class QreResult:
     residual: float  # max-norm distance of the last iterate from its response
 
 
-def qre_fixed_point(M, beta_a: float, beta_d: float,
-                    damping: float = QRE_DEFAULT_DAMPING) -> QreResult:
+def qre_fixed_point(M, beta_a: float, beta_d: float) -> QreResult:
     """Damped simultaneous logit iteration toward the quantal response pair.
 
     Stops once neither mix moves by more than QRE_TOL, or after
     QRE_MAX_ITERS steps with converged=False.
     """
     m = _entries(M)
-    if not 0.0 < damping <= 1.0:
-        raise ConfigError(f"damping must lie in (0, 1], got {damping}")
     pa = np.full(m.shape[0], 1.0 / m.shape[0])
     pd = np.full(m.shape[1], 1.0 / m.shape[1])
     converged = False
     for iters in range(1, QRE_MAX_ITERS + 1):
         ra = softmax_response(m, pd, beta_a, "attacker").probs
         rd = softmax_response(m, pa, beta_d, "defender").probs
-        na = (1.0 - damping) * pa + damping * ra
-        nd = (1.0 - damping) * pd + damping * rd
+        na = (1.0 - QRE_DAMPING) * pa + QRE_DAMPING * ra
+        nd = (1.0 - QRE_DAMPING) * pd + QRE_DAMPING * rd
         delta = max(np.max(np.abs(na - pa)), np.max(np.abs(nd - pd)))
         pa, pd = na, nd
         if delta <= QRE_TOL:

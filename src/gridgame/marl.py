@@ -351,10 +351,11 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
     greedy index, as in _single_kernel; the cache serves both the greedy
     pick and the bootstrap target, which is the column's extreme.  With the
     harmonic schedule and gamma 0 a cell's target is its reward, so once
-    every cell was seen Q is final: the updates stop, and the rest of the
-    run only walks the joint play.  Each chunk's cells then give the window's
-    counts and reward in numpy; the whole run's action counts are the
-    visits summed over the opponent's actions.
+    every cell was seen Q is final: the same loop goes on picking actions
+    and moving the state, but no longer updates or counts, and
+    _settled_steps counts the settled steps of each chunk.  Each chunk's
+    cells give the window's counts and reward in numpy; the whole run's
+    action counts are the visits summed over the opponent's actions.
     """
     n_states, n_att, n_def = rewards.shape
     n_cells = rewards.size
@@ -384,20 +385,21 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
         explore_d = _explore(u[:, 2], u[:, 3], epsilons, n_def).tolist()
         u_next = u[:, 4].tolist()
         cells = []
-        if not settled:
-            for t, a, d, u_s in zip(range(t0, t0 + len(u)), explore_a, explore_d, u_next):
-                if a < 0:
-                    a = greedy_a[s][d_last]
-                    if a is None:
-                        a = greedy_a[s][d_last] = _greedy(qa[s][d_last], min)
-                if d < 0:
-                    d = greedy_d[s][a_last]
-                    if d is None:
-                        d = greedy_d[s][a_last] = _greedy(qd[s][a_last], max)
-                cell = (s * n_att + a) * n_def + d
-                cells.append(cell)
+        done = 0 if settled else len(u)  # the chunk's first settled step
+        for t, a, d, u_s in zip(range(t0, t0 + len(u)), explore_a, explore_d, u_next):
+            if a < 0:
+                a = greedy_a[s][d_last]
+                if a is None:
+                    a = greedy_a[s][d_last] = _greedy(qa[s][d_last], min)
+            if d < 0:
+                d = greedy_d[s][a_last]
+                if d is None:
+                    d = greedy_d[s][a_last] = _greedy(qd[s][a_last], max)
+            cell = (s * n_att + a) * n_def + d
+            cells.append(cell)
+            s_next = bisect_right(next_state[cell], u_s)
+            if not settled:
                 reward = reward_of[cell]
-                s_next = bisect_right(next_state[cell], u_s)
                 # bootstrap targets use the opponent action just observed
                 k = greedy_a[s_next][d]
                 if k is None:
@@ -427,30 +429,16 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
                     d2 = abs(delta_d)
                     telemetry[t // record_every] = (
                         t + 1, epsilons[t - t0], alpha, reward, d1 if d1 > d2 else d2)
-                a_last = a
-                d_last = d
-                s = s_next
                 if count == 1:
                     unvisited -= 1
-                    if unvisited == 0 and settles:
+                    if unvisited == 0 and settles:  # Q is final from here on
                         settled = True
-                        break
-            if settled:  # Q and every greedy action are final from here on
-                greedy_a = [[_greedy(col, min) for col in by_d] for by_d in qa]
-                greedy_d = [[_greedy(col, max) for col in by_a] for by_a in qd]
-                visits = np.array(visits)
-        done = len(cells)
-        if settled and done < len(u):
-            for a, d, u_s in zip(explore_a[done:], explore_d[done:], u_next[done:]):
-                if a < 0:
-                    a = greedy_a[s][d_last]
-                if d < 0:
-                    d = greedy_d[s][a_last]
-                cell = (s * n_att + a) * n_def + d
-                cells.append(cell)
-                s = bisect_right(next_state[cell], u_s)
-                a_last = a
-                d_last = d
+                        done = t + 1 - t0
+                        visits = np.array(visits)
+            a_last = a
+            d_last = d
+            s = s_next
+        if done < len(u):
             _settled_steps(telemetry, record_every, t0 + done, epsilons[done:],
                            np.array(cells[done:]), flat_rewards, visits)
         # the window holds the steps t >= window_start

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from pathlib import Path
 
 from ..errors import NetworkParseError, NetworkValidationError, RadialityError
 from .types import CLOSED, OPEN, Bus, Der, Line, NetworkState, TieSwitch
@@ -13,27 +12,21 @@ from . import topology
 DEFAULT_DISPATCH = 0.7  # pre-attack DER setpoint; "boost" defenses raise it to 1.0
 
 
-def load_network(source) -> NetworkState:
-    """Parse a network description document into a NetworkState.
+def load_network(path) -> NetworkState:
+    """Parse the network description document at ``path`` into a NetworkState.
 
-    ``source`` is a path or an already-parsed mapping. All lines start
-    closed, all tie switches open, all DERs online at the default dispatch,
-    shed fractions zero. The base (all-switches-open) topology must be a
-    forest; anything else is rejected.
+    All lines start closed, all tie switches open, all DERs online at the
+    default dispatch, shed fractions zero. The base (all-switches-open)
+    topology must be a forest; anything else is rejected.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise NetworkParseError(f"{source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise NetworkParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        where = str(source)
-    else:
-        doc = source
-        where = "<document>"
-    return _build_state(doc, where)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise NetworkParseError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise NetworkParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    return _build_state(doc, str(path))
 
 
 def load_ieee33() -> NetworkState:

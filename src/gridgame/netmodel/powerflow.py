@@ -120,10 +120,8 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
     that fail to converge within the sweep budget are reported with
     converged=False; the caller decides on a shedding fallback.
     """
-    isls, adj = topology.connectivity(state)
-    for isl in isls:
-        if isl.energized:
-            isl.check_radial()
+    isls = topology.check_energized_radial(state)
+    adj = topology.connectivity(state)[1]
     ids, pos, live, numbered = _numbering(state, isls, adj)
     s_base_kw = 1000.0 * state.base_mva
     keep = np.ones(len(ids))

@@ -70,20 +70,53 @@ def _finite_real(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
 
 
+def _bus_id(t) -> bool:
+    """An integral number: an int, or a float with no fractional part."""
+    return not isinstance(t, bool) and (
+        isinstance(t, numbers.Integral) or (isinstance(t, float) and t.is_integer()))
+
+
+def _line_endpoints(target) -> tuple[int, int] | None:
+    """The bus pair of a line target, ``"a-b"`` or ``[a, b]`` with integral
+    ends; None for any other target."""
+    if isinstance(target, tuple):
+        if len(target) == 2 and all(map(_bus_id, target)):
+            return int(target[0]), int(target[1])
+    elif isinstance(target, str):
+        a, _, b = target.partition("-")
+        try:
+            return int(a), int(b)
+        except ValueError:
+            pass
+    return None
+
+
+# per effect kind: a test of the target's shape, and that shape in words
+_LINE = (lambda t: _line_endpoints(t) is not None,
+         'a line, "a-b" or [a, b] with integer bus ids')
+_SWITCH = (lambda t: isinstance(t, str), "a switch id string")
+_DER = (lambda t: isinstance(t, str) or _bus_id(t), '"*", a DER id or an integer bus id')
+_BUSES = (lambda t: t in ("*", "non-critical") or _bus_id(t)
+          or isinstance(t, tuple) and all(map(_bus_id, t)),
+          '"*", "non-critical", an integer bus id or a list of them')
+_TARGET_SHAPES = {"trip_line": _LINE, "companion_open": _LINE,
+                  "open_switch": _SWITCH, "close_switch": _SWITCH,
+                  "trip_der": _DER, "fdi_bias": _DER, "set_der_dispatch": _DER,
+                  "scale_load": _BUSES, "shed_fraction": _BUSES,
+                  "shed_threshold": (lambda t: True, "anything")}
+
+
 def _check_effects(action_id: str, effects, kinds, side: str) -> None:
-    """Known kinds only; a target is no bool, and a target list holds only
-    strings and integral finite reals; every value None or a finite real,
-    not a bool or a string; a shed_threshold needs its value."""
+    """Known kinds only; each target of the shape its kind takes; every
+    value None or a finite real, not a bool or a string; a shed_threshold
+    needs its value."""
     for eff in effects:
         if not isinstance(eff.kind, str) or eff.kind not in kinds:
             raise CatalogError(f"{action_id}: unknown {side} effect kind {eff.kind!r}")
-        if isinstance(eff.target, bool):
-            raise CatalogError(f"{action_id}: {eff.kind} target {eff.target!r} is not an id")
-        if isinstance(eff.target, tuple) and not all(
-                isinstance(t, str) or (_finite_real(t) and float(t).is_integer())
-                for t in eff.target):
-            raise CatalogError(f"{action_id}: {eff.kind} target {list(eff.target)!r} "
-                               "must list bus ids")
+        fits, shape = _TARGET_SHAPES[eff.kind]
+        if not fits(eff.target):
+            raise CatalogError(
+                f"{action_id}: {eff.kind} target {eff.to_json()['target']!r} is not {shape}")
         v = eff.value
         if v is None and eff.kind == "shed_threshold":
             raise CatalogError(f"{action_id}: shed_threshold needs a value")
@@ -92,23 +125,32 @@ def _check_effects(action_id: str, effects, kinds, side: str) -> None:
 
 
 @dataclass(frozen=True)
-class AttackAction:
+class _Action:
+    """An ordered list of effects; a subclass names its side and the effect
+    kinds that side may use."""
+
     id: str
     label: str
     effects: tuple[Effect, ...]
+    side = ""
+    kinds = frozenset()
 
     def __post_init__(self):
-        _check_effects(self.id, self.effects, ATTACK_KINDS, "attack")
+        _check_effects(self.id, self.effects, self.kinds, self.side)
+
+    def to_json(self) -> dict:
+        return {"id": self.id, "label": self.label,
+                "effects": [e.to_json() for e in self.effects]}
 
 
-@dataclass(frozen=True)
-class DefenseAction:
-    id: str
-    label: str
-    effects: tuple[Effect, ...]
+class AttackAction(_Action):
+    side = "attack"
+    kinds = ATTACK_KINDS
 
-    def __post_init__(self):
-        _check_effects(self.id, self.effects, DEFENSE_KINDS, "defense")
+
+class DefenseAction(_Action):
+    side = "defense"
+    kinds = DEFENSE_KINDS
 
 
 @dataclass(frozen=True)
@@ -136,17 +178,9 @@ class ScenarioCatalog:
         raise CatalogError(f"no defense {action_id}")
 
     def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "attacks": [
-                {"id": a.id, "label": a.label, "effects": [e.to_json() for e in a.effects]}
-                for a in self.attacks
-            ],
-            "defenses": [
-                {"id": d.id, "label": d.label, "effects": [e.to_json() for e in d.effects]}
-                for d in self.defenses
-            ],
-        }
+        return {"version": self.version,
+                "attacks": [a.to_json() for a in self.attacks],
+                "defenses": [d.to_json() for d in self.defenses]}
 
 
 def catalog_default() -> ScenarioCatalog:
@@ -159,10 +193,11 @@ def catalog_default() -> ScenarioCatalog:
 def load_catalog(path) -> ScenarioCatalog:
     """Catalog from an override file; entries replace the defaults by id.
 
-    With a top-level ``"replace": true`` the listed arrays stand on their
-    own instead: the catalog contains exactly the listed attacks/defenses
-    (an absent array keeps the full default set for that side).  That is
-    how a reduced scenario set, down to a single attack, is expressed.
+    With a top-level ``"replace": true`` (a JSON bool, false when left out)
+    the listed arrays stand on their own instead: the catalog contains
+    exactly the listed attacks/defenses (an absent array keeps the full
+    default set for that side).  That is how a reduced scenario set, down
+    to a single attack, is expressed.
     """
     with open(path) as fh:
         try:
@@ -172,7 +207,10 @@ def load_catalog(path) -> ScenarioCatalog:
     doc = _read_catalog(obj, path)
     base = catalog_default()
     try:  # an id clash between the document and the defaults is this file's too
-        if obj.get("replace", False):
+        replace = obj.get("replace", False)
+        if not isinstance(replace, bool):
+            raise CatalogError(f"'replace' must be true or false, got {replace!r}")
+        if replace:
             return ScenarioCatalog(attacks=doc.attacks or base.attacks,
                                    defenses=doc.defenses or base.defenses, version=doc.version)
 
@@ -232,21 +270,11 @@ def _parse_actions(obj: dict, key: str, cls) -> tuple:
 
 
 # -- effect resolution -----------------------------------------------------
-
-def _line_endpoints(action_id: str, target) -> tuple[int, int]:
-    if isinstance(target, str) and "-" in target:
-        a, _, b = target.partition("-")
-        try:
-            return int(a), int(b)
-        except ValueError:
-            pass
-    if isinstance(target, tuple) and len(target) == 2:
-        return int(target[0]), int(target[1])
-    raise CatalogError(f"{action_id}: line target {target!r} is not a bus pair")
-
+# targets have their kind's shape (_check_effects); whether what they name
+# exists depends on the network, so it is checked here, per cell
 
 def _resolve_line(state: NetworkState, action_id: str, target):
-    a, b = _line_endpoints(action_id, target)
+    a, b = _line_endpoints(target)
     line = state.find_line(a, b)
     if line is None:
         raise CatalogError(f"{action_id}: no line between buses {a} and {b}")
@@ -254,7 +282,7 @@ def _resolve_line(state: NetworkState, action_id: str, target):
 
 
 def _resolve_switch(state: NetworkState, action_id: str, target):
-    sw = state.find_switch(str(target))
+    sw = state.find_switch(target)
     if sw is None:
         raise CatalogError(f"{action_id}: no tie switch {target!r}")
     return sw
@@ -263,8 +291,8 @@ def _resolve_switch(state: NetworkState, action_id: str, target):
 def _resolve_ders(state: NetworkState, action_id: str, target) -> list[str]:
     if target == "*":
         return [d.id for d in state.ders]
-    if isinstance(target, int):
-        der = state.der_at_bus(target)
+    if not isinstance(target, str):
+        der = state.der_at_bus(int(target))
         if der is None:
             raise CatalogError(f"{action_id}: no DER at bus {target}")
         return [der.id]
@@ -276,16 +304,11 @@ def _resolve_ders(state: NetworkState, action_id: str, target) -> list[str]:
 
 def _resolve_buses(state: NetworkState, action_id: str, target) -> list[int]:
     known = {b.id for b in state.buses}
-    if target == "*" or target == "all":
+    if target == "*":
         return sorted(known)
     if target == "non-critical":
         return sorted(b.id for b in state.buses if not b.is_critical)
-    if isinstance(target, int):
-        ids = [target]
-    elif isinstance(target, tuple):
-        ids = [int(t) for t in target]
-    else:
-        raise CatalogError(f"{action_id}: bus target {target!r} not understood")
+    ids = [int(t) for t in target] if isinstance(target, tuple) else [int(target)]
     for i in ids:
         if i not in known:
             raise CatalogError(f"{action_id}: no bus {i}")
@@ -294,66 +317,52 @@ def _resolve_buses(state: NetworkState, action_id: str, target) -> list[int]:
 
 # -- action application ----------------------------------------------------
 
-def apply_attack(state: NetworkState, attack: AttackAction) -> NetworkState:
-    """Attacked copy of the state; effects land in catalog order."""
-    s = state
-    for eff in attack.effects:
-        if eff.kind == "trip_line":
-            s = s.with_line_status(_resolve_line(s, attack.id, eff.target).id, OPEN)
-        elif eff.kind in ("trip_der", "fdi_bias"):
-            # corrupted telemetry (fdi_bias) causes protective tripping of the DER
-            for der_id in _resolve_ders(s, attack.id, eff.target):
-                s = s.with_der(der_id, online=False)
-        elif eff.kind == "open_switch":
-            s = s.with_switch_position(_resolve_switch(s, attack.id, eff.target).id, OPEN)
-        elif eff.kind == "close_switch":
-            sw = _resolve_switch(s, attack.id, eff.target)
-            # a close that would loop the network is rejected by protection
-            if not topology.closing_creates_loop(s, sw.from_bus, sw.to_bus):
-                s = s.with_switch_position(sw.id, CLOSED)
-        elif eff.kind == "scale_load":
-            buses = _resolve_buses(s, attack.id, eff.target)
-            s = s.with_scaled_loads({b: float(eff.value) for b in buses})
-        else:
-            raise CatalogError(f"{attack.id}: unknown effect kind {eff.kind!r}")
-    return s
+def apply_action(state: NetworkState, action: AttackAction | DefenseAction) -> NetworkState:
+    """Attacked or defended copy of the state; effects land in catalog order.
 
-
-def apply_defense(state: NetworkState, defense: DefenseAction) -> NetworkState:
-    """Defended copy of the state (typically already attacked).
-
-    A close_switch followed by companion_open means: close the tie, opening
-    the companion sectionalizing line first only if the plain close would
-    form a loop. When even that cannot restore radiality the close is
-    skipped.
+    A close_switch that would form a loop is skipped. Followed by a
+    companion_open it means: close the tie, opening the companion
+    sectionalizing line first only if the plain close would form a loop;
+    when even that cannot restore radiality the close is skipped. Corrupted
+    telemetry (fdi_bias) causes protective tripping of the DER.
     """
     s = state
-    effects = list(defense.effects)
+    effects = action.effects
     i = 0
     while i < len(effects):
         eff = effects[i]
-        if eff.kind == "close_switch":
-            sw = _resolve_switch(s, defense.id, eff.target)
+        i += 1
+        if eff.kind == "trip_line":
+            s = s.with_line_status(_resolve_line(s, action.id, eff.target).id, OPEN)
+        elif eff.kind in ("trip_der", "fdi_bias"):
+            for der_id in _resolve_ders(s, action.id, eff.target):
+                s = s.with_der(der_id, online=False)
+        elif eff.kind == "open_switch":
+            s = s.with_switch_position(_resolve_switch(s, action.id, eff.target).id, OPEN)
+        elif eff.kind == "close_switch":
+            sw = _resolve_switch(s, action.id, eff.target)
             companion = None
-            if i + 1 < len(effects) and effects[i + 1].kind == "companion_open":
-                companion = effects[i + 1]
+            if i < len(effects) and effects[i].kind == "companion_open":
+                companion = effects[i]
                 i += 1
             if not topology.closing_creates_loop(s, sw.from_bus, sw.to_bus):
                 s = s.with_switch_position(sw.id, CLOSED)
             elif companion is not None:
-                line = _resolve_line(s, defense.id, companion.target)
+                line = _resolve_line(s, action.id, companion.target)
                 trial = s.with_line_status(line.id, OPEN)
                 if not topology.closing_creates_loop(trial, sw.from_bus, sw.to_bus):
                     s = trial.with_switch_position(sw.id, CLOSED)
-                # otherwise: leave the network untouched and skip the close
         elif eff.kind == "companion_open":
             raise CatalogError(
-                f"{defense.id}: companion_open must directly follow a close_switch")
+                f"{action.id}: companion_open must directly follow a close_switch")
+        elif eff.kind == "scale_load":
+            buses = _resolve_buses(s, action.id, eff.target)
+            s = s.with_scaled_loads({b: float(eff.value) for b in buses})
         elif eff.kind == "set_der_dispatch":
-            for der_id in _resolve_ders(s, defense.id, eff.target):
+            for der_id in _resolve_ders(s, action.id, eff.target):
                 s = s.with_der(der_id, dispatch_fraction=float(eff.value))
         elif eff.kind == "shed_fraction":
-            buses = _resolve_buses(s, defense.id, eff.target)
+            buses = _resolve_buses(s, action.id, eff.target)
             s = s.with_shed({b: float(eff.value) for b in buses})
         elif eff.kind == "shed_threshold":
             limit = float(eff.value)
@@ -361,9 +370,13 @@ def apply_defense(state: NetworkState, defense: DefenseAction) -> NetworkState:
             if hit:
                 s = s.with_shed(hit)
         else:
-            raise CatalogError(f"{defense.id}: unknown effect kind {eff.kind!r}")
-        i += 1
+            raise CatalogError(f"{action.id}: unknown effect kind {eff.kind!r}")
     return s
+
+
+# two names for the one interpreter: a side's action checks its own kinds
+# when it is made, and the benchmark's tracer wraps each name on its own
+apply_attack = apply_defense = apply_action
 
 
 def evaluate_pair(base: NetworkState, attack: AttackAction,

@@ -116,6 +116,8 @@ MALFORMED_INPUTS = [
                  id="nan-label"),
     pytest.param("--catalog", {"replace": True, "attacks": [{"id": "D1", "effects": []}]},
                  id="replace-attack-id-clashes-with-default-defense"),
+    pytest.param("--catalog", {"replace": "false", "attacks": [{"id": "A6", "effects": []}]},
+                 id="string-replace"),
     # values each with_* derivation checks, since it skips the full validator
     pytest.param("--catalog", scale_a4(-1.0), id="negative-scale"),
     pytest.param("--catalog", defense_effect("D8", "shed_fraction", "non-critical", 1.5),
@@ -228,6 +230,25 @@ class TestPayoff:
         assert run("payoff", "--catalog", path, "--out", out) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {path}: A1: scale_load value {value!r} is not a finite number")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, target, shape", [
+        ("trip_line", 0, 'a line, "a-b" or [a, b] with integer bus ids'),
+        ("close_switch", 5, "a switch id string"),
+        ("trip_der", {}, '"*", a DER id or an integer bus id'),
+        ("scale_load", "all", '"*", "non-critical", an integer bus id or a list of them'),
+    ], ids=["line", "switch", "der", "buses"])
+    def test_catalog_target_shape_error_names_its_path(self, kind, target, shape,
+                                                       tmp_path, capsys):
+        # whether a target fits its kind is the file's error, found before any cell
+        path = tmp_path / "bad.json"
+        side = "defenses" if kind == "close_switch" else "attacks"
+        path.write_text(json.dumps({side: [{"id": "X", "effects": [
+            {"kind": kind, "target": target}]}]}))
+        out = tmp_path / "o"
+        assert run("payoff", "--catalog", path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: X: {kind} target {target!r} is not {shape}")
         assert not out.exists()
 
     @pytest.mark.parametrize("doc, reason", [

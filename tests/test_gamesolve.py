@@ -360,7 +360,7 @@ class TestSoftmax:
 
 class TestQre:
     def test_beta_zero_one_step(self):
-        res = qre_fixed_point(PENNIES, 0.0, 0.0, damping=1.0)
+        res = qre_fixed_point(PENNIES, 0.0, 0.0)
         assert np.allclose(res.attacker.probs, [0.5, 0.5])
         assert np.allclose(res.defender.probs, [0.5, 0.5])
         assert res.converged
@@ -378,10 +378,6 @@ class TestQre:
         assert res.converged
         assert res.residual <= 1e-8
 
-    def test_bad_damping_rejected(self):
-        with pytest.raises(ConfigError, match=r"damping .* got 0\.0"):
-            qre_fixed_point(PENNIES, 1.0, 1.0, damping=0.0)
-
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_bad_beta_rejected(self, beta):
         with pytest.raises(ConfigError, match="beta"):
@@ -395,7 +391,7 @@ class TestQre:
 class TestVerifier:
     def test_saddle_point(self):
         eps = verify_epsilon_equilibrium(
-            np.array([[0.5]]), MixedStrategy.pure(1, 0), MixedStrategy.pure(1, 0))
+            np.array([[0.5]]), MixedStrategy(np.eye(1)[0]), MixedStrategy(np.eye(1)[0]))
         assert eps == 0.0
 
     def test_pennies_uniform(self):
@@ -405,7 +401,7 @@ class TestVerifier:
 
     def test_disequilibrium_positive(self):
         eps = verify_epsilon_equilibrium(
-            PENNIES, MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0))
+            PENNIES, MixedStrategy(np.eye(2)[0]), MixedStrategy(np.eye(2)[0]))
         assert eps == pytest.approx(2.0)
 
 

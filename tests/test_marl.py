@@ -126,7 +126,7 @@ class TestQUpdate:
         m = rng.random((4, 5))
         cfg = LearningConfig(alpha_schedule="constant", alpha_constant=1.0,
                              episodes=2_000, seed=1)
-        pol = train_single_agent(m, MixedStrategy.pure(4, 2), cfg)
+        pol = train_single_agent(m, MixedStrategy(np.eye(4)[2]), cfg)
         assert pol.q_rows[0] == tuple(m[2])
 
     def test_bootstrap_arithmetic(self):
@@ -150,7 +150,7 @@ class TestQUpdate:
         # a greedy defender facing a pure attack never leaves action 0
         m = np.random.default_rng(2).random((3, 3))
         cfg = LearningConfig(epsilon0=0.0, episodes=500, seed=0)
-        pol = train_single_agent(m, MixedStrategy.pure(3, 1), cfg)
+        pol = train_single_agent(m, MixedStrategy(np.eye(3)[1]), cfg)
         assert pol.q_rows[0] == (m[1, 0], 0.0, 0.0)
 
     def test_alpha_out_of_range(self):
@@ -200,7 +200,7 @@ class TestEpsilonGreedy:
         # then plays the argmax of its learned row every episode after;
         # rewards lie in (-1, -0.1], inside the trainers' bound of 1
         m = -(np.random.default_rng(1).random((6, 6)) * 0.9 + 0.1)
-        pol = train_single_agent(m, MixedStrategy.pure(6, 4),
+        pol = train_single_agent(m, MixedStrategy(np.eye(6)[4]),
                                  LearningConfig(epsilon0=0.0, episodes=400, seed=1))
         rewards = pol.telemetry[:, 3].tolist()
         assert len(rewards) == 400
@@ -244,7 +244,7 @@ class TestSingleAgent:
         rng = np.random.default_rng(10)
         m = rng.random((10, 10))
         cfg = LearningConfig(episodes=50_000, seed=1)
-        pol = train_single_agent(m, MixedStrategy.pure(10, 0), cfg)
+        pol = train_single_agent(m, MixedStrategy(np.eye(10)[0]), cfg)
         assert pol.greedy_action() == int(np.argmax(m[0]))
 
     def test_constant_matrix_indifference(self):

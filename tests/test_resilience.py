@@ -290,12 +290,14 @@ class TestPayoffMatrix:
         net, cat = load_ieee33(), scenario.catalog_default()
         assert calls == {"scans": 1, "passes": 1, "questions": 1}
         resilience.build_payoff_matrix(net, cat, ahp_weights(DEFAULT_AHP_MATRIX))
-        assert calls == {"scans": 1 + 175, "passes": 1 + 175, "questions": 1 + 438}
+        # 175 radiality checks, and two questions per each of the 263 flows:
+        # its radiality check and its adjacency
+        assert calls == {"scans": 1 + 175, "passes": 1 + 175, "questions": 1 + 175 + 2 * 263}
         for attack in cat.attacks:
             for defense in cat.defenses:
                 scenario.compile_pair(net, attack, defense)
         assert calls == {"scans": 1 + 175 + 175, "passes": 1 + 175 + 175,
-                         "questions": 1 + 438 + 275}
+                         "questions": 1 + 175 + 2 * 263 + 275}
 
     def test_cell_error_names_the_cell(self):
         cat = scenario.catalog_default()

@@ -9,6 +9,8 @@ scores must equal it exactly, not approximately.
 import copy
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -134,6 +136,30 @@ class TestApplyAttack:
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(CatalogError):
             AttackAction("AX", "bad", (Effect("melt_bus", 3),))
+
+    def test_integral_float_bus_ids_resolve_as_ints(self, net):
+        as_float = AttackAction("AX", "floats", (
+            Effect("scale_load", 20.0, 1.2), Effect("trip_der", 5.0)))
+        as_int = AttackAction("AX", "ints", (Effect("scale_load", 20, 1.2), Effect("trip_der", 5)))
+        assert apply_attack(net, as_float) == apply_attack(net, as_int)
+
+    def test_close_switch_that_would_loop_is_skipped(self, net):
+        hit = apply_attack(net, AttackAction("AX", "close", (Effect("close_switch", "SW1"),)))
+        assert not hit.find_switch("SW1").closed
+        assert [l.status for l in hit.lines] == [l.status for l in net.lines]
+
+    def test_close_switch_closes_once_its_loop_is_cut(self, net):
+        hit = apply_attack(net, AttackAction("AX", "cut then close", (
+            Effect("trip_line", "11-12"), Effect("close_switch", "SW1"))))
+        assert hit.find_switch("SW1").closed
+        assert not hit.find_line(11, 12).closed
+
+    def test_open_switch_opens_the_named_switch(self, net, cat):
+        closed = apply_defense(net, cat.defense("D2"))
+        assert closed.find_switch("SW1").closed
+        hit = apply_attack(closed, AttackAction("AX", "open", (Effect("open_switch", "SW1"),)))
+        assert not hit.find_switch("SW1").closed
+        assert closed.find_switch("SW1").closed  # input untouched
 
 
 class TestApplyDefense:
@@ -318,6 +344,18 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(CatalogError):
             load_catalog(path)
+
+
+def test_readme_effect_table_lists_each_sides_kinds():
+    # the documented grammar and the one interpreter's kinds cannot drift apart
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = {"attack": set(), "defense": set()}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) > 2 and cells[1] in documented:
+            documented[cells[1]] |= set(re.findall(r"`(\w+)`", cells[2]))
+    assert documented == {"attack": set(scenario.ATTACK_KINDS),
+                          "defense": set(scenario.DEFENSE_KINDS)}
 
 
 # -- compiled pairs against the scalar oracle ---------------------------------
