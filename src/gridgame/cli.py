@@ -35,7 +35,7 @@ from . import (ADAPTIVE_TAGS, ATTACK_DISTRIBUTIONS, BASELINE_TAGS,
                DEFAULT_BETA, METHOD_TAGS, __version__)
 from .errors import (CatalogError, ConfigError, GridGameError,
                      NetworkParseError, NetworkValidationError,
-                     RadialityError, SolverError)
+                     RadialityError, SolverError, read_json)
 # build_payoff_matrix stays a module global: the benchmark's tracer wraps it here
 from .resilience import (DEFAULT_AHP_MATRIX, PayoffMatrix, ahp_weights,
                          build_payoff_matrix, load_ahp_matrix)
@@ -294,22 +294,23 @@ def cmd_solve(args) -> Output:
 
 
 def _learning_config(args) -> marl.LearningConfig:
-    """Defaults, overlaid by --config JSON, overlaid by explicit flags."""
+    """Defaults, overlaid by --config JSON, overlaid by explicit flags; the
+    file over the defaults is checked on its own, so its errors name it."""
     from . import marl
 
     fields = dataclasses.asdict(marl.LearningConfig())
     if args.config:
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: not valid JSON ({exc})") from exc
+        loaded = read_json(args.config, ConfigError)
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: learning config must be a JSON object")
         unknown = set(loaded) - set(fields)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"{args.config}: unknown config keys: {sorted(unknown)}")
         fields.update(loaded)
+        try:
+            marl.LearningConfig(**fields)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
     for flag, key in (("iters", "episodes"), ("epsilon0", "epsilon0"),
                       ("decay", "epsilon_decay"), ("gamma", "gamma"),
                       ("seed", "seed")):
@@ -467,15 +468,19 @@ def _paired_tests(reports) -> dict:
 def cmd_probe(args) -> Output:
     from . import experiments
 
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+        if min(sizes) < experiments.SYNTH_MIN_BUSES:
+            raise ValueError(f"a feeder needs at least {experiments.SYNTH_MIN_BUSES} buses")
+    except ValueError as exc:
+        raise ConfigError(f"--sizes {args.sizes}: {exc}") from None
     methods = _parse_methods(args.methods)
     rows = experiments.scalability_probe(sizes=sizes, methods=methods,
                                          seed=args.seed)
 
     # timings and memory are measurements, they go in the manifest so the
     # data files stay reproducible
-    det_fields = ("buses", "ders", "switches", "state_space_log2",
-                  "state_space_estimate")
+    det_fields = ("buses", "ders", "switches", "state_space_log2")
     files = {
         "probe.csv": ([*det_fields, "note"],
                       [[*(row[k] for k in det_fields), row.get("note", "")]

@@ -47,6 +47,7 @@ REGRET_STEPS = 100_000
 # DERs and tie switches of a synthetic feeder, as many as the bundled one has
 SYNTH_DERS = 4
 SYNTH_SWITCHES = 4
+SYNTH_MIN_BUSES = 12  # the fewest buses that hold them
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +517,8 @@ def synthetic_feeder(n_buses: int, seed: int = 0) -> NetworkState:
     held near the bundled feeder's regardless of bus count, so the voltage
     profile stays feasible while the solve cost scales with size.
     """
-    if n_buses < 12:
-        raise ConfigError("synthetic feeder needs at least 12 buses")
+    if n_buses < SYNTH_MIN_BUSES:
+        raise ConfigError(f"synthetic feeder needs at least {SYNTH_MIN_BUSES} buses")
     rng = np.random.default_rng(seed)
     scale = 33.0 / n_buses
     buses = [Bus(id=1, load_p=0.0, load_q=0.0)]
@@ -586,10 +587,10 @@ def scalability_probe(sizes=(33, 69, 118), methods=("nash",), seed: int = 0):
     """Measure pipeline cost against feeder size; estimates are reported,
     never judged.
 
-    Each row carries the combinatorial state-space size 2^(N+D+K).  For the
-    bundled 33-bus configuration a previously reported estimate of about
-    2.1e6 states circulates; it is inconsistent with 2^41 and both numbers
-    are surfaced with a note rather than reconciled.
+    Each row carries log2 of the combinatorial state-space size 2^(N+D+K).
+    For the bundled 33-bus configuration a previously reported estimate of
+    about 2.1e6 states circulates; it is inconsistent with 2^41 and both
+    numbers are surfaced with a note rather than reconciled.
     """
     from .resilience import DEFAULT_AHP_MATRIX, ahp_weights
 
@@ -624,7 +625,6 @@ def scalability_probe(sizes=(33, 69, 118), methods=("nash",), seed: int = 0):
             "ders": n_der,
             "switches": n_switch,
             "state_space_log2": exponent,
-            "state_space_estimate": 2.0 ** exponent,
             "wall_time_s": wall,
             "peak_memory_mb": peak / 1e6,
             "method_times": method_times,

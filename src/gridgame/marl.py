@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, number
 from .gamesolve import MixedStrategy, _entries
 
 ALPHA_SCHEDULES = ("harmonic", "constant", "power")
@@ -88,11 +88,7 @@ class LearningConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name in ("alpha_constant", "alpha_power", "epsilon0", "epsilon_decay", "gamma"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, number(getattr(self, name), name, ConfigError))
         if self.alpha_schedule not in ALPHA_SCHEDULES:
             raise ConfigError(
                 f"alpha_schedule must be one of {ALPHA_SCHEDULES}, "
@@ -108,8 +104,8 @@ class LearningConfig:
             raise ConfigError(f"epsilon_decay must be in (0, 1), got {self.epsilon_decay}")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.episodes < 1:
-            raise ConfigError(f"episodes must be positive, got {self.episodes}")
+        if not 1 <= self.episodes < 2**63:  # numpy counts them in a C long
+            raise ConfigError(f"episodes must be in [1, 2**63), got {self.episodes}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 

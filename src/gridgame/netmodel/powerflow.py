@@ -71,22 +71,24 @@ def _sweep(end, z, s, tol, max_sweeps):
     reference: its voltage stays 1+0j and s[0] must be 0, since the swing
     source serves its local power directly.
     Returns (voltages, sweeps, final max |dV|); a non-finite |dV| never
-    passes the tolerance.
+    passes the tolerance, so a sweep that overflows (an impedance or a load
+    near the float limit) reads as non-converged, without a warning.
     """
     k = len(s)
     inner = np.flatnonzero(end < k)
     back = end[inner]
     currents = np.zeros(k + 1, dtype=np.complex128)
     v = np.ones(k, dtype=np.complex128)
-    for sweeps in range(1, max_sweeps + 1):
-        np.cumsum(np.conj(s / v), out=currents[1:])
-        drop = z * (currents[end] - currents[:-1])
-        np.subtract.at(drop, back, drop[inner])
-        v_new = 1.0 - np.cumsum(drop)
-        max_dv = float(np.abs(v_new - v).max())
-        v = v_new
-        if max_dv <= tol:
-            break
+    with np.errstate(all="ignore"):
+        for sweeps in range(1, max_sweeps + 1):
+            np.cumsum(np.conj(s / v), out=currents[1:])
+            drop = z * (currents[end] - currents[:-1])
+            np.subtract.at(drop, back, drop[inner])
+            v_new = 1.0 - np.cumsum(drop)
+            max_dv = float(np.abs(v_new - v).max())
+            v = v_new
+            if max_dv <= tol:
+                break
     return v, sweeps, max_dv
 
 

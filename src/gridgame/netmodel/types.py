@@ -100,6 +100,10 @@ class NetworkState:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise NetworkValidationError(f"{name} must be finite and positive, got {value}")
+        z_base = self.base_kv * self.base_kv / self.base_mva  # the flow's impedance base
+        if not (math.isfinite(z_base) and z_base > 0):
+            raise NetworkValidationError(
+                f"impedance base base_kv**2 / base_mva must be finite and positive, got {z_base}")
         if self.slack_bus not in known:
             raise NetworkValidationError(f"slack bus {self.slack_bus} not in network")
         _check_loads(self.buses)

@@ -14,12 +14,12 @@ data file is written by the CLI.
 from __future__ import annotations
 
 import csv
-import json
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NetworkValidationError
+from .errors import NetworkValidationError, read_text
 
 FLAG_EMPTY_DENOMINATOR = "empty-denominator"
 FLAG_NON_CONVERGENCE = "non-convergence"
@@ -96,8 +96,11 @@ class PayoffMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "PayoffMatrix":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        """The matrix in the payoff CSV at ``path``; every error names the file."""
+        try:
+            rows = list(csv.reader(io.StringIO(read_text(path, ValueError), newline="")))
+        except csv.Error as exc:  # a field over the csv module's size limit
+            raise ValueError(f"{path}: {exc}") from None
         if len(rows) < 2:
             raise ValueError(f"{path}: empty payoff matrix CSV")
         header, entries = rows[0], []
@@ -108,8 +111,11 @@ class PayoffMatrix:
                 entries.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise ValueError(f"{path}, line {line}: {exc}") from None
-        return cls(entries=np.array(entries), attack_ids=tuple(r[0] for r in rows[1:]),
-                   defense_ids=tuple(header[1:]))
+        try:
+            return cls(entries=np.array(entries), attack_ids=tuple(r[0] for r in rows[1:]),
+                       defense_ids=tuple(header[1:]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # -- AHP -------------------------------------------------------------------
@@ -158,17 +164,13 @@ def _check_comparison(a: np.ndarray) -> None:
 
 
 def load_ahp_matrix(path) -> np.ndarray:
-    """Read the comparison matrix of the four criteria from JSON (list of
-    rows) or CSV; rows and columns follow the order LSR, CLR, TSS, DRS."""
-    with open(path) as fh:
-        text = fh.read().strip()
+    """Read the comparison matrix of the four criteria from a CSV file, one
+    row per line; rows and columns follow the order LSR, CLR, TSS, DRS."""
+    text = read_text(path, NetworkValidationError).strip()
     try:
-        if text.startswith("["):
-            a = np.array(json.loads(text), dtype=float)
-        else:
-            rows = [r for r in csv.reader(text.splitlines()) if r]
-            a = np.array([[float(v) for v in r] for r in rows])
-    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        rows = [r for r in csv.reader(text.splitlines()) if r]
+        a = np.array([[float(v) for v in r] for r in rows])
+    except (csv.Error, ValueError) as exc:
         raise NetworkValidationError(
             f"{path}: AHP comparison matrix is not a table of numbers ({exc})") from exc
     if a.shape != (4, 4):

@@ -12,15 +12,12 @@ through its plan and runs the power flows that set the cell's voltage flags.
 
 from __future__ import annotations
 
-import json
-import math
-import numbers
+import os
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-from .errors import CatalogError
+from .errors import CatalogError, number, read_json
 from .netmodel import CLOSED, OPEN, NetworkState, power_flow, topology
 from .resilience import (
     FLAG_EMPTY_DENOMINATOR,
@@ -66,14 +63,13 @@ class Effect:
         return cls(kind=obj["kind"], target=tgt, value=obj.get("value"))
 
 
-def _finite_real(v) -> bool:
-    return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
-
-
 def _bus_id(t) -> bool:
-    """An integral number: an int, or a float with no fractional part."""
-    return not isinstance(t, bool) and (
-        isinstance(t, numbers.Integral) or (isinstance(t, float) and t.is_integer()))
+    """A whole number: an int, or a float with no fractional part."""
+    try:
+        number(t, "bus id", CatalogError, whole=True)
+    except CatalogError:
+        return False
+    return True
 
 
 def _line_endpoints(target) -> tuple[int, int] | None:
@@ -108,8 +104,8 @@ _TARGET_SHAPES = {"trip_line": _LINE, "companion_open": _LINE,
 
 def _check_effects(action_id: str, effects, kinds, side: str) -> None:
     """Known kinds only; each target of the shape its kind takes; every
-    value None or a finite real, not a bool or a string; a shed_threshold
-    needs its value."""
+    value None or a number (``errors.number``); an fdi_bias takes no value,
+    and a shed_threshold needs one."""
     for eff in effects:
         if not isinstance(eff.kind, str) or eff.kind not in kinds:
             raise CatalogError(f"{action_id}: unknown {side} effect kind {eff.kind!r}")
@@ -120,8 +116,10 @@ def _check_effects(action_id: str, effects, kinds, side: str) -> None:
         v = eff.value
         if v is None and eff.kind == "shed_threshold":
             raise CatalogError(f"{action_id}: shed_threshold needs a value")
-        if v is not None and not _finite_real(v):
-            raise CatalogError(f"{action_id}: {eff.kind} value {v!r} is not a finite number")
+        if v is not None and eff.kind == "fdi_bias":
+            raise CatalogError(f"{action_id}: fdi_bias takes no value, got {v!r}")
+        if v is not None:
+            number(v, f"{action_id}: {eff.kind} value", CatalogError)
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,8 @@ class ScenarioCatalog:
 def catalog_default() -> ScenarioCatalog:
     """The built-in ten-by-ten action catalog for the bundled 33-bus network,
     read from ``data/catalog_default.json`` as a user catalog is read."""
-    with resources.files("gridgame.data").joinpath("catalog_default.json").open() as fh:
-        return _read_catalog(json.load(fh), "catalog_default.json")
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog_default.json")
+    return _read_catalog(read_json(path, CatalogError), "catalog_default.json")
 
 
 def load_catalog(path) -> ScenarioCatalog:
@@ -199,11 +197,7 @@ def load_catalog(path) -> ScenarioCatalog:
     default set for that side).  That is how a reduced scenario set, down
     to a single attack, is expressed.
     """
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
+    obj = read_json(path, CatalogError)
     doc = _read_catalog(obj, path)
     base = catalog_default()
     try:  # an id clash between the document and the defaults is this file's too
@@ -546,7 +540,8 @@ def serve_loads(plan: PairPlan, multipliers) -> ServedLoads:
         served[:, isl.members] = kept
         total = _seq_sum(kept)
         for k, output, rating in isl.ders:
-            share = total * rating / isl.rating_total if isl.rating_total else 0.0
+            with np.errstate(over="ignore"):  # a rating near the float limit: share inf
+                share = total * rating / isl.rating_total if isl.rating_total else 0.0
             utilized[:, k] = np.minimum(output, share)
     return ServedLoads(demand=perturbed, served=served, der_utilized=utilized,
                        curtailed=curtailed)

@@ -194,7 +194,8 @@ class TestPayoff:
         net.write_text(json.dumps(doc))  # writes the NaN literal json.load accepts
         code = run("payoff", "--network", net, "--out", tmp_path / "o")
         assert code == 2
-        assert "non-finite" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {net} buses[3]: 'p_kw' nan is not a finite number")
         assert not (tmp_path / "o" / "payoff.csv").exists()
 
     def test_ahp_matrix_of_wrong_order_rejected(self, tmp_path, capsys):
@@ -265,14 +266,14 @@ class TestPayoff:
         assert not out.exists()
 
     @pytest.mark.parametrize("rows, reason", [
-        ([[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, None], [1, 1, 1, 1]],
+        ([[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, "nan"], [1, 1, 1, 1]],
          "entry at row 3, column 4 is missing or not finite"),
         ([[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, -1], [1, 1, -1, 1]], "entries must be positive"),
         ([[1, 2, 1, 1], [2, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]], "is not reciprocal"),
     ], ids=["null-entry", "negative-entry", "not-reciprocal"])
     def test_bad_ahp_matrix_names_its_path(self, rows, reason, tmp_path, capsys):
-        ahp = tmp_path / "m.json"
-        ahp.write_text(json.dumps(rows))
+        ahp = tmp_path / "m.csv"
+        ahp.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
         out = tmp_path / "o"
         assert run("payoff", "--ahp", ahp, "--out", out) == 2
         assert capsys.readouterr().err.startswith(
@@ -408,6 +409,105 @@ def test_malformed_matrix_csv_names_file_and_line(argv, content, where, tmp_path
     assert run(*argv, "--matrix", path, "--out", out) == 2
     assert f"error: {path}, {where}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def network_edit(path, value):
+    """The bundled network document with the field at ``path`` set to ``value``."""
+    doc = bundled_network_doc()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+SOLVE = ("solve", "--method", "nash")
+AHP_401_DIGITS = "1,1,1,1\n1,1,1,1\n1,1,1," + "1" * 401 + "\n1,1,1,1\n"
+
+# (command, flag, file content, what the message says after the file's name):
+# inputs that once reached exit 3, or exited 2 without naming their file
+NAMED_INPUT_ERRORS = [
+    pytest.param(("payoff",), "--catalog", scale_a4(10**400),
+                 f": A4: scale_load value {10**400!r} is not a finite number",
+                 id="catalog-401-digit-value"),
+    pytest.param(("payoff",), "--catalog", {"attacks": [{"id": "A1", "effects": [
+        {"kind": "fdi_bias", "target": 5, "value": 0.15}]}]},
+                 ": A1: fdi_bias takes no value, got 0.15", id="catalog-fdi-bias-value"),
+    pytest.param(("learn", "--method", "single"), "--config", {"alpha_constant": 10**400},
+                 f": alpha_constant {10**400!r} is not a finite number",
+                 id="config-401-digit-alpha"),
+    pytest.param(("learn", "--method", "single"), "--config", {"episodes": 10**400},
+                 ": episodes must be in [1, 2**63)", id="config-401-digit-episodes"),
+    pytest.param(("payoff",), "--ahp", AHP_401_DIGITS,
+                 ": comparison matrix entry at row 3, column 4 is missing or not finite",
+                 id="ahp-401-digit-cell"),
+    pytest.param(("payoff",), "--network", network_edit(("buses", 1, "id"), 2.5),
+                 " buses[1]: 'id' 2.5 is not a whole number", id="network-fractional-bus-id"),
+    pytest.param(("payoff",), "--network", network_edit(("buses", 1, "p_kw"), "100"),
+                 " buses[1]: 'p_kw' '100' is not a finite number", id="network-string-load"),
+    pytest.param(("payoff",), "--network", network_edit(("buses", 1, "p_kw"), True),
+                 " buses[1]: 'p_kw' True is not a finite number", id="network-bool-load"),
+    pytest.param(("payoff",), "--network", network_edit(("critical_buses",), ["7"]),
+                 ": 'critical_buses' entry '7' is not a whole number",
+                 id="network-string-critical-bus"),
+    pytest.param(("payoff",), "--network", network_edit(("critical_buses",), [99]),
+                 ": 'critical_buses' names no bus of the network: [99]",
+                 id="network-unknown-critical-bus"),
+    pytest.param(("payoff",), "--network", network_edit(("base_kv",), 1e308),
+                 ": impedance base base_kv**2 / base_mva must be finite and positive",
+                 id="network-overflowing-base-kv"),
+    pytest.param(("payoff",), "--network", network_edit(("base_kv",), 1e-300),
+                 ": impedance base base_kv**2 / base_mva must be finite and positive",
+                 id="network-vanishing-base-kv"),
+    pytest.param(("payoff",), "--network", network_edit(("lines", 3, "r_ohm"), -1),
+                 ": L4-5: negative impedance", id="network-negative-impedance"),
+    pytest.param(SOLVE, "--matrix", "attack,D1,D2\nA1,0.5,0.1\nA1,0.2,0.3\n",
+                 ": payoff matrix repeats attack ids: ['A1', 'A1']", id="matrix-duplicate-ids"),
+    pytest.param(SOLVE, "--matrix", "attack\nA1\nA2\n",
+                 ": payoff matrix needs at least one attack and one defense",
+                 id="matrix-no-defense"),
+    pytest.param(SOLVE, "--matrix", "attack,D1,D2\nA1,0.5,nan\nA2,0.2,0.3\n",
+                 ": payoff matrix has non-finite entries", id="matrix-nan-cell"),
+    pytest.param(("payoff",), "--network", "[" * 100_000 + "]" * 100_000,
+                 ": not valid JSON (maximum recursion depth exceeded", id="network-deeply-nested"),
+    pytest.param(("payoff",), "--network", b"\xff{}", ": 'utf-8' codec can't decode byte 0xff",
+                 id="network-not-utf8"),
+    pytest.param(SOLVE, "--matrix", b"\xff", ": 'utf-8' codec can't decode byte 0xff",
+                 id="matrix-not-utf8"),
+    pytest.param(("payoff",), "--catalog", b"\xff", ": 'utf-8' codec can't decode byte 0xff",
+                 id="catalog-not-utf8"),
+    pytest.param(("payoff",), "--ahp", b"\xff", ": 'utf-8' codec can't decode byte 0xff",
+                 id="ahp-not-utf8"),
+    pytest.param(("learn", "--method", "single"), "--config", b"\xff",
+                 ": 'utf-8' codec can't decode byte 0xff", id="config-not-utf8"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, content, reason", NAMED_INPUT_ERRORS)
+def test_bad_input_exits_2_naming_its_file(argv, flag, content, reason, tmp_path, capsys):
+    path = tmp_path / "input"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    out = tmp_path / "out"
+    assert run(*argv, flag, path, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}{reason}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", [("lines", 0, "r_ohm"), ("lines", 0, "x_ohm"),
+                                  ("ders", 0, "rating_kw")])
+def test_impedance_or_rating_near_the_float_limit_reads_as_non_converged(path, tmp_path):
+    # the sweep overflows without a numpy warning, which the suite turns into exit 3
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(network_edit(path, 1e308)))
+    out = tmp_path / "out"
+    assert run("payoff", "--network", net, "--out", out) == 0
+    entries = np.loadtxt(out / "payoff.csv", delimiter=",", skiprows=1, usecols=range(1, 11))
+    assert ((0.0 <= entries) & (entries <= 1.0)).all()
+    flags = (out / "payoff_flags.csv").read_text().splitlines()[1:]
+    assert sum(row.endswith(",non-convergence") for row in flags) == 100
 
 
 class TestLearn:
@@ -959,6 +1059,40 @@ def test_only_the_cli_writers_and_the_payoff_csv_open_files_for_writing():
                      ("resilience.py", "PayoffMatrix.to_csv")}
 
 
+class _FileReaders(_FileWriters):
+    """Collects (module, enclosing scope) of every call that opens a file
+    for reading (open or .open with no mode or a read-only literal one,
+    .read_text, .read_bytes) or parses JSON (.load, .loads).  A call of the
+    bare name read_text or read_json is the reader itself, not counted."""
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            reads = all(isinstance(m, ast.Constant) and not set(str(m.value)) & set("wax+")
+                        for m in modes)
+        else:
+            reads = isinstance(func, ast.Attribute) and name in (
+                "read_text", "read_bytes", "load", "loads")
+        if reads:
+            self.found.add((self.module, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_only_the_one_reader_opens_input_files():
+    # every input is opened and parsed in errors.py; cli reads back only what it wrote
+    # (its manifest) and digests files
+    root = Path(gridgame.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        visitor = _FileReaders(path.relative_to(root).as_posix())
+        visitor.visit(ast.parse(path.read_text()))
+        found |= visitor.found
+    assert found == {("errors.py", "read_text"), ("errors.py", "read_json"),
+                     ("cli.py", "_sha256"), ("cli.py", "_remove_listed_outputs")}
+
+
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
         outs = []
@@ -1021,6 +1155,19 @@ class TestProbe:
         assert run("probe", "--sizes", "33", "--methods", ",", "--out", tmp_path / "out") == 2
         assert "empty --methods list" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sizes", ["1e3", "5", "33,x"])
+    def test_bad_sizes_named_with_exit_2(self, sizes, tmp_path, capsys):
+        assert run("probe", "--sizes", sizes, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: --sizes {sizes}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_size_above_1015_buses_exits_0(self, tmp_path):
+        # 2.0 ** (buses + DERs + switches) overflowed a float from 1016 buses up
+        out = tmp_path / "out"
+        assert run("probe", "--sizes", "1017", "--out", out) == 0
+        rows = json.loads((out / "probe.json").read_text())
+        assert rows == [{"buses": 1017, "ders": 4, "switches": 4, "state_space_log2": 1025}]
 
     def test_repeated_sizes_rejected_with_exit_2(self, tmp_path, capsys):
         # a repeated size would write two rows under one timings_s key

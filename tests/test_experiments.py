@@ -523,15 +523,14 @@ class TestProbe:
         rows = scalability_probe(sizes=(33,), methods=())
         row = rows[0]
         assert row["state_space_log2"] == 41
-        assert row["state_space_estimate"] == 2.0 ** 41
         assert "2.1e6" in row["note"]
         assert row["method_times"] == {}
 
     def test_estimates_repeatable(self):
         a = scalability_probe(sizes=(33, 69), methods=())
         b = scalability_probe(sizes=(33, 69), methods=())
-        assert [r["state_space_estimate"] for r in a] == \
-               [r["state_space_estimate"] for r in b]
+        assert [r["state_space_log2"] for r in a] == \
+               [r["state_space_log2"] for r in b]
 
     def test_method_timing(self):
         rows = scalability_probe(sizes=(33,), methods=("nash",))

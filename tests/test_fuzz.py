@@ -1,11 +1,14 @@
-"""Fuzz the catalog document that ``payoff --catalog`` reads.
+"""Fuzz the catalog and network documents that ``payoff`` reads.
 
-Each example takes the bundled ``catalog_default.json``, mutates one field
-(deletes a key, duplicates a list entry, or sets the field to an odd JSON
-value), writes it as a ``"replace": true`` catalog and runs ``payoff`` on it
-in-process. Whatever the document holds, the command either succeeds with a
-payoff matrix in [0, 1] or fails on bad input: exit 2, an ``error:`` line and
-no output directory. Exit 3 (an internal fault) is never an answer to input.
+Each example takes the bundled ``catalog_default.json`` or ``ieee33.json``,
+mutates one field (deletes a key, duplicates a list entry, or sets the field
+to an odd JSON value), writes it (a catalog as a ``"replace": true`` one) and
+runs ``payoff --catalog`` or ``payoff --network`` on it in-process. Whatever
+the document holds, the command either succeeds with a payoff matrix in
+[0, 1] or fails on bad input: exit 2, an ``error:`` line that names the file
+or the payoff cell, and no output directory. Exit 3 (an internal fault) is
+never an answer to input, and the suite's warnings-as-errors turns any numpy
+warning into one.
 """
 
 import contextlib
@@ -23,9 +26,11 @@ from hypothesis import strategies as st
 
 from gridgame import cli
 
-BUNDLED = json.loads(resources.files("gridgame.data").joinpath("catalog_default.json").read_text())
+DATA = resources.files("gridgame.data")
+BUNDLED = json.loads(DATA.joinpath("catalog_default.json").read_text())
+NETWORK = json.loads(DATA.joinpath("ieee33.json").read_text())
 
-ODD_VALUES = (None, True, 0, -1, 1e308, math.nan, math.inf, "x", [], {}, 10**30)
+ODD_VALUES = (None, True, 0, -1, 1e308, math.nan, math.inf, "x", [], {}, 10**30, 10**400, "1")
 
 
 def _fields(node, path=()):
@@ -48,10 +53,11 @@ def _mutations(doc):
 
 
 MUTATIONS = list(_mutations(BUNDLED))
+NETWORK_MUTATIONS = list(_mutations(NETWORK))
 
 
-def mutated(path, op, value):
-    doc = copy.deepcopy(BUNDLED)
+def mutated(path, op, value, base=BUNDLED):
+    doc = copy.deepcopy(base)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -62,25 +68,28 @@ def mutated(path, op, value):
         parent.insert(key, copy.deepcopy(parent[key]))
     else:
         parent[key] = copy.deepcopy(value)
-    doc["replace"] = True
+    if base is BUNDLED:
+        doc["replace"] = True
     return doc
 
 
-def run_payoff(doc, workdir: Path):
-    """Exit code, stderr and output directory of ``payoff`` on ``doc``."""
-    path = workdir / "catalog.json"
+def run_payoff(doc, workdir: Path, flag="--catalog"):
+    """Exit code, stderr, output directory and input path of ``payoff`` with
+    ``doc`` as its ``flag`` input."""
+    path = workdir / "input.json"
     path.write_text(json.dumps(doc))  # writes the NaN/Infinity literals json.load accepts
     out = workdir / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli.main(["payoff", "--catalog", str(path), "--out", str(out)])
-    return code, err.getvalue(), out
+        code = cli.main(["payoff", flag, str(path), "--out", str(out)])
+    return code, err.getvalue(), out, path
 
 
-def check_outcome(code, err, out):
+def check_outcome(code, err, out, path):
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith("error:"), err
+        assert str(path) in err or "payoff cell (" in err, err
         assert not out.exists()
         return
     with open(out / "payoff.csv", newline="") as fh:
@@ -95,3 +104,10 @@ def check_outcome(code, err, out):
 def test_payoff_on_a_mutated_catalog_succeeds_or_exits_2(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         check_outcome(*run_payoff(mutated(*mutation), Path(tmp)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(NETWORK_MUTATIONS))
+def test_payoff_on_a_mutated_network_succeeds_or_exits_2(mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_outcome(*run_payoff(mutated(*mutation, base=NETWORK), Path(tmp), "--network"))
