@@ -38,7 +38,7 @@ from .errors import (CatalogError, ConfigError, GridGameError,
                      RadialityError, SolverError, read_json)
 # build_payoff_matrix stays a module global: the benchmark's tracer wraps it here
 from .resilience import (DEFAULT_AHP_MATRIX, PayoffMatrix, ahp_weights,
-                         build_payoff_matrix, load_ahp_matrix)
+                         build_payoff_matrix, load_ahp_matrix, nominal_payoff)
 
 if TYPE_CHECKING:
     from . import marl
@@ -179,22 +179,8 @@ def _input_record(path, bundled_tag):
     return {"path": str(path), "sha256": _sha256(path)}
 
 
-def _resolve_matrix(args, need_bundle=False):
-    """Payoff matrix from --matrix CSV, else built from the network inputs.
-
-    The only reader of --matrix.  Returns (matrix, inputs, bundle) where
-    bundle is (net, cat, weights); it is None when the matrix was read from
-    CSV and the caller did not ask for the network inputs as well.  Such a
-    caller reads nothing of the network inputs, so naming one with --matrix
-    is an error.
-    """
-    path = getattr(args, "matrix", None)
-    if path and not need_bundle:
-        unused = [f"--{k}" for k in ("network", "catalog", "ahp") if getattr(args, k)]
-        if unused:
-            raise ConfigError(f"--matrix excludes {', '.join(unused)}: "
-                              f"{args.cmd} reads no network input from a matrix")
-        return PayoffMatrix.from_csv(path), {"matrix": _input_record(path, "")}, None
+def _load_inputs(args):
+    """((net, cat, weights), inputs) from --network, --catalog and --ahp, else bundled."""
     from .netmodel import load_ieee33, load_network
     from .scenario import catalog_default, load_catalog
 
@@ -206,18 +192,42 @@ def _resolve_matrix(args, need_bundle=False):
         "catalog": _input_record(args.catalog, "catalog-" + cat.version),
         "ahp": _input_record(args.ahp, "ahp-default"),
     }
+    return (net, cat, weights), inputs
+
+
+def _resolve_matrix(args, need_bundle=False):
+    """Payoff matrix from --matrix CSV, else scored from the plan table.
+
+    The only reader of --matrix.  Returns (matrix, inputs, bundle) where
+    bundle is (net, cat, weights, plans), ``plans`` compiled once for the
+    whole command; it is None when the matrix was read from CSV and the
+    caller did not ask for the network inputs as well.  Such a caller reads
+    nothing of the network inputs, so naming one with --matrix is an error.
+    """
+    path = getattr(args, "matrix", None)
+    if path and not need_bundle:
+        unused = [f"--{k}" for k in ("network", "catalog", "ahp") if getattr(args, k)]
+        if unused:
+            raise ConfigError(f"--matrix excludes {', '.join(unused)}: "
+                              f"{args.cmd} reads no network input from a matrix")
+        return PayoffMatrix.from_csv(path), {"matrix": _input_record(path, "")}, None
+    from .scenario import compile_catalog
+
+    (net, cat, weights), inputs = _load_inputs(args)
+    if path:
+        matrix = PayoffMatrix.from_csv(path)
+        # rows and columns are scored as the catalog's actions by position
+        ids = (tuple(a.id for a in cat.attacks), tuple(d.id for d in cat.defenses))
+        if (matrix.attack_ids, matrix.defense_ids) != ids:
+            raise ConfigError(
+                f"{path}: matrix ids {list(matrix.attack_ids)} x "
+                f"{list(matrix.defense_ids)} do not match the catalog's "
+                f"{list(ids[0])} x {list(ids[1])} in catalog order")
+        inputs["matrix"] = _input_record(path, "")
+    plans = compile_catalog(net, cat)
     if not path:
-        return build_payoff_matrix(net, cat, weights), inputs, (net, cat, weights)
-    matrix = PayoffMatrix.from_csv(path)
-    # rows and columns are scored as the catalog's actions by position
-    ids = (tuple(a.id for a in cat.attacks), tuple(d.id for d in cat.defenses))
-    if (matrix.attack_ids, matrix.defense_ids) != ids:
-        raise ConfigError(
-            f"{path}: matrix ids {list(matrix.attack_ids)} x "
-            f"{list(matrix.defense_ids)} do not match the catalog's "
-            f"{list(ids[0])} x {list(ids[1])} in catalog order")
-    inputs["matrix"] = _input_record(path, "")
-    return matrix, inputs, (net, cat, weights)
+        matrix = nominal_payoff(plans, cat, weights)
+    return matrix, inputs, (net, cat, weights, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +235,9 @@ def _resolve_matrix(args, need_bundle=False):
 
 
 def cmd_payoff(args) -> Output:
-    matrix, inputs, (_, _, weights) = _resolve_matrix(args)
+    # the one command that writes the voltage flags, so the one that solves flows
+    (net, cat, weights), inputs = _load_inputs(args)
+    matrix = build_payoff_matrix(net, cat, weights)
     files = {
         "payoff.csv": matrix,
         "payoff_long.csv": (["attack", "defense", "score"],
@@ -342,7 +354,7 @@ def cmd_learn(args) -> Output:
         # every column active
         active = None
         if bundle is not None:
-            _, cat, _ = bundle
+            cat = bundle[1]
             active = [len(d.effects) > 0 for d in cat.defenses]
         mdp = marl.stage_mdp_default(matrix.entries, defense_active=active)
         result = marl.mdp_train(mdp, config)
@@ -364,9 +376,9 @@ def cmd_baseline(args) -> Output:
 
     mc = experiments.McConfig(runs=args.runs, seed=args.seed,
                               attack_distribution=args.attack_dist)
-    matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
+    matrix, inputs, (net, cat, weights, plans) = _resolve_matrix(args, need_bundle=True)
     policy = experiments.strategy_policy(args.method, matrix, catalog=cat, base=net)
-    report = experiments.monte_carlo(net, cat, weights, policy, mc, matrix=matrix)
+    report = experiments.monte_carlo(plans, weights, policy, mc, matrix=matrix)
 
     files = {
         "policy.json": {
@@ -402,8 +414,8 @@ def cmd_compare(args) -> Output:
     methods = _parse_methods(args.methods)
     mc = experiments.McConfig(runs=args.runs, seed=args.seed,
                               attack_distribution=args.attack_dist)
-    matrix, inputs, (net, cat, weights) = _resolve_matrix(args, need_bundle=True)
-    rows = experiments.compare_strategies(net, cat, weights, methods, mc,
+    matrix, inputs, (net, cat, weights, plans) = _resolve_matrix(args, need_bundle=True)
+    rows = experiments.compare_strategies(net, cat, plans, weights, methods, mc,
                                           matrix=matrix, reference=args.reference)
 
     # wall times stay out of the data files, which reruns reproduce byte for byte

@@ -7,9 +7,9 @@ run.  Voltage flags (undervoltage, non-convergence) belong to the nominal
 payoff cells; a run's score never depends on a voltage.  Runs are seeded
 individually (seed + run index) so methods compared in one call see the
 same random draws (common random numbers).  All runs are drawn first; runs
-that drew the same cell are then scored together in one batch, and records
-come back in run order.  Results are values (``StatsReport``,
-``ComparisonRow``, probe rows); the CLI writes them to files.
+that drew the same cell are then scored together by its plan in the
+command's plan table, and records come back in run order.  Results are
+values (``StatsReport``, ``ComparisonRow``, probe rows); the CLI writes them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 # the method tags live in the package root, where the CLI parser reads them
 # without importing this module; they stay importable from here
 from . import (ADAPTIVE_TAGS, ATTACK_DISTRIBUTIONS, BASELINE_TAGS,  # noqa: F401
-               DEFAULT_BETA, METHOD_TAGS, scenario)
+               DEFAULT_BETA, METHOD_TAGS)
 from .errors import ConfigError, SolverError
 from .gamesolve import MixedStrategy, nash_exact, qre_fixed_point, regret_matching, stackelberg
 from .marl import LearningConfig, train_multi_agent, train_single_agent
@@ -174,37 +174,34 @@ def _attack_probs(mc: McConfig, policy: DefensePolicy, matrix) -> np.ndarray:
     return probs
 
 
-def monte_carlo(base: NetworkState, catalog, weights, defense_policy: DefensePolicy,
-                mc: McConfig, matrix: PayoffMatrix) -> StatsReport:
+def monte_carlo(plans, weights, defense_policy: DefensePolicy, mc: McConfig,
+                matrix: PayoffMatrix) -> StatsReport:
     """Evaluate one defense policy under load uncertainty and attack draws.
 
-    The nominal payoff matrix steers the non-uniform attack distributions.
-    Each run scores its drawn pair on its own perturbed loads: islanding,
-    shedding, DER-island curtailment and the four metrics are recomputed per
-    run, so reported statistics reflect physics under uncertainty, not
-    matrix lookups.  Voltage flags belong to the nominal payoff cells; no run
-    solves a power flow.
+    ``plans[a][d]`` is the plan of the matrix's cell (a, d), from the
+    command's plan table (``scenario.compile_catalog``).  The nominal payoff
+    matrix steers the non-uniform attack distributions and names the
+    records.  Each run scores its drawn pair on its own perturbed loads, so
+    reported statistics reflect physics under uncertainty, not matrix
+    lookups.  No run solves a power flow, and no plan is compiled here.
 
     Every run is drawn first, from its own ``default_rng(seed + run)``
-    stream; runs that drew the same cell are then scored together by one
-    ``scenario.compile_pair`` plan, and records come back in run order.
+    stream; runs that drew the same cell are then scored together by its
+    plan, and records come back in run order.
     """
-    attacks = list(catalog.attacks)
-    defenses = list(catalog.defenses)
-    if defense_policy.mixes.shape != (len(attacks), len(defenses)):
-        raise ConfigError(
-            f"policy shaped {defense_policy.mixes.shape}, catalog needs "
-            f"({len(attacks)}, {len(defenses)})")
+    if defense_policy.mixes.shape != matrix.shape:
+        raise ConfigError(f"policy shaped {defense_policy.mixes.shape}, matrix {matrix.shape}")
+    n_buses = plans[0][0].load_p.size
     att_cdf = np.cumsum(_attack_probs(mc, defense_policy, matrix))
     def_cdfs = np.cumsum(defense_policy.mixes, axis=1)
     low, high = mc.perturbation
 
-    multipliers = np.empty((mc.runs, len(base.buses)))
+    multipliers = np.empty((mc.runs, n_buses))
     by_cell: dict[tuple[int, int], list[int]] = {}
     cells = []
     for run in range(mc.runs):
         rng = np.random.default_rng(mc.seed + run)
-        multipliers[run] = rng.uniform(low, high, len(base.buses))
+        multipliers[run] = rng.uniform(low, high, n_buses)
         a = _draw(att_cdf, rng.random())
         d = _draw(def_cdfs[a], rng.random())
         cells.append((a, d))
@@ -212,9 +209,8 @@ def monte_carlo(base: NetworkState, catalog, weights, defense_policy: DefensePol
 
     scores = np.empty(mc.runs)
     for (a, d), runs in by_cell.items():
-        plan = scenario.compile_pair(base, attacks[a], defenses[d])
-        scores[runs] = plan.scores(multipliers[runs], weights)
-    records = [(attacks[a].id, defenses[d].id, float(score))
+        scores[runs] = plans[a][d].scores(multipliers[runs], weights)
+    records = [(matrix.attack_ids[a], matrix.defense_ids[d], float(score))
                for (a, d), score in zip(cells, scores)]
     return summarize(defense_policy.label, records)
 
@@ -464,9 +460,10 @@ def strategy_policy(tag: str, matrix: PayoffMatrix, catalog=None,
     raise ConfigError(f"unknown method tag {tag!r}")
 
 
-def compare_strategies(base: NetworkState, catalog, weights, methods, mc: McConfig,
+def compare_strategies(base: NetworkState, catalog, plans, weights, methods, mc: McConfig,
                        matrix: PayoffMatrix, reference: str | None = None):
-    """Monte Carlo every requested method under common random numbers.
+    """Monte Carlo every requested method on the plan table ``plans`` under
+    common random numbers; ``base`` and ``catalog`` make RBD's rule table.
 
     Returns ComparisonRow per method in canonical order, each carrying its
     StatsReport (whose records make paired tests possible downstream) and
@@ -489,7 +486,7 @@ def compare_strategies(base: NetworkState, catalog, weights, methods, mc: McConf
     for tag in ordered:
         start = time.perf_counter()
         policy = strategy_policy(tag, matrix, catalog=catalog, base=base, seed=mc.seed)
-        reports[tag] = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
+        reports[tag] = monte_carlo(plans, weights, policy, mc, matrix=matrix)
         walls[tag] = time.perf_counter() - start
         provenance[tag] = policy.provenance
 

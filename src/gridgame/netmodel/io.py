@@ -41,6 +41,13 @@ def _num(mapping, key, where, default=None, whole=False):
     return number(value, f"{where}: {key!r}", NetworkParseError, whole)
 
 
+def _id(entry, where, default=None) -> str:
+    value = _req(entry, "id", where) if default is None else entry.get("id", default)
+    if not isinstance(value, str):
+        raise NetworkParseError(f"{where}: 'id' {value!r} is not a string")
+    return value
+
+
 def _objects(doc, key, where, required=False) -> list:
     entries = _req(doc, key, where) if required else doc.get(key, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -74,17 +81,17 @@ def _build_state(doc, where: str) -> NetworkState:
     for i, entry in enumerate(_objects(doc, "lines", where, required=True)):
         at = f"{where} lines[{i}]"
         a, b = _num(entry, "from", at, whole=True), _num(entry, "to", at, whole=True)
-        lines.append(Line(id=str(entry.get("id", f"L{a}-{b}")), from_bus=a, to_bus=b,
+        lines.append(Line(id=_id(entry, at, f"L{a}-{b}"), from_bus=a, to_bus=b,
                           r=_num(entry, "r_ohm", at), x=_num(entry, "x_ohm", at)))
     for i, entry in enumerate(_objects(doc, "switches", where)):
         at = f"{where} switches[{i}]"
         switches.append(TieSwitch(
-            id=str(_req(entry, "id", at)), from_bus=_num(entry, "from", at, whole=True),
+            id=_id(entry, at), from_bus=_num(entry, "from", at, whole=True),
             to_bus=_num(entry, "to", at, whole=True), r=_num(entry, "r_ohm", at, 0.5),
             x=_num(entry, "x_ohm", at, 0.5)))
     for i, entry in enumerate(_objects(doc, "ders", where)):
         at = f"{where} ders[{i}]"
-        ders.append(Der(id=str(entry.get("id", f"DER{i + 1}")),
+        ders.append(Der(id=_id(entry, at, f"DER{i + 1}"),
                         bus=_num(entry, "bus", at, whole=True),
                         rating_p=_num(entry, "rating_kw", at),
                         dispatch_fraction=_num(entry, "dispatch_fraction", at, DEFAULT_DISPATCH)))

@@ -93,8 +93,9 @@ class NetworkState:
 
     def __post_init__(self):
         ids = [b.id for b in self.buses]
-        if len(set(ids)) != len(ids):
-            raise NetworkValidationError("duplicate bus ids")
+        _check_unique(ids, "bus")
+        _check_unique([ln.id for ln in self.lines], "line")
+        _check_unique([sw.id for sw in self.switches], "switch")
         known = set(ids)
         for name in ("base_kv", "base_mva"):
             value = getattr(self, name)
@@ -217,10 +218,14 @@ def _check_loads(buses) -> None:
             raise NetworkValidationError(f"bus {b.id}: negative active load")
 
 
+def _check_unique(ids, kind) -> None:
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise NetworkValidationError(f"duplicate {kind} ids: {dupes}")
+
+
 def _check_ders(ders, known) -> None:
-    der_ids = [d.id for d in ders]
-    if len(set(der_ids)) != len(der_ids):
-        raise NetworkValidationError("duplicate DER ids")
+    _check_unique([d.id for d in ders], "DER")
     for d in ders:
         if d.bus not in known:
             raise NetworkValidationError(f"{d.id}: bus {d.bus} does not exist")

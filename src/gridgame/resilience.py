@@ -192,28 +192,28 @@ def unified_score(card: ResilienceScorecard, weights: AhpWeights) -> float:
 # -- payoff matrix ---------------------------------------------------------
 
 def build_payoff_matrix(base, catalog, weights: AhpWeights) -> PayoffMatrix:
-    """Unified score for every attack-defense pair in the catalog.
-
-    Cells are evaluated one after another in (attack, defense) order.
-    """
+    """Unified score and flags of every attack-defense pair in the catalog,
+    each cell evaluated with its power flows, one after another in
+    (attack, defense) order. Only ``payoff`` writes the flags."""
     from . import scenario  # deferred: scenario imports the scorecard and flags above
 
-    attacks = list(catalog.attacks)
-    defenses = list(catalog.defenses)
-    entries = np.empty((len(attacks), len(defenses)))
-    flags: dict[tuple[int, int], frozenset[str]] = {}
-    for i, attack in enumerate(attacks):
-        for j, defense in enumerate(defenses):
-            try:
-                card = scenario.evaluate_pair(base, attack, defense)
-            except Exception as exc:
-                raise type(exc)(f"payoff cell ({attack.id},{defense.id}): {exc}") from exc
-            entries[i, j] = unified_score(card, weights)
-            if card.flags:
-                flags[(i, j)] = card.flags
-    return PayoffMatrix(
-        entries=entries,
-        attack_ids=tuple(a.id for a in attacks),
-        defense_ids=tuple(d.id for d in defenses),
-        cell_flags=flags,
-    )
+    cards = [[scenario.payoff_cell(scenario.evaluate_pair, base, a, d)
+              for d in catalog.defenses] for a in catalog.attacks]
+    return _payoff(catalog, [[unified_score(c, weights) for c in row] for row in cards],
+                   {(i, j): c.flags for i, row in enumerate(cards)
+                    for j, c in enumerate(row) if c.flags})
+
+
+def nominal_payoff(plans, catalog, weights: AhpWeights) -> PayoffMatrix:
+    """The matrix of ``scenario.compile_catalog``'s plan table, each cell
+    scored on its unperturbed loads: ``build_payoff_matrix``'s entries bit
+    for bit, without its flows and so without flags."""
+    return _payoff(catalog, [[p.scores(np.ones((1, p.load_p.size)), weights)[0]
+                              for p in row] for row in plans])
+
+
+def _payoff(catalog, entries, flags=None) -> PayoffMatrix:
+    shape = (len(catalog.attacks), len(catalog.defenses))
+    return PayoffMatrix(np.array(entries, dtype=float).reshape(shape),
+                        tuple(a.id for a in catalog.attacks),
+                        tuple(d.id for d in catalog.defenses), flags or {})

@@ -6,8 +6,9 @@ the bundled catalog, ten attacks and ten defenses, is the JSON document
 an action is pure: the input state is never touched. ``compile_pair``
 resolves one pair once into a ``PairPlan``, which serves the loads
 (``serve_loads``) and scores the served state (LSR, CLR, TSS, DRS) for many
-load vectors at a time. ``evaluate_pair`` scores one cell
-through its plan and runs the power flows that set the cell's voltage flags.
+load vectors at a time; ``compile_catalog`` makes a command's plan table.
+``evaluate_pair`` scores one cell through its plan and runs the power flows
+that set the cell's voltage flags, which only ``payoff`` writes.
 """
 
 from __future__ import annotations
@@ -540,8 +541,11 @@ def serve_loads(plan: PairPlan, multipliers) -> ServedLoads:
         served[:, isl.members] = kept
         total = _seq_sum(kept)
         for k, output, rating in isl.ders:
-            with np.errstate(over="ignore"):  # a rating near the float limit: share inf
-                share = total * rating / isl.rating_total if isl.rating_total else 0.0
+            share = 0.0
+            if isl.rating_total:  # where a rating near the float limit overflows, divide first
+                with np.errstate(over="ignore", invalid="ignore"):
+                    share = total * rating / isl.rating_total
+                share = np.where(np.isfinite(share), share, total * (rating / isl.rating_total))
             utilized[:, k] = np.minimum(output, share)
     return ServedLoads(demand=perturbed, served=served, der_utilized=utilized,
                        curtailed=curtailed)
@@ -579,6 +583,20 @@ def compile_pair(base: NetworkState, attack: AttackAction,
     defended = apply_defense(apply_attack(base, attack), defense)
     isls = topology.check_energized_radial(defended)
     return _plan(base, attack, defense, defended, isls)
+
+
+def compile_catalog(base: NetworkState, catalog: ScenarioCatalog) -> tuple:
+    """The plan of every cell, one row of plans per attack, in catalog order."""
+    return tuple(tuple(payoff_cell(compile_pair, base, a, d) for d in catalog.defenses)
+                 for a in catalog.attacks)
+
+
+def payoff_cell(resolve, base, attack, defense):
+    """``resolve(base, attack, defense)``; an error it raises names the cell."""
+    try:
+        return resolve(base, attack, defense)
+    except Exception as exc:
+        raise type(exc)(f"payoff cell ({attack.id},{defense.id}): {exc}") from exc
 
 
 def _plan(base: NetworkState, attack: AttackAction, defense: DefenseAction,

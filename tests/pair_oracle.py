@@ -10,6 +10,7 @@ functions bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from gridgame.netmodel import NetworkState, PowerFlowSolution, power_flow, topology
@@ -75,6 +76,8 @@ def serve_loads(state: NetworkState, solution: PowerFlowSolution) -> ServedLoadR
             rating_total = sum(d.rating_p for d in island_ders)
             for d in island_ders:
                 share = served_total * d.rating_p / rating_total if rating_total else 0.0
+                if not math.isfinite(share):  # the product overflowed: divide first
+                    share = served_total * (d.rating_p / rating_total)
                 der_utilized[d.id] = min(d.output_kw(), share)
 
         for b in members:

@@ -32,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from gridgame import gamesolve, marl, experiments
+from gridgame import gamesolve, marl, experiments, scenario
 from gridgame.cli import main as cli_main
 from gridgame.gamesolve import MixedStrategy
 from gridgame.marl import LearningConfig
@@ -234,7 +234,8 @@ def test_criterion_7_pipeline_ordering(testbed):
     mc = experiments.McConfig(runs=1000, seed=42,
                               attack_distribution="adversarial-best-response")
     rows = experiments.compare_strategies(
-        net, cat, weights, experiments.METHOD_TAGS, mc, matrix=matrix)
+        net, cat, scenario.compile_catalog(net, cat), weights, experiments.METHOD_TAGS, mc,
+        matrix=matrix)
     elapsed = time.perf_counter() - t0
 
     reports = {r.method: r.report for r in rows}

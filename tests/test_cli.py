@@ -461,6 +461,12 @@ NAMED_INPUT_ERRORS = [
                  id="network-vanishing-base-kv"),
     pytest.param(("payoff",), "--network", network_edit(("lines", 3, "r_ohm"), -1),
                  ": L4-5: negative impedance", id="network-negative-impedance"),
+    pytest.param(("payoff",), "--network", network_edit(("switches", 0, "id"), None),
+                 " switches[0]: 'id' None is not a string", id="network-null-switch-id"),
+    pytest.param(("payoff",), "--network", network_edit(("lines", 5, "id"), "L5-6"),
+                 ": duplicate line ids: ['L5-6']", id="network-duplicate-line-id"),
+    pytest.param(("payoff",), "--network", network_edit(("switches", 1, "id"), "SW1"),
+                 ": duplicate switch ids: ['SW1']", id="network-duplicate-switch-id"),
     pytest.param(SOLVE, "--matrix", "attack,D1,D2\nA1,0.5,0.1\nA1,0.2,0.3\n",
                  ": payoff matrix repeats attack ids: ['A1', 'A1']", id="matrix-duplicate-ids"),
     pytest.param(SOLVE, "--matrix", "attack\nA1\nA2\n",
@@ -898,6 +904,68 @@ def test_command_failing_on_bad_input_makes_no_out(name, matrix_csv, tmp_path, c
     assert not out.exists()
 
 
+MATRIX = object()  # stands for the bundled payoff CSV
+
+# (command, compile_pair, evaluate_pair and power_flow calls): payoff alone
+# solves flows, for the flags it writes; every other command that reads the
+# network compiles each cell once, and one read from --matrix alone none
+WORK_LEDGER = [
+    (("payoff",), 0, 100, 263),
+    (("compare", "--methods", "all", "--runs", 50), 100, 0, 0),
+    (("compare", "--methods", "all", "--runs", 50, "--matrix", MATRIX), 100, 0, 0),
+    (("baseline", "--method", "RDS", "--runs", 50), 100, 0, 0),
+    (("baseline", "--method", "RDS", "--runs", 50, "--matrix", MATRIX), 100, 0, 0),
+    (("solve", "--method", "nash"), 100, 0, 0),
+    (("learn", "--method", "single", "--iters", 50), 100, 0, 0),
+    (("solve", "--method", "nash", "--matrix", MATRIX), 0, 0, 0),
+    (("learn", "--method", "single", "--iters", 50, "--matrix", MATRIX), 0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("argv, plans, pairs, flows", WORK_LEDGER,
+                         ids=[w[0][0] + ("-matrix" if MATRIX in w[0] else "")
+                              for w in WORK_LEDGER])
+def test_work_per_command(argv, plans, pairs, flows, matrix_csv, tmp_path, monkeypatch):
+    from gridgame import scenario
+
+    calls = {"compile_pair": 0, "evaluate_pair": 0, "power_flow": 0}
+
+    def counted(name):
+        inner = getattr(scenario, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scenario, name, counted(name))
+    argv = [matrix_csv if a is MATRIX else a for a in argv]
+    assert run(*argv, "--out", tmp_path / "out") == 0
+    assert calls == {"compile_pair": plans, "evaluate_pair": pairs, "power_flow": flows}
+
+
+# D10 closes a tie switch the bundled network lacks; SOD never plays D10
+BAD_CELL_CATALOG = {"defenses": [{"id": "D10", "effects": [
+    {"kind": "close_switch", "target": "SW9"}]}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--methods", "RDS,SOD", "--runs", 5),
+    ("baseline", "--method", "SOD", "--runs", 5, "--matrix", MATRIX),
+], ids=["compare", "baseline-matrix"])
+def test_unresolvable_cell_exits_2_naming_it(argv, matrix_csv, tmp_path, capsys):
+    # every cell is resolved once per command, drawn by a run or not
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps(BAD_CELL_CATALOG))
+    argv = [matrix_csv if a is MATRIX else a for a in argv]
+    out = tmp_path / "out"
+    assert run(*argv, "--catalog", cat, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: payoff cell (A1,D10): D10: no tie switch 'SW9'")
+    assert not out.exists()
+
+
 NEGATIVE_SEEDS = {
     "learn": ("learn", "--method", "single", "--seed", -1),
     "compare": ("compare", "--methods", "all", "--seed", -3),
@@ -1113,6 +1181,20 @@ class TestDeterminism:
         # outputs hashed identically; only provenance metadata may move
         assert m1["outputs"] == m2["outputs"]
         assert m1["config_digest"] == m2["config_digest"]
+
+    @pytest.mark.parametrize("argv", [("payoff",), ("compare", "--methods", "all",
+                                                    "--runs", 50)], ids=["payoff", "compare"])
+    def test_data_files_do_not_depend_on_the_hash_seed(self, argv, tmp_path):
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-m", "gridgame", *map(str, argv), "--out", str(out)],
+                env=dict(_child_env(), PYTHONHASHSEED=hash_seed), capture_output=True,
+                text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert outputs[0] == outputs[1]
 
     def test_solve_rerun_identical(self, matrix_csv, tmp_path):
         blobs = []

@@ -66,6 +66,12 @@ def bundle():
     return base, catalog, weights, matrix
 
 
+@pytest.fixture(scope="module")
+def plans(bundle):
+    base, catalog, _, _ = bundle
+    return scenario.compile_catalog(base, catalog)
+
+
 class TestMcConfig:
     def test_defaults(self):
         mc = McConfig()
@@ -148,69 +154,69 @@ class TestSummarize:
 
 
 class TestMonteCarlo:
-    def test_constant_policy_no_perturbation(self, bundle):
+    def test_constant_policy_no_perturbation(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=8, seed=1, perturbation=(1.0, 1.0))
         policy = DefensePolicy.pure("D1-always", 0, 10, 10)
-        rep = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
+        rep = monte_carlo(plans, weights, policy, mc, matrix=matrix)
         assert rep.std_dev == 0.0
         assert rep.ci95_high - rep.ci95_low == 0.0
         # adversarial draw is degenerate: one attack, one defense
         assert len(rep.per_attack) == 1
 
-    def test_deterministic_given_seed(self, bundle):
+    def test_deterministic_given_seed(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=20, seed=5)
         policy = strategy_policy("RDS", matrix)
-        a = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
-        b = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
+        a = monte_carlo(plans, weights, policy, mc, matrix=matrix)
+        b = monte_carlo(plans, weights, policy, mc, matrix=matrix)
         assert a.records == b.records
         assert a.mean == b.mean
 
-    def test_std_follows_sample_convention(self, bundle):
+    def test_std_follows_sample_convention(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=12, seed=3)
-        rep = monte_carlo(base, catalog, weights, strategy_policy("RDS", matrix), mc,
+        rep = monte_carlo(plans, weights, strategy_policy("RDS", matrix), mc,
                           matrix=matrix)
         scores = np.array([r[2] for r in rep.records])
         assert rep.std_dev == pytest.approx(float(scores.std(ddof=1)))
         assert rep.mean == pytest.approx(float(scores.mean()))
 
-    def test_common_random_numbers(self, bundle):
+    def test_common_random_numbers(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=30, seed=9, attack_distribution="uniform")
-        rds = monte_carlo(base, catalog, weights, strategy_policy("RDS", matrix), mc,
+        rds = monte_carlo(plans, weights, strategy_policy("RDS", matrix), mc,
                           matrix=matrix)
-        sod = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix), mc,
+        sod = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         assert [r[0] for r in rds.records] == [r[0] for r in sod.records]
 
-    def test_uniform_distribution_spreads(self, bundle):
+    def test_uniform_distribution_spreads(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=120, seed=2, attack_distribution="uniform")
-        rep = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix), mc,
+        rep = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         assert len(rep.per_attack) == 10
 
-    def test_equilibrium_mix_distribution(self, bundle):
+    def test_equilibrium_mix_distribution(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=60, seed=4, attack_distribution="equilibrium-mix")
-        rep = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix), mc,
+        rep = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         # bundled equilibrium mixes over two attacks only
         assert set(rep.per_attack) <= {"A2", "A10"}
 
-    def test_policy_shape_checked(self, bundle):
+    def test_policy_shape_checked(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         with pytest.raises(ConfigError):
-            monte_carlo(base, catalog, weights, DefensePolicy.pure("p", 0, 4, 4),
+            monte_carlo(plans, weights, DefensePolicy.pure("p", 0, 4, 4),
                         McConfig(runs=2), matrix=matrix)
 
-    def test_report_json_and_csv(self, bundle, tmp_path):
+    def test_report_json_and_csv(self, bundle, plans, tmp_path):
         # the CLI writes the report's to_json and records on the bundled inputs
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=5, seed=7)
-        rep = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix), mc,
+        rep = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         obj = rep.to_json()
         assert obj["samples"] == 5
@@ -260,42 +266,44 @@ class TestMonteCarloBatch:
     @pytest.mark.parametrize("dist", ["uniform", "equilibrium-mix",
                                       "adversarial-best-response"])
     @pytest.mark.parametrize("perturbation", [(0.9, 1.1), (0.0, 3.0)])
-    def test_records_equal_scalar_oracle(self, bundle, dist, perturbation):
+    def test_records_equal_scalar_oracle(self, bundle, plans, dist, perturbation):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=40, seed=11, perturbation=perturbation, attack_distribution=dist)
         policy = strategy_policy("RDS", matrix)
-        rep = monte_carlo(base, catalog, weights, policy, mc, matrix=matrix)
+        rep = monte_carlo(plans, weights, policy, mc, matrix=matrix)
         assert rep.records == _oracle_records(base, catalog, weights, policy, matrix, mc)
 
-    def test_one_plan_per_drawn_cell(self, bundle, monkeypatch):
-        base, catalog, weights, matrix = bundle
-        plans, pair_calls = [], []
-        real = scenario.compile_pair
+    def test_one_plan_per_drawn_cell(self, bundle, plans, monkeypatch):
+        # each drawn cell is scored once, by its plan in the table: no plan is
+        # compiled and no power flow solved
+        _, _, weights, matrix = bundle
+        scored = []
+        real = scenario.PairPlan.scores
 
-        def counting(b, attack, defense):
-            plans.append((attack.id, defense.id))
-            return real(b, attack, defense)
+        def counting(plan, multipliers, w):
+            scored.append(plan)
+            return real(plan, multipliers, w)
 
-        def scalar(*args, **kwargs):
-            pair_calls.append(args)
-            return evaluate_pair(*args, **kwargs)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("monte_carlo compiled a plan or solved a flow")
 
-        monkeypatch.setattr(scenario, "compile_pair", counting)
-        monkeypatch.setattr(scenario, "evaluate_pair", scalar)
-        monkeypatch.setattr(experiments, "evaluate_pair", scalar)
+        monkeypatch.setattr(scenario.PairPlan, "scores", counting)
+        for name in ("compile_pair", "evaluate_pair", "power_flow"):
+            monkeypatch.setattr(scenario, name, forbidden)
+        monkeypatch.setattr(experiments, "evaluate_pair", forbidden)
 
-        rep = monte_carlo(base, catalog, weights, strategy_policy("SOD", matrix),
+        rep = monte_carlo(plans, weights, strategy_policy("SOD", matrix),
                           McConfig(runs=200, seed=1), matrix=matrix)
         assert rep.samples == 200
-        assert len(plans) == 1
+        assert len(scored) == 1
 
-        plans.clear()
+        scored.clear()
         mc = McConfig(runs=200, seed=1, attack_distribution="uniform")
-        rep = monte_carlo(base, catalog, weights, strategy_policy("RDS", matrix), mc, matrix=matrix)
-        drawn = {r[:2] for r in rep.records}
-        assert len(plans) == len(set(plans)) == len(drawn)
-        assert set(plans) == drawn
-        assert pair_calls == []
+        rep = monte_carlo(plans, weights, strategy_policy("RDS", matrix), mc, matrix=matrix)
+        drawn = {(matrix.attack_ids.index(a), matrix.defense_ids.index(d))
+                 for a, d, _ in rep.records}
+        assert len(scored) == len(drawn)
+        assert {id(p) for p in scored} == {id(plans[a][d]) for a, d in drawn}
 
 
 class TestBaselines:
@@ -427,56 +435,56 @@ class TestPairedT:
 
 
 class TestCompare:
-    def test_single_method_row(self, bundle):
+    def test_single_method_row(self, bundle, plans):
         base, catalog, weights, matrix = bundle
-        rows = compare_strategies(base, catalog, weights, {"SOD"},
+        rows = compare_strategies(base, catalog, plans, weights, {"SOD"},
                                   McConfig(runs=10, seed=1), matrix=matrix)
         assert len(rows) == 1
         assert rows[0].method == "SOD"
         assert rows[0].improvement_pct == 0.0
 
-    def test_bundled_ordering(self, bundle):
+    def test_bundled_ordering(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         rows = compare_strategies(
-            base, catalog, weights, {"RDS", "RBD", "SOD", "nash"},
+            base, catalog, plans, weights, {"RDS", "RBD", "SOD", "nash"},
             McConfig(runs=150, seed=11), matrix=matrix)
         means = {r.method: r.report.mean for r in rows}
         assert means["RDS"] < means["RBD"] < means["SOD"] < means["nash"]
 
-    def test_stackelberg_vs_sod_guarantee(self, bundle):
+    def test_stackelberg_vs_sod_guarantee(self, bundle, plans):
         base, catalog, weights, matrix = bundle
-        rows = compare_strategies(base, catalog, weights, {"SOD", "stackelberg"},
+        rows = compare_strategies(base, catalog, plans, weights, {"SOD", "stackelberg"},
                                   McConfig(runs=40, seed=2), matrix=matrix)
         by = {r.method: r.report for r in rows}
         width = by["SOD"].ci95_high - by["SOD"].ci95_low
         assert by["stackelberg"].mean >= by["SOD"].mean - 2 * width
 
-    def test_reproducible_rows(self, bundle):
+    def test_reproducible_rows(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=25, seed=13)
-        a = compare_strategies(base, catalog, weights, {"RDS", "SOD"}, mc,
+        a = compare_strategies(base, catalog, plans, weights, {"RDS", "SOD"}, mc,
                                matrix=matrix)
-        b = compare_strategies(base, catalog, weights, {"RDS", "SOD"}, mc,
+        b = compare_strategies(base, catalog, plans, weights, {"RDS", "SOD"}, mc,
                                matrix=matrix)
         assert [(r.method, r.report.mean, r.report.std_dev) for r in a] == \
                [(r.method, r.report.mean, r.report.std_dev) for r in b]
 
-    def test_errors(self, bundle):
+    def test_errors(self, bundle, plans):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=2)
         with pytest.raises(ConfigError):
-            compare_strategies(base, catalog, weights, {"SOD", "minimax"}, mc,
+            compare_strategies(base, catalog, plans, weights, {"SOD", "minimax"}, mc,
                                matrix=matrix)
         with pytest.raises(ConfigError):
-            compare_strategies(base, catalog, weights, set(), mc, matrix=matrix)
+            compare_strategies(base, catalog, plans, weights, set(), mc, matrix=matrix)
         with pytest.raises(ConfigError):
-            compare_strategies(base, catalog, weights, {"SOD"}, mc,
+            compare_strategies(base, catalog, plans, weights, {"SOD"}, mc,
                                matrix=matrix, reference="RDS")
 
-    def test_csv_writer(self, bundle, tmp_path):
+    def test_csv_writer(self, bundle, plans, tmp_path):
         # the CLI's comparison.csv holds each row's report, on the bundled inputs
         base, catalog, weights, matrix = bundle
-        rows = compare_strategies(base, catalog, weights, {"RDS", "SOD"},
+        rows = compare_strategies(base, catalog, plans, weights, {"RDS", "SOD"},
                                   McConfig(runs=5, seed=3), matrix=matrix)
         assert cli.main(["compare", "--methods", "RDS,SOD", "--runs", "5", "--seed", "3",
                          "--out", str(tmp_path)]) == 0

@@ -5,6 +5,9 @@ it even though it only ever runs power iteration.
 """
 
 import csv
+import json
+import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import strategies as st
 
 from gridgame import cli, resilience, scenario
 from gridgame.errors import CatalogError, NetworkValidationError
-from gridgame.netmodel import Bus, Der, Line, NetworkState, load_ieee33, topology
+from gridgame.netmodel import (Bus, Der, Line, NetworkState, load_ieee33, load_network,
+                              topology)
 from gridgame.resilience import (
     DEFAULT_AHP_MATRIX,
     AhpWeights,
@@ -242,6 +246,30 @@ class TestPayoffMatrix:
             for i, a in enumerate(pa) for j, d in enumerate(pd)
             if (a, d) in built.cell_flags}
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_network_document_keeps_the_matrix(self, built, seed, tmp_path):
+        # the order of the document's lists is no part of the network: the
+        # sums run in another order, so entries may move in the last bit
+        rng = random.Random(seed)
+
+        def shuffled(node):
+            if isinstance(node, dict):
+                return {k: shuffled(v) for k, v in node.items()}
+            if isinstance(node, list):
+                return rng.sample([shuffled(v) for v in node], len(node))
+            return node
+
+        doc = json.loads(resources.files("gridgame.data").joinpath("ieee33.json").read_text())
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(shuffled(doc)))
+        net, cat = load_network(path), scenario.catalog_default()
+        w = ahp_weights(DEFAULT_AHP_MATRIX)
+        m = resilience.build_payoff_matrix(net, cat, w)
+        assert np.abs(m.entries - built.entries).max() <= 1e-12
+        assert m.cell_flags == built.cell_flags
+        nominal = resilience.nominal_payoff(scenario.compile_catalog(net, cat), cat, w)
+        assert np.array_equal(nominal.entries, m.entries)
+
     def test_deterministic_rebuild(self, built):
         net = load_ieee33()
         cat = scenario.catalog_default()
@@ -307,6 +335,28 @@ class TestPayoffMatrix:
             attacks=(cat.attack("A2"),), defenses=(cat.defense("D1"), bad))
         with pytest.raises(CatalogError, match=r"^payoff cell \(A2,DX\): DX: no tie switch"):
             resilience.build_payoff_matrix(load_ieee33(), small, ahp_weights(DEFAULT_AHP_MATRIX))
+        with pytest.raises(CatalogError, match=r"^payoff cell \(A2,DX\): DX: no tie switch"):
+            scenario.compile_catalog(load_ieee33(), small)
+
+    @pytest.mark.parametrize("feeder", ["bundled", "synthetic-118"])
+    def test_plan_table_scores_the_flagged_entries(self, feeder):
+        # the matrix every command but payoff uses equals payoff's bit for bit
+        from gridgame.experiments import _probe_catalog, synthetic_feeder
+
+        if feeder == "bundled":
+            net, cat = load_ieee33(), scenario.catalog_default()
+        else:
+            net = synthetic_feeder(118, 2)
+            cat = _probe_catalog(net)
+        w = ahp_weights(DEFAULT_AHP_MATRIX)
+        plans = scenario.compile_catalog(net, cat)
+        assert [len(row) for row in plans] == [len(cat.defenses)] * len(cat.attacks)
+        flagged = resilience.build_payoff_matrix(net, cat, w)
+        nominal = resilience.nominal_payoff(plans, cat, w)
+        assert np.array_equal(nominal.entries, flagged.entries)
+        assert (nominal.attack_ids, nominal.defense_ids) == (flagged.attack_ids,
+                                                             flagged.defense_ids)
+        assert nominal.cell_flags == {}
 
     def test_single_cell_catalog(self):
         net = load_ieee33()

@@ -10,6 +10,7 @@ import copy
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
@@ -450,6 +451,18 @@ class TestCompilePair:
         a, d = cat.attacks[cell[0]], cat.defenses[cell[1]]
         got = compile_pair(net, a, d).scores(np.array(rows), WEIGHTS)
         assert got.tolist() == _scalar_scores(net, a, d, rows)
+
+    def test_der_rating_near_the_float_limit_is_shared_not_overflowed(self, net, cat):
+        # DER2 (bus 18) alone feeds the island that A2 cuts off. With a rating
+        # of 1e308 the island's load times the rating overflows, and an inf
+        # share would credit DER2 with all of its 7e307 kW: DRS 1.0
+        big = replace(net, ders=tuple(replace(d, rating_p=1e308) if d.id == "DER2" else d
+                                      for d in net.ders))
+        a, d = cat.attack("A2"), cat.defense("D1")
+        card = evaluate_pair(big, a, d)
+        assert card == pair_oracle.evaluate_pair(big, a, d)
+        # the slack-fed DERs use 504 + 532 + 560 kW and DER2 the island's 270 kW
+        assert card.drs == pytest.approx(1866.0 / 7e307, rel=1e-9)
 
     def test_plan_leaves_inputs_untouched(self, net, cat):
         rows = _multiplier_rows(net.n_buses)
