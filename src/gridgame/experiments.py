@@ -27,10 +27,11 @@ import numpy as np
 from . import (ADAPTIVE_TAGS, ATTACK_DISTRIBUTIONS, BASELINE_TAGS,  # noqa: F401
                DEFAULT_BETA, METHOD_TAGS)
 from .errors import ConfigError, SolverError
-from .gamesolve import MixedStrategy, nash_exact, qre_fixed_point, regret_matching, stackelberg
+from .gamesolve import (MixedStrategy, draw_bounds, nash_exact, qre_fixed_point, regret_matching,
+                        stackelberg)
 from .marl import LearningConfig, train_multi_agent, train_single_agent
 from .netmodel import NetworkState, energized_buses, load_ieee33
-from .netmodel.types import Bus, Der, Line, TieSwitch
+from .netmodel.types import OPEN, Bus, Der, Line
 from .resilience import PayoffMatrix, build_payoff_matrix
 from .scenario import _resolve_buses, _resolve_ders
 # evaluate_pair is re-exported: the single-cell scorer next to the batch
@@ -155,10 +156,6 @@ class ComparisonRow:
 # Monte Carlo core
 
 
-def _draw(cdf: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
-
-
 def _attack_probs(mc: McConfig, policy: DefensePolicy, matrix) -> np.ndarray:
     entries = matrix.entries
     n_att = entries.shape[0]
@@ -192,26 +189,26 @@ def monte_carlo(plans, weights, defense_policy: DefensePolicy, mc: McConfig,
     if defense_policy.mixes.shape != matrix.shape:
         raise ConfigError(f"policy shaped {defense_policy.mixes.shape}, matrix {matrix.shape}")
     n_buses = plans[0][0].load_p.size
-    att_cdf = np.cumsum(_attack_probs(mc, defense_policy, matrix))
-    def_cdfs = np.cumsum(defense_policy.mixes, axis=1)
+    att_bounds = draw_bounds(np.cumsum(_attack_probs(mc, defense_policy, matrix)))
+    def_bounds = draw_bounds(np.cumsum(defense_policy.mixes, axis=1))
     low, high = mc.perturbation
 
     multipliers = np.empty((mc.runs, n_buses))
-    by_cell: dict[tuple[int, int], list[int]] = {}
-    cells = []
+    u = np.empty((mc.runs, 2))  # each run's attack and defense uniforms
     for run in range(mc.runs):
         rng = np.random.default_rng(mc.seed + run)
         multipliers[run] = rng.uniform(low, high, n_buses)
-        a = _draw(att_cdf, rng.random())
-        d = _draw(def_cdfs[a], rng.random())
-        cells.append((a, d))
-        by_cell.setdefault((a, d), []).append(run)
+        u[run] = rng.random(2)
+    att = np.searchsorted(att_bounds, u[:, 0], side="right")
+    # each row of bounds is sorted, so its count of bounds <= u is its bisection
+    dfn = (def_bounds[att] <= u[:, 1:]).sum(axis=1)
 
     scores = np.empty(mc.runs)
-    for (a, d), runs in by_cell.items():
+    for a, d in set(zip(att.tolist(), dfn.tolist())):
+        runs = np.flatnonzero((att == a) & (dfn == d))
         scores[runs] = plans[a][d].scores(multipliers[runs], weights)
     records = [(matrix.attack_ids[a], matrix.defense_ids[d], float(score))
-               for (a, d), score in zip(cells, scores)]
+               for a, d, score in zip(att.tolist(), dfn.tolist(), scores)]
     return summarize(defense_policy.label, records)
 
 
@@ -532,13 +529,14 @@ def synthetic_feeder(n_buses: int, seed: int = 0) -> NetworkState:
         for k, b in enumerate(der_buses))
     sw_from = np.linspace(2, n_buses - 6, SYNTH_SWITCHES).astype(int)
     switches = tuple(
-        TieSwitch(id=f"SW{k + 1}", from_bus=int(a), to_bus=int(a + 5), r=0.5, x=0.5)
+        Line(id=f"SW{k + 1}", from_bus=int(a), to_bus=int(a + 5), r=0.5, x=0.5, status=OPEN)
         for k, a in enumerate(sw_from))
     return NetworkState(buses=tuple(buses), lines=lines, switches=switches, ders=ders)
 
 
 def _probe_catalog(state: NetworkState):
-    """Ten attacks / ten defenses drawn from the feeder's own components."""
+    """Ten attacks and, on a synthetic feeder, nine defenses (no action, a close
+    per tie switch, two DER boosts, two sheds) from the feeder's own components."""
     from .scenario import AttackAction, DefenseAction, Effect, ScenarioCatalog
 
     n = state.n_buses
@@ -554,7 +552,7 @@ def _probe_catalog(state: NetworkState):
             f"D{k + 2}", f"close {sw.id} with companion break",
             (Effect("close_switch", sw.id),
              Effect("companion_open", (mid, mid + 1)))))
-    for k, der in enumerate(state.ders[:2]):
+    for der in state.ders[:2]:
         defenses.append(DefenseAction(
             f"D{len(defenses) + 1}", f"dispatch {der.id} fully",
             (Effect("set_der_dispatch", der.id, 1.0),)))
@@ -564,7 +562,7 @@ def _probe_catalog(state: NetworkState):
     defenses.append(DefenseAction(
         f"D{len(defenses) + 1}", "shed loads above 200 kW",
         (Effect("shed_threshold", None, 200.0),)))
-    return ScenarioCatalog(attacks=attacks, defenses=tuple(defenses[:10]),
+    return ScenarioCatalog(attacks=attacks, defenses=tuple(defenses),
                            version="probe-1")
 
 

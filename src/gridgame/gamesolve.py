@@ -53,6 +53,15 @@ class MixedStrategy:
         return cls(np.full(k, 1.0 / k))
 
 
+def draw_bounds(cdf: np.ndarray) -> np.ndarray:
+    """Bisection bounds of the cumulative sums ``cdf`` along its last axis:
+    ``np.searchsorted(bounds, u, side="right")`` draws the first k with
+    u < cdf[k], else the last index, as a linear scan does.  They are the
+    running maxima of the sums but the last, sorted also where rounding or
+    a -1e-12 probability makes the sums dip."""
+    return np.maximum.accumulate(cdf[..., :-1], axis=-1)
+
+
 def _probs(mix) -> np.ndarray:
     """The probabilities of a MixedStrategy, or a plain vector as an array."""
     return mix.probs if isinstance(mix, MixedStrategy) else np.asarray(mix)
@@ -195,7 +204,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         leave = -1
         best = np.inf
         for i in range(rows):
-            if t[i, enter] > 1e-12:
+            if t[i, enter] > 1e-9:
                 ratio = t[i, -1] / t[i, enter]
                 if ratio < best - 1e-12 or (
                     abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])

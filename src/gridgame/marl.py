@@ -45,7 +45,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, number
-from .gamesolve import MixedStrategy, _entries
+from .gamesolve import MixedStrategy, _entries, draw_bounds
+from .resilience import REWARD_BOUND
 
 ALPHA_SCHEDULES = ("harmonic", "constant", "power")
 
@@ -277,10 +278,7 @@ def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
     n_opp, n_own = m.shape
     rewards = m.ravel()
     reward_of = rewards.tolist()  # [cell]
-    # running maxima of the cdf: searchsorted(side="right") on them is the
-    # first k with u < cdf[k], the answer of a linear scan, also where
-    # rounding or a -1e-12 probability makes the cdf dip
-    cdf = np.maximum.accumulate(opp_cdf[:n_opp - 1])
+    cdf = draw_bounds(opp_cdf)
     step_size = _step_size(alpha_mode, alpha_c, alpha_p)
     q = [[0.0] * n_own for _ in range(n_opp)]
     visits = [0] * (n_opp * n_own)
@@ -357,10 +355,8 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
     n_cells = rewards.size
     flat_rewards = rewards.ravel()
     reward_of = flat_rewards.tolist()  # [cell]
-    # running maxima of each row's cdf, for bisection as in _single_kernel;
     # np.cumsum adds left to right, as a linear scan of each row does
-    next_state = np.maximum.accumulate(
-        np.cumsum(transitions, axis=3)[..., :-1], axis=3).reshape(n_cells, -1).tolist()
+    next_state = draw_bounds(np.cumsum(transitions, axis=3)).reshape(n_cells, -1).tolist()
     step_size = _step_size(alpha_mode, alpha_c, alpha_p)
     qa = [[[0.0] * n_att for _ in range(n_def)] for _ in range(n_states)]  # [s][d][a]
     qd = [[[0.0] * n_def for _ in range(n_att)] for _ in range(n_states)]  # [s][a][d]
@@ -461,7 +457,7 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
 
 
 def _check_bounded(rewards) -> None:
-    if np.abs(rewards).max() > 1.0 + 1e-12:
+    if np.abs(rewards).max() > REWARD_BOUND:
         raise ConfigError("rewards must be bounded by 1 in absolute value")
 
 

@@ -1,7 +1,6 @@
 """Radial network model: data types, document loading, one-pass topology, power flow."""
 
-from .types import (CLOSED, OPEN, Bus, Der, Line, NetworkState, PowerFlowSolution,
-                    TieSwitch)
+from .types import CLOSED, OPEN, Bus, Der, Line, NetworkState, PowerFlowSolution
 from .io import DEFAULT_DISPATCH, load_ieee33, load_network
 from .topology import (Island, check_energized_radial, closing_creates_loop,
                        connectivity, energized_buses, islands)
@@ -9,7 +8,7 @@ from .powerflow import MAX_SWEEPS, TOLERANCE, UNDERVOLTAGE_PU, power_flow
 
 __all__ = [
     "CLOSED", "OPEN", "Bus", "Der", "Line", "NetworkState",
-    "PowerFlowSolution", "TieSwitch",
+    "PowerFlowSolution",
     "DEFAULT_DISPATCH", "load_ieee33", "load_network",
     "Island", "check_energized_radial", "closing_creates_loop", "connectivity",
     "energized_buses", "islands",

@@ -6,7 +6,7 @@ import os
 
 from ..errors import (NetworkParseError, NetworkValidationError, RadialityError, number,
                       read_json)
-from .types import Bus, Der, Line, NetworkState, TieSwitch
+from .types import OPEN, Bus, Der, Line, NetworkState
 from . import topology
 
 DEFAULT_DISPATCH = 0.7  # pre-attack DER setpoint; "boost" defenses raise it to 1.0
@@ -85,10 +85,10 @@ def _build_state(doc, where: str) -> NetworkState:
                           r=_num(entry, "r_ohm", at), x=_num(entry, "x_ohm", at)))
     for i, entry in enumerate(_objects(doc, "switches", where)):
         at = f"{where} switches[{i}]"
-        switches.append(TieSwitch(
+        switches.append(Line(
             id=_id(entry, at), from_bus=_num(entry, "from", at, whole=True),
             to_bus=_num(entry, "to", at, whole=True), r=_num(entry, "r_ohm", at, 0.5),
-            x=_num(entry, "x_ohm", at, 0.5)))
+            x=_num(entry, "x_ohm", at, 0.5), status=OPEN))
     for i, entry in enumerate(_objects(doc, "ders", where)):
         at = f"{where} ders[{i}]"
         ders.append(Der(id=_id(entry, at, f"DER{i + 1}"),

@@ -36,6 +36,8 @@ class Bus:
 
 @dataclass(frozen=True)
 class Line:
+    """A branch: a line, or a tie switch, which is a line that starts open."""
+
     id: str
     from_bus: int
     to_bus: int
@@ -46,20 +48,6 @@ class Line:
     @property
     def closed(self) -> bool:
         return self.status == CLOSED
-
-
-@dataclass(frozen=True)
-class TieSwitch:
-    id: str
-    from_bus: int
-    to_bus: int
-    r: float  # ohms
-    x: float  # ohms
-    position: str = OPEN
-
-    @property
-    def closed(self) -> bool:
-        return self.position == CLOSED
 
 
 @dataclass(frozen=True)
@@ -79,7 +67,7 @@ class Der:
 class NetworkState:
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
-    switches: tuple[TieSwitch, ...] = ()
+    switches: tuple[Line, ...] = ()
     ders: tuple[Der, ...] = ()
     base_kv: float = 12.66
     base_mva: float = 10.0
@@ -94,8 +82,8 @@ class NetworkState:
     def __post_init__(self):
         ids = [b.id for b in self.buses]
         _check_unique(ids, "bus")
-        _check_unique([ln.id for ln in self.lines], "line")
-        _check_unique([sw.id for sw in self.switches], "switch")
+        # with_line_status finds a branch by id in either list
+        _check_unique([ln.id for ln in (*self.lines, *self.switches)], "branch")
         known = set(ids)
         for name in ("base_kv", "base_mva"):
             value = getattr(self, name)
@@ -108,7 +96,7 @@ class NetworkState:
         if self.slack_bus not in known:
             raise NetworkValidationError(f"slack bus {self.slack_bus} not in network")
         _check_loads(self.buses)
-        for ln in list(self.lines) + list(self.switches):
+        for ln in (*self.lines, *self.switches):
             if ln.from_bus == ln.to_bus:
                 raise NetworkValidationError(f"{ln.id}: from and to bus coincide")
             if ln.from_bus not in known or ln.to_bus not in known:
@@ -137,9 +125,8 @@ class NetworkState:
 
     def closed_branches(self) -> list[tuple[int, int, float, float, str]]:
         """(from, to, r_ohm, x_ohm, branch id) for every closed line and switch."""
-        out = [(l.from_bus, l.to_bus, l.r, l.x, l.id) for l in self.lines if l.closed]
-        out += [(s.from_bus, s.to_bus, s.r, s.x, s.id) for s in self.switches if s.closed]
-        return out
+        return [(l.from_bus, l.to_bus, l.r, l.x, l.id)
+                for l in (*self.lines, *self.switches) if l.closed]
 
     def find_line(self, a: int, b: int) -> Line | None:
         for ln in self.lines:
@@ -147,7 +134,7 @@ class NetworkState:
                 return ln
         return None
 
-    def find_switch(self, switch_id: str) -> TieSwitch | None:
+    def find_switch(self, switch_id: str) -> Line | None:
         for sw in self.switches:
             if sw.id == switch_id:
                 return sw
@@ -161,17 +148,14 @@ class NetworkState:
 
     # -- derivations (pure; the receiver is never modified) --------------
 
-    def with_line_status(self, line_id: str, status: str) -> "NetworkState":
-        if not any(l.id == line_id for l in self.lines):
-            raise KeyError(f"no line {line_id}")
-        lines = tuple(replace(l, status=status) if l.id == line_id else l for l in self.lines)
-        return self._derive(lines=lines)
-
-    def with_switch_position(self, switch_id: str, position: str) -> "NetworkState":
-        if not any(s.id == switch_id for s in self.switches):
-            raise KeyError(f"no switch {switch_id}")
-        sws = tuple(replace(s, position=position) if s.id == switch_id else s for s in self.switches)
-        return self._derive(switches=sws)
+    def with_line_status(self, branch_id: str, status: str) -> "NetworkState":
+        """Open or close the line or tie switch ``branch_id``."""
+        for kind in ("lines", "switches"):
+            branches = getattr(self, kind)
+            if any(l.id == branch_id for l in branches):
+                return self._derive(**{kind: tuple(
+                    replace(l, status=status) if l.id == branch_id else l for l in branches)})
+        raise KeyError(f"no branch {branch_id}")
 
     def with_der(self, der_id: str, **changes) -> "NetworkState":
         if not any(d.id == der_id for d in self.ders):

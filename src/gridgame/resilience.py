@@ -25,6 +25,10 @@ FLAG_EMPTY_DENOMINATOR = "empty-denominator"
 FLAG_NON_CONVERGENCE = "non-convergence"
 FLAG_UNDERVOLTAGE = "undervoltage"
 
+# the largest |entry| a payoff CSV may hold: the package's own scores lie in
+# [0, 1], and the learners take rewards bounded by 1 in absolute value
+REWARD_BOUND = 1.0 + 1e-12
+
 # power iteration of ahp_weights: max-norm step at which it stops, and its cap
 AHP_TOL = 1e-10
 AHP_MAX_ITERS = 10_000
@@ -96,7 +100,8 @@ class PayoffMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "PayoffMatrix":
-        """The matrix in the payoff CSV at ``path``; every error names the file."""
+        """The matrix in the payoff CSV at ``path``, each entry within
+        ``REWARD_BOUND`` of 0; every error names the file."""
         try:
             rows = list(csv.reader(io.StringIO(read_text(path, ValueError), newline="")))
         except csv.Error as exc:  # a field over the csv module's size limit
@@ -108,7 +113,11 @@ class PayoffMatrix:
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-                entries.append([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
+                for v in values:
+                    if abs(v) > REWARD_BOUND:
+                        raise ValueError(f"entry {v!r} is not bounded by 1 in absolute value")
+                entries.append(values)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {line}: {exc}") from None
         try:
@@ -159,8 +168,9 @@ def _check_comparison(a: np.ndarray) -> None:
             f"comparison matrix entry at row {i}, column {j} is missing or not finite")
     if np.any(a <= 0):
         raise NetworkValidationError("comparison matrix entries must be positive")
-    if not np.allclose(a * a.T, 1.0, atol=1e-6):
-        raise NetworkValidationError("comparison matrix is not reciprocal")
+    with np.errstate(over="ignore"):  # an overflowing product is inf: not reciprocal
+        if not np.allclose(a * a.T, 1.0, atol=1e-6):
+            raise NetworkValidationError("comparison matrix is not reciprocal")
 
 
 def load_ahp_matrix(path) -> np.ndarray:

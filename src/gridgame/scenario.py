@@ -333,7 +333,7 @@ def apply_action(state: NetworkState, action: AttackAction | DefenseAction) -> N
             for der_id in _resolve_ders(s, action.id, eff.target):
                 s = s.with_der(der_id, online=False)
         elif eff.kind == "open_switch":
-            s = s.with_switch_position(_resolve_switch(s, action.id, eff.target).id, OPEN)
+            s = s.with_line_status(_resolve_switch(s, action.id, eff.target).id, OPEN)
         elif eff.kind == "close_switch":
             sw = _resolve_switch(s, action.id, eff.target)
             companion = None
@@ -341,12 +341,12 @@ def apply_action(state: NetworkState, action: AttackAction | DefenseAction) -> N
                 companion = effects[i]
                 i += 1
             if not topology.closing_creates_loop(s, sw.from_bus, sw.to_bus):
-                s = s.with_switch_position(sw.id, CLOSED)
+                s = s.with_line_status(sw.id, CLOSED)
             elif companion is not None:
                 line = _resolve_line(s, action.id, companion.target)
                 trial = s.with_line_status(line.id, OPEN)
                 if not topology.closing_creates_loop(trial, sw.from_bus, sw.to_bus):
-                    s = trial.with_switch_position(sw.id, CLOSED)
+                    s = trial.with_line_status(sw.id, CLOSED)
         elif eff.kind == "companion_open":
             raise CatalogError(
                 f"{action.id}: companion_open must directly follow a close_switch")

@@ -395,6 +395,10 @@ MALFORMED_MATRICES = [
                  "line 2: 2 fields, the header has 3", id="ragged-row"),
     pytest.param("attack,D1,D2\nA1,0.5,0.1\nA2,x,0.3\n",
                  "line 3: could not convert string to float: 'x'", id="non-numeric-cell"),
+    pytest.param("attack,D1,D2\nA1,0.5,0.1\nA2,1e308,0.3\n",
+                 "line 3: entry 1e+308 is not bounded by 1 in absolute value", id="huge-cell"),
+    pytest.param("attack,D1,D2\nA1,0.5,-1.5\nA2,0.2,0.3\n",
+                 "line 2: entry -1.5 is not bounded by 1 in absolute value", id="unbounded-cell"),
 ]
 
 
@@ -464,9 +468,11 @@ NAMED_INPUT_ERRORS = [
     pytest.param(("payoff",), "--network", network_edit(("switches", 0, "id"), None),
                  " switches[0]: 'id' None is not a string", id="network-null-switch-id"),
     pytest.param(("payoff",), "--network", network_edit(("lines", 5, "id"), "L5-6"),
-                 ": duplicate line ids: ['L5-6']", id="network-duplicate-line-id"),
+                 ": duplicate branch ids: ['L5-6']", id="network-duplicate-line-id"),
     pytest.param(("payoff",), "--network", network_edit(("switches", 1, "id"), "SW1"),
-                 ": duplicate switch ids: ['SW1']", id="network-duplicate-switch-id"),
+                 ": duplicate branch ids: ['SW1']", id="network-duplicate-switch-id"),
+    pytest.param(("payoff",), "--network", network_edit(("switches", 0, "id"), "L5-6"),
+                 ": duplicate branch ids: ['L5-6']", id="network-switch-reuses-line-id"),
     pytest.param(SOLVE, "--matrix", "attack,D1,D2\nA1,0.5,0.1\nA1,0.2,0.3\n",
                  ": payoff matrix repeats attack ids: ['A1', 'A1']", id="matrix-duplicate-ids"),
     pytest.param(SOLVE, "--matrix", "attack\nA1\nA2\n",
@@ -474,6 +480,12 @@ NAMED_INPUT_ERRORS = [
                  id="matrix-no-defense"),
     pytest.param(SOLVE, "--matrix", "attack,D1,D2\nA1,0.5,nan\nA2,0.2,0.3\n",
                  ": payoff matrix has non-finite entries", id="matrix-nan-cell"),
+    pytest.param(("solve", "--method", "qre"), "--matrix", "attack,D1\nA1,-1e308\n",
+                 ", line 2: entry -1e+308 is not bounded by 1", id="matrix-huge-cell-qre"),
+    pytest.param(("compare", "--methods", "nash"), "--matrix", "attack,D1\nA1,1e200\n",
+                 ", line 2: entry 1e+200 is not bounded by 1", id="matrix-huge-cell-compare"),
+    pytest.param(("payoff",), "--ahp", "1,1,1,1\n1,1e308,1,1\n1,1,1,1\n1,1,1,1\n",
+                 ": comparison matrix is not reciprocal", id="ahp-overflowing-cell"),
     pytest.param(("payoff",), "--network", "[" * 100_000 + "]" * 100_000,
                  ": not valid JSON (maximum recursion depth exceeded", id="network-deeply-nested"),
     pytest.param(("payoff",), "--network", b"\xff{}", ": 'utf-8' codec can't decode byte 0xff",

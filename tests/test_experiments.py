@@ -246,8 +246,9 @@ def _oracle_records(base, catalog, weights, policy, matrix, mc):
         probs[int(np.argmin([entries[i] @ policy.mixes[i] for i in range(n_att)]))] = 1.0
 
     def pick(probs, u):
+        # a linear scan: the first k with u < cdf[k], else the last index
         cdf = np.cumsum(probs)
-        return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+        return next((k for k, c in enumerate(cdf) if u < c), len(cdf) - 1)
 
     records = []
     for run in range(mc.runs):
@@ -272,6 +273,35 @@ class TestMonteCarloBatch:
         policy = strategy_policy("RDS", matrix)
         rep = monte_carlo(plans, weights, policy, mc, matrix=matrix)
         assert rep.records == _oracle_records(base, catalog, weights, policy, matrix, mc)
+
+    def test_a_dipping_cdf_draws_as_a_linear_scan(self, bundle, plans, monkeypatch):
+        # the cdf of the mix row [0.5, -1e-12, 0.5 + 1e-12] dips below 0.5 at
+        # defense 1; u = 0.5 - 5e-13 lies in the dip, and a linear scan, like
+        # the learners, draws defense 0 for it
+        _, _, weights, matrix = bundle
+
+        class Stub:
+            """A generator that draws loads at 1 and uniforms 0, then u."""
+
+            def __init__(self, seed):
+                self.u = [0.0, 0.5 - 5e-13]
+
+            def uniform(self, low, high, size):
+                return np.ones(size)
+
+            def random(self, size=None):
+                if size is None:
+                    return self.u.pop(0)
+                out, self.u = self.u[:size], self.u[size:]
+                return np.array(out)
+
+        mixes = np.zeros(matrix.shape)
+        mixes[:, :3] = [0.5, -1e-12, 0.5 + 1e-12]
+        policy = DefensePolicy("dip", mixes)
+        monkeypatch.setattr(np.random, "default_rng", Stub)
+        rep = monte_carlo(plans, weights, policy,
+                          McConfig(runs=3, attack_distribution="uniform"), matrix=matrix)
+        assert [r[:2] for r in rep.records] == [("A1", "D1")] * 3
 
     def test_one_plan_per_drawn_cell(self, bundle, plans, monkeypatch):
         # each drawn cell is scored once, by its plan in the table: no plan is

@@ -21,6 +21,7 @@ from gridgame.gamesolve import (
     EquilibriumReport,
     MixedStrategy,
     best_response,
+    draw_bounds,
     nash_exact,
     nash_fictitious_play,
     qre_fixed_point,
@@ -49,6 +50,14 @@ def linprog_value(m):
                   bounds=[(0, None)] * cols + [(None, None)])
     assert res.success
     return -res.fun
+
+
+@pytest.fixture(scope="module")
+def bundled_csv_matrix(tmp_path_factory):
+    """The bundled payoff matrix as ``payoff`` writes it, read back."""
+    out = tmp_path_factory.mktemp("payoff")
+    assert cli.main(["payoff", "--out", str(out)]) == 0
+    return PayoffMatrix.from_csv(out / "payoff.csv")
 
 
 def grid_value(m, step=1e-3):
@@ -139,6 +148,19 @@ class TestNashExact:
         assert r.game_value == pytest.approx(linprog_value(m), abs=1e-8)
         assert r.epsilon <= 1e-7
 
+    # one cell of the bundled payoff.csv (12 significant digits) set to a new
+    # value: each once took a degenerate pivot of about 1e-12 and failed the
+    # solver's own verification
+    @pytest.mark.parametrize("row, col, value", [
+        (0, 0, 0.5), (0, 2, 0.268), (2, 6, 0.151), (6, 3, 0.291), (7, 2, -0.275),
+        (1, 1, -0.135), (7, 9, 0.108), (1, 4, 0.268)])
+    def test_edited_bundled_matrix_against_linprog(self, bundled_csv_matrix, row, col, value):
+        m = bundled_csv_matrix.entries.copy()
+        m[row, col] = value
+        r = nash_exact(m)
+        assert r.epsilon <= 1e-7
+        assert r.game_value == pytest.approx(linprog_value(m), abs=1e-8)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_epsilon_and_sandwich(self, seed):
         rng = np.random.default_rng(3000 + seed)
@@ -162,6 +184,21 @@ class TestNashExact:
         for mix in (r.attacker.probs, r.defender.probs):
             assert abs(mix.sum() - 1.0) <= 1e-9
             assert np.all(mix >= -1e-12)
+
+
+class TestDrawBounds:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.just(-1e-12), st.floats(0.0, 1.0)),
+                             min_size=4, max_size=4), min_size=1, max_size=3))
+    def test_bisection_is_a_linear_scan(self, rows):
+        # u at, just below and just above every partial sum, where a dip of
+        # the sums would send a bisection of the raw sums astray
+        cdf = np.cumsum(rows, axis=1)
+        bounds = draw_bounds(cdf)
+        for row, row_bounds in zip(cdf, bounds):
+            for u in np.r_[0.0, row, np.nextafter(row, -1.0), np.nextafter(row, 2.0)]:
+                scan = next((k for k, c in enumerate(row) if u < c), len(row) - 1)
+                assert np.searchsorted(row_bounds, u, side="right") == scan
 
 
 class TestFictitiousPlay:

@@ -22,7 +22,6 @@ from gridgame.netmodel import (
     Der,
     Line,
     NetworkState,
-    TieSwitch,
     islands,
     load_ieee33,
     power_flow,
@@ -221,7 +220,7 @@ class TestPowerFlow:
         assert a.iterations == b.iterations
 
     def test_loop_rejected(self, net):
-        state = net.with_switch_position("SW1", CLOSED)
+        state = net.with_line_status("SW1", CLOSED)
         with pytest.raises(RadialityError):
             power_flow(state)
 
@@ -272,7 +271,7 @@ class TestTopology:
 
     def test_dead_island_and_loop(self, net):
         # SW1 closes a loop in the slack island; 26..33 loses its only DER
-        state = net.with_switch_position("SW1", CLOSED)
+        state = net.with_line_status("SW1", CLOSED)
         state = state.with_line_status(state.find_line(6, 26).id, OPEN)
         state = state.with_der(state.der_at_bus(29).id, online=False)
         slack, dead = islands(state)
@@ -371,7 +370,7 @@ class TestValidation:
         return NetworkState(
             buses=(Bus(1, 0, 0), Bus(2, load_p, load_q), Bus(3, 1.0, 0.5)),
             lines=(Line("a", 1, 2, r, x), Line("b", 2, 3, 0.1, 0.1)),
-            switches=(TieSwitch("s", 1, 3, switch_r, 0.5),),
+            switches=(Line("s", 1, 3, switch_r, 0.5, OPEN),),
             ders=tuple(Der(d, 2, rating) for d in der_ids),
             base_kv=base_kv, base_mva=base_mva, slack_bus=1,
         )

@@ -14,7 +14,7 @@ import sweep_oracle
 from gridgame import scenario
 from gridgame.errors import RadialityError
 from gridgame.experiments import _probe_catalog, synthetic_feeder
-from gridgame.netmodel import CLOSED, OPEN, Bus, Der, Line, NetworkState, TieSwitch
+from gridgame.netmodel import CLOSED, OPEN, Bus, Der, Line, NetworkState
 from gridgame.netmodel import islands, load_ieee33, power_flow
 from gridgame.resilience import DEFAULT_AHP_MATRIX, ahp_weights, build_payoff_matrix
 from gridgame.scenario import catalog_default
@@ -67,7 +67,7 @@ def feeder(n, seed, load_kw, open_share, n_ders, shed_share, tie, critical_share
     switches = ()
     if tie and n >= 2:
         a, b = rng.choice(ids, 2, replace=False)
-        switches = (TieSwitch("T1", int(a), int(b), 0.3, 0.2, CLOSED),)
+        switches = (Line("T1", int(a), int(b), 0.3, 0.2, CLOSED),)
     slack = ids[int(rng.integers(0, n))]
     # drawn last, so the other fields do not depend on critical_share
     buses = tuple(Bus(b.id, b.load_p, b.load_q, bool(rng.random() < critical_share))

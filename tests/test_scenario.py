@@ -32,7 +32,6 @@ from gridgame.netmodel import (
     Bus,
     Line,
     NetworkState,
-    TieSwitch,
     islands,
     load_ieee33,
     topology,
@@ -500,12 +499,12 @@ def _dead_loop_feeder() -> NetworkState:
         Line("6-4", 6, 4, 0.1, 0.1),
     )
     return NetworkState(buses=tuple(Bus(i, 10.0, 5.0) for i in range(1, 7)),
-                        lines=lines, switches=(TieSwitch("SW", 3, 4, 0.1, 0.1),))
+                        lines=lines, switches=(Line("SW", 3, 4, 0.1, 0.1, OPEN),))
 
 
 def _error_cases():
     net, cat = load_ieee33(), catalog_default()
-    looped = net.with_switch_position("SW1", CLOSED)
+    looped = net.with_line_status("SW1", CLOSED)
     bad_line = AttackAction("AX", "no such line", (Effect("trip_line", "1-33"),))
     bad_switch = DefenseAction("DX", "no such switch", (Effect("close_switch", "SW9"),))
     orphan = DefenseAction("DY", "orphan", (Effect("companion_open", "14-15"),))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgame.errors import RadialityError
-from gridgame.netmodel import CLOSED, OPEN, Bus, Der, Line, NetworkState, TieSwitch, topology
+from gridgame.netmodel import CLOSED, OPEN, Bus, Der, Line, NetworkState, topology
 
 
 @st.composite
@@ -30,13 +30,13 @@ def feeders(draw):
             lines.append(Line(f"X{len(lines)}", a, b, 0.3, 0.1,
                               draw(st.sampled_from([CLOSED, OPEN]))))
         for a, b in draw(st.lists(pair, max_size=3)):
-            switches.append(TieSwitch(f"T{len(switches)}", a, b, 0.5, 0.5,
-                                      draw(st.sampled_from([CLOSED, OPEN]))))
+            switches.append(Line(f"T{len(switches)}", a, b, 0.5, 0.5,
+                                 draw(st.sampled_from([CLOSED, OPEN]))))
         if draw(st.booleans()):
             # a line and a closed tie between the same two buses: a two-bus loop
             a, b = draw(pair)
             lines.append(Line(f"P{len(lines)}", a, b, 0.2, 0.2, CLOSED))
-            switches.append(TieSwitch(f"T{len(switches)}", b, a, 0.4, 0.4, CLOSED))
+            switches.append(Line(f"T{len(switches)}", b, a, 0.4, 0.4, CLOSED))
     ders = tuple(
         Der(f"G{k}", draw(st.integers(1, n)), draw(st.sampled_from([0.0, 300.0, 500.0])),
             online=draw(st.booleans()))
