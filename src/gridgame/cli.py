@@ -514,6 +514,16 @@ def cmd_probe(args) -> Output:
 # parser
 
 
+class _AtLeastOne(argparse.Action):
+    """Stores an int flag of at least 1.  The parser lets the ConfigError
+    through to main, so a smaller value exits 2 naming the flag."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise ConfigError(f"{option_string} must be at least 1, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_network_flags(p):
     p.add_argument("--network", help="network JSON (default: bundled 33-bus)")
     p.add_argument("--catalog", help="scenario catalog JSON (default: bundled)")
@@ -545,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p)
     p.add_argument("--matrix", help="payoff matrix CSV (skips building)")
     p.add_argument("--method", required=True, choices=SOLVE_METHODS)
-    p.add_argument("--iters", type=int, default=100_000,
+    p.add_argument("--iters", type=int, default=100_000, action=_AtLeastOne,
                    help="step cap of fp and regret (both stop early at their tolerance)")
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--seed", type=int, default=0,
@@ -558,7 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="payoff matrix CSV (skips building)")
     p.add_argument("--method", required=True, choices=LEARN_METHODS)
     p.add_argument("--config", help="learning config JSON")
-    p.add_argument("--iters", type=int, default=None, help="training episodes")
+    p.add_argument("--iters", type=int, default=None, action=_AtLeastOne,
+                   help="training episodes")
     p.add_argument("--epsilon0", type=float, default=None)
     p.add_argument("--decay", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
@@ -597,9 +608,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_out(args.out)
         _write_output(args.handler(args), args.out, argv)
         return 0

@@ -27,8 +27,8 @@ import numpy as np
 from . import (ADAPTIVE_TAGS, ATTACK_DISTRIBUTIONS, BASELINE_TAGS,  # noqa: F401
                DEFAULT_BETA, METHOD_TAGS)
 from .errors import ConfigError, SolverError
-from .gamesolve import (MixedStrategy, draw_bounds, nash_exact, qre_fixed_point, regret_matching,
-                        stackelberg)
+from .gamesolve import (MixedStrategy, draw_bounds, is_distribution, nash_exact, qre_fixed_point,
+                        regret_matching, stackelberg)
 from .marl import LearningConfig, train_multi_agent, train_single_agent
 from .netmodel import NetworkState, energized_buses, load_ieee33
 from .netmodel.types import OPEN, Bus, Der, Line
@@ -42,7 +42,6 @@ from .scenario import apply_attack, apply_defense, catalog_default, evaluate_pai
 # bounded-rational but clearly non-random defender; beta 10 is the largest
 # round value where the damped fixed point still converges on that testbed
 STRATEGY_BETA = 10.0
-TRAIN_EPISODES = 100_000
 # the cap of regret matching+, which stops once epsilon <= RM_DEFAULT_TOL
 REGRET_STEPS = 100_000
 # DERs and tie switches of a synthetic feeder, as many as the bundled one has
@@ -97,7 +96,7 @@ class DefensePolicy:
         object.__setattr__(self, "mixes", mixes)
         if mixes.ndim != 2:
             raise ConfigError("mixes must be (attacks, defenses)")
-        if np.any(mixes < -1e-12) or np.abs(mixes.sum(axis=1) - 1.0).max() > 1e-9:
+        if not is_distribution(mixes):
             raise ConfigError(f"{self.label}: every defense mix row must be a distribution")
 
     @classmethod
@@ -326,31 +325,19 @@ def _betacf(a: float, b: float, x: float) -> float:
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / (tiny if abs(d) < tiny else d)
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        step = d * c
-        h *= step
+        # the even and the odd coefficient of iteration m, one half-step each
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (tiny if abs(d) < tiny else d)
+            c = 1.0 + aa / c
+            c = tiny if abs(c) < tiny else c
+            step = d * c
+            h *= step
         if abs(step - 1.0) < eps:
             break
     return h
@@ -443,13 +430,12 @@ def strategy_policy(tag: str, matrix: PayoffMatrix, catalog=None,
             "softmax", res.defender.probs, n_att,
             provenance={"beta": STRATEGY_BETA, "converged": res.converged})
     if tag == "qlearn":
-        cfg = LearningConfig(episodes=TRAIN_EPISODES, seed=seed)
+        cfg = LearningConfig(seed=seed)
         pol = train_single_agent(entries, MixedStrategy.uniform(n_att), cfg)
         return DefensePolicy.pure("qlearn", pol.greedy_action(), n_att, n_def,
                                   provenance={"episodes": cfg.episodes})
     if tag == "maql":
-        cfg = LearningConfig(episodes=TRAIN_EPISODES, seed=seed,
-                             epsilon_decay=0.9995)
+        cfg = LearningConfig(seed=seed, epsilon_decay=0.9995)
         res = train_multi_agent(entries, cfg)
         return DefensePolicy.pure(
             "maql", res.defender.greedy_action(), n_att, n_def,

@@ -29,6 +29,12 @@ QRE_MAX_ITERS = 10_000
 QRE_TOL = 1e-12
 
 
+def telemetry_cadence(steps: int) -> int:
+    """Steps between the telemetry rows of a run of ``steps`` steps: at most
+    about 1000 rows per run, whatever its length."""
+    return max(1, steps // 1000)
+
+
 def _entries(m) -> np.ndarray:
     arr = np.asarray(getattr(m, "entries", m), dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
@@ -38,6 +44,13 @@ def _entries(m) -> np.ndarray:
     return arr
 
 
+def is_distribution(p) -> bool:
+    """Whether every row of ``p`` along its last axis is a probability vector:
+    entries at least -1e-12 and a sum within 1e-9 of 1, both false for NaN."""
+    p = np.atleast_1d(p)
+    return bool((p >= -1e-12).all() and (np.abs(p.sum(axis=-1) - 1.0) <= 1e-9).all())
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     probs: np.ndarray
@@ -45,7 +58,7 @@ class MixedStrategy:
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "probs", p)
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+        if not is_distribution(p):
             raise SolverError(f"not a probability vector: {p}")
 
     @classmethod
@@ -340,12 +353,12 @@ def regret_matching(M, T: int, tol: float = RM_DEFAULT_TOL) -> EquilibriumReport
 
     Deterministic: the same matrix gives the same report. ``iterations`` is
     the number of steps run; the trajectory holds a row every
-    max(1, T // 1000) steps and one at the stop.
+    telemetry_cadence(T) steps and one at the stop.
     """
     m = _entries(M)
     if T < 1:
         raise ConfigError(f"T must be at least 1, got {T}")
-    pa, pd, steps, traj = _rm_kernel(m, T, tol, 10, max(1, T // 1000))
+    pa, pd, steps, traj = _rm_kernel(m, T, tol, 10, telemetry_cadence(T))
     return _report(
         "regret-matching", m, pa, pd, steps,
         trajectory=tuple(tuple(row) for row in traj),

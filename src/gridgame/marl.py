@@ -10,9 +10,12 @@ Two training modes, kept deliberately separate:
   couples attack propagation with defense recovery and the update carries
   the usual gamma * next_best term.
 
-Both trainers draw their uniforms from a generator seeded by the config,
-DRAW_CHUNK steps at a time, so a seed pins the whole trajectory bit for bit
-and memory does not grow with the episode count.  The "anticipated opponent
+The kernels take the run's LearningConfig: its schedule, exploration,
+gamma, episode count and seed.  They draw their uniforms from a generator
+seeded by it, DRAW_CHUNK steps at a time, so a seed pins the whole
+trajectory bit for bit and memory does not grow with the episode count.
+Telemetry rows come every gamesolve.telemetry_cadence(episodes) steps, as
+regret matching's do.  The "anticipated opponent
 move" used for greedy selection and for the bootstrap target is the
 opponent's most recently observed action.
 
@@ -45,13 +48,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, number
-from .gamesolve import MixedStrategy, _entries, draw_bounds
+from .gamesolve import MixedStrategy, _entries, draw_bounds, is_distribution, telemetry_cadence
 from .resilience import REWARD_BOUND
 
 ALPHA_SCHEDULES = ("harmonic", "constant", "power")
-
-# telemetry cadence: at most ~1000 rows per run regardless of episode count
-TELEMETRY_ROWS = 1000
 
 # steps drawn per chunk of uniforms, so memory stays flat in the episode
 # count: (100000, 5) uniforms drawn up front are 4 MB
@@ -119,9 +119,6 @@ class LearningConfig:
             "ok" if self.robbins_monro_ok()
             else "violated: constant step size has divergent sum of squares")}
 
-    def _alpha_mode(self) -> int:
-        return ALPHA_SCHEDULES.index(self.alpha_schedule)
-
 
 # ---------------------------------------------------------------------------
 # learned-policy export
@@ -174,49 +171,52 @@ def _policy_from(side, q, opp_freq, episodes, provenance, telemetry) -> LearnedP
 
 
 def _freq(counts: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
-    """Row-normalize per-state action counts; empty rows fall back."""
+    """Row-normalize per-state action counts; an empty row takes its
+    fallback row, and reads uniform where that is empty too."""
     counts = counts.astype(float)
-    out = np.empty_like(counts)
-    for s in range(counts.shape[0]):
-        total = counts[s].sum()
-        if total > 0:
-            out[s] = counts[s] / total
-        elif fallback is not None and fallback[s].sum() > 0:
-            out[s] = fallback[s] / fallback[s].sum()
-        else:
-            out[s] = 1.0 / counts.shape[1]
-    return out
+    if fallback is not None:
+        counts = np.where(counts.sum(axis=1, keepdims=True) > 0, counts, fallback)
+    totals = counts.sum(axis=1, keepdims=True)
+    uniform = np.full_like(counts, 1.0 / counts.shape[1])
+    return np.divide(counts, totals, out=uniform, where=totals > 0)
 
 
 # ---------------------------------------------------------------------------
 # kernels
 
 
-def _step_size(alpha_mode, alpha_c, alpha_p):
-    """The count -> alpha function of a schedule, alpha_mode being its index
-    in ALPHA_SCHEDULES: 0 harmonic, 1 constant, 2 power."""
-    if alpha_mode == 0:
-        return (1.0).__truediv__  # 1.0 / count, with no Python frame per step
-    if alpha_mode == 1:
-        return lambda count: alpha_c
-    return lambda count: float(count) ** (-alpha_p)
+# the harmonic step size 1.0 / count, with no Python frame per step; the
+# kernels know it by identity, since only under it can Q settle
+_HARMONIC = (1.0).__truediv__
 
 
-def _draws(rng, episodes, width, eps0, eps_decay):
-    """Yield (t0, uniforms, epsilons) for each chunk of at most DRAW_CHUNK steps.
+def _step_size(config: LearningConfig):
+    """The count -> alpha function of config's schedule."""
+    alpha, p = config.alpha_constant, config.alpha_power
+    if config.alpha_schedule == "harmonic":
+        return _HARMONIC
+    if config.alpha_schedule == "constant":
+        return lambda count: alpha
+    return lambda count: float(count) ** (-p)
+
+
+def _draws(config: LearningConfig, width):
+    """Yield (t0, uniforms, epsilons) for each chunk of at most DRAW_CHUNK of
+    config's episodes, drawn from a generator seeded by config.seed.
 
     Successive rng.random calls give the numbers of one large call, so the
     chunks draw what an (episodes, width) array would.  The epsilons repeat
-    ``eps *= eps_decay`` step by step, across chunks too: multiply.accumulate
-    runs left to right.
+    ``eps *= epsilon_decay`` step by step from epsilon0, across chunks too:
+    multiply.accumulate runs left to right.
     """
-    eps = eps0
+    rng = np.random.default_rng(config.seed)
+    episodes, eps, decay = config.episodes, config.epsilon0, config.epsilon_decay
     for t0 in range(0, episodes, DRAW_CHUNK):
         n = min(DRAW_CHUNK, episodes - t0)
-        epsilons = np.full(n, eps_decay)
+        epsilons = np.full(n, decay)
         epsilons[0] = eps
         epsilons = np.multiply.accumulate(epsilons)
-        eps = float(epsilons[-1]) * eps_decay
+        eps = float(epsilons[-1]) * decay
         yield t0, rng.random((n, width)), epsilons
 
 
@@ -261,15 +261,15 @@ def _settled_steps(telemetry, record_every, t0, epsilons, cells, rewards, visits
         (ts[at] + 1, epsilons[at], 1.0 / counts[at], rewards[cells[at]]))
 
 
-def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
-                   eps0, eps_decay, rng, episodes, record_every):
-    """Stateless Q-learning of the defender against a sampled attacker.
+def _single_kernel(m, opp_cdf, config, record_every):
+    """Stateless Q-learning of the defender against a sampled attacker, for
+    config's episodes under its schedule and exploration.
 
-    Each step draws three uniforms from rng: attack draw, explore coin,
-    explore pick.  Its cell is opp * n_own + own.  Q is held per attack,
-    and the greedy index of each attack's column is cached until a cell of
-    that column changes value.  Under the harmonic schedule a cell is set to
-    its reward on its first visit and never moves after, so once every cell
+    Each step draws three uniforms: attack draw, explore coin, explore
+    pick.  Its cell is opp * n_own + own.  Q is held per attack, and the
+    greedy index of each attack's column is cached until a cell of that
+    column changes value.  Under the harmonic schedule a cell is set to its
+    reward on its first visit and never moves after, so once every cell
     was seen no Q value or greedy index can change: the steps stop, and the
     rest of the run is counted in numpy, the attacker being drawn
     independently of play.  The attack counts are the visits summed over
@@ -279,15 +279,15 @@ def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
     rewards = m.ravel()
     reward_of = rewards.tolist()  # [cell]
     cdf = draw_bounds(opp_cdf)
-    step_size = _step_size(alpha_mode, alpha_c, alpha_p)
+    step_size = _step_size(config)
     q = [[0.0] * n_own for _ in range(n_opp)]
     visits = [0] * (n_opp * n_own)
     greedy = [0] * n_opp  # an all-zero column's greedy action is 0
-    telemetry = np.zeros((episodes // record_every, 5))
+    telemetry = np.zeros((config.episodes // record_every, 5))
     opp_last = 0
     unvisited = n_opp * n_own
     settled = False
-    for t0, u, epsilons in _draws(rng, episodes, 3, eps0, eps_decay):
+    for t0, u, epsilons in _draws(config, 3):
         opps = np.searchsorted(cdf, u[:, 0], side="right")
         # a greedy step answers the attack of the step before it
         prev = np.r_[opp_last, opps[:-1]]
@@ -317,7 +317,7 @@ def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
                         t + 1, epsilons[t - t0], alpha, reward, abs(delta))
                 if count == 1:
                     unvisited -= 1
-                    if unvisited == 0 and alpha_mode == 0:
+                    if unvisited == 0 and step_size is _HARMONIC:
                         settled = True
                         break
             done = t + 1 - t0
@@ -333,12 +333,12 @@ def _single_kernel(m, opp_cdf, alpha_mode, alpha_c, alpha_p,
     return np.array(q).T.copy(), visits.T.copy(), visits.sum(axis=1), telemetry
 
 
-def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
-                eps0, eps_decay, rng, episodes, window_start, record_every):
-    """Simultaneous Q-learning of both sides on a stage MDP.
+def _mdp_kernel(rewards, transitions, config, window_start, record_every):
+    """Simultaneous Q-learning of both sides on a stage MDP, for config's
+    episodes under its schedule, exploration and gamma.
 
-    Each step draws five uniforms from rng: attacker coin, attacker pick,
-    defender coin, defender pick, state transition.  Its cell is
+    Each step draws five uniforms: attacker coin, attacker pick, defender
+    coin, defender pick, state transition.  Its cell is
     (s * n_att + a) * n_def + d, which indexes the rewards, the transition
     rows and the one visit count both sides' step size comes from.  Each
     side's Q is held per (state, opponent action) column with a cached
@@ -357,22 +357,21 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
     reward_of = flat_rewards.tolist()  # [cell]
     # np.cumsum adds left to right, as a linear scan of each row does
     next_state = draw_bounds(np.cumsum(transitions, axis=3)).reshape(n_cells, -1).tolist()
-    step_size = _step_size(alpha_mode, alpha_c, alpha_p)
+    step_size = _step_size(config)
+    gamma = config.gamma
     qa = [[[0.0] * n_att for _ in range(n_def)] for _ in range(n_states)]  # [s][d][a]
     qd = [[[0.0] * n_def for _ in range(n_att)] for _ in range(n_states)]  # [s][a][d]
     visits = [0] * n_cells
     greedy_a = [[0] * n_def for _ in range(n_states)]
     greedy_d = [[0] * n_att for _ in range(n_states)]
     win_visits = np.zeros(n_cells, dtype=np.int64)
-    telemetry = np.zeros((episodes // record_every, 5))
-    s = 0
-    a_last = 0
-    d_last = 0
+    telemetry = np.zeros((config.episodes // record_every, 5))
+    s = a_last = d_last = 0
     reward_win = 0.0
     unvisited = n_cells
-    settles = alpha_mode == 0 and gamma == 0.0
+    settles = step_size is _HARMONIC and gamma == 0.0
     settled = False
-    for t0, u, epsilons in _draws(rng, episodes, 5, eps0, eps_decay):
+    for t0, u, epsilons in _draws(config, 5):
         explore_a = _explore(u[:, 0], u[:, 1], epsilons, n_att).tolist()
         explore_d = _explore(u[:, 2], u[:, 3], epsilons, n_def).tolist()
         u_next = u[:, 4].tolist()
@@ -427,9 +426,7 @@ def _mdp_kernel(rewards, transitions, gamma, alpha_mode, alpha_c, alpha_p,
                         settled = True
                         done = t + 1 - t0
                         visits = np.array(visits)
-            a_last = a
-            d_last = d
-            s = s_next
+            a_last, d_last, s = a, d, s_next
         if done < len(u):
             _settled_steps(telemetry, record_every, t0 + done, epsilons[done:],
                            np.array(cells[done:]), flat_rewards, visits)
@@ -483,18 +480,12 @@ def train_single_agent(matrix, opponent: MixedStrategy,
     if len(opponent.probs) != m.shape[0]:
         raise ConfigError(
             f"opponent mix has {len(opponent.probs)} entries, expected {m.shape[0]}")
-    opp_cdf = np.cumsum(opponent.probs)
-    record_every = max(1, config.episodes // TELEMETRY_ROWS)
     q, _visits, opp_counts, telemetry = _single_kernel(
-        m, opp_cdf, config._alpha_mode(),
-        config.alpha_constant, config.alpha_power,
-        config.epsilon0, config.epsilon_decay,
-        np.random.default_rng(config.seed), config.episodes, record_every)
-    freq = _freq(opp_counts[None, :])
-    prov = config.provenance()
-    prov["mode"] = "single-agent"
-    prov["opponent"] = [float(p) for p in opponent.probs]
-    return _policy_from("defender", q[None], freq, config.episodes, prov, telemetry)
+        m, np.cumsum(opponent.probs), config, telemetry_cadence(config.episodes))
+    prov = {**config.provenance(), "mode": "single-agent",
+            "opponent": [float(p) for p in opponent.probs]}
+    return _policy_from("defender", q[None], _freq(opp_counts[None, :]), config.episodes,
+                        prov, telemetry)
 
 
 @dataclass(frozen=True)
@@ -524,11 +515,8 @@ def train_multi_agent(matrix, config: LearningConfig) -> SelfPlayResult:
     """
     _check_stateless(config)
     m = _entries(matrix)
-    mdp = StageMdp(
-        labels=("stateless",),
-        rewards=m[None],
-        transitions=np.ones((1, m.shape[0], m.shape[1], 1)),
-    )
+    mdp = StageMdp(labels=("stateless",), rewards=m[None],
+                   transitions=np.ones((1, *m.shape, 1)))
     attacker, defender, _, value = _train_pair(mdp, config, "multi-agent")
     i, j = attacker.greedy[0], defender.greedy[0]
     saddle = (m[i, j] <= m[:, j].min() + 1e-12) and (m[i, j] >= m[i, :].max() - 1e-12)
@@ -567,11 +555,8 @@ class StageMdp:
         if not (np.isfinite(rewards).all() and np.isfinite(transitions).all()):
             raise ConfigError("rewards and transitions must be finite")
         _check_bounded(rewards)
-        if np.any(transitions < -1e-12):
-            raise ConfigError("transition probabilities must be non-negative")
-        row_sums = transitions.sum(axis=3)
-        if np.abs(row_sums - 1.0).max() > 1e-9:
-            raise ConfigError("every transition row must sum to 1")
+        if not is_distribution(transitions):
+            raise ConfigError("every transition row must be non-negative and sum to 1")
 
     @property
     def n_states(self) -> int:
@@ -604,25 +589,17 @@ def stage_mdp_default(matrix, defense_active=None) -> StageMdp:
     if defense_active.shape != (n_def,):
         raise ConfigError(f"defense_active must have shape ({n_def},)")
     rewards = np.asarray(REWARD_SCALE)[:, None, None] * m[None]
-    transitions = np.zeros((3, n_att, n_def, 3))
-    for s in range(3):
-        up = P_DEGRADE[s] if s < 2 else 0.0
-        for j in range(n_def):
-            down = P_RECOVER if defense_active[j] else 0.0
-            to_up = up * (1.0 - down)
-            to_down = (1.0 - up) * down
-            if s == 0:
-                to_down = 0.0  # recovery from normal stays put
-                stay = 1.0 - to_up
-            elif s == 2:
-                stay = 1.0 - to_down
-            else:
-                stay = 1.0 - to_up - to_down
-            transitions[s, :, j, s] = stay
-            if s < 2:
-                transitions[s, :, j, s + 1] = to_up
-            if s > 0:
-                transitions[s, :, j, s - 1] = to_down
+    # (state, defense) probabilities of a step up, a step down and staying
+    up = np.array([*P_DEGRADE, 0.0])[:, None]  # critical cannot degrade
+    down = np.where(defense_active, P_RECOVER, 0.0)
+    to_up = up * (1.0 - down)
+    to_down = (1.0 - up) * down
+    to_down[0] = 0.0  # recovery from normal stays put
+    stay = 1.0 - to_up - to_down
+    # (state, defense, next state): stay on the diagonal, the steps beside it
+    moves = sum(p[..., None] * np.eye(3, k=k)[:, None]
+                for p, k in ((stay, 0), (to_up, 1), (to_down, -1)))
+    transitions = np.repeat(moves[:, None], n_att, axis=1)
     return StageMdp(labels=labels, rewards=rewards, transitions=transitions)
 
 
@@ -637,17 +614,11 @@ def _train_pair(mdp: StageMdp, config: LearningConfig, mode: str):
     """Train both sides on mdp; return their policies, the defender's Q and
     the mean reward over the final tenth of the run.  mode is the
     provenance's label for the run."""
-    record_every = max(1, config.episodes // TELEMETRY_ROWS)
     window_start = config.episodes - max(1, config.episodes // 10)
     qa, qd, a_counts, d_counts, a_win, d_win, value, telemetry = _mdp_kernel(
-        mdp.rewards, mdp.transitions, config.gamma, config._alpha_mode(),
-        config.alpha_constant, config.alpha_power,
-        config.epsilon0, config.epsilon_decay,
-        np.random.default_rng(config.seed), config.episodes,
-        window_start, record_every)
-    prov = config.provenance()
-    prov["mode"] = mode
-    prov["states"] = list(mdp.labels)
+        mdp.rewards, mdp.transitions, config, window_start,
+        telemetry_cadence(config.episodes))
+    prov = {**config.provenance(), "mode": mode, "states": list(mdp.labels)}
     attacker = _policy_from("attacker", qa, _freq(d_win, fallback=d_counts),
                             config.episodes, prov, telemetry)
     defender = _policy_from("defender", qd, _freq(a_win, fallback=a_counts),

@@ -220,9 +220,8 @@ ODD_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "0.
 NUMERIC_FLAGS = (
     (("solve", "--method", "qre"), "--beta", ("beta",)),
     (("solve", "--method", "fp"), "--iters", ("iters",)),
-    # regret_matching names its step cap T
-    (("solve", "--method", "regret"), "--iters", ("iters", "T must be at least 1")),
-    (("learn", "--method", "single", "--iters", "200"), "--iters", ("iters", "episodes")),
+    (("solve", "--method", "regret"), "--iters", ("iters",)),
+    (("learn", "--method", "single", "--iters", "200"), "--iters", ("iters",)),
     (("learn", "--method", "mdp", "--iters", "200"), "--epsilon0", ("epsilon0",)),
     (("learn", "--method", "multi", "--iters", "200"), "--decay", ("decay",)),
     (("learn", "--method", "mdp", "--iters", "200"), "--gamma", ("gamma",)),

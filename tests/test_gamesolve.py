@@ -17,6 +17,7 @@ from scipy.optimize import linprog
 from gridgame import cli
 from gridgame import gamesolve as gs
 from gridgame.errors import ConfigError, SolverError
+from gridgame.experiments import DefensePolicy
 from gridgame.gamesolve import (
     EquilibriumReport,
     MixedStrategy,
@@ -30,6 +31,7 @@ from gridgame.gamesolve import (
     stackelberg,
     verify_epsilon_equilibrium,
 )
+from gridgame.marl import StageMdp
 from gridgame.resilience import PayoffMatrix
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -482,3 +484,31 @@ class TestReportPlumbing:
             MixedStrategy(np.array([0.6, 0.6]))
         with pytest.raises(SolverError):
             MixedStrategy(np.array([-0.1, 1.1]))
+
+
+class TestDistributionRule:
+    """One rule decides MixedStrategy, DefensePolicy rows and StageMdp
+    transition rows: entries at least -1e-12, sums within 1e-9 of 1."""
+
+    @staticmethod
+    def stage_mdp(row):
+        # two states with one action each, both moving by row
+        return StageMdp(labels=("a", "b"), rewards=np.zeros((2, 1, 1)),
+                        transitions=np.array([[[row]], [[row]]]))
+
+    @pytest.mark.parametrize("row", [[0.5, 0.5 + 5e-10], [0.5, 0.5 - 5e-10]])
+    def test_accepted(self, row):
+        MixedStrategy(np.array(row))
+        DefensePolicy("x", [row, [1.0, 0.0]])
+        self.stage_mdp(row)
+
+    @pytest.mark.parametrize("row", [[0.5, 0.5 + 2e-9], [1.0 + 2e-12, -2e-12],
+                                     [np.nan, 1.0]])
+    def test_rejected(self, row):
+        with pytest.raises(SolverError, match="not a probability vector"):
+            MixedStrategy(np.array(row))
+        with pytest.raises(ConfigError, match="every defense mix row must be a distribution"):
+            DefensePolicy("x", [[1.0, 0.0], row])
+        # StageMdp rejects NaN as non-finite before it reads a row
+        with pytest.raises(ConfigError, match="finite|sum to 1"):
+            self.stage_mdp(row)

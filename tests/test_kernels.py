@@ -3,9 +3,11 @@
 The package runs one build of each kernel: fictitious play and regret
 matching+ in ``gamesolve``, single-agent and stage-MDP Q-learning in
 ``marl``.  ``kernel_oracle`` keeps the numpy array loops they were derived
-from.  The learners take a seeded generator and an episode count; the oracle
-draws every uniform up front and the package chunk by chunk, so each gets its
-own copy of the generator and both walk identical sample paths, and every
+from.  The package learners take their ``LearningConfig``; the oracle loops
+take its fields as scalars, a seeded generator and an episode count, and
+``single_args`` and ``mdp_args`` build both calls from one set of values.
+The oracle draws every uniform up front and the package chunk by chunk from
+a generator of the same seed, so both walk identical sample paths, and every
 output must match to the bit.  Under the harmonic schedule with gamma 0 the
 package learners stop updating once every cell was visited and count the
 rest of the run in numpy; the frozen-tail cases and properties reach that
@@ -36,11 +38,18 @@ SINGLE = (kernel_oracle.single_kernel, marl._single_kernel)
 MDP = (kernel_oracle.mdp_kernel, marl._mdp_kernel)
 
 
-def assert_same_outputs(kernels, args):
+def both(*args):
+    """One argument list for the oracle and the package kernel."""
+    return args, args
+
+
+def assert_same_outputs(kernels, calls):
+    """Run the oracle and the package kernel on their arguments in
+    calls = (oracle_args, kernel_args); every output must match to the bit."""
     oracle, kernel = kernels
-    # a generator in args is drawn from: each side draws from its own copy
-    ref = oracle(*copy.deepcopy(args))
-    got = kernel(*copy.deepcopy(args))
+    # a generator in the arguments is drawn from: each side draws from a copy
+    ref = oracle(*copy.deepcopy(calls[0]))
+    got = kernel(*copy.deepcopy(calls[1]))
     assert len(ref) == len(got)
     for r, g in zip(ref, got):
         r, g = np.asarray(r), np.asarray(g)
@@ -50,15 +59,32 @@ def assert_same_outputs(kernels, args):
     return got
 
 
+def learner_config(alpha_mode, eps0, eps_decay, T, seed, gamma=0.0):
+    """The config of a learner call, alpha_mode indexing ALPHA_SCHEDULES;
+    constant steps are 0.3 and power steps count ** -0.7."""
+    return marl.LearningConfig(
+        alpha_schedule=marl.ALPHA_SCHEDULES[alpha_mode], alpha_constant=0.3,
+        alpha_power=0.7, epsilon0=eps0, epsilon_decay=eps_decay, gamma=gamma,
+        episodes=T, seed=seed)
+
+
 def single_args(m, opp_probs, alpha_mode, eps0, eps_decay, T, record_every, seed=0):
-    return (m, np.cumsum(opp_probs), alpha_mode, 0.3, 0.7,
-            eps0, eps_decay, np.random.default_rng(seed), T, record_every)
+    """(oracle_args, kernel_args) of one single-agent run."""
+    cfg = learner_config(alpha_mode, eps0, eps_decay, T, seed)
+    cdf = np.cumsum(opp_probs)
+    return ((m, cdf, alpha_mode, cfg.alpha_constant, cfg.alpha_power, cfg.epsilon0,
+             cfg.epsilon_decay, np.random.default_rng(seed), T, record_every),
+            (m, cdf, cfg, record_every))
 
 
 def mdp_args(mdp, gamma, alpha_mode, eps0, eps_decay, T, window_start,
              record_every, seed=0):
-    return (mdp.rewards, mdp.transitions, gamma, alpha_mode, 0.3, 0.7, eps0,
-            eps_decay, np.random.default_rng(seed), T, window_start, record_every)
+    """(oracle_args, kernel_args) of one stage-MDP run."""
+    cfg = learner_config(alpha_mode, eps0, eps_decay, T, seed, gamma)
+    return ((mdp.rewards, mdp.transitions, cfg.gamma, alpha_mode, cfg.alpha_constant,
+             cfg.alpha_power, cfg.epsilon0, cfg.epsilon_decay,
+             np.random.default_rng(seed), T, window_start, record_every),
+            (mdp.rewards, mdp.transitions, cfg, window_start, record_every))
 
 
 def flat_mdp(m):
@@ -78,10 +104,10 @@ def random_mdp(m, n_states, rng):
                          transitions=transitions)
 
 
-def tail_start(kernels, args):
+def tail_start(kernels, calls):
     """The first step the package kernel counts as settled, or None."""
     with mock.patch.object(marl, "_settled_steps", wraps=marl._settled_steps) as spy:
-        kernels[1](*copy.deepcopy(args))
+        kernels[1](*calls[1])
     return spy.call_args_list[0].args[2] if spy.called else None
 
 
@@ -92,17 +118,17 @@ TIED = np.array([[0.5, 0.5, 0.2], [0.5, 0.5, 0.2], [0.2, 0.2, 0.2]])
 
 CASES = {
     # (M, T, tol, check_every, record_every)
-    "rm-10x10": (RM, (random_matrix(1), 3001, 0.0, 10, 7)),
+    "rm-10x10": (RM, both(random_matrix(1), 3001, 0.0, 10, 7)),
     # stops at tol after a few hundred steps
-    "rm-10x10-stops": (RM, (random_matrix(1), 100_000, 1e-4, 10, 100)),
-    "rm-1x1": (RM, (np.array([[0.4]]), 50, 0.0, 10, 3)),
-    "rm-tied": (RM, (TIED, 500, 0.0, 1, 1)),
+    "rm-10x10-stops": (RM, both(random_matrix(1), 100_000, 1e-4, 10, 100)),
+    "rm-1x1": (RM, both(np.array([[0.4]]), 50, 0.0, 10, 3)),
+    "rm-tied": (RM, both(TIED, 500, 0.0, 1, 1)),
     # rows 0 and 1 are equal: their regrets, and so their mass, tie all run
-    "rm-tied-rows": (RM, (1.0 - TIED, 301, 1e-3, 7, 5)),
-    "fp-10x10": (FP, (random_matrix(2), 3000, 0.0, 100)),
-    "fp-tied": (FP, (TIED, 301, 0.0, 7)),
+    "rm-tied-rows": (RM, both(1.0 - TIED, 301, 1e-3, 7, 5)),
+    "fp-10x10": (FP, both(random_matrix(2), 3000, 0.0, 100)),
+    "fp-tied": (FP, both(TIED, 301, 0.0, 7)),
     # the attacker's rows 0 and 1 stay tied all run: the lowest index wins
-    "fp-tied-rows": (FP, (1.0 - TIED, 301, 0.0, 7)),
+    "fp-tied-rows": (FP, both(1.0 - TIED, 301, 0.0, 7)),
     "single-harmonic-defender": (SINGLE, single_args(
         random_matrix(3), np.full(10, 0.1), 0, 1.0, 0.999, 5000, 11)),
     "single-constant-5x8": (SINGLE, single_args(
@@ -151,22 +177,22 @@ SMALL_GAMES = st.builds(game, st.integers(1, 4), st.integers(1, 4),
 class TestAgainstOracle:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_array_function(self, case):
-        kernels, args = CASES[case]
-        assert_same_outputs(kernels, args)
+        kernels, calls = CASES[case]
+        assert_same_outputs(kernels, calls)
 
     @pytest.mark.parametrize("case", FROZEN_TAIL_CASES)
     def test_frozen_tail_cases_settle_in_the_first_chunk(self, case):
         # so their tails run 2 * CHUNK + 1500 - tail_start steps, over two boundaries
-        kernels, args = CASES[case]
-        assert tail_start(kernels, args) < CHUNK
+        kernels, calls = CASES[case]
+        assert tail_start(kernels, calls) < CHUNK
 
     def test_window_case_steps_to_the_end(self):
-        kernels, args = CASES["mdp-window-across-chunks"]
-        assert tail_start(kernels, args) is None
+        kernels, calls = CASES["mdp-window-across-chunks"]
+        assert tail_start(kernels, calls) is None
 
     def test_fp_stops_early_on_tol(self):
         m = random_matrix(7, (6, 6))
-        pa, pd, iters = assert_same_outputs(FP, (m, 100_000, 0.05, 10))
+        pa, pd, iters = assert_same_outputs(FP, both(m, 100_000, 0.05, 10))
         assert iters < 100_000
         assert gamesolve.verify_epsilon_equilibrium(m, pa, pd) <= 0.05
 
@@ -174,13 +200,13 @@ class TestAgainstOracle:
     @given(m=GAMES, T=st.integers(1, 300), tol=st.sampled_from([0.0, 0.02, 0.2]),
            check_every=st.integers(1, 40), record_every=st.integers(1, 40))
     def test_property_regret_matching(self, m, T, tol, check_every, record_every):
-        assert_same_outputs(RM, (m, T, tol, check_every, record_every))
+        assert_same_outputs(RM, both(m, T, tol, check_every, record_every))
 
     @settings(max_examples=60, deadline=None)
     @given(m=GAMES, max_iters=st.integers(1, 300),
            tol=st.sampled_from([0.0, 0.02, 0.2]), check_every=st.integers(1, 40))
     def test_property_fictitious_play(self, m, max_iters, tol, check_every):
-        assert_same_outputs(FP, (m, max_iters, tol, check_every))
+        assert_same_outputs(FP, both(m, max_iters, tol, check_every))
 
     @settings(max_examples=60, deadline=None)
     @given(m=GAMES, alpha_mode=st.integers(0, 2),

@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridgame import cli, marl
 from gridgame.errors import ConfigError
@@ -111,9 +113,9 @@ def one_action_mdp(rewards, transitions):
 
 def learner_visits(m, opp_probs, epsilon0, epsilon_decay, episodes=100_000, seed=0):
     """Per-action visit counts of a defender trained by the single-agent kernel."""
-    _q, visits, _opp, _tel = marl._single_kernel(
-        m, np.cumsum(opp_probs), 0, 0.1, 1.0, epsilon0, epsilon_decay,
-        np.random.default_rng(seed), episodes, episodes)
+    cfg = LearningConfig(epsilon0=epsilon0, epsilon_decay=epsilon_decay,
+                         episodes=episodes, seed=seed)
+    _q, visits, _opp, _tel = marl._single_kernel(m, np.cumsum(opp_probs), cfg, episodes)
     return visits.sum(axis=1)
 
 
@@ -180,10 +182,7 @@ class TestQUpdate:
         mdp = stage_mdp_default(np.random.default_rng(0).random((3, 3)))
         cfg = LearningConfig(alpha_schedule="constant", alpha_constant=0.3,
                              gamma=0.8, episodes=5_000, seed=0)
-        qa, qd = marl._mdp_kernel(
-            mdp.rewards, mdp.transitions, cfg.gamma, cfg._alpha_mode(),
-            cfg.alpha_constant, cfg.alpha_power, cfg.epsilon0, cfg.epsilon_decay,
-            np.random.default_rng(cfg.seed), cfg.episodes, 0, cfg.episodes)[:2]
+        qa, qd = marl._mdp_kernel(mdp.rewards, mdp.transitions, cfg, 0, cfg.episodes)[:2]
         cap = 1.0 / (1.0 - 0.8)
         for q in (qa, qd):
             assert q.max() <= cap + 1e-9
@@ -339,7 +338,49 @@ class TestMultiAgent:
         assert a.value == b.value
 
 
+def stage_mdp_loop(matrix, defense_active=None):
+    """stage_mdp_default's rewards and transitions as its per-(state,
+    defense) loop built them, the reference of its array form."""
+    m = np.asarray(matrix, dtype=float)
+    n_att, n_def = m.shape
+    if defense_active is None:
+        defense_active = np.ones(n_def, dtype=bool)
+    rewards = np.asarray(marl.REWARD_SCALE)[:, None, None] * m[None]
+    transitions = np.zeros((3, n_att, n_def, 3))
+    for s in range(3):
+        up = marl.P_DEGRADE[s] if s < 2 else 0.0
+        for j in range(n_def):
+            down = marl.P_RECOVER if defense_active[j] else 0.0
+            to_up = up * (1.0 - down)
+            to_down = (1.0 - up) * down
+            if s == 0:
+                to_down = 0.0  # recovery from normal stays put
+                stay = 1.0 - to_up
+            elif s == 2:
+                stay = 1.0 - to_down
+            else:
+                stay = 1.0 - to_up - to_down
+            transitions[s, :, j, s] = stay
+            if s < 2:
+                transitions[s, :, j, s + 1] = to_up
+            if s > 0:
+                transitions[s, :, j, s - 1] = to_down
+    return rewards, transitions
+
+
 class TestStageMdp:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_default_equals_the_loop(self, rows, cols, seed, data):
+        m = np.random.default_rng(seed).random((rows, cols)) * 2.0 - 1.0
+        active = data.draw(st.none() | st.lists(st.booleans(), min_size=cols,
+                                                max_size=cols))
+        mdp = stage_mdp_default(m, defense_active=active)
+        for got, want in zip((mdp.rewards, mdp.transitions), stage_mdp_loop(m, active)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_default_rows_sum_to_one(self):
         rng = np.random.default_rng(20)
         mdp = stage_mdp_default(rng.random((10, 10)))
@@ -382,6 +423,23 @@ class TestStageMdp:
         transitions[0, 1, 1] = (bad, 1.0)
         with pytest.raises(ConfigError, match="finite"):
             StageMdp(labels=("a", "b"), rewards=rewards, transitions=transitions)
+
+
+class TestFreq:
+    """The opponent frequencies a policy export weights Q rows by."""
+
+    def test_empty_window_row_takes_the_runs_counts(self):
+        window = np.array([[2, 0, 2], [0, 0, 0], [0, 1, 0]])
+        run = np.array([[5, 5, 5], [1, 3, 0], [9, 9, 9]])
+        assert marl._freq(window, fallback=run).tolist() == [
+            [0.5, 0.0, 0.5], [0.25, 0.75, 0.0], [0.0, 1.0, 0.0]]
+
+    def test_empty_run_row_reads_uniform(self):
+        window = np.zeros((2, 4), dtype=np.int64)
+        run = np.array([[0, 0, 0, 0], [0, 2, 0, 2]])
+        assert marl._freq(window, fallback=run).tolist() == [[0.25] * 4,
+                                                             [0.0, 0.5, 0.0, 0.5]]
+        assert marl._freq(np.zeros((1, 3), dtype=np.int64)).tolist() == [[1 / 3] * 3]
 
 
 class TestMdpTrain:
