@@ -6,14 +6,16 @@ shedding, DER-island curtailment and the four metrics are recomputed per
 run.  Voltage flags (undervoltage, non-convergence) belong to the nominal
 payoff cells; a run's score never depends on a voltage.  Runs are seeded
 individually (seed + run index) so methods compared in one call see the
-same random draws (common random numbers).  All runs are drawn first; runs
-that drew the same cell are then scored together by its plan in the
+same random draws (common random numbers); the draws are made once per
+command and shared, read-only, by its methods.  All runs are drawn first;
+runs that drew the same cell are then scored together by its plan in the
 command's plan table, and records come back in run order.  Results are
 values (``StatsReport``, ``ComparisonRow``, probe rows); the CLI writes them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -170,6 +172,25 @@ def _attack_probs(mc: McConfig, policy: DefensePolicy, matrix) -> np.ndarray:
     return probs
 
 
+@functools.lru_cache(maxsize=1)
+def _run_draws(seed: int, runs: int, n_buses: int, low: float, high: float):
+    """Each run's load multipliers (runs, n_buses) and its attack and defense
+    uniforms (runs, 2), run r drawn from its own ``default_rng(seed + r)``.
+
+    The draws do not depend on the policy, so the methods of one comparison
+    share them: the last set is kept, read-only.
+    """
+    multipliers = np.empty((runs, n_buses))
+    u = np.empty((runs, 2))
+    for run in range(runs):
+        rng = np.random.default_rng(seed + run)
+        multipliers[run] = rng.uniform(low, high, n_buses)
+        u[run] = rng.random(2)
+    multipliers.flags.writeable = False
+    u.flags.writeable = False
+    return multipliers, u
+
+
 def monte_carlo(plans, weights, defense_policy: DefensePolicy, mc: McConfig,
                 matrix: PayoffMatrix) -> StatsReport:
     """Evaluate one defense policy under load uncertainty and attack draws.
@@ -182,22 +203,16 @@ def monte_carlo(plans, weights, defense_policy: DefensePolicy, mc: McConfig,
     lookups.  No run solves a power flow, and no plan is compiled here.
 
     Every run is drawn first, from its own ``default_rng(seed + run)``
-    stream; runs that drew the same cell are then scored together by its
-    plan, and records come back in run order.
+    stream (``_run_draws``, which the methods of one command share); runs
+    that drew the same cell are then scored together by its plan, and
+    records come back in run order.
     """
     if defense_policy.mixes.shape != matrix.shape:
         raise ConfigError(f"policy shaped {defense_policy.mixes.shape}, matrix {matrix.shape}")
     n_buses = plans[0][0].load_p.size
     att_bounds = draw_bounds(np.cumsum(_attack_probs(mc, defense_policy, matrix)))
     def_bounds = draw_bounds(np.cumsum(defense_policy.mixes, axis=1))
-    low, high = mc.perturbation
-
-    multipliers = np.empty((mc.runs, n_buses))
-    u = np.empty((mc.runs, 2))  # each run's attack and defense uniforms
-    for run in range(mc.runs):
-        rng = np.random.default_rng(mc.seed + run)
-        multipliers[run] = rng.uniform(low, high, n_buses)
-        u[run] = rng.random(2)
+    multipliers, u = _run_draws(mc.seed, mc.runs, n_buses, *mc.perturbation)
     att = np.searchsorted(att_bounds, u[:, 0], side="right")
     # each row of bounds is sorted, so its count of bounds <= u is its bisection
     dfn = (def_bounds[att] <= u[:, 1:]).sum(axis=1)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 
 import numpy as np
 
@@ -145,37 +144,67 @@ def verify_epsilon_equilibrium(M, attacker_mix, defender_mix) -> float:
 # -- fictitious play ---------------------------------------------------------
 
 
+def _hold(u, rate, k, cap):
+    """Steps s = 1, 2, ... up to the first one at which k stops being the
+    first minimum of u + s * rate, in exact arithmetic, at most cap.
+
+    Rounding can put the real change a step off; the caller finds it in the
+    block's rows, so this only sizes the block.
+    """
+    gain = rate[k] - rate  # a rival with gain > 0 closes in on k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = ((u - u[k]) / gain)[gain > 0].min(initial=cap)
+    return cap if not s < cap else int(max(s, 0.0)) + 1  # a NaN gap takes cap
+
+
 def _fp_kernel(M, max_iters, tol, check_every):
     """Simultaneous-update fictitious play with empirical-frequency beliefs.
 
-    u_a[i] accumulates sum_t M[i, d_t]; u_d[j] accumulates sum_t M[a_t, j],
-    so each step costs O(m+n). Every check_every steps and at max_iters the
-    averaged strategies go to verify_epsilon_equilibrium, stopping once their
-    epsilon is <= tol. min/max return the first extreme element and index()
-    its first position, so ties go to the lowest index (entries are finite).
+    u_a[i] accumulates sum_t M[i, d_t]; u_d[j] accumulates sum_t M[a_t, j].
+    Every check_every steps and at max_iters the averaged strategies go to
+    verify_epsilon_equilibrium, stopping once their epsilon is <= tol.
+
+    The pair (a, d) of best responses holds for runs of steps, so each run
+    advances as one block: np.add.accumulate down rows of the pair's column
+    and row gives u_a and u_d after every step of the block, adding in the
+    step loop's order.  The block is sized by ``_hold`` and cut at the next
+    check step; its rows' argmin/argmax find the first step whose best
+    responses change, and the block ends there.  argmin and argmax pick the
+    first extreme, so ties go to the lowest index (entries are finite).
     """
     m, n = M.shape
-    rows = M.tolist()
-    cols = M.T.tolist()
-    count_a = [0.0] * m
-    count_d = [0.0] * n
-    u_a = [0.0] * m
-    u_d = [0.0] * n
-    a = 0
-    d = 0
-    t = 0
+    cols = np.ascontiguousarray(M.T)
+    neg_rows = -M  # the defender's first argmax of u_d is the first argmin of -u_d
+    count_a = np.zeros(m)
+    count_d = np.zeros(n)
+    # row 0 holds u_a (u_d) before the block, row s after its step s
+    rows = min(check_every, max_iters) + 1
+    block_a = np.zeros((rows, m))
+    block_d = np.zeros((rows, n))
+    a = d = t = 0
     while t < max_iters:
-        t += 1
-        count_a[a] += 1.0
-        count_d[d] += 1.0
-        u_a = list(map(add, u_a, cols[d]))
-        u_d = list(map(add, u_d, rows[a]))
-        a = u_a.index(min(u_a))
-        d = u_d.index(max(u_d))
+        cap = min(check_every - t % check_every, max_iters - t)
+        k = _hold(block_a[0], cols[d], a, cap)
+        k = _hold(-block_d[0], neg_rows[a], d, k)
+        ua, ud = block_a[:k + 1], block_d[:k + 1]
+        ua[1:] = cols[d]
+        ud[1:] = M[a]
+        np.add.accumulate(ua, axis=0, out=ua)
+        np.add.accumulate(ud, axis=0, out=ud)
+        next_a = ua[1:].argmin(axis=1)
+        next_d = ud[1:].argmax(axis=1)
+        changed = np.flatnonzero((next_a != a) | (next_d != d))
+        k = int(changed[0]) + 1 if changed.size else k
+        count_a[a] += k
+        count_d[d] += k
+        t += k
+        a, d = int(next_a[k - 1]), int(next_d[k - 1])
+        block_a[0] = ua[k]
+        block_d[0] = ud[k]
         if (t % check_every == 0 or t == max_iters) and verify_epsilon_equilibrium(
-                M, np.array(count_a) / t, np.array(count_d) / t) <= tol:
+                M, count_a / t, count_d / t) <= tol:
             break
-    return np.array(count_a) / t, np.array(count_d) / t, t
+    return count_a / t, count_d / t, t
 
 
 def nash_fictitious_play(M, max_iters: int = FP_DEFAULT_ITERS,

@@ -32,8 +32,13 @@ it and every later update adds alpha * 0.  So once every cell was visited no
 Q value, and no greedy action, can change again.  The kernels then stop
 updating and only pick the greedy actions of the rest of the run, whose
 cells are counted as the loop's are, which ends in the same bits as
-stepping on.  Any other run (constant or power steps, gamma > 0, a cell
-never reached) steps to the end.  Trainers write no files: each returned
+stepping on.  Numpy picks them where play alone cannot steer them: the
+single-agent attacker is drawn apart from play, and in one-state self-play
+each side's greedy action answers the other's last one, so the rest of the
+run follows the orbits of two fixed maps from each exploring step.  A stage
+MDP with more states keeps its step loop, since the state it draws depends
+on play.  Any other run (constant or power steps, gamma > 0, a cell never
+reached) steps to the end.  Trainers write no files: each returned
 ``LearnedPolicy`` carries its run's telemetry rows, and the CLI writes them
 out.
 """
@@ -333,6 +338,62 @@ def _single_kernel(m, opp_cdf, config, record_every):
     return np.array(q).T.copy(), visits.T.copy(), visits.sum(axis=1), telemetry
 
 
+def _orbits(step):
+    """Orbit tables of the map ``step`` on nodes 0..N-1: table[v, k] is the
+    node k steps from v, for k < 2N, and period[v] the length of the cycle
+    v's orbit runs into.  An orbit meets at most N distinct nodes, so by
+    step N - 1 it is on its cycle, and from step 2N - period[v] on its
+    table row repeats with that period."""
+    n = len(step)
+    table = np.empty((n, 2 * n), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    for k in range(1, 2 * n):
+        table[:, k] = step[table[:, k - 1]]
+    period = 1 + np.argmax(table[:, n:] == table[:, n - 1:n], axis=1)
+    return table, period
+
+
+def _settled_play(orbits, explore_a, explore_d, a_last, d_last, n_att):
+    """The actions (a, d) of a run of settled one-state steps, given their
+    exploring actions and the actions of the step before.
+
+    A greedy a_t answers d_{t-1} and a greedy d_t answers a_{t-1}, so the
+    play runs in two chains, a_t, d_{t+1}, a_{t+2}, ... and d_t, a_{t+1},
+    ...  Nodes number the attacker's actions 0..n_att-1 and the defender's
+    n_att.., and the greedy maps step a chain from node to node, so each
+    step is the node of its chain's last exploring step, one orbit position
+    on for every step since (``_orbits``).
+    """
+    table, period = orbits
+    n = table.shape[1]
+    a = explore_a.copy()
+    d = np.where(explore_d < 0, -1, explore_d + n_att)
+    # chain 0 holds a at the even steps and d at the odd ones, chain 1 the
+    # other two; column 0 is the step before, an odd one, and -1 marks a
+    # greedy step
+    nodes = np.empty((2, len(a) + 1), dtype=np.int64)
+    nodes[:, 0] = d_last + n_att, a_last
+    nodes[0, 1::2], nodes[0, 2::2] = a[::2], d[1::2]
+    nodes[1, 1::2], nodes[1, 2::2] = d[::2], a[1::2]
+    # each step's last restart, the node there and the steps k since it
+    idx = np.arange(nodes.shape[1])
+    k = np.maximum.accumulate(np.where(nodes >= 0, idx, 0), axis=1)
+    nodes = np.take_along_axis(nodes, k, axis=1)
+    np.subtract(idx, k, out=k)
+    # k >= n moves back by whole periods onto the table's last columns:
+    # k - per * ((k - n) // per + 1), a shift of 0 wherever k < n
+    per = period[nodes]
+    shift = np.maximum(k - n, -1)
+    shift //= per
+    shift += 1
+    shift *= per
+    k -= shift
+    nodes = table[nodes, k]
+    a[::2], a[1::2] = nodes[0, 1::2], nodes[1, 2::2]
+    d[::2], d[1::2] = nodes[1, 1::2], nodes[0, 2::2]
+    return a, d - n_att
+
+
 def _mdp_kernel(rewards, transitions, config, window_start, record_every):
     """Simultaneous Q-learning of both sides on a stage MDP, for config's
     episodes under its schedule, exploration and gamma.
@@ -345,11 +406,13 @@ def _mdp_kernel(rewards, transitions, config, window_start, record_every):
     greedy index, as in _single_kernel; the cache serves both the greedy
     pick and the bootstrap target, which is the column's extreme.  With the
     harmonic schedule and gamma 0 a cell's target is its reward, so once
-    every cell was seen Q is final: the same loop goes on picking actions
-    and moving the state, but no longer updates or counts, and
-    _settled_steps counts the settled steps of each chunk.  Each chunk's
-    cells give the window's counts and reward in numpy; the whole run's
-    action counts are the visits summed over the opponent's actions.
+    every cell was seen Q is final, and _settled_steps counts the settled
+    steps of each chunk.  With one state the greedy maps are then fixed and
+    _settled_play works out the rest of the run in numpy; with more, the
+    state drawn depends on the play, and the same loop goes on picking
+    actions and moving the state, without updating or counting.  Each
+    chunk's cells give the window's counts and reward in numpy; the whole
+    run's action counts are the visits summed over the opponent's actions.
     """
     n_states, n_att, n_def = rewards.shape
     n_cells = rewards.size
@@ -371,13 +434,16 @@ def _mdp_kernel(rewards, transitions, config, window_start, record_every):
     unvisited = n_cells
     settles = step_size is _HARMONIC and gamma == 0.0
     settled = False
+    orbits = None  # the greedy maps' orbits, once a one-state game settled
     for t0, u, epsilons in _draws(config, 5):
-        explore_a = _explore(u[:, 0], u[:, 1], epsilons, n_att).tolist()
-        explore_d = _explore(u[:, 2], u[:, 3], epsilons, n_def).tolist()
-        u_next = u[:, 4].tolist()
+        explore_a = _explore(u[:, 0], u[:, 1], epsilons, n_att)
+        explore_d = _explore(u[:, 2], u[:, 3], epsilons, n_def)
         cells = []
         done = 0 if settled else len(u)  # the chunk's first settled step
-        for t, a, d, u_s in zip(range(t0, t0 + len(u)), explore_a, explore_d, u_next):
+        # once a one-state game settled, _settled_play plays its chunks
+        steps = () if orbits is not None else zip(
+            range(t0, t0 + len(u)), explore_a.tolist(), explore_d.tolist(), u[:, 4].tolist())
+        for t, a, d, u_s in steps:
             if a < 0:
                 a = greedy_a[s][d_last]
                 if a is None:
@@ -426,12 +492,26 @@ def _mdp_kernel(rewards, transitions, config, window_start, record_every):
                         settled = True
                         done = t + 1 - t0
                         visits = np.array(visits)
+                        if n_states == 1:
+                            # attacker node a steps to defender node n_att +
+                            # greedy_d(a), defender node n_att + d to greedy_a(d)
+                            gd = [n_att + _greedy(col, max) for col in qd[0]]
+                            ga = [_greedy(col, min) for col in qa[0]]
+                            orbits = _orbits(np.array(gd + ga))
+                            a_last, d_last = a, d
+                            break
             a_last, d_last, s = a, d, s_next
+        cells = np.array(cells, dtype=np.int64)
+        if orbits is not None and len(cells) < len(u):
+            a, d = _settled_play(orbits, explore_a[len(cells):], explore_d[len(cells):],
+                                 a_last, d_last, n_att)
+            a_last, d_last = int(a[-1]), int(d[-1])
+            cells = np.r_[cells, a * n_def + d]
         if done < len(u):
             _settled_steps(telemetry, record_every, t0 + done, epsilons[done:],
-                           np.array(cells[done:]), flat_rewards, visits)
+                           cells[done:], flat_rewards, visits)
         # the window holds the steps t >= window_start
-        windowed = np.array(cells[max(0, window_start - t0):], dtype=np.int64)
+        windowed = cells[max(0, window_start - t0):]
         win_visits += np.bincount(windowed, minlength=n_cells)
         # cumsum adds left to right, continuing the running sum
         reward_win = float(np.cumsum(np.r_[reward_win, flat_rewards[windowed]])[-1])

@@ -10,6 +10,11 @@ of the energized islands, in bus positions, is made the first time a state
 is solved and stored on it, so the flows of a state and of its load-only
 derivations (shed, scaled loads) number it once; each flow then builds its
 draw vector, voltages and undervoltage list as arrays over bus positions.
+The solution is stored on the state as well, with the tolerance and sweep
+budget it was solved to, so the payoff build, which asks for the flow of
+its unchanged base feeder once per cell, solves it once.  Every call still
+runs the radiality check first, so a stored solution is returned only
+where a fresh one would be.
 
 Every sweep is the same Jacobi step as the per-bus backward/forward sweep:
 node currents conj(S/V) at the previous voltages, summed into branch
@@ -120,10 +125,14 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
 
     Raises RadialityError if an energized island contains a loop. Islands
     that fail to converge within the sweep budget are reported with
-    converged=False; the caller decides on a shedding fallback.
+    converged=False; the caller decides on a shedding fallback.  The
+    solution is stored on the state with its (tol, max_sweeps), and a later
+    call with the same two returns it after the radiality check.
     """
     isls = topology.check_energized_radial(state)
     adj = topology.connectivity(state)[1]
+    if state._solution is not None and state._solution[0] == (tol, max_sweeps):
+        return state._solution[1]
     ids, pos, live, numbered = _numbering(state, isls, adj)
     s_base_kw = 1000.0 * state.base_mva
     keep = np.ones(len(ids))
@@ -150,7 +159,7 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
         if not max_dv <= tol:
             all_converged = False
     under = np.flatnonzero(live & (np.abs(v_all) < UNDERVOLTAGE_PU))
-    return PowerFlowSolution(
+    solution = PowerFlowSolution(
         voltages=dict(zip(ids, v_all.tolist())),
         converged=all_converged,
         iterations=iterations,
@@ -159,3 +168,5 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
         energized=tuple(isl.energized for isl in isls),
         undervoltage_buses=tuple(ids[i] for i in under.tolist()),
     )
+    object.__setattr__(state, "_solution", ((tol, max_sweeps), solution))
+    return solution

@@ -8,10 +8,11 @@ A state is validated at the boundary: every ``NetworkState(...)`` and
 ``dataclasses.replace`` runs the full check in ``__post_init__``, so loaders
 and user code always do.  The ``with_*`` derivations check only what they
 change, with the same rules, and build their result through one trusted
-path.  Each state also carries two slots that ``topology`` and
-``powerflow`` fill the first time they resolve it, so its connectivity and
-its numbering are worked out once: a derivation that changes loads or shed
-fractions alone keeps them, and every other derivation starts empty.
+path.  Each state also carries three slots that ``topology`` and
+``powerflow`` fill the first time they resolve it, so its connectivity, its
+numbering and its power-flow solution are worked out once.  A derivation
+that changes loads or shed fractions alone keeps the first two, every other
+derivation starts with both empty, and no derivation keeps the solution.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class NetworkState:
     # filled by topology.connectivity and powerflow.power_flow; never compared
     _topology: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _numbering: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _solution: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [b.id for b in self.buses]
@@ -184,11 +186,12 @@ class NetworkState:
         """The trusted path of the ``with_*`` derivations: a copy with
         ``changes``, which the caller has checked, without ``__post_init__``.
         It keeps the resolved topology and numbering only when
-        ``same_topology``: the change touched no branch, DER or reference."""
+        ``same_topology``: the change touched no branch, DER or reference.
+        The stored power-flow solution never carries over."""
         derived = object.__new__(type(self))
         attrs = vars(derived)
         attrs.update(vars(self))
-        attrs.update(changes)
+        attrs.update(changes, _solution=None)
         if not same_topology:
             attrs.update(_topology=None, _numbering=None)
         return derived

@@ -299,8 +299,12 @@ class TestMonteCarloBatch:
         mixes[:, :3] = [0.5, -1e-12, 0.5 + 1e-12]
         policy = DefensePolicy("dip", mixes)
         monkeypatch.setattr(np.random, "default_rng", Stub)
+        # the stub draws only where no draws of the same key are kept, and
+        # its draws are not kept for later tests
+        experiments._run_draws.cache_clear()
         rep = monte_carlo(plans, weights, policy,
                           McConfig(runs=3, attack_distribution="uniform"), matrix=matrix)
+        experiments._run_draws.cache_clear()
         assert [r[:2] for r in rep.records] == [("A1", "D1")] * 3
 
     def test_one_plan_per_drawn_cell(self, bundle, plans, monkeypatch):
@@ -334,6 +338,58 @@ class TestMonteCarloBatch:
                  for a, d, _ in rep.records}
         assert len(scored) == len(drawn)
         assert {id(p) for p in scored} == {id(plans[a][d]) for a, d in drawn}
+
+
+class TestRunDraws:
+    """The runs' draws do not depend on the policy, so one command makes them
+    once (``experiments._run_draws``) and every method scores the same
+    read-only arrays."""
+
+    def test_compare_equals_one_monte_carlo_per_method_on_fresh_draws(self, bundle, plans):
+        base, catalog, weights, matrix = bundle
+        mc = McConfig(runs=60, seed=4)
+        experiments._run_draws.cache_clear()
+        rows = compare_strategies(base, catalog, plans, weights, set(experiments.METHOD_TAGS),
+                                  mc, matrix=matrix)
+        assert len(rows) == 9
+        # one set of draws served the nine methods
+        assert experiments._run_draws.cache_info()[:2] == (8, 1)
+        for row in rows:
+            experiments._run_draws.cache_clear()
+            policy = strategy_policy(row.method, matrix, catalog=catalog, base=base,
+                                     seed=mc.seed)
+            rep = monte_carlo(plans, weights, policy, mc, matrix=matrix)
+            assert (rep, rep.records) == (row.report, row.report.records)
+
+    def test_the_shared_arrays_reject_writes(self):
+        for table in experiments._run_draws(3, 5, 33, 0.9, 1.1):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_each_run_draws_from_its_own_stream(self):
+        multipliers, u = experiments._run_draws(7, 4, 6, 0.5, 2.0)
+        for run in range(4):
+            rng = np.random.default_rng(7 + run)
+            assert multipliers[run].tobytes() == rng.uniform(0.5, 2.0, 6).tobytes()
+            assert u[run].tobytes() == rng.random(2).tobytes()
+
+    @pytest.mark.parametrize("changed", [
+        pytest.param((4, 5, 33, 0.9, 1.1), id="seed"),
+        pytest.param((3, 6, 33, 0.9, 1.1), id="runs"),
+        pytest.param((3, 5, 34, 0.9, 1.1), id="buses"),
+        pytest.param((3, 5, 33, 0.8, 1.1), id="low"),
+        pytest.param((3, 5, 33, 0.9, 1.2), id="high"),
+    ])
+    def test_every_key_changes_the_table(self, changed):
+        key = (3, 5, 33, 0.9, 1.1)
+        before = experiments._run_draws(*key)
+        after = experiments._run_draws(*changed)
+        assert after[0].shape != before[0].shape or \
+            not np.array_equal(after[0], before[0])
+        # and back: the draws of the first key again, bit for bit
+        again = experiments._run_draws(*key)
+        for a, b in zip(again, before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBaselines:

@@ -11,9 +11,14 @@ a generator of the same seed, so both walk identical sample paths, and every
 output must match to the bit.  Under the harmonic schedule with gamma 0 the
 package learners stop updating once every cell was visited and count the
 rest of the run in numpy; the frozen-tail cases and properties reach that
-tail and cross chunk boundaries in it.  The stage-MDP kernel counts its
-window per chunk; one case never settles, and its window spans two chunk
-boundaries of the step loop.
+tail and cross chunk boundaries in it; with one state the stage-MDP
+kernel plays that tail from the orbits of the two greedy maps, which
+``TestSettledSelfPlay`` holds to the loop on cycling, locking and random
+games.  The stage-MDP kernel counts its window per chunk; one case never
+settles, and its window spans two chunk boundaries of the step loop.
+Fictitious play advances a run of one best-response pair as one block;
+``TestFictitiousPlayBlocks`` holds it to the loop around every check step
+and whatever size a block is given.
 """
 import copy
 from unittest import mock
@@ -263,3 +268,172 @@ class TestAgainstOracle:
         window_start = min(max(0, (settled or T // 2) + window), T)
         assert_same_outputs(MDP, mdp_args(
             mdp, 0.0, 0, 1.0, eps_decay, T, window_start, record_every, seed))
+
+
+# -- fictitious play in blocks of one pair ----------------------------------
+
+
+def tied_game(rows, cols, seed):
+    """Entries rounded to 0.1: many rows and columns tie."""
+    return np.round(np.random.default_rng(seed).random((rows, cols)), 1)
+
+
+FP_GAMES = {
+    "tied-5x5": tied_game(5, 5, 1),
+    "tied-4x7": tied_game(4, 7, 2),
+    "tied-9x3": tied_game(9, 3, 3),
+    "constant": np.full((4, 5), 0.3),
+    "1x6": random_matrix(4, (1, 6)),
+    "6x1": random_matrix(5, (6, 1)),
+    "1x1": np.array([[0.7]]),
+    "random-10x10": random_matrix(6),
+}
+
+
+class TestFictitiousPlayBlocks:
+    """The package advances each run of a constant (attack, defense) pair as
+    one block; the oracle steps.  Blocks end at check steps, so every cap
+    around a check (99, 100, 101) and the first step are cases of their own."""
+
+    @pytest.mark.parametrize("max_iters", [1, 99, 100, 101, 2500])
+    @pytest.mark.parametrize("name", sorted(FP_GAMES))
+    def test_equals_the_step_loop(self, name, max_iters):
+        # no epsilon is below -1: the run goes to its cap
+        _, _, iters = assert_same_outputs(FP, both(FP_GAMES[name], max_iters, -1.0, 100))
+        assert iters == max_iters
+
+    @pytest.mark.parametrize("name", ["tied-5x5", "random-10x10"])
+    def test_stops_on_a_check_boundary(self, name):
+        m = FP_GAMES[name]
+        _, _, iters = assert_same_outputs(FP, both(m, 100_000, 0.02, 100))
+        assert iters < 100_000 and iters % 100 == 0
+
+    def test_a_constant_game_stops_at_the_first_check(self):
+        # every pair is an equilibrium: epsilon is 0 at step 10
+        _, _, iters = assert_same_outputs(FP, both(FP_GAMES["constant"], 2500, 0.0, 10))
+        assert iters == 10
+
+    @pytest.mark.parametrize("size", [
+        pytest.param(lambda u, rate, k, cap: cap, id="to-the-check"),
+        pytest.param(lambda u, rate, k, cap: 1, id="one-step"),
+    ])
+    @pytest.mark.parametrize("name", ["tied-5x5", "tied-9x3", "random-10x10"])
+    def test_the_rows_decide_where_a_block_ends(self, name, size):
+        # whatever size the estimate gives a block, it ends at the first step
+        # whose best responses change
+        with mock.patch.object(gamesolve, "_hold", size):
+            assert_same_outputs(FP, both(FP_GAMES[name], 2500, -1.0, 100))
+
+    def test_long_runs_of_one_pair_take_few_blocks(self):
+        # on the random game the pair holds for tens of steps: the package
+        # sizes far fewer blocks than it takes steps
+        with mock.patch.object(gamesolve, "_hold", wraps=gamesolve._hold) as spy:
+            gamesolve._fp_kernel(FP_GAMES["random-10x10"], 2500, 0.0, 100)
+        assert spy.call_count < 2 * 2500 / 10
+
+
+# -- settled self-play --------------------------------------------------------
+
+
+# rock-paper-scissors, the attacker's rows against the defender's columns:
+# each side's best reply to the other's last action cycles, a -> d -> a' ...
+# round all three actions, so the greedy orbits have period 6
+CYCLIC = 0.9 * np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+# (1, 1) is a pure saddle: 0.3 is its column's minimum and its row's maximum
+SADDLE = np.array([[0.2, 0.4], [0.1, 0.3]])
+
+
+def settled_orbits(calls):
+    """The orbit tables the stage-MDP kernel built for its settled one-state
+    tail (``marl._orbits``), or None where it kept stepping."""
+    built = []
+    real = marl._orbits
+
+    def record(step):
+        built.append(real(step))
+        return built[-1]
+
+    with mock.patch.object(marl, "_orbits", record):
+        MDP[1](*copy.deepcopy(calls[1]))
+    assert len(built) <= 1
+    return built[0] if built else None
+
+
+@pytest.fixture(scope="module")
+def bundled_matrix():
+    from gridgame.netmodel import load_ieee33
+    from gridgame.resilience import DEFAULT_AHP_MATRIX, ahp_weights, build_payoff_matrix
+    from gridgame.scenario import catalog_default
+    return build_payoff_matrix(load_ieee33(), catalog_default(),
+                               ahp_weights(DEFAULT_AHP_MATRIX)).entries
+
+
+class TestSettledSelfPlay:
+    """Once Q is final in a one-state game the package plays the rest of the
+    run from the greedy maps' orbits; the oracle steps every episode."""
+
+    def test_maql_on_the_bundled_matrix(self, bundled_matrix):
+        # experiments.strategy_policy's maql config, its window the last tenth
+        cfg = marl.LearningConfig(epsilon_decay=0.9995)
+        T = cfg.episodes
+        calls = mdp_args(flat_mdp(bundled_matrix), 0.0, 0, cfg.epsilon0, cfg.epsilon_decay,
+                         T, T - T // 10, gamesolve.telemetry_cadence(T))
+        assert tail_start(MDP, calls) < CHUNK
+        assert settled_orbits(calls) is not None
+        assert_same_outputs(MDP, calls)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cyclic_game(self, seed):
+        calls = mdp_args(flat_mdp(CYCLIC), 0.0, 0, 1.0, 0.999, 2 * CHUNK + 700,
+                         CHUNK + 100, 7, seed)
+        _, period = settled_orbits(calls)
+        assert period.max() == 6
+        assert_same_outputs(MDP, calls)
+
+    def test_pure_saddle_game(self):
+        calls = mdp_args(flat_mdp(SADDLE), 0.0, 0, 1.0, 0.999, 2 * CHUNK + 700, 0, 7)
+        table, period = settled_orbits(calls)
+        # every orbit runs into the saddle pair: attacker 1 <-> defender 1
+        assert (period == 2).all() and set(table[:, -1]) <= {1, 2 + 1}
+        assert_same_outputs(MDP, calls)
+
+    def test_settles_mid_chunk(self):
+        # rare exploration: Q settles inside the second chunk
+        calls = mdp_args(flat_mdp(random_matrix(12, (4, 4))), 0.0, 0, 0.05, 0.9999,
+                         3 * CHUNK, 0, 7, seed=2)
+        start = tail_start(MDP, calls)
+        assert CHUNK < start < 2 * CHUNK
+        assert_same_outputs(MDP, calls)
+
+    @pytest.mark.parametrize("after", [1, 700, CHUNK])
+    def test_window_inside_the_settled_stretch(self, after):
+        m = random_matrix(13, (5, 4))
+        start = tail_start(MDP, mdp_args(flat_mdp(m), 0.0, 0, 1.0, 0.999, 2 * CHUNK + 300,
+                                         0, 11, 4))
+        calls = mdp_args(flat_mdp(m), 0.0, 0, 1.0, 0.999, 2 * CHUNK + 300, start + after,
+                         11, 4)
+        assert_same_outputs(MDP, calls)
+
+    @pytest.mark.parametrize("alpha_mode, gamma", [(1, 0.0), (2, 0.0), (0, 0.5)])
+    def test_other_schedules_and_gamma_keep_stepping(self, alpha_mode, gamma):
+        calls = mdp_args(flat_mdp(random_matrix(14, (3, 3))), gamma, alpha_mode, 1.0,
+                         0.999, CHUNK + 500, CHUNK, 7)
+        assert tail_start(MDP, calls) is None
+        assert settled_orbits(calls) is None
+        assert_same_outputs(MDP, calls)
+
+    def test_several_states_keep_the_step_loop(self):
+        # the state drawn depends on play: the tail settles but keeps stepping
+        calls = CASES["mdp-frozen-tail"][1]
+        assert tail_start(MDP, calls) is not None
+        assert settled_orbits(calls) is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=GAMES, eps_decay=st.sampled_from([0.99, 0.999]), chunks=st.integers(0, 1),
+           rest=st.integers(1, CHUNK), window=st.floats(0.0, 1.0),
+           record_every=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_property_one_state(self, m, eps_decay, chunks, rest, window, record_every,
+                                seed):
+        T = chunks * CHUNK + rest
+        assert_same_outputs(MDP, mdp_args(flat_mdp(m), 0.0, 0, 1.0, eps_decay, T,
+                                          int(window * T), record_every, seed))

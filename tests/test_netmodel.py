@@ -480,6 +480,49 @@ class TestDerivations:
         assert topology.islands(boosted) is not topology.islands(net)
         assert [d for isl in topology.islands(boosted) for d in isl.ders] == list(boosted.ders)
 
+    @pytest.mark.parametrize("derive", [
+        pytest.param(lambda s: s.with_shed({2: 0.5}), id="shed"),
+        pytest.param(lambda s: s.with_scaled_loads({2: 2.0}), id="scaled-loads"),
+        pytest.param(lambda s: s.with_der("DER1", dispatch_fraction=1.0), id="der"),
+        pytest.param(lambda s: s.with_line_status("L1-2", OPEN), id="line"),
+        pytest.param(lambda s: s.with_line_status("SW1", CLOSED), id="switch"),
+        pytest.param(lambda s: dataclasses.replace(s, slack_bus=2), id="replace"),
+    ])
+    def test_derivations_start_without_a_solution(self, net, derive):
+        solved = power_flow(net)
+        assert net._solution == ((1e-6, 100), solved)
+        assert derive(net)._solution is None
+
+    def test_a_state_keeps_its_solution_per_tolerance_and_budget(self, monkeypatch):
+        from gridgame.netmodel import powerflow
+        net = load_ieee33()  # one island, never solved
+        sweeps = []
+        real = powerflow._sweep
+        monkeypatch.setattr(powerflow, "_sweep", lambda *a: sweeps.append(a[3:]) or real(*a))
+        first = power_flow(net)
+        assert power_flow(net) is first
+        assert power_flow(net, tol=powerflow.TOLERANCE,
+                          max_sweeps=powerflow.MAX_SWEEPS) is first
+        assert sweeps == [(1e-6, 100)]
+        loose = power_flow(net, tol=1e-3)
+        short = power_flow(net, max_sweeps=2)
+        assert sweeps == [(1e-6, 100), (1e-3, 100), (1e-6, 2)]
+        assert loose.iterations < first.iterations and loose.converged
+        assert short.iterations == 2 and not short.converged
+        # the state keeps its last solution: the default one is solved again,
+        # to the same bits
+        assert power_flow(net) == first
+        assert len(sweeps) == 4
+
+    def test_a_stored_solution_still_checks_radiality(self, net, monkeypatch):
+        power_flow(net)
+        checked = []
+        real = topology.check_energized_radial
+        monkeypatch.setattr(topology, "check_energized_radial",
+                            lambda s: checked.append(s) or real(s))
+        power_flow(net)
+        assert checked == [net]
+
     def test_load_only_derivations_keep_the_parents_topology(self, net):
         power_flow(net)
         for derived in (net.with_shed({2: 0.5}), net.with_scaled_loads({2: 2.0})):
