@@ -249,21 +249,31 @@ def _settled_steps(telemetry, record_every, t0, epsilons, cells, rewards, visits
     settled step moves no Q value, so its row is (t + 1, epsilon,
     1 / visits, reward, 0.0), visits counting the step itself.
     """
-    # a step's visits: its cell's count before these steps plus its rank
-    # among their visits of that cell (a stable sort keeps them in time order)
+    # a recorded step's visits: its cell's count before these steps plus the
+    # steps up to it that visit the cell.  Keyed by (cell, step), each step
+    # counts toward the first recorded step of its cell at or after it
     n = len(cells)
-    order = np.argsort(cells, kind="stable")
-    ranked = cells[order]
-    idx = np.arange(n)
-    first = np.maximum.accumulate(np.where(np.r_[True, ranked[1:] != ranked[:-1]], idx, 0))
-    counts = np.empty(n, dtype=np.int64)
-    counts[order] = idx - first + 1
-    counts += visits[cells]
+    keys = cells * n + np.arange(n)
+    recorded = np.sort(keys[-(t0 + 1) % record_every::record_every])
+    cell = recorded // n
+    # a step on no recorded step's cell counts toward none
+    on_recorded_cell = np.zeros(len(visits), dtype=bool)
+    on_recorded_cell[cell] = True
+    keys = keys[on_recorded_cell[cells]]
+    slot = np.searchsorted(recorded, keys)
+    mine = slot < len(recorded)
+    mine[mine] = cell[slot[mine]] == keys[mine] // n
+    hits = np.bincount(slot[mine], minlength=len(recorded))
+    counts = np.cumsum(hits)
+    # the running count starts again at each cell's first recorded step
+    first = np.diff(cell, prepend=-1) != 0
+    counts -= np.maximum.accumulate(np.where(first, counts - hits, 0))
+    counts += visits[cell]
     visits += np.bincount(cells, minlength=len(visits))
-    ts = np.arange(t0, t0 + n)
-    at = (ts + 1) % record_every == 0
-    telemetry[ts[at] // record_every, :4] = np.column_stack(
-        (ts[at] + 1, epsilons[at], 1.0 / counts[at], rewards[cells[at]]))
+    at = recorded % n
+    ts = t0 + at
+    telemetry[ts // record_every, :4] = np.column_stack(
+        (ts + 1, epsilons[at], 1.0 / counts, rewards[cell]))
 
 
 def _single_kernel(m, opp_cdf, config, record_every):

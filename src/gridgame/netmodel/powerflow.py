@@ -4,12 +4,15 @@ Each energized island is solved independently against its own voltage
 reference (the slack bus, or the island's largest online DER).  Loads are
 constant-power; DERs are constant-P injections at unity power factor.
 Islands without a reference node are reported de-energized with zero
-voltage.  Islands, references and the adjacency the sweep numbers each
-island on all come from one ``topology.connectivity`` pass.  The numbering
-of the energized islands, in bus positions, is made the first time a state
-is solved and stored on it, so the flows of a state and of its load-only
-derivations (shed, scaled loads) number it once; each flow then builds its
-draw vector, voltages and undervoltage list as arrays over bus positions.
+voltage.  Islands and references come from one ``topology.connectivity``
+pass; the depth-first numbering the sweep runs on walks the neighbour lists
+the state shares with its relatives (``Grid.neighbours``), skipping the
+branches its own mask holds open.  The numbering of the energized islands, in
+bus positions, is made the first time a state is solved and stored on it,
+so the flows of a state and of the derivations that move no island (shed,
+scaled loads, DER dispatch) number it once; each flow then builds its draw
+vector, DER injections, voltages and undervoltage list as arrays over bus
+positions, reading the DER outputs from the state's own DERs.
 The solution is stored on the state as well, with the tolerance and sweep
 budget it was solved to, so the payoff build, which asks for the flow of
 its unchanged base feeder once per cell, solves it once.  Every call still
@@ -41,31 +44,36 @@ MAX_SWEEPS = 100
 UNDERVOLTAGE_PU = 0.90
 
 
-def _depth_first(adj, root):
-    """Depth-first numbering of a tree from root, neighbours in sorted order.
+def _depth_first(state: NetworkState, root: int):
+    """Depth-first numbering of a tree of the state's closed branches from
+    bus position root, neighbours in bus-id order.
 
-    Returns (order, end, r, x): order[i] is the bus at position i, the
-    subtree of position i is [i, end[i]), and r/x the impedance (ohm) of the
-    edge from position i toward its parent (zero at the root).
+    Returns (order, end, r, x): order[i] is the bus position at place i, the
+    subtree of place i is [i, end[i]), and r/x the impedance (ohm) of the
+    edge from place i toward its parent (zero at the root).
     """
-    order, parent, rs, xs = [root], [-1], [0.0], [0.0]
-    stack = [(nb, 0, r, x) for nb, r, x in sorted(adj[root], reverse=True)]
+    grid = state._grid
+    start, near, via = grid.neighbours
+    closed = state._closed.tolist()
+    order, parent, edge = [], [], []
+    stack = [(root, -1, -1)]
     while stack:
-        bus, up, r, x = stack.pop()
+        bus, up, k = stack.pop()
         here = len(order)
         order.append(bus)
         parent.append(up)
-        rs.append(r)
-        xs.append(x)
-        above = order[up]
-        for nb, r, x in sorted(adj[bus], reverse=True):
-            if nb != above:
-                stack.append((nb, here, r, x))
+        edge.append(k)
+        above = order[up] if up >= 0 else -1
+        for j in range(start[bus + 1] - 1, start[bus] - 1, -1):
+            if closed[via[j]] and near[j] != above:
+                stack.append((near[j], here, via[j]))
     end = list(range(1, len(order) + 1))
     for i in range(len(order) - 1, 0, -1):
         if end[i] > end[parent[i]]:
             end[parent[i]] = end[i]
-    return order, np.array(end), np.array(rs), np.array(xs)
+    r, x = np.zeros(len(order)), np.zeros(len(order))
+    r[1:], x[1:] = grid.r[edge[1:]], grid.x[edge[1:]]
+    return order, np.array(end), r, x
 
 
 def _sweep(end, z, s, tol, max_sweeps):
@@ -97,25 +105,24 @@ def _sweep(end, z, s, tol, max_sweeps):
     return v, sweeps, max_dv
 
 
-def _numbering(state: NetworkState, isls, adj):
-    """(bus ids, bus positions, live mask, per energized island (positions
-    in depth-first order, end, z in p.u.)), stored on the state.
+def _numbering(state: NetworkState, isls):
+    """(live mask, per energized island (positions in depth-first order,
+    end, z in p.u.)), stored on the state.
 
     Every energized island must already have passed its radiality check.
     """
     if state._numbering is None:
-        ids = [b.id for b in state.buses]
-        pos = {bus: i for i, bus in enumerate(ids)}
-        live = np.zeros(len(ids), dtype=bool)
+        pos = state._grid.pos
+        live = np.zeros(len(pos), dtype=bool)
         z_base = state.base_kv**2 / state.base_mva
         numbered = []
         for isl in isls:
             if isl.energized:
-                order, end, r, x = _depth_first(adj, isl.reference)
-                at = np.array([pos[bus] for bus in order])
+                order, end, r, x = _depth_first(state, pos[isl.reference])
+                at = np.array(order)
                 live[at] = True
                 numbered.append((at, end, r / z_base + 1j * (x / z_base)))
-        object.__setattr__(state, "_numbering", (ids, pos, live, tuple(numbered)))
+        object.__setattr__(state, "_numbering", (live, tuple(numbered)))
     return state._numbering
 
 
@@ -130,14 +137,14 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
     call with the same two returns it after the radiality check.
     """
     isls = topology.check_energized_radial(state)
-    adj = topology.connectivity(state)[1]
     if state._solution is not None and state._solution[0] == (tol, max_sweeps):
         return state._solution[1]
-    ids, pos, live, numbered = _numbering(state, isls, adj)
+    live, numbered = _numbering(state, isls)
+    ids, pos = state._grid.ids, state._grid.pos
     s_base_kw = 1000.0 * state.base_mva
     keep = np.ones(len(ids))
-    for bus, frac in state.shed_fractions.items():
-        keep[pos[bus]] = 1.0 - frac
+    keep[[pos[bus] for bus in state.shed_fractions]] = [
+        1.0 - frac for frac in state.shed_fractions.values()]
     der_kw = np.zeros(len(ids))
     for d in state.ders:
         if d.online:

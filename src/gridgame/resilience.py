@@ -204,11 +204,11 @@ def unified_score(card: ResilienceScorecard, weights: AhpWeights) -> float:
 def build_payoff_matrix(base, catalog, weights: AhpWeights) -> PayoffMatrix:
     """Unified score and flags of every attack-defense pair in the catalog,
     each cell evaluated with its power flows, one after another in
-    (attack, defense) order. Only ``payoff`` writes the flags."""
+    (attack, defense) order, each attack applied once per row. Only
+    ``payoff`` writes the flags."""
     from . import scenario  # deferred: scenario imports the scorecard and flags above
 
-    cards = [[scenario.payoff_cell(scenario.evaluate_pair, base, a, d)
-              for d in catalog.defenses] for a in catalog.attacks]
+    cards = scenario.payoff_rows(scenario.evaluate_pair, base, catalog)
     return _payoff(catalog, [[unified_score(c, weights) for c in row] for row in cards],
                    {(i, j): c.flags for i, row in enumerate(cards)
                     for j, c in enumerate(row) if c.flags})

@@ -8,13 +8,17 @@ resolves one pair once into a ``PairPlan``, which serves the loads
 (``serve_loads``) and scores the served state (LSR, CLR, TSS, DRS) for many
 load vectors at a time; ``compile_catalog`` makes a command's plan table.
 ``evaluate_pair`` scores one cell through its plan and runs the power flows
-that set the cell's voltage flags, which only ``payoff`` writes.
+that set the cell's voltage flags, which only ``payoff`` writes.  Both
+walk the catalog through ``payoff_rows``: the cells of one attack share an
+``AttackRow``, which applies the attack once, and every cell shares the
+base feeder's ``BaseTables``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -374,23 +378,26 @@ def apply_action(state: NetworkState, action: AttackAction | DefenseAction) -> N
 apply_attack = apply_defense = apply_action
 
 
-def evaluate_pair(base: NetworkState, attack: AttackAction,
-                  defense: DefenseAction) -> ResilienceScorecard:
+def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseAction, *,
+                  row: AttackRow | None = None) -> ResilienceScorecard:
     """Score one attack-defense interaction on the pristine network.
 
     Pipeline: pre-attack flow (steady-state sanity), attack, defense,
     post-defense flow, then the cell's plan serves the loads and scores
     them. The flows only set flags: voltages reach no metric, so the
-    serving policy needs no voltage solution, converged or not.
+    serving policy needs no voltage solution, converged or not. ``row``
+    is the attack's row on ``base`` when the caller scores several cells
+    of it (``payoff_rows``).
     """
     flags: set[str] = set()
     if not power_flow(base).converged:
         flags.add(FLAG_NON_CONVERGENCE)
 
-    defended = apply_defense(apply_attack(base, attack), defense)
-    isls = topology.check_energized_radial(defended)
+    row = row if row is not None else AttackRow(BaseTables.of(base), attack)
+    defended = apply_defense(row.attacked, defense)
+    topology.check_energized_radial(defended)
     solutions = [power_flow(defended)]
-    plan = _plan(base, attack, defense, defended, isls)
+    plan = _plan(row, defense, defended)
     served = serve_loads(plan, np.ones((1, len(base.buses))))
     if served.curtailed[0]:
         # re-solve with the curtailment baked in so voltages are consistent
@@ -570,85 +577,143 @@ def _curtail_factors(demand: np.ndarray, critical: np.ndarray, capacity: float) 
     return np.where(critical, f_crit[:, None], f_non[:, None])
 
 
+@dataclass(frozen=True, eq=False)
+class BaseTables:
+    """What every cell on one base feeder shares: its per-bus tables, and
+    the bus positions of each bus target, resolved the first time a cell
+    asks. None of the arrays is ever written."""
+
+    state: NetworkState
+    load_p: np.ndarray       # active load per bus position, kW
+    critical: np.ndarray     # per bus position
+    critical_at: np.ndarray  # positions of critical buses
+    shed: np.ndarray         # shed fraction per bus position
+    targets: dict            # bus target -> bus positions
+
+    @classmethod
+    def of(cls, state: NetworkState) -> "BaseTables":
+        critical = np.array([b.is_critical for b in state.buses], dtype=bool)
+        tables = [np.array([b.load_p for b in state.buses]), critical,
+                  np.flatnonzero(critical), np.array([state.shed(b.id) for b in state.buses])]
+        for a in tables:
+            a.flags.writeable = False
+        return cls(state, *tables, targets={})
+
+    def positions(self, action_id: str, target) -> np.ndarray:
+        if target not in self.targets:
+            pos = self.state._grid.pos
+            at = np.array([pos[b] for b in _resolve_buses(self.state, action_id, target)],
+                          dtype=np.int64)
+            at.flags.writeable = False
+            self.targets[target] = at
+        return self.targets[target]
+
+
+@dataclass(eq=False)
+class AttackRow:
+    """One attack on one base feeder: what every cell of the attack's row
+    of the payoff matrix shares."""
+
+    base: BaseTables
+    attack: AttackAction
+
+    @cached_property
+    def attacked(self) -> NetworkState:
+        """The attacked state, made when a cell first asks, after the check
+        of the base's energized islands."""
+        topology.check_energized_radial(self.base.state)
+        return apply_attack(self.base.state, self.attack)
+
+    @cached_property
+    def scalings(self) -> tuple:
+        return tuple((self.base.positions(self.attack.id, e.target), float(e.value))
+                     for e in self.attack.effects if e.kind == "scale_load")
+
+
 def compile_pair(base: NetworkState, attack: AttackAction,
-                 defense: DefenseAction) -> PairPlan:
+                 defense: DefenseAction, *, row: AttackRow | None = None) -> PairPlan:
     """Resolve one attack-defense cell once, to score many load vectors.
 
     Raises what ``evaluate_pair`` raises on any load vector, in the same
     order: RadialityError for a loop in an energized island of the base,
     then every CatalogError of the attack and the defense, then
-    RadialityError for a loop the defense left.
+    RadialityError for a loop the defense left. ``row`` is the attack's row
+    on ``base`` when the caller compiles several cells of it.
     """
-    topology.check_energized_radial(base)
-    defended = apply_defense(apply_attack(base, attack), defense)
-    isls = topology.check_energized_radial(defended)
-    return _plan(base, attack, defense, defended, isls)
+    row = row if row is not None else AttackRow(BaseTables.of(base), attack)
+    defended = apply_defense(row.attacked, defense)
+    topology.check_energized_radial(defended)
+    return _plan(row, defense, defended)
 
 
 def compile_catalog(base: NetworkState, catalog: ScenarioCatalog) -> tuple:
     """The plan of every cell, one row of plans per attack, in catalog order."""
-    return tuple(tuple(payoff_cell(compile_pair, base, a, d) for d in catalog.defenses)
-                 for a in catalog.attacks)
+    return payoff_rows(compile_pair, base, catalog)
 
 
-def payoff_cell(resolve, base, attack, defense):
-    """``resolve(base, attack, defense)``; an error it raises names the cell."""
+def payoff_rows(resolve, base: NetworkState, catalog: ScenarioCatalog) -> tuple:
+    """``resolve(base, attack, defense, row=row)`` for every cell, one row
+    per attack in catalog order. The cells of a row share its ``AttackRow``,
+    so each attack is applied once, in the row's first cell; every error
+    names its cell."""
+    tables = BaseTables.of(base)
+    rows = []
+    for attack in catalog.attacks:
+        row = AttackRow(tables, attack)
+        rows.append(tuple(payoff_cell(resolve, base, attack, d, row=row)
+                          for d in catalog.defenses))
+    return tuple(rows)
+
+
+def payoff_cell(resolve, base, attack, defense, **kwargs):
+    """``resolve(base, attack, defense, **kwargs)``; an error it raises names the cell."""
     try:
-        return resolve(base, attack, defense)
+        return resolve(base, attack, defense, **kwargs)
     except Exception as exc:
         raise type(exc)(f"payoff cell ({attack.id},{defense.id}): {exc}") from exc
 
 
-def _plan(base: NetworkState, attack: AttackAction, defense: DefenseAction,
-          defended: NetworkState, isls: tuple[topology.Island, ...]) -> PairPlan:
-    """The plan of a cell whose attack and defense already made ``defended``,
-    whose islands are ``isls``."""
-    pos = {b.id: i for i, b in enumerate(base.buses)}
+def _plan(row: AttackRow, defense: DefenseAction, defended: NetworkState) -> PairPlan:
+    """The plan of the cell of ``defense`` in ``row``, whose defense made
+    ``defended``, every energized island of it a tree."""
+    base = row.base
+    shed_steps = tuple(
+        (e.kind, base.positions(defense.id, e.target) if e.kind == "shed_fraction" else None,
+         float(e.value))
+        for e in defense.effects if e.kind in ("shed_fraction", "shed_threshold"))
 
-    def positions(buses) -> np.ndarray:
-        return np.array([pos[b] for b in buses], dtype=np.int64)
-
-    scalings = tuple(
-        (positions(_resolve_buses(base, attack.id, e.target)), float(e.value))
-        for e in attack.effects if e.kind == "scale_load")
-    shed_steps = []
-    for e in defense.effects:
-        if e.kind == "shed_fraction":
-            shed_steps.append((e.kind, positions(_resolve_buses(base, defense.id, e.target)),
-                               float(e.value)))
-        elif e.kind == "shed_threshold":
-            shed_steps.append((e.kind, None, float(e.value)))
-
-    der_pos = {d.id: k for k, d in enumerate(defended.ders)}
+    isls, labels = topology.connectivity(defended)
+    dead = ~np.array([isl.energized for isl in isls])[labels]
+    by_id = defended._grid.by_id
+    der_at = {d.id: (k, d.output_kw(), d.rating_p) for k, d in enumerate(defended.ders)}
     der_fixed = np.zeros(len(defended.ders))
-    dead = np.zeros(len(base.buses), dtype=bool)
     der_islands = []
-    for isl in isls:
+    for idx, isl in enumerate(isls):
         if not isl.energized:
-            dead[positions(isl.buses)] = True
             continue
+        ders = tuple(der_at[der_id] for der_id in isl.ders)
         if defended.slack_bus in isl.buses:
-            for d in isl.ders:
-                der_fixed[der_pos[d.id]] = d.output_kw()
+            for k, output, _rating in ders:
+                der_fixed[k] = output
             continue
-        members = sorted(isl.buses)
+        members = by_id[labels[by_id] == idx]
         der_islands.append(_DerIsland(
-            members=positions(members),
-            critical=np.array([defended.buses[pos[b]].is_critical for b in members]),
-            capacity=sum(d.output_kw() for d in isl.ders),
-            rating_total=sum(d.rating_p for d in isl.ders),
-            ders=tuple((der_pos[d.id], d.output_kw(), d.rating_p) for d in isl.ders),
+            members=members,
+            critical=base.critical[members],
+            capacity=sum(output for _k, output, _rating in ders),
+            rating_total=sum(rating for _k, _output, rating in ders),
+            ders=ders,
         ))
 
     return PairPlan(
-        load_p=np.array([b.load_p for b in base.buses]),
-        critical=positions(b.id for b in base.buses if b.is_critical),
-        scalings=scalings,
-        shed=np.array([base.shed(b.id) for b in base.buses]),
-        shed_steps=tuple(shed_steps),
+        load_p=base.load_p,
+        critical=base.critical_at,
+        scalings=row.scalings,
+        shed=base.shed,
+        shed_steps=shed_steps,
         dead=dead,
         der_islands=tuple(der_islands),
         der_fixed=der_fixed,
         der_available=sum(d.output_kw() for d in defended.ders),
-        tss=int((~dead).sum()) / len(base.buses),
+        tss=int((~dead).sum()) / len(base.load_p),
     )

@@ -11,13 +11,14 @@ import numpy as np
 from gridgame.netmodel import topology
 from gridgame.netmodel.powerflow import MAX_SWEEPS, TOLERANCE, UNDERVOLTAGE_PU
 from gridgame.netmodel.types import NetworkState, PowerFlowSolution
+from topology_oracle import closed_branches
 
 
 def bfs_tree(state: NetworkState, comp: frozenset[int], root: int):
     """(order, parent, branch): breadth-first visit order from the root,
     bus -> upstream bus, and bus -> (r_ohm, x_ohm) of the edge toward it."""
     adj: dict[int, list[tuple[int, float, float]]] = {b: [] for b in comp}
-    for f, t, r, x, _id in state.closed_branches():
+    for f, t, r, x, _id in closed_branches(state):
         if f in comp and t in comp:
             adj[f].append((t, r, x))
             adj[t].append((f, r, x))

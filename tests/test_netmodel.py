@@ -30,6 +30,7 @@ from gridgame.netmodel import (
 from gridgame.resilience import DEFAULT_AHP_MATRIX, ahp_weights, build_payoff_matrix
 from gridgame.scenario import (AttackAction, DefenseAction, catalog_default, compile_pair,
                                serve_loads)
+from topology_oracle import closed_branches
 
 
 def oracle_voltages(state, tol=1e-13, max_iter=400):
@@ -38,7 +39,7 @@ def oracle_voltages(state, tol=1e-13, max_iter=400):
     s_base_kw = 1000.0 * state.base_mva
     g = nx.Graph()
     g.add_nodes_from(b.id for b in state.buses)
-    for f, t, r, x, _bid in state.closed_branches():
+    for f, t, r, x, _bid in closed_branches(state):
         g.add_edge(f, t, z=complex(r, x) / z_base)
 
     der_p = {}
@@ -176,7 +177,7 @@ class TestPowerFlow:
         s_kw = 1000.0 * net.base_mva
         v = sol.voltages
         g = {}
-        for f, t, r, x, _bid in net.closed_branches():
+        for f, t, r, x, _bid in closed_branches(net):
             g[(f, t)] = complex(r, x) / z_base
         # recompute branch flows from the voltage solution via path currents
         ref = oracle_voltages(net)
@@ -233,7 +234,7 @@ class TestTopology:
         mine = [set(isl.buses) for isl in islands(state)]
         g = nx.Graph()
         g.add_nodes_from(b.id for b in state.buses)
-        g.add_edges_from((f, t) for f, t, *_ in state.closed_branches())
+        g.add_edges_from((f, t) for f, t, *_ in closed_branches(state))
         theirs = sorted((set(c) for c in nx.connected_components(g)), key=min)
         assert mine == theirs
 
@@ -265,7 +266,7 @@ class TestTopology:
         slack, isl = islands(state)
         assert slack.buses == frozenset({1, 2}) and slack.reference == 1
         assert isl.buses == frozenset({3, 4})
-        assert isl.ders == ders  # state order, not rating order
+        assert isl.ders == ("G1", "G2")  # state order, not rating order
         # equal ratings: lower bus id wins... G2 at bus 3
         assert isl.reference == 3
 
@@ -430,7 +431,9 @@ def assert_revalidates(state):
                             for f in dataclasses.fields(state) if f.init})
     assert again == state
     if state._topology is not None:
-        assert state._topology == topology.connectivity(again)
+        isls, labels = topology.connectivity(again)
+        assert state._topology[0] == isls
+        assert np.array_equal(state._topology[1], labels)
     if state._numbering is not None:
         assert power_flow(state) == power_flow(again)
 
@@ -447,8 +450,9 @@ def test_every_derived_state_of_the_bundled_build_revalidates(monkeypatch):
     monkeypatch.setattr(NetworkState, "__post_init__", counted)
     with derived_states() as made:
         build_payoff_matrix(base, catalog_default(), ahp_weights(DEFAULT_AHP_MATRIX))
-    # one derivation per state the build makes, and none runs the full check
-    assert (len(made), len(validations)) == (428, 0)
+    # one derivation per state the build makes, and none runs the full check;
+    # each attack is applied once per row of ten cells, not once per cell
+    assert (len(made), len(validations)) == (212, 0)
     for state in made:
         assert_revalidates(state)
     assert sum(s._numbering is not None for s in made) == 163
@@ -475,10 +479,30 @@ class TestDerivations:
             derive(net)
 
     def test_der_change_resolves_its_own_islands(self, net):
-        # the islands hold the DERs, whose output the plan and the flow read
+        # a trip or a new rating may move an island's reference, so the
+        # derived state resolves its own islands and numbering
+        power_flow(net)
+        for derived in (net.with_der("DER4", online=False), net.with_der("DER4", rating_p=1.0),
+                        net.with_der("DER4", online=False, dispatch_fraction=1.0)):
+            assert (derived._topology, derived._numbering) == (None, None)
+            power_flow(derived)
+            assert topology.connectivity(derived) is not topology.connectivity(net)
+            assert derived._numbering is not net._numbering
+            assert_revalidates(derived)
+        tripped = net.with_line_status(net.find_line(6, 26).id, OPEN)
+        assert topology.islands(tripped)[1].reference == 29
+        assert topology.islands(tripped.with_der("DER4", online=False))[1].reference is None
+
+    def test_dispatch_change_keeps_the_parents_topology(self, net):
+        # islands name their DERs by id and the flow reads the outputs from
+        # the state's own DERs, so a dispatch change moves neither
+        power_flow(net)
         boosted = net.with_der("DER1", dispatch_fraction=1.0)
-        assert topology.islands(boosted) is not topology.islands(net)
-        assert [d for isl in topology.islands(boosted) for d in isl.ders] == list(boosted.ders)
+        assert topology.connectivity(boosted) is topology.connectivity(net)
+        assert boosted._numbering is net._numbering
+        assert boosted._solution is None
+        assert_revalidates(boosted)
+        assert power_flow(boosted).voltages != power_flow(net).voltages
 
     @pytest.mark.parametrize("derive", [
         pytest.param(lambda s: s.with_shed({2: 0.5}), id="shed"),

@@ -18,6 +18,7 @@ from gridgame.netmodel import CLOSED, OPEN, Bus, Der, Line, NetworkState
 from gridgame.netmodel import islands, load_ieee33, power_flow
 from gridgame.resilience import DEFAULT_AHP_MATRIX, ahp_weights, build_payoff_matrix
 from gridgame.scenario import catalog_default
+from topology_oracle import closed_branches
 
 EXACT_FIELDS = ("islands", "energized", "converged", "iterations", "undervoltage_buses")
 
@@ -95,6 +96,17 @@ def test_random_feeders_match_oracle(state):
     assert_matches_oracle(state)
 
 
+def test_branchless_islands_match_oracle():
+    # one bus alone, and an isolated DER bus beside a two-bus slack island:
+    # islands of one bus have no branch toward a parent
+    alone = NetworkState(buses=(Bus(1, 10.0, 5.0),), lines=())
+    apart = NetworkState(buses=tuple(Bus(i, 10.0, 5.0) for i in (1, 2, 3)),
+                         lines=(Line("a", 1, 2, 0.1, 0.2), Line("b", 2, 3, 0.1, 0.2, OPEN)),
+                         ders=(Der("G", 3, 50.0),))
+    for state in (alone, apart):
+        assert_matches_oracle(state)
+
+
 def test_generator_reaches_every_outcome():
     # the property above is only as good as the feeders it sees
     seen = {assert_matches_oracle(feeder(n, seed, load, 0.2, 3, 0.3, seed % 2 == 0))
@@ -157,7 +169,7 @@ def assert_power_balance(state):
             continue
         pos = {b: k for k, b in enumerate(sorted(isl.buses))}
         y_bus = np.zeros((len(pos), len(pos)), dtype=complex)
-        for f, t, r, x, _id in state.closed_branches():
+        for f, t, r, x, _id in closed_branches(state):
             if f in pos:
                 y = 1.0 / complex(r / z_base, x / z_base)
                 i, j = pos[f], pos[t]

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgame import cli, resilience, scenario
-from gridgame.errors import CatalogError, NetworkValidationError
-from gridgame.netmodel import (Bus, Der, Line, NetworkState, load_ieee33, load_network,
-                              topology)
+from gridgame.errors import CatalogError, NetworkValidationError, RadialityError
+from gridgame.netmodel import (CLOSED, OPEN, Bus, Der, Line, NetworkState, load_ieee33,
+                              load_network, topology)
 from gridgame.resilience import (
     DEFAULT_AHP_MATRIX,
     AhpWeights,
@@ -299,10 +299,11 @@ class TestPayoffMatrix:
         assert len(m.cell_flags) == 39
 
     def test_one_branch_scan_per_connectivity_pass(self, monkeypatch):
-        # each state resolves its topology once, and a load-only derivation
-        # shares its parent's
+        # each state labels its branch arrays once, a derivation that moves no
+        # island shares its parent's labels, and the cells of a row share
+        # their attacked state
         calls = {"scans": 0, "passes": 0, "questions": 0}
-        scan, connectivity = NetworkState.closed_branches, topology.connectivity
+        scan, connectivity = topology._connectivity, topology.connectivity
 
         def counted_scan(state):
             calls["scans"] += 1
@@ -313,19 +314,19 @@ class TestPayoffMatrix:
             calls["passes"] += state._topology is None
             return connectivity(state)
 
-        monkeypatch.setattr(NetworkState, "closed_branches", counted_scan)
+        monkeypatch.setattr(topology, "_connectivity", counted_scan)
         monkeypatch.setattr(topology, "connectivity", counted_pass)
         net, cat = load_ieee33(), scenario.catalog_default()
         assert calls == {"scans": 1, "passes": 1, "questions": 1}
         resilience.build_payoff_matrix(net, cat, ahp_weights(DEFAULT_AHP_MATRIX))
-        # 175 radiality checks, and two questions per each of the 263 flows:
-        # its radiality check and its adjacency
-        assert calls == {"scans": 1 + 175, "passes": 1 + 175, "questions": 1 + 175 + 2 * 263}
-        for attack in cat.attacks:
-            for defense in cat.defenses:
-                scenario.compile_pair(net, attack, defense)
-        assert calls == {"scans": 1 + 175 + 175, "passes": 1 + 175 + 175,
-                         "questions": 1 + 175 + 2 * 263 + 275}
+        # 85 passes; the questions: the radiality check of each of the 263
+        # flows, two per cell (its radiality check and its plan), one per row
+        # (the base's check) and 75 close_switch loop tests
+        assert calls == {"scans": 1 + 85, "passes": 1 + 85,
+                         "questions": 1 + 263 + 2 * 100 + 10 + 75}
+        scenario.compile_catalog(net, cat)
+        assert calls == {"scans": 1 + 85 + 85, "passes": 1 + 85 + 85,
+                         "questions": 1 + 548 + 2 * 100 + 10 + 75}
 
     def test_cell_error_names_the_cell(self):
         cat = scenario.catalog_default()
@@ -337,6 +338,55 @@ class TestPayoffMatrix:
             resilience.build_payoff_matrix(load_ieee33(), small, ahp_weights(DEFAULT_AHP_MATRIX))
         with pytest.raises(CatalogError, match=r"^payoff cell \(A2,DX\): DX: no tie switch"):
             scenario.compile_catalog(load_ieee33(), small)
+
+    @pytest.mark.parametrize("build", ["payoff", "plan-table"])
+    def test_shared_row_errors_name_their_cell(self, build, monkeypatch):
+        # a row applies its attack once, in its first cell, so an attack's
+        # error names (attack, first defense); a defense's error, and a loop
+        # that a defense leaves, name their own cell, in catalog order
+        cat = scenario.catalog_default()
+        bad_attack = scenario.AttackAction("AX", "trip a missing line", (
+            scenario.Effect("trip_line", "1-33"),))
+        bad_defense = scenario.DefenseAction("DX", "close a missing tie", (
+            scenario.Effect("close_switch", "SW9"),))
+        net = load_ieee33()
+        looped = net.with_line_status("SW1", CLOSED)
+        # a dead island that holds a loop, which closing SW energizes
+        dead_loop = NetworkState(
+            buses=tuple(Bus(i, 10.0, 5.0) for i in range(1, 7)),
+            lines=tuple(Line(f"L{a}-{b}", a, b, 0.1, 0.1)
+                        for a, b in ((1, 2), (2, 3), (4, 5), (5, 6), (6, 4))),
+            switches=(Line("SW", 3, 4, 0.1, 0.1, OPEN),))
+        no_attack = scenario.AttackAction("A0", "none", ())
+        join = scenario.DefenseAction("DZ", "close SW", (scenario.Effect("close_switch", "SW"),))
+        join_again = scenario.DefenseAction("DW", "close SW", join.effects)
+        w = ahp_weights(DEFAULT_AHP_MATRIX)
+
+        def run(base, attacks, defenses):
+            small = scenario.ScenarioCatalog(attacks=attacks, defenses=defenses)
+            if build == "payoff":
+                return resilience.build_payoff_matrix(base, small, w)
+            return scenario.compile_catalog(base, small)
+
+        d1, d4 = cat.defense("D1"), cat.defense("D4")
+        applied = []
+        real = scenario.apply_attack
+        monkeypatch.setattr(scenario, "apply_attack", lambda s, a: applied.append(a.id)
+                            or real(s, a))
+        run(net, (cat.attack("A2"), cat.attack("A6")), (d1, d4, cat.defense("D7")))
+        assert applied == ["A2", "A6"]
+        cases = [
+            (net, (cat.attack("A2"), bad_attack), (d1, d4), CatalogError,
+             r"\(AX,D1\): AX: no line"),
+            (net, (cat.attack("A2"),), (d1, bad_defense, d4), CatalogError,
+             r"\(A2,DX\): DX: no tie switch"),
+            (looped, (bad_attack,), (d1,), RadialityError, r"\(AX,D1\): island with"),
+            (dead_loop, (no_attack,), (join, join_again), RadialityError,
+             r"\(A0,DZ\): island with 6 buses has 6"),
+        ]
+        for base, attacks, defenses, error, match in cases:
+            with pytest.raises(error, match=r"^payoff cell " + match):
+                run(base, attacks, defenses)
 
     @pytest.mark.parametrize("feeder", ["bundled", "synthetic-118"])
     def test_plan_table_scores_the_flagged_entries(self, feeder):

@@ -1,4 +1,5 @@
-"""The one connectivity pass against networkx and the reference rule.
+"""The one connectivity pass against networkx, the reference rule and the
+breadth-first walk it replaced.
 
 Random feeders are a random tree plus extra closed branches (sometimes a
 line and a closed tie between the same two buses), with some lines opened
@@ -6,15 +7,20 @@ and the DERs online or offline at a few shared ratings, so rating ties
 happen.  ``topology.connectivity`` must agree with the connected components
 of the closed branches as a networkx ``MultiGraph``, count each island's
 branches so that the tree rule matches ``nx.is_tree``, and pick the
-reference the slack/largest-DER rule picks.
+reference the slack/largest-DER rule picks.  On those feeders, shuffled in
+bus order and then derived by a random run of ``with_*`` calls, it must
+also give exactly the islands, labels and radiality errors of the
+breadth-first oracle in ``tests/topology_oracle.py``.
 """
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgame.errors import RadialityError
 from gridgame.netmodel import CLOSED, OPEN, Bus, Der, Line, NetworkState, topology
+from topology_oracle import breadth_first_connectivity
 
 
 @st.composite
@@ -68,7 +74,7 @@ def expected_reference(state, buses):
 @given(feeders())
 def test_connectivity_matches_networkx(state):
     g = multigraph(state)
-    isls, adj = topology.connectivity(state)
+    isls, labels = topology.connectivity(state)
     assert [isl.buses for isl in isls] == sorted(
         (frozenset(c) for c in nx.connected_components(g)), key=min)
     assert topology.islands(state) == isls
@@ -81,8 +87,55 @@ def test_connectivity_matches_networkx(state):
         else:
             with pytest.raises(RadialityError, match="not a tree"):
                 isl.check_radial()
-        assert isl.ders == tuple(d for d in state.ders if d.online and d.bus in isl.buses)
+        assert isl.ders == tuple(d.id for d in state.ders if d.online and d.bus in isl.buses)
         assert isl.reference == expected_reference(state, isl.buses)
         assert isl.energized == (isl.reference is not None)
-    for bus, near in adj.items():
-        assert sorted(nb for nb, _r, _x in near) == sorted(nb for _b, nb in g.edges(bus))
+    assert [isls[k].buses for k in labels] == [
+        next(isl.buses for isl in isls if b.id in isl.buses) for b in state.buses]
+
+
+@st.composite
+def derived(draw):
+    """A random feeder with its buses in a random order, then up to six
+    ``with_*`` derivations of it: branch switching, DER trips, returns,
+    re-ratings and dispatch changes, shed fractions and load scaling."""
+    state = draw(feeders())
+    order = draw(st.permutations(state.buses))
+    state = NetworkState(buses=tuple(order), lines=state.lines, switches=state.switches,
+                         ders=state.ders, slack_bus=state.slack_bus)
+    branches = [ln.id for ln in (*state.lines, *state.switches)]
+    buses = st.sampled_from([b.id for b in state.buses])
+    steps = [st.tuples(st.just("with_line_status"), st.sampled_from(branches),
+                       st.sampled_from([CLOSED, OPEN])) if branches else st.nothing(),
+             st.tuples(st.just("with_shed"), st.dictionaries(buses, st.floats(0, 1))),
+             st.tuples(st.just("with_scaled_loads"), st.dictionaries(buses, st.floats(0, 3)))]
+    if state.ders:
+        der = st.sampled_from([d.id for d in state.ders])
+        steps += [st.tuples(st.just("online"), der, st.booleans()),
+                  st.tuples(st.just("rating_p"), der, st.sampled_from([0.0, 300.0, 500.0])),
+                  st.tuples(st.just("dispatch_fraction"), der, st.floats(0, 1))]
+    made = [state]
+    for step in draw(st.lists(st.one_of(steps), max_size=6)):
+        kind, *args = step
+        if kind in ("online", "rating_p", "dispatch_fraction"):
+            made.append(made[-1].with_der(args[0], **{kind: args[1]}))
+        else:
+            made.append(getattr(made[-1], kind)(*args))
+    return made
+
+
+@settings(max_examples=300, deadline=None)
+@given(derived())
+def test_connectivity_matches_the_breadth_first_oracle(states):
+    for state in states:
+        expected, island_of = breadth_first_connectivity(state)
+        isls, labels = topology.connectivity(state)
+        assert isls == expected
+        assert labels.tolist() == [island_of[b.id] for b in state.buses]
+        loops = [isl for isl in expected if isl.energized and isl.branches != len(isl.buses) - 1]
+        if loops:  # the first loop in island order is the one reported
+            with pytest.raises(RadialityError, match=f"^island with {len(loops[0].buses)} "
+                                                     f"buses has {loops[0].branches} closed"):
+                topology.check_energized_radial(state)
+        else:
+            assert topology.check_energized_radial(state) == expected
