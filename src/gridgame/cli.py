@@ -490,8 +490,8 @@ def cmd_probe(args) -> Output:
     rows = experiments.scalability_probe(sizes=sizes, methods=methods,
                                          seed=args.seed)
 
-    # timings and memory are measurements, they go in the manifest so the
-    # data files stay reproducible
+    # timings are measurements, they go in the manifest so the data files
+    # stay reproducible
     det_fields = ("buses", "ders", "switches", "state_space_log2")
     files = {
         "probe.csv": ([*det_fields, "note"],
@@ -502,7 +502,6 @@ def cmd_probe(args) -> Output:
     }
     timings = {str(row["buses"]): {
         "wall_time_s": round(row["wall_time_s"], 6),
-        "peak_memory_mb": round(row["peak_memory_mb"], 3),
         "method_times": {k: round(v, 6) for k, v in row["method_times"].items()},
     } for row in rows}
     config = {"command": "probe", "sizes": list(sizes), "methods": methods}

@@ -19,7 +19,6 @@ import functools
 import math
 import numbers
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .gamesolve import (MixedStrategy, draw_bounds, is_distribution, nash_exact,
 from .marl import LearningConfig, train_multi_agent, train_single_agent
 from .netmodel import NetworkState, energized_buses, load_ieee33
 from .netmodel.types import OPEN, Bus, Der, Line
-from .resilience import PayoffMatrix, build_payoff_matrix
+from .resilience import PayoffMatrix, build_payoff_matrix, left_sum
 from .scenario import _resolve_buses, _resolve_ders
 # evaluate_pair is re-exported: the single-cell scorer next to the batch
 from .scenario import apply_attack, apply_defense, catalog_default, evaluate_pair  # noqa: F401
@@ -166,7 +165,7 @@ def _attack_probs(mc: McConfig, policy: DefensePolicy, matrix) -> np.ndarray:
         return nash_exact(entries).attacker.probs
     # adversarial-best-response: the attacker knows the policy and picks the
     # row minimizing the defender's expected score under its announced mix
-    expected = np.array([entries[i] @ policy.mixes[i] for i in range(n_att)])
+    expected = left_sum(entries * policy.mixes)
     probs = np.zeros(n_att)
     probs[int(np.argmin(expected))] = 1.0
     return probs
@@ -226,6 +225,15 @@ def monte_carlo(plans, weights, defense_policy: DefensePolicy, mc: McConfig,
     return summarize(defense_policy.label, records)
 
 
+def _mean_sd(x: np.ndarray) -> tuple[float, float]:
+    """Mean and sample standard deviation (n - 1 denominator, 0 for one
+    value) of the vector ``x``, each sum added left to right."""
+    n = len(x)
+    mean = float(left_sum(x)) / n
+    dev = x - mean
+    return mean, (math.sqrt(float(left_sum(dev * dev)) / (n - 1)) if n > 1 else 0.0)
+
+
 def summarize(label: str, records) -> StatsReport:
     """Aggregate per-run (attack, defense, score) records.
 
@@ -235,15 +243,13 @@ def summarize(label: str, records) -> StatsReport:
     records = list(records)
     if not records:
         raise ConfigError("cannot summarize zero runs")
-    scores = np.array([r[2] for r in records])
-    n = len(scores)
-    mean = float(scores.mean())
-    std = float(scores.std(ddof=1)) if n > 1 else 0.0
+    n = len(records)
+    mean, std = _mean_sd(np.array([r[2] for r in records]))
     half = 1.96 * std / math.sqrt(n)
     per_attack = {}
     for aid in {r[0] for r in records}:
         vals = [r[2] for r in records if r[0] == aid]
-        per_attack[aid] = float(np.mean(vals))
+        per_attack[aid] = float(left_sum(np.array(vals))) / len(vals)
     return StatsReport(
         label=label, mean=mean, std_dev=std,
         ci95_low=mean - half, ci95_high=mean + half, samples=n,
@@ -384,11 +390,10 @@ def paired_t_test(a, b) -> tuple[float, float]:
     n = len(a)
     if n < 2:
         raise ConfigError("need at least two pairs")
-    d = a - b
-    sd = float(d.std(ddof=1))
+    mean, sd = _mean_sd(a - b)
     if sd == 0.0:
         raise SolverError("degenerate paired test: differences have zero variance")
-    t = float(d.mean() / (sd / math.sqrt(n)))
+    t = mean / (sd / math.sqrt(n))
     nu = n - 1
     p = _betainc(nu / 2.0, 0.5, nu / (nu + t * t))
     return t, float(p)
@@ -413,7 +418,7 @@ def strategy_policy(tag: str, matrix: PayoffMatrix, catalog=None,
         return DefensePolicy.unconditional(
             "RDS", np.full(n_def, 1.0 / n_def), n_att)
     if tag == "SOD":
-        means = entries.mean(axis=0)
+        means = left_sum(entries.T) / n_att
         return DefensePolicy.pure(
             "SOD", int(np.argmax(means)), n_att, n_def,
             provenance={"column_means": [float(v) for v in means]})
@@ -567,18 +572,6 @@ def _probe_catalog(state: NetworkState):
                            version="probe-1")
 
 
-def _probe_pass(state, catalog, weights, methods, seed):
-    """Build the payoff matrix and run each method; (wall s, {tag: s})."""
-    start = time.perf_counter()
-    matrix = build_payoff_matrix(state, catalog, weights)
-    method_times = {}
-    for tag in methods:
-        t0 = time.perf_counter()
-        strategy_policy(tag, matrix, catalog=catalog, base=state, seed=seed)
-        method_times[tag] = time.perf_counter() - t0
-    return time.perf_counter() - start, method_times
-
-
 def scalability_probe(sizes=(33, 69, 118), methods=("nash",), seed: int = 0):
     """Measure pipeline cost against feeder size; estimates are reported,
     never judged.
@@ -609,20 +602,19 @@ def scalability_probe(sizes=(33, 69, 118), methods=("nash",), seed: int = 0):
         n_der = len(state.ders)
         n_switch = len(state.switches)
         exponent = size + n_der + n_switch
-        # tracing slows the interpreter several-fold, so the times come from a
-        # clean pass and the peak memory from a second, traced one
-        wall, method_times = _probe_pass(state, catalog, weights, methods, seed)
-        tracemalloc.start()
-        _probe_pass(state, catalog, weights, methods, seed)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        start = time.perf_counter()
+        matrix = build_payoff_matrix(state, catalog, weights)
+        method_times = {}
+        for tag in methods:
+            t0 = time.perf_counter()
+            strategy_policy(tag, matrix, catalog=catalog, base=state, seed=seed)
+            method_times[tag] = time.perf_counter() - t0
         row = {
             "buses": size,
             "ders": n_der,
             "switches": n_switch,
             "state_space_log2": exponent,
-            "wall_time_s": wall,
-            "peak_memory_mb": peak / 1e6,
+            "wall_time_s": time.perf_counter() - start,
             "method_times": method_times,
         }
         if size == 33 and n_der == 4 and n_switch == 4:

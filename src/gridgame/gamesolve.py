@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
+from .resilience import left_sum
 
 FP_DEFAULT_ITERS = 100_000
 FP_DEFAULT_TOL = 1e-3
@@ -103,7 +104,7 @@ class EquilibriumReport:
 def _report(method, M, pa, pd, iterations, trajectory=()) -> EquilibriumReport:
     attacker = MixedStrategy(pa)
     defender = MixedStrategy(pd)
-    value = float(attacker.probs @ M @ defender.probs)
+    value = float(left_sum(attacker.probs * left_sum(M * defender.probs)))
     eps = verify_epsilon_equilibrium(M, attacker, defender)
     return EquilibriumReport(
         attacker=attacker, defender=defender, game_value=value, method=method,
@@ -118,12 +119,12 @@ def best_response(M, opponent_mix, side: str) -> tuple[int, float]:
     if side == "attacker":
         if len(mix) != m.shape[1]:
             raise SolverError("defender mix length does not match columns")
-        scores = m @ mix
+        scores = left_sum(m * mix)
         idx = int(np.argmin(scores))
     elif side == "defender":
         if len(mix) != m.shape[0]:
             raise SolverError("attacker mix length does not match rows")
-        scores = mix @ m
+        scores = left_sum(m.T * mix)
         idx = int(np.argmax(scores))
     else:
         raise SolverError(f"unknown side {side!r}")
@@ -135,9 +136,10 @@ def verify_epsilon_equilibrium(M, attacker_mix, defender_mix) -> float:
     m = _entries(M)
     pa = _probs(attacker_mix)
     pd = _probs(defender_mix)
-    value = float(pa @ m @ pd)
-    attacker_gain = value - float(np.min(m @ pd))
-    defender_gain = float(np.max(pa @ m)) - value
+    loss = left_sum(m * pd)
+    value = float(left_sum(pa * loss))
+    attacker_gain = value - float(np.min(loss))
+    defender_gain = float(np.max(left_sum(m.T * pa))) - value
     return max(attacker_gain, defender_gain)
 
 
@@ -151,9 +153,9 @@ def _hold(u, rate, k, cap):
     Rounding can put the real change a step off; the caller finds it in the
     block's rows, so this only sizes the block.
     """
-    gain = rate[k] - rate  # a rival with gain > 0 closes in on k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = ((u - u[k]) / gain)[gain > 0].min(initial=cap)
+    gain = rate[k] - rate
+    closing = gain > 0  # a rival that closes in on k
+    s = ((u[closing] - u[k]) / gain[closing]).min(initial=cap)
     return cap if not s < cap else int(max(s, 0.0)) + 1  # a NaN gap takes cap
 
 
@@ -282,11 +284,11 @@ def nash_exact(M) -> EquilibriumReport:
     shift = 1.0 - float(m.min())
     pos = m + shift
     x, y = _simplex_max(pos.T, np.ones(pos.shape[1]))
-    total = x.sum()
-    if total <= 0 or y.sum() <= 0:
+    total_x, total_y = left_sum(x), left_sum(y)
+    if total_x <= 0 or total_y <= 0:
         raise SolverError("degenerate game LP solution")
-    pa = x / total
-    pd = y / y.sum()
+    pa = x / total_x
+    pd = y / total_y
     report = _report("nash-exact", m, pa, pd, iterations=1)
     if report.epsilon > 1e-7:
         raise SolverError(f"simplex solution failed verification: eps={report.epsilon}")
@@ -305,14 +307,6 @@ def stackelberg(M) -> tuple[int, float, int]:
 # -- regret matching+ ---------------------------------------------------------
 
 
-def _loop_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sums along the last axis, added left to right as a plain loop adds them.
-
-    ``out`` may be ``a`` itself; the result is then a view into it.
-    """
-    return np.add.accumulate(a, axis=-1, out=out)[..., -1]
-
-
 def _rm_kernel(M, T, tol, check_every, record_every):
     """Alternating regret matching+ on expected payoffs (Tammelin et al., 2015).
 
@@ -329,7 +323,7 @@ def _rm_kernel(M, T, tol, check_every, record_every):
     record_every steps and at the stop, where avg_regret is the largest
     unfloored cumulative regret of the mixes played, over t.
 
-    Every sum of a step runs left to right (``_loop_sums``), so the loops in
+    Every sum of a step runs left to right (``left_sum``), so the loops in
     ``tests/kernel_oracle.py`` reproduce each output bit for bit.
     """
     m, n = M.shape
@@ -345,16 +339,16 @@ def _rm_kernel(M, T, tol, check_every, record_every):
     traj = []
     for t in range(1, T + 1):
         # attacker minimizes: the regret of row i is value - (M pd)[i]
-        loss = _loop_sums(np.multiply(M, pd, out=by_row), out=by_row)
-        gain_a = _loop_sums(pa * loss) - loss
+        loss = left_sum(np.multiply(M, pd, out=by_row), out=by_row)
+        gain_a = left_sum(pa * loss) - loss
         regret_a += gain_a
         floored_a += gain_a
         np.maximum(0.0, floored_a, out=floored_a)
-        total = _loop_sums(floored_a)
+        total = left_sum(floored_a)
         pa = floored_a / total if total > 0.0 else uniform_a
         # defender maximizes against the attacker's new mix
-        gain = _loop_sums(np.multiply(cols, pa, out=by_col), out=by_col)
-        value = _loop_sums(pd * gain)
+        gain = left_sum(np.multiply(cols, pa, out=by_col), out=by_col)
+        value = left_sum(pd * gain)
         gain_d = gain - value
         regret_d += gain_d
         floored_d += gain_d
@@ -363,7 +357,7 @@ def _rm_kernel(M, T, tol, check_every, record_every):
         sum_d += t * pd
         weight += t
         payoff_sum += value
-        total = _loop_sums(floored_d)
+        total = left_sum(floored_d)
         pd = floored_d / total if total > 0.0 else uniform_d
         last = t == T or (t % check_every == 0 and verify_epsilon_equilibrium(
             M, sum_a / weight, sum_d / weight) <= tol)
@@ -404,14 +398,14 @@ def softmax_response(M, opponent_mix, beta: float, side: str) -> MixedStrategy:
         raise ConfigError(f"beta must be finite and non-negative, got {beta}")
     mix = _probs(opponent_mix)
     if side == "attacker":
-        z = -beta * (m @ mix)
+        z = -beta * left_sum(m * mix)
     elif side == "defender":
-        z = beta * (mix @ m)
+        z = beta * left_sum(m.T * mix)
     else:
         raise SolverError(f"unknown side {side!r}")
-    z = z - z.max()
-    w = np.exp(z)
-    return MixedStrategy(w / w.sum())
+    top = z.max()
+    w = np.array([math.exp(v - top) for v in z.tolist()])
+    return MixedStrategy(w / left_sum(w))
 
 
 @dataclass(frozen=True)

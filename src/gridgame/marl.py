@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, number
 from .gamesolve import MixedStrategy, _entries, draw_bounds, is_distribution, telemetry_cadence
-from .resilience import REWARD_BOUND
+from .resilience import REWARD_BOUND, left_sum
 
 ALPHA_SCHEDULES = ("harmonic", "constant", "power")
 
@@ -169,7 +169,7 @@ class LearnedPolicy:
 
 def _policy_from(side, q, opp_freq, episodes, provenance, telemetry) -> LearnedPolicy:
     # q: (S, own, opp); opp_freq: (S, opp) rows summing to 1
-    rows = np.einsum("soj,sj->so", q, opp_freq)
+    rows = left_sum(q * opp_freq[:, None, :])
     q_rows = tuple(tuple(float(v) for v in r) for r in rows)
     return LearnedPolicy(side=side, q_rows=q_rows, episodes=episodes,
                          provenance=provenance, telemetry=telemetry)

@@ -57,6 +57,20 @@ class ResilienceScorecard:
         return np.array([self.lsr, self.clr, self.tss, self.drs])
 
 
+def left_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums along the last axis, added left to right as a plain loop adds
+    them; 0.0 where that axis is empty.
+
+    Every matrix or vector product whose result reaches a data file is one
+    of these sums, ``left_sum(m * v)``: a BLAS kernel orders its additions
+    by the CPU it runs on.  ``out`` may be ``a`` itself; the result is then
+    a view into it.
+    """
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    return np.add.accumulate(a, axis=-1, out=out)[..., -1]
+
+
 @dataclass(frozen=True)
 class AhpWeights:
     w: np.ndarray  # normalized, sums to 1
@@ -145,13 +159,13 @@ def ahp_weights(comparison: np.ndarray) -> AhpWeights:
 
     w = np.full(n, 1.0 / n)
     for _ in range(AHP_MAX_ITERS):
-        nxt = a @ w
-        nxt /= nxt.sum()
+        nxt = left_sum(a * w)
+        nxt /= left_sum(nxt)
         if np.max(np.abs(nxt - w)) <= AHP_TOL:
             w = nxt
             break
         w = nxt
-    lam = float(np.mean((a @ w) / w))
+    lam = float(left_sum(left_sum(a * w) / w)) / n
     ci = (lam - n) / (n - 1) if n > 1 else 0.0
     ri = SAATY_RANDOM_INDEX.get(n, 1.49)
     cr = ci / ri if ri > 0 else 0.0
@@ -196,7 +210,7 @@ def load_ahp_matrix(path) -> np.ndarray:
 
 def unified_score(card: ResilienceScorecard, weights: AhpWeights) -> float:
     """Weighted combination of the four metrics; lands in [0,1]."""
-    return float(weights.w @ card.as_vector())
+    return float(left_sum(weights.w * card.as_vector()))
 
 
 # -- payoff matrix ---------------------------------------------------------

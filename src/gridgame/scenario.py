@@ -29,6 +29,7 @@ from .resilience import (
     FLAG_NON_CONVERGENCE,
     FLAG_UNDERVOLTAGE,
     ResilienceScorecard,
+    left_sum,
 )
 
 ATTACK_KINDS = frozenset(
@@ -420,13 +421,6 @@ def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseActi
 
 # -- compiled pairs --------------------------------------------------------
 
-def _seq_sum(x: np.ndarray) -> np.ndarray:
-    """Left-to-right sum over the last axis: the order Python's sum() adds in."""
-    if x.shape[-1] == 0:
-        return np.zeros(x.shape[:-1])
-    return np.cumsum(x, axis=-1)[..., -1]
-
-
 def _clamped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """min(1, max(0, num/den)) where den > 0, else 1: the LSR and CLR rule."""
     ok = den > 0
@@ -489,14 +483,14 @@ class PairPlan:
         """
         runs = served.demand.shape[0]
         crit = self.critical
-        demand = _seq_sum(served.demand)
-        crit_demand = _seq_sum(served.demand[:, crit])
-        lsr_v = _clamped_ratio(_seq_sum(served.served), demand)
-        clr_v = _clamped_ratio(_seq_sum(served.served[:, crit]), crit_demand)
+        demand = left_sum(served.demand)
+        crit_demand = left_sum(served.demand[:, crit])
+        lsr_v = _clamped_ratio(left_sum(served.served), demand)
+        clr_v = _clamped_ratio(left_sum(served.served[:, crit]), crit_demand)
         if self.der_available <= 0:
             drs_v = np.zeros(runs)
         else:
-            utilized = _seq_sum(served.der_utilized)
+            utilized = left_sum(served.der_utilized)
             drs_v = np.minimum(1.0, np.maximum(0.0, utilized / self.der_available))
         cards = np.column_stack([lsr_v, clr_v, np.full(runs, self.tss), drs_v])
         empty = np.column_stack([demand <= 0, crit_demand <= 0, np.zeros(runs, dtype=bool),
@@ -511,7 +505,7 @@ class PairPlan:
         its multiplier.
         """
         cards, _ = self.metrics(serve_loads(self, multipliers))
-        return np.array([float(weights.w @ card) for card in cards])
+        return left_sum(cards * weights.w)
 
 
 # serve_loads stays a module global: the benchmark's tracer wraps it here
@@ -546,7 +540,7 @@ def serve_loads(plan: PairPlan, multipliers) -> ServedLoads:
         curtailed |= (factors < 1.0).any(axis=1)
         kept = demand * factors
         served[:, isl.members] = kept
-        total = _seq_sum(kept)
+        total = left_sum(kept)
         for k, output, rating in isl.ders:
             share = 0.0
             if isl.rating_total:  # where a rating near the float limit overflows, divide first
@@ -564,8 +558,8 @@ def _curtail_factors(demand: np.ndarray, critical: np.ndarray, capacity: float) 
     Non-critical demand scales down first; critical demand is touched only
     when the capacity cannot even cover the critical total.
     """
-    crit = _seq_sum(demand[:, critical])
-    noncrit = _seq_sum(demand[:, ~critical])
+    crit = left_sum(demand[:, critical])
+    noncrit = left_sum(demand[:, ~critical])
     fits = crit + noncrit <= capacity
     crit_fits = ~fits & (crit <= capacity)
     # both branches are computed for every run; np.where keeps the valid one

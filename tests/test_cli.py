@@ -1099,10 +1099,9 @@ def test_failed_write_leaves_no_manifest_listing_removed_files(matrix_csv, tmp_p
     assert not (out / "trajectory.csv").exists()
 
 
-class _FileWriters(ast.NodeVisitor):
-    """Collects (module, enclosing scope) of every call that opens a file
-    for writing: open or .open with a mode that is not a read-only literal,
-    and .write_text / .write_bytes."""
+class _Scoped(ast.NodeVisitor):
+    """Tracks the enclosing scope of the node it visits; ``found`` collects
+    what a subclass looks for."""
 
     def __init__(self, module):
         self.module, self.scope, self.found = module, [], set()
@@ -1113,6 +1112,23 @@ class _FileWriters(ast.NodeVisitor):
         self.scope.pop()
 
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+
+def _scan(visitor) -> set:
+    """What a fresh ``visitor(module)`` finds in every module of the package."""
+    root = Path(gridgame.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        v = visitor(path.relative_to(root).as_posix())
+        v.visit(ast.parse(path.read_text()))
+        found |= v.found
+    return found
+
+
+class _FileWriters(_Scoped):
+    """Collects (module, enclosing scope) of every call that opens a file
+    for writing: open or .open with a mode that is not a read-only literal,
+    and .write_text / .write_bytes."""
 
     def visit_Call(self, node):
         func = node.func
@@ -1129,14 +1145,46 @@ class _FileWriters(ast.NodeVisitor):
 
 
 def test_only_the_cli_writers_and_the_payoff_csv_open_files_for_writing():
-    root = Path(gridgame.__file__).parent
-    found = set()
-    for path in sorted(root.rglob("*.py")):
-        visitor = _FileWriters(path.relative_to(root).as_posix())
-        visitor.visit(ast.parse(path.read_text()))
-        found |= visitor.found
-    assert found == {("cli.py", "_write_json"), ("cli.py", "_write_csv"),
-                     ("resilience.py", "PayoffMatrix.to_csv")}
+    assert _scan(_FileWriters) == {("cli.py", "_write_json"), ("cli.py", "_write_csv"),
+                                   ("resilience.py", "PayoffMatrix.to_csv")}
+
+
+# numpy operations whose order of addition or rounding follows the CPU they run
+# on: BLAS products (dot, matmul, the @ operator), einsum, and numpy's SIMD exp
+_CPU_DEPENDENT = {"dot", "matmul", "einsum", "exp"}
+
+
+class _CpuDependentOps(_Scoped):
+    """Collects (module, enclosing scope, operation) of every ``@`` and
+    ``@=``, every attribute named in _CPU_DEPENDENT but ``math.exp`` (np.exp,
+    a.dot), and every import of such a name from another module than math."""
+
+    def _found(self, what):
+        self.found.add((self.module, ".".join(self.scope), what))
+
+    def visit_BinOp(self, node):
+        if isinstance(node.op, ast.MatMult):
+            self._found("@")
+        self.generic_visit(node)
+
+    visit_AugAssign = visit_BinOp
+
+    def visit_Attribute(self, node):
+        if node.attr in _CPU_DEPENDENT and not (
+                node.attr == "exp" and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            self._found(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            if alias.name in _CPU_DEPENDENT and node.module != "math":
+                self._found(alias.name)
+
+
+def test_no_product_or_exp_whose_bits_follow_the_cpu():
+    # products go through resilience.left_sum and exp through math.exp, so a
+    # data file's bytes do not depend on the BLAS kernel or SIMD unit in use
+    assert _scan(_CpuDependentOps) == set()
 
 
 class _FileReaders(_FileWriters):
@@ -1163,14 +1211,8 @@ class _FileReaders(_FileWriters):
 def test_only_the_one_reader_opens_input_files():
     # every input is opened and parsed in errors.py; cli reads back only what it wrote
     # (its manifest) and digests files
-    root = Path(gridgame.__file__).parent
-    found = set()
-    for path in sorted(root.rglob("*.py")):
-        visitor = _FileReaders(path.relative_to(root).as_posix())
-        visitor.visit(ast.parse(path.read_text()))
-        found |= visitor.found
-    assert found == {("errors.py", "read_text"), ("errors.py", "read_json"),
-                     ("cli.py", "_sha256"), ("cli.py", "_remove_listed_outputs")}
+    assert _scan(_FileReaders) == {("errors.py", "read_text"), ("errors.py", "read_json"),
+                                   ("cli.py", "_sha256"), ("cli.py", "_remove_listed_outputs")}
 
 
 class TestDeterminism:

@@ -8,7 +8,6 @@ suite; runs here stay small.
 
 import csv
 import json
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -242,8 +241,14 @@ def _oracle_records(base, catalog, weights, policy, matrix, mc):
     elif mc.attack_distribution == "equilibrium-mix":
         probs = nash_exact(entries).attacker.probs
     else:
+        expected = []  # each row's expected score, added left to right
+        for row, mix in zip(entries.tolist(), policy.mixes.tolist()):
+            total = row[0] * mix[0]
+            for e, p in zip(row[1:], mix[1:]):
+                total += e * p
+            expected.append(total)
         probs = np.zeros(n_att)
-        probs[int(np.argmin([entries[i] @ policy.mixes[i] for i in range(n_att)]))] = 1.0
+        probs[expected.index(min(expected))] = 1.0
 
     def pick(probs, u):
         # a linear scan: the first k with u < cdf[k], else the last index
@@ -630,19 +635,17 @@ class TestProbe:
         rows = scalability_probe(sizes=(33,), methods=("nash",))
         assert rows[0]["method_times"]["nash"] > 0
 
-    def test_timed_pass_is_not_traced(self, monkeypatch):
-        tracing = []
+    def test_one_build_per_size(self, monkeypatch):
+        built = []
         real = experiments.build_payoff_matrix
 
-        def spy(*args):
-            tracing.append(tracemalloc.is_tracing())
-            return real(*args)
+        def spy(state, *args):
+            built.append(state.n_buses)
+            return real(state, *args)
 
         monkeypatch.setattr(experiments, "build_payoff_matrix", spy)
-        row, = scalability_probe(sizes=(33,), methods=())
-        assert tracing == [False, True]  # timed pass first, then the traced one
-        assert row["peak_memory_mb"] > 0
-        assert not tracemalloc.is_tracing()
+        scalability_probe(sizes=(33, 40), methods=("nash",))
+        assert built == [33, 40]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):

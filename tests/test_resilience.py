@@ -6,6 +6,7 @@ it even though it only ever runs power iteration.
 
 import csv
 import json
+import math
 import random
 from importlib import resources
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gridgame import cli, resilience, scenario
 from gridgame.errors import CatalogError, NetworkValidationError, RadialityError
@@ -24,6 +26,7 @@ from gridgame.resilience import (
     PayoffMatrix,
     ResilienceScorecard,
     ahp_weights,
+    left_sum,
     unified_score,
 )
 
@@ -175,6 +178,32 @@ class TestMetrics:
         for d in net.ders:
             dark = dark.with_der(d.id, online=False)
         assert plan_of(dark).tss == pytest.approx(25 / 33)
+
+
+def loop_sums(a):
+    """Each row of ``a`` along its last axis summed by a plain Python loop,
+    left to right from its first entry; 0.0 for an empty row."""
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]).tolist()
+    sums = []
+    for row in rows:
+        total = row[0] if row else 0.0
+        for v in row[1:]:
+            total += v
+        sums.append(total)
+    return np.array(sums, dtype=float).reshape(a.shape[:-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+       st.integers(0, 40), st.booleans())
+def test_property_left_sum_adds_as_a_plain_loop(data, lead, width, in_place):
+    # bounded so that no sum of 40 entries overflows; rows past 8 entries are
+    # where numpy's pairwise np.sum and a BLAS kernel part from the loop
+    a = data.draw(hnp.arrays(np.float64, (*lead, width), elements=st.floats(
+        -1e300, 1e300, allow_subnormal=True) | st.floats(-1.0, 1.0)))
+    want = loop_sums(a)
+    got = left_sum(a, out=a if in_place else None)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestUnifiedScore:
