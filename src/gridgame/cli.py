@@ -390,7 +390,9 @@ def cmd_baseline(args) -> Output:
         },
         "stats.json": report.to_json(),
         "runs.csv": (["run", "attack", "defense", "score"],
-                     [[run, *record] for run, record in enumerate(report.records)]),
+                     [[run, matrix.attack_ids[a], matrix.defense_ids[d], s] for run, a, d, s
+                      in zip(range(mc.runs), report.attack.tolist(), report.defense.tolist(),
+                             report.scores.tolist())]),
     }
     config = {"command": "baseline", "method": args.method, "runs": mc.runs,
               "attack_distribution": mc.attack_distribution,
@@ -464,11 +466,9 @@ def _paired_tests(reports) -> dict:
     base = [t for t in BASELINE_TAGS if t in reports]
     for a in adaptive:
         for b in base:
-            scores_a = [r[2] for r in reports[a].records]
-            scores_b = [r[2] for r in reports[b].records]
             key = f"{a}_vs_{b}"
             try:
-                t, p = experiments.paired_t_test(scores_a, scores_b)
+                t, p = experiments.paired_t_test(reports[a].scores, reports[b].scores)
                 tests[key] = {"t": t, "p": p}
             except SolverError:
                 tests[key] = {"note": "degenerate: zero variance of differences"}

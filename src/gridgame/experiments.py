@@ -9,8 +9,8 @@ individually (seed + run index) so methods compared in one call see the
 same random draws (common random numbers); the draws are made once per
 command and shared, read-only, by its methods.  All runs are drawn first;
 runs that drew the same cell are then scored together by its plan in the
-command's plan table, and records come back in run order.  Results are
-values (``StatsReport``, ``ComparisonRow``, probe rows); the CLI writes them.
+command's plan table, and a report keeps the runs as arrays in run order.
+Results are values (``StatsReport``, ``ComparisonRow``, probe rows); the CLI writes them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .gamesolve import (MixedStrategy, draw_bounds, is_distribution, nash_exact,
 from .marl import LearningConfig, train_multi_agent, train_single_agent
 from .netmodel import NetworkState, energized_buses, load_ieee33
 from .netmodel.types import OPEN, Bus, Der, Line
-from .resilience import PayoffMatrix, build_payoff_matrix, left_sum
+from .resilience import PayoffMatrix, build_payoff_matrix, float_sum, left_sum
 from .scenario import _resolve_buses, _resolve_ders
 # evaluate_pair is re-exported: the single-cell scorer next to the batch
 from .scenario import apply_attack, apply_defense, catalog_default, evaluate_pair  # noqa: F401
@@ -119,8 +119,10 @@ class StatsReport:
     ci95_low: float
     ci95_high: float
     samples: int
+    attack: np.ndarray = field(compare=False, repr=False)  # per run in run order, read-only;
+    defense: np.ndarray = field(compare=False, repr=False)  # indices into the matrix's ids
+    scores: np.ndarray = field(compare=False, repr=False)
     per_attack: dict = field(compare=False, default_factory=dict)
-    records: tuple = field(compare=False, repr=False, default=())
 
     def __post_init__(self):
         if not self.ci95_low <= self.mean <= self.ci95_high:
@@ -197,14 +199,14 @@ def monte_carlo(plans, weights, defense_policy: DefensePolicy, mc: McConfig,
     ``plans[a][d]`` is the plan of the matrix's cell (a, d), from the
     command's plan table (``scenario.compile_catalog``).  The nominal payoff
     matrix steers the non-uniform attack distributions and names the
-    records.  Each run scores its drawn pair on its own perturbed loads, so
+    attacks.  Each run scores its drawn pair on its own perturbed loads, so
     reported statistics reflect physics under uncertainty, not matrix
     lookups.  No run solves a power flow, and no plan is compiled here.
 
     Every run is drawn first, from its own ``default_rng(seed + run)``
     stream (``_run_draws``, which the methods of one command share); runs
-    that drew the same cell are then scored together by its plan, and
-    records come back in run order.
+    that drew the same cell are then scored together by its plan, and the
+    report holds every run in run order.
     """
     if defense_policy.mixes.shape != matrix.shape:
         raise ConfigError(f"policy shaped {defense_policy.mixes.shape}, matrix {matrix.shape}")
@@ -216,13 +218,13 @@ def monte_carlo(plans, weights, defense_policy: DefensePolicy, mc: McConfig,
     # each row of bounds is sorted, so its count of bounds <= u is its bisection
     dfn = (def_bounds[att] <= u[:, 1:]).sum(axis=1)
 
+    cells = att * matrix.shape[1] + dfn
+    order = np.argsort(cells, kind="stable")
     scores = np.empty(mc.runs)
-    for a, d in set(zip(att.tolist(), dfn.tolist())):
-        runs = np.flatnonzero((att == a) & (dfn == d))
+    for runs in np.split(order, np.flatnonzero(np.diff(cells[order])) + 1):
+        a, d = att[runs[0]], dfn[runs[0]]
         scores[runs] = plans[a][d].scores(multipliers[runs], weights)
-    records = [(matrix.attack_ids[a], matrix.defense_ids[d], float(score))
-               for a, d, score in zip(att.tolist(), dfn.tolist(), scores)]
-    return summarize(defense_policy.label, records)
+    return summarize(defense_policy.label, matrix.attack_ids, att, dfn, scores)
 
 
 def _mean_sd(x: np.ndarray) -> tuple[float, float]:
@@ -234,26 +236,24 @@ def _mean_sd(x: np.ndarray) -> tuple[float, float]:
     return mean, (math.sqrt(float(left_sum(dev * dev)) / (n - 1)) if n > 1 else 0.0)
 
 
-def summarize(label: str, records) -> StatsReport:
-    """Aggregate per-run (attack, defense, score) records.
+def summarize(label: str, attack_ids, attack, defense, scores) -> StatsReport:
+    """Aggregate per-run arrays: attack index into ``attack_ids``, defense index, score.
 
     Sample std (n-1 denominator, 0 for a single run) and a normal-
-    approximation 95% interval with z = 1.96.
+    approximation 95% interval with z = 1.96; the report keeps the arrays, read-only.
     """
-    records = list(records)
-    if not records:
+    n = len(scores)
+    if not n:
         raise ConfigError("cannot summarize zero runs")
-    n = len(records)
-    mean, std = _mean_sd(np.array([r[2] for r in records]))
+    for runs in (attack, defense, scores):
+        runs.flags.writeable = False
+    mean, std = _mean_sd(scores)
     half = 1.96 * std / math.sqrt(n)
-    per_attack = {}
-    for aid in {r[0] for r in records}:
-        vals = [r[2] for r in records if r[0] == aid]
-        per_attack[aid] = float(left_sum(np.array(vals))) / len(vals)
-    return StatsReport(
-        label=label, mean=mean, std_dev=std,
-        ci95_low=mean - half, ci95_high=mean + half, samples=n,
-        per_attack=per_attack, records=tuple(records))
+    per_attack = {attack_ids[a]: float(left_sum(scores[attack == a])) / count
+                  for a, count in enumerate(np.bincount(attack).tolist()) if count}
+    return StatsReport(label=label, mean=mean, std_dev=std, ci95_low=mean - half,
+                       ci95_high=mean + half, samples=n, per_attack=per_attack,
+                       attack=attack, defense=defense, scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def _rbd_rule_for(attack, base: NetworkState, roles) -> tuple[str, str]:
         for dfn in roles["tie"]:
             gained = energized_buses(apply_defense(attacked, dfn)) - dark
             key = (len(gained),
-                   sum(base.bus(b).load_p for b in gained if b in critical))
+                   float_sum(base.bus(b).load_p for b in gained if b in critical))
             if key > best_key:
                 best_id, best_key = dfn.id, key
         return "line-outage-restoration", best_id
@@ -469,7 +469,7 @@ def compare_strategies(base: NetworkState, catalog, plans, weights, methods, mc:
     common random numbers; ``base`` and ``catalog`` make RBD's rule table.
 
     Returns ComparisonRow per method in canonical order, each carrying its
-    StatsReport (whose records make paired tests possible downstream) and
+    StatsReport (whose per-run scores make paired tests possible downstream) and
     its policy's provenance; improvement is percent over the named reference
     row (default: the first row).
     """

@@ -392,19 +392,26 @@ def regret_matching(M, T: int, tol: float = RM_DEFAULT_TOL) -> EquilibriumReport
 
 
 def softmax_response(M, opponent_mix, beta: float, side: str) -> MixedStrategy:
-    """Logit response; beta=0 is uniform, beta→inf approaches best response."""
+    """Logit response; beta=0 is uniform, beta→inf approaches best response
+    (uniform over the best responses), which is the response wherever beta
+    times a payoff could leave the float range."""
     m = _entries(M)
     if not (math.isfinite(beta) and beta >= 0):
         raise ConfigError(f"beta must be finite and non-negative, got {beta}")
     mix = _probs(opponent_mix)
     if side == "attacker":
-        z = -beta * left_sum(m * mix)
+        u = -left_sum(m * mix)
     elif side == "defender":
-        z = beta * left_sum(m.T * mix)
+        u = left_sum(m.T * mix)
     else:
         raise SolverError(f"unknown side {side!r}")
-    top = z.max()
-    w = np.array([math.exp(v - top) for v in z.tolist()])
+    # every logit and every difference of two is at most 2 * beta * max|u|
+    if not math.isfinite(2.0 * float(beta) * float(np.abs(u).max())):
+        w = (u == u.max()).astype(float)
+    else:
+        z = beta * u
+        top = z.max()
+        w = np.array([math.exp(v - top) for v in z.tolist()])
     return MixedStrategy(w / left_sum(w))
 
 

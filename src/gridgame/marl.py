@@ -687,8 +687,8 @@ def stage_mdp_default(matrix, defense_active=None) -> StageMdp:
     to_down[0] = 0.0  # recovery from normal stays put
     stay = 1.0 - to_up - to_down
     # (state, defense, next state): stay on the diagonal, the steps beside it
-    moves = sum(p[..., None] * np.eye(3, k=k)[:, None]
-                for p, k in ((stay, 0), (to_up, 1), (to_down, -1)))
+    moves = (stay[..., None] * np.eye(3)[:, None] + to_up[..., None] * np.eye(3, k=1)[:, None]
+             + to_down[..., None] * np.eye(3, k=-1)[:, None])
     transitions = np.repeat(moves[:, None], n_att, axis=1)
     return StageMdp(labels=labels, rewards=rewards, transitions=transitions)
 

@@ -13,11 +13,10 @@ so the flows of a state and of the derivations that move no island (shed,
 scaled loads, DER dispatch) number it once; each flow then builds its draw
 vector, DER injections, voltages and undervoltage list as arrays over bus
 positions, reading the DER outputs from the state's own DERs.
-The solution is stored on the state as well, with the tolerance and sweep
-budget it was solved to, so the payoff build, which asks for the flow of
-its unchanged base feeder once per cell, solves it once.  Every call still
-runs the radiality check first, so a stored solution is returned only
-where a fresh one would be.
+The solution is stored on the state as well, so the payoff build, which
+asks for the flow of its unchanged base feeder once per cell, solves it
+once.  Every call still runs the radiality check first, so a stored
+solution is returned only where a fresh one would be.
 
 Every sweep is the same Jacobi step as the per-bus backward/forward sweep:
 node currents conj(S/V) at the previous voltages, summed into branch
@@ -76,8 +75,9 @@ def _depth_first(state: NetworkState, root: int):
     return order, np.array(end), r, x
 
 
-def _sweep(end, z, s, tol, max_sweeps):
-    """Solve one island numbered by _depth_first.
+def _sweep(end, z, s):
+    """Solve one island numbered by _depth_first, to TOLERANCE within
+    MAX_SWEEPS sweeps.
 
     z is the impedance of the edge toward the parent (p.u.), s the net
     constant-power draw (p.u., consumption positive).  Node 0 is the
@@ -93,14 +93,14 @@ def _sweep(end, z, s, tol, max_sweeps):
     currents = np.zeros(k + 1, dtype=np.complex128)
     v = np.ones(k, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        for sweeps in range(1, max_sweeps + 1):
+        for sweeps in range(1, MAX_SWEEPS + 1):
             np.cumsum(np.conj(s / v), out=currents[1:])
             drop = z * (currents[end] - currents[:-1])
             np.subtract.at(drop, back, drop[inner])
             v_new = 1.0 - np.cumsum(drop)
             max_dv = float(np.abs(v_new - v).max())
             v = v_new
-            if max_dv <= tol:
+            if max_dv <= TOLERANCE:
                 break
     return v, sweeps, max_dv
 
@@ -126,19 +126,19 @@ def _numbering(state: NetworkState, isls):
     return state._numbering
 
 
-def power_flow(state: NetworkState, tol: float = TOLERANCE,
-               max_sweeps: int = MAX_SWEEPS) -> PowerFlowSolution:
-    """Per-island sweep solution. Deterministic for identical states.
+def power_flow(state: NetworkState) -> PowerFlowSolution:
+    """Per-island sweep solution to TOLERANCE within MAX_SWEEPS sweeps.
+    Deterministic for identical states.
 
     Raises RadialityError if an energized island contains a loop. Islands
     that fail to converge within the sweep budget are reported with
     converged=False; the caller decides on a shedding fallback.  The
-    solution is stored on the state with its (tol, max_sweeps), and a later
-    call with the same two returns it after the radiality check.
+    solution is stored on the state, and a later call returns it after the
+    radiality check.
     """
     isls = topology.check_energized_radial(state)
-    if state._solution is not None and state._solution[0] == (tol, max_sweeps):
-        return state._solution[1]
+    if state._solution is not None:
+        return state._solution
     live, numbered = _numbering(state, isls)
     ids, pos = state._grid.ids, state._grid.pos
     s_base_kw = 1000.0 * state.base_mva
@@ -159,11 +159,11 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
     for at, end, z in numbered:
         s = draw[at]
         s[0] = 0.0  # the reference serves its local power directly
-        v, iters, max_dv = _sweep(end, z, s, tol, max_sweeps)
+        v, iters, max_dv = _sweep(end, z, s)
         v_all[at] = v
         iterations = max(iterations, iters)
         max_mismatch = max(max_mismatch, max_dv)
-        if not max_dv <= tol:
+        if not max_dv <= TOLERANCE:
             all_converged = False
     under = np.flatnonzero(live & (np.abs(v_all) < UNDERVOLTAGE_PU))
     solution = PowerFlowSolution(
@@ -175,5 +175,5 @@ def power_flow(state: NetworkState, tol: float = TOLERANCE,
         energized=tuple(isl.energized for isl in isls),
         undervoltage_buses=tuple(ids[i] for i in under.tolist()),
     )
-    object.__setattr__(state, "_solution", ((tol, max_sweeps), solution))
+    object.__setattr__(state, "_solution", solution)
     return solution

@@ -129,7 +129,8 @@ class NetworkState:
     # filled by topology.connectivity and powerflow.power_flow; never compared
     _topology: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _numbering: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _solution: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _solution: PowerFlowSolution | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         ids = [b.id for b in self.buses]

@@ -71,6 +71,14 @@ def left_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add.accumulate(a, axis=-1, out=out)[..., -1]
 
 
+def float_sum(values) -> float:
+    """The builtin ``sum`` of floats as Python 3.11 adds them, on every
+    Python (3.12's compensates): from 0.0, left to right (``left_sum``).  A
+    total past the float limit is inf, without a warning, as the builtin's."""
+    with np.errstate(over="ignore"):
+        return float(left_sum(np.array([0.0, *values])))
+
+
 @dataclass(frozen=True)
 class AhpWeights:
     w: np.ndarray  # normalized, sums to 1

@@ -29,6 +29,7 @@ from .resilience import (
     FLAG_NON_CONVERGENCE,
     FLAG_UNDERVOLTAGE,
     ResilienceScorecard,
+    float_sum,
     left_sum,
 )
 
@@ -694,8 +695,8 @@ def _plan(row: AttackRow, defense: DefenseAction, defended: NetworkState) -> Pai
         der_islands.append(_DerIsland(
             members=members,
             critical=base.critical[members],
-            capacity=sum(output for _k, output, _rating in ders),
-            rating_total=sum(rating for _k, _output, rating in ders),
+            capacity=float_sum(output for _k, output, _rating in ders),
+            rating_total=float_sum(rating for _k, _output, rating in ders),
             ders=ders,
         ))
 
@@ -708,6 +709,6 @@ def _plan(row: AttackRow, defense: DefenseAction, defended: NetworkState) -> Pai
         dead=dead,
         der_islands=tuple(der_islands),
         der_fixed=der_fixed,
-        der_available=sum(d.output_kw() for d in defended.ders),
+        der_available=float_sum(d.output_kw() for d in defended.ders),
         tss=int((~dead).sum()) / len(base.load_p),
     )

@@ -247,9 +247,7 @@ def test_criterion_7_pipeline_ordering(testbed):
     min_gap = min(reports[t].ci95_low - rds_high
                   for t in experiments.ADAPTIVE_TAGS)
 
-    a = [r[2] for r in reports[best].records]
-    b = [r[2] for r in reports["SOD"].records]
-    _, p = experiments.paired_t_test(a, b)
+    _, p = experiments.paired_t_test(reports[best].scores, reports["SOD"].scores)
 
     ok = ordering_ok and min_gap > 0 and p < 1e-3 and elapsed < 600
     scoreboard(7, "pipeline-ordering", ok,

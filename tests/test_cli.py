@@ -1157,10 +1157,17 @@ _CPU_DEPENDENT = {"dot", "matmul", "einsum", "exp"}
 class _CpuDependentOps(_Scoped):
     """Collects (module, enclosing scope, operation) of every ``@`` and
     ``@=``, every attribute named in _CPU_DEPENDENT but ``math.exp`` (np.exp,
-    a.dot), and every import of such a name from another module than math."""
+    a.dot), every import of such a name from another module than math, and
+    every call of the builtin ``sum``, whose float sum is compensated from
+    Python 3.12 on."""
 
     def _found(self, what):
         self.found.add((self.module, ".".join(self.scope), what))
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "sum":
+            self._found("sum")
+        self.generic_visit(node)
 
     def visit_BinOp(self, node):
         if isinstance(node.op, ast.MatMult):
@@ -1182,8 +1189,9 @@ class _CpuDependentOps(_Scoped):
 
 
 def test_no_product_or_exp_whose_bits_follow_the_cpu():
-    # products go through resilience.left_sum and exp through math.exp, so a
-    # data file's bytes do not depend on the BLAS kernel or SIMD unit in use
+    # products and sums go through resilience.left_sum and exp through
+    # math.exp, so a data file's bytes depend neither on the BLAS kernel or
+    # SIMD unit in use nor on the Python version
     assert _scan(_CpuDependentOps) == set()
 
 

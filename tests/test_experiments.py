@@ -56,6 +56,12 @@ BUNDLED_RBD_TABLE = (
 )
 
 
+def records(rep, matrix):
+    """A report's runs as (attack id, defense id, score) tuples, in run order."""
+    return tuple((matrix.attack_ids[a], matrix.defense_ids[d], score) for a, d, score
+                 in zip(rep.attack.tolist(), rep.defense.tolist(), rep.scores.tolist()))
+
+
 @pytest.fixture(scope="module")
 def bundle():
     base = load_ieee33()
@@ -113,21 +119,28 @@ class TestDefensePolicy:
         assert np.all(r.mixes.max(axis=1) == 1.0)
 
 
+def one_cell(scores):
+    """(attack, defense) index arrays of runs that all drew cell (0, 0)."""
+    return np.zeros(len(scores), dtype=int), np.zeros(len(scores), dtype=int)
+
+
 class TestSummarize:
     def test_two_sample_arithmetic(self):
-        rep = summarize("x", [("A1", "D1", 0.7), ("A1", "D1", 0.8)])
+        scores = np.array([0.7, 0.8])
+        rep = summarize("x", ("A1",), *one_cell(scores), scores)
         assert rep.mean == pytest.approx(0.75)
         assert rep.std_dev == pytest.approx(0.0707, abs=5e-5)
         assert rep.ci95_low <= rep.mean <= rep.ci95_high
 
     def test_single_run_degenerate(self):
-        rep = summarize("x", [("A1", "D1", 0.6)])
+        scores = np.array([0.6])
+        rep = summarize("x", ("A1",), *one_cell(scores), scores)
         assert rep.std_dev == 0.0
         assert rep.ci95_low == rep.ci95_high == 0.6
 
     def test_per_attack_breakdown(self):
-        rep = summarize("x", [("A1", "D1", 0.4), ("A2", "D1", 0.8),
-                              ("A1", "D2", 0.6)])
+        rep = summarize("x", ("A1", "A2"), np.array([0, 1, 0]), np.array([0, 0, 1]),
+                        np.array([0.4, 0.8, 0.6]))
         assert rep.per_attack["A1"] == pytest.approx(0.5)
         assert rep.per_attack["A2"] == pytest.approx(0.8)
 
@@ -139,17 +152,28 @@ class TestSummarize:
         trials = 1000
         for _ in range(trials):
             scores = rng.normal(true_mean, 0.05, size=30)
-            rep = summarize("cal", [("A", "D", s) for s in scores])
+            rep = summarize("cal", ("A",), *one_cell(scores), scores)
             hits += rep.ci95_low <= true_mean <= rep.ci95_high
         assert 0.93 * trials <= hits <= 0.97 * trials
 
     def test_invariants_enforced(self):
+        scores = np.full(3, 0.5)
+        runs = dict(zip(("attack", "defense"), one_cell(scores)), scores=scores)
         with pytest.raises(ConfigError):
             StatsReport(label="x", mean=0.5, std_dev=0.1,
-                        ci95_low=0.6, ci95_high=0.7, samples=3)
+                        ci95_low=0.6, ci95_high=0.7, samples=3, **runs)
         with pytest.raises(ConfigError):
             StatsReport(label="x", mean=0.5, std_dev=-0.1,
-                        ci95_low=0.4, ci95_high=0.6, samples=3)
+                        ci95_low=0.4, ci95_high=0.6, samples=3, **runs)
+
+    def test_the_report_keeps_its_runs_read_only(self):
+        scores = np.array([0.4, 0.8, 0.6])
+        rep = summarize("x", ("A1", "A2"), np.array([0, 1, 0]), np.array([2, 0, 1]), scores)
+        assert rep.scores is scores
+        assert (rep.attack.tolist(), rep.defense.tolist()) == ([0, 1, 0], [2, 0, 1])
+        for runs in (rep.attack, rep.defense, rep.scores):
+            with pytest.raises(ValueError):
+                runs[0] = 1
 
 
 class TestMonteCarlo:
@@ -169,7 +193,7 @@ class TestMonteCarlo:
         policy = strategy_policy("RDS", matrix)
         a = monte_carlo(plans, weights, policy, mc, matrix=matrix)
         b = monte_carlo(plans, weights, policy, mc, matrix=matrix)
-        assert a.records == b.records
+        assert records(a, matrix) == records(b, matrix)
         assert a.mean == b.mean
 
     def test_std_follows_sample_convention(self, bundle, plans):
@@ -177,7 +201,7 @@ class TestMonteCarlo:
         mc = McConfig(runs=12, seed=3)
         rep = monte_carlo(plans, weights, strategy_policy("RDS", matrix), mc,
                           matrix=matrix)
-        scores = np.array([r[2] for r in rep.records])
+        scores = rep.scores
         assert rep.std_dev == pytest.approx(float(scores.std(ddof=1)))
         assert rep.mean == pytest.approx(float(scores.mean()))
 
@@ -188,7 +212,7 @@ class TestMonteCarlo:
                           matrix=matrix)
         sod = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
-        assert [r[0] for r in rds.records] == [r[0] for r in sod.records]
+        assert rds.attack.tolist() == sod.attack.tolist()
 
     def test_uniform_distribution_spreads(self, bundle, plans):
         base, catalog, weights, matrix = bundle
@@ -212,7 +236,7 @@ class TestMonteCarlo:
                         McConfig(runs=2), matrix=matrix)
 
     def test_report_json_and_csv(self, bundle, plans, tmp_path):
-        # the CLI writes the report's to_json and records on the bundled inputs
+        # the CLI writes the report's to_json and runs on the bundled inputs
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=5, seed=7)
         rep = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
@@ -226,9 +250,8 @@ class TestMonteCarlo:
             rows = list(csv.reader(fh))
         assert rows[0] == ["run", "attack", "defense", "score"]
         assert [(int(r[0]), r[1], r[2]) for r in rows[1:]] == [
-            (run, a, d) for run, (a, d, _) in enumerate(rep.records)]
-        assert [float(r[3]) for r in rows[1:]] == pytest.approx(
-            [score for _, _, score in rep.records], abs=1e-12)
+            (run, a, d) for run, (a, d, _) in enumerate(records(rep, matrix))]
+        assert [float(r[3]) for r in rows[1:]] == pytest.approx(rep.scores.tolist(), abs=1e-12)
 
 
 def _oracle_records(base, catalog, weights, policy, matrix, mc):
@@ -277,7 +300,7 @@ class TestMonteCarloBatch:
         mc = McConfig(runs=40, seed=11, perturbation=perturbation, attack_distribution=dist)
         policy = strategy_policy("RDS", matrix)
         rep = monte_carlo(plans, weights, policy, mc, matrix=matrix)
-        assert rep.records == _oracle_records(base, catalog, weights, policy, matrix, mc)
+        assert records(rep, matrix) == _oracle_records(base, catalog, weights, policy, matrix, mc)
 
     def test_a_dipping_cdf_draws_as_a_linear_scan(self, bundle, plans, monkeypatch):
         # the cdf of the mix row [0.5, -1e-12, 0.5 + 1e-12] dips below 0.5 at
@@ -310,7 +333,7 @@ class TestMonteCarloBatch:
         rep = monte_carlo(plans, weights, policy,
                           McConfig(runs=3, attack_distribution="uniform"), matrix=matrix)
         experiments._run_draws.cache_clear()
-        assert [r[:2] for r in rep.records] == [("A1", "D1")] * 3
+        assert (rep.attack.tolist(), rep.defense.tolist()) == ([0] * 3, [0] * 3)
 
     def test_one_plan_per_drawn_cell(self, bundle, plans, monkeypatch):
         # each drawn cell is scored once, by its plan in the table: no plan is
@@ -339,8 +362,7 @@ class TestMonteCarloBatch:
         scored.clear()
         mc = McConfig(runs=200, seed=1, attack_distribution="uniform")
         rep = monte_carlo(plans, weights, strategy_policy("RDS", matrix), mc, matrix=matrix)
-        drawn = {(matrix.attack_ids.index(a), matrix.defense_ids.index(d))
-                 for a, d, _ in rep.records}
+        drawn = set(zip(rep.attack.tolist(), rep.defense.tolist()))
         assert len(scored) == len(drawn)
         assert {id(p) for p in scored} == {id(plans[a][d]) for a, d in drawn}
 
@@ -364,7 +386,7 @@ class TestRunDraws:
             policy = strategy_policy(row.method, matrix, catalog=catalog, base=base,
                                      seed=mc.seed)
             rep = monte_carlo(plans, weights, policy, mc, matrix=matrix)
-            assert (rep, rep.records) == (row.report, row.report.records)
+            assert (rep, records(rep, matrix)) == (row.report, records(row.report, matrix))
 
     def test_the_shared_arrays_reject_writes(self):
         for table in experiments._run_draws(3, 5, 33, 0.9, 1.1):

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgame import cli
@@ -230,15 +230,30 @@ NUMERIC_FLAGS = (
     (("baseline", "--method", "RDS"), "--runs", ("runs",)),
     (("compare", "--methods", "nash,RDS", "--runs", "20"), "--seed", ("seed",)),
 )
-FLAG_CASES = [(argv, flag, value, names) for argv, flag, names in NUMERIC_FLAGS
+# (command, flag, value, names, the --matrix CSV or None for the bundled inputs)
+FLAG_CASES = [(argv, flag, value, names, None) for argv, flag, names in NUMERIC_FLAGS
               for value in ODD_NUMBERS]
+# the largest float --beta on 2x2 games at the reward bound, where beta times
+# a payoff leaves the float range: in the first step, or (the second game)
+# only once the mixes have moved; explicit examples, so both always run
+HUGE_BETA_CASES = [(("solve", "--method", "qre"), "--beta", "1.7976931348623157e308", ("beta",),
+                    game)
+                   for game in ("attack,D1,D2\nA1,1.000000000001,1.000000000001\n"
+                                "A2,1.000000000001,1.000000000001\n",
+                                "attack,D1,D2\nA1,1.000000000001,-1\nA2,-1,1\n")]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(st.sampled_from(FLAG_CASES))
+@example(HUGE_BETA_CASES[0])
+@example(HUGE_BETA_CASES[1])
 def test_an_odd_numeric_flag_succeeds_or_exits_2(case):
-    argv, flag, value, names = case
+    argv, flag, value, names, matrix = case
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
+        if matrix is not None:
+            path = Path(tmp) / "payoff.csv"
+            path.write_text(matrix)
+            argv = (*argv, "--matrix", str(path))
         code, err = run_command([*argv, f"{flag}={value}"], out)
         check_exit(code, err, out, names)

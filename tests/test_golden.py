@@ -2,12 +2,15 @@
 
 The bundled ``payoff`` (``payoff.csv``, ``payoff_long.csv``,
 ``payoff_flags.csv``), the five ``solve`` methods on that matrix,
-``probe --sizes 33,40`` and the three learners on that matrix
-(``learn --method single|multi|mdp --iters 20000 --seed 1``) write files
-whose bytes follow from the bundled inputs and the seed alone.  Their
-sha256 digests are pinned in ``golden_digests.json``, so a change that
-claims to keep every data file byte-identical is checked here; a failure
-names every file whose bytes moved.
+``probe --sizes 33,40``, the three learners on that matrix
+(``learn --method single|multi|mdp --iters 20000 --seed 1``) and two Monte
+Carlo commands (``compare --methods all --runs 200 --seed 42``, and
+``baseline --method RBD --runs 200 --seed 7 --attack-dist uniform``, whose
+``runs.csv`` lists every run and whose ``per_attack`` covers all ten
+attacks) write files whose bytes follow from the bundled inputs and the
+seed alone.  Their sha256 digests are pinned in ``golden_digests.json``, so
+a change that claims to keep every data file byte-identical is checked
+here; a failure names every file whose bytes moved.
 
 On a deliberate product change, regenerate the digests with
 
@@ -19,10 +22,10 @@ kernel and any set of SIMD loops numpy picks for the CPU, since every product
 on the data path adds left to right (``resilience.left_sum``) and takes exp
 per entry with ``math.exp``; ``test_data_files_do_not_depend_on_the_cpu_kernel``
 forces other kernels in child processes.  A numpy upgrade that moves the last
-digit of a JSON float is a product change too.  Monte Carlo outputs are left
-out of the pins, because their seeding is expected to change (ROADMAP item 4),
-and minimax-Q will move the ``multi`` and ``mdp`` learner files when it lands
-(the same item).
+digit of a JSON float is a product change too.  The Monte Carlo seeding
+(ROADMAP item 4, part 2) and minimax-Q (item 6) are expected to move the
+Monte Carlo files and the ``multi`` and ``mdp`` learner files; they
+regenerate these pins with the command above.
 """
 import hashlib
 import json
@@ -47,13 +50,14 @@ CPU_KERNELS = {
     "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
 }
-MONTE_CARLO = ["compare", "--methods", "all", "--runs", "200", "--seed", "42"]
+MONTE_CARLO = (["compare", "--methods", "all", "--runs", "200", "--seed", "42"],
+               ["baseline", "--method", "RBD", "--runs", "200", "--seed", "7",
+                "--attack-dist", "uniform"])
 
 
-def produce(root: Path, monte_carlo: bool = False) -> dict:
-    """Run the pinned commands under root, and with ``monte_carlo`` also
-    MONTE_CARLO; {relative path: sha256} of every data file they write
-    (manifests, which hold timestamps, excluded)."""
+def produce(root: Path) -> dict:
+    """Run the pinned commands under root; {relative path: sha256} of every
+    data file they write (manifests, which hold timestamps, excluded)."""
     commands = [["payoff", "--out", root / "payoff"]]
     commands += [["solve", "--method", method, "--matrix", root / "payoff" / "payoff.csv",
                   "--out", root / f"solve-{method}"] for method in SOLVE_METHODS]
@@ -61,8 +65,7 @@ def produce(root: Path, monte_carlo: bool = False) -> dict:
     commands += [["learn", "--method", method, "--matrix", root / "payoff" / "payoff.csv",
                   "--iters", "20000", "--seed", "1", "--out", root / f"learn-{method}"]
                  for method in ("single", "multi", "mdp")]
-    if monte_carlo:
-        commands.append(MONTE_CARLO + ["--out", root / "compare"])
+    commands += [argv + ["--out", root / argv[0]] for argv in MONTE_CARLO]
     for argv in commands:
         assert main([str(a) for a in argv]) == 0, argv
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -82,15 +85,15 @@ def test_pinned_outputs_are_byte_identical(tmp_path):
 
 
 def _produce_in_child(root: Path, kernel: dict) -> dict:
-    """produce(root, monte_carlo=True) in a child process whose environment
-    forces ``kernel`` and no other."""
+    """produce(root) in a child process whose environment forces ``kernel``
+    and no other."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(gridgame.__file__).parents[1]), str(Path(__file__).parent),
                     env.get("PYTHONPATH")) if p)
     script = ("import sys, json; from pathlib import Path; from test_golden import produce; "
-              "print(json.dumps(produce(Path(sys.argv[1]), monte_carlo=True)))")
+              "print(json.dumps(produce(Path(sys.argv[1]))))")
     proc = subprocess.run([sys.executable, "-c", script, str(root)], env=dict(env, **kernel),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -514,29 +514,18 @@ class TestDerivations:
     ])
     def test_derivations_start_without_a_solution(self, net, derive):
         solved = power_flow(net)
-        assert net._solution == ((1e-6, 100), solved)
+        assert net._solution is solved
         assert derive(net)._solution is None
 
-    def test_a_state_keeps_its_solution_per_tolerance_and_budget(self, monkeypatch):
+    def test_a_state_keeps_its_solution(self, monkeypatch):
         from gridgame.netmodel import powerflow
         net = load_ieee33()  # one island, never solved
         sweeps = []
         real = powerflow._sweep
-        monkeypatch.setattr(powerflow, "_sweep", lambda *a: sweeps.append(a[3:]) or real(*a))
+        monkeypatch.setattr(powerflow, "_sweep", lambda *a: sweeps.append(a) or real(*a))
         first = power_flow(net)
         assert power_flow(net) is first
-        assert power_flow(net, tol=powerflow.TOLERANCE,
-                          max_sweeps=powerflow.MAX_SWEEPS) is first
-        assert sweeps == [(1e-6, 100)]
-        loose = power_flow(net, tol=1e-3)
-        short = power_flow(net, max_sweeps=2)
-        assert sweeps == [(1e-6, 100), (1e-3, 100), (1e-6, 2)]
-        assert loose.iterations < first.iterations and loose.converged
-        assert short.iterations == 2 and not short.converged
-        # the state keeps its last solution: the default one is solved again,
-        # to the same bits
-        assert power_flow(net) == first
-        assert len(sweeps) == 4
+        assert len(sweeps) == 1
 
     def test_a_stored_solution_still_checks_radiality(self, net, monkeypatch):
         power_flow(net)
