@@ -35,7 +35,7 @@ from .netmodel import NetworkState, energized_buses, load_ieee33
 from .netmodel.types import OPEN, Bus, Der, Line
 from .resilience import PayoffMatrix, build_payoff_matrix, float_sum, left_sum
 from .scenario import _resolve_buses, _resolve_ders
-# evaluate_pair is re-exported: the single-cell scorer next to the batch
+# evaluate_pair stays a module global: the benchmark's tracer wraps it here
 from .scenario import apply_attack, apply_defense, catalog_default, evaluate_pair  # noqa: F401
 
 # rationality of the softmax *defense strategy*: sharpness is relative to the

@@ -4,9 +4,9 @@ the package's plan path.
 This is the scorer the package ran before every payoff cell went through
 ``scenario.PairPlan``: ``serve_loads`` walks the islands of a solved state
 one bus at a time into dicts, ``lsr``/``clr``/``drs``/``tss`` reduce that
-report with Python sums, and ``evaluate_pair`` runs the flows around them.
-The tests hold ``scenario.evaluate_pair`` and ``PairPlan.scores`` to these
-functions bit for bit.
+report with plain left-to-right sums (``plain_sum``), and ``evaluate_pair``
+runs the flows around them.  The tests hold ``scenario.evaluate_pair`` and
+``PairPlan.scores`` to these functions bit for bit.
 """
 from __future__ import annotations
 
@@ -23,6 +23,15 @@ from gridgame.resilience import (
 from gridgame.scenario import AttackAction, DefenseAction, apply_attack, apply_defense
 
 
+def plain_sum(values):
+    """Add values from 0, left to right, one at a time: the builtin ``sum``
+    of Python 3.11, whose float sum is compensated from 3.12 on."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class ServedLoadReport:
     served_p: dict[int, float]  # kW per bus
@@ -35,7 +44,7 @@ class ServedLoadReport:
     capacity_curtailed: bool = False
 
     def total_served_p(self) -> float:
-        return sum(self.served_p.values())
+        return plain_sum(self.served_p.values())
 
 
 def serve_loads(state: NetworkState, solution: PowerFlowSolution) -> ServedLoadReport:
@@ -61,7 +70,7 @@ def serve_loads(state: NetworkState, solution: PowerFlowSolution) -> ServedLoadR
         demand_p = {b: bus_by_id[b].load_p * (1.0 - state.shed(b)) for b in members}
         demand_q = {b: bus_by_id[b].load_q * (1.0 - state.shed(b)) for b in members}
         island_ders = [d for d in state.ders if d.online and d.bus in comp]
-        capacity = sum(d.output_kw() for d in island_ders)
+        capacity = plain_sum(d.output_kw() for d in island_ders)
 
         if state.slack_bus in comp:
             # grid-connected: the slack covers any balance, nothing curtailed
@@ -72,8 +81,8 @@ def serve_loads(state: NetworkState, solution: PowerFlowSolution) -> ServedLoadR
             factors = _curtail_factors(bus_by_id, members, demand_p, capacity)
             if any(f < 1.0 for f in factors.values()):
                 curtailed = True
-            served_total = sum(demand_p[b] * factors[b] for b in members)
-            rating_total = sum(d.rating_p for d in island_ders)
+            served_total = plain_sum(demand_p[b] * factors[b] for b in members)
+            rating_total = plain_sum(d.rating_p for d in island_ders)
             for d in island_ders:
                 share = served_total * d.rating_p / rating_total if rating_total else 0.0
                 if not math.isfinite(share):  # the product overflowed: divide first
@@ -103,8 +112,8 @@ def _curtail_factors(bus_by_id, members, demand_p, capacity) -> dict[int, float]
     Non-critical demand scales down first; critical demand is touched only
     when capacity cannot even cover the critical total.
     """
-    crit = sum(demand_p[b] for b in members if bus_by_id[b].is_critical)
-    noncrit = sum(demand_p[b] for b in members if not bus_by_id[b].is_critical)
+    crit = plain_sum(demand_p[b] for b in members if bus_by_id[b].is_critical)
+    noncrit = plain_sum(demand_p[b] for b in members if not bus_by_id[b].is_critical)
     total = crit + noncrit
     if total <= capacity:
         return {b: 1.0 for b in members}
@@ -119,20 +128,20 @@ def _curtail_factors(bus_by_id, members, demand_p, capacity) -> dict[int, float]
 
 def lsr(report: ServedLoadReport, base: NetworkState) -> tuple[float, frozenset[str]]:
     """Served fraction of total pre-attack demand, clamped to [0,1]."""
-    demand = sum(b.load_p for b in base.buses)
+    demand = plain_sum(b.load_p for b in base.buses)
     if demand <= 0:
         return 1.0, frozenset({FLAG_EMPTY_DENOMINATOR})
-    served = sum(report.served_p.get(b.id, 0.0) for b in base.buses)
+    served = plain_sum(report.served_p.get(b.id, 0.0) for b in base.buses)
     return float(min(1.0, max(0.0, served / demand))), frozenset()
 
 
 def clr(report: ServedLoadReport, base: NetworkState) -> tuple[float, frozenset[str]]:
     """LSR restricted to critical buses; vacuously 1 when none exist."""
     crit = [b for b in base.buses if b.is_critical]
-    demand = sum(b.load_p for b in crit)
+    demand = plain_sum(b.load_p for b in crit)
     if demand <= 0:
         return 1.0, frozenset({FLAG_EMPTY_DENOMINATOR})
-    served = sum(report.served_p.get(b.id, 0.0) for b in crit)
+    served = plain_sum(report.served_p.get(b.id, 0.0) for b in crit)
     return float(min(1.0, max(0.0, served / demand))), frozenset()
 
 
@@ -143,10 +152,10 @@ def tss(state: NetworkState) -> float:
 
 def drs(report: ServedLoadReport) -> tuple[float, frozenset[str]]:
     """Utilized over available DER capacity; zero (flagged) when none available."""
-    available = sum(report.der_available.values())
+    available = plain_sum(report.der_available.values())
     if available <= 0:
         return 0.0, frozenset({FLAG_EMPTY_DENOMINATOR})
-    utilized = sum(report.der_utilized.values())
+    utilized = plain_sum(report.der_utilized.values())
     return float(min(1.0, max(0.0, utilized / available))), frozenset()
 
 

@@ -1114,11 +1114,12 @@ class _Scoped(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
 
 
-def _scan(visitor) -> set:
-    """What a fresh ``visitor(module)`` finds in every module of the package."""
-    root = Path(gridgame.__file__).parent
+def _scan(visitor, root=None, pattern="**/*.py") -> set:
+    """What a fresh ``visitor(module)`` finds in every module of the package,
+    or in the files under root that match pattern."""
+    root = root or Path(gridgame.__file__).parent
     found = set()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted(root.glob(pattern)):
         v = visitor(path.relative_to(root).as_posix())
         v.visit(ast.parse(path.read_text()))
         found |= v.found
@@ -1193,6 +1194,8 @@ def test_no_product_or_exp_whose_bits_follow_the_cpu():
     # math.exp, so a data file's bytes depend neither on the BLAS kernel or
     # SIMD unit in use nor on the Python version
     assert _scan(_CpuDependentOps) == set()
+    # nor do the oracles' bits, which the tests hold the package to
+    assert _scan(_CpuDependentOps, Path(__file__).parent, "*_oracle.py") == set()
 
 
 class _FileReaders(_FileWriters):

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgame import cli
@@ -235,7 +235,7 @@ FLAG_CASES = [(argv, flag, value, names, None) for argv, flag, names in NUMERIC_
               for value in ODD_NUMBERS]
 # the largest float --beta on 2x2 games at the reward bound, where beta times
 # a payoff leaves the float range: in the first step, or (the second game)
-# only once the mixes have moved; explicit examples, so both always run
+# only once the mixes have moved
 HUGE_BETA_CASES = [(("solve", "--method", "qre"), "--beta", "1.7976931348623157e308", ("beta",),
                     game)
                    for game in ("attack,D1,D2\nA1,1.000000000001,1.000000000001\n"
@@ -243,10 +243,14 @@ HUGE_BETA_CASES = [(("solve", "--method", "qre"), "--beta", "1.7976931348623157e
                                 "attack,D1,D2\nA1,1.000000000001,-1\nA2,-1,1\n")]
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(st.sampled_from(FLAG_CASES))
-@example(HUGE_BETA_CASES[0])
-@example(HUGE_BETA_CASES[1])
+def flag_case_id(case):
+    argv, flag, value, _, matrix = case
+    game = "" if matrix is None else f"-game{HUGE_BETA_CASES.index(case)}"
+    return f"{argv[0]}-{argv[2]}{flag}={value}{game}"
+
+
+# every case runs: each is one small command
+@pytest.mark.parametrize("case", FLAG_CASES + HUGE_BETA_CASES, ids=flag_case_id)
 def test_an_odd_numeric_flag_succeeds_or_exits_2(case):
     argv, flag, value, names, matrix = case
     with tempfile.TemporaryDirectory() as tmp:
