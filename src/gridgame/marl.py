@@ -33,12 +33,14 @@ Q value, and no greedy action, can change again.  The kernels then stop
 updating and only pick the greedy actions of the rest of the run, whose
 cells numpy counts as the loop would, which ends in the same bits as
 stepping on.  The single-agent attacker is drawn apart from play, so numpy
-also picks the defender's settled actions; in self-play each side's greedy
-action answers the other's last one, and the stage MDP's step loop goes on
-picking them and moving the state, with one state or many.  Any other run
-(constant or power steps, gamma > 0, a cell never reached) steps to the
-end.  Trainers write no files: each returned ``LearnedPolicy`` carries its
-run's telemetry rows, and the CLI writes them out.
+also picks the defender's settled actions.  In self-play each side's greedy
+action answers the other's last one: with one state the two fixed greedy
+maps give the play, which numpy reads off their orbits; with more, the
+state drawn depends on the play, and the step loop goes on picking the
+actions and moving the state.  Any other run (constant or power steps,
+gamma > 0, a cell never reached) steps to the end.  Trainers write no
+files: each returned ``LearnedPolicy`` carries its run's telemetry rows,
+and the CLI writes them out.
 """
 
 from __future__ import annotations
@@ -247,28 +249,23 @@ def _settled_steps(telemetry, record_every, t0, epsilons, cells, rewards, visits
     settled step moves no Q value, so its row is (t + 1, epsilon,
     1 / visits, reward, 0.0), visits counting the step itself.
     """
-    # a recorded step's visits: its cell's count before these steps plus the
-    # steps up to it that visit the cell.  Keyed by (cell, step), each step
-    # counts toward the first recorded step of its cell at or after it
-    n = len(cells)
-    keys = cells * n + np.arange(n)
-    recorded = np.sort(keys[-(t0 + 1) % record_every::record_every])
-    cell = recorded // n
-    # a step on no recorded step's cell counts toward none
-    on_recorded_cell = np.zeros(len(visits), dtype=bool)
-    on_recorded_cell[cell] = True
-    keys = keys[on_recorded_cell[cells]]
-    slot = np.searchsorted(recorded, keys)
-    mine = slot < len(recorded)
-    mine[mine] = cell[slot[mine]] == keys[mine] // n
-    hits = np.bincount(slot[mine], minlength=len(recorded))
-    counts = np.cumsum(hits)
-    # the running count starts again at each cell's first recorded step
-    first = np.diff(cell, prepend=-1) != 0
-    counts -= np.maximum.accumulate(np.where(first, counts - hits, 0))
-    counts += visits[cell]
-    visits += np.bincount(cells, minlength=len(visits))
-    at = recorded % n
+    n_cells = len(visits)
+    first = -(t0 + 1) % record_every
+    at = np.arange(first, len(cells), record_every)  # the recorded steps
+    cell = cells[at]
+    # a column for each cell that a recorded step is on, one for the others
+    on = np.flatnonzero(np.bincount(cell, minlength=n_cells))
+    col = np.full(n_cells, len(on))
+    col[on] = np.arange(len(on))
+    # a step's segment is the first recorded step at or after it; the steps
+    # after the last recorded one make one segment more.  Visits up to a
+    # recorded step are then a running sum over segments
+    seg = (np.arange(len(cells)) + (record_every - 1 - first)) // record_every
+    width = len(on) + 1
+    seen = np.bincount(seg * width + col[cells], minlength=(len(at) + 1) * width)
+    seen = np.cumsum(seen.reshape(-1, width), axis=0)
+    counts = visits[cell] + seen[np.arange(len(at)), col[cell]]
+    visits += np.bincount(cells, minlength=n_cells)
     ts = t0 + at
     telemetry[ts // record_every, :4] = np.column_stack(
         (ts + 1, epsilons[at], 1.0 / counts, rewards[cell]))
@@ -301,7 +298,8 @@ def _single_kernel(m, opp_cdf, config, record_every):
     unvisited = n_opp * n_own
     settled = False
     for t0, u, epsilons in _draws(config, 3):
-        opps = np.searchsorted(cdf, u[:, 0], side="right")
+        # cdf is sorted, so its count of bounds <= u is its bisection
+        opps = (cdf[:, None] <= u[:, 0]).sum(axis=0)
         # a greedy step answers the attack of the step before it
         prev = np.r_[opp_last, opps[:-1]]
         opp_last = opps[-1]
@@ -346,6 +344,55 @@ def _single_kernel(m, opp_cdf, config, record_every):
     return np.array(q).T.copy(), visits.T.copy(), visits.sum(axis=1), telemetry
 
 
+def _orbits(step):
+    """Orbit tables of the map ``step`` on nodes 0..N-1: table[v, k] is the
+    node k steps from v, for k < 2N, and period[v] the length of the cycle
+    v's orbit runs into.  An orbit meets at most N distinct nodes, so it is
+    on its cycle by step N - 1, and from there on its row repeats with that
+    period."""
+    n = len(step)
+    table = np.empty((n, 2 * n), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    for k in range(1, 2 * n):
+        table[:, k] = step[table[:, k - 1]]
+    period = 1 + np.argmax(table[:, n:] == table[:, n - 1:n], axis=1)
+    return table, period
+
+
+def _settled_play(orbits, explore_a, explore_d, a_last, d_last, n_att):
+    """The actions (a, d) of a run of settled one-state steps, given their
+    exploring actions (-1 where a step plays greedy) and the actions of the
+    step before.
+
+    A greedy a_t answers d_{t-1} and a greedy d_t answers a_{t-1}, so play
+    runs in two chains, a_t, d_{t+1}, a_{t+2}, ... and d_t, a_{t+1}, ...
+    Nodes number the attacker's actions 0..n_att-1 and the defender's from
+    n_att on, and one map (``_orbits``) steps a chain from node to node: each
+    step is its chain's last exploring node moved on once per step since.
+    """
+    table, period = orbits
+    n = len(period)
+    d = np.where(explore_d < 0, -1, explore_d + n_att)
+    # chain 0 holds a at the even steps and d at the odd ones, chain 1 the
+    # other two; column 0 is the step before, an odd one
+    nodes = np.empty((2, len(d) + 1), dtype=np.int64)
+    nodes[:, 0] = d_last + n_att, a_last
+    nodes[0, 1::2], nodes[0, 2::2] = explore_a[::2], d[1::2]
+    nodes[1, 1::2], nodes[1, 2::2] = d[::2], explore_a[1::2]
+    # each step's last exploring node, and the steps k since it; a k of n or
+    # more is on the cycle, and moves back onto columns n..2n-1 by periods
+    idx = np.arange(nodes.shape[1])
+    start = np.maximum.accumulate(np.where(nodes >= 0, idx, 0), axis=1)
+    nodes = np.take_along_axis(nodes, start, axis=1)
+    k = idx - start
+    k = np.minimum(k, n + (k - n) % period[nodes])
+    nodes = table[nodes, k]
+    a = np.empty_like(d)
+    a[::2], a[1::2] = nodes[0, 1::2], nodes[1, 2::2]
+    d[::2], d[1::2] = nodes[1, 1::2], nodes[0, 2::2]
+    return a, d - n_att
+
+
 def _mdp_kernel(rewards, transitions, config, window_start, record_every):
     """Simultaneous Q-learning of both sides on a stage MDP, for config's
     episodes under its schedule, exploration and gamma.
@@ -358,10 +405,12 @@ def _mdp_kernel(rewards, transitions, config, window_start, record_every):
     greedy index, as in _single_kernel; the cache serves both the greedy
     pick and the bootstrap target, which is the column's extreme.  With the
     harmonic schedule and gamma 0 a cell's target is its reward, so once
-    every cell was seen Q is final: the loop goes on picking the greedy
-    actions from the cached indices and moving the state, with one state or
-    many, but updates nothing, and _settled_steps counts the settled steps
-    of each chunk and writes their telemetry.  Each chunk's cells give the
+    every cell was seen Q is final, and _settled_steps counts the settled
+    steps of each chunk and writes their telemetry.  With one state the
+    greedy maps are then fixed and _settled_play works out the rest of the
+    run in numpy; with more, the state drawn depends on the play, and the
+    same loop goes on picking the greedy actions from the cached indices
+    and moving the state, but updates nothing.  Each chunk's cells give the
     window's counts and reward in numpy; the whole run's action counts are
     the visits summed over the opponent's actions.
     """
@@ -385,13 +434,16 @@ def _mdp_kernel(rewards, transitions, config, window_start, record_every):
     unvisited = n_cells
     settles = step_size is _HARMONIC and gamma == 0.0
     settled = False
+    orbits = None  # the greedy map's orbits, once a one-state game settled
     for t0, u, epsilons in _draws(config, 5):
         explore_a = _explore(u[:, 0], u[:, 1], epsilons, n_att)
         explore_d = _explore(u[:, 2], u[:, 3], epsilons, n_def)
         cells = []
         done = 0 if settled else len(u)  # the chunk's first settled step
-        for t, a, d, u_s in zip(range(t0, t0 + len(u)), explore_a.tolist(),
-                                explore_d.tolist(), u[:, 4].tolist()):
+        # once a one-state game settled, _settled_play plays its chunks
+        steps = () if orbits is not None else zip(
+            range(t0, t0 + len(u)), explore_a.tolist(), explore_d.tolist(), u[:, 4].tolist())
+        for t, a, d, u_s in steps:
             if a < 0:
                 a = greedy_a[s][d_last]
                 if a is None:
@@ -440,8 +492,21 @@ def _mdp_kernel(rewards, transitions, config, window_start, record_every):
                         settled = True
                         done = t + 1 - t0
                         visits = np.array(visits)
+                        if n_states == 1:
+                            # attacker node a steps to defender node n_att +
+                            # greedy_d(a), defender node n_att + d to greedy_a(d)
+                            gd = [n_att + _greedy(col, max) for col in qd[0]]
+                            ga = [_greedy(col, min) for col in qa[0]]
+                            orbits = _orbits(np.array(gd + ga))
+                            a_last, d_last = a, d
+                            break
             a_last, d_last, s = a, d, s_next
         cells = np.array(cells, dtype=np.int64)
+        if orbits is not None and len(cells) < len(u):
+            a, d = _settled_play(orbits, explore_a[len(cells):], explore_d[len(cells):],
+                                 a_last, d_last, n_att)
+            a_last, d_last = int(a[-1]), int(d[-1])
+            cells = np.r_[cells, a * n_def + d]
         if done < len(u):
             _settled_steps(telemetry, record_every, t0 + done, epsilons[done:],
                            cells[done:], flat_rewards, visits)

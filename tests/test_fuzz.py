@@ -56,6 +56,37 @@ def _mutations(doc):
 
 MUTATIONS = list(_mutations(BUNDLED))
 NETWORK_MUTATIONS = list(_mutations(NETWORK))
+OPERATIONS = (("delete", None), ("duplicate", None), *(("set", value) for value in ODD_VALUES))
+
+
+def _shape_mutations(doc):
+    """One mutation per field shape of ``doc`` (its paths with list indices
+    collapsed), at the shape's first path.  The operations of OPERATIONS
+    take turns; a duplicate, which needs a list entry, trades its turn with
+    the operation after it."""
+    shapes = {}
+    for path in _fields(doc):
+        shapes.setdefault(tuple("*" if isinstance(key, int) else key for key in path), path)
+    ops = list(OPERATIONS)
+    for turn, path in enumerate(shapes.values()):
+        k, j = turn % len(ops), (turn + 1) % len(ops)
+        if ops[k][0] == "duplicate" and not isinstance(path[-1], int):
+            ops[k], ops[j] = ops[j], ops[k]
+        yield (path, *ops[k])
+
+
+SHAPE_MUTATIONS = list(_shape_mutations(BUNDLED))
+NETWORK_SHAPE_MUTATIONS = list(_shape_mutations(NETWORK))
+
+
+def mutation_id(mutation):
+    path, op, value = mutation
+    text = ".".join(map(str, path)) + "-" + op
+    if op == "set":
+        value = repr(value)
+        # 10**30 and 10**400 as powers, not hundreds of digits
+        text += "=" + (value if len(value) < 12 else f"10**{len(value) - 1}")
+    return text
 
 
 def mutated(path, op, value, base=BUNDLED):
@@ -135,6 +166,25 @@ def test_payoff_on_a_mutated_catalog_succeeds_or_exits_2(mutation):
 def test_payoff_on_a_mutated_network_succeeds_or_exits_2(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         check_outcome(*run_payoff(mutated(*mutation, base=NETWORK), Path(tmp), "--network"))
+
+
+def test_every_operation_meets_a_field_shape():
+    assert (len(SHAPE_MUTATIONS), len(NETWORK_SHAPE_MUTATIONS)) == (20, 30)
+    every = {(op, repr(value)) for op, value in OPERATIONS}
+    for cases in (SHAPE_MUTATIONS, NETWORK_SHAPE_MUTATIONS):
+        assert {(op, repr(value)) for _, op, value in cases} == every
+
+
+# the two properties above sample the same few of thousands of mutations;
+# these mutate every field shape once
+@pytest.mark.parametrize("mutation", SHAPE_MUTATIONS, ids=mutation_id)
+def test_payoff_on_each_catalog_field_shape_succeeds_or_exits_2(mutation, tmp_path):
+    check_outcome(*run_payoff(mutated(*mutation), tmp_path))
+
+
+@pytest.mark.parametrize("mutation", NETWORK_SHAPE_MUTATIONS, ids=mutation_id)
+def test_payoff_on_each_network_field_shape_succeeds_or_exits_2(mutation, tmp_path):
+    check_outcome(*run_payoff(mutated(*mutation, base=NETWORK), tmp_path, "--network"))
 
 
 # odd text for one field of a CSV: bad numbers, numbers out of range, ids

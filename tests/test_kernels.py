@@ -11,9 +11,11 @@ a generator of the same seed, so both walk identical sample paths, and every
 output must match to the bit.  Under the harmonic schedule with gamma 0 the
 package learners stop updating once every cell was visited and count the
 rest of the run in numpy; the frozen-tail cases and properties reach that
-tail and cross chunk boundaries in it; the stage-MDP kernel goes on
-stepping through it, with one state or many, and ``TestSettledSelfPlay``
-holds its one-state tail to the loop on cycling, locking and random games.
+tail and cross chunk boundaries in it.  The stage-MDP kernel plays a
+one-state tail in numpy and steps through a tail of several states;
+``TestSettledSelfPlay`` holds its one-state tail to the loop on cycling,
+locking and random games, and a property holds the settled telemetry
+count to a per-step loop.
 The stage-MDP kernel counts its window per chunk; one case never settles,
 and its window spans two chunk boundaries of the step loop.
 Fictitious play advances a run of one best-response pair as one block;
@@ -25,11 +27,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
-from gridgame import gamesolve, marl
+from gridgame import cli, gamesolve, marl
+from gridgame.resilience import PayoffMatrix
 
 
 def random_matrix(seed, shape=(10, 10)):
@@ -109,11 +112,19 @@ def random_mdp(m, n_states, rng):
                          transitions=transitions)
 
 
+def settled_stretch(run):
+    """Call run(); return the first step the package counts as settled (or
+    None) and the number of steps ``marl._settled_play`` played."""
+    with mock.patch.object(marl, "_settled_steps", wraps=marl._settled_steps) as steps, \
+            mock.patch.object(marl, "_settled_play", wraps=marl._settled_play) as play:
+        run()
+    start = steps.call_args_list[0].args[2] if steps.called else None
+    return start, sum(len(call.args[1]) for call in play.call_args_list)
+
+
 def tail_start(kernels, calls):
     """The first step the package kernel counts as settled, or None."""
-    with mock.patch.object(marl, "_settled_steps", wraps=marl._settled_steps) as spy:
-        kernels[1](*calls[1])
-    return spy.call_args_list[0].args[2] if spy.called else None
+    return settled_stretch(lambda: kernels[1](*calls[1]))[0]
 
 
 CHUNK = marl.DRAW_CHUNK
@@ -353,8 +364,8 @@ def bundled_matrix():
 
 
 class TestSettledSelfPlay:
-    """Once Q is final in a one-state game the package only picks greedy
-    actions and counts the rest of the run; the oracle steps every episode."""
+    """Once Q is final in a one-state game the package plays the rest of the
+    run in numpy; the oracle steps every episode."""
 
     def test_maql_on_the_bundled_matrix(self, bundled_matrix):
         # experiments.strategy_policy's maql config, its window the last tenth
@@ -364,6 +375,24 @@ class TestSettledSelfPlay:
                          T, T - T // 10, gamesolve.telemetry_cadence(T))
         assert tail_start(MDP, calls) < CHUNK
         assert_same_outputs(MDP, calls)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_maql_plays_its_settled_stretch_in_numpy(self, bundled_matrix, seed):
+        cfg = marl.LearningConfig(seed=seed, epsilon_decay=0.9995)
+        start, played = settled_stretch(lambda: marl.train_multi_agent(bundled_matrix, cfg))
+        assert start < CHUNK
+        assert played == cfg.episodes - start
+
+    def test_learn_multi_plays_its_settled_stretch_in_numpy(self, tmp_path):
+        path = tmp_path / "game.csv"
+        PayoffMatrix(entries=random_matrix(15, (20, 20)),
+                     attack_ids=tuple(f"A{i}" for i in range(20)),
+                     defense_ids=tuple(f"D{j}" for j in range(20))).to_csv(path)
+        argv = ["learn", "--method", "multi", "--matrix", str(path), "--iters", "25000",
+                "--out", str(tmp_path / "out")]
+        start, played = settled_stretch(lambda: cli.main(argv))
+        assert start is not None
+        assert played == 25_000 - start
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_cyclic_game(self, seed):
@@ -398,13 +427,14 @@ class TestSettledSelfPlay:
     def test_other_schedules_and_gamma_keep_stepping(self, alpha_mode, gamma):
         calls = mdp_args(flat_mdp(random_matrix(14, (3, 3))), gamma, alpha_mode, 1.0,
                          0.999, CHUNK + 500, CHUNK, 7)
-        assert tail_start(MDP, calls) is None
+        assert settled_stretch(lambda: MDP[1](*calls[1])) == (None, 0)
         assert_same_outputs(MDP, calls)
 
     def test_several_states_keep_the_step_loop(self):
-        # the state drawn depends on play; the tail settles in the same loop
+        # the state drawn depends on play; the tail settles in the step loop
         calls = CASES["mdp-frozen-tail"][1]
-        assert tail_start(MDP, calls) is not None
+        start, played = settled_stretch(lambda: MDP[1](*calls[1]))
+        assert start is not None and played == 0
 
     @settings(max_examples=25, deadline=None)
     @given(m=GAMES, eps_decay=st.sampled_from([0.99, 0.999]), chunks=st.integers(0, 1),
@@ -415,3 +445,47 @@ class TestSettledSelfPlay:
         T = chunks * CHUNK + rest
         assert_same_outputs(MDP, mdp_args(flat_mdp(m), 0.0, 0, 1.0, eps_decay, T,
                                           int(window * T), record_every, seed))
+
+
+# -- settled telemetry --------------------------------------------------------
+
+
+def settled_steps_loop(telemetry, record_every, t0, epsilons, cells, rewards, visits):
+    """_settled_steps one step at a time."""
+    for i, cell in enumerate(cells.tolist()):
+        visits[cell] += 1
+        t = t0 + i
+        if (t + 1) % record_every == 0:
+            telemetry[t // record_every, :4] = (
+                t + 1, epsilons[i], 1.0 / visits[cell], rewards[cell])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_cells=st.integers(1, 12), record_every=st.integers(1, 40), t0=st.integers(0, 500),
+       cells=st.lists(st.integers(0, 11), min_size=1, max_size=300), one_cell=st.booleans(),
+       before=st.lists(st.integers(0, 10**6), min_size=12, max_size=12))
+# no recorded step: 5 steps, the first recorded one 9 steps on
+@example(n_cells=3, record_every=10, t0=0, cells=[0, 1, 2, 1, 0], one_cell=False,
+         before=[0] * 12)
+# the first step is recorded, and so is the last
+@example(n_cells=4, record_every=10, t0=9, cells=list(range(4)) * 5 + [1], one_cell=False,
+         before=[3] * 12)
+# only the last step is recorded
+@example(n_cells=2, record_every=10, t0=3, cells=[1, 0, 1, 1, 0, 0, 1], one_cell=False,
+         before=[5, 0] + [0] * 10)
+# every step on one cell, counted on from 7 earlier visits
+@example(n_cells=5, record_every=3, t0=0, cells=[2] * 40, one_cell=True, before=[7] * 12)
+def test_property_settled_steps_count_as_a_loop(n_cells, record_every, t0, cells, one_cell,
+                                                before):
+    cells = np.array(cells, dtype=np.int64) % n_cells
+    if one_cell:
+        cells[:] = cells[0]
+    rng = np.random.default_rng(len(cells))
+    epsilons, rewards = rng.random(len(cells)), rng.random(n_cells) * 2.0 - 1.0
+    rows = (t0 + len(cells)) // record_every + 1
+    ref = (np.zeros((rows, 5)), np.array(before[:n_cells], dtype=np.int64))
+    got = copy.deepcopy(ref)
+    settled_steps_loop(ref[0], record_every, t0, epsilons, cells, rewards, ref[1])
+    marl._settled_steps(got[0], record_every, t0, epsilons, cells, rewards, got[1])
+    for r, g in zip(ref, got):
+        assert r.dtype == g.dtype and r.tobytes() == g.tobytes()
