@@ -199,8 +199,8 @@ def _resolve_matrix(args, need_bundle=False):
     """Payoff matrix from --matrix CSV, else scored from the plan table.
 
     The only reader of --matrix.  Returns (matrix, inputs, bundle) where
-    bundle is (net, cat, weights, plans), ``plans`` compiled once for the
-    whole command; it is None when the matrix was read from CSV and the
+    bundle is (net, cat, weights, table), the plan ``table`` compiled once
+    for the whole command; it is None when the matrix was read from CSV and the
     caller did not ask for the network inputs as well.  Such a caller reads
     nothing of the network inputs, so naming one with --matrix is an error.
     """
@@ -224,10 +224,10 @@ def _resolve_matrix(args, need_bundle=False):
                 f"{list(matrix.defense_ids)} do not match the catalog's "
                 f"{list(ids[0])} x {list(ids[1])} in catalog order")
         inputs["matrix"] = _input_record(path, "")
-    plans = compile_catalog(net, cat)
+    table = compile_catalog(net, cat)
     if not path:
-        matrix = nominal_payoff(plans, cat, weights)
-    return matrix, inputs, (net, cat, weights, plans)
+        matrix = nominal_payoff(table, cat, weights)
+    return matrix, inputs, (net, cat, weights, table)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +376,9 @@ def cmd_baseline(args) -> Output:
 
     mc = experiments.McConfig(runs=args.runs, seed=args.seed,
                               attack_distribution=args.attack_dist)
-    matrix, inputs, (net, cat, weights, plans) = _resolve_matrix(args, need_bundle=True)
+    matrix, inputs, (net, cat, weights, table) = _resolve_matrix(args, need_bundle=True)
     policy = experiments.strategy_policy(args.method, matrix, catalog=cat, base=net)
-    report = experiments.monte_carlo(plans, weights, policy, mc, matrix=matrix)
+    report = experiments.monte_carlo(table, weights, policy, mc, matrix=matrix)
 
     files = {
         "policy.json": {
@@ -416,8 +416,8 @@ def cmd_compare(args) -> Output:
     methods = _parse_methods(args.methods)
     mc = experiments.McConfig(runs=args.runs, seed=args.seed,
                               attack_distribution=args.attack_dist)
-    matrix, inputs, (net, cat, weights, plans) = _resolve_matrix(args, need_bundle=True)
-    rows = experiments.compare_strategies(net, cat, plans, weights, methods, mc,
+    matrix, inputs, (net, cat, weights, table) = _resolve_matrix(args, need_bundle=True)
+    rows = experiments.compare_strategies(net, cat, table, weights, methods, mc,
                                           matrix=matrix, reference=args.reference)
 
     # wall times stay out of the data files, which reruns reproduce byte for byte

@@ -7,9 +7,9 @@ run.  Voltage flags (undervoltage, non-convergence) belong to the nominal
 payoff cells; a run's score never depends on a voltage.  Runs are seeded
 individually (seed + run index) so methods compared in one call see the
 same random draws (common random numbers); the draws are made once per
-command and shared, read-only, by its methods.  All runs are drawn first;
-runs that drew the same cell are then scored together by its plan in the
-command's plan table, and a report keeps the runs as arrays in run order.
+command and shared, read-only, by its methods.  All runs are drawn first
+and then scored in one pass of the command's plan table, each on its
+drawn cell, and a report keeps the runs as arrays in run order.
 Results are values (``StatsReport``, ``ComparisonRow``, probe rows); the CLI writes them.
 """
 
@@ -192,38 +192,32 @@ def _run_draws(seed: int, runs: int, n_buses: int, low: float, high: float):
     return multipliers, u
 
 
-def monte_carlo(plans, weights, defense_policy: DefensePolicy, mc: McConfig,
+def monte_carlo(table, weights, defense_policy: DefensePolicy, mc: McConfig,
                 matrix: PayoffMatrix) -> StatsReport:
     """Evaluate one defense policy under load uncertainty and attack draws.
 
-    ``plans[a][d]`` is the plan of the matrix's cell (a, d), from the
-    command's plan table (``scenario.compile_catalog``).  The nominal payoff
-    matrix steers the non-uniform attack distributions and names the
+    ``table`` is the command's plan table (``scenario.compile_catalog``),
+    whose cell a * n_defenses + d is the matrix's cell (a, d).  The nominal
+    payoff matrix steers the non-uniform attack distributions and names the
     attacks.  Each run scores its drawn pair on its own perturbed loads, so
     reported statistics reflect physics under uncertainty, not matrix
     lookups.  No run solves a power flow, and no plan is compiled here.
 
     Every run is drawn first, from its own ``default_rng(seed + run)``
-    stream (``_run_draws``, which the methods of one command share); runs
-    that drew the same cell are then scored together by its plan, and the
-    report holds every run in run order.
+    stream (``_run_draws``, which the methods of one command share); then
+    one table pass scores every run on its drawn cell, and the report holds
+    every run in run order.
     """
     if defense_policy.mixes.shape != matrix.shape:
         raise ConfigError(f"policy shaped {defense_policy.mixes.shape}, matrix {matrix.shape}")
-    n_buses = plans[0][0].load_p.size
+    n_buses = table.base.load_p.size
     att_bounds = draw_bounds(np.cumsum(_attack_probs(mc, defense_policy, matrix)))
     def_bounds = draw_bounds(np.cumsum(defense_policy.mixes, axis=1))
     multipliers, u = _run_draws(mc.seed, mc.runs, n_buses, *mc.perturbation)
     att = np.searchsorted(att_bounds, u[:, 0], side="right")
     # each row of bounds is sorted, so its count of bounds <= u is its bisection
     dfn = (def_bounds[att] <= u[:, 1:]).sum(axis=1)
-
-    cells = att * matrix.shape[1] + dfn
-    order = np.argsort(cells, kind="stable")
-    scores = np.empty(mc.runs)
-    for runs in np.split(order, np.flatnonzero(np.diff(cells[order])) + 1):
-        a, d = att[runs[0]], dfn[runs[0]]
-        scores[runs] = plans[a][d].scores(multipliers[runs], weights)
+    scores = table.scores(att * matrix.shape[1] + dfn, multipliers, weights)
     return summarize(defense_policy.label, matrix.attack_ids, att, dfn, scores)
 
 
@@ -463,9 +457,9 @@ def strategy_policy(tag: str, matrix: PayoffMatrix, catalog=None,
     raise ConfigError(f"unknown method tag {tag!r}")
 
 
-def compare_strategies(base: NetworkState, catalog, plans, weights, methods, mc: McConfig,
+def compare_strategies(base: NetworkState, catalog, table, weights, methods, mc: McConfig,
                        matrix: PayoffMatrix, reference: str | None = None):
-    """Monte Carlo every requested method on the plan table ``plans`` under
+    """Monte Carlo every requested method on the plan table ``table`` under
     common random numbers; ``base`` and ``catalog`` make RBD's rule table.
 
     Returns ComparisonRow per method in canonical order, each carrying its
@@ -489,7 +483,7 @@ def compare_strategies(base: NetworkState, catalog, plans, weights, methods, mc:
     for tag in ordered:
         start = time.perf_counter()
         policy = strategy_policy(tag, matrix, catalog=catalog, base=base, seed=mc.seed)
-        reports[tag] = monte_carlo(plans, weights, policy, mc, matrix=matrix)
+        reports[tag] = monte_carlo(table, weights, policy, mc, matrix=matrix)
         walls[tag] = time.perf_counter() - start
         provenance[tag] = policy.provenance
 

@@ -91,9 +91,10 @@ def _connectivity(state: NetworkState):
     labels.flags.writeable = False
     count = int(is_root.sum())
     branches = np.bincount(island[ends], minlength=count).tolist()
-    members: list[list[int]] = [[] for _ in range(count)]
-    for bus, idx in zip(grid.sorted_ids, island.tolist()):
-        members[idx].append(bus)
+    # bus ids grouped by island: a stable sort of the labels keeps bus-id order
+    ids = grid.id_order[np.argsort(island, kind="stable")].tolist()
+    ends_at = np.cumsum(np.bincount(island, minlength=count)).tolist()
+    members = [ids[a:b] for a, b in zip([0, *ends_at], ends_at)]
 
     online: list[list] = [[] for _ in range(count)]
     for d in state.ders:

@@ -90,13 +90,13 @@ class Grid:
                               dtype=np.int64)
         self.rank = np.empty_like(self.by_id)
         self.rank[self.by_id] = np.arange(len(self.ids))
-        self.sorted_ids = sorted(self.ids)
+        self.id_order = np.array(sorted(self.ids), dtype=np.int64)  # bus ids, ascending
         # per branch: end positions, and r and x in ohms
         self.frm = np.array([self.pos[ln.from_bus] for ln in branches], dtype=np.int64)
         self.to = np.array([self.pos[ln.to_bus] for ln in branches], dtype=np.int64)
         self.r = np.array([ln.r for ln in branches], dtype=float)
         self.x = np.array([ln.x for ln in branches], dtype=float)
-        for a in (self.by_id, self.rank, self.frm, self.to, self.r, self.x):
+        for a in (self.by_id, self.rank, self.id_order, self.frm, self.to, self.r, self.x):
             a.flags.writeable = False
 
     @cached_property

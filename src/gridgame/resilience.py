@@ -4,11 +4,14 @@ Four complementary indices quantify how a network state weathers an
 attack-defense interaction: the fraction of total demand still served (LSR),
 the same restricted to critical buses (CLR), the fraction of buses in
 energized islands (TSS), and the fraction of available DER capacity actually
-used (DRS).  ``scenario.PairPlan.metrics`` computes them.  An AHP
-eigenvector turns expert pairwise judgments into weights that collapse the
-four into one defender-maximizing score per cell.  ``PayoffMatrix`` reads and
-writes the payoff CSV, the format the CLI's ``--matrix`` takes; every other
-data file is written by the CLI.
+used (DRS).  ``scenario.PlanTable.metrics`` computes them for any runs of
+any cells of a plan table in one array pass.  An AHP eigenvector turns
+expert pairwise judgments into weights that collapse the four into one
+defender-maximizing score per cell.  ``build_payoff_matrix`` is the plan
+table, one pass of it over every cell, and the flows that set each cell's
+voltage flags; ``nominal_payoff`` is the same pass without the flows.
+``PayoffMatrix`` reads and writes the payoff CSV, the format the CLI's
+``--matrix`` takes; every other data file is written by the CLI.
 """
 
 from __future__ import annotations
@@ -64,11 +67,13 @@ def left_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     Every matrix or vector product whose result reaches a data file is one
     of these sums, ``left_sum(m * v)``: a BLAS kernel orders its additions
     by the CPU it runs on.  ``out`` may be ``a`` itself; the result is then
-    a view into it.
+    a view into it.  Without ``out`` the result is a copy, so the running
+    sums are freed at once.
     """
     if a.shape[-1] == 0:
         return np.zeros(a.shape[:-1])
-    return np.add.accumulate(a, axis=-1, out=out)[..., -1]
+    last = np.add.accumulate(a, axis=-1, out=out)[..., -1]
+    return last if out is not None else last.copy()
 
 
 def float_sum(values) -> float:
@@ -224,24 +229,33 @@ def unified_score(card: ResilienceScorecard, weights: AhpWeights) -> float:
 # -- payoff matrix ---------------------------------------------------------
 
 def build_payoff_matrix(base, catalog, weights: AhpWeights) -> PayoffMatrix:
-    """Unified score and flags of every attack-defense pair in the catalog,
-    each cell evaluated with its power flows, one after another in
-    (attack, defense) order, each attack applied once per row. Only
-    ``payoff`` writes the flags."""
+    """Unified score and flags of every attack-defense pair in the catalog.
+
+    Three steps: the plan table (``scenario.compile_catalog``); one pass of
+    it that scores every cell, serves its loads and marks its curtailment
+    and empty denominators (``PlanTable.nominal``); then, cell by cell in
+    (attack, defense) order, the power flows that set the voltage flags
+    (``scenario.evaluate_pair``). Only ``payoff`` writes the flags."""
     from . import scenario  # deferred: scenario imports the scorecard and flags above
 
-    cards = scenario.payoff_rows(scenario.evaluate_pair, base, catalog)
-    return _payoff(catalog, [[unified_score(c, weights) for c in row] for row in cards],
-                   {(i, j): c.flags for i, row in enumerate(cards)
-                    for j, c in enumerate(row) if c.flags})
+    table = scenario.compile_catalog(base, catalog)
+    _, cards, _ = table.nominal
+    n_def = len(catalog.defenses)
+    flags = {}
+    for cell, (attack, defense) in enumerate(
+            (a, d) for a in catalog.attacks for d in catalog.defenses):
+        card = scenario.payoff_cell(scenario.evaluate_pair, base, attack, defense,
+                                    table=table, cell=cell)
+        if card.flags:
+            flags[divmod(cell, n_def)] = card.flags
+    return _payoff(catalog, left_sum(cards * weights.w), flags)
 
 
-def nominal_payoff(plans, catalog, weights: AhpWeights) -> PayoffMatrix:
+def nominal_payoff(table, catalog, weights: AhpWeights) -> PayoffMatrix:
     """The matrix of ``scenario.compile_catalog``'s plan table, each cell
     scored on its unperturbed loads: ``build_payoff_matrix``'s entries bit
     for bit, without its flows and so without flags."""
-    return _payoff(catalog, [[p.scores(np.ones((1, p.load_p.size)), weights)[0]
-                              for p in row] for row in plans])
+    return _payoff(catalog, left_sum(table.nominal[1] * weights.w))
 
 
 def _payoff(catalog, entries, flags=None) -> PayoffMatrix:

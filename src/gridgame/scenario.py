@@ -4,14 +4,15 @@ An action is an ordered list of primitive effects over the network state;
 the bundled catalog, ten attacks and ten defenses, is the JSON document
 ``data/catalog_default.json``, read as a user's ``--catalog`` is. Applying
 an action is pure: the input state is never touched. ``compile_pair``
-resolves one pair once into a ``PairPlan``, which serves the loads
-(``serve_loads``) and scores the served state (LSR, CLR, TSS, DRS) for many
-load vectors at a time; ``compile_catalog`` makes a command's plan table.
-``evaluate_pair`` scores one cell through its plan and runs the power flows
-that set the cell's voltage flags, which only ``payoff`` writes.  Both
-walk the catalog through ``payoff_rows``: the cells of one attack share an
-``AttackRow``, which applies the attack once, and every cell shares the
-base feeder's ``BaseTables``.
+resolves one pair once into a one-cell ``PlanTable``, and
+``compile_catalog`` merges every cell of a catalog into a command's table,
+stacked into arrays over cells: ``serve_loads`` serves any runs of any
+cells in one array pass, and ``PlanTable.metrics`` scores the served
+states (LSR, CLR, TSS, DRS). ``evaluate_pair`` reads a cell's scorecard
+from the table's pass on unperturbed loads and runs the power flows that
+set the cell's voltage flags, which only ``payoff`` writes. The cells of
+one attack share an ``AttackRow``, which applies the attack once, and
+every cell shares the base feeder's ``BaseTables``.
 """
 
 from __future__ import annotations
@@ -381,31 +382,32 @@ apply_attack = apply_defense = apply_action
 
 
 def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseAction, *,
-                  row: AttackRow | None = None) -> ResilienceScorecard:
-    """Score one attack-defense interaction on the pristine network.
+                  table: PlanTable | None = None, cell: int = 0) -> ResilienceScorecard:
+    """Score one attack-defense interaction on the pristine network, with
+    the flags of its power flows.
 
-    Pipeline: pre-attack flow (steady-state sanity), attack, defense,
-    post-defense flow, then the cell's plan serves the loads and scores
-    them. The flows only set flags: voltages reach no metric, so the
-    serving policy needs no voltage solution, converged or not. ``row``
-    is the attack's row on ``base`` when the caller scores several cells
-    of it (``payoff_rows``).
+    The scorecard is the cell's row of its plan table's pass on unperturbed
+    loads (``PlanTable.nominal``). The flows only set flags, since no
+    voltage reaches a metric: the pre-attack flow (steady-state sanity), the
+    post-defense flow and, where the serving policy curtails a DER island,
+    a flow of the served state. ``table`` holds the pair as its cell
+    ``cell`` when the caller scores several cells (``build_payoff_matrix``);
+    without it the pair is compiled here.
     """
+    if table is None:
+        table, cell = compile_pair(base, attack, defense), 0
+    served, cards, empty = table.nominal
     flags: set[str] = set()
     if not power_flow(base).converged:
         flags.add(FLAG_NON_CONVERGENCE)
 
-    row = row if row is not None else AttackRow(BaseTables.of(base), attack)
-    defended = apply_defense(row.attacked, defense)
-    topology.check_energized_radial(defended)
+    defended = table.cells[cell].defended
     solutions = [power_flow(defended)]
-    plan = _plan(row, defense, defended)
-    served = serve_loads(plan, np.ones((1, len(base.buses))))
-    if served.curtailed[0]:
+    if served.curtailed[cell]:
         # re-solve with the curtailment baked in so voltages are consistent
         load = np.array([b.load_p for b in defended.buses])
-        kept = np.divide(served.served[0], load, out=np.zeros_like(load), where=load > 0)
-        shed = np.where(plan.dead, 1.0, np.where(load > 0, 1.0 - kept, 0.0))
+        kept = np.divide(served.served[cell], load, out=np.zeros_like(load), where=load > 0)
+        shed = np.where(table.cells[cell].dead, 1.0, np.where(load > 0, 1.0 - kept, 0.0))
         solutions.append(power_flow(defended.with_shed(
             {b.id: s for b, s in zip(defended.buses, shed.tolist())})))
     for solution in solutions:
@@ -414,13 +416,19 @@ def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseActi
         if solution.undervoltage_buses:
             flags.add(FLAG_UNDERVOLTAGE)
 
-    cards, empty = plan.metrics(served)
-    if empty[0].any():
+    if empty[cell].any():
         flags.add(FLAG_EMPTY_DENOMINATOR)
-    return ResilienceScorecard(*cards[0].tolist(), flags=frozenset(flags))
+    return ResilienceScorecard(*cards[cell].tolist(), flags=frozenset(flags))
 
 
-# -- compiled pairs --------------------------------------------------------
+# -- the plan table --------------------------------------------------------
+
+# PlanTable.scores serves its runs in passes of SERVE_ENTRIES (run, bus) entries
+# or 1/SERVE_SPLIT of the runs, whichever is more: a pass's arrays stay small
+# beside the (runs, buses) multipliers the runs were drawn with
+SERVE_ENTRIES = 16384
+SERVE_SPLIT = 32
+
 
 def _clamped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """min(1, max(0, num/den)) where den > 0, else 1: the LSR and CLR rule."""
@@ -434,10 +442,26 @@ class _DerIsland:
     """An energized island without the slack bus: DERs alone serve it."""
 
     members: np.ndarray    # bus positions, ordered by bus id
-    critical: np.ndarray   # per member
     capacity: float        # online DER output, kW
     rating_total: float    # online DER rating, kW
     ders: tuple            # (DER position, output kW, rating kW) per online DER
+
+
+@dataclass(frozen=True, eq=False)
+class _Cell:
+    """One (attack, defense) cell resolved on the unperturbed feeder.
+
+    Topology, DER states, shed_fraction targets and TSS do not depend on
+    the loads, so they are fixed here."""
+
+    defended: NetworkState  # the defended state, which payoff's flows solve
+    scalings: tuple         # (bus positions, factor) per scale_load, in effect order
+    shed_steps: tuple       # (kind, bus positions or None, value) in effect order
+    dead: np.ndarray        # bus sits in a de-energized island
+    der_islands: tuple      # _DerIsland per island the slack does not feed
+    der_fixed: np.ndarray   # utilised kW per DER that no DER island holds
+    der_available: float
+    tss: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,116 +475,247 @@ class ServedLoads:
 
 
 @dataclass(frozen=True, eq=False)
-class PairPlan:
-    """One (attack, defense) cell resolved on the unperturbed feeder.
+class PlanTable:
+    """Attack-defense cells resolved on the unperturbed feeder, to serve and
+    score any runs of any cells in one array pass.
 
-    Topology, DER states, shed_fraction targets and TSS do not depend on the
-    loads, so they are fixed here. What does depend on them is replayed per
-    run by ``serve_loads`` and ``metrics``: the attack's load scaling, the
-    shed_threshold masks, the DER-island curtailment and DER utilisation
-    shares, and the LSR and CLR denominators. Voltages never reach a score,
-    so no flow is solved.
+    Each cell fixes what does not depend on the loads (``_Cell``). What does
+    is replayed per run by ``serve_loads`` and ``metrics``: the attack's
+    load scaling, the shed_threshold masks, the DER-island curtailment and
+    DER utilisation shares, and the LSR and CLR denominators. Both read the
+    cells stacked into arrays over cells (``stacked``), made when a pass
+    first asks, so a one-cell table that ``compile_catalog`` merges into
+    its own is never stacked. Voltages never reach a score, so no flow is
+    solved.
     """
 
-    load_p: np.ndarray      # base active load per bus position, kW
-    critical: np.ndarray    # positions of critical buses
-    scalings: tuple         # (bus positions, factor) per scale_load, in effect order
-    shed: np.ndarray        # base shed fraction per bus position
-    shed_steps: tuple       # (kind, bus positions or None, value) in effect order
-    dead: np.ndarray        # bus sits in a de-energized island
-    der_islands: tuple      # _DerIsland per island the slack does not feed
-    der_fixed: np.ndarray   # utilised kW per DER that no DER island holds
-    der_available: float
-    tss: float
+    base: BaseTables
+    cells: tuple  # _Cell per cell
 
-    def metrics(self, served: ServedLoads) -> tuple[np.ndarray, np.ndarray]:
-        """LSR, CLR, TSS and DRS per run, shape (runs, 4), and a mask of the
-        same shape that marks each metric whose denominator is empty.
+    @cached_property
+    def stacked(self) -> _Stacked:
+        return _Stacked.of(self)
+
+    @cached_property
+    def nominal(self) -> tuple:
+        """(ServedLoads, scorecards, empty mask) of one pass over every
+        cell on its unperturbed loads; row k is cell k."""
+        cells = np.arange(len(self.cells))
+        served = serve_loads(self, cells, np.ones((cells.size, self.base.load_p.size)))
+        return (served, *self.metrics(cells, served))
+
+    def metrics(self, cells, served: ServedLoads) -> tuple[np.ndarray, np.ndarray]:
+        """LSR, CLR, TSS and DRS of each run of ``serve_loads(self, cells,
+        ...)``, shape (runs, 4), and a mask of the same shape that marks
+        each metric whose denominator is empty.
 
         LSR and CLR are the served shares of all and of critical demand, TSS
         the share of buses in energized islands, DRS utilised over available
         DER output; each is clamped to [0, 1], and an empty denominator reads
         1 for LSR and CLR and 0 for DRS. Sums run left to right, bus order.
         """
-        runs = served.demand.shape[0]
-        crit = self.critical
+        cells = np.asarray(cells, dtype=np.int64)
+        crit = self.base.critical_at
         demand = left_sum(served.demand)
         crit_demand = left_sum(served.demand[:, crit])
         lsr_v = _clamped_ratio(left_sum(served.served), demand)
         clr_v = _clamped_ratio(left_sum(served.served[:, crit]), crit_demand)
-        if self.der_available <= 0:
-            drs_v = np.zeros(runs)
-        else:
-            utilized = left_sum(served.der_utilized)
-            drs_v = np.minimum(1.0, np.maximum(0.0, utilized / self.der_available))
-        cards = np.column_stack([lsr_v, clr_v, np.full(runs, self.tss), drs_v])
-        empty = np.column_stack([demand <= 0, crit_demand <= 0, np.zeros(runs, dtype=bool),
-                                 np.full(runs, self.der_available <= 0)])
+        available = self.stacked.der_available[cells]
+        no_der = available <= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            used = left_sum(served.der_utilized) / available
+        drs_v = np.where(no_der, 0.0, np.minimum(1.0, np.maximum(0.0, used)))
+        cards = np.column_stack([lsr_v, clr_v, self.stacked.tss[cells], drs_v])
+        empty = np.column_stack([demand <= 0, crit_demand <= 0,
+                                 np.zeros(cells.size, dtype=bool), no_der])
         return cards, empty
 
-    def scores(self, multipliers, weights) -> np.ndarray:
-        """Unified score per row of load multipliers, shape (runs, buses).
+    def scores(self, cells, multipliers, weights) -> np.ndarray:
+        """Unified score of each run: run r scores cell ``cells[r]`` on the
+        base loads times ``multipliers[r]``, shape (runs, buses).
 
         Each score equals ``unified_score(evaluate_pair(perturbed, a, d),
         weights)`` bit for bit, where ``perturbed`` scales every bus load by
-        its multiplier.
+        its multiplier. The runs are served a slice at a time
+        (``SERVE_ENTRIES``, ``SERVE_SPLIT``).
         """
-        cards, _ = self.metrics(serve_loads(self, multipliers))
-        return left_sum(cards * weights.w)
+        cells = np.asarray(cells, dtype=np.int64)
+        multipliers = np.asarray(multipliers, dtype=float)
+        out = np.empty(cells.size)
+        chunk = max(1, SERVE_ENTRIES // self.base.load_p.size, cells.size // SERVE_SPLIT)
+        for at in range(0, cells.size, chunk):
+            part = slice(at, at + chunk)
+            cards, _ = self.metrics(cells[part], serve_loads(self, cells[part], multipliers[part]))
+            out[part] = left_sum(cards * weights.w)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Stacked:
+    """A table's cells as arrays over cells (first axis), each padded to
+    the largest cell: a padded scaling multiplies by 1.0, a padded shedding
+    step sheds nothing, a padded island member is bus column ``n_buses``
+    (one zero column past the last bus) and a padded DER is DER column
+    ``n_ders``, which ``serve_loads`` drops."""
+
+    dead: np.ndarray           # (cells, buses)
+    tss: np.ndarray            # (cells,)
+    der_available: np.ndarray  # (cells,)
+    der_fixed: np.ndarray      # (cells, ders + 1)
+    scalings: np.ndarray       # (cells,): scale_load effects of the cell's attack
+    scale: np.ndarray          # (cells, scalings, buses): factor per bus, 1.0 where none
+    threshold: np.ndarray      # (cells, steps): the shedding step is a shed_threshold
+    fraction: np.ndarray       # (cells, steps): the shedding step is a shed_fraction
+    shed_at: np.ndarray        # (cells, steps, buses): a shed_fraction's buses
+    shed_value: np.ndarray     # (cells, steps): a threshold's limit or a fraction's value
+    islands: np.ndarray        # (cells,): DER islands of the cell
+    sizes: np.ndarray          # (cells, islands): members of each island
+    members: np.ndarray        # (cells, islands, members): bus positions in bus-id order
+    critical: np.ndarray       # (cells, islands, members)
+    capacity: np.ndarray       # (cells, islands): online DER output, kW
+    rating_total: np.ndarray   # (cells, islands): online DER rating, kW
+    der_at: np.ndarray         # (cells, islands, ders): DER positions
+    der_output: np.ndarray     # (cells, islands, ders), kW
+    der_rating: np.ndarray     # (cells, islands, ders), kW
+
+    @classmethod
+    def of(cls, table: PlanTable) -> "_Stacked":
+        cells, base = table.cells, table.base
+        n_cells, n = len(cells), base.load_p.size
+        n_ders = cells[0].der_fixed.size
+        isls = [isl for c in cells for isl in c.der_islands]
+        n_scale = max(len(c.scalings) for c in cells)
+        n_steps = max(len(c.shed_steps) for c in cells)
+        n_isl = max(len(c.der_islands) for c in cells)
+        width = max((isl.members.size for isl in isls), default=0)
+        n_isl_ders = max((len(isl.ders) for isl in isls), default=0)
+
+        scale = np.ones((n_cells, n_scale, n))
+        threshold = np.zeros((n_cells, n_steps), dtype=bool)
+        fraction = np.zeros((n_cells, n_steps), dtype=bool)
+        shed_at = np.zeros((n_cells, n_steps, n), dtype=bool)
+        shed_value = np.zeros((n_cells, n_steps))
+        sizes = np.zeros((n_cells, n_isl), dtype=np.int64)
+        members = np.full((n_cells, n_isl, width), n, dtype=np.int64)
+        critical = np.zeros((n_cells, n_isl, width), dtype=bool)
+        capacity = np.zeros((n_cells, n_isl))
+        rating_total = np.zeros((n_cells, n_isl))
+        der_at = np.full((n_cells, n_isl, n_isl_ders), n_ders, dtype=np.int64)
+        der_output = np.zeros((n_cells, n_isl, n_isl_ders))
+        der_rating = np.zeros((n_cells, n_isl, n_isl_ders))
+        der_fixed = np.zeros((n_cells, n_ders + 1))
+        for c, cell in enumerate(cells):
+            for k, (at, factor) in enumerate(cell.scalings):
+                scale[c, k, at] = factor
+            for k, (kind, at, value) in enumerate(cell.shed_steps):
+                shed_value[c, k] = value
+                if kind == "shed_threshold":
+                    threshold[c, k] = True
+                else:
+                    fraction[c, k] = True
+                    shed_at[c, k, at] = True
+            for k, isl in enumerate(cell.der_islands):
+                sizes[c, k] = isl.members.size
+                members[c, k, :isl.members.size] = isl.members
+                critical[c, k, :isl.members.size] = base.critical[isl.members]
+                capacity[c, k] = isl.capacity
+                rating_total[c, k] = isl.rating_total
+                for j, (at, output, rating) in enumerate(isl.ders):
+                    der_at[c, k, j] = at
+                    der_output[c, k, j] = output
+                    der_rating[c, k, j] = rating
+            der_fixed[c, :n_ders] = cell.der_fixed
+        dead = np.array([c.dead for c in cells]).reshape(n_cells, n)
+        return cls(
+            dead=dead, tss=np.array([c.tss for c in cells]),
+            der_available=np.array([c.der_available for c in cells]), der_fixed=der_fixed,
+            scalings=np.array([len(c.scalings) for c in cells], dtype=np.int64), scale=scale,
+            threshold=threshold, fraction=fraction, shed_at=shed_at, shed_value=shed_value,
+            islands=np.array([len(c.der_islands) for c in cells], dtype=np.int64),
+            sizes=sizes, members=members, critical=critical, capacity=capacity,
+            rating_total=rating_total, der_at=der_at, der_output=der_output,
+            der_rating=der_rating)
 
 
 # serve_loads stays a module global: the benchmark's tracer wraps it here
-def serve_loads(plan: PairPlan, multipliers) -> ServedLoads:
-    """Serve each row of load multipliers, shape (runs, buses), on the plan.
+def serve_loads(table: PlanTable, cells, multipliers) -> ServedLoads:
+    """Serve run r on cell ``cells[r]`` of the table, with the base loads
+    times the row ``multipliers[r]``, shape (runs, buses): one array pass
+    over any runs of any cells.
 
     The policy is energy-balance based. De-energized islands serve nothing.
     Energized islands serve the post-shedding demand, except that an
     island the slack does not feed, whose online DER output falls short,
     curtails non-critical load proportionally first, then critical load,
-    until demand fits the output.
+    until demand fits the output. Each DER island slot touches only the
+    runs whose cell has that island, and only its members' columns.
     """
-    perturbed = plan.load_p * np.asarray(multipliers, dtype=float)
-    runs = perturbed.shape[0]
-    loads = perturbed.copy()
-    for idx, factor in plan.scalings:
-        loads[:, idx] = loads[:, idx] * factor
-    shed = np.repeat(plan.shed[None, :], runs, axis=0)
-    for kind, idx, value in plan.shed_steps:
-        if kind == "shed_threshold":
-            shed[loads > value] = 1.0
-        else:
-            shed[:, idx] = value
-
-    served = loads * (1.0 - shed)
-    served[:, plan.dead] = 0.0
-    utilized = np.repeat(plan.der_fixed[None, :], runs, axis=0)
+    s = table.stacked
+    cells = np.asarray(cells, dtype=np.int64)
+    perturbed = table.base.load_p * np.asarray(multipliers, dtype=float)
+    runs, n = perturbed.shape
+    # the loads become the served loads in place; one zero column past the
+    # last bus is what a padded island member reads, and its factor is 1.0
+    served = np.zeros((runs, n + 1))
+    loads = served[:, :n]
+    loads[...] = perturbed
+    for k in range(s.scale.shape[1]):
+        rows = _runs(s.scalings[cells] > k)
+        loads[rows] *= s.scale[cells[rows], k]
+    shed = np.repeat(table.base.shed[None, :], runs, axis=0)
+    for k in range(s.shed_value.shape[1]):
+        rows = _runs(s.threshold[cells, k])
+        shed[rows] = np.where(loads[rows] > s.shed_value[cells[rows], k, None], 1.0, shed[rows])
+        rows = _runs(s.fraction[cells, k])
+        shed[rows] = np.where(s.shed_at[cells[rows], k], s.shed_value[cells[rows], k, None],
+                              shed[rows])
+    loads *= np.subtract(1.0, shed, out=shed)
+    del shed
+    np.copyto(loads, 0.0, where=s.dead[cells])
+    utilized = s.der_fixed[cells]
     curtailed = np.zeros(runs, dtype=bool)
-    for isl in plan.der_islands:
-        demand = served[:, isl.members]
-        factors = _curtail_factors(demand, isl.critical, isl.capacity)
-        curtailed |= (factors < 1.0).any(axis=1)
+    count = s.islands[cells]
+    for k in range(s.members.shape[1]):
+        rows = np.flatnonzero(count > k)
+        at = cells[rows]
+        width = s.sizes[at, k].max(initial=0)
+        members = s.members[at, k, :width]
+        demand = served[rows[:, None], members]
+        factors = _curtail_factors(demand, s.critical[at, k, :width], members < n,
+                                   s.capacity[at, k])
+        curtailed[rows] |= (factors < 1.0).any(axis=1)
         kept = demand * factors
-        served[:, isl.members] = kept
-        total = left_sum(kept)
-        for k, output, rating in isl.ders:
-            share = 0.0
-            if isl.rating_total:  # where a rating near the float limit overflows, divide first
-                with np.errstate(over="ignore", invalid="ignore"):
-                    share = total * rating / isl.rating_total
-                share = np.where(np.isfinite(share), share, total * (rating / isl.rating_total))
-            utilized[:, k] = np.minimum(output, share)
-    return ServedLoads(demand=perturbed, served=served, der_utilized=utilized,
+        served[rows[:, None], members] = kept
+        total = left_sum(kept)[:, None]
+        rating, rating_total = s.der_rating[at, k], s.rating_total[at, k, None]
+        # where a rating near the float limit overflows the product, divide first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            share = total * rating / rating_total
+            share = np.where(np.isfinite(share), share, total * (rating / rating_total))
+        share = np.where(rating_total != 0, share, 0.0)
+        utilized[rows[:, None], s.der_at[at, k]] = np.minimum(s.der_output[at, k], share)
+    return ServedLoads(demand=perturbed, served=served[:, :n], der_utilized=utilized[:, :-1],
                        curtailed=curtailed)
 
 
-def _curtail_factors(demand: np.ndarray, critical: np.ndarray, capacity: float) -> np.ndarray:
-    """Per-run, per-member serving factors of a DER island with ``capacity`` kW.
+def _runs(hit: np.ndarray):
+    """The runs where ``hit`` holds: an index array, or a slice of them all,
+    so that numpy works on views when every run is hit."""
+    rows = np.flatnonzero(hit)
+    return slice(None) if rows.size == hit.size else rows
+
+
+def _curtail_factors(demand: np.ndarray, critical: np.ndarray, real: np.ndarray,
+                     capacity: np.ndarray) -> np.ndarray:
+    """Per-run, per-member serving factors of DER islands, one per run
+    (row), with ``capacity`` kW each; a padded member (not ``real``) keeps
+    1.0.
 
     Non-critical demand scales down first; critical demand is touched only
     when the capacity cannot even cover the critical total.
     """
-    crit = left_sum(demand[:, critical])
-    noncrit = left_sum(demand[:, ~critical])
+    crit = left_sum(np.where(critical, demand, 0.0))
+    noncrit = left_sum(np.where(critical, 0.0, demand))
     fits = crit + noncrit <= capacity
     crit_fits = ~fits & (crit <= capacity)
     # both branches are computed for every run; np.where keeps the valid one
@@ -569,7 +724,7 @@ def _curtail_factors(demand: np.ndarray, critical: np.ndarray, capacity: float) 
         crit_factor = np.where(crit > 0, capacity / crit, 0.0)
     f_crit = np.where(fits | crit_fits, 1.0, crit_factor)
     f_non = np.where(fits, 1.0, np.where(crit_fits, nc_factor, 0.0))
-    return np.where(critical, f_crit[:, None], f_non[:, None])
+    return np.where(critical, f_crit[:, None], np.where(real, f_non[:, None], 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -626,8 +781,9 @@ class AttackRow:
 
 
 def compile_pair(base: NetworkState, attack: AttackAction,
-                 defense: DefenseAction, *, row: AttackRow | None = None) -> PairPlan:
-    """Resolve one attack-defense cell once, to score many load vectors.
+                 defense: DefenseAction, *, row: AttackRow | None = None) -> PlanTable:
+    """The one-cell plan table of an attack-defense pair, to score many
+    load vectors.
 
     Raises what ``evaluate_pair`` raises on any load vector, in the same
     order: RadialityError for a loop in an energized island of the base,
@@ -638,26 +794,23 @@ def compile_pair(base: NetworkState, attack: AttackAction,
     row = row if row is not None else AttackRow(BaseTables.of(base), attack)
     defended = apply_defense(row.attacked, defense)
     topology.check_energized_radial(defended)
-    return _plan(row, defense, defended)
+    return PlanTable(row.base, (_cell(row, defense, defended),))
 
 
-def compile_catalog(base: NetworkState, catalog: ScenarioCatalog) -> tuple:
-    """The plan of every cell, one row of plans per attack, in catalog order."""
-    return payoff_rows(compile_pair, base, catalog)
+def compile_catalog(base: NetworkState, catalog: ScenarioCatalog) -> PlanTable:
+    """The plan table of every cell of the catalog, in (attack, defense)
+    order: cell i * len(catalog.defenses) + j is (attack i, defense j).
 
-
-def payoff_rows(resolve, base: NetworkState, catalog: ScenarioCatalog) -> tuple:
-    """``resolve(base, attack, defense, row=row)`` for every cell, one row
-    per attack in catalog order. The cells of a row share its ``AttackRow``,
-    so each attack is applied once, in the row's first cell; every error
-    names its cell."""
+    The cells of an attack share its ``AttackRow``, so each attack is
+    applied once, in the row's first cell; every error names its cell.
+    """
     tables = BaseTables.of(base)
-    rows = []
+    cells = []
     for attack in catalog.attacks:
         row = AttackRow(tables, attack)
-        rows.append(tuple(payoff_cell(resolve, base, attack, d, row=row)
-                          for d in catalog.defenses))
-    return tuple(rows)
+        for defense in catalog.defenses:
+            cells += payoff_cell(compile_pair, base, attack, defense, row=row).cells
+    return PlanTable(tables, tuple(cells))
 
 
 def payoff_cell(resolve, base, attack, defense, **kwargs):
@@ -668,9 +821,9 @@ def payoff_cell(resolve, base, attack, defense, **kwargs):
         raise type(exc)(f"payoff cell ({attack.id},{defense.id}): {exc}") from exc
 
 
-def _plan(row: AttackRow, defense: DefenseAction, defended: NetworkState) -> PairPlan:
-    """The plan of the cell of ``defense`` in ``row``, whose defense made
-    ``defended``, every energized island of it a tree."""
+def _cell(row: AttackRow, defense: DefenseAction, defended: NetworkState) -> _Cell:
+    """The cell of ``defense`` in ``row``, whose defense made ``defended``,
+    every energized island of it a tree."""
     base = row.base
     shed_steps = tuple(
         (e.kind, base.positions(defense.id, e.target) if e.kind == "shed_fraction" else None,
@@ -691,20 +844,16 @@ def _plan(row: AttackRow, defense: DefenseAction, defended: NetworkState) -> Pai
             for k, output, _rating in ders:
                 der_fixed[k] = output
             continue
-        members = by_id[labels[by_id] == idx]
         der_islands.append(_DerIsland(
-            members=members,
-            critical=base.critical[members],
+            members=by_id[labels[by_id] == idx],
             capacity=float_sum(output for _k, output, _rating in ders),
             rating_total=float_sum(rating for _k, _output, rating in ders),
             ders=ders,
         ))
 
-    return PairPlan(
-        load_p=base.load_p,
-        critical=base.critical_at,
+    return _Cell(
+        defended=defended,
         scalings=row.scalings,
-        shed=base.shed,
         shed_steps=shed_steps,
         dead=dead,
         der_islands=tuple(der_islands),

@@ -918,29 +918,34 @@ def test_command_failing_on_bad_input_makes_no_out(name, matrix_csv, tmp_path, c
 
 MATRIX = object()  # stands for the bundled payoff CSV
 
-# (command, compile_pair, evaluate_pair and power_flow calls): payoff alone
-# solves flows, for the flags it writes; every other command that reads the
-# network compiles each cell once, and one read from --matrix alone none
+# per command, calls of: compile_pair, apply_defense, serve_loads,
+# evaluate_pair and power_flow. Every command that reads the network
+# compiles each cell once, applying its defense once, and one read from
+# --matrix alone none. serve_loads is one table pass: for the nominal
+# matrix (none with --matrix) and one per Monte Carlo method. payoff alone
+# solves flows, for the flags it writes, on the states its table compiled
 WORK_LEDGER = [
-    (("payoff",), 0, 100, 263),
-    (("compare", "--methods", "all", "--runs", 50), 100, 0, 0),
-    (("compare", "--methods", "all", "--runs", 50, "--matrix", MATRIX), 100, 0, 0),
-    (("baseline", "--method", "RDS", "--runs", 50), 100, 0, 0),
-    (("baseline", "--method", "RDS", "--runs", 50, "--matrix", MATRIX), 100, 0, 0),
-    (("solve", "--method", "nash"), 100, 0, 0),
-    (("learn", "--method", "single", "--iters", 50), 100, 0, 0),
-    (("solve", "--method", "nash", "--matrix", MATRIX), 0, 0, 0),
-    (("learn", "--method", "single", "--iters", 50, "--matrix", MATRIX), 0, 0, 0),
+    (("payoff",), 100, 100, 1, 100, 263),
+    (("compare", "--methods", "all", "--runs", 50), 100, 100, 1 + 9, 0, 0),
+    (("compare", "--methods", "all", "--runs", 50, "--matrix", MATRIX), 100, 100, 9, 0, 0),
+    (("baseline", "--method", "RDS", "--runs", 50), 100, 100, 1 + 1, 0, 0),
+    (("baseline", "--method", "RDS", "--runs", 50, "--matrix", MATRIX), 100, 100, 1, 0, 0),
+    (("solve", "--method", "nash"), 100, 100, 1, 0, 0),
+    (("learn", "--method", "single", "--iters", 50), 100, 100, 1, 0, 0),
+    (("solve", "--method", "nash", "--matrix", MATRIX), 0, 0, 0, 0, 0),
+    (("learn", "--method", "single", "--iters", 50, "--matrix", MATRIX), 0, 0, 0, 0, 0),
 ]
 
 
-@pytest.mark.parametrize("argv, plans, pairs, flows", WORK_LEDGER,
+@pytest.mark.parametrize("argv, plans, defenses, passes, pairs, flows", WORK_LEDGER,
                          ids=[w[0][0] + ("-matrix" if MATRIX in w[0] else "")
                               for w in WORK_LEDGER])
-def test_work_per_command(argv, plans, pairs, flows, matrix_csv, tmp_path, monkeypatch):
+def test_work_per_command(argv, plans, defenses, passes, pairs, flows, matrix_csv, tmp_path,
+                          monkeypatch):
     from gridgame import scenario
 
-    calls = {"compile_pair": 0, "evaluate_pair": 0, "power_flow": 0}
+    calls = dict.fromkeys(
+        ("compile_pair", "apply_defense", "serve_loads", "evaluate_pair", "power_flow"), 0)
 
     def counted(name):
         inner = getattr(scenario, name)
@@ -954,7 +959,8 @@ def test_work_per_command(argv, plans, pairs, flows, matrix_csv, tmp_path, monke
         monkeypatch.setattr(scenario, name, counted(name))
     argv = [matrix_csv if a is MATRIX else a for a in argv]
     assert run(*argv, "--out", tmp_path / "out") == 0
-    assert calls == {"compile_pair": plans, "evaluate_pair": pairs, "power_flow": flows}
+    assert calls == {"compile_pair": plans, "apply_defense": defenses, "serve_loads": passes,
+                     "evaluate_pair": pairs, "power_flow": flows}
 
 
 # D10 closes a tie switch the bundled network lacks; SOD never plays D10

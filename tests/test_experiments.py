@@ -72,7 +72,7 @@ def bundle():
 
 
 @pytest.fixture(scope="module")
-def plans(bundle):
+def table(bundle):
     base, catalog, _, _ = bundle
     return scenario.compile_catalog(base, catalog)
 
@@ -177,69 +177,69 @@ class TestSummarize:
 
 
 class TestMonteCarlo:
-    def test_constant_policy_no_perturbation(self, bundle, plans):
+    def test_constant_policy_no_perturbation(self, bundle, table):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=8, seed=1, perturbation=(1.0, 1.0))
         policy = DefensePolicy.pure("D1-always", 0, 10, 10)
-        rep = monte_carlo(plans, weights, policy, mc, matrix=matrix)
+        rep = monte_carlo(table, weights, policy, mc, matrix=matrix)
         assert rep.std_dev == 0.0
         assert rep.ci95_high - rep.ci95_low == 0.0
         # adversarial draw is degenerate: one attack, one defense
         assert len(rep.per_attack) == 1
 
-    def test_deterministic_given_seed(self, bundle, plans):
+    def test_deterministic_given_seed(self, bundle, table):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=20, seed=5)
         policy = strategy_policy("RDS", matrix)
-        a = monte_carlo(plans, weights, policy, mc, matrix=matrix)
-        b = monte_carlo(plans, weights, policy, mc, matrix=matrix)
+        a = monte_carlo(table, weights, policy, mc, matrix=matrix)
+        b = monte_carlo(table, weights, policy, mc, matrix=matrix)
         assert records(a, matrix) == records(b, matrix)
         assert a.mean == b.mean
 
-    def test_std_follows_sample_convention(self, bundle, plans):
+    def test_std_follows_sample_convention(self, bundle, table):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=12, seed=3)
-        rep = monte_carlo(plans, weights, strategy_policy("RDS", matrix), mc,
+        rep = monte_carlo(table, weights, strategy_policy("RDS", matrix), mc,
                           matrix=matrix)
         scores = rep.scores
         assert rep.std_dev == pytest.approx(float(scores.std(ddof=1)))
         assert rep.mean == pytest.approx(float(scores.mean()))
 
-    def test_common_random_numbers(self, bundle, plans):
+    def test_common_random_numbers(self, bundle, table):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=30, seed=9, attack_distribution="uniform")
-        rds = monte_carlo(plans, weights, strategy_policy("RDS", matrix), mc,
+        rds = monte_carlo(table, weights, strategy_policy("RDS", matrix), mc,
                           matrix=matrix)
-        sod = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
+        sod = monte_carlo(table, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         assert rds.attack.tolist() == sod.attack.tolist()
 
-    def test_uniform_distribution_spreads(self, bundle, plans):
+    def test_uniform_distribution_spreads(self, bundle, table):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=120, seed=2, attack_distribution="uniform")
-        rep = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
+        rep = monte_carlo(table, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         assert len(rep.per_attack) == 10
 
-    def test_equilibrium_mix_distribution(self, bundle, plans):
+    def test_equilibrium_mix_distribution(self, bundle, table):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=60, seed=4, attack_distribution="equilibrium-mix")
-        rep = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
+        rep = monte_carlo(table, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         # bundled equilibrium mixes over two attacks only
         assert set(rep.per_attack) <= {"A2", "A10"}
 
-    def test_policy_shape_checked(self, bundle, plans):
+    def test_policy_shape_checked(self, bundle, table):
         base, catalog, weights, matrix = bundle
         with pytest.raises(ConfigError):
-            monte_carlo(plans, weights, DefensePolicy.pure("p", 0, 4, 4),
+            monte_carlo(table, weights, DefensePolicy.pure("p", 0, 4, 4),
                         McConfig(runs=2), matrix=matrix)
 
-    def test_report_json_and_csv(self, bundle, plans, tmp_path):
+    def test_report_json_and_csv(self, bundle, table, tmp_path):
         # the CLI writes the report's to_json and runs on the bundled inputs
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=5, seed=7)
-        rep = monte_carlo(plans, weights, strategy_policy("SOD", matrix), mc,
+        rep = monte_carlo(table, weights, strategy_policy("SOD", matrix), mc,
                           matrix=matrix)
         obj = rep.to_json()
         assert obj["samples"] == 5
@@ -295,14 +295,14 @@ class TestMonteCarloBatch:
     @pytest.mark.parametrize("dist", ["uniform", "equilibrium-mix",
                                       "adversarial-best-response"])
     @pytest.mark.parametrize("perturbation", [(0.9, 1.1), (0.0, 3.0)])
-    def test_records_equal_scalar_oracle(self, bundle, plans, dist, perturbation):
+    def test_records_equal_scalar_oracle(self, bundle, table, dist, perturbation):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=40, seed=11, perturbation=perturbation, attack_distribution=dist)
         policy = strategy_policy("RDS", matrix)
-        rep = monte_carlo(plans, weights, policy, mc, matrix=matrix)
+        rep = monte_carlo(table, weights, policy, mc, matrix=matrix)
         assert records(rep, matrix) == _oracle_records(base, catalog, weights, policy, matrix, mc)
 
-    def test_a_dipping_cdf_draws_as_a_linear_scan(self, bundle, plans, monkeypatch):
+    def test_a_dipping_cdf_draws_as_a_linear_scan(self, bundle, table, monkeypatch):
         # the cdf of the mix row [0.5, -1e-12, 0.5 + 1e-12] dips below 0.5 at
         # defense 1; u = 0.5 - 5e-13 lies in the dip, and a linear scan, like
         # the learners, draws defense 0 for it
@@ -330,41 +330,41 @@ class TestMonteCarloBatch:
         # the stub draws only where no draws of the same key are kept, and
         # its draws are not kept for later tests
         experiments._run_draws.cache_clear()
-        rep = monte_carlo(plans, weights, policy,
+        rep = monte_carlo(table, weights, policy,
                           McConfig(runs=3, attack_distribution="uniform"), matrix=matrix)
         experiments._run_draws.cache_clear()
         assert (rep.attack.tolist(), rep.defense.tolist()) == ([0] * 3, [0] * 3)
 
-    def test_one_plan_per_drawn_cell(self, bundle, plans, monkeypatch):
-        # each drawn cell is scored once, by its plan in the table: no plan is
-        # compiled and no power flow solved
+    def test_one_serve_pass_per_method(self, bundle, table, monkeypatch):
+        # every run of a method is served in one pass of the command's table,
+        # on its drawn cell: no plan is compiled and no power flow solved
         _, _, weights, matrix = bundle
-        scored = []
-        real = scenario.PairPlan.scores
+        passes = []
+        real = scenario.serve_loads
 
-        def counting(plan, multipliers, w):
-            scored.append(plan)
-            return real(plan, multipliers, w)
+        def counting(t, cells, multipliers):
+            passes.append((t, np.asarray(cells).copy()))
+            return real(t, cells, multipliers)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("monte_carlo compiled a plan or solved a flow")
 
-        monkeypatch.setattr(scenario.PairPlan, "scores", counting)
+        monkeypatch.setattr(scenario, "serve_loads", counting)
         for name in ("compile_pair", "evaluate_pair", "power_flow"):
             monkeypatch.setattr(scenario, name, forbidden)
         monkeypatch.setattr(experiments, "evaluate_pair", forbidden)
 
-        rep = monte_carlo(plans, weights, strategy_policy("SOD", matrix),
+        rep = monte_carlo(table, weights, strategy_policy("SOD", matrix),
                           McConfig(runs=200, seed=1), matrix=matrix)
         assert rep.samples == 200
-        assert len(scored) == 1
+        assert len(passes) == 1
 
-        scored.clear()
+        passes.clear()
         mc = McConfig(runs=200, seed=1, attack_distribution="uniform")
-        rep = monte_carlo(plans, weights, strategy_policy("RDS", matrix), mc, matrix=matrix)
-        drawn = set(zip(rep.attack.tolist(), rep.defense.tolist()))
-        assert len(scored) == len(drawn)
-        assert {id(p) for p in scored} == {id(plans[a][d]) for a, d in drawn}
+        rep = monte_carlo(table, weights, strategy_policy("RDS", matrix), mc, matrix=matrix)
+        assert len(set(zip(rep.attack.tolist(), rep.defense.tolist()))) > 1
+        assert len(passes) == 1 and passes[0][0] is table
+        assert passes[0][1].tolist() == (rep.attack * matrix.shape[1] + rep.defense).tolist()
 
 
 class TestRunDraws:
@@ -372,11 +372,11 @@ class TestRunDraws:
     once (``experiments._run_draws``) and every method scores the same
     read-only arrays."""
 
-    def test_compare_equals_one_monte_carlo_per_method_on_fresh_draws(self, bundle, plans):
+    def test_compare_equals_one_monte_carlo_per_method_on_fresh_draws(self, bundle, table):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=60, seed=4)
         experiments._run_draws.cache_clear()
-        rows = compare_strategies(base, catalog, plans, weights, set(experiments.METHOD_TAGS),
+        rows = compare_strategies(base, catalog, table, weights, set(experiments.METHOD_TAGS),
                                   mc, matrix=matrix)
         assert len(rows) == 9
         # one set of draws served the nine methods
@@ -385,7 +385,7 @@ class TestRunDraws:
             experiments._run_draws.cache_clear()
             policy = strategy_policy(row.method, matrix, catalog=catalog, base=base,
                                      seed=mc.seed)
-            rep = monte_carlo(plans, weights, policy, mc, matrix=matrix)
+            rep = monte_carlo(table, weights, policy, mc, matrix=matrix)
             assert (rep, records(rep, matrix)) == (row.report, records(row.report, matrix))
 
     def test_the_shared_arrays_reject_writes(self):
@@ -548,56 +548,56 @@ class TestPairedT:
 
 
 class TestCompare:
-    def test_single_method_row(self, bundle, plans):
+    def test_single_method_row(self, bundle, table):
         base, catalog, weights, matrix = bundle
-        rows = compare_strategies(base, catalog, plans, weights, {"SOD"},
+        rows = compare_strategies(base, catalog, table, weights, {"SOD"},
                                   McConfig(runs=10, seed=1), matrix=matrix)
         assert len(rows) == 1
         assert rows[0].method == "SOD"
         assert rows[0].improvement_pct == 0.0
 
-    def test_bundled_ordering(self, bundle, plans):
+    def test_bundled_ordering(self, bundle, table):
         base, catalog, weights, matrix = bundle
         rows = compare_strategies(
-            base, catalog, plans, weights, {"RDS", "RBD", "SOD", "nash"},
+            base, catalog, table, weights, {"RDS", "RBD", "SOD", "nash"},
             McConfig(runs=150, seed=11), matrix=matrix)
         means = {r.method: r.report.mean for r in rows}
         assert means["RDS"] < means["RBD"] < means["SOD"] < means["nash"]
 
-    def test_stackelberg_vs_sod_guarantee(self, bundle, plans):
+    def test_stackelberg_vs_sod_guarantee(self, bundle, table):
         base, catalog, weights, matrix = bundle
-        rows = compare_strategies(base, catalog, plans, weights, {"SOD", "stackelberg"},
+        rows = compare_strategies(base, catalog, table, weights, {"SOD", "stackelberg"},
                                   McConfig(runs=40, seed=2), matrix=matrix)
         by = {r.method: r.report for r in rows}
         width = by["SOD"].ci95_high - by["SOD"].ci95_low
         assert by["stackelberg"].mean >= by["SOD"].mean - 2 * width
 
-    def test_reproducible_rows(self, bundle, plans):
+    def test_reproducible_rows(self, bundle, table):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=25, seed=13)
-        a = compare_strategies(base, catalog, plans, weights, {"RDS", "SOD"}, mc,
+        a = compare_strategies(base, catalog, table, weights, {"RDS", "SOD"}, mc,
                                matrix=matrix)
-        b = compare_strategies(base, catalog, plans, weights, {"RDS", "SOD"}, mc,
+        b = compare_strategies(base, catalog, table, weights, {"RDS", "SOD"}, mc,
                                matrix=matrix)
         assert [(r.method, r.report.mean, r.report.std_dev) for r in a] == \
                [(r.method, r.report.mean, r.report.std_dev) for r in b]
 
-    def test_errors(self, bundle, plans):
+    def test_errors(self, bundle, table):
         base, catalog, weights, matrix = bundle
         mc = McConfig(runs=2)
         with pytest.raises(ConfigError):
-            compare_strategies(base, catalog, plans, weights, {"SOD", "minimax"}, mc,
+            compare_strategies(base, catalog, table, weights, {"SOD", "minimax"}, mc,
                                matrix=matrix)
         with pytest.raises(ConfigError):
-            compare_strategies(base, catalog, plans, weights, set(), mc, matrix=matrix)
+            compare_strategies(base, catalog, table, weights, set(), mc, matrix=matrix)
         with pytest.raises(ConfigError):
-            compare_strategies(base, catalog, plans, weights, {"SOD"}, mc,
+            compare_strategies(base, catalog, table, weights, {"SOD"}, mc,
                                matrix=matrix, reference="RDS")
 
-    def test_csv_writer(self, bundle, plans, tmp_path):
+    def test_csv_writer(self, bundle, table, tmp_path):
         # the CLI's comparison.csv holds each row's report, on the bundled inputs
         base, catalog, weights, matrix = bundle
-        rows = compare_strategies(base, catalog, plans, weights, {"RDS", "SOD"},
+        rows = compare_strategies(base, catalog, table, weights, {"RDS", "SOD"},
                                   McConfig(runs=5, seed=3), matrix=matrix)
         assert cli.main(["compare", "--methods", "RDS,SOD", "--runs", "5", "--seed", "3",
                          "--out", str(tmp_path)]) == 0

@@ -290,11 +290,12 @@ class TestTopology:
 
 def serve(state):
     """The package's serving of the state's own loads, with no attack or
-    defense: its plan, served kW per bus id, and the serving result."""
-    plan = compile_pair(state, AttackAction("A0", "none", ()), DefenseAction("D0", "none", ()))
-    result = serve_loads(plan, np.ones((1, state.n_buses)))
+    defense: its one cell of the plan table, served kW per bus id, and the
+    serving result."""
+    table = compile_pair(state, AttackAction("A0", "none", ()), DefenseAction("D0", "none", ()))
+    result = serve_loads(table, [0], np.ones((1, state.n_buses)))
     served = {b.id: float(v) for b, v in zip(state.buses, result.served[0])}
-    return plan, served, result
+    return table.cells[0], served, result
 
 
 class TestServeLoads:

@@ -118,7 +118,7 @@ def metric(k, state, served, utilized=()):
         demand=np.array(demand), served=np.array(kept),
         der_utilized=np.array([utilized], dtype=float).reshape(1, -1),
         curtailed=np.zeros(1, dtype=bool))
-    cards, empty = plan_of(state).metrics(result)
+    cards, empty = plan_of(state).metrics([0], result)
     return float(cards[0, k]), bool(empty[0, k])
 
 
@@ -168,16 +168,16 @@ class TestMetrics:
 
     def test_tss_pristine(self):
         net = load_ieee33()
-        assert plan_of(net).tss == 1.0
+        assert plan_of(net).cells[0].tss == 1.0
 
     def test_tss_counts_der_islands(self):
         net = load_ieee33()
         cut = net.with_line_status(net.find_line(6, 26).id, "open")
-        assert plan_of(cut).tss == 1.0  # DER4 keeps 26..33 alive
+        assert plan_of(cut).cells[0].tss == 1.0  # DER4 keeps 26..33 alive
         dark = cut
         for d in net.ders:
             dark = dark.with_der(d.id, online=False)
-        assert plan_of(dark).tss == pytest.approx(25 / 33)
+        assert plan_of(dark).cells[0].tss == pytest.approx(25 / 33)
 
 
 def loop_sums(a):
@@ -428,10 +428,10 @@ class TestPayoffMatrix:
             net = synthetic_feeder(118, 2)
             cat = _probe_catalog(net)
         w = ahp_weights(DEFAULT_AHP_MATRIX)
-        plans = scenario.compile_catalog(net, cat)
-        assert [len(row) for row in plans] == [len(cat.defenses)] * len(cat.attacks)
+        table = scenario.compile_catalog(net, cat)
+        assert len(table.cells) == len(cat.attacks) * len(cat.defenses)
         flagged = resilience.build_payoff_matrix(net, cat, w)
-        nominal = resilience.nominal_payoff(plans, cat, w)
+        nominal = resilience.nominal_payoff(table, cat, w)
         assert np.array_equal(nominal.entries, flagged.entries)
         assert (nominal.attack_ids, nominal.defense_ids) == (flagged.attack_ids,
                                                              flagged.defense_ids)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import pair_oracle
 from test_netmodel import assert_revalidates, derived_states
-from test_powerflow import FEEDERS
+from test_powerflow import FEEDERS, feeder
 from test_topology import expected_reference, multigraph
 from gridgame import scenario
 from gridgame.errors import CatalogError, RadialityError
@@ -36,7 +36,8 @@ from gridgame.netmodel import (
     load_ieee33,
     topology,
 )
-from gridgame.resilience import DEFAULT_AHP_MATRIX, ahp_weights, unified_score
+from gridgame.resilience import (DEFAULT_AHP_MATRIX, FLAG_EMPTY_DENOMINATOR, ahp_weights,
+                                 unified_score)
 from gridgame.scenario import (
     AttackAction,
     DefenseAction,
@@ -381,11 +382,21 @@ def _scalar_scores(base, attack, defense, rows) -> list:
             for row in rows]
 
 
+def _first_cell(rows) -> np.ndarray:
+    """Cell 0 for every row: the cells of a one-cell table's pass."""
+    return np.zeros(len(rows), dtype=np.int64)
+
+
 def _assert_batch_matches_scalar(base, catalog, rows) -> None:
-    for a in catalog.attacks:
-        for d in catalog.defenses:
-            got = compile_pair(base, a, d).scores(rows, WEIGHTS)
-            assert got.tolist() == _scalar_scores(base, a, d, rows), (a.id, d.id)
+    # one pass of the catalog's table over every row of every cell
+    table = scenario.compile_catalog(base, catalog)
+    n_cells, n_rows = len(table.cells), len(rows)
+    got = table.scores(np.repeat(np.arange(n_cells), n_rows), np.tile(rows, (n_cells, 1)),
+                       WEIGHTS).reshape(n_cells, n_rows)
+    for i, a in enumerate(catalog.attacks):
+        for j, d in enumerate(catalog.defenses):
+            cell = i * len(catalog.defenses) + j
+            assert got[cell].tolist() == _scalar_scores(base, a, d, rows), (a.id, d.id)
 
 
 def _stress_catalog() -> ScenarioCatalog:
@@ -440,7 +451,7 @@ class TestCompilePair:
         stress = _stress_catalog()
         rows = _multiplier_rows(net.n_buses, per_range=5, seed=2)
         plan = compile_pair(net, stress.attack("S3"), stress.defense("T1"))
-        assert scenario.serve_loads(plan, rows).curtailed.any()
+        assert scenario.serve_loads(plan, _first_cell(rows), rows).curtailed.any()
 
     @settings(max_examples=40, deadline=None)
     @given(cell=st.tuples(st.integers(0, 9), st.integers(0, 9)),
@@ -448,7 +459,7 @@ class TestCompilePair:
                          min_size=1, max_size=4))
     def test_property_random_rows(self, net, cat, cell, rows):
         a, d = cat.attacks[cell[0]], cat.defenses[cell[1]]
-        got = compile_pair(net, a, d).scores(np.array(rows), WEIGHTS)
+        got = compile_pair(net, a, d).scores(_first_cell(rows), np.array(rows), WEIGHTS)
         assert got.tolist() == _scalar_scores(net, a, d, rows)
 
     def test_der_rating_near_the_float_limit_is_shared_not_overflowed(self, net, cat):
@@ -467,9 +478,9 @@ class TestCompilePair:
         rows = _multiplier_rows(net.n_buses)
         before = rows.copy()
         plan = compile_pair(net, cat.attack("A4"), cat.defense("D9"))
-        first = plan.scores(rows, WEIGHTS)
+        first = plan.scores(_first_cell(rows), rows, WEIGHTS)
         assert np.array_equal(rows, before)
-        assert plan.scores(rows, WEIGHTS).tolist() == first.tolist()
+        assert plan.scores(_first_cell(rows), rows, WEIGHTS).tolist() == first.tolist()
         assert net == load_ieee33()
 
 
@@ -589,6 +600,76 @@ def test_property_actions_leave_their_input_unchanged(cell):
         assert_revalidates(derived)
 
 
+@st.composite
+def table_runs(draw):
+    """A random feeder with shuffled bus ids, a catalog of its own lines and
+    buses, and runs of that catalog's cells, repeated and in any order, with
+    their load multipliers.
+
+    Attack AX cuts every DER bus off from its parent, so its cells hold
+    several DER islands of several sizes, and scales one bus twice; AY trips
+    up to three lines. The defenses shed by threshold and by fraction in
+    both orders. Half the feeders rate one DER at 1e308, where an island's
+    load times its rating overflows."""
+    n = draw(st.integers(8, 30))
+    state = feeder(n, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([20.0, 150.0, 600.0])),
+                   draw(st.sampled_from([0.0, 0.2])), 4, draw(st.sampled_from([0.0, 0.3])), False,
+                   draw(st.sampled_from([0.0, 0.3, 0.6])))
+    if draw(st.booleans()):
+        state = replace(state, ders=(replace(state.ders[0], rating_p=1e308), *state.ders[1:]))
+    # the feeder makes line k the link from bus k + 1 (in state order) to its parent
+    ends = [(ln.from_bus, ln.to_bus) for ln in state.lines]
+    at = {b.id: k for k, b in enumerate(state.buses)}
+    cuts = sorted({ends[at[d.bus] - 1] for d in state.ders if at[d.bus] > 0})
+    buses = st.sampled_from([b.id for b in state.buses])
+    factor, share = st.floats(0.0, 3.0), st.floats(0.0, 1.0)
+    twice = draw(buses)
+    attacks = (
+        AttackAction("AX", "cut every DER off, scale one bus twice", (
+            *(Effect("trip_line", c) for c in cuts),
+            Effect("scale_load", twice, draw(factor)),
+            Effect("scale_load", (twice, draw(buses)), draw(factor)))),
+        AttackAction("AY", "trip lines", tuple(
+            Effect("trip_line", c)
+            for c in draw(st.lists(st.sampled_from(ends), max_size=3, unique=True)))),
+    )
+    limit = st.floats(0.0, 2.0 * max(b.load_p for b in state.buses))
+    fraction = st.one_of(st.sampled_from(["*", "non-critical"]), buses)
+    defenses = (
+        DefenseAction("D0", "no action", ()),
+        DefenseAction("DT", "threshold, then fraction", (
+            Effect("shed_threshold", None, draw(limit)),
+            Effect("shed_fraction", draw(fraction), draw(share)))),
+        DefenseAction("DF", "fraction, then threshold", (
+            Effect("shed_fraction", draw(fraction), draw(share)),
+            Effect("shed_threshold", None, draw(limit)))),
+        DefenseAction("DD", "dispatch every DER", (Effect("set_der_dispatch", "*", draw(share)),)),
+    )
+    catalog = ScenarioCatalog(attacks=attacks, defenses=defenses)
+    cells = draw(st.lists(st.integers(0, 7), min_size=1, max_size=10))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 3.0,
+                                                                           (len(cells), n))
+    return state, catalog, np.array(cells), rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=table_runs())
+def test_property_table_pass_matches_oracle(case):
+    # one pass over runs of several cells equals the dict-based oracle, run
+    # by run, bit for bit: the four metrics, the empty-denominator flag and
+    # the score
+    state, catalog, cells, rows = case
+    table = scenario.compile_catalog(state, catalog)
+    cards, empty = table.metrics(cells, scenario.serve_loads(table, cells, rows))
+    scores = table.scores(cells, rows, WEIGHTS)
+    for r, cell in enumerate(cells.tolist()):
+        a, d = catalog.attacks[cell // 4], catalog.defenses[cell % 4]
+        want = pair_oracle.evaluate_pair(_perturbed(state, rows[r].tolist()), a, d)
+        assert cards[r].tolist() == [want.lsr, want.clr, want.tss, want.drs], (a.id, d.id)
+        assert empty[r].any() == (FLAG_EMPTY_DENOMINATOR in want.flags)
+        assert scores[r] == unified_score(want, WEIGHTS)
+
+
 @settings(max_examples=150, deadline=None)
 @given(cell=feeder_cells(), seed=st.integers(0, 2**32 - 1))
 def test_property_metrics_and_scores_lie_in_the_unit_interval(cell, seed):
@@ -598,10 +679,11 @@ def test_property_metrics_and_scores_lie_in_the_unit_interval(cell, seed):
     except RadialityError:
         assume(False)  # a loop the tie switch closed: no plan to score
     rows = np.random.default_rng(seed).uniform(0.0, 3.0, (4, state.n_buses))
-    cards, _ = plan.metrics(scenario.serve_loads(plan, rows))
+    cells = _first_cell(rows)
+    cards, _ = plan.metrics(cells, scenario.serve_loads(plan, cells, rows))
     assert ((0.0 <= cards) & (cards <= 1.0)).all()
     # AHP weights sum to 1 up to rounding, so a score may pass 1 by an ulp
-    scores = plan.scores(rows, WEIGHTS)
+    scores = plan.scores(cells, rows, WEIGHTS)
     assert ((0.0 <= scores) & (scores <= 1.0 + 1e-12)).all()
 
 
