@@ -8,7 +8,8 @@ A state is validated at the boundary: every ``NetworkState(...)`` and
 ``dataclasses.replace`` runs the full check in ``__post_init__``, so loaders
 and user code always do.  The ``with_*`` derivations check only what they
 change, with the same rules, and build their result through one trusted
-path.
+path.  Beside each value, the total active load and the total online DER
+output must stay finite: the scores divide by these sums.
 
 Beside its buses, lines and switches, a state holds its branches as arrays:
 the end positions and impedances of every branch, lines first and then
@@ -19,7 +20,9 @@ copies and flips in one entry.  Each state also carries three slots that
 connectivity, its numbering and its power-flow solution are worked out
 once.  A derivation that changes loads, shed fractions or a DER's dispatch
 alone keeps the first two, every other derivation starts with both empty,
-and no derivation keeps the solution.
+and no derivation keeps the solution.  The numbering slot holds a one-entry
+list that such a derivation shares with its parent, so a numbering made
+after the derivation still serves both.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ class NetworkState:
     _closed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # filled by topology.connectivity and powerflow.power_flow; never compared
     _topology: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _numbering: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _numbering: list | None = field(default=None, init=False, repr=False, compare=False)
     _solution: PowerFlowSolution | None = field(default=None, init=False, repr=False,
                                                 compare=False)
 
@@ -165,6 +168,7 @@ class NetworkState:
         closed.flags.writeable = False
         object.__setattr__(self, "_grid", Grid(self.buses, self.lines, self.switches))
         object.__setattr__(self, "_closed", closed)
+        object.__setattr__(self, "_numbering", [None])
 
     # -- lookups ---------------------------------------------------------
 
@@ -241,8 +245,8 @@ class NetworkState:
     def _derive(self, *, same_topology: bool = False, **changes) -> "NetworkState":
         """The trusted path of the ``with_*`` derivations: a copy with
         ``changes``, which the caller has checked, without ``__post_init__``.
-        It keeps the resolved topology and numbering only when
-        ``same_topology``: the change touched no branch, no DER's place,
+        It keeps the resolved topology, and shares the numbering slot, only
+        when ``same_topology``: the change touched no branch, no DER's place,
         rating or status, and no reference.  The stored power-flow solution
         never carries over."""
         derived = object.__new__(type(self))
@@ -250,16 +254,19 @@ class NetworkState:
         attrs.update(vars(self))
         attrs.update(changes, _solution=None)
         if not same_topology:
-            attrs.update(_topology=None, _numbering=None)
+            attrs.update(_topology=None, _numbering=[None])
         return derived
 
 
 def _check_loads(buses) -> None:
+    total = 0.0
     for b in buses:
         if not (math.isfinite(b.load_p) and math.isfinite(b.load_q)):
             raise NetworkValidationError(f"bus {b.id}: non-finite load")
         if b.load_p < 0:
             raise NetworkValidationError(f"bus {b.id}: negative active load")
+        total += b.load_p
+    _check_total(total, "total active load")
 
 
 def _check_unique(ids, kind) -> None:
@@ -277,6 +284,18 @@ def _check_ders(ders, known) -> None:
             raise NetworkValidationError(f"{d.id}: rating must be finite and non-negative")
         if not 0.0 <= d.dispatch_fraction <= 1.0:
             raise NetworkValidationError(f"{d.id}: dispatch fraction outside [0,1]")
+    total = 0.0
+    for d in ders:
+        total += d.output_kw()
+    _check_total(total, "total online DER output")
+
+
+def _check_total(total: float, name: str) -> None:
+    """The scores divide by sums like these, added left to right in state
+    order, so each must stay inside the float range."""
+    if not math.isfinite(total):
+        raise NetworkValidationError(
+            f"{name} overflows the float range ({total} kW); it must be finite")
 
 
 def _check_shed(fractions, known) -> None:

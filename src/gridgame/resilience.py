@@ -233,21 +233,31 @@ def build_payoff_matrix(base, catalog, weights: AhpWeights) -> PayoffMatrix:
 
     Three steps: the plan table (``scenario.compile_catalog``); one pass of
     it that scores every cell, serves its loads and marks its curtailment
-    and empty denominators (``PlanTable.nominal``); then, cell by cell in
-    (attack, defense) order, the power flows that set the voltage flags
-    (``scenario.evaluate_pair``). Only ``payoff`` writes the flags."""
+    and empty denominators (``PlanTable.nominal``); then, row by row of the
+    matrix, the power flows that set the voltage flags: the row's flows in
+    one sweep pass (``scenario.solve_row``), then each cell's flags in
+    (attack, defense) order (``scenario.evaluate_pair``), which reads the
+    solutions that pass stored. Only ``payoff`` writes the flags."""
     from . import scenario  # deferred: scenario imports the scorecard and flags above
+    from .netmodel import forget_solution
 
     table = scenario.compile_catalog(base, catalog)
     _, cards, _ = table.nominal
     n_def = len(catalog.defenses)
     flags = {}
-    for cell, (attack, defense) in enumerate(
-            (a, d) for a in catalog.attacks for d in catalog.defenses):
-        card = scenario.payoff_cell(scenario.evaluate_pair, base, attack, defense,
-                                    table=table, cell=cell)
-        if card.flags:
-            flags[divmod(cell, n_def)] = card.flags
+    for i, attack in enumerate(catalog.attacks):
+        cells = range(i * n_def, (i + 1) * n_def)
+        # the row's flows in one pass; evaluate_pair finds each one solved
+        served = scenario.solve_row(table, cells)
+        for cell, defense, state in zip(cells, catalog.defenses, served):
+            card = scenario.payoff_cell(scenario.evaluate_pair, base, attack, defense,
+                                        table=table, cell=cell, served_state=state)
+            if card.flags:
+                flags[divmod(cell, n_def)] = card.flags
+        # the row's flows are read: free them, so the build holds one row's at a time
+        for cell in cells:
+            if table.cells[cell].defended is not base:
+                forget_solution(table.cells[cell].defended)
     return _payoff(catalog, left_sum(cards * weights.w), flags)
 
 

@@ -10,7 +10,9 @@ stacked into arrays over cells: ``serve_loads`` serves any runs of any
 cells in one array pass, and ``PlanTable.metrics`` scores the served
 states (LSR, CLR, TSS, DRS). ``evaluate_pair`` reads a cell's scorecard
 from the table's pass on unperturbed loads and runs the power flows that
-set the cell's voltage flags, which only ``payoff`` writes. The cells of
+set the cell's voltage flags, which only ``payoff`` writes; ``solve_row``
+solves the flows of a row of cells in one sweep call beforehand, so those
+flows return stored solutions. The cells of
 one attack share an ``AttackRow``, which applies the attack once, and
 every cell shares the base feeder's ``BaseTables``.
 """
@@ -24,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CatalogError, number, read_json
-from .netmodel import CLOSED, OPEN, NetworkState, power_flow, topology
+from .netmodel import CLOSED, OPEN, NetworkState, power_flow, solve_flows, topology
 from .resilience import (
     FLAG_EMPTY_DENOMINATOR,
     FLAG_NON_CONVERGENCE,
@@ -382,7 +384,8 @@ apply_attack = apply_defense = apply_action
 
 
 def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseAction, *,
-                  table: PlanTable | None = None, cell: int = 0) -> ResilienceScorecard:
+                  table: PlanTable | None = None, cell: int = 0,
+                  served_state: NetworkState | None = None) -> ResilienceScorecard:
     """Score one attack-defense interaction on the pristine network, with
     the flags of its power flows.
 
@@ -392,7 +395,9 @@ def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseActi
     post-defense flow and, where the serving policy curtails a DER island,
     a flow of the served state. ``table`` holds the pair as its cell
     ``cell`` when the caller scores several cells (``build_payoff_matrix``);
-    without it the pair is compiled here.
+    without it the pair is compiled here. ``served_state`` is the cell's
+    served state when the caller has made it (``solve_row``); without it a
+    curtailed cell makes its own.
     """
     if table is None:
         table, cell = compile_pair(base, attack, defense), 0
@@ -401,15 +406,10 @@ def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseActi
     if not power_flow(base).converged:
         flags.add(FLAG_NON_CONVERGENCE)
 
-    defended = table.cells[cell].defended
-    solutions = [power_flow(defended)]
+    solutions = [power_flow(table.cells[cell].defended)]
     if served.curtailed[cell]:
-        # re-solve with the curtailment baked in so voltages are consistent
-        load = np.array([b.load_p for b in defended.buses])
-        kept = np.divide(served.served[cell], load, out=np.zeros_like(load), where=load > 0)
-        shed = np.where(table.cells[cell].dead, 1.0, np.where(load > 0, 1.0 - kept, 0.0))
-        solutions.append(power_flow(defended.with_shed(
-            {b.id: s for b, s in zip(defended.buses, shed.tolist())})))
+        solutions.append(power_flow(
+            served_state if served_state is not None else _served_state(table, cell)))
     for solution in solutions:
         if not solution.converged:
             flags.add(FLAG_NON_CONVERGENCE)
@@ -419,6 +419,35 @@ def evaluate_pair(base: NetworkState, attack: AttackAction, defense: DefenseActi
     if empty[cell].any():
         flags.add(FLAG_EMPTY_DENOMINATOR)
     return ResilienceScorecard(*cards[cell].tolist(), flags=frozenset(flags))
+
+
+def _served_state(table: PlanTable, cell: int) -> NetworkState:
+    """The defended state of a curtailed cell with the curtailment baked in,
+    so its voltages are consistent with what was served: each bus sheds what
+    the pass on unperturbed loads did not serve, and a dead bus all of it."""
+    defended = table.cells[cell].defended
+    load = np.array([b.load_p for b in defended.buses])
+    kept = np.divide(table.nominal[0].served[cell], load, out=np.zeros_like(load),
+                     where=load > 0)
+    shed = np.where(table.cells[cell].dead, 1.0, np.where(load > 0, 1.0 - kept, 0.0))
+    return defended.with_shed({b.id: s for b, s in zip(defended.buses, shed.tolist())})
+
+
+def solve_row(table: PlanTable, cells) -> list:
+    """Solve the power flows of ``evaluate_pair`` for ``cells`` (one row of
+    the payoff matrix) in one ``solve_flows`` call, which stores each
+    solution on its state: the base feeder, each cell's defended state, and
+    the served state of each cell the serving policy curtails.
+
+    Returns each cell's served state, or None where nothing is curtailed, to
+    pass to ``evaluate_pair``. A served state is made once, from its
+    defended state, whose numbering it shares.
+    """
+    defended = [table.cells[c].defended for c in cells]
+    curtailed = table.nominal[0].curtailed
+    served = [_served_state(table, c) if curtailed[c] else None for c in cells]
+    solve_flows([table.base.state, *defended, *(s for s in served if s is not None)])
+    return served
 
 
 # -- the plan table --------------------------------------------------------

@@ -1,10 +1,15 @@
-"""The per-bus backward/forward sweep, kept as the voltage oracle of power_flow.
+"""The sweeps power_flow was derived from, kept as its oracles.
 
-This is the loop the package ran before the sweep was vectorised: each island
-is ordered breadth-first from its reference bus, then every sweep walks the
-buses one at a time, first up the tree to accumulate branch currents, then
-down it to drop voltages.  It shares the topology pass and constants with
-the package, so any difference the tests find lies in the sweep itself.
+``power_flow`` here is the per-bus backward/forward sweep, the loop the
+package ran before the sweep was vectorised: each island is ordered
+breadth-first from its reference bus, then every sweep walks the buses one
+at a time, first up the tree to accumulate branch currents, then down it to
+drop voltages.  It shares the topology pass and constants with the package,
+so any difference the tests find lies in the sweep itself.
+
+``one_island_sweep`` is the vectorised sweep of one island, as the package
+ran it before it swept many islands per pass: the bits every island of
+``powerflow._sweep_islands`` must equal.
 """
 import numpy as np
 
@@ -101,6 +106,35 @@ def sweep(parent, zr, zx, sp, sq, tol, max_iter):
         if max_dv <= tol:
             break
     return v, iters, max_dv
+
+
+def one_island_sweep(end, z, s):
+    """Solve one island numbered by powerflow._depth_first, to TOLERANCE
+    within MAX_SWEEPS sweeps.
+
+    z is the impedance of the edge toward the parent (p.u.), s the net
+    constant-power draw (p.u., consumption positive).  Node 0 is the
+    reference: its voltage stays 1+0j and s[0] must be 0, since the swing
+    source serves its local power directly.
+    Returns (voltages, sweeps, final max |dV|); a non-finite |dV| never
+    passes the tolerance, so a sweep that overflows reads as non-converged.
+    """
+    k = len(s)
+    inner = np.flatnonzero(end < k)
+    back = end[inner]
+    currents = np.zeros(k + 1, dtype=np.complex128)
+    v = np.ones(k, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            np.cumsum(np.conj(s / v), out=currents[1:])
+            drop = z * (currents[end] - currents[:-1])
+            np.subtract.at(drop, back, drop[inner])
+            v_new = 1.0 - np.cumsum(drop)
+            max_dv = float(np.abs(v_new - v).max())
+            v = v_new
+            if max_dv <= TOLERANCE:
+                break
+    return v, sweeps, max_dv
 
 
 def power_flow(state: NetworkState, tol: float = TOLERANCE,

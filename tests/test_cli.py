@@ -514,6 +514,32 @@ def test_bad_input_exits_2_naming_its_file(argv, flag, content, reason, tmp_path
     assert not out.exists()
 
 
+def overflowing_total_doc(kind):
+    """The bundled network with two finite values whose total is past the
+    float limit: two bus loads, or two DER ratings."""
+    doc = bundled_network_doc()
+    for entry in (doc["buses"][1:3] if kind == "load" else doc["ders"][:2]):
+        entry["p_kw" if kind == "load" else "rating_kw"] = 1.7e308
+    return doc
+
+
+@pytest.mark.parametrize("kind, total", [("load", "total active load"),
+                                         ("der", "total online DER output")])
+def test_a_total_past_the_float_limit_exits_2_without_a_warning(kind, total, tmp_path):
+    # it once leaked RuntimeWarnings from the score sums and failed on the
+    # matrix, naming no input; a child process shows what a user's stderr shows
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(overflowing_total_doc(kind)))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridgame", "payoff", "--network", str(net), "--out", str(out)],
+        env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {net}: {total} overflows the float range (inf kW); "
+                           "it must be finite\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path", [("lines", 0, "r_ohm"), ("lines", 0, "x_ohm"),
                                   ("ders", 0, "rating_kw")])
 def test_impedance_or_rating_near_the_float_limit_reads_as_non_converged(path, tmp_path):

@@ -168,6 +168,17 @@ def test_payoff_on_a_mutated_network_succeeds_or_exits_2(mutation):
         check_outcome(*run_payoff(mutated(*mutation, base=NETWORK), Path(tmp), "--network"))
 
 
+# two fields at a time: each value is finite, their total is not
+@pytest.mark.parametrize("entries, key", [("buses", "p_kw"), ("ders", "rating_kw")])
+def test_payoff_on_a_network_whose_total_overflows_exits_2(entries, key, tmp_path):
+    doc = copy.deepcopy(NETWORK)
+    for entry in doc[entries][1:3]:
+        entry[key] = 1.7e308
+    code, err, out, path = run_payoff(doc, tmp_path, "--network")
+    check_outcome(code, err, out, path)
+    assert code == 2 and "overflows the float range" in err, err
+
+
 def test_every_operation_meets_a_field_shape():
     assert (len(SHAPE_MUTATIONS), len(NETWORK_SHAPE_MUTATIONS)) == (20, 30)
     every = {(op, repr(value)) for op, value in OPERATIONS}

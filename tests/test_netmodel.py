@@ -391,6 +391,24 @@ class TestValidation:
         with pytest.raises(NetworkValidationError):
             self._three_bus(**{field: value})
 
+    def test_a_total_past_the_float_limit_rejected(self, net):
+        # every value is finite, but the scores divide by these sums
+        buses = (Bus(1, 0, 0), Bus(2, 1.7e308, 0), Bus(3, 1.7e308, 0))
+        lines = (Line("a", 1, 2, 0.1, 0.1), Line("b", 2, 3, 0.1, 0.1))
+        with pytest.raises(NetworkValidationError, match=r"^total active load .*\(inf kW\)"):
+            NetworkState(buses=buses, lines=lines)
+        light = (Bus(1, 0, 0), Bus(2, 1.0, 0), Bus(3, 1.0, 0))
+        ders = (Der("G", 2, 1.7e308, 1.0), Der("H", 3, 1.7e308, 1.0))
+        with pytest.raises(NetworkValidationError, match=r"^total online DER output .*\(inf kW\)"):
+            NetworkState(buses=light, lines=lines, ders=ders)
+        # an offline DER outputs nothing, so only bringing it online overflows
+        state = NetworkState(buses=light, lines=lines,
+                             ders=(ders[0], dataclasses.replace(ders[1], online=False)))
+        with pytest.raises(NetworkValidationError, match="total online DER output"):
+            state.with_der("H", online=True)
+        with pytest.raises(NetworkValidationError, match="total active load"):
+            net.with_scaled_loads({2: 1.7e306, 3: 1.7e306})
+
     def test_duplicate_der_ids_rejected(self):
         with pytest.raises(NetworkValidationError):
             self._three_bus(der_ids=("G", "G"))
@@ -435,7 +453,7 @@ def assert_revalidates(state):
         isls, labels = topology.connectivity(again)
         assert state._topology[0] == isls
         assert np.array_equal(state._topology[1], labels)
-    if state._numbering is not None:
+    if state._numbering[0] is not None:
         assert power_flow(state) == power_flow(again)
 
 
@@ -456,7 +474,10 @@ def test_every_derived_state_of_the_bundled_build_revalidates(monkeypatch):
     assert (len(made), len(validations)) == (212, 0)
     for state in made:
         assert_revalidates(state)
-    assert sum(s._numbering is not None for s in made) == 163
+    # states derived from each other by load, shed or dispatch changes alone
+    # share one numbering: 174 states hold 60
+    numbered = [s._numbering for s in made if s._numbering[0] is not None]
+    assert (len(numbered), len({id(n) for n in numbered})) == (174, 60)
 
 
 class TestDerivations:
@@ -485,7 +506,7 @@ class TestDerivations:
         power_flow(net)
         for derived in (net.with_der("DER4", online=False), net.with_der("DER4", rating_p=1.0),
                         net.with_der("DER4", online=False, dispatch_fraction=1.0)):
-            assert (derived._topology, derived._numbering) == (None, None)
+            assert (derived._topology, derived._numbering) == (None, [None])
             power_flow(derived)
             assert topology.connectivity(derived) is not topology.connectivity(net)
             assert derived._numbering is not net._numbering
@@ -522,8 +543,8 @@ class TestDerivations:
         from gridgame.netmodel import powerflow
         net = load_ieee33()  # one island, never solved
         sweeps = []
-        real = powerflow._sweep
-        monkeypatch.setattr(powerflow, "_sweep", lambda *a: sweeps.append(a) or real(*a))
+        real = powerflow._sweep_rows
+        monkeypatch.setattr(powerflow, "_sweep_rows", lambda *a: sweeps.append(a) or real(*a))
         first = power_flow(net)
         assert power_flow(net) is first
         assert len(sweeps) == 1
@@ -536,6 +557,20 @@ class TestDerivations:
                             lambda s: checked.append(s) or real(s))
         power_flow(net)
         assert checked == [net]
+
+    def test_a_numbering_made_after_a_derivation_serves_both(self, monkeypatch):
+        # the numbering slot is shared, not copied, so the order in which a
+        # state and its load-only derivation are first solved does not matter
+        from gridgame.netmodel import powerflow
+        net = load_ieee33()  # one island, never solved
+        shed = net.with_shed({2: 0.5})
+        walks = []
+        real = powerflow._depth_first
+        monkeypatch.setattr(powerflow, "_depth_first", lambda *a: walks.append(a) or real(*a))
+        power_flow(shed)
+        power_flow(net)
+        assert shed._numbering is net._numbering
+        assert len(walks) == 1
 
     def test_load_only_derivations_keep_the_parents_topology(self, net):
         power_flow(net)

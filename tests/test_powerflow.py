@@ -136,6 +136,33 @@ def test_every_bundled_build_state_matches_oracle():
         assert assert_matches_oracle(state) == "converged"
 
 
+def test_bundled_build_sweeps_each_row_once(monkeypatch):
+    # each row's flows are one kernel call, whose passes are at most one per
+    # width group and SWEEP_ENTRIES chunk of the row's islands; the served
+    # states share their defended state's numbering, so the build walks no
+    # more trees than one numbering per defended state would (202), and
+    # evaluate_pair still asks for every flow
+    calls, walks, rows, passes = [], [], [], []
+    for name, log in (("_depth_first", walks), ("_sweep_islands", rows),
+                      ("_sweep_rows", passes)):
+        real = getattr(powerflow, name)
+        monkeypatch.setattr(powerflow, name,
+                            lambda *a, real=real, log=log: log.append(a) or real(*a))
+    real_flow = scenario.power_flow
+    monkeypatch.setattr(scenario, "power_flow", lambda s: calls.append(s) or real_flow(s))
+    catalog = catalog_default()
+    build_payoff_matrix(load_ieee33(), catalog, ahp_weights(DEFAULT_AHP_MATRIX))
+    assert len(calls) == 263
+    assert len(walks) <= 202
+    assert len(rows) <= len(catalog.attacks)
+    chunks = 0
+    for sizes, *_ in rows:
+        power = np.frexp(sizes - 1)[1]
+        for p, count in zip(*np.unique(power, return_counts=True)):
+            chunks += -(-count // max(1, powerflow.SWEEP_ENTRIES >> int(p)))
+    assert len(passes) <= chunks
+
+
 def test_every_118_bus_probe_state_matches_oracle():
     base = synthetic_feeder(118, 1)
     states = flowed_states(base, _probe_catalog(base))
@@ -203,3 +230,79 @@ def test_random_feeders_balance_power(state):
                          ids=["ieee33", "synthetic118"])
 def test_feeder_balances_power(base):
     assert assert_power_balance(base)
+
+
+# -- the many-island kernel against the one-island sweep ---------------------
+
+# (z, s) scales of a drawn island: a light feeder converges, a heavy one
+# runs out of sweeps, and one near the float limit overflows
+ISLAND_SCALES = {"light": (0.05, 0.02), "heavy": (0.5, 3.0), "overflow": (1e308, 1e308)}
+
+
+def numbered_island(size, seed, scale):
+    """(end, z, s) of a random tree of ``size`` places in depth-first order:
+    each place after the root is one level deeper than the last or returns
+    to a level at most as deep, and its subtree ends at the next place no
+    deeper than it."""
+    rng = np.random.default_rng(seed)
+    depth = [0]
+    for _ in range(1, size):
+        depth.append(int(rng.integers(1, depth[-1] + 2)))
+    end = np.array([next((j for j in range(i + 1, size) if depth[j] <= depth[i]), size)
+                    for i in range(size)])
+    z_scale, s_scale = ISLAND_SCALES[scale]
+    z = z_scale * (rng.random(size) + 1j * rng.random(size))
+    s = s_scale * (rng.random(size) + 1j * rng.uniform(-0.2, 0.8, size))
+    z[0] = s[0] = 0.0
+    return end, z, s
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+def assert_kernel_matches(islands, entries=None):
+    """``_sweep_islands`` over the islands in one call, at ``entries``
+    padded entries per pass, gives every island the bits of its one-island
+    sweep; returns each island's outcome."""
+    with pytest.MonkeyPatch.context() as mp:
+        if entries is not None:
+            mp.setattr(powerflow, "SWEEP_ENTRIES", entries)
+        v, sweeps, max_dv = powerflow._sweep_islands(
+            np.array([len(s) for _end, _z, s in islands]),
+            *(np.concatenate(parts) for parts in zip(*islands)))
+    outcomes, at = [], 0
+    for i, (end, z, s) in enumerate(islands):
+        want_v, want_sweeps, want_dv = sweep_oracle.one_island_sweep(end, z, s)
+        assert bits(v[at:at + len(s)].view(np.float64)) == bits(want_v.view(np.float64))
+        assert (int(sweeps[i]), bits(max_dv[i])) == (want_sweeps, bits(want_dv))
+        at += len(s)
+        outcomes.append("converged" if want_dv <= powerflow.TOLERANCE
+                        else "exhausted" if np.isfinite(want_dv) else "non-finite")
+    return outcomes
+
+
+ISLANDS = st.lists(st.builds(
+    numbered_island,
+    size=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from(sorted(ISLAND_SCALES)),
+), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(islands=ISLANDS, entries=st.sampled_from([1, 64, None]))
+def test_kernel_matches_the_one_island_sweep(islands, entries):
+    assert_kernel_matches(islands, entries)
+
+
+def test_kernel_cases_reach_every_outcome():
+    # one call of mixed widths (1 to 70 places) holding one-node islands, and
+    # width groups whose islands converge, exhaust MAX_SWEEPS and overflow
+    islands = [numbered_island(size, seed, scale)
+               for seed, (size, scale) in enumerate([
+                   (1, "light"), (70, "light"), (40, "heavy"), (33, "light"), (5, "light"),
+                   (50, "overflow"), (1, "heavy"), (6, "heavy"), (7, "overflow"), (2, "light")])]
+    for entries in (1, 64, None):
+        outcomes = assert_kernel_matches(islands, entries)
+        assert set(outcomes) == {"converged", "exhausted", "non-finite"}

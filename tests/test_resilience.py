@@ -349,13 +349,15 @@ class TestPayoffMatrix:
         assert calls == {"scans": 1, "passes": 1, "questions": 1}
         resilience.build_payoff_matrix(net, cat, ahp_weights(DEFAULT_AHP_MATRIX))
         # 85 passes; the questions: the radiality check of each of the 263
-        # flows, two per cell (its radiality check and its plan), one per row
-        # (the base's check) and 75 close_switch loop tests
+        # flows and of the 173 states the row solves hand to the sweep (per
+        # row the base, and per cell its defended and perhaps its served
+        # state), two per cell (its radiality check and its plan), one per
+        # row (the base's check) and 75 close_switch loop tests
         assert calls == {"scans": 1 + 85, "passes": 1 + 85,
-                         "questions": 1 + 263 + 2 * 100 + 10 + 75}
+                         "questions": 1 + 263 + 173 + 2 * 100 + 10 + 75}
         scenario.compile_catalog(net, cat)
         assert calls == {"scans": 1 + 85 + 85, "passes": 1 + 85 + 85,
-                         "questions": 1 + 548 + 2 * 100 + 10 + 75}
+                         "questions": 1 + 721 + 2 * 100 + 10 + 75}
 
     def test_cell_error_names_the_cell(self):
         cat = scenario.catalog_default()
